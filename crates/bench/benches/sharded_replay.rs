@@ -1,14 +1,9 @@
-//! Sharded single-trace ingestion (PR 8): the fused decode→ingest
-//! engine, the address-partitioned shard driver at 2/4/8 worker
-//! shards, and the mmap zero-copy open path, all against the PR 5
-//! pipelined engine (`replay_pipelined`, the `before` phase in
-//! BENCH_PR8.json).
-//!
-//! The acceptance bar is ≥3× the PR 5 `replay_binary` baseline
-//! (7.43M events/s → ≥22.3M) for the best single-trace engine. On a
-//! single-core host that is the fused path; the shard driver's worker
-//! threads only pay off with real cores, so its numbers here document
-//! coordination overhead, not scaling (see DESIGN.md §13).
+//! Single-trace ingestion: the fused decode→ingest engine, the same
+//! loop over an address-partitioned graph at 2/4/8 shards, and the
+//! mmap zero-copy open path, all against the pipelined engine
+//! (`replay_pipelined`). Shards run on the calling thread, so their
+//! numbers show what partitioning the graph's storage costs, not
+//! scaling (see DESIGN.md §13).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use heapmd::{BinaryTraceImage, Process, Settings, Trace};
@@ -70,8 +65,7 @@ fn bench_sharded_replay(c: &mut Criterion) {
         b.iter(|| heapmd::replay_binary_fused(&image, &settings, "bench").unwrap())
     });
 
-    // The shard driver: router decodes and routes, N workers own the
-    // degree-counting state, barrier merge at every sample point.
+    // The fused loop over an N-shard graph image.
     for shards in [2usize, 4, 8] {
         group.bench_function(BenchmarkId::new("replay_shards", shards), |b| {
             b.iter(|| heapmd::replay_binary_sharded(&image, &settings, "bench", shards).unwrap())

@@ -123,17 +123,17 @@ fn bench_trace_codec(c: &mut Criterion) {
     for jobs in [1usize, 2, 8] {
         group.bench_function(BenchmarkId::new("check_jsonl_jobs", jobs), |b| {
             b.iter(|| {
-                heapmd::check_paths_parallel(&jsonl_pool, &model, &settings, jobs, false)
+                heapmd::check_paths_parallel(&jsonl_pool, &model, &settings, jobs, false, 1, None)
                     .into_iter()
-                    .map(|r| r.unwrap().len())
+                    .map(|r| r.unwrap().bugs.len())
                     .sum::<usize>()
             })
         });
         group.bench_function(BenchmarkId::new("check_binary_jobs", jobs), |b| {
             b.iter(|| {
-                heapmd::check_paths_parallel(&binary_pool, &model, &settings, jobs, false)
+                heapmd::check_paths_parallel(&binary_pool, &model, &settings, jobs, false, 1, None)
                     .into_iter()
-                    .map(|r| r.unwrap().len())
+                    .map(|r| r.unwrap().bugs.len())
                     .sum::<usize>()
             })
         });

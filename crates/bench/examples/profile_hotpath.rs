@@ -1,9 +1,8 @@
 //! Splits the graph_update bench cost between the simulated heap and
 //! the heap-graph, so optimization effort goes where the time is —
 //! plus a codec section showing what block-decode buffer reuse saves
-//! on the replay hot path, and a shard-scaling section that reports
-//! where the sharded replay driver's worker threads spend their time
-//! (per-shard busy-ns from the obs stage counters).
+//! on the replay hot path, and a replay section timing each engine and
+//! graph shard count.
 //!
 //! Run: `cargo run --release -p heapmd-bench --example profile_hotpath`
 
@@ -146,11 +145,7 @@ fn main() {
         }
     });
 
-    // Sharded replay: wall-clock per engine, then a per-shard busy-ns
-    // breakdown from the obs stage counters the driver records
-    // (`shard_worker_{w}_busy_ns_total`). On a single core the workers
-    // serialize, so busy-ns ≈ the degree-counting work each shard
-    // owns — the breakdown shows load balance, not parallel speedup.
+    // Replay engines: wall-clock per engine and per graph shard count.
     let settings = Settings::builder().frq(100).build().unwrap();
     let replay_events = image.index().total_events;
     println!("\nreplay engines ({replay_events} events):");
@@ -169,42 +164,4 @@ fn main() {
             },
         );
     }
-
-    // One instrumented run per shard count: counter deltas isolate
-    // this run's contribution from anything recorded earlier.
-    heapmd_obs::set_enabled(true);
-    for shards in [2usize, 4, 8] {
-        let reg = heapmd_obs::registry();
-        let before: Vec<(u64, u64)> = (0..shards)
-            .map(|w| {
-                (
-                    reg.counter(&format!("shard_worker_{w}_busy_ns_total"))
-                        .get(),
-                    reg.counter(&format!("shard_worker_{w}_events_total")).get(),
-                )
-            })
-            .collect();
-        heapmd::replay_binary_sharded(&image, &settings, "prof", shards).unwrap();
-        println!("shard busy-ns breakdown ({shards} shards):");
-        for (w, (busy0, ev0)) in before.into_iter().enumerate() {
-            let busy = reg
-                .counter(&format!("shard_worker_{w}_busy_ns_total"))
-                .get()
-                .saturating_sub(busy0);
-            let ev = reg
-                .counter(&format!("shard_worker_{w}_events_total"))
-                .get()
-                .saturating_sub(ev0);
-            println!(
-                "  shard {w}: {:>10.1} µs busy, {ev:>7} degree ops ({:>5.1} ns/op)",
-                busy as f64 / 1e3,
-                if ev == 0 {
-                    0.0
-                } else {
-                    busy as f64 / ev as f64
-                }
-            );
-        }
-    }
-    heapmd_obs::set_enabled(false);
 }

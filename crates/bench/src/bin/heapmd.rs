@@ -16,6 +16,7 @@
 //! heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT]
 //!                         [--format binary|jsonl] [--stream]
 //! heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--format binary|jsonl]
+//!               [--sample] [--sample-hot-threshold N] [--sample-decimation N]
 //! heapmd inspect <artifact> [--salvage]         # bundle or trace, by magic
 //! heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N]
 //!              [--queue-events N] [--incidents DIR] [--prom-dump FILE]
@@ -170,18 +171,10 @@ fn format_flag(args: &[String]) -> Option<StreamFormat> {
 }
 
 /// The `--shards N` heap-graph shard count for `run`/`check`/`replay`:
-/// defaults to the core count (1 on single-core hosts — the legacy
-/// single-slab layout). Observables are bit-identical at every value.
+/// defaults to 1, the single-slab graph. Observables are bit-identical
+/// at every value.
 fn shards_flag(args: &[String]) -> usize {
-    match arg_value(args, "--shards") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--shards expects a number, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    num_flag(args, "--shards", "a number", 1usize)
 }
 
 /// The production-overhead sampling flags shared by `run`, `check`,
@@ -246,7 +239,7 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--format binary|jsonl] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N] [--no-resume]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--resume] [--threads N] [--format binary|jsonl] [--run-store DIR]\n  heapmd check <program> --model FILE [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--incidents DIR] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT_ID] [--format binary|jsonl] [--stream]\n  heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--format binary|jsonl]\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N] [--no-resume]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--format binary|jsonl] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N] [--no-resume]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--resume] [--threads N] [--format binary|jsonl] [--run-store DIR]\n  heapmd check <program> --model FILE [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--incidents DIR] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT_ID] [--format binary|jsonl] [--stream]\n  heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--format binary|jsonl] [--sample] [--sample-hot-threshold N] [--sample-decimation N]\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N] [--no-resume]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
@@ -711,20 +704,14 @@ fn cmd_check(args: &[String]) -> i32 {
 /// `check --model FILE --trace A [--trace B …] [--jobs N] [--salvage]`:
 /// fans the trace checks across a scoped thread pool (binary traces go
 /// through the pipelined decoder → detector engine) and prints per-trace
-/// verdicts **in input order** regardless of worker scheduling.
+/// verdicts **in input order** regardless of worker scheduling. With
+/// `--run-store`, each trace's metric samples append as `check` rows.
 fn cmd_check_offline(args: &[String], trace_paths: &[String]) -> i32 {
     let Some(model_path) = arg_value(args, "--model") else {
         usage()
     };
     let jobs: usize = num_flag(args, "--jobs", "a number", 1usize);
     let salvage = args.iter().any(|a| a == "--salvage");
-    // Explicit `--shards N` forces that many intra-trace shards per
-    // binary check; without it the pool splits idle capacity itself
-    // (jobs > traces), so pass 0 = auto.
-    let shards = match arg_value(args, "--shards") {
-        Some(_) => shards_flag(args),
-        None => 0,
-    };
     let model = match HeapModel::load(&model_path) {
         Ok(m) => m,
         Err(e) => {
@@ -732,175 +719,64 @@ fn cmd_check_offline(args: &[String], trace_paths: &[String]) -> i32 {
             return 1;
         }
     };
-    let settings = model.settings.clone();
+    let run_store = run_store_flag(args);
+    let version: u64 = num_flag(args, "--version", "a number", 0u64);
     // `--sample` re-samples full-fidelity recordings through the
     // adaptive filter before checking (already-sampled traces keep
     // their recorded schedule — re-decimating would double-drop).
     let sampler = sampler_flag(args);
-    // Recording rows needs the per-sample series, which only the
-    // sequential in-memory checker exposes; the parallel sharded
-    // engine returns verdicts alone. Traces check one at a time here.
-    if let Some(store) = run_store_flag(args) {
-        if jobs > 1 {
-            info!("--run-store records per-sample rows; checking sequentially (--jobs {jobs} ignored)");
-        }
-        let version: u64 = num_flag(args, "--version", "a number", 0u64);
-        let (mut failed, mut anomalies) = (false, false);
-        for path in trace_paths {
-            let outcome = heapmd::load_trace_auto(path, salvage).and_then(|(trace, stats)| {
-                if let Some(stats) = &stats {
-                    report_salvage(path, stats);
-                }
-                let trace = match sampler {
-                    Some(config) if trace.sampling().is_none() => trace.sampled(config),
-                    _ => trace,
-                };
-                let rate = trace.sample_rate();
-                trace.check_logged(&model, &settings, None).map(|o| (o, rate))
-            });
-            match outcome {
-                Ok((out, rate)) => {
-                    let src = RowSource {
-                        workload: model.program.clone(),
-                        version,
-                        run: path.clone(),
-                        tenant: String::new(),
-                        kind: RowKind::Check,
-                        time: unix_time_now(),
-                        sample_rate: rate,
-                    };
-                    append_rows(&store, &rows_from_samples(&src, &out.samples));
-                    if out.bugs.is_empty() {
-                        println!("{path}: no anomalies");
-                    } else {
-                        anomalies = true;
-                        println!("{path}: {} anomaly report(s):", out.bugs.len());
-                        for b in &out.bugs {
-                            println!("  {b}");
-                            let funcs = b.implicated_functions();
-                            if !funcs.is_empty() {
-                                println!("    implicated: {}", funcs.join(", "));
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    failed = true;
-                    error!("{path}: {e}");
-                    if !salvage {
-                        eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
-                    }
-                }
-            }
-        }
-        return if failed {
-            1
-        } else if anomalies {
-            3
-        } else {
-            0
-        };
-    }
-    if let Some(config) = sampler {
-        // Production-overhead verdicts: binary recordings stream through
-        // the sharded engine with the live filter in front; JSONL (and
-        // salvaged) traces re-sample in memory.
-        let (mut failed, mut anomalies) = (false, false);
-        for path in trace_paths {
-            let checked = if !salvage
-                && heapmd::sniff_file(path).is_ok_and(|k| k == ArtifactKind::BinaryTrace)
-            {
-                BinaryTraceImage::open_path(path).and_then(|image| {
-                    match image.sampling()? {
-                        // Recorded sampled: keep the recorded schedule
-                        // (re-decimating would double-drop stores).
-                        Some(info) => {
-                            heapmd::check_binary_sharded(&image, &model, &settings, shards.max(1))
-                                .map(|bugs| (bugs, info))
-                        }
-                        None => heapmd::check_binary_sharded_sampled(
-                            &image,
-                            &model,
-                            &settings,
-                            shards.max(1),
-                            config,
-                        ),
-                    }
-                })
-            } else {
-                heapmd::load_trace_auto(path, salvage).and_then(|(trace, stats)| {
-                    if let Some(stats) = &stats {
-                        report_salvage(path, stats);
-                    }
-                    let trace = match trace.sampling() {
-                        None => trace.sampled(config),
-                        Some(_) => trace,
-                    };
-                    let info = trace.sampling().expect("sampled above or recorded");
-                    trace.check(&model, &settings).map(|bugs| (bugs, info))
-                })
-            };
-            match checked {
-                Ok((bugs, info)) if bugs.is_empty() => {
-                    println!("{path}: no anomalies (sampled at {:.4})", info.rate());
-                }
-                Ok((bugs, info)) => {
-                    anomalies = true;
-                    println!(
-                        "{path}: {} anomaly report(s) (sampled at {:.4}):",
-                        bugs.len(),
-                        info.rate()
-                    );
-                    for b in &bugs {
-                        println!("  {b}");
-                        let funcs = b.implicated_functions();
-                        if !funcs.is_empty() {
-                            println!("    implicated: {}", funcs.join(", "));
-                        }
-                    }
-                }
-                Err(e) => {
-                    failed = true;
-                    error!("{path}: {e}");
-                    if !salvage {
-                        eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
-                    }
-                }
-            }
-        }
-        return if failed {
-            1
-        } else if anomalies {
-            3
-        } else {
-            0
-        };
-    }
     let paths: Vec<PathBuf> = trace_paths.iter().map(PathBuf::from).collect();
     info!("checking {} trace(s) with {jobs} job(s)", paths.len());
-    let results =
-        heapmd::check_paths_parallel_sharded(&paths, &model, &settings, jobs, salvage, shards);
+    let results = heapmd::check_paths_parallel(
+        &paths,
+        &model,
+        &model.settings,
+        jobs,
+        salvage,
+        shards_flag(args),
+        sampler,
+    );
     let (mut failed, mut anomalies) = (false, false);
     for (path, result) in trace_paths.iter().zip(results) {
-        match result {
-            Ok(bugs) if bugs.is_empty() => println!("{path}: no anomalies"),
-            Ok(bugs) => {
-                anomalies = true;
-                println!("{path}: {} anomaly report(s):", bugs.len());
-                for b in &bugs {
-                    println!("  {b}");
-                    let funcs = b.implicated_functions();
-                    if !funcs.is_empty() {
-                        println!("    implicated: {}", funcs.join(", "));
-                    }
-                }
-            }
+        let out = match result {
+            Ok(out) => out,
             Err(e) => {
                 failed = true;
                 error!("{path}: {e}");
                 if !salvage {
                     eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
                 }
+                continue;
+            }
+        };
+        let rate = out.sampling.map_or(1.0, |s| s.rate());
+        if let Some(store) = &run_store {
+            let src = RowSource {
+                workload: model.program.clone(),
+                version,
+                run: path.clone(),
+                tenant: String::new(),
+                kind: RowKind::Check,
+                time: unix_time_now(),
+                sample_rate: rate,
+            };
+            append_rows(store, &rows_from_samples(&src, &out.samples));
+        }
+        let sampled = match sampler {
+            Some(_) => format!(" (sampled at {rate:.4})"),
+            None => String::new(),
+        };
+        if out.bugs.is_empty() {
+            println!("{path}: no anomalies{sampled}");
+            continue;
+        }
+        anomalies = true;
+        println!("{path}: {} anomaly report(s){sampled}:", out.bugs.len());
+        for b in &out.bugs {
+            println!("  {b}");
+            let funcs = b.implicated_functions();
+            if !funcs.is_empty() {
+                println!("    implicated: {}", funcs.join(", "));
             }
         }
     }
@@ -1283,59 +1159,39 @@ fn cmd_replay(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let settings = model.settings.clone();
-    // `--format` forces the parse; otherwise the magic bytes decide.
-    let kind = match format_flag(args) {
-        Some(StreamFormat::Binary) => ArtifactKind::BinaryTrace,
-        Some(StreamFormat::Jsonl) => ArtifactKind::JsonlTrace,
-        None => match heapmd::sniff_file(&trace_path) {
-            Ok(k) => k,
+    // The magic bytes decide the parse; `--format` insists on one.
+    if let Some(format) = format_flag(args) {
+        let want = match format {
+            StreamFormat::Binary => ArtifactKind::BinaryTrace,
+            StreamFormat::Jsonl => ArtifactKind::JsonlTrace,
+        };
+        match heapmd::sniff_file(&trace_path) {
+            Ok(kind) if kind == want => {}
+            Ok(kind) => {
+                error!("cannot replay trace {trace_path}: it is a {kind}, not a {want}");
+                return 1;
+            }
             Err(e) => {
                 error!("cannot read trace {trace_path}: {e}");
                 return 1;
             }
-        },
-    };
-    // Strict binary replay memory-maps the file (zero-copy block
-    // decode; falls back to a buffered read where mmap is unavailable)
-    // and ingests through the sharded graph image — without
-    // materializing an in-memory `Trace`.
-    let checked = if kind == ArtifactKind::BinaryTrace && !salvage {
-        let shards = shards_flag(args);
-        BinaryTraceImage::open_path(&trace_path).and_then(|image| {
-            info!(
-                "replaying {} events ({} blocks, {}, {shards} graph shard(s))",
-                image.index().total_events,
-                image.index().blocks.len(),
-                if image.is_mapped() {
-                    "mmap"
-                } else {
-                    "buffered"
-                },
-            );
-            heapmd::check_binary_sharded(&image, &model, &settings, shards)
-        })
-    } else {
-        let loaded = match kind {
-            ArtifactKind::BinaryTrace => {
-                Trace::salvage_binary(&trace_path).map(|(t, s)| (t, Some(s)))
-            }
-            ArtifactKind::JsonlTrace if salvage => {
-                Trace::salvage_stream(&trace_path).map(|(t, s)| (t, Some(s)))
-            }
-            ArtifactKind::JsonlTrace => Trace::load_stream(&trace_path).map(|t| (t, None)),
-            _ => heapmd::load_trace_auto(&trace_path, salvage),
-        };
-        loaded.and_then(|(trace, stats)| {
-            if let Some(stats) = &stats {
-                report_salvage(&trace_path, stats);
-            }
-            info!("replaying {} events", trace.len());
-            trace.check(&model, &settings)
-        })
-    };
-    let bugs = match checked {
-        Ok(b) => b,
+        }
+    }
+    let shards = shards_flag(args);
+    info!("replaying {trace_path} ({shards} graph shard(s))");
+    let paths = [PathBuf::from(&trace_path)];
+    let checked = heapmd::check_paths_parallel(
+        &paths,
+        &model,
+        &model.settings,
+        1,
+        salvage,
+        shards,
+        sampler_flag(args),
+    )
+    .remove(0);
+    let out = match checked {
+        Ok(out) => out,
         Err(e) => {
             error!("cannot replay trace {trace_path}: {e}");
             if !salvage {
@@ -1344,12 +1200,15 @@ fn cmd_replay(args: &[String]) -> i32 {
             return 1;
         }
     };
-    if bugs.is_empty() {
+    if let Some(stats) = &out.salvage {
+        report_salvage(&trace_path, stats);
+    }
+    if out.bugs.is_empty() {
         println!("no anomalies in trace");
         0
     } else {
-        println!("{} anomaly report(s):", bugs.len());
-        for b in &bugs {
+        println!("{} anomaly report(s):", out.bugs.len());
+        for b in &out.bugs {
             println!("  {b}");
         }
         3

@@ -247,6 +247,65 @@ fn cli_run_produces_bundles_and_inspect_renders_them() {
     );
 }
 
+/// `replay` and `check --trace` share one per-path check: under
+/// `--sample` they give the same reports for one binary trace, and
+/// `--sample-decimation 1` replays exactly what an unsampled `replay`
+/// does.
+#[test]
+fn replay_sample_matches_check_sample_and_decimation_one_is_exact() {
+    let dir = tmp_dir("replay-sample");
+    let model = dir.join("model.json");
+    let trace = dir.join("bug.hmdt");
+    let (model, trace) = (model.to_str().unwrap(), trace.to_str().unwrap());
+    let status = Command::new(BIN)
+        .args(["train", PROGRAM, "--inputs", "6", "--out", model])
+        .status()
+        .expect("spawn heapmd-cli train");
+    assert!(status.success(), "training exited with {status}");
+    let input = BUGGY_INPUT.to_string();
+    let status = Command::new(BIN)
+        .args(["record", PROGRAM, "--input", &input, "--bug", FAULT])
+        .args(["--trace", trace, "--format", "binary"])
+        .status()
+        .expect("spawn heapmd-cli record");
+    assert!(status.success(), "recording exited with {status}");
+    let cli = |cmd: &str, extra: &[&str]| {
+        Command::new(BIN)
+            .args([cmd, "--model", model, "--trace", trace])
+            .args(extra)
+            .output()
+            .expect("spawn heapmd-cli")
+    };
+    // Bug lines only: `check` prefixes its verdict line with the path
+    // and adds `implicated:` lines that `replay` does not print.
+    let bug_lines = |stdout: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(stdout)
+            .lines()
+            .filter(|l| l.starts_with("  ") && !l.starts_with("    "))
+            .map(str::to_string)
+            .collect()
+    };
+
+    let exact = cli("replay", &[]);
+    assert_eq!(exact.status.code(), Some(3), "the fault must be reported");
+    let passthrough = cli("replay", &["--sample-decimation", "1"]);
+    assert_eq!(passthrough.status.code(), exact.status.code());
+    assert_eq!(
+        String::from_utf8_lossy(&passthrough.stdout),
+        String::from_utf8_lossy(&exact.stdout)
+    );
+
+    let replayed = cli("replay", &["--sample"]);
+    let checked = cli("check", &["--sample"]);
+    assert_eq!(replayed.status.code(), checked.status.code());
+    let checked_out = String::from_utf8_lossy(&checked.stdout);
+    assert!(
+        checked_out.contains("(sampled at"),
+        "check --sample names its rate:\n{checked_out}"
+    );
+    assert_eq!(bug_lines(&replayed.stdout), bug_lines(&checked.stdout));
+}
+
 #[test]
 fn chrome_trace_export_is_structurally_valid_json() {
     let dir = tmp_dir("trace-events");

@@ -13,6 +13,9 @@ use faults::{FaultConfig, FaultPlan};
 use heapmd_runstore::{RowFilter, RowKind, RunRow, RunStore};
 use std::io::Read;
 use std::path::Path;
+use std::process::Command;
+
+const BIN: &str = env!("CARGO_BIN_EXE_heapmd-cli");
 
 fn row(version: u64, seq: u64, roots: f64) -> RunRow {
     RunRow {
@@ -154,5 +157,85 @@ fn stray_tmp_files_are_not_segments() {
     // And appends keep numbering past the junk without tripping on it.
     store.append(&[row(4, 0, 90.0)]).unwrap();
     assert_eq!(store.segments().unwrap().len(), 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Offline `check --trace … --run-store` appends one row per metric
+/// computation point of every trace, and those rows do not depend on
+/// the pool width or on the traces' on-disk format.
+#[test]
+fn offline_check_rows_match_across_jobs_and_formats() {
+    let dir = temp_dir("cli-check");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let cli = |args: &[&str]| {
+        Command::new(BIN)
+            .args(args)
+            .output()
+            .expect("spawn heapmd-cli")
+    };
+    let model = path("model.json");
+    let out = cli(&["train", "gzip", "--inputs", "3", "--out", &model]);
+    assert!(out.status.success(), "train: {out:?}");
+    for (input, name) in [("11", "a"), ("12", "b")] {
+        for (format, ext) in [("binary", "hmdt"), ("jsonl", "jsonl")] {
+            let trace = path(&format!("{name}.{ext}"));
+            let out = cli(&[
+                "record", "gzip", "--input", input, "--trace", &trace, "--format", format,
+            ]);
+            assert!(out.status.success(), "record {trace}: {out:?}");
+        }
+    }
+    // Rows as the store holds them, minus the wall-clock stamp and with
+    // the run named by its trace stem (the path differs per format).
+    // Debug rendering keeps NaN (absent metric) cells comparable.
+    let rows = |ext: &str, jobs: &str, store: &str| -> Vec<String> {
+        let (a, b) = (path(&format!("a.{ext}")), path(&format!("b.{ext}")));
+        let store = path(store);
+        let out = cli(&[
+            "check",
+            "--model",
+            &model,
+            "--trace",
+            &a,
+            "--trace",
+            &b,
+            "--run-store",
+            &store,
+            "--jobs",
+            jobs,
+        ]);
+        assert!(matches!(out.status.code(), Some(0 | 3)), "check: {out:?}");
+        let scan = RunStore::open(&store)
+            .unwrap()
+            .scan(&RowFilter::default(), None)
+            .unwrap();
+        scan.rows
+            .into_iter()
+            .map(|mut r| {
+                r.time = 0;
+                r.run = Path::new(&r.run)
+                    .file_stem()
+                    .unwrap()
+                    .to_string_lossy()
+                    .into_owned();
+                format!("{r:?}")
+            })
+            .collect()
+    };
+    let one = rows("hmdt", "1", "s-bin-1");
+    assert!(!one.is_empty(), "a check must append rows");
+    assert!(one.iter().any(|r| r.contains("run: \"a\"")));
+    assert!(one.iter().any(|r| r.contains("run: \"b\"")));
+    assert_eq!(
+        rows("hmdt", "2", "s-bin-2"),
+        one,
+        "--jobs 2 changed the rows"
+    );
+    assert_eq!(
+        rows("jsonl", "1", "s-jsonl"),
+        one,
+        "JSONL copies changed the rows"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,6 +24,13 @@
 //! [`heap_graph::HeapGraph`] image, samples metrics, and fans events out
 //! to attached [`Monitor`]s.
 //!
+//! Post-mortem checking replays a recorded trace — an in-memory
+//! [`Trace`], a binary `.hmdt` file ([`BinaryTraceImage`]), or a stream
+//! buffered by the [`serve`] daemon — through the same detector. Every
+//! entry point ([`Trace::check`], [`check_binary_sharded`],
+//! [`check_paths_parallel`], serve) shares one driver, so a trace gets
+//! the same verdict whichever way it arrives.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -77,7 +84,6 @@ mod ringbuf;
 pub mod run_rows;
 pub mod serve;
 mod settings;
-mod shard_replay;
 mod stability;
 mod trace;
 mod trace_codec;
@@ -111,15 +117,14 @@ pub use serve::{
     Server, SessionClient, SessionOptions, TenantOutcome, SERVE_PREAMBLE, SERVE_PREAMBLE_V2,
 };
 pub use settings::{Settings, SettingsBuilder};
-pub use shard_replay::replay_binary_sharded;
 pub use stability::{classify, StabilityClass};
 pub use trace::{Trace, TraceCheckOutcome};
 pub use trace_codec::{
-    check_binary, check_binary_sharded, check_binary_sharded_sampled, check_paths_parallel,
-    check_paths_parallel_sharded, check_traces_parallel, encode_sampling_meta, load_trace_auto,
-    replay_binary, replay_binary_fused, replay_binary_fused_sampled, sniff_bytes, sniff_file,
-    ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, BlockEntry, BlockIndex,
-    StreamFormat, WireFrame, WireReader, BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
+    check_binary_sharded, check_paths_parallel, encode_sampling_meta, load_trace_auto,
+    replay_binary, replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded,
+    sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter,
+    BlockEntry, BlockIndex, StreamFormat, WireFrame, WireReader, BINARY_FORMAT_VERSION,
+    BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 pub use trace_stream::{frame_record, SalvageStats, TraceReader, TraceWriter, STREAM_MAGIC};
 pub use values::{LocationSummary, ValueProfile};

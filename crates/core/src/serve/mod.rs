@@ -36,8 +36,8 @@
 //!   window gets its tenant evicted as stalled.
 //! - **Verdicts.** Shards feed a resumable [`Replayer`] per tenant for
 //!   live per-metric gauges, and buffer the event stream; on clean end
-//!   of stream the buffered trace runs through the exact
-//!   [`Trace::check_logged`] path, so the daemon verdict is
+//!   of stream the buffered events run through the post-mortem check
+//!   that [`crate::Trace::check_logged`] uses, so the daemon verdict is
 //!   bit-identical to `heapmd check` on the same trace, with incident
 //!   bundles captured into a per-tenant [`IncidentLog`] directory. Each
 //!   tenant checks against the shared model, or its own override from
@@ -60,14 +60,13 @@ use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::report::MetricSample;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
-use crate::trace::{Replayer, Trace};
+use crate::trace::{check_stream, Replayer, StreamHead, Trace};
 use crate::trace_codec::{BinaryTraceWriter, BlockIndex, WireFrame, WireReader};
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
 use heapmd_runstore::{RowKind, RunStore};
 use sim_heap::HeapEvent;
-use swat::{SamplerConfig, SamplingInfo};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -79,6 +78,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use swat::{SamplerConfig, SamplingInfo};
 
 pub use client::{
     connect_session, push_trace_resumable, Conn, Dialer, RetryPolicy, SessionClient, SessionOptions,
@@ -423,8 +423,8 @@ struct ShardTenant {
     functions: Vec<String>,
     replayer: Replayer,
     /// Sampling metadata announced by the stream (last one wins),
-    /// stamped onto the finalize-time trace so the daemon verdict
-    /// matches an offline check of the same sampled artifact.
+    /// handed to the finalize-time check so the daemon verdict matches
+    /// an offline check of the same sampled artifact.
     sampling: Option<SamplingInfo>,
     /// Per stable metric: was the last live sample out of range.
     last_out: Vec<bool>,
@@ -572,7 +572,7 @@ fn verdicts_for(model: &HeapModel) -> Vec<MetricVerdict> {
 /// prefix checked (partial verdict + incident bundles) — eviction
 /// changes how the outcome is labeled, not whether evidence is kept.
 fn finalize(
-    mut t: ShardTenant,
+    t: ShardTenant,
     tenant: String,
     partial: bool,
     evicted: Option<String>,
@@ -589,28 +589,23 @@ fn finalize(
     t.stats.set_queue_depth(0);
     let model = Arc::clone(&t.model);
     let events = t.events.len() as u64;
-    let mut trace = Trace::new();
-    for ev in t.events.drain(..) {
-        trace.push(ev);
-    }
-    trace.set_functions(std::mem::take(&mut t.functions));
-    trace.set_sampling(t.sampling);
-    // Daemon-side production-overhead mode: re-sample full-fidelity
-    // streams before the authoritative check. Streams that arrived
-    // sampled keep their recorded schedule.
-    let trace = match sampler {
-        Some(config) if trace.sampling().is_none() => {
-            let sampled = trace.sampled(config);
-            t.stats.set_sample_rate(sampled.sample_rate());
-            sampled
-        }
-        _ => trace,
-    };
     // Tenant names are charset-validated (no separators), so they are
     // safe as directory names.
     let log = incident_dir.map(|d| IncidentLog::new(d.join(&tenant), tenant.clone()));
-    let outcome = match trace.check_logged(&model, &model.settings, log) {
+    // Daemon-side production-overhead mode: the check re-samples
+    // full-fidelity streams; streams that arrived sampled keep their
+    // recorded schedule.
+    let head = StreamHead::of(&t.events, &t.functions, t.sampling);
+    let checked = check_stream(&model, &model.settings, head, 1, log, sampler, |step| {
+        step(&t.events)
+    });
+    let outcome = match checked {
         Ok(out) => {
+            if t.sampling.is_none() {
+                if let Some(info) = out.sampling {
+                    t.stats.set_sample_rate(info.rate());
+                }
+            }
             t.stats.record_bugs(out.bugs.len() as u64);
             t.stats.add_incidents(out.bundle_paths.len() as u64);
             if let Some(store) = run_store {
@@ -621,7 +616,7 @@ fn finalize(
                     tenant: tenant.clone(),
                     kind: RowKind::Serve,
                     time: unix_time_now(),
-                    sample_rate: trace.sample_rate(),
+                    sample_rate: out.sampling.map_or(1.0, |s| s.rate()),
                 };
                 let rows = rows_from_samples(&src, &out.samples);
                 if let Err(e) = store.append(&rows) {

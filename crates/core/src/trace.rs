@@ -15,6 +15,7 @@ use crate::model::HeapModel;
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
+use crate::trace_stream::SalvageStats;
 use heap_graph::GraphImage;
 use serde::{Deserialize, Serialize};
 use sim_heap::{HeapEvent, SimHeap};
@@ -117,34 +118,6 @@ impl Trace {
         }
     }
 
-    /// Checks that every `FnEnter`/`FnExit` event references an id
-    /// inside the interned `functions` table. An empty table means
-    /// anonymous frames, where any id is legal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::InvalidInput`] naming the first event
-    /// whose function id falls outside the table.
-    fn validate_function_ids(&self) -> Result<(), HeapMdError> {
-        if self.functions.is_empty() {
-            return Ok(());
-        }
-        let table_len = self.functions.len();
-        for (i, ev) in self.events.iter().enumerate() {
-            let func = match *ev {
-                HeapEvent::FnEnter { func } | HeapEvent::FnExit { func } => func,
-                _ => continue,
-            };
-            if func as usize >= table_len {
-                return Err(HeapMdError::InvalidInput(format!(
-                    "event {i} references function id {func}, but the trace \
-                     interns only {table_len} function names"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Serializes the trace to JSON.
     ///
     /// # Errors
@@ -199,7 +172,7 @@ impl Trace {
         settings: &Settings,
         run: impl Into<String>,
     ) -> Result<MetricReport, HeapMdError> {
-        self.validate_function_ids()?;
+        validate_function_ids(&self.events, self.functions.len())?;
         let mut replayer = Replayer::new(settings.clone(), &self.functions);
         replayer.ingest_batch(&self.events);
         Ok(MetricReport::with_sample_rate(
@@ -242,49 +215,150 @@ impl Trace {
         settings: &Settings,
         log: Option<IncidentLog>,
     ) -> Result<TraceCheckOutcome, HeapMdError> {
-        self.validate_function_ids()?;
-        // The trace's length is known up front: align the startup skip
-        // with the trim model construction applied (as
-        // [`AnomalyDetector::check_report`] does).
-        let fn_entries = self
-            .events
-            .iter()
-            .filter(|e| matches!(e, HeapEvent::FnEnter { .. }))
-            .count() as u64;
-        let total_samples = (fn_entries / settings.frq) as usize;
-        let mut settings = settings.clone();
-        settings.warmup_samples = settings
-            .warmup_samples
-            .max(settings.trim_count(total_samples));
-        let settings = settings;
-        let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
-        if let Some(log) = log {
-            detector.log_incidents_to(log);
-        }
-        let mut replayer = Replayer::new(settings.clone(), &self.functions);
-        // The recorded stream is already decimated; the filter stays
-        // off, but the detector must still see the measured rate so its
-        // ranges widen accordingly.
-        replayer.set_rate_override(self.sample_rate());
-        let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
-        for ev in &self.events {
-            replayer.step(ev, &mut monitors);
-        }
-        replayer.finish(&mut monitors);
-        Ok(TraceCheckOutcome {
-            bundle_paths: detector
-                .incident_log()
-                .map(|l| l.paths().to_vec())
-                .unwrap_or_default(),
-            bugs: detector.take_bugs(),
-            incidents: detector.take_incidents(),
-            candidate_findings: detector.take_candidate_findings(),
-            samples: replayer.take_samples(),
+        self.check_with(model, settings, 1, log, None)
+    }
+
+    /// [`check_logged`](Self::check_logged) over a `shards`-way graph
+    /// image, re-sampling under `sampler` when the trace was recorded
+    /// at full fidelity.
+    pub(crate) fn check_with(
+        &self,
+        model: &HeapModel,
+        settings: &Settings,
+        shards: usize,
+        log: Option<IncidentLog>,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<TraceCheckOutcome, HeapMdError> {
+        let head = StreamHead::of(&self.events, &self.functions, self.sampling);
+        check_stream(model, settings, head, shards, log, sampler, |step| {
+            step(&self.events)
         })
     }
 }
 
-/// What a logged offline check produced (see [`Trace::check_logged`]).
+/// What the post-mortem check knows about a stream before its first
+/// event.
+pub(crate) struct StreamHead<'a> {
+    /// The interned function names (empty for anonymous frames).
+    pub(crate) functions: &'a [String],
+    /// The stream's total `FnEnter` count.
+    pub(crate) fn_enters: u64,
+    /// The recorded sampling outcome (`None` = full fidelity).
+    pub(crate) sampling: Option<SamplingInfo>,
+}
+
+impl<'a> StreamHead<'a> {
+    /// The head of an in-memory event stream.
+    pub(crate) fn of(
+        events: &[HeapEvent],
+        functions: &'a [String],
+        sampling: Option<SamplingInfo>,
+    ) -> Self {
+        let fn_enters = events
+            .iter()
+            .filter(|e| matches!(e, HeapEvent::FnEnter { .. }))
+            .count() as u64;
+        StreamHead {
+            functions,
+            fn_enters,
+            sampling,
+        }
+    }
+}
+
+/// The post-mortem check: replays a stream through the anomaly
+/// detector on a `shards`-way graph image. `feed` hands the events over
+/// as slices (one whole trace, or decoded blocks) through the step
+/// callback it is given; every slice is validated against the function
+/// table before it is stepped.
+///
+/// The stream's length is known up front, so the start-up skip aligns
+/// with the trim model construction applied (as
+/// [`AnomalyDetector::check_report`] does). A full-fidelity stream is
+/// re-sampled under `sampler` through a live filter, whose measured
+/// rate the detector observes as it evolves; an already-decimated
+/// stream keeps its recorded schedule (re-decimating would double-drop
+/// stores), and the detector widens its ranges by the recorded rate.
+pub(crate) fn check_stream(
+    model: &HeapModel,
+    settings: &Settings,
+    head: StreamHead<'_>,
+    shards: usize,
+    log: Option<IncidentLog>,
+    sampler: Option<SamplerConfig>,
+    feed: impl FnOnce(
+        &mut dyn FnMut(&[HeapEvent]) -> Result<(), HeapMdError>,
+    ) -> Result<(), HeapMdError>,
+) -> Result<TraceCheckOutcome, HeapMdError> {
+    let total_samples = (head.fn_enters / settings.frq) as usize;
+    let mut settings = settings.clone();
+    settings.warmup_samples = settings
+        .warmup_samples
+        .max(settings.trim_count(total_samples));
+    let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
+    if let Some(log) = log {
+        detector.log_incidents_to(log);
+    }
+    let mut replayer = Replayer::with_shards(settings, head.functions, shards);
+    match (head.sampling, sampler) {
+        (None, Some(config)) => replayer.enable_sampling(config),
+        (recorded, _) => replayer.set_rate_override(recorded.map_or(1.0, |s| s.rate())),
+    }
+    let table_len = head.functions.len();
+    feed(&mut |events| {
+        validate_function_ids(events, table_len)?;
+        let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
+        for ev in events {
+            replayer.step(ev, &mut monitors);
+        }
+        Ok(())
+    })?;
+    let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
+    replayer.finish(&mut monitors);
+    Ok(TraceCheckOutcome {
+        bundle_paths: detector
+            .incident_log()
+            .map(|l| l.paths().to_vec())
+            .unwrap_or_default(),
+        bugs: detector.take_bugs(),
+        incidents: detector.take_incidents(),
+        candidate_findings: detector.take_candidate_findings(),
+        samples: replayer.take_samples(),
+        sampling: replayer.sampling_info().or(head.sampling),
+        salvage: None,
+    })
+}
+
+/// Checks that every `FnEnter`/`FnExit` event references an id inside
+/// a function table of `table_len` names. An empty table means
+/// anonymous frames, where any id is legal.
+///
+/// # Errors
+///
+/// Returns [`HeapMdError::InvalidInput`] naming the first offending id.
+pub(crate) fn validate_function_ids(
+    events: &[HeapEvent],
+    table_len: usize,
+) -> Result<(), HeapMdError> {
+    if table_len == 0 {
+        return Ok(());
+    }
+    for ev in events {
+        let func = match *ev {
+            HeapEvent::FnEnter { func } | HeapEvent::FnExit { func } => func,
+            _ => continue,
+        };
+        if func as usize >= table_len {
+            return Err(HeapMdError::InvalidInput(format!(
+                "event references function id {func}, but the trace interns \
+                 only {table_len} function names"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// What an offline check produced (see [`Trace::check_logged`]).
 #[derive(Debug)]
 pub struct TraceCheckOutcome {
     /// The detector's bug reports.
@@ -301,6 +375,13 @@ pub struct TraceCheckOutcome {
     /// [`Trace::replay`] would produce, exposed so callers (e.g. the
     /// run-store append path) need not replay the trace twice.
     pub samples: Vec<MetricSample>,
+    /// How the checked stream was sampled: the live filter's outcome
+    /// when the check re-sampled it, the recorded outcome otherwise
+    /// (`None` = full fidelity).
+    pub sampling: Option<SamplingInfo>,
+    /// What salvage recovered, when the check read its file in salvage
+    /// mode (see [`crate::check_paths_parallel`]).
+    pub salvage: Option<SalvageStats>,
 }
 
 /// Minimal re-execution of a trace: rebuilds the heap-graph image and

@@ -40,15 +40,21 @@
 //!
 //! # Pipelined replay
 //!
-//! [`replay_binary`] and [`check_binary`] run a decoder thread that
-//! streams decoded blocks over a bounded channel into graph ingestion
-//! (`HeapGraph::apply_batch` via the replayer) while the next block
-//! decodes; event-batch buffers are recycled through a return channel,
-//! so steady-state replay allocates nothing per block.
-//! [`check_traces_parallel`] / [`check_paths_parallel`] fan N traces
-//! out across a scoped thread pool and merge `BugReport`s in input
-//! order — the same determinism discipline as
-//! `ModelBuilder::add_runs_parallel`.
+//! [`replay_binary`] and [`check_binary_sharded`] run a decoder thread
+//! that streams decoded blocks over a bounded channel into graph
+//! ingestion (`HeapGraph::apply_batch` via the replayer) while the next
+//! block decodes; event-batch buffers are recycled through a return
+//! channel, so steady-state replay allocates nothing per block. The
+//! check feeds those blocks to the one post-mortem driver that
+//! [`Trace::check`] and the serve daemon also use.
+//! [`replay_binary_fused`] and its sampled and sharded variants run one
+//! fused loop on the calling thread instead: decode a block, ingest it.
+//! Graph shards (`shards > 1`) partition the graph's storage on that
+//! same thread; the verdicts and samples are identical at every count.
+//!
+//! [`check_paths_parallel`] fans N trace files out across a scoped
+//! thread pool and merges outcomes in input order — the same
+//! determinism discipline as `ModelBuilder::add_runs_parallel`.
 
 use crate::bug::BugReport;
 use crate::error::HeapMdError;
@@ -56,7 +62,9 @@ use crate::model::HeapModel;
 use crate::persist::crc32;
 use crate::report::MetricReport;
 use crate::settings::Settings;
-use crate::trace::{Replayer, Trace};
+use crate::trace::{
+    check_stream, validate_function_ids, Replayer, StreamHead, Trace, TraceCheckOutcome,
+};
 use crate::trace_stream::SalvageStats;
 use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
 use std::io::{Read, Write};
@@ -1499,13 +1507,10 @@ pub fn decode_meta_container(bytes: &[u8]) -> Result<Vec<u8>, HeapMdError> {
 /// Drives `consume` with decoded event blocks while a decoder thread
 /// works ahead over a bounded channel. Buffers are recycled through a
 /// return channel, so steady state allocates nothing per block.
-fn pipeline_blocks<E: Send>(
+fn pipeline_blocks(
     image: &BinaryTraceImage,
-    mut consume: impl FnMut(&[HeapEvent]) -> Result<(), E>,
-) -> Result<(), HeapMdError>
-where
-    HeapMdError: From<E>,
-{
+    mut consume: impl FnMut(&[HeapEvent]) -> Result<(), HeapMdError>,
+) -> Result<(), HeapMdError> {
     let (full_tx, full_rx) = mpsc::sync_channel::<Vec<HeapEvent>>(PIPELINE_DEPTH);
     let (empty_tx, empty_rx) = mpsc::channel::<Vec<HeapEvent>>();
     for _ in 0..=PIPELINE_DEPTH {
@@ -1528,7 +1533,7 @@ where
         let mut ingest_result: Result<(), HeapMdError> = Ok(());
         for buf in full_rx {
             if ingest_result.is_ok() {
-                ingest_result = consume(&buf).map_err(HeapMdError::from);
+                ingest_result = consume(&buf);
             }
             // Keep draining (and recycling) so the decoder never blocks
             // on a full channel after an ingest error.
@@ -1554,13 +1559,10 @@ pub fn replay_binary(
     run: impl Into<String>,
 ) -> Result<MetricReport, HeapMdError> {
     let functions = image.functions()?;
-    let table_len = functions.len();
     let rate = image.sampling()?.map_or(1.0, |s| s.rate());
     let mut replayer = Replayer::new(settings.clone(), &functions);
-    pipeline_blocks(image, |events| -> Result<(), HeapMdError> {
-        if table_len > 0 {
-            validate_block_function_ids(events, table_len)?;
-        }
+    pipeline_blocks(image, |events| {
+        validate_function_ids(events, functions.len())?;
         replayer.ingest_batch(events);
         Ok(())
     })?;
@@ -1571,14 +1573,46 @@ pub fn replay_binary(
     ))
 }
 
+/// The fused replay loop behind [`replay_binary_fused`],
+/// [`replay_binary_fused_sampled`] and [`replay_binary_sharded`]: each
+/// block decodes into one reused buffer and is ingested on the calling
+/// thread by a replayer over a `shards`-way graph image, behind a live
+/// filter when `sampler` is given. Returns the report plus the filter's
+/// outcome.
+fn fused_replay(
+    image: &BinaryTraceImage,
+    settings: &Settings,
+    run: impl Into<String>,
+    shards: usize,
+    sampler: Option<SamplerConfig>,
+) -> Result<(MetricReport, Option<SamplingInfo>), HeapMdError> {
+    let functions = image.functions()?;
+    let mut replayer = Replayer::with_shards(settings.clone(), &functions, shards);
+    if let Some(config) = sampler {
+        replayer.enable_sampling(config);
+    }
+    let mut buf = Vec::with_capacity(EVENTS_PER_BLOCK);
+    for entry in image.event_blocks() {
+        image.decode_block_into(entry, &mut buf)?;
+        validate_function_ids(&buf, functions.len())?;
+        replayer.ingest_batch(&buf);
+    }
+    let info = replayer.sampling_info();
+    let rate = match info {
+        Some(info) => info.rate(),
+        None => image.sampling()?.map_or(1.0, |s| s.rate()),
+    };
+    let report = MetricReport::with_sample_rate(run, replayer.take_samples(), rate);
+    Ok((report, info))
+}
+
 /// Replays a binary trace image on the calling thread: each block
 /// decodes into one reused buffer and is ingested immediately — no
 /// decoder thread, no channel hand-off.
 ///
 /// On machines with spare cores the pipelined [`replay_binary`] hides
 /// decode behind ingest; on saturated or single-core hosts the fused
-/// loop wins because it spends nothing on synchronization. This is the
-/// `--shards 1` engine of the sharded replay driver.
+/// loop wins because it spends nothing on synchronization.
 ///
 /// # Errors
 ///
@@ -1589,23 +1623,7 @@ pub fn replay_binary_fused(
     settings: &Settings,
     run: impl Into<String>,
 ) -> Result<MetricReport, HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let rate = image.sampling()?.map_or(1.0, |s| s.rate());
-    let mut replayer = Replayer::new(settings.clone(), &functions);
-    let mut buf = Vec::with_capacity(EVENTS_PER_BLOCK);
-    for entry in image.event_blocks() {
-        image.decode_block_into(entry, &mut buf)?;
-        if table_len > 0 {
-            validate_block_function_ids(&buf, table_len)?;
-        }
-        replayer.ingest_batch(&buf);
-    }
-    Ok(MetricReport::with_sample_rate(
-        run,
-        replayer.take_samples(),
-        rate,
-    ))
+    Ok(fused_replay(image, settings, run, 1, None)?.0)
 }
 
 /// [`replay_binary_fused`] with a live [`swat::SampledIngest`] filter
@@ -1630,48 +1648,34 @@ pub fn replay_binary_fused_sampled(
     run: impl Into<String>,
     config: SamplerConfig,
 ) -> Result<(MetricReport, SamplingInfo), HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let mut replayer = Replayer::new(settings.clone(), &functions);
-    replayer.enable_sampling(config);
-    let mut buf = Vec::with_capacity(EVENTS_PER_BLOCK);
-    for entry in image.event_blocks() {
-        image.decode_block_into(entry, &mut buf)?;
-        if table_len > 0 {
-            validate_block_function_ids(&buf, table_len)?;
-        }
-        replayer.ingest_batch(&buf);
-    }
-    let info = replayer
-        .sampling_info()
-        .expect("sampling was enabled above");
-    let samples = replayer.take_samples();
-    Ok((MetricReport::with_sample_rate(run, samples, info.rate()), info))
+    let (report, info) = fused_replay(image, settings, run, 1, Some(config))?;
+    Ok((report, info.expect("sampling was enabled")))
 }
 
-/// Checks a binary trace image against `model` post-mortem through the
-/// same pipeline. The trailing index supplies the total `FnEnter`
-/// count, so the startup-skip alignment of [`Trace::check`] holds
-/// without a decode pre-pass.
+/// [`replay_binary_fused`] over a graph image partitioned into `shards`
+/// address-range shards (`<= 1` is the single-slab graph; counts above
+/// [`heap_graph::MAX_SHARDS`] are clamped). The report is bit-identical
+/// at every shard count.
 ///
 /// # Errors
 ///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`].
-pub fn check_binary(
+/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`], exactly as
+/// [`replay_binary_fused`].
+pub fn replay_binary_sharded(
     image: &BinaryTraceImage,
-    model: &HeapModel,
     settings: &Settings,
-) -> Result<Vec<BugReport>, HeapMdError> {
-    check_binary_sharded(image, model, settings, 1)
+    run: impl Into<String>,
+    shards: usize,
+) -> Result<MetricReport, HeapMdError> {
+    Ok(fused_replay(image, settings, run, shards, None)?.0)
 }
 
-/// [`check_binary`] over a sharded graph image: the replayer's heap
-/// graph is partitioned into `shards` address-range shards (`<= 1` is
-/// the classic single-slab layout). Detection runs inline on the
-/// replay thread either way — the detector observes every event — and
-/// verdicts are bit-identical at every shard count, so a pool checking
-/// fewer traces than it has job slots can hand its idle capacity to
-/// intra-trace shards without perturbing results.
+/// Checks a binary trace image against `model` post-mortem through the
+/// pipelined decoder, over a graph image partitioned into `shards`
+/// address-range shards (`<= 1` is the single-slab graph). The
+/// trailing index supplies the total `FnEnter` count, so the
+/// start-up-skip alignment of [`Trace::check`] holds without a decode
+/// pre-pass. Verdicts are bit-identical at every shard count.
 ///
 /// # Errors
 ///
@@ -1682,170 +1686,68 @@ pub fn check_binary_sharded(
     settings: &Settings,
     shards: usize,
 ) -> Result<Vec<BugReport>, HeapMdError> {
-    let functions = image.functions()?;
-    let table_len = functions.len();
-    let total_samples = (image.index().total_fn_enters / settings.frq) as usize;
-    let mut settings = settings.clone();
-    settings.warmup_samples = settings
-        .warmup_samples
-        .max(settings.trim_count(total_samples));
-    let mut detector = crate::detector::AnomalyDetector::new(model.clone(), settings.clone());
-    let mut replayer = Replayer::with_shards(settings, &functions, shards);
-    // An already-decimated recording carries its measured rate in a
-    // meta block; the detector widens its ranges by it.
-    replayer.set_rate_override(image.sampling()?.map_or(1.0, |s| s.rate()));
-    pipeline_blocks(image, |events| -> Result<(), HeapMdError> {
-        if table_len > 0 {
-            validate_block_function_ids(events, table_len)?;
-        }
-        let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-        for ev in events {
-            replayer.step(ev, &mut monitors);
-        }
-        Ok(())
-    })?;
-    let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-    replayer.finish(&mut monitors);
-    Ok(detector.take_bugs())
+    check_image(image, model, settings, shards, None).map(|o| o.bugs)
 }
 
-/// [`check_binary_sharded`] with a live [`swat::SampledIngest`] filter
-/// re-sampling the (unsampled) stream under `config` before detection:
-/// the production-overhead verdict for a full-fidelity recording. The
-/// detector observes the measured effective rate as it evolves and
-/// widens its calibrated ranges accordingly. With `decimation == 1`
-/// the verdicts are bit-identical to [`check_binary_sharded`].
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`].
-pub fn check_binary_sharded_sampled(
+/// [`check_binary_sharded`], re-sampling a full-fidelity recording
+/// under `sampler`, with the whole outcome.
+fn check_image(
     image: &BinaryTraceImage,
     model: &HeapModel,
     settings: &Settings,
     shards: usize,
-    config: SamplerConfig,
-) -> Result<(Vec<BugReport>, SamplingInfo), HeapMdError> {
+    sampler: Option<SamplerConfig>,
+) -> Result<TraceCheckOutcome, HeapMdError> {
     let functions = image.functions()?;
-    let table_len = functions.len();
-    let total_samples = (image.index().total_fn_enters / settings.frq) as usize;
-    let mut settings = settings.clone();
-    settings.warmup_samples = settings
-        .warmup_samples
-        .max(settings.trim_count(total_samples));
-    let mut detector = crate::detector::AnomalyDetector::new(model.clone(), settings.clone());
-    let mut replayer = Replayer::with_shards(settings, &functions, shards);
-    replayer.enable_sampling(config);
-    pipeline_blocks(image, |events| -> Result<(), HeapMdError> {
-        if table_len > 0 {
-            validate_block_function_ids(events, table_len)?;
-        }
-        let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-        for ev in events {
-            replayer.step(ev, &mut monitors);
-        }
-        Ok(())
-    })?;
-    let mut monitors: [&mut dyn crate::monitor::Monitor; 1] = [&mut detector];
-    replayer.finish(&mut monitors);
-    let info = replayer
-        .sampling_info()
-        .expect("sampling was enabled above");
-    Ok((detector.take_bugs(), info))
-}
-
-pub(crate) fn validate_block_function_ids(
-    events: &[HeapEvent],
-    table_len: usize,
-) -> Result<(), HeapMdError> {
-    for ev in events {
-        let func = match *ev {
-            HeapEvent::FnEnter { func } | HeapEvent::FnExit { func } => func,
-            _ => continue,
-        };
-        if func as usize >= table_len {
-            return Err(HeapMdError::InvalidInput(format!(
-                "event references function id {func}, but the trace interns \
-                 only {table_len} function names"
-            )));
-        }
-    }
-    Ok(())
+    let head = StreamHead {
+        functions: &functions,
+        fn_enters: image.index().total_fn_enters,
+        sampling: image.sampling()?,
+    };
+    check_stream(model, settings, head, shards, None, sampler, |step| {
+        pipeline_blocks(image, step)
+    })
 }
 
 // ---------------------------------------------------------------------
 // Multi-trace checking pool
 // ---------------------------------------------------------------------
 
-/// Checks `traces` against `model` on up to `jobs` scoped worker
-/// threads, returning per-trace results **in input order** regardless
-/// of scheduling — the same determinism discipline as
-/// `ModelBuilder::add_runs_parallel`: each worker writes into slots
-/// addressed by input index, and no result is observed out of order.
+/// Loads (auto-detecting format) and checks N trace files on up to
+/// `jobs` scoped worker threads, returning per-trace outcomes **in
+/// input order** regardless of scheduling — the same determinism
+/// discipline as `ModelBuilder::add_runs_parallel`: each worker writes
+/// into slots addressed by input index.
+///
+/// Every trace checks over a `shards`-way graph image (verdicts are
+/// shard-invariant); a full-fidelity trace is re-sampled under
+/// `sampler` first, an already-sampled one keeps its recorded schedule.
+/// Strict binary checks memory-map the file and run the pipelined
+/// decoder; everything else decodes to an in-memory trace first. With
+/// `salvage`, a damaged stream contributes whatever its format's
+/// salvage recovers, and its outcome carries the salvage stats.
 ///
 /// A failing trace yields its error in its slot; it never aborts the
 /// other checks.
-pub fn check_traces_parallel(
-    traces: &[Trace],
-    model: &HeapModel,
-    settings: &Settings,
-    jobs: usize,
-) -> Vec<Result<Vec<BugReport>, HeapMdError>> {
-    run_pool(traces.len(), jobs, |i| traces[i].check(model, settings))
-}
-
-/// Loads (auto-detecting format) and checks N trace files across a
-/// scoped pool, merging results in input order. With `salvage`, a
-/// damaged stream contributes whatever its format's salvage recovers.
-///
-/// When the pool has more job slots than traces, the spare capacity is
-/// not left idle: each binary strict check splits its graph image into
-/// `jobs / n` intra-trace shards (see [`check_binary_sharded`]).
-/// Verdicts are shard-invariant and results still land by input index,
-/// so the idle-pool split never perturbs output order or content.
 pub fn check_paths_parallel(
     paths: &[std::path::PathBuf],
     model: &HeapModel,
     settings: &Settings,
     jobs: usize,
     salvage: bool,
-) -> Vec<Result<Vec<BugReport>, HeapMdError>> {
-    check_paths_parallel_sharded(paths, model, settings, jobs, salvage, 0)
-}
-
-/// [`check_paths_parallel`] with an explicit per-trace shard count:
-/// `0` keeps the automatic idle-capacity split, any other value forces
-/// that many intra-trace shards on every binary strict check.
-pub fn check_paths_parallel_sharded(
-    paths: &[std::path::PathBuf],
-    model: &HeapModel,
-    settings: &Settings,
-    jobs: usize,
-    salvage: bool,
     shards: usize,
-) -> Vec<Result<Vec<BugReport>, HeapMdError>> {
-    let n = paths.len();
-    let per_trace_shards = if shards > 0 {
-        shards
-    } else if n > 0 && jobs > n {
-        jobs / n
-    } else {
-        1
-    };
-    if per_trace_shards > 1 {
-        heapmd_obs::gauge_set!("check_pool_trace_shards", per_trace_shards as i64);
-    }
-    run_pool(n, jobs, |i| {
+    sampler: Option<SamplerConfig>,
+) -> Vec<Result<TraceCheckOutcome, HeapMdError>> {
+    run_pool(paths.len(), jobs, |i| {
         let path = &paths[i];
-        // Binary strict checks go through the pipelined engine (the
-        // decoder overlaps the detector); everything else decodes to an
-        // in-memory trace first.
         if !salvage && sniff_file(path)? == ArtifactKind::BinaryTrace {
             let image = BinaryTraceImage::open_path(path)?;
-            return check_binary_sharded(&image, model, settings, per_trace_shards);
+            return check_image(&image, model, settings, shards, sampler);
         }
-        let (trace, _) = load_trace_auto(path, salvage)?;
-        trace.check(model, settings)
+        let (trace, stats) = load_trace_auto(path, salvage)?;
+        let mut outcome = trace.check_with(model, settings, shards, None, sampler)?;
+        outcome.salvage = stats;
+        Ok(outcome)
     })
 }
 
@@ -2339,8 +2241,18 @@ mod tests {
         let expected = trace.check(&model, &settings).unwrap();
         assert!(!expected.is_empty());
         let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        let piped = check_binary(&image, &model, &settings).unwrap();
+        let piped = check_binary_sharded(&image, &model, &settings, 1).unwrap();
         assert_eq!(expected, piped);
+    }
+
+    #[test]
+    fn sharded_replay_clamps_oversized_shard_counts() {
+        let trace = sample_trace(300);
+        let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
+        let fused = replay_binary_fused(&image, &settings(5), "run").unwrap();
+        let big = heap_graph::MAX_SHARDS * 4;
+        let sharded = replay_binary_sharded(&image, &settings(5), "run", big).unwrap();
+        assert_eq!(sharded.samples, fused.samples);
     }
 
     #[test]
@@ -2409,11 +2321,62 @@ mod tests {
             .iter()
             .map(|t| t.check(&model, &settings).unwrap())
             .collect();
+        // Alternate the on-disk formats too: binary files take the
+        // pipelined engine, JSONL ones the in-memory checker.
+        let dir = std::env::temp_dir().join(format!("heapmd-pool-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths: Vec<std::path::PathBuf> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let (name, format) = if i % 3 == 0 {
+                    (format!("t{i}.jsonl"), StreamFormat::Jsonl)
+                } else {
+                    (format!("t{i}.hmdt"), StreamFormat::Binary)
+                };
+                let path = dir.join(name);
+                t.save_format(&path, format).unwrap();
+                path
+            })
+            .collect();
         for jobs in [1, 2, 8] {
-            let pooled = check_traces_parallel(&traces, &model, &settings, jobs);
-            let pooled: Vec<_> = pooled.into_iter().map(|r| r.unwrap()).collect();
+            let pooled = check_paths_parallel(&paths, &model, &settings, jobs, false, 1, None);
+            let pooled: Vec<_> = pooled.into_iter().map(|r| r.unwrap().bugs).collect();
             assert_eq!(pooled, sequential, "jobs={jobs} must merge in order");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sampled_pool_checks_agree_across_formats() {
+        // Re-sampling happens in one driver, so a binary file and its
+        // JSONL copy give the same sampled verdict, samples, and rate.
+        let trace = sample_trace(600);
+        let settings = settings(5);
+        let mut builder = crate::model::ModelBuilder::new(settings.clone());
+        builder.add_run(&trace.replay(&settings, "train").unwrap());
+        let model = builder.build().model;
+        let dir = std::env::temp_dir().join(format!("heapmd-pool-sampled-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths = [dir.join("t.hmdt"), dir.join("t.jsonl")];
+        trace.save_format(&paths[0], StreamFormat::Binary).unwrap();
+        trace.save_format(&paths[1], StreamFormat::Jsonl).unwrap();
+        let config = SamplerConfig::new(8, 4);
+        let outcomes: Vec<_> =
+            check_paths_parallel(&paths, &model, &settings, 2, false, 1, Some(config))
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect();
+        let rate = outcomes[0].sampling.expect("re-sampled").rate();
+        assert!(rate < 1.0, "the filter must drop stores (rate {rate})");
+        // Debug rendering keeps the comparison NaN-stable.
+        assert_eq!(
+            format!("{:?}", outcomes[0].bugs),
+            format!("{:?}", outcomes[1].bugs)
+        );
+        assert_eq!(outcomes[0].samples, outcomes[1].samples);
+        assert_eq!(outcomes[0].sampling, outcomes[1].sampling);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

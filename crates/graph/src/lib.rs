@@ -78,4 +78,4 @@ pub use node::NodeInfo;
 #[cfg(any(test, feature = "reference-graph"))]
 pub use reference::ReferenceGraph;
 pub use scoped::ScopedGraph;
-pub use shard::{DegreeOp, GraphImage, ShardedGraph, MAX_SHARDS, SHARD_BITS, SLOT_BITS};
+pub use shard::{GraphImage, ShardedGraph, MAX_SHARDS, SHARD_BITS, SLOT_BITS};

@@ -27,12 +27,6 @@
 //! [`SHADOW_EMPTY`] sentinel (`u32::MAX`) unpacks to shard 255, which
 //! [`MAX_SHARDS`] keeps unreachable, so packed refs drop into the
 //! shadow map unchanged.
-//!
-//! For pipelined ingestion the graph also runs *detached*: instead of
-//! applying degree changes to shard histograms inline, it buffers them
-//! as per-shard [`DegreeOp`] batches that shard worker threads apply to
-//! privately-owned histograms, with a barrier merge at each sample
-//! point (see `heapmd`'s sharded replay driver).
 
 use crate::candidates::CandidateVector;
 use crate::graph::{Bucket, GraphSnapshot, HeapGraph, IdIndex, NodeSlot, Range, SlotState};
@@ -68,69 +62,15 @@ fn slot_of_ref(r: u32) -> usize {
     (r & SLOT_MASK) as usize
 }
 
-/// One buffered degree-histogram mutation, tagged for a specific shard
-/// by its position in the per-shard batch.
-///
-/// In detached mode the sequential router emits these instead of
-/// touching shard histograms, and shard worker threads apply them to
-/// their own histogram copy — the per-shard op order equals router
-/// order, and histograms over disjoint node sets are independent, so
-/// the barrier merge reproduces the inline result exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegreeOp {
-    /// A vertex was born (degrees 0/0).
-    AddNode,
-    /// A vertex with these degrees was removed.
-    RemoveNode {
-        /// Indegree at removal.
-        indegree: u32,
-        /// Outdegree at removal.
-        outdegree: u32,
-    },
-    /// A vertex moved between degree buckets.
-    Change {
-        /// Indegree before.
-        old_in: u32,
-        /// Indegree after.
-        new_in: u32,
-        /// Outdegree before.
-        old_out: u32,
-        /// Outdegree after.
-        new_out: u32,
-    },
-}
-
-impl DegreeOp {
-    /// Applies this op to a histogram.
-    #[inline]
-    pub fn apply(&self, h: &mut DegreeHistogram) {
-        match *self {
-            DegreeOp::AddNode => h.add_node(),
-            DegreeOp::RemoveNode {
-                indegree,
-                outdegree,
-            } => h.remove_node(indegree, outdegree),
-            DegreeOp::Change {
-                old_in,
-                new_in,
-                old_out,
-                new_out,
-            } => h.change_degrees(old_in, new_in, old_out, new_out),
-        }
-    }
-}
-
 /// Storage owned by one shard: the slab for nodes whose start address
 /// hashes here, plus the partitioned counters.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     slots: Vec<NodeSlot>,
     free: Vec<u32>,
-    /// Degree histogram over this shard's live nodes (unused while
-    /// detached — workers own the histograms then).
+    /// Degree histogram over this shard's live nodes.
     histogram: DegreeHistogram,
-    /// Live nodes owned by this shard (router-maintained, exact even
-    /// in detached mode).
+    /// Live nodes owned by this shard.
     live: u64,
     /// Dangling pointer slots whose *source* node lives here.
     dangling: u64,
@@ -187,9 +127,6 @@ pub struct ShardedGraph {
     xshard: Vec<u64>,
     /// Last reconciled histogram (see [`reconcile`](Self::reconcile)).
     merged: DegreeHistogram,
-    /// Buffer degree ops per shard instead of applying them.
-    detached: bool,
-    pending: Vec<Vec<DegreeOp>>,
 }
 
 impl ShardedGraph {
@@ -205,18 +142,7 @@ impl ShardedGraph {
             shards: (0..n).map(|_| Shard::new()).collect(),
             xshard: vec![0; n * n],
             merged: DegreeHistogram::new(),
-            detached: false,
-            pending: vec![Vec::new(); n],
         }
-    }
-
-    /// Creates a detached graph: degree ops are buffered per shard (see
-    /// [`take_pending_ops`](Self::take_pending_ops)) instead of applied,
-    /// for the pipelined driver whose shard workers own the histograms.
-    pub fn new_detached(n: usize) -> Self {
-        let mut g = ShardedGraph::new(n);
-        g.detached = true;
-        g
     }
 
     /// Returns the graph to its empty state while retaining the
@@ -237,9 +163,6 @@ impl ShardedGraph {
         }
         self.xshard.fill(0);
         self.merged = DegreeHistogram::new();
-        for batch in &mut self.pending {
-            batch.clear();
-        }
     }
 
     /// Number of shards.
@@ -247,7 +170,7 @@ impl ShardedGraph {
         self.shards.len()
     }
 
-    /// Live vertexes (exact at any time; router-maintained).
+    /// Live vertexes (exact at any time).
     pub fn node_count(&self) -> u64 {
         self.shards.iter().map(|s| s.live).sum()
     }
@@ -292,8 +215,7 @@ impl ShardedGraph {
         self.index.get(id).is_some()
     }
 
-    /// The histogram as of the last [`reconcile`](Self::reconcile) (or
-    /// the last installed merge, in detached mode).
+    /// The histogram as of the last [`reconcile`](Self::reconcile).
     pub fn histogram(&self) -> &DegreeHistogram {
         &self.merged
     }
@@ -301,15 +223,7 @@ impl ShardedGraph {
     /// Merges the per-shard degree histograms into one. Exact, not
     /// approximate: shards partition the node set and every histogram
     /// counter is additive over disjoint sets.
-    ///
-    /// In detached mode the shard histograms live on the worker
-    /// threads; the last merge the driver installed via
-    /// [`install_merged_histogram`](Self::install_merged_histogram)
-    /// stands in.
     fn merged_now(&self) -> DegreeHistogram {
-        if self.detached {
-            return self.merged.clone();
-        }
         let mut merged = DegreeHistogram::new();
         for shard in &self.shards {
             merged.merge(&shard.histogram);
@@ -319,12 +233,9 @@ impl ShardedGraph {
 
     /// Refreshes the cached reconciled histogram served by
     /// [`histogram`](Self::histogram). Called at metric computation
-    /// points (a no-op in detached mode, where the driver installs the
-    /// barrier merge instead).
+    /// points.
     pub fn reconcile(&mut self) {
-        if !self.detached {
-            self.merged = self.merged_now();
-        }
+        self.merged = self.merged_now();
     }
 
     /// Computes the seven paper metrics from the reconciled histogram.
@@ -363,22 +274,6 @@ impl ShardedGraph {
             dangling: self.dangling_count(),
             metrics,
         }
-    }
-
-    /// Takes the buffered per-shard degree-op batches (detached mode),
-    /// leaving empty buffers behind.
-    pub fn take_pending_ops(&mut self) -> Vec<Vec<DegreeOp>> {
-        let n = self.shards.len();
-        std::mem::replace(&mut self.pending, vec![Vec::new(); n])
-    }
-
-    /// Installs an externally merged histogram (detached mode): the
-    /// driver's barrier collects worker histograms, merges them, and
-    /// publishes the result here so
-    /// [`histogram`](Self::histogram)/[`metrics`](Self::metrics) serve
-    /// the reconciled view.
-    pub fn install_merged_histogram(&mut self, merged: DegreeHistogram) {
-        self.merged = merged;
     }
 
     /// Applies one instrumentation event (same contract as
@@ -469,7 +364,7 @@ impl ShardedGraph {
             );
         }
         self.shards[owner].live += 1;
-        self.hist(owner, DegreeOp::AddNode);
+        self.shards[owner].histogram.add_node();
 
         // Re-bind dangling slots now covered by this object.
         let lo = self.unresolved.partition_point(|b| b.raw < start);
@@ -513,13 +408,9 @@ impl ShardedGraph {
         let n = self.shards.len();
         let info = self.shards[sh].slots[sl].info;
         self.shards[sh].live -= 1;
-        self.hist(
-            sh,
-            DegreeOp::RemoveNode {
-                indegree: info.indegree,
-                outdegree: info.outdegree,
-            },
-        );
+        self.shards[sh]
+            .histogram
+            .remove_node(info.indegree, info.outdegree);
         let (start, end) = (
             self.shards[sh].slots[sl].start,
             self.shards[sh].slots[sl].end,
@@ -730,7 +621,7 @@ impl ShardedGraph {
                     shard.dangling, dangling[i]
                 ));
             }
-            if !self.detached && hists[i] != shard.histogram {
+            if hists[i] != shard.histogram {
                 return Err(format!("shard {i} histogram mismatch"));
             }
         }
@@ -740,16 +631,6 @@ impl ShardedGraph {
     #[inline]
     fn slot(&self, r: u32) -> &NodeSlot {
         &self.shards[shard_of_ref(r)].slots[slot_of_ref(r)]
-    }
-
-    /// Applies or buffers one degree op for `shard`.
-    #[inline]
-    fn hist(&mut self, shard: usize, op: DegreeOp) {
-        if self.detached {
-            self.pending[shard].push(op);
-        } else {
-            op.apply(&mut self.shards[shard].histogram);
-        }
     }
 
     /// Resolves a raw address to the packed ref of the live object
@@ -778,8 +659,8 @@ impl ShardedGraph {
         Some(&mut out[pos].1)
     }
 
-    /// Adjusts a live node's degrees, keeping its shard's histogram (or
-    /// pending ops) consistent.
+    /// Adjusts a live node's degrees, keeping its shard's histogram
+    /// consistent.
     fn adjust(&mut self, r: u32, din: i32, dout: i32) {
         let sh = shard_of_ref(r);
         let info = &mut self.shards[sh].slots[slot_of_ref(r)].info;
@@ -793,15 +674,9 @@ impl ShardedGraph {
             .checked_add_signed(dout)
             .expect("outdegree underflow");
         let (new_in, new_out) = (info.indegree, info.outdegree);
-        self.hist(
-            sh,
-            DegreeOp::Change {
-                old_in,
-                new_in,
-                old_out,
-                new_out,
-            },
-        );
+        self.shards[sh]
+            .histogram
+            .change_degrees(old_in, new_in, old_out, new_out);
     }
 
     /// Removes the slot `(src, offset)` if present, undoing its edge or
@@ -1187,69 +1062,6 @@ mod tests {
             rig.sharded.cross_shard_edges() > 0,
             "4096-byte objects must land in multiple regions/shards"
         );
-    }
-
-    #[test]
-    fn detached_ops_replayed_match_inline_histograms() {
-        let settings_events = {
-            let mut heap = SimHeap::new();
-            let mut evs = Vec::new();
-            let mut addrs: Vec<Addr> = Vec::new();
-            for i in 0..120usize {
-                let eff = heap.alloc(16 + (i % 3) * 8, AllocSite(0)).unwrap();
-                evs.push(HeapEvent::Alloc {
-                    obj: eff.id,
-                    addr: eff.addr,
-                    size: eff.size,
-                    site: AllocSite(0),
-                });
-                if let Some(&p) = addrs.last() {
-                    let w = heap.write_ptr(eff.addr, p).unwrap();
-                    evs.push(HeapEvent::PtrWrite {
-                        src: w.src,
-                        offset: w.offset,
-                        value: p,
-                        old_value: None,
-                    });
-                }
-                addrs.push(eff.addr);
-                if i % 5 == 4 {
-                    let victim = addrs.remove(i % (addrs.len() - 1));
-                    let eff = heap.free(victim).unwrap();
-                    evs.push(HeapEvent::Free {
-                        obj: eff.id,
-                        addr: eff.addr,
-                        size: eff.size,
-                    });
-                }
-            }
-            evs
-        };
-
-        let mut inline = ShardedGraph::new(4);
-        let mut detached = ShardedGraph::new_detached(4);
-        let mut worker_hists: Vec<DegreeHistogram> =
-            (0..4).map(|_| DegreeHistogram::new()).collect();
-        for ev in &settings_events {
-            inline.apply(ev);
-            detached.apply(ev);
-        }
-        for (sh, ops) in detached.take_pending_ops().into_iter().enumerate() {
-            for op in ops {
-                op.apply(&mut worker_hists[sh]);
-            }
-        }
-        let mut merged = DegreeHistogram::new();
-        for h in &worker_hists {
-            merged.merge(h);
-        }
-        detached.install_merged_histogram(merged);
-        inline.reconcile();
-        assert_eq!(detached.histogram(), inline.histogram());
-        assert_eq!(detached.metrics(), inline.metrics());
-        assert_eq!(detached.node_count(), inline.node_count());
-        assert_eq!(detached.edge_count(), inline.edge_count());
-        assert_eq!(detached.dangling_count(), inline.dangling_count());
     }
 
     #[test]

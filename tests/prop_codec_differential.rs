@@ -189,7 +189,7 @@ proptest! {
         let memory_bugs = format!("{:?}", from_binary.check(&model, &settings).unwrap());
         let image = BinaryTraceImage::open(binary_bytes(&trace)).unwrap();
         let pipelined_bugs =
-            format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap());
+            format!("{:?}", heapmd::check_binary_sharded(&image, &model, &settings, 1).unwrap());
         prop_assert_eq!(&jsonl_bugs, &memory_bugs, "verdicts diverged between formats");
         prop_assert_eq!(&jsonl_bugs, &pipelined_bugs, "pipelined verdicts diverged");
     }
@@ -267,7 +267,7 @@ proptest! {
         let image = BinaryTraceImage::open(bytes.clone()).unwrap();
 
         // Shard sweep: 2, 3 (does not divide the address space evenly),
-        // and 8 worker shards must reproduce the fused engine's report.
+        // and 8 graph shards must reproduce the fused engine's report.
         let fused = heapmd::replay_binary_fused(&image, &settings, "differential").unwrap();
         for shards in [2usize, 3, 8] {
             let sharded =
@@ -280,7 +280,10 @@ proptest! {
         let mut builder = ModelBuilder::new(settings.clone());
         builder.add_run(&fused);
         let model = builder.build().model;
-        let baseline = format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap());
+        let baseline = format!(
+            "{:?}",
+            heapmd::check_binary_sharded(&image, &model, &settings, 1).unwrap()
+        );
         for shards in [2usize, 3, 8] {
             let sharded = format!(
                 "{:?}",
