@@ -1,11 +1,39 @@
-//! Analysis-side costs: summarizing runs into a model, and checking a
-//! finished report against it (the offline, post-mortem mode).
+//! Analysis-side costs: summarizing runs into a model, checking a
+//! finished report against it (the offline, post-mortem mode), and
+//! checking a recorded catalogued-bug trace, where the detector arms,
+//! logs its window and reports.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use faults::FaultPlan;
-use heapmd::{AnomalyDetector, ModelBuilder};
+use heapmd::{
+    check_binary_sharded, AnomalyDetector, BinaryTraceImage, FuncId, ModelBuilder, Process,
+};
+use workloads::bugs::CATALOG;
+use workloads::commercial::GameAction;
 use workloads::harness::{run_once, settings_for, train};
-use workloads::{spec::Gzip, Input};
+use workloads::{spec::Gzip, Input, Workload};
+
+/// The recorded run behind `check_armed_trace`: the paper's Figure 10
+/// bug, whose Indeg=1 excursion arms the window and crosses.
+const ARMED_BUG: &str = "ga.scene_tree.skip_parent";
+
+/// Records `ARMED_BUG` on one input of `game_action` as a binary trace.
+fn armed_trace(w: &GameAction) -> BinaryTraceImage {
+    let bug = CATALOG
+        .iter()
+        .find(|b| b.fault.0 == ARMED_BUG)
+        .expect("catalogued bug");
+    let mut p = Process::new(settings_for(w));
+    p.enable_trace();
+    w.run(&mut p, &mut bug.plan(), &Input::new(41))
+        .expect("workload runs");
+    let mut trace = p.take_trace().expect("tracing enabled");
+    let names = (0..p.functions().len())
+        .map(|i| p.functions().name(FuncId(i as u32)).to_string())
+        .collect();
+    trace.set_functions(names);
+    BinaryTraceImage::open(trace.encode_binary()).expect("fresh trace decodes")
+}
 
 fn bench_model_and_detector(c: &mut Criterion) {
     let w = Gzip;
@@ -28,6 +56,20 @@ fn bench_model_and_detector(c: &mut Criterion) {
     });
     group.bench_function("check_report_offline", |b| {
         b.iter(|| AnomalyDetector::check_report(&model, &settings, &reports[5]))
+    });
+
+    let ga = GameAction::new(1);
+    let ga_settings = settings_for(&ga);
+    let ga_model = train(&ga, &Input::set(4)).model;
+    let image = armed_trace(&ga);
+    let bugs = check_binary_sharded(&image, &ga_model, &ga_settings, 1).expect("trace checks");
+    assert!(
+        bugs.iter().any(|b| !b.context.is_empty()),
+        "{ARMED_BUG} must arm the window and report"
+    );
+    group.throughput(Throughput::Elements(image.index().total_events));
+    group.bench_function("check_armed_trace", |b| {
+        b.iter(|| check_binary_sharded(&image, &ga_model, &ga_settings, 1).expect("trace checks"))
     });
     group.finish();
 }

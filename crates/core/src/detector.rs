@@ -1,6 +1,7 @@
 //! The execution checker / anomaly detector (paper §2.2).
 
 use crate::bug::{AnomalyKind, BugReport, Direction, LogPhase, StackLogEntry};
+use crate::callstack::FuncId;
 use crate::fluctuation::FluctuationStats;
 use crate::incident::{DegreeSnapshot, IncidentBundle, IncidentLog, SeriesData};
 use crate::model::{CandidateMetric, HeapModel, StableMetric};
@@ -20,6 +21,18 @@ const AFTER_CONTEXT_EVENTS: usize = 8;
 /// Fraction of post-warmup samples that must sit at an extreme for a
 /// *poorly disguised* report.
 const PINNED_FRACTION: f64 = 0.8;
+
+/// One armed-window slot, kept unrendered: logging copies the stack's
+/// ids and the event, and names and descriptions are built only when a
+/// crossing reads the window. Intern tables only ever append, so
+/// rendering at read time gives exactly what rendering at log time
+/// would have.
+#[derive(Debug)]
+struct LoggedEvent {
+    tick: u64,
+    stack: Vec<FuncId>,
+    event: HeapEvent,
+}
 
 /// Per-locally-stable-metric checking state (the §2.1 extension).
 #[derive(Debug)]
@@ -148,7 +161,10 @@ pub struct AnomalyDetector {
     /// for pathological (unexpected-stability) detection:
     /// (kind, post-warmup values).
     unstable: Vec<(MetricKind, Vec<f64>)>,
-    log: CircularBuffer<StackLogEntry>,
+    /// The armed window: the last `callstack_capacity` events logged
+    /// while armed. Slots are recycled, so a full window logs without
+    /// allocating.
+    log: CircularBuffer<LoggedEvent>,
     armed: bool,
     /// Sample seq at which the current armed window opened.
     armed_at: Option<u64>,
@@ -351,7 +367,6 @@ impl AnomalyDetector {
     /// when running online; offline checking passes `None` and the
     /// resulting reports carry no stacks or series.
     fn scan_sample(&mut self, sample: &MetricSample, ctx: Option<&MonitorCtx<'_>>) {
-        let ctx_stack: Option<Vec<String>> = ctx.map(|c| c.stack_names());
         if let Some(c) = ctx {
             if c.sample_rate.is_finite() && c.sample_rate > 0.0 {
                 self.stream_rate = c.sample_rate;
@@ -429,10 +444,24 @@ impl AnomalyDetector {
                     st.ever_violated = true;
                     if !st.in_violation {
                         st.in_violation = true;
-                        let mut context: Vec<StackLogEntry> = self.log.iter().cloned().collect();
+                        // Render the armed window now that a report reads
+                        // it. Offline scans (no ctx) never log events.
+                        let mut context: Vec<StackLogEntry> = match ctx {
+                            Some(c) => self
+                                .log
+                                .iter()
+                                .map(|e| StackLogEntry {
+                                    tick: e.tick,
+                                    stack: c.funcs.render_stack(&e.stack),
+                                    event: Self::describe(&e.event),
+                                    phase: LogPhase::Before,
+                                })
+                                .collect(),
+                            None => Vec::new(),
+                        };
                         context.push(StackLogEntry {
                             tick: sample.tick,
-                            stack: ctx_stack.clone().unwrap_or_default(),
+                            stack: ctx.map(|c| c.stack_names()).unwrap_or_default(),
                             event: format!(
                                 "metric computation point #{} observed {v:.3}",
                                 sample.seq
@@ -594,7 +623,7 @@ impl AnomalyDetector {
                         .field_str("edge", edge);
                 }
                 o.field_u64("trigger_count", arm_triggers.len() as u64)
-                    .field_str_array("stack", ctx_stack.as_deref().unwrap_or(&[]));
+                    .field_str_array("stack", &ctx.map(|c| c.stack_names()).unwrap_or_default());
             });
         }
         self.armed = any_armed;
@@ -752,15 +781,27 @@ impl Monitor for AnomalyDetector {
                 }
             }
         }
-        // Approach logging into the circular buffer.
+        // Approach logging into the circular buffer, unrendered.
         if self.armed {
-            self.log.push(StackLogEntry {
-                tick: ctx.heap.tick(),
-                stack: ctx.stack_names(),
-                event: Self::describe(event),
-                phase: LogPhase::Before,
+            let (tick, stack) = (ctx.heap.tick(), ctx.stack);
+            self.log.push_with(|slot| {
+                let mut frames = slot.map(|s| s.stack).unwrap_or_default();
+                frames.clear();
+                frames.extend_from_slice(stack);
+                LoggedEvent {
+                    tick,
+                    stack: frames,
+                    event: *event,
+                }
             });
         }
+    }
+
+    /// Events matter only while the window is armed: they are logged,
+    /// and an open excursion (which collects after-crossing context)
+    /// keeps the window armed until the sample that closes it.
+    fn listening(&self) -> bool {
+        self.armed
     }
 
     fn on_sample(&mut self, ctx: &MonitorCtx<'_>, sample: &MetricSample) {
@@ -1153,6 +1194,91 @@ mod tests {
         assert!(inc.series.is_empty());
         assert!(inc.degrees.is_none());
         assert!(!inc.stacks.is_empty(), "carries the during-crossing entry");
+    }
+
+    #[test]
+    fn armed_window_renders_on_read_exactly_as_eager_logging_would() {
+        use crate::callstack::FunctionTable;
+        use heap_graph::GraphImage;
+        use sim_heap::{AllocSite, SimHeap};
+
+        let capacity = 4;
+        let settings = Settings::builder()
+            .warmup_samples(2)
+            .callstack_capacity(capacity)
+            .build()
+            .unwrap();
+        let mut det = AnomalyDetector::new(model_with(MetricKind::Indeg1, 13.0, 18.0), settings);
+        let graph = GraphImage::new(1);
+        let mut heap = SimHeap::new();
+        let mut funcs = FunctionTable::new();
+        let main = funcs.intern("main");
+        fn ctx_at<'a>(
+            graph: &'a GraphImage,
+            heap: &'a SimHeap,
+            funcs: &'a FunctionTable,
+            stack: &'a [FuncId],
+        ) -> MonitorCtx<'a> {
+            MonitorCtx {
+                graph,
+                heap,
+                stack,
+                funcs,
+                fn_entries: 0,
+                sample_rate: 1.0,
+                recorder: None,
+            }
+        }
+        // 18.3 approaches the max with a rising slope: armed.
+        for (i, v) in [15.0, 15.0, 15.0, 18.3].into_iter().enumerate() {
+            let ctx = ctx_at(&graph, &heap, &funcs, std::slice::from_ref(&main));
+            det.on_sample(&ctx, &sample(i, MetricKind::Indeg1, v));
+        }
+        assert!(det.listening(), "the approach armed the window");
+
+        // More armed events than the window holds, each under a
+        // different stack; names are interned as the run goes.
+        let mut eager = Vec::new();
+        let mut stack = vec![main];
+        for k in 0..capacity + 3 {
+            stack.truncate(1 + k % 3);
+            stack.push(funcs.intern(&format!("f{k}")));
+            let alloc = heap.alloc(16 + k, AllocSite(0)).unwrap();
+            let event = if k % 2 == 0 {
+                HeapEvent::Alloc {
+                    obj: alloc.id,
+                    addr: alloc.addr,
+                    size: alloc.size,
+                    site: AllocSite(0),
+                }
+            } else {
+                HeapEvent::Read { obj: alloc.id }
+            };
+            det.on_event(&ctx_at(&graph, &heap, &funcs, &stack), &event);
+            eager.push(StackLogEntry {
+                tick: heap.tick(),
+                stack: funcs.render_stack(&stack),
+                event: AnomalyDetector::describe(&event),
+                phase: LogPhase::Before,
+            });
+        }
+        // Interned after logging: appending cannot change earlier names.
+        funcs.intern("late");
+
+        let crossing = sample(4, MetricKind::Indeg1, 19.5);
+        det.on_sample(&ctx_at(&graph, &heap, &funcs, &stack), &crossing);
+        let bug = det.states[0]
+            .pending
+            .as_ref()
+            .expect("the crossing opened a report");
+        let mut want = eager[eager.len() - capacity..].to_vec();
+        want.push(StackLogEntry {
+            tick: crossing.tick,
+            stack: funcs.render_stack(&stack),
+            event: "metric computation point #4 observed 19.500".into(),
+            phase: LogPhase::During,
+        });
+        assert_eq!(bug.context, want, "last {capacity} entries, oldest first");
     }
 
     #[test]

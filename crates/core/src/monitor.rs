@@ -60,6 +60,20 @@ pub trait Monitor {
     fn on_finish(&mut self, ctx: &MonitorCtx<'_>) {
         let _ = ctx;
     }
+
+    /// Whether the next events must reach [`on_event`](Self::on_event).
+    ///
+    /// Drivers read this between metric computation points and may
+    /// skip event delivery (and the [`MonitorCtx`] built for it) while
+    /// no attached monitor listens; samples and the finish call are
+    /// always delivered. It may turn `true` only inside
+    /// [`on_sample`](Self::on_sample) (or before the first event); it
+    /// may turn `false` at any time, since stepping a monitor that
+    /// ignores events is harmless. The default, always listening, is
+    /// right for any monitor that observes events.
+    fn listening(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -93,6 +107,44 @@ mod tests {
         fn on_finish(&mut self, _ctx: &MonitorCtx<'_>) {
             self.finished = true;
         }
+    }
+
+    /// Observes only samples and finish, and says so.
+    #[derive(Default)]
+    struct Deaf(Counter);
+
+    impl Monitor for Deaf {
+        fn on_event(&mut self, ctx: &MonitorCtx<'_>, event: &HeapEvent) {
+            self.0.on_event(ctx, event);
+        }
+        fn on_sample(&mut self, ctx: &MonitorCtx<'_>, sample: &MetricSample) {
+            self.0.on_sample(ctx, sample);
+        }
+        fn on_finish(&mut self, ctx: &MonitorCtx<'_>) {
+            self.0.on_finish(ctx);
+        }
+        fn listening(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn deaf_monitor_gets_every_sample_and_finish_but_no_events() {
+        let settings = Settings::builder().frq(2).build().unwrap();
+        let deaf = Rc::new(RefCell::new(Deaf::default()));
+        let mut p = Process::new(settings);
+        p.attach(deaf.clone());
+        for _ in 0..6 {
+            p.enter("work");
+            p.malloc(16, "n").unwrap();
+            p.leave();
+        }
+        let report = p.finish("run");
+        let d = deaf.borrow();
+        assert_eq!(d.0.events, 0, "a deaf monitor is never stepped");
+        assert_eq!(d.0.samples, report.len());
+        assert_eq!(d.0.samples, 3);
+        assert!(d.0.finished);
     }
 
     #[test]

@@ -191,6 +191,11 @@ impl Monitor for OnlineLearner {
             self.incidents.push(bundle);
         }
     }
+
+    /// Learns from samples alone.
+    fn listening(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -60,6 +60,10 @@ pub struct Process {
     fn_entries: u64,
     samples: Vec<MetricSample>,
     monitors: Vec<Rc<RefCell<dyn Monitor>>>,
+    /// Whether any attached monitor listens for events
+    /// ([`Monitor::listening`]), re-read after each sample fan-out —
+    /// the only place it may turn true.
+    listening: bool,
     trace: Option<Trace>,
     /// Incremental crash-safe trace stream (see
     /// [`stream_trace_to`](Self::stream_trace_to)), in either wire
@@ -104,6 +108,7 @@ impl Process {
             fn_entries: 0,
             samples: Vec::new(),
             monitors: Vec::new(),
+            listening: false,
             trace: None,
             stream: None,
             stream_error: None,
@@ -155,6 +160,7 @@ impl Process {
     /// Attaches an online monitor. Events that occurred before the
     /// attachment are not replayed.
     pub fn attach(&mut self, monitor: Rc<RefCell<dyn Monitor>>) {
+        self.listening |= monitor.borrow().listening();
         self.monitors.push(monitor);
     }
 
@@ -679,7 +685,7 @@ impl Process {
                 self.stream_error = Some(e);
             }
         }
-        if !self.monitors.is_empty() {
+        if self.listening {
             let ctx = MonitorCtx {
                 graph: &self.graph,
                 heap: &self.heap,
@@ -713,9 +719,7 @@ impl Process {
         if let Some(rec) = self.recorder.as_mut() {
             let x = sample.seq as u64;
             for (kind, value) in sample.metrics.iter() {
-                let mut name = String::from("metric.");
-                name.push_str(kind.short_name());
-                rec.record(&name, x, value);
+                rec.record(METRIC_SERIES[kind.index()], x, value);
             }
             let stats = self.heap.stats();
             let (allocs, frees, stores) = (stats.allocs, stats.frees, stats.ptr_writes);
@@ -756,9 +760,22 @@ impl Process {
             for m in &self.monitors {
                 m.borrow_mut().on_sample(&ctx, &sample);
             }
+            self.listening = self.monitors.iter().any(|m| m.borrow().listening());
         }
     }
 }
+
+/// Flight-recorder series names, `"metric." + short_name`, indexed by
+/// [`heap_graph::MetricKind::index`].
+const METRIC_SERIES: [&str; heap_graph::METRIC_COUNT] = [
+    "metric.Root",
+    "metric.Indeg=1",
+    "metric.Indeg=2",
+    "metric.Leaves",
+    "metric.Outdeg=1",
+    "metric.Outdeg=2",
+    "metric.In=Out",
+];
 
 /// The trace stream sink behind [`Process::stream_trace_to_format`]:
 /// one wire format per attached stream. An enum (not a trait object)
@@ -1074,6 +1091,16 @@ mod tests {
             p.finish_stream(),
             Err(HeapMdError::InvalidInput(_))
         ));
+    }
+
+    #[test]
+    fn metric_series_names_follow_the_short_names() {
+        for kind in heap_graph::MetricKind::ALL {
+            assert_eq!(
+                METRIC_SERIES[kind.index()],
+                format!("metric.{}", kind.short_name())
+            );
+        }
     }
 
     #[test]

@@ -50,6 +50,22 @@ impl<T> CircularBuffer<T> {
         self.items.push_back(item);
     }
 
+    /// Appends the item `fill` builds, handing it the evicted oldest
+    /// item when the buffer is full so its allocations can be reused:
+    /// once full, a push whose `fill` recycles the slot allocates
+    /// nothing. `fill` is not called at capacity zero.
+    pub fn push_with(&mut self, fill: impl FnOnce(Option<T>) -> T) {
+        if self.capacity == 0 {
+            return;
+        }
+        let evicted = if self.items.len() == self.capacity {
+            self.items.pop_front()
+        } else {
+            None
+        };
+        self.items.push_back(fill(evicted));
+    }
+
     /// Number of items currently held.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -209,6 +225,27 @@ mod tests {
             b.push(i);
         }
         assert_eq!(b.iter_ordered().count(), 0);
+    }
+
+    #[test]
+    fn push_with_recycles_the_evicted_slot_once_full() {
+        let mut b: CircularBuffer<Vec<u32>> = CircularBuffer::new(2);
+        let mut recycled = Vec::new();
+        for i in 0..5u32 {
+            b.push_with(|slot| {
+                recycled.push(slot.is_some());
+                let mut v = slot.unwrap_or_default();
+                v.clear();
+                v.push(i);
+                v
+            });
+        }
+        assert_eq!(recycled, vec![false, false, true, true, true]);
+        assert_eq!(b.drain(), vec![vec![3], vec![4]]);
+        // Capacity zero never builds an item.
+        let mut z: CircularBuffer<u32> = CircularBuffer::new(0);
+        z.push_with(|_| unreachable!("nothing to fill at capacity zero"));
+        assert!(z.is_empty());
     }
 
     #[test]

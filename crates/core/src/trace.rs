@@ -307,10 +307,7 @@ pub(crate) fn check_stream(
     let table_len = head.functions.len();
     feed(&mut |events| {
         validate_function_ids(events, table_len)?;
-        let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
-        for ev in events {
-            replayer.step(ev, &mut monitors);
-        }
+        replayer.drive(events, &mut [&mut detector]);
         Ok(())
     })?;
     let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
@@ -389,9 +386,10 @@ pub struct TraceCheckOutcome {
 ///
 /// Crate-internal so the binary codec's pipelined engine
 /// ([`crate::trace_codec`]) can drive the same replayer block by block:
-/// [`ingest_batch`](Self::ingest_batch) is resumable, carrying a running
-/// global event offset so samples land with the same `tick` whether the
-/// stream arrives as one slice or as decoded blocks.
+/// every path is resumable, counting `tick` from the running global
+/// event offset, so samples land with the same `tick` whether the
+/// stream arrives as one slice or as decoded blocks, and whether it is
+/// batched or stepped.
 pub(crate) struct Replayer {
     graph: GraphImage,
     /// An empty heap stands in for the traced process's; monitors only
@@ -402,10 +400,9 @@ pub(crate) struct Replayer {
     settings: Settings,
     fn_entries: u64,
     samples: Vec<MetricSample>,
+    /// Admitted events so far: the global event offset every path
+    /// resumes from, and the tick samples and monitors observe.
     tick: u64,
-    /// Events consumed by prior [`ingest_batch`](Self::ingest_batch)
-    /// calls: the global event offset the next batch resumes from.
-    ingested: u64,
     /// Live store-sampling filter, when this replay *re-samples* an
     /// unsampled stream (production-overhead simulation). Events it
     /// rejects reach neither the graph nor monitors nor the tick
@@ -444,7 +441,6 @@ impl Replayer {
             fn_entries: 0,
             samples: Vec::new(),
             tick: 0,
-            ingested: 0,
             sampling: None,
             rate_override: 1.0,
         }
@@ -494,7 +490,6 @@ impl Replayer {
         self.fn_entries = 0;
         self.samples.clear();
         self.tick = 0;
-        self.ingested = 0;
         // A recycled replayer starts a new stream: rebuild the filter
         // fresh under the same knobs, and forget the prior stream's
         // declared rate.
@@ -514,6 +509,19 @@ impl Replayer {
             crate::callstack::FuncId(raw)
         } else {
             self.funcs.intern(&format!("fn#{raw}"))
+        }
+    }
+
+    /// The monitors' view of the current replay state.
+    fn ctx(&self) -> MonitorCtx<'_> {
+        MonitorCtx {
+            graph: &self.graph,
+            heap: &self.heap,
+            stack: &self.stack,
+            funcs: &self.funcs,
+            fn_entries: self.fn_entries,
+            sample_rate: self.effective_rate(),
+            recorder: None,
         }
     }
 
@@ -550,12 +558,54 @@ impl Replayer {
     /// allocating per block) produces samples bit-identical to one call
     /// over the whole slice.
     pub(crate) fn ingest_batch(&mut self, events: &[HeapEvent]) {
-        if self.sampling.is_none() {
-            return self.ingest_batch_raw(events);
-        }
-        let mut filter = self.sampling.take().expect("checked above");
-        self.ingest_batch_filtered(events, &mut filter);
+        self.ingest(events, false);
+    }
+
+    /// [`ingest_batch`](Self::ingest_batch), stopping right after the
+    /// first metric computation point when `stop_at_sample` is set.
+    /// Returns the number of events consumed.
+    fn ingest(&mut self, events: &[HeapEvent], stop_at_sample: bool) -> usize {
+        let Some(mut filter) = self.sampling.take() else {
+            return self.ingest_batch_raw(events, stop_at_sample);
+        };
+        let consumed = self.ingest_batch_filtered(events, &mut filter, stop_at_sample);
         self.sampling = Some(filter);
+        consumed
+    }
+
+    /// Replays `events` into `monitors`, delivering each event only
+    /// while some monitor is [listening](Monitor::listening).
+    ///
+    /// Listening is read at every metric computation point (the only
+    /// place it may turn on). While a monitor listens, events are
+    /// [`step`](Self::step)ped one by one up to the next sample point;
+    /// while none does, the span up to and including the next sampling
+    /// `FnEnter` takes the batched path and only its sample is handed
+    /// to the monitors. Both paths count ticks from the same global
+    /// offset, so samples, ticks and everything monitors observe are
+    /// bit-identical to stepping every event.
+    pub(crate) fn drive(&mut self, events: &[HeapEvent], monitors: &mut [&mut dyn Monitor]) {
+        let mut rest = events;
+        while !rest.is_empty() {
+            let consumed = if monitors.iter().any(|m| m.listening()) {
+                // Step up to and including the next sample point.
+                rest.iter()
+                    .position(|ev| self.step(ev, monitors))
+                    .map_or(rest.len(), |i| i + 1)
+            } else {
+                let taken = self.samples.len();
+                let n = self.ingest(rest, true);
+                if self.samples.len() > taken {
+                    let sample = self.samples[taken];
+                    let ctx = self.ctx();
+                    for m in monitors.iter_mut() {
+                        m.on_sample(&ctx, &sample);
+                    }
+                }
+                n
+            };
+            rest = &rest[consumed..];
+        }
     }
 
     /// Single-pass fused filter + ingest: the sampled twin of
@@ -566,8 +616,13 @@ impl Replayer {
     /// the recorded sampled trace would put them. The filter is
     /// deterministic and sequential, so chunking cannot change the
     /// outcome.
-    fn ingest_batch_filtered(&mut self, events: &[HeapEvent], filter: &mut SampledIngest) {
-        let base = self.ingested;
+    fn ingest_batch_filtered(
+        &mut self,
+        events: &[HeapEvent],
+        filter: &mut SampledIngest,
+        stop_at_sample: bool,
+    ) -> usize {
+        let base = self.tick;
         let mut admitted = 0u64;
         let mut batch_start = 0;
         for (i, ev) in events.iter().enumerate() {
@@ -582,6 +637,9 @@ impl Replayer {
                     self.tick = base + admitted;
                     if self.fn_entries.is_multiple_of(self.settings.frq) {
                         self.take_sample();
+                        if stop_at_sample {
+                            return i + 1;
+                        }
                     }
                 }
                 HeapEvent::FnExit { .. } => {
@@ -604,12 +662,12 @@ impl Replayer {
             }
         }
         self.graph.apply_batch(&events[batch_start..]);
-        self.ingested = base + admitted;
-        self.tick = self.ingested;
+        self.tick = base + admitted;
+        events.len()
     }
 
-    fn ingest_batch_raw(&mut self, events: &[HeapEvent]) {
-        let base = self.ingested;
+    fn ingest_batch_raw(&mut self, events: &[HeapEvent], stop_at_sample: bool) -> usize {
+        let base = self.tick;
         let mut batch_start = 0;
         for (i, ev) in events.iter().enumerate() {
             match *ev {
@@ -622,6 +680,9 @@ impl Replayer {
                     self.tick = base + i as u64 + 1;
                     if self.fn_entries.is_multiple_of(self.settings.frq) {
                         self.take_sample();
+                        if stop_at_sample {
+                            return i + 1;
+                        }
                     }
                 }
                 HeapEvent::FnExit { .. } => {
@@ -631,17 +692,19 @@ impl Replayer {
             }
         }
         self.graph.apply_batch(&events[batch_start..]);
-        self.ingested = base + events.len() as u64;
-        self.tick = self.ingested;
+        self.tick = base + events.len() as u64;
+        events.len()
     }
 
-    pub(crate) fn step(&mut self, ev: &HeapEvent, monitors: &mut [&mut dyn Monitor]) {
+    /// Replays one event with full monitor fan-out. Returns whether it
+    /// was a metric computation point.
+    pub(crate) fn step(&mut self, ev: &HeapEvent, monitors: &mut [&mut dyn Monitor]) -> bool {
         if let Some(filter) = self.sampling.as_mut() {
             // A rejected store is as if it was never recorded: no tick,
             // no graph mutation, no monitor callback — bit-identical to
             // stepping the pre-filtered stream without a filter.
             if !filter.admit(ev) {
-                return;
+                return false;
             }
         }
         self.tick += 1;
@@ -656,47 +719,24 @@ impl Replayer {
             }
             _ => self.graph.apply(ev),
         }
-        let ctx = MonitorCtx {
-            graph: &self.graph,
-            heap: &self.heap,
-            stack: &self.stack,
-            funcs: &self.funcs,
-            fn_entries: self.fn_entries,
-            sample_rate: self.effective_rate(),
-            recorder: None,
-        };
+        let ctx = self.ctx();
         for m in monitors.iter_mut() {
             m.on_event(&ctx, ev);
         }
-        if matches!(ev, HeapEvent::FnEnter { .. })
-            && self.fn_entries.is_multiple_of(self.settings.frq)
-        {
+        let sampled = matches!(ev, HeapEvent::FnEnter { .. })
+            && self.fn_entries.is_multiple_of(self.settings.frq);
+        if sampled {
             let sample = self.take_sample();
-            let ctx = MonitorCtx {
-                graph: &self.graph,
-                heap: &self.heap,
-                stack: &self.stack,
-                funcs: &self.funcs,
-                fn_entries: self.fn_entries,
-                sample_rate: self.effective_rate(),
-                recorder: None,
-            };
+            let ctx = self.ctx();
             for m in monitors.iter_mut() {
                 m.on_sample(&ctx, &sample);
             }
         }
+        sampled
     }
 
     pub(crate) fn finish(&mut self, monitors: &mut [&mut dyn Monitor]) {
-        let ctx = MonitorCtx {
-            graph: &self.graph,
-            heap: &self.heap,
-            stack: &self.stack,
-            funcs: &self.funcs,
-            fn_entries: self.fn_entries,
-            sample_rate: self.effective_rate(),
-            recorder: None,
-        };
+        let ctx = self.ctx();
         for m in monitors.iter_mut() {
             m.on_finish(&ctx);
         }
@@ -841,6 +881,214 @@ mod tests {
         let json = trace.to_json().unwrap();
         let back = Trace::from_json(&json).unwrap();
         assert_eq!(trace, back);
+    }
+
+    /// A run whose heap shape shifts part way — a linked list, then
+    /// mostly isolated nodes and frees — under a changing call stack.
+    fn shifting_run(n: usize) -> Trace {
+        let settings = Settings::builder().frq(3).build().unwrap();
+        let mut p = Process::new(settings);
+        p.enable_trace();
+        let mut live: Vec<sim_heap::Addr> = Vec::new();
+        for i in 0..n {
+            p.enter(["parse", "build", "link"][i % 3]);
+            if i % 5 == 0 {
+                p.enter("nested");
+            }
+            let node = p.malloc(32, "node").unwrap();
+            if i < n / 2 || i % 4 == 0 {
+                if let Some(&prev) = live.last() {
+                    p.write_ptr(node.offset(8), prev).unwrap();
+                }
+            }
+            p.write_scalar(node.offset(16)).unwrap();
+            live.push(node);
+            if i >= n / 2 && i % 3 == 1 {
+                let victim = live.remove(i % live.len());
+                p.free(victim).unwrap();
+            }
+            if i % 5 == 0 {
+                p.leave();
+            }
+            p.leave();
+        }
+        let mut trace = p.take_trace().unwrap();
+        let names = (0..p.functions().len())
+            .map(|i| {
+                let id = crate::callstack::FuncId(i as u32);
+                p.functions().name(id).to_string()
+            })
+            .collect();
+        trace.set_functions(names);
+        trace
+    }
+
+    /// A model calibrating every paper metric and candidate on the
+    /// range its first third of `samples` spans, so later samples
+    /// approach (arming the window) and cross.
+    fn tight_model(samples: &[MetricSample]) -> HeapModel {
+        use crate::model::{CandidateMetric, StableMetric};
+        let early = &samples[samples.len() / 6..samples.len() / 3];
+        let span = |get: &dyn Fn(&MetricSample) -> f64| {
+            early
+                .iter()
+                .map(get)
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                    (lo.min(v), hi.max(v))
+                })
+        };
+        let stable = heap_graph::MetricKind::ALL
+            .iter()
+            .map(|&kind| {
+                let (min, max) = span(&|s| s.metrics.get(kind));
+                StableMetric {
+                    kind,
+                    min,
+                    max,
+                    avg_change: 0.0,
+                    std_change: 1.0,
+                    stable_runs: 3,
+                    total_runs: 3,
+                }
+            })
+            .collect();
+        let candidate_stable = heap_graph::CandidateKind::ALL
+            .iter()
+            .map(|&kind| {
+                let (min, max) = span(&|s| s.candidate(kind).unwrap());
+                CandidateMetric {
+                    id: kind.id().to_string(),
+                    min,
+                    max,
+                    avg_change: 0.0,
+                    std_change: 1.0,
+                    stable_runs: 3,
+                    total_runs: 3,
+                }
+            })
+            .collect();
+        HeapModel {
+            version: crate::model::MODEL_FORMAT_VERSION,
+            program: "shifting".into(),
+            settings: Settings::default(),
+            stable,
+            unstable: vec![],
+            locally_stable: vec![],
+            candidate_stable,
+            candidate_unstable: vec![],
+            sample_rate: 1.0,
+            training_runs: 3,
+        }
+    }
+
+    /// Forwards to the detector but always listens, so the reference
+    /// driver steps every event into it.
+    struct AlwaysListening<'a>(&'a mut AnomalyDetector);
+
+    impl Monitor for AlwaysListening<'_> {
+        fn on_event(&mut self, ctx: &MonitorCtx<'_>, event: &HeapEvent) {
+            self.0.on_event(ctx, event);
+        }
+        fn on_sample(&mut self, ctx: &MonitorCtx<'_>, sample: &MetricSample) {
+            self.0.on_sample(ctx, sample);
+        }
+        fn on_finish(&mut self, ctx: &MonitorCtx<'_>) {
+            self.0.on_finish(ctx);
+        }
+    }
+
+    /// `check_stream`'s set-up with every event stepped, `block` events
+    /// per fed slice.
+    fn stepped_check(
+        trace: &Trace,
+        model: &HeapModel,
+        settings: &Settings,
+        sampler: Option<SamplerConfig>,
+        block: usize,
+    ) -> TraceCheckOutcome {
+        let head = StreamHead::of(trace.events(), trace.functions(), trace.sampling());
+        let mut settings = settings.clone();
+        let total_samples = (head.fn_enters / settings.frq) as usize;
+        settings.warmup_samples = settings
+            .warmup_samples
+            .max(settings.trim_count(total_samples));
+        let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
+        let mut replayer = Replayer::new(settings, trace.functions());
+        match (trace.sampling(), sampler) {
+            (None, Some(config)) => replayer.enable_sampling(config),
+            (recorded, _) => replayer.set_rate_override(recorded.map_or(1.0, |s| s.rate())),
+        }
+        for part in trace.events().chunks(block) {
+            for ev in part {
+                replayer.step(ev, &mut [&mut AlwaysListening(&mut detector)]);
+            }
+        }
+        replayer.finish(&mut [&mut AlwaysListening(&mut detector)]);
+        TraceCheckOutcome {
+            bundle_paths: Vec::new(),
+            bugs: detector.take_bugs(),
+            incidents: detector.take_incidents(),
+            candidate_findings: detector.take_candidate_findings(),
+            samples: replayer.take_samples(),
+            sampling: replayer.sampling_info().or(trace.sampling()),
+            salvage: None,
+        }
+    }
+
+    #[test]
+    fn gated_driver_matches_stepping_every_event() {
+        let trace = shifting_run(600);
+        let settings = Settings::builder()
+            .frq(3)
+            .warmup_samples(2)
+            .near_edge_frac(0.3)
+            .callstack_capacity(16)
+            .build()
+            .unwrap();
+        let exact = tight_model(&trace.replay(&settings, "calibrate").unwrap().samples);
+        let resampler = SamplerConfig::new(16, 2);
+        let recorded = trace.sampled(resampler);
+        // Rate-matched calibration for the sampled modes, so widening
+        // does not swallow the excursions.
+        let mut matched = tight_model(&recorded.replay(&settings, "calibrate").unwrap().samples);
+        matched.sample_rate = recorded.sample_rate();
+        let cases = [
+            ("exact", &trace, &exact, None),
+            ("re-sampled", &trace, &matched, Some(resampler)),
+            ("recorded sampled", &recorded, &matched, None),
+        ];
+        for (mode, trace, model, sampler) in cases {
+            for block in [trace.len(), 7] {
+                let want = stepped_check(trace, model, &settings, sampler, block);
+                let head = StreamHead::of(trace.events(), trace.functions(), trace.sampling());
+                let got = check_stream(model, &settings, head, 1, None, sampler, |step| {
+                    trace.events().chunks(block).try_for_each(step)
+                })
+                .unwrap();
+                let what = format!("{mode}, {block}-event slices");
+                // The case must exercise the window: logged before the
+                // crossing and context collected after it.
+                let phases: Vec<_> = want
+                    .bugs
+                    .iter()
+                    .flat_map(|b| &b.context)
+                    .map(|e| e.phase)
+                    .collect();
+                assert!(
+                    phases.contains(&crate::bug::LogPhase::Before),
+                    "{what}: never armed"
+                );
+                assert!(
+                    phases.contains(&crate::bug::LogPhase::After),
+                    "{what}: no after-context"
+                );
+                assert_eq!(got.bugs, want.bugs, "{what}");
+                assert_eq!(got.incidents, want.incidents, "{what}");
+                assert_eq!(got.candidate_findings, want.candidate_findings, "{what}");
+                assert_eq!(got.samples, want.samples, "{what}");
+                assert_eq!(got.sampling, want.sampling, "{what}");
+            }
+        }
     }
 
     #[test]
