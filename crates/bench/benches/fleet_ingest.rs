@@ -1,14 +1,21 @@
-//! Fleet daemon ingest throughput (PR 6): N concurrent tenants
-//! streaming binary traces into `heapmd::Server`, measured over the
-//! full lifecycle — accept, preamble, wire decode, shard ingest with
-//! live gauges, graceful shutdown, and the authoritative per-tenant
-//! verdict. Throughput is total events across the fan-out, so the
-//! `tenants/N` series shows how the sharded registry scales with
-//! concurrent streams (see BENCH_PR6.json).
+//! Fleet daemon ingest throughput: N concurrent tenants streaming
+//! binary traces into `heapmd::Server`, measured over the full
+//! lifecycle — accept, preamble, wire decode, shard ingest with live
+//! gauges, graceful shutdown, and the authoritative per-tenant verdict.
+//! Throughput is total events across the fan-out, so the `tenants/N`
+//! series shows how the sharded registry scales with concurrent streams
+//! (see BENCH_PR6.json).
+//!
+//! The daemon runs as `heapmd serve` runs it, with observability on.
+//! `tenants/N` pushes fire-and-forget v1 streams; `tenants_resumable/N`
+//! pushes through the acked v2 session client, as `heapmd push` does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use heapmd::serve::push_trace;
-use heapmd::{ModelBuilder, Process, ServeConfig, Server, Settings, Trace};
+use heapmd::{
+    push_trace_resumable, ModelBuilder, Process, ServeConfig, Server, SessionOptions, Settings,
+    Trace,
+};
 use sim_heap::{Addr, NULL};
 use std::time::Duration;
 
@@ -44,14 +51,10 @@ fn churn_trace() -> Trace {
 }
 
 /// One full daemon round: start, stream the trace from `tenants`
-/// concurrent connections, wait for every stream to finalize, shut
-/// down. Returns the summary so the verdict work cannot be elided.
-fn fleet_round(
-    trace: &Trace,
-    settings: &Settings,
-    model: &heapmd::HeapModel,
-    tenants: usize,
-) -> usize {
+/// concurrent connections (v2 sessions when `resumable`), wait for
+/// every stream to finalize, shut down. Returns the summary so the
+/// verdict work cannot be elided.
+fn fleet_round(trace: &Trace, model: &heapmd::HeapModel, tenants: usize, resumable: bool) -> usize {
     let mut config = ServeConfig::new(model.clone());
     config.shards = 4;
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
@@ -60,7 +63,13 @@ fn fleet_round(
         for i in 0..tenants {
             let ingest = ingest.clone();
             scope.spawn(move || {
-                push_trace(&ingest, &format!("bench-{i}"), trace).expect("push");
+                let tenant = format!("bench-{i}");
+                if resumable {
+                    push_trace_resumable(&ingest, &tenant, trace, SessionOptions::default())
+                        .expect("push");
+                } else {
+                    push_trace(&ingest, &tenant, trace).expect("push");
+                }
             });
         }
     });
@@ -76,11 +85,12 @@ fn fleet_round(
     }
     server.shutdown();
     let summary = server.wait();
-    let _ = settings;
     summary.tenants.len()
 }
 
 fn bench_fleet_ingest(c: &mut Criterion) {
+    // `heapmd serve` always runs its own instrumentation.
+    heapmd_obs::set_enabled(true);
     let trace = churn_trace();
     let events = trace.len() as u64;
     let settings = Settings::builder().frq(100).build().unwrap();
@@ -89,15 +99,17 @@ fn bench_fleet_ingest(c: &mut Criterion) {
     let model = builder.build().model;
 
     let mut group = c.benchmark_group("fleet_ingest");
-    for tenants in [1usize, 4, 16] {
-        group.throughput(Throughput::Elements(events * tenants as u64));
-        group.bench_function(BenchmarkId::new("tenants", tenants), |b| {
-            b.iter(|| {
-                let n = fleet_round(&trace, &settings, &model, tenants);
-                assert_eq!(n, tenants);
-                n
-            })
-        });
+    for (id, resumable) in [("tenants", false), ("tenants_resumable", true)] {
+        for tenants in [1usize, 4, 16] {
+            group.throughput(Throughput::Elements(events * tenants as u64));
+            group.bench_function(BenchmarkId::new(id, tenants), |b| {
+                b.iter(|| {
+                    let n = fleet_round(&trace, &model, tenants, resumable);
+                    assert_eq!(n, tenants);
+                    n
+                })
+            });
+        }
     }
     group.finish();
 }

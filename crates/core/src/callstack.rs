@@ -81,8 +81,16 @@ impl FunctionTable {
     }
 
     /// Renders a stack of ids as human-readable names, outermost first.
+    /// An id past the table (a replayed trace with anonymous frames)
+    /// renders as its placeholder `fn#<id>`.
     pub fn render_stack(&self, stack: &[FuncId]) -> Vec<String> {
-        stack.iter().map(|&f| self.name(f).to_string()).collect()
+        stack
+            .iter()
+            .map(|&f| match self.names.get(f.0 as usize) {
+                Some(name) => name.clone(),
+                None => f.to_string(),
+            })
+            .collect()
     }
 
     /// Rebuilds the lookup index after deserialization.

@@ -158,7 +158,8 @@ pub const MODEL_FORMAT_VERSION: u32 = 2;
 /// Exactly `0.0` at `rate >= 1.0`, which keeps unsampled verdicts
 /// bit-identical to pre-sampling builds.
 pub fn sampling_widen(width: f64, rate: f64) -> f64 {
-    if !(rate < 1.0) {
+    // A NaN rate widens nothing, like a full one.
+    if rate >= 1.0 || rate.is_nan() {
         return 0.0;
     }
     let r = rate.clamp(1e-6, 1.0);

@@ -7,7 +7,10 @@
 //! back into the `.hmdt` block frames the [`BinaryTraceWriter`]
 //! upstream produces, each frame is assigned a sequence number and
 //! parked in a spill buffer, and a background-free pump pushes frames
-//! over the wire and retires them as the daemon's acks come back. When
+//! over the wire and retires them as the daemon's acks come back. A
+//! write never waits for acks: it sends, then retires only the acks
+//! already buffered on the socket. The client waits on the daemon only
+//! when the spill is over its cap, and at `flush()`. When
 //! the connection dies — or was never up — the client redials with
 //! exponential backoff (deterministically jittered, so a fleet of
 //! restarting clients doesn't thunder in lockstep), replays the
@@ -37,11 +40,19 @@ const ACK_POLL: Duration = Duration::from_millis(5);
 pub trait Conn: Read + Write + Send {
     /// Bounds subsequent reads; `None` blocks indefinitely.
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> io::Result<()>;
+    /// Switches reads between nonblocking (a read with nothing buffered
+    /// fails with [`io::ErrorKind::WouldBlock`] at once) and blocking
+    /// under the read timeout.
+    fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()>;
 }
 
 impl Conn for AnyStream {
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> io::Result<()> {
         self.set_read_timeout_opt(dur)
+    }
+
+    fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
+        AnyStream::set_nonblocking(self, nonblocking)
     }
 }
 
@@ -334,9 +345,6 @@ impl SessionClient {
         }
         self.retire_below(daemon_acked.max(self.acked));
         self.cursor = self.acked;
-        if self.reconnects > 0 || self.conn.is_some() {
-            // (re)dial counted by the caller via reconnects.
-        }
         self.conn = Some(conn);
         self.ack_buf.clear();
         self.last_progress = Instant::now();
@@ -376,13 +384,32 @@ impl SessionClient {
         Ok(sent)
     }
 
-    /// Reads whatever acks are available within `wait`; returns whether
-    /// the acked watermark advanced.
+    /// Waits up to `wait` for acks; returns whether the acked watermark
+    /// advanced.
     fn poll_acks(&mut self, wait: Duration) -> io::Result<bool> {
         let conn = self.conn.as_mut().expect("poll_acks with live conn");
         conn.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
+        self.read_acks()
+    }
+
+    /// Retires the acks already buffered on the connection without
+    /// waiting for more; returns whether the acked watermark advanced.
+    fn drain_acks(&mut self) -> io::Result<bool> {
+        let conn = self.conn.as_mut().expect("drain_acks with live conn");
+        conn.set_nonblocking(true)?;
+        let advanced = self.read_acks()?;
+        self.conn
+            .as_mut()
+            .expect("drain_acks with live conn")
+            .set_nonblocking(false)?;
+        Ok(advanced)
+    }
+
+    /// Reads until a read has returned acks, or until a read would
+    /// block or times out; returns whether the acked watermark advanced.
+    fn read_acks(&mut self) -> io::Result<bool> {
         let before = self.acked;
-        let mut chunk = [0u8; 64];
+        let mut chunk = [0u8; ACK_LEN * 64];
         loop {
             match self.conn.as_mut().unwrap().read(&mut chunk) {
                 Ok(0) => {
@@ -406,7 +433,7 @@ impl SessionClient {
                             self.final_acked = true;
                         }
                     }
-                    if self.final_acked {
+                    if self.acked > before || self.final_acked {
                         break;
                     }
                 }
@@ -503,15 +530,17 @@ impl SessionClient {
 
 impl Write for SessionClient {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut completed = false;
         for frame in self.splitter.push(buf) {
             self.enqueue(frame);
+            completed = true;
         }
-        // Opportunistic pump: push frames and retire acks without
-        // blocking the producer...
-        if self.conn.is_some() {
+        // Opportunistic pump: push the completed frames and retire the
+        // acks already buffered, never waiting for more...
+        if completed && self.conn.is_some() {
             let step = (|| -> io::Result<()> {
                 self.send_pending()?;
-                self.poll_acks(Duration::from_millis(1))?;
+                self.drain_acks()?;
                 Ok(())
             })();
             if step.is_err() {

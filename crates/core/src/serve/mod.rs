@@ -35,9 +35,10 @@
 //!   draining it; only a queue that makes no progress for a whole grace
 //!   window gets its tenant evicted as stalled.
 //! - **Verdicts.** Shards feed a resumable [`Replayer`] per tenant for
-//!   live per-metric gauges, and buffer the event stream; on clean end
-//!   of stream the buffered events run through the post-mortem check
-//!   that [`crate::Trace::check_logged`] uses, so the daemon verdict is
+//!   live per-metric gauges, and buffer the stream as the encoded event
+//!   blocks it arrived in (about 3 B/event). On clean end of stream the
+//!   blocks decode one at a time into the post-mortem check that
+//!   [`crate::Trace::check_logged`] uses, so the daemon verdict is
 //!   bit-identical to `heapmd check` on the same trace, with incident
 //!   bundles captured into a per-tenant [`IncidentLog`] directory. Each
 //!   tenant checks against the shared model, or its own override from
@@ -61,7 +62,9 @@ use crate::model::HeapModel;
 use crate::report::MetricSample;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use crate::trace::{check_stream, Replayer, StreamHead, Trace};
-use crate::trace_codec::{BinaryTraceWriter, BlockIndex, WireFrame, WireReader};
+use crate::trace_codec::{
+    decode_events_frame, BinaryTraceWriter, BlockIndex, WireFrame, WireReader,
+};
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
@@ -169,11 +172,11 @@ pub(crate) enum AnyStream {
 }
 
 impl AnyStream {
-    fn set_blocking(&self) -> io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
-            AnyStream::Tcp(s) => s.set_nonblocking(false),
+            AnyStream::Tcp(s) => s.set_nonblocking(nonblocking),
             #[cfg(unix)]
-            AnyStream::Unix(s) => s.set_nonblocking(false),
+            AnyStream::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
 
@@ -383,7 +386,11 @@ pub(crate) enum ShardMsg {
     },
     Events {
         tenant: String,
+        /// The decoded block, for the live replayer.
         events: Vec<HeapEvent>,
+        /// The same block as it arrived (block header + payload), for
+        /// the tenant's [`EncodedStream`].
+        block: Vec<u8>,
     },
     Functions {
         tenant: String,
@@ -415,11 +422,52 @@ pub(crate) enum ShardMsg {
     },
 }
 
+/// A tenant's event stream, buffered as the encoded event blocks it
+/// arrived in: about 3 B/event, against 40 for a decoded [`HeapEvent`].
+/// Finalize decodes it again one block at a time, the way offline
+/// `check` reads a `.hmdt`.
+#[derive(Default)]
+struct EncodedStream {
+    /// Raw events frames (block header + payload), in arrival order.
+    blocks: Vec<Vec<u8>>,
+    /// Events the blocks carry.
+    events: u64,
+    /// `FnEnter`s among them: the check's start-up skip is sized by the
+    /// stream's total.
+    fn_enters: u64,
+}
+
+impl EncodedStream {
+    /// Appends one block: `raw` as it arrived, `events` decoded from it.
+    fn push(&mut self, raw: Vec<u8>, events: &[HeapEvent]) {
+        self.events += events.len() as u64;
+        self.fn_enters += events
+            .iter()
+            .filter(|e| matches!(e, HeapEvent::FnEnter { .. }))
+            .count() as u64;
+        self.blocks.push(raw);
+    }
+
+    /// Decodes the blocks in order into one recycled buffer, handing
+    /// each to `step`.
+    fn replay(
+        &self,
+        step: &mut dyn FnMut(&[HeapEvent]) -> Result<(), HeapMdError>,
+    ) -> Result<(), HeapMdError> {
+        let mut events = Vec::new();
+        for block in &self.blocks {
+            decode_events_frame(block, &mut events)?;
+            step(&events)?;
+        }
+        Ok(())
+    }
+}
+
 struct ShardTenant {
     stats: Arc<TenantStats>,
     pending: Arc<AtomicU64>,
     model: Arc<HeapModel>,
-    events: Vec<HeapEvent>,
+    stream: EncodedStream,
     functions: Vec<String>,
     replayer: Replayer,
     /// Sampling metadata announced by the stream (last one wins),
@@ -567,128 +615,41 @@ fn verdicts_for(model: &HeapModel) -> Vec<MetricVerdict> {
     out
 }
 
-/// Runs the buffered stream through the authoritative offline check and
-/// closes the tenant's books. An evicted tenant still gets its buffered
-/// prefix checked (partial verdict + incident bundles) — eviction
-/// changes how the outcome is labeled, not whether evidence is kept.
-fn finalize(
-    t: ShardTenant,
-    tenant: String,
-    partial: bool,
-    evicted: Option<String>,
-    cleanup: Vec<PathBuf>,
-    incident_dir: Option<&PathBuf>,
-    run_store: Option<&RunStore>,
-    sampler: Option<SamplerConfig>,
-) -> TenantOutcome {
-    if evicted.is_some() {
-        t.stats.set_evicted();
-    }
-    t.stats.set_connected(false);
-    t.stats.set_rate(0);
-    t.stats.set_queue_depth(0);
-    let model = Arc::clone(&t.model);
-    let events = t.events.len() as u64;
-    // Tenant names are charset-validated (no separators), so they are
-    // safe as directory names.
-    let log = incident_dir.map(|d| IncidentLog::new(d.join(&tenant), tenant.clone()));
-    // Daemon-side production-overhead mode: the check re-samples
-    // full-fidelity streams; streams that arrived sampled keep their
-    // recorded schedule.
-    let head = StreamHead::of(&t.events, &t.functions, t.sampling);
-    let checked = check_stream(&model, &model.settings, head, 1, log, sampler, |step| {
-        step(&t.events)
-    });
-    let outcome = match checked {
-        Ok(out) => {
-            if t.sampling.is_none() {
-                if let Some(info) = out.sampling {
-                    t.stats.set_sample_rate(info.rate());
-                }
-            }
-            t.stats.record_bugs(out.bugs.len() as u64);
-            t.stats.add_incidents(out.bundle_paths.len() as u64);
-            if let Some(store) = run_store {
-                let src = RowSource {
-                    workload: model.program.clone(),
-                    version: 0,
-                    run: tenant.clone(),
-                    tenant: tenant.clone(),
-                    kind: RowKind::Serve,
-                    time: unix_time_now(),
-                    sample_rate: out.sampling.map_or(1.0, |s| s.rate()),
-                };
-                let rows = rows_from_samples(&src, &out.samples);
-                if let Err(e) = store.append(&rows) {
-                    // The verdict is authoritative; a failed append is
-                    // a degraded observability plane, not a failed
-                    // tenant.
-                    heapmd_obs::error!("run-store append for tenant {tenant} failed: {e}");
-                } else {
-                    heapmd_obs::count!("serve_run_store_rows_total", rows.len() as u64);
-                }
-            }
-            if let Some(b) = out.bugs.first() {
-                t.stats
-                    .set_last_anomaly(&format!("{} {}", b.metric, b.kind.slug()));
-            }
-            TenantOutcome {
-                tenant,
-                events,
-                bugs: out.bugs,
-                bundle_paths: out.bundle_paths,
-                partial,
-                evicted,
-                error: None,
-            }
-        }
-        Err(e) => TenantOutcome {
-            tenant,
-            events,
-            bugs: Vec::new(),
-            bundle_paths: Vec::new(),
-            partial,
-            evicted,
-            error: Some(e.to_string()),
-        },
-    };
-    for path in cleanup {
-        let _ = std::fs::remove_file(path);
-    }
-    heapmd_obs::export::emit_event("tenant_verdict", |o| {
-        o.field_str("tenant", &outcome.tenant)
-            .field_u64("events", outcome.events)
-            .field_u64("bugs", outcome.bugs.len() as u64)
-            .field_bool("partial", outcome.partial);
-    });
-    outcome
-}
-
 /// Replayers a shard loop keeps warm for reuse; beyond this, finished
 /// streams' replayers are dropped instead of pooled.
 const REPLAYER_POOL_CAP: usize = 8;
 
-fn shard_loop(
-    rx: Receiver<ShardMsg>,
+/// One shard worker's state: its live tenants, the outcomes of the
+/// finished ones, and what every verdict shares.
+struct Shard {
+    tenants: BTreeMap<String, ShardTenant>,
+    outcomes: Vec<TenantOutcome>,
+    /// Recycled replayers: a finished stream's replayer goes back here
+    /// (graph slabs and shadow pages intact) and the next Start reuses
+    /// it instead of allocating cold.
+    replayer_pool: Vec<Replayer>,
     incident_dir: Option<PathBuf>,
     run_store: Option<Arc<RunStore>>,
     sampler: Option<SamplerConfig>,
-) -> Vec<TenantOutcome> {
-    let mut tenants: BTreeMap<String, ShardTenant> = BTreeMap::new();
-    let mut outcomes = Vec::new();
-    // Recycled replayers: a finished stream's replayer goes back here
-    // (graph slabs and shadow pages intact) and the next Start reuses
-    // it instead of allocating cold.
-    let mut replayer_pool: Vec<Replayer> = Vec::new();
-    let recycle = |t: &mut ShardTenant, pool: &mut Vec<Replayer>| {
-        if pool.len() < REPLAYER_POOL_CAP {
-            let settings = t.model.settings.clone();
-            let mut r = std::mem::replace(&mut t.replayer, Replayer::new(settings.clone(), &[]));
-            r.reset(settings, &[]);
-            pool.push(r);
+}
+
+impl Shard {
+    fn new(
+        incident_dir: Option<PathBuf>,
+        run_store: Option<Arc<RunStore>>,
+        sampler: Option<SamplerConfig>,
+    ) -> Self {
+        Shard {
+            tenants: BTreeMap::new(),
+            outcomes: Vec::new(),
+            replayer_pool: Vec::new(),
+            incident_dir,
+            run_store,
+            sampler,
         }
-    };
-    while let Ok(msg) = rx.recv() {
+    }
+
+    fn handle(&mut self, msg: ShardMsg) {
         match msg {
             ShardMsg::Start {
                 tenant,
@@ -700,10 +661,10 @@ fn shard_loop(
                 // A v2 reconnect re-attaches to the accumulated state;
                 // everything else (v1 reconnects included) starts a
                 // fresh stream and drops the unfinished one.
-                if resume && tenants.contains_key(&tenant) {
-                    continue;
+                if resume && self.tenants.contains_key(&tenant) {
+                    return;
                 }
-                let replayer = match replayer_pool.pop() {
+                let replayer = match self.replayer_pool.pop() {
                     Some(mut r) => {
                         r.reset(model.settings.clone(), &[]);
                         heapmd_obs::count!("serve_replayer_pool_reuse_total");
@@ -715,7 +676,7 @@ fn shard_loop(
                 let state = ShardTenant {
                     stats,
                     pending,
-                    events: Vec::new(),
+                    stream: EncodedStream::default(),
                     functions: Vec::new(),
                     replayer,
                     sampling: None,
@@ -724,16 +685,20 @@ fn shard_loop(
                     window_start: Instant::now(),
                     window_events: 0,
                 };
-                tenants.insert(tenant, state);
+                self.tenants.insert(tenant, state);
             }
-            ShardMsg::Events { tenant, events } => {
-                let Some(t) = tenants.get_mut(&tenant) else {
-                    continue;
+            ShardMsg::Events {
+                tenant,
+                events,
+                block,
+            } => {
+                let Some(t) = self.tenants.get_mut(&tenant) else {
+                    return;
                 };
                 let n = events.len() as u64;
                 let clock = heapmd_obs::throughput::stage_clock();
                 t.replayer.ingest_batch(&events);
-                t.events.extend_from_slice(&events);
+                t.stream.push(block, &events);
                 if let Some(t0) = clock {
                     heapmd_obs::throughput::record_stage(
                         "serve_ingest",
@@ -760,12 +725,12 @@ fn shard_loop(
                 }
             }
             ShardMsg::Functions { tenant, names } => {
-                if let Some(t) = tenants.get_mut(&tenant) {
+                if let Some(t) = self.tenants.get_mut(&tenant) {
                     t.functions = names;
                 }
             }
             ShardMsg::Sampling { tenant, info } => {
-                if let Some(t) = tenants.get_mut(&tenant) {
+                if let Some(t) = self.tenants.get_mut(&tenant) {
                     t.sampling = Some(info);
                     t.stats.set_sample_rate(info.rate());
                 }
@@ -775,79 +740,181 @@ fn shard_loop(
                 index,
                 cleanup,
             } => {
-                let Some(mut t) = tenants.remove(&tenant) else {
-                    continue;
+                let Some(t) = self.tenants.get(&tenant) else {
+                    return;
                 };
-                recycle(&mut t, &mut replayer_pool);
-                if t.events.len() as u64 != index.total_events {
-                    let reason = format!(
-                        "index declares {} events, stream carried {}",
-                        index.total_events,
-                        t.events.len()
-                    );
-                    outcomes.push(finalize(
-                        t,
-                        tenant,
-                        true,
-                        Some(reason),
-                        cleanup,
-                        incident_dir.as_ref(),
-                        run_store.as_deref(),
-                        sampler,
-                    ));
-                    continue;
-                }
-                outcomes.push(finalize(
-                    t,
-                    tenant,
-                    false,
-                    None,
-                    cleanup,
-                    incident_dir.as_ref(),
-                    run_store.as_deref(),
-                    sampler,
-                ));
+                let carried = t.stream.events;
+                let mismatch = (carried != index.total_events).then(|| {
+                    format!(
+                        "index declares {} events, stream carried {carried}",
+                        index.total_events
+                    )
+                });
+                self.close(tenant, mismatch.is_some(), mismatch, cleanup);
             }
             ShardMsg::Abort {
                 tenant,
                 reason,
                 evict,
                 cleanup,
-            } => {
-                let Some(mut t) = tenants.remove(&tenant) else {
-                    continue;
-                };
-                recycle(&mut t, &mut replayer_pool);
-                let evicted = evict.then_some(reason);
-                outcomes.push(finalize(
-                    t,
-                    tenant,
-                    true,
-                    evicted,
-                    cleanup,
-                    incident_dir.as_ref(),
-                    run_store.as_deref(),
-                    sampler,
-                ));
-            }
+            } => self.close(tenant, true, evict.then_some(reason), cleanup),
         }
     }
-    // Channel closed (shutdown drained the accept loop): finalize
-    // whatever streams never sent an explicit end. Journals stay on
-    // disk so a restarted daemon can pick the sessions back up.
-    for (tenant, t) in tenants {
-        outcomes.push(finalize(
-            t,
-            tenant,
-            true,
-            None,
-            Vec::new(),
-            incident_dir.as_ref(),
-            run_store.as_deref(),
-            sampler,
-        ));
+
+    /// Takes `tenant` off the shard, recycles its live replayer, and
+    /// finalizes its verdict.
+    fn close(
+        &mut self,
+        tenant: String,
+        partial: bool,
+        evicted: Option<String>,
+        cleanup: Vec<PathBuf>,
+    ) {
+        let Some(mut t) = self.tenants.remove(&tenant) else {
+            return;
+        };
+        if self.replayer_pool.len() < REPLAYER_POOL_CAP {
+            let settings = t.model.settings.clone();
+            let mut r = std::mem::replace(&mut t.replayer, Replayer::new(settings.clone(), &[]));
+            r.reset(settings, &[]);
+            self.replayer_pool.push(r);
+        }
+        let outcome = self.finalize(t, tenant, partial, evicted, cleanup);
+        self.outcomes.push(outcome);
     }
-    outcomes
+
+    /// The channel closed (shutdown drained the accept loop): finalizes
+    /// whatever streams never sent an explicit end. Journals stay on
+    /// disk so a restarted daemon can pick the sessions back up.
+    fn finish(mut self) -> Vec<TenantOutcome> {
+        for (tenant, t) in std::mem::take(&mut self.tenants) {
+            let outcome = self.finalize(t, tenant, true, None, Vec::new());
+            self.outcomes.push(outcome);
+        }
+        self.outcomes
+    }
+
+    /// Runs the buffered stream through the authoritative offline check
+    /// and closes the tenant's books. An evicted tenant still gets its
+    /// buffered prefix checked (partial verdict + incident bundles) —
+    /// eviction changes how the outcome is labeled, not whether
+    /// evidence is kept.
+    fn finalize(
+        &self,
+        t: ShardTenant,
+        tenant: String,
+        partial: bool,
+        evicted: Option<String>,
+        cleanup: Vec<PathBuf>,
+    ) -> TenantOutcome {
+        if evicted.is_some() {
+            t.stats.set_evicted();
+        }
+        t.stats.set_connected(false);
+        t.stats.set_rate(0);
+        t.stats.set_queue_depth(0);
+        let model = Arc::clone(&t.model);
+        let events = t.stream.events;
+        // Tenant names are charset-validated (no separators), so they
+        // are safe as directory names.
+        let log = self
+            .incident_dir
+            .as_ref()
+            .map(|d| IncidentLog::new(d.join(&tenant), tenant.clone()));
+        // Daemon-side production-overhead mode: the check re-samples
+        // full-fidelity streams; streams that arrived sampled keep their
+        // recorded schedule.
+        let head = StreamHead {
+            functions: &t.functions,
+            fn_enters: t.stream.fn_enters,
+            sampling: t.sampling,
+        };
+        let checked = check_stream(
+            &model,
+            &model.settings,
+            head,
+            1,
+            log,
+            self.sampler,
+            |step| t.stream.replay(step),
+        );
+        let outcome = match checked {
+            Ok(out) => {
+                if t.sampling.is_none() {
+                    if let Some(info) = out.sampling {
+                        t.stats.set_sample_rate(info.rate());
+                    }
+                }
+                t.stats.record_bugs(out.bugs.len() as u64);
+                t.stats.add_incidents(out.bundle_paths.len() as u64);
+                if let Some(store) = &self.run_store {
+                    let src = RowSource {
+                        workload: model.program.clone(),
+                        version: 0,
+                        run: tenant.clone(),
+                        tenant: tenant.clone(),
+                        kind: RowKind::Serve,
+                        time: unix_time_now(),
+                        sample_rate: out.sampling.map_or(1.0, |s| s.rate()),
+                    };
+                    let rows = rows_from_samples(&src, &out.samples);
+                    if let Err(e) = store.append(&rows) {
+                        // The verdict is authoritative; a failed append
+                        // is a degraded observability plane, not a
+                        // failed tenant.
+                        heapmd_obs::error!("run-store append for tenant {tenant} failed: {e}");
+                    } else {
+                        heapmd_obs::count!("serve_run_store_rows_total", rows.len() as u64);
+                    }
+                }
+                if let Some(b) = out.bugs.first() {
+                    t.stats
+                        .set_last_anomaly(&format!("{} {}", b.metric, b.kind.slug()));
+                }
+                TenantOutcome {
+                    tenant,
+                    events,
+                    bugs: out.bugs,
+                    bundle_paths: out.bundle_paths,
+                    partial,
+                    evicted,
+                    error: None,
+                }
+            }
+            Err(e) => TenantOutcome {
+                tenant,
+                events,
+                bugs: Vec::new(),
+                bundle_paths: Vec::new(),
+                partial,
+                evicted,
+                error: Some(e.to_string()),
+            },
+        };
+        for path in cleanup {
+            let _ = std::fs::remove_file(path);
+        }
+        heapmd_obs::export::emit_event("tenant_verdict", |o| {
+            o.field_str("tenant", &outcome.tenant)
+                .field_u64("events", outcome.events)
+                .field_u64("bugs", outcome.bugs.len() as u64)
+                .field_bool("partial", outcome.partial);
+        });
+        outcome
+    }
+}
+
+fn shard_loop(
+    rx: Receiver<ShardMsg>,
+    incident_dir: Option<PathBuf>,
+    run_store: Option<Arc<RunStore>>,
+    sampler: Option<SamplerConfig>,
+) -> Vec<TenantOutcome> {
+    let mut shard = Shard::new(incident_dir, run_store, sampler);
+    while let Ok(msg) = rx.recv() {
+        shard.handle(msg);
+    }
+    shard.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1034,8 +1101,8 @@ fn handle_v1(stream: DrainingStream, tenant: String, ctx: &ServeCtx) {
     }
     let mut reader = WireReader::new(stream);
     loop {
-        match reader.next_frame() {
-            Ok(WireFrame::Events(events)) => {
+        match reader.next_frame_raw() {
+            Ok((WireFrame::Events(events), block)) => {
                 if !wait_for_room(&pending, ctx.queue_events, &ctx.shutdown) {
                     ctx.fleet.evict(&stats);
                     let _ = tx.send(ShardMsg::Abort {
@@ -1052,19 +1119,20 @@ fn handle_v1(stream: DrainingStream, tenant: String, ctx: &ServeCtx) {
                     .send(ShardMsg::Events {
                         tenant: tenant.clone(),
                         events,
+                        block,
                     })
                     .is_err()
                 {
                     return;
                 }
             }
-            Ok(WireFrame::Functions(names)) => {
+            Ok((WireFrame::Functions(names), _)) => {
                 let _ = tx.send(ShardMsg::Functions {
                     tenant: tenant.clone(),
                     names,
                 });
             }
-            Ok(WireFrame::Meta(payload)) => {
+            Ok((WireFrame::Meta(payload), _)) => {
                 // Unrecognized meta payloads stay forward-compatible
                 // no-ops; a sampling block re-labels the tenant.
                 if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
@@ -1074,7 +1142,7 @@ fn handle_v1(stream: DrainingStream, tenant: String, ctx: &ServeCtx) {
                     });
                 }
             }
-            Ok(WireFrame::End(index)) => {
+            Ok((WireFrame::End(index), _)) => {
                 let _ = tx.send(ShardMsg::End {
                     tenant,
                     index,
@@ -1121,7 +1189,7 @@ fn accept_loop(listener: AnyListener, ctx: Arc<ServeCtx>) {
         }
         match listener.accept() {
             Ok(stream) => {
-                let _ = stream.set_blocking();
+                let _ = stream.set_nonblocking(false);
                 heapmd_obs::count!("heapmd_serve_connections_total");
                 let ctx = Arc::clone(&ctx);
                 handles.push(std::thread::spawn(move || handle_conn(stream, ctx)));
@@ -1408,6 +1476,170 @@ pub fn push_trace(addr: &str, tenant: &str, trace: &Trace) -> Result<u64, HeapMd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_codec::{BinaryTraceImage, HEADER_LEN};
+    use crate::{ModelBuilder, Process, Settings};
+
+    /// A linked-list build of `n` nodes (four events each, so several
+    /// 4096-event blocks), its encoding, and a model trained on it.
+    fn encoded_churn(n: usize) -> (Trace, Vec<u8>, HeapModel) {
+        let settings = Settings::builder().frq(5).build().unwrap();
+        let mut p = Process::new(settings.clone());
+        p.enable_trace();
+        let mut prev = None;
+        for _ in 0..n {
+            p.enter("build");
+            let node = p.malloc(16, "node").unwrap();
+            if let Some(prev) = prev {
+                p.write_ptr(node.offset(8), prev).unwrap();
+            }
+            prev = Some(node);
+            p.leave();
+        }
+        let mut trace = p.take_trace().unwrap();
+        trace.set_functions(vec!["build".into()]);
+        let _ = p.finish("record");
+        let mut builder = ModelBuilder::new(settings.clone());
+        builder.add_run(&trace.replay(&settings, "train").unwrap());
+        let bytes = trace.encode_binary();
+        (trace, bytes, builder.build().model)
+    }
+
+    /// The events blocks of an encoded trace, concatenated, read
+    /// through its index independently of any wire reader.
+    fn event_block_bytes(bytes: &[u8]) -> Vec<u8> {
+        let image = BinaryTraceImage::open(bytes.to_vec()).unwrap();
+        let mut out = Vec::new();
+        for entry in image.event_blocks() {
+            let at = entry.offset as usize;
+            let len = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().unwrap()) as usize;
+            out.extend_from_slice(&bytes[at..at + 17 + len]);
+        }
+        out
+    }
+
+    fn start(shard: &mut Shard, tenant: &str, model: &HeapModel) {
+        shard.handle(ShardMsg::Start {
+            tenant: tenant.into(),
+            stats: FleetRegistry::new().connect(tenant),
+            pending: Arc::new(AtomicU64::new(0)),
+            model: Arc::new(model.clone()),
+            resume: false,
+        });
+    }
+
+    /// Hands `reader`'s frames to the shard as the connection handlers
+    /// and journal recovery do, up to the end frame, whose index it
+    /// returns. `limit` stops after that many events frames instead.
+    fn feed(
+        shard: &mut Shard,
+        tenant: &str,
+        mut reader: WireReader<impl Read>,
+        limit: usize,
+    ) -> Option<BlockIndex> {
+        let mut blocks = 0;
+        while blocks < limit {
+            match reader.next_frame_raw().unwrap() {
+                (WireFrame::Events(events), block) => {
+                    blocks += 1;
+                    shard.handle(ShardMsg::Events {
+                        tenant: tenant.into(),
+                        events,
+                        block,
+                    });
+                }
+                (WireFrame::Functions(names), _) => shard.handle(ShardMsg::Functions {
+                    tenant: tenant.into(),
+                    names,
+                }),
+                (WireFrame::Meta(_), _) => {}
+                (WireFrame::End(index), _) => return Some(index),
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn tenants_buffer_the_event_blocks_they_received() {
+        let (trace, bytes, model) = encoded_churn(3000);
+        let expected_blocks = event_block_bytes(&bytes);
+        let offline = trace.check(&model, &model.settings).unwrap();
+
+        // A journal as the v2 handler writes it: the header, then every
+        // frame's raw bytes.
+        let dir = std::env::temp_dir().join(format!("heapmd-encoded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut journal = session::Journal::open(&dir, "j", true).unwrap();
+        let mut v2 = WireReader::resume(&bytes[HEADER_LEN..], HEADER_LEN as u64);
+        while !v2.is_finished() {
+            journal.append(&v2.next_frame_raw().unwrap().1).unwrap();
+        }
+        drop(journal);
+        let journaled = std::fs::read(dir.join("j.hmdt")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(journaled, bytes, "the journal is the encoded trace");
+
+        let readers = [
+            ("v1", WireReader::new(&bytes[..])),
+            (
+                "v2",
+                WireReader::resume(&bytes[HEADER_LEN..], HEADER_LEN as u64),
+            ),
+            ("journal", WireReader::new(&journaled[..])),
+        ];
+        for (mode, reader) in readers {
+            let mut shard = Shard::new(None, None, None);
+            start(&mut shard, mode, &model);
+            let index = feed(&mut shard, mode, reader, usize::MAX).expect("end frame");
+            let stream = &shard.tenants[mode].stream;
+            assert!(stream.blocks.len() >= 3, "{mode}: a multi-block stream");
+            assert!(
+                stream.blocks.concat() == expected_blocks,
+                "{mode}: the buffer differs from the event blocks received"
+            );
+            assert_eq!(stream.events, trace.len() as u64, "{mode}");
+            shard.handle(ShardMsg::End {
+                tenant: mode.into(),
+                index,
+                cleanup: Vec::new(),
+            });
+            let outcome = shard.finish().pop().expect("one outcome");
+            assert!(!outcome.partial && outcome.evicted.is_none(), "{mode}");
+            assert_eq!(outcome.events, trace.len() as u64);
+            assert_eq!(outcome.bugs, offline, "{mode}: serve == offline check");
+        }
+    }
+
+    #[test]
+    fn index_count_mismatch_still_evicts() {
+        let (trace, bytes, model) = encoded_churn(3000);
+        let index = BinaryTraceImage::open(bytes.clone())
+            .unwrap()
+            .index()
+            .clone();
+        let mut shard = Shard::new(None, None, None);
+        start(&mut shard, "short", &model);
+        assert!(feed(&mut shard, "short", WireReader::new(&bytes[..]), 1).is_none());
+        let carried = shard.tenants["short"].stream.events;
+        assert!(carried < trace.len() as u64);
+        shard.handle(ShardMsg::End {
+            tenant: "short".into(),
+            index,
+            cleanup: Vec::new(),
+        });
+        let outcome = shard.finish().pop().expect("one outcome");
+        assert!(outcome.partial);
+        assert_eq!(
+            outcome.evicted.as_deref(),
+            Some(
+                format!(
+                    "index declares {} events, stream carried {carried}",
+                    trace.len()
+                )
+                .as_str()
+            )
+        );
+        assert_eq!(outcome.events, carried);
+    }
 
     #[test]
     fn tenant_names_are_charset_checked() {

@@ -191,14 +191,14 @@ fn write_meta(ctx: &ServeCtx, tenant: &str, session: &str, completed: bool) {
 
 /// Append-only handle on a tenant's block journal. The file is a valid
 /// (salvageable) `.hmdt`: the 8-byte header followed by raw blocks.
-struct Journal {
+pub(super) struct Journal {
     file: std::fs::File,
 }
 
 impl Journal {
     /// Opens the journal for appending. `fresh` truncates any previous
     /// incarnation; either way the file starts with the binary header.
-    fn open(dir: &Path, tenant: &str, fresh: bool) -> io::Result<Journal> {
+    pub(super) fn open(dir: &Path, tenant: &str, fresh: bool) -> io::Result<Journal> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{tenant}.hmdt"));
         let mut opts = std::fs::OpenOptions::new();
@@ -218,7 +218,7 @@ impl Journal {
         Ok(Journal { file })
     }
 
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+    pub(super) fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.file.write_all(bytes)?;
         self.file.flush()
     }
@@ -456,6 +456,7 @@ pub(crate) fn handle_v2(
                     .send(ShardMsg::Events {
                         tenant: tenant.clone(),
                         events,
+                        block: raw,
                     })
                     .is_err()
                 {
@@ -680,23 +681,24 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
     let mut good = HEADER_LEN as u64;
     let mut frames = 0u64;
     loop {
-        match reader.next_frame() {
-            Ok(WireFrame::Events(events)) => {
+        match reader.next_frame_raw() {
+            Ok((WireFrame::Events(events), block)) => {
                 // No pending increment: recovery feeds the shard ahead
                 // of any live connection, and the shard's saturating
                 // decrement tolerates the imbalance.
                 let _ = tx.send(ShardMsg::Events {
                     tenant: tenant.to_string(),
                     events,
+                    block,
                 });
             }
-            Ok(WireFrame::Functions(names)) => {
+            Ok((WireFrame::Functions(names), _)) => {
                 let _ = tx.send(ShardMsg::Functions {
                     tenant: tenant.to_string(),
                     names,
                 });
             }
-            Ok(WireFrame::Meta(payload)) => {
+            Ok((WireFrame::Meta(payload), _)) => {
                 if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
                     let _ = tx.send(ShardMsg::Sampling {
                         tenant: tenant.to_string(),
@@ -704,7 +706,7 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
                     });
                 }
             }
-            Ok(WireFrame::End(index)) => {
+            Ok((WireFrame::End(index), _)) => {
                 // The whole stream made it to the journal before the
                 // crash: finalize now and tombstone the session.
                 frames += 1;

@@ -7,7 +7,7 @@
 //! reproduction, lets tests replay identical event streams through
 //! different settings.
 
-use crate::callstack::FunctionTable;
+use crate::callstack::{FuncId, FunctionTable};
 use crate::detector::AnomalyDetector;
 use crate::error::HeapMdError;
 use crate::incident::{IncidentBundle, IncidentLog};
@@ -396,7 +396,7 @@ pub(crate) struct Replayer {
     /// use it for the logical clock, which we advance per event.
     heap: SimHeap,
     funcs: FunctionTable,
-    stack: Vec<crate::callstack::FuncId>,
+    stack: Vec<FuncId>,
     settings: Settings,
     fn_entries: u64,
     samples: Vec<MetricSample>,
@@ -502,14 +502,6 @@ impl Replayer {
     /// Hands over the samples recorded so far.
     pub(crate) fn take_samples(&mut self) -> Vec<MetricSample> {
         std::mem::take(&mut self.samples)
-    }
-
-    fn func_name(&mut self, raw: u32) -> crate::callstack::FuncId {
-        if (raw as usize) < self.funcs.len() {
-            crate::callstack::FuncId(raw)
-        } else {
-            self.funcs.intern(&format!("fn#{raw}"))
-        }
     }
 
     /// The monitors' view of the current replay state.
@@ -630,8 +622,7 @@ impl Replayer {
                 HeapEvent::FnEnter { func } => {
                     self.graph.apply_batch(&events[batch_start..i]);
                     batch_start = i + 1;
-                    let id = self.func_name(func);
-                    self.stack.push(id);
+                    self.stack.push(FuncId(func));
                     self.fn_entries += 1;
                     admitted += 1;
                     self.tick = base + admitted;
@@ -674,8 +665,7 @@ impl Replayer {
                 HeapEvent::FnEnter { func } => {
                     self.graph.apply_batch(&events[batch_start..i]);
                     batch_start = i + 1;
-                    let id = self.func_name(func);
-                    self.stack.push(id);
+                    self.stack.push(FuncId(func));
                     self.fn_entries += 1;
                     self.tick = base + i as u64 + 1;
                     if self.fn_entries.is_multiple_of(self.settings.frq) {
@@ -710,8 +700,7 @@ impl Replayer {
         self.tick += 1;
         match *ev {
             HeapEvent::FnEnter { func } => {
-                let id = self.func_name(func);
-                self.stack.push(id);
+                self.stack.push(FuncId(func));
                 self.fn_entries += 1;
             }
             HeapEvent::FnExit { .. } => {
@@ -786,6 +775,23 @@ mod tests {
             assert_eq!(a.nodes, b.nodes);
             assert_eq!(a.fn_entries, b.fn_entries);
         }
+    }
+
+    #[test]
+    fn anonymous_frames_render_their_raw_ids() {
+        let settings = Settings::builder().frq(1000).build().unwrap();
+        let enters = [
+            HeapEvent::FnEnter { func: 5 },
+            HeapEvent::FnEnter { func: 0 },
+        ];
+        let mut batched = Replayer::new(settings.clone(), &[]);
+        batched.ingest_batch(&enters);
+        assert_eq!(batched.ctx().stack_names(), ["fn#5", "fn#0"]);
+        let mut stepped = Replayer::new(settings, &[]);
+        for ev in &enters {
+            stepped.step(ev, &mut []);
+        }
+        assert_eq!(stepped.ctx().stack_names(), ["fn#5", "fn#0"]);
     }
 
     #[test]

@@ -447,6 +447,28 @@ fn encode_events_block(events: &[HeapEvent], scratch: &mut Vec<u8>) -> (Vec<u8>,
     (block, fn_enters)
 }
 
+/// Decodes one raw events frame, as [`WireReader::next_frame_raw`]
+/// returned it (block header + payload), into `out` (cleared first).
+/// The frame's checksum was verified when the reader read it, so it is
+/// not verified again.
+///
+/// # Errors
+///
+/// [`HeapMdError::Corrupt`] when the frame is not an events block or
+/// its payload does not decode to the declared count.
+pub(crate) fn decode_events_frame(
+    frame: &[u8],
+    out: &mut Vec<HeapEvent>,
+) -> Result<(), HeapMdError> {
+    out.clear();
+    if frame.len() < BLOCK_HEADER_LEN || frame[4] != KIND_EVENTS {
+        return Err(HeapMdError::corrupt(0, "not an events frame"));
+    }
+    let count = u32::from_le_bytes(frame[5..9].try_into().unwrap());
+    decode_events_payload(&frame[BLOCK_HEADER_LEN..], count, out)
+        .map_err(|reason| HeapMdError::corrupt(0, reason))
+}
+
 /// Decodes an events-block payload into `out` (appending). The caller
 /// passes `count` from the block header; a mismatch is corruption.
 fn decode_events_payload(
@@ -1897,17 +1919,31 @@ impl<R: Read> WireReader<R> {
 
     /// Like [`next_frame`](Self::next_frame), additionally returning
     /// the frame's raw wire bytes (block header + payload, plus the
-    /// footer for the end frame) so the caller can journal them
-    /// verbatim.
+    /// footer for the end frame) so the caller can journal or buffer
+    /// them verbatim. The stream's 8-byte file header belongs to no
+    /// frame: the first frame's raw bytes never include it.
     ///
     /// # Errors
     ///
     /// Same as [`next_frame`](Self::next_frame).
     pub fn next_frame_raw(&mut self) -> Result<(WireFrame, Vec<u8>), HeapMdError> {
+        self.read_header()?;
         self.tee = Some(Vec::new());
         let result = self.next_frame();
         let raw = self.tee.take().unwrap_or_default();
         result.map(|frame| (frame, raw))
+    }
+
+    /// Reads and checks the file header, unless it was already read
+    /// (or the stream resumed past it).
+    fn read_header(&mut self) -> Result<(), HeapMdError> {
+        if !self.header_done {
+            let mut header = [0u8; HEADER_LEN];
+            self.fill(&mut header)?;
+            check_header(&header)?;
+            self.header_done = true;
+        }
+        Ok(())
     }
 
     /// Reads, verifies, and decodes the next frame.
@@ -1923,12 +1959,7 @@ impl<R: Read> WireReader<R> {
                 "read past end of stream",
             ));
         }
-        if !self.header_done {
-            let mut header = [0u8; 8];
-            self.fill(&mut header)?;
-            check_header(&header)?;
-            self.header_done = true;
-        }
+        self.read_header()?;
         let block_start = self.consumed;
         let mut head = [0u8; BLOCK_HEADER_LEN];
         self.fill(&mut head)?;

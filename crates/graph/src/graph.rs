@@ -343,25 +343,15 @@ impl HeapGraph {
         }
     }
 
-    /// Applies a recorded event slice in one call, amortizing dispatch
-    /// and reporting batch throughput through `heapmd-obs`
-    /// (`heap_graph_apply` stage: events/sec, ns/event).
+    /// Applies a recorded event slice in one call, amortizing dispatch.
+    /// Replay calls this once per span between two function entries,
+    /// so it carries no instrument of its own: callers time whole
+    /// batches.
     ///
     /// Equivalent to calling [`apply`](Self::apply) per event.
     pub fn apply_batch(&mut self, events: &[HeapEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let clock = heapmd_obs::throughput::stage_clock();
         for event in events {
             self.apply(event);
-        }
-        if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "heap_graph_apply",
-                events.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
         }
     }
 
@@ -515,7 +505,6 @@ impl HeapGraph {
     ///
     /// Panics if `src` is not a live vertex.
     pub fn on_ptr_write(&mut self, src: ObjectId, offset: u64, value: Addr) {
-        let _t = heapmd_obs::timer!("heap_graph_edge_resolve_ns");
         let src_slot = match self.index.get(src) {
             Some(s) => s,
             None => panic!("write into unknown {src}"),

@@ -295,19 +295,8 @@ impl ShardedGraph {
     /// Applies a recorded event slice (same contract as
     /// [`HeapGraph::apply_batch`]).
     pub fn apply_batch(&mut self, events: &[HeapEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let clock = heapmd_obs::throughput::stage_clock();
         for event in events {
             self.apply(event);
-        }
-        if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "heap_graph_apply",
-                events.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
         }
     }
 

@@ -1,9 +1,9 @@
 //! Per-stage throughput instrumentation for batch-shaped work.
 //!
-//! Hot-path stages (graph batch apply, trace replay, parallel training)
-//! process events in batches; per-event instrumentation at those rates
-//! would cost more than the work it measures. This module records one
-//! set of instruments per *batch* instead:
+//! Hot-path stages (live ingest, serve ingest, the check pool, parallel
+//! training) process events in batches; per-event instrumentation at
+//! those rates would cost more than the work it measures. This module
+//! records one set of instruments per *batch* instead:
 //!
 //! - `{stage}_events_total` / `{stage}_batches_total` counters,
 //! - a `{stage}_busy_ns_total` counter (cumulative time inside the

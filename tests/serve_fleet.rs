@@ -466,8 +466,9 @@ fn daemon_restart_mid_stream_resumes_from_journal() {
 }
 
 /// The session client's pluggable transport, wrapped in network fault
-/// injection. Read timeouts travel via a `try_clone`d handle (timeouts
-/// are a property of the shared socket, not the wrapper).
+/// injection. Read timeouts and the nonblocking flag travel via a
+/// `try_clone`d handle (both are properties of the shared socket, not
+/// the wrapper).
 struct ChaosConn {
     io: FaultyConn<TcpStream>,
     ctl: TcpStream,
@@ -492,6 +493,10 @@ impl std::io::Write for ChaosConn {
 impl Conn for ChaosConn {
     fn set_read_timeout(&mut self, dur: Option<Duration>) -> std::io::Result<()> {
         self.ctl.set_read_timeout(dur)
+    }
+
+    fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()> {
+        self.ctl.set_nonblocking(nonblocking)
     }
 }
 
@@ -570,6 +575,95 @@ proptest! {
         prop_assert_eq!(&outcome.bugs, &fx.expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A plain TCP transport that counts the reads which may wait: every
+/// read issued while the socket is in blocking mode (under a read
+/// timeout), whether it then finds bytes or times out.
+struct WaitCountingConn {
+    stream: TcpStream,
+    nonblocking: bool,
+    waits: Arc<AtomicU64>,
+}
+
+impl std::io::Read for WaitCountingConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !self.nonblocking {
+            self.waits.fetch_add(1, Relaxed);
+        }
+        self.stream.read(buf)
+    }
+}
+
+impl std::io::Write for WaitCountingConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+impl Conn for WaitCountingConn {
+    fn set_read_timeout(&mut self, dur: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_read_timeout(dur)
+    }
+
+    fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()> {
+        self.nonblocking = nonblocking;
+        self.stream.set_nonblocking(nonblocking)
+    }
+}
+
+#[test]
+fn pushing_blocks_never_waits_on_acks_before_flush() {
+    let fx = buggy_fixture();
+    let server = Server::start(
+        ServeConfig::new(fx.model.clone()),
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+    )
+    .expect("start daemon");
+    let waits = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&waits);
+    let opts = SessionOptions {
+        session: Some("no-wait".into()),
+        dialer: Some(Box::new(move |addr: &str| {
+            Ok(Box::new(WaitCountingConn {
+                stream: TcpStream::connect(addr)?,
+                nonblocking: false,
+                waits: Arc::clone(&counter),
+            }) as Box<dyn Conn>)
+        })),
+        ..SessionOptions::default()
+    };
+    let mut client = connect_session(server.ingest_addr(), "no-wait", opts).expect("connect");
+    // The handshake waits for the hello ack; the writes must not wait.
+    waits.store(0, Relaxed);
+
+    // Block-sized writes, as the binary trace writer issues them.
+    let bytes = fx.trace.encode_binary();
+    assert!(
+        fx.trace.len() > 2 * heapmd::EVENTS_PER_BLOCK,
+        "the stream spans several blocks"
+    );
+    for chunk in bytes.chunks(8 << 10) {
+        client.write_all(chunk).expect("write");
+    }
+    assert_eq!(
+        waits.load(Relaxed),
+        0,
+        "writes under the spill cap drain only the acks already buffered"
+    );
+    client.flush().expect("final ack");
+    assert!(waits.load(Relaxed) > 0, "flush waits for the final ack");
+
+    server.shutdown();
+    let summary = server.wait();
+    let outcome = summary.tenants.get("no-wait").expect("outcome");
+    assert!(!outcome.partial && outcome.evicted.is_none(), "{outcome:?}");
+    assert_eq!(outcome.bugs, fx.expected, "serve == offline check");
 }
 
 #[test]
@@ -785,7 +879,7 @@ fn sampled_tenant_reports_widened_bands_next_to_exact_tenant() {
     );
     let json_f64 = |line: &str, key: &str| -> f64 {
         let rest = &line[line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3..];
-        rest.split(|c: char| c == ',' || c == '}')
+        rest.split([',', '}'])
             .next()
             .and_then(|v| v.parse().ok())
             .expect("numeric field")
