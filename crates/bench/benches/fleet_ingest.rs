@@ -2,16 +2,15 @@
 //! binary traces into `heapmd::Server`, measured over the full
 //! lifecycle — accept, preamble, wire decode, shard ingest with live
 //! gauges, graceful shutdown, and the authoritative per-tenant verdict.
-//! Throughput is total events across the fan-out, so the `tenants/N`
-//! series shows how the sharded registry scales with concurrent streams
-//! (see BENCH_PR6.json).
+//! Throughput is total events across the fan-out, so the
+//! `tenants_resumable/N` series shows how the sharded registry scales
+//! with concurrent streams.
 //!
-//! The daemon runs as `heapmd serve` runs it, with observability on.
-//! `tenants/N` pushes fire-and-forget v1 streams; `tenants_resumable/N`
-//! pushes through the acked v2 session client, as `heapmd push` does.
+//! The daemon runs as `heapmd serve` runs it, with observability on,
+//! and every tenant pushes through the acked session client, as
+//! `heapmd push` does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use heapmd::serve::push_trace;
 use heapmd::{
     push_trace_resumable, ModelBuilder, Process, ServeConfig, Server, SessionOptions, Settings,
     Trace,
@@ -51,10 +50,9 @@ fn churn_trace() -> Trace {
 }
 
 /// One full daemon round: start, stream the trace from `tenants`
-/// concurrent connections (v2 sessions when `resumable`), wait for
-/// every stream to finalize, shut down. Returns the summary so the
-/// verdict work cannot be elided.
-fn fleet_round(trace: &Trace, model: &heapmd::HeapModel, tenants: usize, resumable: bool) -> usize {
+/// concurrent sessions, wait for every stream to finalize, shut down.
+/// Returns the summary so the verdict work cannot be elided.
+fn fleet_round(trace: &Trace, model: &heapmd::HeapModel, tenants: usize) -> usize {
     let mut config = ServeConfig::new(model.clone());
     config.shards = 4;
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
@@ -64,12 +62,8 @@ fn fleet_round(trace: &Trace, model: &heapmd::HeapModel, tenants: usize, resumab
             let ingest = ingest.clone();
             scope.spawn(move || {
                 let tenant = format!("bench-{i}");
-                if resumable {
-                    push_trace_resumable(&ingest, &tenant, trace, SessionOptions::default())
-                        .expect("push");
-                } else {
-                    push_trace(&ingest, &tenant, trace).expect("push");
-                }
+                push_trace_resumable(&ingest, &tenant, trace, SessionOptions::default())
+                    .expect("push");
             });
         }
     });
@@ -99,17 +93,15 @@ fn bench_fleet_ingest(c: &mut Criterion) {
     let model = builder.build().model;
 
     let mut group = c.benchmark_group("fleet_ingest");
-    for (id, resumable) in [("tenants", false), ("tenants_resumable", true)] {
-        for tenants in [1usize, 4, 16] {
-            group.throughput(Throughput::Elements(events * tenants as u64));
-            group.bench_function(BenchmarkId::new(id, tenants), |b| {
-                b.iter(|| {
-                    let n = fleet_round(&trace, &model, tenants, resumable);
-                    assert_eq!(n, tenants);
-                    n
-                })
-            });
-        }
+    for tenants in [1usize, 4, 16] {
+        group.throughput(Throughput::Elements(events * tenants as u64));
+        group.bench_function(BenchmarkId::new("tenants_resumable", tenants), |b| {
+            b.iter(|| {
+                let n = fleet_round(&trace, &model, tenants);
+                assert_eq!(n, tenants);
+                n
+            })
+        });
     }
     group.finish();
 }

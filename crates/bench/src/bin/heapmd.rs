@@ -14,8 +14,8 @@
 //! heapmd check --model FILE --trace FILE [--trace FILE …] [--jobs N] [--shards N]
 //!              [--salvage] [--sample]
 //! heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT]
-//!                         [--format binary|jsonl] [--stream]
-//! heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--format binary|jsonl]
+//!                         [--format binary|jsonl]
+//! heapmd replay --model FILE --trace FILE [--salvage] [--shards N]
 //!               [--sample] [--sample-hot-threshold N] [--sample-decimation N]
 //! heapmd inspect <artifact> [--salvage]         # bundle or trace, by magic
 //! heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N]
@@ -26,24 +26,25 @@
 //!              [--metric ID …] [--agg stats|drift] [--format tsv|jsonl]
 //! heapmd top --connect ADDR [--once] [--interval-ms N]
 //! heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N]
-//!             [--session ID] [--retry N] [--backoff-ms N] [--no-resume]
+//!             [--session ID] [--retry N] [--backoff-ms N]
 //! ```
 //!
 //! Robustness features:
 //!
-//! - `run --trace-out FILE` streams the heap-event trace incrementally
-//!   in a crash-safe format: framed JSONL ([`heapmd::TraceWriter`]) or,
-//!   with `--format binary`, the block-based binary codec
-//!   ([`heapmd::BinaryTraceWriter`]) whose completed blocks salvage at
-//!   block granularity; if the run dies mid-way, `replay --salvage`
-//!   recovers what was flushed.
+//! - `run --trace-out FILE` and `record --trace FILE` write the
+//!   block-based binary codec ([`heapmd::BinaryTraceWriter`], `HMDB1`),
+//!   whose completed blocks salvage at block granularity; if a run dies
+//!   mid-way, `replay --salvage` recovers what was flushed.
+//!   `--format jsonl` writes framed JSONL ([`heapmd::TraceWriter`],
+//!   `HMDT1`) instead, which cannot record a `--sample` run's sampling
+//!   outcome, so the two flags are refused together.
 //! - `train --checkpoint-every N` writes an atomic resume checkpoint
-//!   (`<out>.ckpt`) after every N training inputs (`--format binary`
-//!   wraps it in the CRC-protected container); `train --resume`
+//!   (`<out>.ckpt`) after every N training inputs, in the CRC-protected
+//!   binary container (`--format jsonl`: bare JSON); `train --resume`
 //!   auto-detects either and produces the same model an uninterrupted
 //!   run would have.
-//! - `replay` / `check --trace` auto-detect binary vs. framed JSONL vs.
-//!   JSON traces by magic bytes; `--salvage` accepts damaged inputs and
+//! - `replay` / `check --trace` auto-detect binary vs. framed JSONL
+//!   traces by magic bytes; `--salvage` accepts damaged inputs and
 //!   reports what was lost. Binary traces replay through the pipelined
 //!   decoder → detector engine.
 //! - `check --trace A --trace B … --jobs N` fans offline trace checks
@@ -61,14 +62,13 @@
 //!   shutdown via `GET /shutdown`. `run --serve ADDR --tenant NAME`
 //!   streams a live run into the daemon; `push` replays a recorded
 //!   trace into it; `top` renders a live dashboard from the rollups.
-//! - `push` and `run --serve` speak the resumable v2 session protocol
-//!   by default: bounded retry with jittered exponential backoff
+//! - `push` and `run --serve` speak the resumable session protocol
+//!   (`HMDSERVE2`): bounded retry with jittered exponential backoff
 //!   (`--retry`, `--backoff-ms`), a local spill buffer of unacked
 //!   blocks, and transparent resume from the last daemon-acked block
-//!   after a disconnect (`--no-resume` falls back to the one-shot v1
-//!   stream). With `serve --journal-dir DIR` the daemon journals every
-//!   acked block, so sessions even survive a daemon crash/restart;
-//!   `serve --model-dir DIR` checks each tenant against
+//!   after a disconnect. With `serve --journal-dir DIR` the daemon
+//!   journals every acked block, so sessions even survive a daemon
+//!   crash/restart; `serve --model-dir DIR` checks each tenant against
 //!   `DIR/<tenant>.hmdm` when present, falling back to the shared
 //!   `--model`.
 //! - `--run-store DIR` (on `run` / `train` / `check` / `serve`) appends
@@ -239,7 +239,7 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--format binary|jsonl] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N] [--no-resume]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--resume] [--threads N] [--format binary|jsonl] [--run-store DIR]\n  heapmd check <program> --model FILE [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--incidents DIR] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT_ID] [--format binary|jsonl] [--stream]\n  heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--format binary|jsonl] [--sample] [--sample-hot-threshold N] [--sample-decimation N]\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N] [--no-resume]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--format binary|jsonl] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--resume] [--threads N] [--format binary|jsonl] [--run-store DIR]\n  heapmd check <program> --model FILE [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--incidents DIR] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT_ID] [--format binary|jsonl]\n  heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N]\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
@@ -335,6 +335,14 @@ fn cmd_run(args: &[String]) -> i32 {
             eprintln!("--serve and --trace-out are mutually exclusive (one stream sink per run)");
             return 2;
         }
+        let format = format_flag(args).unwrap_or_default();
+        if format == StreamFormat::Jsonl && p.sampling_info().is_some() {
+            eprintln!(
+                "--format jsonl cannot record the sampling outcome of --sample; \
+                 drop --format to write the binary default"
+            );
+            return 2;
+        }
         let file = match std::fs::File::create(path) {
             Ok(f) => f,
             Err(e) => {
@@ -342,32 +350,20 @@ fn cmd_run(args: &[String]) -> i32 {
                 return 1;
             }
         };
-        let format = format_flag(args).unwrap_or_default();
         if let Err(e) = p.stream_trace_to_format(Box::new(std::io::BufWriter::new(file)), format) {
             error!("cannot start trace stream: {e}");
             return 1;
         }
     } else if let Some(addr) = &serve_addr {
         // Live fleet streaming: the daemon speaks the binary codec, so
-        // the run streams exactly what `--trace-out --format binary`
-        // would have written to disk.
+        // the run streams exactly what `--trace-out` would have written
+        // to disk.
         let tenant = arg_value(args, "--tenant").unwrap_or_else(|| format!("{program}-{input_id}"));
-        let sink: Box<dyn std::io::Write> = if args.iter().any(|a| a == "--no-resume") {
-            // Legacy v1 stream: no session, no reconnect.
-            match heapmd::serve::connect_stream(addr, &tenant) {
-                Ok(s) => Box::new(s),
-                Err(e) => {
-                    error!("cannot connect to fleet daemon {addr}: {e}");
-                    return 1;
-                }
-            }
-        } else {
-            match heapmd::connect_session(addr, &tenant, session_options(args)) {
-                Ok(s) => Box::new(s),
-                Err(e) => {
-                    error!("cannot connect to fleet daemon {addr}: {e}");
-                    return 1;
-                }
+        let sink = match heapmd::connect_session(addr, &tenant, session_options(args)) {
+            Ok(s) => s,
+            Err(e) => {
+                error!("cannot connect to fleet daemon {addr}: {e}");
+                return 1;
             }
         };
         info!("streaming live trace to {addr} as tenant {tenant}");
@@ -474,8 +470,9 @@ fn cmd_train(args: &[String]) -> i32 {
     let threads: usize = num_flag(args, "--threads", "a number", 1usize);
     let resume = args.iter().any(|a| a == "--resume");
     let ckpt_path = arg_value(args, "--checkpoint").unwrap_or_else(|| format!("{out}.ckpt"));
-    // Checkpoint serialization: `--format binary` wraps the JSON state
-    // in the CRC-protected container. `--resume` auto-detects either.
+    // Checkpoint serialization: the binary default wraps the JSON state
+    // in the CRC-protected container, `--format jsonl` writes it bare.
+    // `--resume` auto-detects either.
     let ckpt_format = format_flag(args).unwrap_or_default();
     // Test hook: slow training down so the chaos suite can SIGKILL the
     // process mid-run deterministically.
@@ -938,10 +935,10 @@ fn cmd_inspect(args: &[String]) -> i32 {
     match kind {
         ArtifactKind::IncidentBundle => inspect_bundle(path, salvage),
         ArtifactKind::BinaryTrace => inspect_binary_trace(path, salvage),
-        ArtifactKind::JsonlTrace | ArtifactKind::JsonTrace => inspect_trace(path, kind, salvage),
+        ArtifactKind::JsonlTrace => inspect_jsonl_trace(path, salvage),
         ArtifactKind::Unknown => {
             error!(
-                "{path}: unrecognized artifact — magic bytes match neither a trace (binary or JSONL), a JSON document, nor an incident bundle"
+                "{path}: unrecognized artifact — magic bytes match neither a trace (binary or JSONL) nor an incident bundle"
             );
             1
         }
@@ -1000,14 +997,14 @@ fn inspect_binary_trace(path: &str, salvage: bool) -> i32 {
     0
 }
 
-/// `inspect` on a JSONL-streamed or plain-JSON trace: event summary.
-fn inspect_trace(path: &str, kind: ArtifactKind, salvage: bool) -> i32 {
+/// `inspect` on a framed JSONL trace: event summary.
+fn inspect_jsonl_trace(path: &str, salvage: bool) -> i32 {
     match heapmd::load_trace_auto(path, salvage) {
         Ok((trace, stats)) => {
             if let Some(stats) = &stats {
                 report_salvage(path, stats);
             }
-            println!("{kind} {path}");
+            println!("{} {path}", ArtifactKind::JsonlTrace);
             println!(
                 "  {} events, {} functions",
                 trace.len(),
@@ -1092,7 +1089,6 @@ fn cmd_record(args: &[String]) -> i32 {
     };
     let input_id: u32 = num_flag(args, "--input", "a number", 1000u32);
     let version: u8 = num_flag(args, "--version", "1-5", 1u8);
-    let stream = args.iter().any(|a| a == "--stream");
     let Some(w) = find_program(program, version) else {
         error!("unknown program {program} (see `heapmd list`)");
         return 1;
@@ -1111,14 +1107,8 @@ fn cmd_record(args: &[String]) -> i32 {
         .collect();
     trace.set_functions(names);
     let n = trace.len();
-    // `--format` picks the on-disk codec; bare `--stream` keeps its
-    // historical meaning (framed JSONL); neither means plain JSON.
-    let written = match format_flag(args) {
-        Some(format) => trace.save_format(&trace_path, format),
-        None if stream => trace.save_stream(&trace_path),
-        None => trace.save(&trace_path),
-    };
-    if let Err(e) = written {
+    let format = format_flag(args).unwrap_or_default();
+    if let Err(e) = trace.save_format(&trace_path, format) {
         error!("cannot write trace to {trace_path}: {e}");
         return 1;
     }
@@ -1159,24 +1149,6 @@ fn cmd_replay(args: &[String]) -> i32 {
             return 1;
         }
     };
-    // The magic bytes decide the parse; `--format` insists on one.
-    if let Some(format) = format_flag(args) {
-        let want = match format {
-            StreamFormat::Binary => ArtifactKind::BinaryTrace,
-            StreamFormat::Jsonl => ArtifactKind::JsonlTrace,
-        };
-        match heapmd::sniff_file(&trace_path) {
-            Ok(kind) if kind == want => {}
-            Ok(kind) => {
-                error!("cannot replay trace {trace_path}: it is a {kind}, not a {want}");
-                return 1;
-            }
-            Err(e) => {
-                error!("cannot read trace {trace_path}: {e}");
-                return 1;
-            }
-        }
-    }
     let shards = shards_flag(args);
     info!("replaying {trace_path} ({shards} graph shard(s))");
     let paths = [PathBuf::from(&trace_path)];
@@ -1648,19 +1620,6 @@ fn cmd_push(args: &[String]) -> i32 {
         }
         _ => trace,
     };
-    if args.iter().any(|a| a == "--no-resume") {
-        // Legacy one-shot push: no session, no retry, v1 preamble.
-        return match heapmd::serve::push_trace(&addr, &tenant, &trace) {
-            Ok(n) => {
-                println!("{n} events pushed to {addr} as tenant {tenant}");
-                0
-            }
-            Err(e) => {
-                error!("cannot push trace to {addr}: {e}");
-                1
-            }
-        };
-    }
     match heapmd::push_trace_resumable(&addr, &tenant, &trace, session_options(args)) {
         Ok((n, reconnects)) => {
             if reconnects > 0 {

@@ -114,7 +114,7 @@ pub use report::{MetricReport, MetricSample};
 pub use ringbuf::CircularBuffer;
 pub use serve::{
     connect_session, push_trace_resumable, Conn, Dialer, RetryPolicy, ServeConfig, ServeSummary,
-    Server, SessionClient, SessionOptions, TenantOutcome, SERVE_PREAMBLE, SERVE_PREAMBLE_V2,
+    Server, SessionClient, SessionOptions, TenantOutcome, SERVE_PREAMBLE_V2,
 };
 pub use settings::{Settings, SettingsBuilder};
 pub use stability::{classify, StabilityClass};

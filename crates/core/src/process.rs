@@ -66,8 +66,8 @@ pub struct Process {
     listening: bool,
     trace: Option<Trace>,
     /// Incremental crash-safe trace stream (see
-    /// [`stream_trace_to`](Self::stream_trace_to)), in either wire
-    /// format.
+    /// [`stream_trace_to_format`](Self::stream_trace_to_format)), in
+    /// either wire format.
     stream: Option<TraceSink>,
     /// First error that killed the stream, kept for
     /// [`finish_stream`](Self::finish_stream) to report.
@@ -188,29 +188,18 @@ impl Process {
         self.recorder.as_ref()
     }
 
-    /// Streams every subsequent event to `sink` in the crash-safe
-    /// length-framed format, incrementally — unlike
-    /// [`enable_trace`](Self::enable_trace) + [`Trace::save`], events
-    /// reach the sink as they happen, so whatever was flushed before a
-    /// crash is recoverable with [`Trace::salvage_stream`].
+    /// Streams every subsequent event to `sink` in `format`,
+    /// incrementally — unlike [`enable_trace`](Self::enable_trace),
+    /// events reach the sink as they happen, so whatever was flushed
+    /// before a crash is recoverable: the binary codec
+    /// ([`crate::BinaryTraceWriter`], the default) salvages at block
+    /// granularity, framed JSONL record by record. Only the binary
+    /// codec records the sampling outcome of a sampled process.
     ///
     /// A write failure mid-run does **not** abort the checked process:
     /// the stream is dropped, the failure is counted
     /// (`heapmd_trace_stream_errors_total`) and surfaced by
     /// [`finish_stream`](Self::finish_stream), and execution continues.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::Io`] when the stream header cannot be
-    /// written.
-    pub fn stream_trace_to(&mut self, sink: Box<dyn Write>) -> Result<(), HeapMdError> {
-        self.stream_trace_to_format(sink, StreamFormat::Jsonl)
-    }
-
-    /// Like [`stream_trace_to`](Self::stream_trace_to), but choosing
-    /// the wire format: crash-safe framed JSONL, or the block-based
-    /// binary codec ([`crate::BinaryTraceWriter`]) whose completed
-    /// blocks salvage at block granularity after a crash.
     ///
     /// # Errors
     ///
@@ -1003,60 +992,29 @@ mod tests {
             }
         }
 
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut p = Process::new(settings(1));
-        p.enable_trace();
-        p.stream_trace_to(Box::new(SharedBuf(Arc::clone(&buf))))
-            .unwrap();
-        p.enter("f");
-        let a = p.malloc(16, "x").unwrap();
-        p.free(a).unwrap();
-        p.leave();
-        let streamed_events = p.finish_stream().unwrap();
-        assert_eq!(streamed_events, 4);
-        let mut expected = p.take_trace().unwrap();
-        expected.set_functions(vec!["f".to_string()]);
+        for format in [StreamFormat::Jsonl, StreamFormat::Binary] {
+            let buf = Arc::new(Mutex::new(Vec::new()));
+            let mut p = Process::new(settings(1));
+            p.enable_trace();
+            p.stream_trace_to_format(Box::new(SharedBuf(Arc::clone(&buf))), format)
+                .unwrap();
+            assert_eq!(p.stream_format(), Some(format));
+            p.enter("f");
+            let a = p.malloc(16, "x").unwrap();
+            p.free(a).unwrap();
+            p.leave();
+            let streamed_events = p.finish_stream().unwrap();
+            assert_eq!(streamed_events, 4);
+            let mut expected = p.take_trace().unwrap();
+            expected.set_functions(vec!["f".to_string()]);
 
-        let bytes = buf.lock().unwrap().clone();
-        let back = crate::trace_stream::TraceReader::strict(&bytes[..]).unwrap();
-        assert_eq!(back, expected);
-    }
-
-    #[test]
-    fn binary_streamed_trace_matches_in_memory_trace() {
-        use std::io::Write;
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+            let bytes = buf.lock().unwrap().clone();
+            let back = match format {
+                StreamFormat::Jsonl => crate::trace_stream::TraceReader::strict(&bytes[..]),
+                StreamFormat::Binary => crate::trace_codec::BinaryTraceReader::strict(&bytes[..]),
+            };
+            assert_eq!(back.unwrap(), expected, "{format:?}");
         }
-
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut p = Process::new(settings(1));
-        p.enable_trace();
-        p.stream_trace_to_format(Box::new(SharedBuf(Arc::clone(&buf))), StreamFormat::Binary)
-            .unwrap();
-        assert_eq!(p.stream_format(), Some(StreamFormat::Binary));
-        p.enter("f");
-        let a = p.malloc(16, "x").unwrap();
-        p.free(a).unwrap();
-        p.leave();
-        let streamed_events = p.finish_stream().unwrap();
-        assert_eq!(streamed_events, 4);
-        let mut expected = p.take_trace().unwrap();
-        expected.set_functions(vec!["f".to_string()]);
-
-        let bytes = buf.lock().unwrap().clone();
-        let back = crate::trace_codec::BinaryTraceReader::strict(&bytes[..]).unwrap();
-        assert_eq!(back, expected);
     }
 
     #[test]
@@ -1077,7 +1035,8 @@ mod tests {
 
         let mut p = Process::new(settings(1));
         // Header + 2 event records succeed, then the sink dies.
-        p.stream_trace_to(Box::new(FailAfter(3))).unwrap();
+        p.stream_trace_to_format(Box::new(FailAfter(3)), StreamFormat::Jsonl)
+            .unwrap();
         for _ in 0..5 {
             p.enter("w");
             p.malloc(16, "x").unwrap();

@@ -644,7 +644,7 @@ pub fn push_trace_resumable(
     let client = connect_session(addr, tenant, opts)?;
     let mut writer = BinaryTraceWriter::new(io::BufWriter::new(client))?;
     // Sampling schedule first, so daemon-side live gauges widen from
-    // the first sample on (matching [`super::push_trace`]).
+    // the first sample on.
     if let Some(info) = trace.sampling() {
         writer.write_meta(&crate::trace_codec::encode_sampling_meta(&info))?;
     }

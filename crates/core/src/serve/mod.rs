@@ -5,29 +5,29 @@
 //! # Architecture
 //!
 //! ```text
-//!  client ──HMDSERVE1 tenant\n───────────────┐
-//!  client ──HMDSERVE2 tenant sess acked\n────┤ accept loop ──(hash(tenant) % N)──▶ shard 0..N
-//!  client ───.hmdt blocks (+seq on v2)───────┘      │                                 │
-//!            ◀── HMAK acks (v2) ──                  ▼                                 ▼
-//!                                              FleetRegistry ◀── live gauges ── Replayer + model
-//!                                                   │                                 │
-//!                     HTTP /metrics /fleet.tsv /fleet.jsonl /shutdown            IncidentLog
+//!  client ──HMDSERVE2 tenant sess acked\n──┐
+//!  client ──seq-prefixed .hmdt blocks──────┤ accept loop ──(hash(tenant) % N)──▶ shard 0..N
+//!         ◀── HMAK acks ────────────────────┘      │                                 │
+//!                                                  ▼                                 ▼
+//!                                             FleetRegistry ◀── live gauges ── Replayer + model
+//!                                                  │                                 │
+//!                    HTTP /metrics /fleet.tsv /fleet.jsonl /shutdown            IncidentLog
 //! ```
 //!
-//! - **Wire format (v1).** A connection is one text preamble line
-//!   (`HMDSERVE1 <tenant>\n`) followed by a raw `.hmdt` binary trace —
-//!   the same length-framed, CRC-checked block codec
-//!   ([`crate::trace_codec`]) that `record --format binary` writes, so
-//!   a process can stream to a file and a daemon with identical bytes.
-//!   Frames decode through [`WireReader`]; any structural damage evicts
-//!   exactly the offending tenant (salvaging the buffered prefix into a
-//!   partial verdict first), never the daemon.
-//! - **Wire format (v2, resumable).** `HMDSERVE2 <tenant> <session>
-//!   <acked>\n` attaches (or re-attaches) a client session. Each block
-//!   travels with a `u64` sequence number and the daemon acknowledges
+//! - **Wire format.** A connection opens with `HMDSERVE2 <tenant>
+//!   <session> <acked>\n`, which attaches (or re-attaches) a client
+//!   session. The `.hmdt` blocks follow: the same length-framed,
+//!   CRC-checked block codec ([`crate::trace_codec`]) that `record`
+//!   writes to disk, each block prefixed with a `u64` sequence number.
+//!   Frames decode through [`crate::WireReader`]. The daemon acknowledges
 //!   journaled blocks back on the same socket, so a client that loses
 //!   its connection reconnects and resumes from the first unacked
-//!   block. See [`session`] for the protocol and crash-only recovery.
+//!   block. Structural damage drops the connection but keeps the
+//!   session; a session left disconnected past
+//!   [`ServeConfig::session_timeout`] evicts exactly its tenant
+//!   (salvaging the buffered prefix into a partial verdict first),
+//!   never the daemon. See [`session`] for the protocol and crash-only
+//!   recovery.
 //! - **Sharding & backpressure.** Tenants hash-assign to one of N
 //!   worker shards over bounded per-tenant queues (a pending-event
 //!   counter shared between the connection handler and the shard). A
@@ -38,7 +38,7 @@
 //!   live per-metric gauges, and buffer the stream as the encoded event
 //!   blocks it arrived in (about 3 B/event). On clean end of stream the
 //!   blocks decode one at a time into the post-mortem check that
-//!   [`crate::Trace::check_logged`] uses, so the daemon verdict is
+//!   [`crate::Trace::check`] uses, so the daemon verdict is
 //!   bit-identical to `heapmd check` on the same trace, with incident
 //!   bundles captured into a per-tenant [`IncidentLog`] directory. Each
 //!   tenant checks against the shared model, or its own override from
@@ -61,10 +61,8 @@ use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::report::MetricSample;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
-use crate::trace::{check_stream, Replayer, StreamHead, Trace};
-use crate::trace_codec::{
-    decode_events_frame, BinaryTraceWriter, BlockIndex, WireFrame, WireReader,
-};
+use crate::trace::{check_stream, Replayer, StreamHead};
+use crate::trace_codec::{decode_events_frame, BlockIndex};
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
@@ -87,9 +85,6 @@ pub use client::{
     connect_session, push_trace_resumable, Conn, Dialer, RetryPolicy, SessionClient, SessionOptions,
 };
 pub use session::SERVE_PREAMBLE_V2;
-
-/// First token of the v1 connection preamble line.
-pub const SERVE_PREAMBLE: &str = "HMDSERVE1";
 
 /// Idle poll period of the nonblocking accept loops.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -295,14 +290,14 @@ pub struct ServeConfig {
     /// written at shutdown.
     pub prom_dump: Option<PathBuf>,
     /// Directory of per-tenant session journals (`<tenant>.hmdt` +
-    /// `<tenant>.session.json`). With a journal, v2 sessions are
+    /// `<tenant>.session.json`). With a journal, sessions are
     /// crash-only recoverable across daemon restarts; without one they
     /// still resume across reconnects within a daemon's lifetime.
     pub journal_dir: Option<PathBuf>,
     /// Directory of per-tenant model overrides: `<tenant>.hmdm` checks
     /// that tenant instead of the shared model.
     pub model_dir: Option<PathBuf>,
-    /// How long a disconnected, incomplete v2 session is held for
+    /// How long a disconnected, incomplete session is held for
     /// resumption before it is evicted (its buffered prefix salvaged
     /// into a partial verdict).
     pub session_timeout: Duration,
@@ -380,8 +375,8 @@ pub(crate) enum ShardMsg {
         /// The model this tenant checks against (shared or per-tenant
         /// override, resolved by the connection handler).
         model: Arc<HeapModel>,
-        /// A reconnecting v2 session keeps its accumulated state; a
-        /// fresh stream replaces it.
+        /// A reconnecting session keeps its accumulated state; a fresh
+        /// session replaces it.
         resume: bool,
     },
     Events {
@@ -412,8 +407,9 @@ pub(crate) enum ShardMsg {
     Abort {
         tenant: String,
         reason: String,
-        /// Mark the outcome evicted (corrupt stream, stalled queue,
-        /// expired session) instead of a plain partial (shutdown). The
+        /// Mark the outcome evicted (stalled queue, expired session,
+        /// unusable journal) instead of a plain partial (a session
+        /// replaced by a fresh one). The
         /// buffered prefix is salvaged into a partial verdict either
         /// way.
         evict: bool,
@@ -658,9 +654,8 @@ impl Shard {
                 model,
                 resume,
             } => {
-                // A v2 reconnect re-attaches to the accumulated state;
-                // everything else (v1 reconnects included) starts a
-                // fresh stream and drops the unfinished one.
+                // A reconnect re-attaches to the accumulated state; a
+                // fresh session starts a new stream.
                 if resume && self.tenants.contains_key(&tenant) {
                     return;
                 }
@@ -982,18 +977,13 @@ impl ServeCtx {
 // ---------------------------------------------------------------------
 
 /// A parsed connection preamble line.
-enum Preamble {
-    V1 {
-        tenant: String,
-    },
-    V2 {
-        tenant: String,
-        session: String,
-        acked: u64,
-    },
+struct Preamble {
+    tenant: String,
+    session: String,
+    acked: u64,
 }
 
-/// Reads and validates the preamble: `HMDSERVE1 <tenant>\n` or
+/// Reads and validates the preamble:
 /// `HMDSERVE2 <tenant> <session> <acked>\n`.
 fn read_preamble(stream: &mut impl Read) -> Option<Preamble> {
     let mut line = Vec::new();
@@ -1002,26 +992,20 @@ fn read_preamble(stream: &mut impl Read) -> Option<Preamble> {
         stream.read_exact(&mut byte).ok()?;
         if byte[0] == b'\n' {
             let text = std::str::from_utf8(&line).ok()?;
-            if let Some(rest) = text.strip_prefix(SERVE_PREAMBLE_V2) {
-                let mut parts = rest.strip_prefix(' ')?.split(' ');
-                let tenant = parts.next()?;
-                let session = parts.next()?;
-                let acked = parts.next()?.parse::<u64>().ok()?;
-                if parts.next().is_some()
-                    || !valid_tenant(tenant)
-                    || !session::valid_session(session)
-                {
-                    return None;
-                }
-                return Some(Preamble::V2 {
-                    tenant: tenant.to_string(),
-                    session: session.to_string(),
-                    acked,
-                });
+            let mut parts = text
+                .strip_prefix(SERVE_PREAMBLE_V2)?
+                .strip_prefix(' ')?
+                .split(' ');
+            let tenant = parts.next()?;
+            let session = parts.next()?;
+            let acked = parts.next()?.parse::<u64>().ok()?;
+            if parts.next().is_some() || !valid_tenant(tenant) || !session::valid_session(session) {
+                return None;
             }
-            let tenant = text.strip_prefix(SERVE_PREAMBLE)?.strip_prefix(' ')?;
-            return valid_tenant(tenant).then(|| Preamble::V1 {
+            return Some(Preamble {
                 tenant: tenant.to_string(),
+                session: session.to_string(),
+                acked,
             });
         }
         line.push(byte[0]);
@@ -1067,8 +1051,7 @@ fn handle_conn(stream: AnyStream, ctx: Arc<ServeCtx>) {
         shutdown: Arc::clone(&ctx.shutdown),
     };
     match read_preamble(&mut stream) {
-        Some(Preamble::V1 { tenant }) => handle_v1(stream, tenant, &ctx),
-        Some(Preamble::V2 {
+        Some(Preamble {
             tenant,
             session,
             acked,
@@ -1078,102 +1061,6 @@ fn handle_conn(stream: AnyStream, ctx: Arc<ServeCtx>) {
             // client speaking the wrong protocol.
             if !ctx.shutdown.load(Relaxed) {
                 ctx.fleet.record_protocol_error();
-            }
-        }
-    }
-}
-
-fn handle_v1(stream: DrainingStream, tenant: String, ctx: &ServeCtx) {
-    let stats = ctx.fleet.connect(&tenant);
-    let pending = Arc::new(AtomicU64::new(0));
-    let tx = ctx.sender_for(&tenant);
-    if tx
-        .send(ShardMsg::Start {
-            tenant: tenant.clone(),
-            stats: Arc::clone(&stats),
-            pending: Arc::clone(&pending),
-            model: ctx.model_for(&tenant),
-            resume: false,
-        })
-        .is_err()
-    {
-        return;
-    }
-    let mut reader = WireReader::new(stream);
-    loop {
-        match reader.next_frame_raw() {
-            Ok((WireFrame::Events(events), block)) => {
-                if !wait_for_room(&pending, ctx.queue_events, &ctx.shutdown) {
-                    ctx.fleet.evict(&stats);
-                    let _ = tx.send(ShardMsg::Abort {
-                        tenant,
-                        reason: format!("slow consumer: over {} queued events", ctx.queue_events),
-                        evict: true,
-                        cleanup: Vec::new(),
-                    });
-                    return;
-                }
-                pending.fetch_add(events.len() as u64, Relaxed);
-                stats.set_queue_depth(pending.load(Relaxed));
-                if tx
-                    .send(ShardMsg::Events {
-                        tenant: tenant.clone(),
-                        events,
-                        block,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok((WireFrame::Functions(names), _)) => {
-                let _ = tx.send(ShardMsg::Functions {
-                    tenant: tenant.clone(),
-                    names,
-                });
-            }
-            Ok((WireFrame::Meta(payload), _)) => {
-                // Unrecognized meta payloads stay forward-compatible
-                // no-ops; a sampling block re-labels the tenant.
-                if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
-                    let _ = tx.send(ShardMsg::Sampling {
-                        tenant: tenant.clone(),
-                        info,
-                    });
-                }
-            }
-            Ok((WireFrame::End(index), _)) => {
-                let _ = tx.send(ShardMsg::End {
-                    tenant,
-                    index,
-                    cleanup: Vec::new(),
-                });
-                return;
-            }
-            Err(e) => {
-                if ctx.shutdown.load(Relaxed) {
-                    // The stream drained to EOF because the daemon is
-                    // going down; everything that arrived still gets a
-                    // (partial) verdict.
-                    let _ = tx.send(ShardMsg::Abort {
-                        tenant,
-                        reason: "server shutdown".into(),
-                        evict: false,
-                        cleanup: Vec::new(),
-                    });
-                } else {
-                    // Corrupt stream: evict, but salvage the buffered
-                    // prefix into a partial verdict + incident bundles
-                    // (the shard's Abort path finalizes either way).
-                    ctx.fleet.evict(&stats);
-                    let _ = tx.send(ShardMsg::Abort {
-                        tenant,
-                        reason: e.to_string(),
-                        evict: true,
-                        cleanup: Vec::new(),
-                    });
-                }
-                return;
             }
         }
     }
@@ -1415,7 +1302,7 @@ impl Server {
 }
 
 // ---------------------------------------------------------------------
-// Clients (v1 fire-and-forget; resumable clients live in [`client`])
+// Clients (the resumable session client lives in [`client`])
 // ---------------------------------------------------------------------
 
 pub(crate) fn connect_any(addr: &str) -> Result<AnyStream, HeapMdError> {
@@ -1430,53 +1317,11 @@ pub(crate) fn connect_any(addr: &str) -> Result<AnyStream, HeapMdError> {
     Ok(AnyStream::Tcp(TcpStream::connect(addr)?))
 }
 
-/// Connects to a daemon and sends the preamble, returning a sink
-/// suitable for [`crate::Process::stream_trace_to_format`] with
-/// [`crate::StreamFormat::Binary`] — live processes stream their trace
-/// to the fleet exactly as they would to a file.
-///
-/// # Errors
-///
-/// [`HeapMdError::InvalidInput`] for a bad tenant name,
-/// [`HeapMdError::Io`] on connect/write failure.
-pub fn connect_stream(addr: &str, tenant: &str) -> Result<Box<dyn Write>, HeapMdError> {
-    if !valid_tenant(tenant) {
-        return Err(HeapMdError::InvalidInput(format!(
-            "invalid tenant name {tenant:?} (want 1-64 chars of [A-Za-z0-9._:-])"
-        )));
-    }
-    let mut stream = connect_any(addr)?;
-    stream.write_all(format!("{SERVE_PREAMBLE} {tenant}\n").as_bytes())?;
-    Ok(Box::new(stream))
-}
-
-/// Pushes a recorded trace to a daemon as `tenant`, re-encoding it as a
-/// binary stream. Returns the number of events sent.
-///
-/// # Errors
-///
-/// Same as [`connect_stream`], plus encode/transport failures.
-pub fn push_trace(addr: &str, tenant: &str, trace: &Trace) -> Result<u64, HeapMdError> {
-    let sink = connect_stream(addr, tenant)?;
-    let mut writer = BinaryTraceWriter::new(io::BufWriter::new(sink))?;
-    // Announce the recording's sampling schedule before any event so
-    // the daemon's live gauges widen from the first sample on.
-    if let Some(info) = trace.sampling() {
-        writer.write_meta(&crate::trace_codec::encode_sampling_meta(&info))?;
-    }
-    for ev in trace.events() {
-        writer.write_event(ev)?;
-    }
-    writer.write_functions(trace.functions())?;
-    let mut inner = writer.finish()?;
-    inner.flush()?;
-    Ok(trace.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_codec::{BinaryTraceImage, HEADER_LEN};
+    use crate::trace::Trace;
+    use crate::trace_codec::{BinaryTraceImage, WireFrame, WireReader, HEADER_LEN};
     use crate::{ModelBuilder, Process, Settings};
 
     /// A linked-list build of `n` nodes (four events each, so several
@@ -1579,9 +1424,8 @@ mod tests {
         assert_eq!(journaled, bytes, "the journal is the encoded trace");
 
         let readers = [
-            ("v1", WireReader::new(&bytes[..])),
             (
-                "v2",
+                "wire",
                 WireReader::resume(&bytes[HEADER_LEN..], HEADER_LEN as u64),
             ),
             ("journal", WireReader::new(&journaled[..])),
@@ -1663,25 +1507,12 @@ mod tests {
     }
 
     #[test]
-    fn preamble_parses_both_versions() {
-        let mut v1 = io::Cursor::new(b"HMDSERVE1 web-1\n".to_vec());
-        assert!(matches!(
-            read_preamble(&mut v1),
-            Some(Preamble::V1 { tenant }) if tenant == "web-1"
-        ));
+    fn preamble_parses_sessions_and_refuses_everything_else() {
         let mut v2 = io::Cursor::new(b"HMDSERVE2 web-1 s-42 7\n".to_vec());
-        match read_preamble(&mut v2) {
-            Some(Preamble::V2 {
-                tenant,
-                session,
-                acked,
-            }) => {
-                assert_eq!(tenant, "web-1");
-                assert_eq!(session, "s-42");
-                assert_eq!(acked, 7);
-            }
-            other => panic!("wanted V2, got {}", other.is_some()),
-        }
+        let preamble = read_preamble(&mut v2).expect("a session preamble");
+        assert_eq!(preamble.tenant, "web-1");
+        assert_eq!(preamble.session, "s-42");
+        assert_eq!(preamble.acked, 7);
         for bad in [
             &b"HMDSERVE2 web-1 s-42\n"[..],
             b"HMDSERVE2 web-1 s-42 x\n",

@@ -17,9 +17,8 @@ use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
 use crate::trace_stream::SalvageStats;
 use heap_graph::GraphImage;
-use serde::{Deserialize, Serialize};
 use sim_heap::{HeapEvent, SimHeap};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 
 /// A recorded instrumentation event stream.
@@ -28,7 +27,7 @@ use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 /// [`Trace::replay`] (to recover the metric report under any sampling
 /// settings) or [`Trace::check`] (to run the anomaly detector
 /// post-mortem, with full call-stack context).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     events: Vec<HeapEvent>,
     /// Function names interned by the traced run (so replays can render
@@ -37,9 +36,7 @@ pub struct Trace {
     functions: Vec<String>,
     /// Sampling metadata when the recording process ran behind a
     /// [`SampledIngest`] filter: the stream is already decimated, and
-    /// this records how. `None` (what pre-sampling artifacts
-    /// deserialize to) means every store was recorded.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// this records how. `None` means every store was recorded.
     sampling: Option<SamplingInfo>,
 }
 
@@ -118,46 +115,6 @@ impl Trace {
         }
     }
 
-    /// Serializes the trace to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::Serde`].
-    pub fn to_json(&self) -> Result<String, HeapMdError> {
-        Ok(serde_json::to_string(self)?)
-    }
-
-    /// Parses a trace from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::Serde`].
-    pub fn from_json(json: &str) -> Result<Self, HeapMdError> {
-        Ok(serde_json::from_str(json)?)
-    }
-
-    /// Writes the trace to a file as one JSON document, atomically
-    /// (write-to-temp, then rename). For crash-safe incremental
-    /// recording prefer the streaming format
-    /// ([`save_stream`](Self::save_stream) / [`crate::TraceWriter`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::Io`] / [`HeapMdError::Serde`].
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), HeapMdError> {
-        crate::persist::write_atomic(path, self.to_json()?.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads a trace previously written by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::Io`] / [`HeapMdError::Serde`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, HeapMdError> {
-        Self::from_json(&std::fs::read_to_string(path)?)
-    }
-
     /// Replays the trace, recomputing the metric report under
     /// `settings` (which may differ from the settings used when the
     /// trace was recorded — e.g. a different `frq`).
@@ -197,40 +154,21 @@ impl Trace {
         model: &HeapModel,
         settings: &Settings,
     ) -> Result<Vec<crate::bug::BugReport>, HeapMdError> {
-        self.check_logged(model, settings, None).map(|o| o.bugs)
+        self.check_with(model, settings, 1, None).map(|o| o.bugs)
     }
 
-    /// [`check`](Self::check) with incident capture: when `log` is
-    /// given, the detector persists one CRC-framed bundle per surviving
-    /// range violation into the log's directory, exactly as the online
-    /// `check --incidents` path does. The verdict is bit-identical to
-    /// [`check`](Self::check) — logging only adds persistence.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`check`](Self::check).
-    pub fn check_logged(
-        &self,
-        model: &HeapModel,
-        settings: &Settings,
-        log: Option<IncidentLog>,
-    ) -> Result<TraceCheckOutcome, HeapMdError> {
-        self.check_with(model, settings, 1, log, None)
-    }
-
-    /// [`check_logged`](Self::check_logged) over a `shards`-way graph
-    /// image, re-sampling under `sampler` when the trace was recorded
-    /// at full fidelity.
+    /// [`check`](Self::check) over a `shards`-way graph image,
+    /// re-sampling under `sampler` when the trace was recorded at full
+    /// fidelity.
     pub(crate) fn check_with(
         &self,
         model: &HeapModel,
         settings: &Settings,
         shards: usize,
-        log: Option<IncidentLog>,
         sampler: Option<SamplerConfig>,
     ) -> Result<TraceCheckOutcome, HeapMdError> {
         let head = StreamHead::of(&self.events, &self.functions, self.sampling);
-        check_stream(model, settings, head, shards, log, sampler, |step| {
+        check_stream(model, settings, head, shards, None, sampler, |step| {
             step(&self.events)
         })
     }
@@ -355,7 +293,7 @@ pub(crate) fn validate_function_ids(
     Ok(())
 }
 
-/// What an offline check produced (see [`Trace::check_logged`]).
+/// What an offline check produced (see [`crate::check_paths_parallel`]).
 #[derive(Debug)]
 pub struct TraceCheckOutcome {
     /// The detector's bug reports.
@@ -879,14 +817,6 @@ mod tests {
         // Anonymous frames (no table) remain permissive.
         trace.set_functions(Vec::new());
         assert!(trace.replay(&settings, "anon").is_ok());
-    }
-
-    #[test]
-    fn trace_json_round_trip() {
-        let (trace, _) = traced_run(10, 30);
-        let json = trace.to_json().unwrap();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(trace, back);
     }
 
     /// A run whose heap shape shifts part way — a linked list, then

@@ -115,10 +115,11 @@ pub(crate) const KIND_META: u8 = 4;
 /// On-disk trace/checkpoint serialization format selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamFormat {
-    /// CRC-framed JSON lines (`HMDT1`): human-greppable, slower.
-    #[default]
+    /// CRC-framed JSON lines (`HMDT1`): human-greppable, slower, and
+    /// without a record for sampling metadata.
     Jsonl,
     /// Block-based binary (`HMDB1`): compact, seekable, fast.
+    #[default]
     Binary,
 }
 
@@ -1311,8 +1312,6 @@ pub enum ArtifactKind {
     BinaryTrace,
     /// CRC-framed JSONL trace stream (`HMDT1`).
     JsonlTrace,
-    /// Whole-document JSON trace (legacy `Trace::save`).
-    JsonTrace,
     /// CRC-framed incident bundle (`HMDI1`).
     IncidentBundle,
     /// None of the known magics.
@@ -1324,7 +1323,6 @@ impl std::fmt::Display for ArtifactKind {
         let s = match self {
             ArtifactKind::BinaryTrace => "binary trace (HMDB1)",
             ArtifactKind::JsonlTrace => "framed JSONL trace (HMDT1)",
-            ArtifactKind::JsonTrace => "JSON trace",
             ArtifactKind::IncidentBundle => "incident bundle (HMDI1)",
             ArtifactKind::Unknown => "unknown artifact",
         };
@@ -1342,13 +1340,6 @@ pub fn sniff_bytes(prefix: &[u8]) -> ArtifactKind {
     }
     if prefix.starts_with(crate::incident::INCIDENT_MAGIC.as_bytes()) {
         return ArtifactKind::IncidentBundle;
-    }
-    if prefix
-        .iter()
-        .find(|b| !b.is_ascii_whitespace())
-        .is_some_and(|&b| b == b'{')
-    {
-        return ArtifactKind::JsonTrace;
     }
     ArtifactKind::Unknown
 }
@@ -1373,8 +1364,8 @@ pub fn sniff_file(path: impl AsRef<Path>) -> Result<ArtifactKind, HeapMdError> {
     Ok(sniff_bytes(&prefix[..filled]))
 }
 
-/// Loads a trace from `path`, auto-detecting binary, framed JSONL, or
-/// plain JSON by magic bytes. In salvage mode a damaged binary or
+/// Loads a trace from `path`, auto-detecting binary or framed JSONL by
+/// magic bytes. In salvage mode a damaged binary or
 /// JSONL stream yields what its format's salvage recovers, together
 /// with the stats; complete artifacts return `None` stats.
 ///
@@ -1406,7 +1397,6 @@ pub fn load_trace_auto(
                 Ok((Trace::load_stream(path)?, None))
             }
         }
-        ArtifactKind::JsonTrace => Ok((Trace::load(path)?, None)),
         other => Err(HeapMdError::InvalidInput(format!(
             "{} is not a trace: magic identifies {other}",
             path.display()
@@ -1767,7 +1757,7 @@ pub fn check_paths_parallel(
             return check_image(&image, model, settings, shards, sampler);
         }
         let (trace, stats) = load_trace_auto(path, salvage)?;
-        let mut outcome = trace.check_with(model, settings, shards, None, sampler)?;
+        let mut outcome = trace.check_with(model, settings, shards, sampler)?;
         outcome.salvage = stats;
         Ok(outcome)
     })
@@ -2076,13 +2066,19 @@ mod tests {
         let bytes = trace.encode_binary();
         let back = Trace::decode_binary(&bytes).unwrap();
         assert_eq!(back, trace);
-        // Compact: the binary form must be far smaller than JSON.
-        let json = trace.to_json().unwrap();
+        // Compact: the binary form must be far smaller than the framed
+        // JSONL form of the same trace.
+        let mut w = crate::TraceWriter::new(Vec::new()).unwrap();
+        for ev in trace.events() {
+            w.write_event(ev).unwrap();
+        }
+        w.write_functions(trace.functions()).unwrap();
+        let jsonl = w.finish().unwrap();
         assert!(
-            bytes.len() * 4 < json.len(),
-            "binary {} bytes vs json {} bytes",
+            bytes.len() * 4 < jsonl.len(),
+            "binary {} bytes vs jsonl {} bytes",
             bytes.len(),
-            json.len()
+            jsonl.len()
         );
     }
 
@@ -2202,7 +2198,7 @@ mod tests {
         assert_eq!(sniff_bytes(b"HMDB1\n\x01\x00"), ArtifactKind::BinaryTrace);
         assert_eq!(sniff_bytes(b"HMDT1 000"), ArtifactKind::JsonlTrace);
         assert_eq!(sniff_bytes(b"HMDI1 000"), ArtifactKind::IncidentBundle);
-        assert_eq!(sniff_bytes(b"  {\"ev\":1}"), ArtifactKind::JsonTrace);
+        assert_eq!(sniff_bytes(b"  {\"ev\":1}"), ArtifactKind::Unknown);
         assert_eq!(sniff_bytes(b"ELF\x7f"), ArtifactKind::Unknown);
         assert_eq!(sniff_bytes(b""), ArtifactKind::Unknown);
     }

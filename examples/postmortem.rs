@@ -61,12 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut plan = FaultPlan::single(CLIST_FREE_SHARED_HEAD);
     let (_, trace) = run(&settings, &mut plan, true);
     let trace = trace.expect("tracing enabled");
-    trace.save(dir.join("crash.trace.json"))?;
+    trace.save_binary(dir.join("crash.hmdt"))?;
     println!("trace saved: {} events", trace.len());
 
     // Post-mortem: reload both, replay, report.
     let model = heapmd::HeapModel::load(dir.join("model.json"))?;
-    let trace = Trace::load(dir.join("crash.trace.json"))?;
+    let trace = Trace::load_binary(dir.join("crash.hmdt"))?;
     let bugs = trace.check(&model, &settings)?;
     println!("post-mortem found {} anomalies", bugs.len());
     for b in bugs.iter().take(3) {

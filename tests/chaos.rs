@@ -369,7 +369,8 @@ fn process_survives_a_dying_trace_sink_under_every_schedule() {
             plan.enable(fault, config);
             let settings = Settings::builder().frq(10).build().unwrap();
             let mut p = Process::new(settings);
-            match p.stream_trace_to(Box::new(FaultyWriter::new(Vec::new(), plan))) {
+            let sink = Box::new(FaultyWriter::new(Vec::new(), plan));
+            match p.stream_trace_to_format(sink, StreamFormat::Jsonl) {
                 Ok(()) => {}
                 // The stream header itself can hit the fault; a typed
                 // error at setup is a legal outcome.

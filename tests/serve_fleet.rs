@@ -1,11 +1,13 @@
 //! Fleet daemon end-to-end: concurrent tenant streams against
 //! [`heapmd::Server`] must yield verdicts bit-identical to the offline
-//! `check` path, survive corrupt streams by evicting exactly the
-//! offending tenant, and flush every incident bundle plus the final
-//! Prometheus dump on graceful shutdown.
+//! `check` path, survive corrupt streams by dropping the connection and
+//! then evicting exactly the offending tenant once its session times
+//! out, and flush every incident bundle plus the final Prometheus dump
+//! on graceful shutdown.
 //!
-//! The fault-tolerant-ingest half of the suite drives the resumable v2
-//! session layer: a daemon restart mid-stream must resume from the
+//! Every stream speaks the resumable session protocol. The
+//! fault-tolerant-ingest half of the suite drives its failure paths: a
+//! daemon restart mid-stream must resume from the
 //! journal, any healing network fault schedule must converge to the
 //! uninterrupted offline verdict, evicted streams must salvage their
 //! buffered prefix, and `model_dir` overrides must check a tenant
@@ -14,15 +16,15 @@
 use faults::io::{fault_ids::*, FaultyWriter};
 use faults::net::{fault_ids::*, partitioned, shared, FaultyConn, SharedFaultPlan};
 use faults::{FaultConfig, FaultId, FaultPlan};
-use heapmd::serve::push_trace;
 use heapmd::{
     connect_session, push_trace_resumable, BugReport, Conn, Dialer, FuncId, HeapModel, Process,
     RetryPolicy, SamplerConfig, ServeConfig, Server, SessionOptions, Settings, Trace,
-    SERVE_PREAMBLE,
+    SERVE_PREAMBLE_V2,
 };
 use proptest::prelude::*;
-use std::io::Write as _;
-use std::net::TcpStream;
+use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -57,9 +59,77 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
+/// Pushes `trace` as `tenant` through a fresh resumable session, as
+/// `heapmd push` does; returns the events sent.
+fn push(ingest: &str, tenant: &str, trace: &Trace) -> u64 {
+    push_trace_resumable(ingest, tenant, trace, SessionOptions::default())
+        .expect("push")
+        .0
+}
+
+/// End offset of the wire block starting at `at` in an encoded trace:
+/// the 17-byte block header (whose length field sits at header bytes
+/// 9..13) plus the payload.
+fn block_end(bytes: &[u8], at: usize) -> usize {
+    let len = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().unwrap()) as usize;
+    at + 17 + len
+}
+
+/// The frames a session carries for an encoded trace, as byte ranges
+/// into it: every block after the 8-byte file header, with the 20-byte
+/// footer riding on the index block (the last frame).
+fn wire_frames(bytes: &[u8]) -> Vec<Range<usize>> {
+    let footer = &bytes[bytes.len() - 20..];
+    let index_offset = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
+    let mut frames = Vec::new();
+    let mut at = 8;
+    while at < index_offset {
+        let end = block_end(bytes, at);
+        frames.push(at..end);
+        at = end;
+    }
+    frames.push(index_offset..bytes.len());
+    frames
+}
+
+/// Opens a session by hand and sends `frames`, each behind its `u64`
+/// sequence number, as the session client would. Write errors are
+/// ignored: the daemon drops the connection at the first damaged frame.
+fn raw_session(ingest: &str, tenant: &str, frames: &[&[u8]]) -> TcpStream {
+    let mut stream = TcpStream::connect(ingest).expect("connect ingest");
+    writeln!(stream, "{SERVE_PREAMBLE_V2} {tenant} raw-1 0").expect("preamble");
+    for (seq, frame) in frames.iter().enumerate() {
+        let _ = stream.write_all(&(seq as u64).to_le_bytes());
+        let _ = stream.write_all(frame);
+    }
+    let _ = stream.flush();
+    stream
+}
+
+/// Reads ack frames until one acknowledges `blocks` blocks.
+fn await_ack(stream: &mut TcpStream, blocks: u64) {
+    let mut ack = [0u8; 13];
+    loop {
+        stream.read_exact(&mut ack).expect("ack");
+        if u64::from_le_bytes(ack[4..12].try_into().unwrap()) >= blocks {
+            return;
+        }
+    }
+}
+
+/// Half-closes a raw session and drains it until the daemon hangs up,
+/// so the client never resets the connection over unread acks (a reset
+/// can discard bytes the daemon has not read yet). Returns whether the
+/// daemon sent the final ack, i.e. accepted the whole stream.
+fn hang_up(mut stream: TcpStream) -> bool {
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut acks = Vec::new();
+    let _ = stream.read_to_end(&mut acks);
+    acks.chunks_exact(13).any(|ack| ack[12] & 1 == 1)
+}
+
 /// Minimal HTTP/1.0 GET, returning the response body.
 fn http_get(addr: &str, path: &str) -> String {
-    use std::io::Read as _;
     let mut stream = TcpStream::connect(addr).expect("connect http");
     write!(stream, "GET {path} HTTP/1.0\r\nConnection: close\r\n\r\n").expect("send request");
     let mut response = String::new();
@@ -103,8 +173,7 @@ fn sixty_four_concurrent_tenants_match_offline_verdicts() {
         for (name, trace, _) in &tenants {
             let ingest = ingest.clone();
             scope.spawn(move || {
-                let sent = push_trace(&ingest, name, trace).expect("push");
-                assert_eq!(sent, trace.len() as u64);
+                assert_eq!(push(&ingest, name, trace), trace.len() as u64);
             });
         }
     });
@@ -172,14 +241,21 @@ fn corrupt_streams_evict_only_the_offending_tenant() {
     let expected = trace.check(&model, &model.settings).expect("offline check");
     let base = trace.encode_binary();
 
-    // The damage matrix: truncations at structural boundaries plus
-    // faults::io bit flips sprayed at different periods.
-    let mut variants: Vec<(String, Vec<u8>)> = Vec::new();
+    // The damage matrix, in the frames a session carries: truncations
+    // at structural boundaries plus faults::io bit flips sprayed at
+    // different periods. The 8-byte file header is not on the wire.
+    let frames = wire_frames(&base);
+    let mut variants: Vec<(String, Vec<Vec<u8>>)> = Vec::new();
     for (i, cut) in [9usize, 25, base.len() / 2, base.len() - 6]
         .into_iter()
         .enumerate()
     {
-        variants.push((format!("trunc-{i}"), base[..cut].to_vec()));
+        let clipped = frames
+            .iter()
+            .filter(|r| r.start < cut)
+            .map(|r| base[r.start..r.end.min(cut)].to_vec())
+            .collect();
+        variants.push((format!("trunc-{i}"), clipped));
     }
     for (i, period) in [3u64, 17, 101].into_iter().enumerate() {
         let mut plan = FaultPlan::new();
@@ -188,39 +264,53 @@ fn corrupt_streams_evict_only_the_offending_tenant() {
         for chunk in base.chunks(64) {
             writer.write_all(chunk).expect("buffered write");
         }
-        variants.push((format!("bitflip-{i}"), writer.into_inner()));
+        let flipped = writer.into_inner();
+        assert_eq!(flipped.len(), base.len(), "bit flips keep the length");
+        let damaged = frames.iter().map(|r| flipped[r.clone()].to_vec()).collect();
+        variants.push((format!("bitflip-{i}"), damaged));
     }
 
-    let server =
-        Server::start(ServeConfig::new(model), "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
+    // Damage drops the connection but keeps the session; the session
+    // timeout then evicts the tenant.
+    let mut config = ServeConfig::new(model);
+    config.session_timeout = Duration::from_millis(200);
+    let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
     let ingest = server.ingest_addr().to_string();
 
-    for (name, bytes) in &variants {
-        let mut stream = TcpStream::connect(&ingest).expect("connect ingest");
-        writeln!(stream, "{SERVE_PREAMBLE} {name}").expect("preamble");
-        // The daemon may evict (and close) mid-write; a broken pipe
-        // here is the expected symptom, not a failure.
-        let _ = stream.write_all(bytes);
-        let _ = stream.flush();
+    let mut accepted = Vec::new();
+    for (name, frames) in &variants {
+        let frames: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        accepted.push(hang_up(raw_session(&ingest, name, &frames)));
     }
+    // A bit flip can land where no check reads it; such a stream
+    // legitimately completes. Every other one must be refused.
+    let refused = accepted.iter().filter(|&&done| !done).count();
+    assert!(
+        refused >= variants.len() - 1,
+        "most damaged streams should be refused (got {refused}/{})",
+        variants.len()
+    );
     // A garbage preamble must be counted, not crash the accept loop.
     {
         let mut stream = TcpStream::connect(&ingest).expect("connect ingest");
         let _ = stream.write_all(b"NOT-A-PREAMBLE\njunk");
+        assert!(!hang_up(stream));
     }
 
     // The daemon survives and a healthy tenant still gets the exact
     // offline verdict.
     assert!(http_get(server.http_addr(), "/healthz").contains("ok"));
-    push_trace(&ingest, "healthy", &trace).expect("push healthy");
+    push(&ingest, "healthy", &trace);
 
     let fleet = server.fleet();
     assert!(
         wait_until(Duration::from_secs(30), || {
             let snap = fleet.snapshot();
-            snap.connected == 0 && snap.protocol_errors_total >= 1
+            snap.tenants_total as usize == variants.len() + 1
+                && snap.evictions_total as usize == refused
+                && snap.protocol_errors_total >= 1
         }),
-        "daemon never drained"
+        "refused sessions never expired"
     );
     server.shutdown();
     let summary = server.wait();
@@ -228,20 +318,16 @@ fn corrupt_streams_evict_only_the_offending_tenant() {
     let healthy = summary.tenants.get("healthy").expect("healthy outcome");
     assert!(healthy.evicted.is_none() && !healthy.partial);
     assert_eq!(healthy.bugs, expected);
-    let mut evictions = 0;
-    for (name, _) in &variants {
-        // A bit flip can land in unchecked padding (e.g. the reserved
-        // header byte); such a stream legitimately completes. Everything
-        // the codec *did* flag must be an eviction, never a panic.
-        if let Some(outcome) = summary.tenants.get(name.as_str()) {
-            evictions += usize::from(outcome.evicted.is_some());
+    for ((name, _), done) in variants.iter().zip(accepted) {
+        let outcome = summary.tenants.get(name.as_str()).expect("damaged outcome");
+        if done {
+            assert!(!outcome.partial && outcome.evicted.is_none(), "{name}");
+        } else {
+            let reason = outcome.evicted.as_deref().expect("refused sessions evict");
+            assert!(reason.contains("session expired"), "{name}: {reason}");
+            assert!(outcome.partial, "{name}: an evicted verdict is partial");
         }
     }
-    assert!(
-        evictions >= variants.len() - 1,
-        "most damaged streams should evict (got {evictions}/{})",
-        variants.len()
-    );
 }
 
 #[test]
@@ -266,25 +352,16 @@ fn shutdown_flushes_partial_verdicts_incidents_and_prom_dump() {
     config.prom_dump = Some(prom_path.clone());
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
 
-    // Stream everything *except* the index/footer, then hold the socket
-    // open: from the daemon's view this tenant is mid-stream forever.
+    // Stream every frame *except* the index/footer, then hold the
+    // socket open: from the daemon's view this tenant is mid-stream
+    // forever. The acks say every block reached the shard.
     let bytes = trace.encode_binary();
-    let footer = &bytes[bytes.len() - 20..];
-    let index_offset = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
-    let mut stream = TcpStream::connect(server.ingest_addr()).expect("connect ingest");
-    writeln!(stream, "{SERVE_PREAMBLE} flusher").expect("preamble");
-    stream
-        .write_all(&bytes[..index_offset])
-        .expect("stream prefix");
-    stream.flush().expect("flush");
+    let frames = wire_frames(&bytes);
+    let (_, prefix) = frames.split_last().expect("frames");
+    let prefix: Vec<&[u8]> = prefix.iter().map(|r| &bytes[r.clone()]).collect();
+    let mut stream = raw_session(server.ingest_addr(), "flusher", &prefix);
+    await_ack(&mut stream, prefix.len() as u64);
 
-    let fleet = server.fleet();
-    assert!(
-        wait_until(Duration::from_secs(30), || {
-            fleet.snapshot().tenants.iter().any(|t| t.name == "flusher")
-        }),
-        "tenant never registered"
-    );
     // Graceful shutdown while the stream is open: the buffered prefix
     // must still be finalized (all events arrived — only the index was
     // withheld), incidents flushed, and the dump written.
@@ -375,15 +452,6 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// End offset of the first wire block: 8-byte file header + 17-byte
-/// block header (whose length field sits at header bytes 9..13) +
-/// payload. Splitting an encoded trace here leaves exactly one whole
-/// frame on each side of the cut.
-fn first_block_end(bytes: &[u8]) -> usize {
-    let len = u32::from_le_bytes(bytes[17..21].try_into().unwrap()) as usize;
-    8 + 17 + len
-}
-
 #[test]
 fn daemon_restart_mid_stream_resumes_from_journal() {
     let fx = buggy_fixture();
@@ -412,7 +480,9 @@ fn daemon_restart_mid_stream_resumes_from_journal() {
     let mut client = connect_session(&addr, "phoenix", opts).expect("connect session");
 
     let bytes = fx.trace.encode_binary();
-    let mid = first_block_end(&bytes);
+    // Splitting after the first block leaves exactly one whole frame on
+    // each side of the cut.
+    let mid = block_end(&bytes, 8);
     assert!(mid < bytes.len(), "trace must span several blocks");
     client.write_all(&bytes[..mid]).expect("first block");
 
@@ -672,19 +742,20 @@ fn corrupt_stream_eviction_salvages_the_buffered_prefix() {
     let dir = scratch_dir("salvage");
     let mut config = ServeConfig::new(fx.model.clone());
     config.incident_dir = Some(dir.join("incidents"));
+    config.session_timeout = Duration::from_millis(200);
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
 
     // Every event and the function table cross the wire intact; the
     // stream then turns to garbage where the index block should start.
+    // The garbage drops the connection; the session timeout evicts.
     let bytes = fx.trace.encode_binary();
-    let footer = &bytes[bytes.len() - 20..];
-    let index_offset = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
-    let mut stream = TcpStream::connect(server.ingest_addr()).expect("connect ingest");
-    writeln!(stream, "{SERVE_PREAMBLE} mangled").expect("preamble");
-    let _ = stream.write_all(&bytes[..index_offset]);
-    let _ = stream.write_all(b"\xde\xad\xbe\xefnot-a-block-header");
-    let _ = stream.flush();
-    drop(stream);
+    let frames = wire_frames(&bytes);
+    let mut sent: Vec<&[u8]> = frames[..frames.len() - 1]
+        .iter()
+        .map(|r| &bytes[r.clone()])
+        .collect();
+    sent.push(b"\xde\xad\xbe\xefnot-a-block-header");
+    hang_up(raw_session(server.ingest_addr(), "mangled", &sent));
 
     let fleet = server.fleet();
     assert!(
@@ -696,7 +767,8 @@ fn corrupt_stream_eviction_salvages_the_buffered_prefix() {
     server.shutdown();
     let summary = server.wait();
     let outcome = summary.tenants.get("mangled").expect("mangled outcome");
-    assert!(outcome.evicted.is_some(), "corruption must evict");
+    let reason = outcome.evicted.as_deref().expect("corruption must evict");
+    assert!(reason.contains("session expired"), "{reason}");
     assert!(outcome.partial, "the index never arrived");
     assert_eq!(
         outcome.bugs, fx.expected,
@@ -745,8 +817,8 @@ fn model_dir_checks_tenants_against_their_own_override() {
     config.model_dir = Some(models);
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
     let ingest = server.ingest_addr().to_string();
-    push_trace(&ingest, "custom", &fx.trace).expect("push custom");
-    push_trace(&ingest, "vanilla", &fx.trace).expect("push vanilla");
+    push(&ingest, "custom", &fx.trace);
+    push(&ingest, "vanilla", &fx.trace);
 
     let fleet = server.fleet();
     assert!(
@@ -818,8 +890,8 @@ fn sampled_tenant_reports_widened_bands_next_to_exact_tenant() {
     )
     .expect("start daemon");
     let ingest = server.ingest_addr().to_string();
-    push_trace(&ingest, "exact", &fx.trace).expect("push exact");
-    push_trace(&ingest, "sampled", &sampled_trace).expect("push sampled");
+    push(&ingest, "exact", &fx.trace);
+    push(&ingest, "sampled", &sampled_trace);
 
     let fleet = server.fleet();
     assert!(

@@ -2,7 +2,10 @@
 //! metric report, and offline checking agrees with online checking.
 
 use faults::FaultPlan;
-use heapmd::{AnomalyDetector, FuncId, ModelBuilder, Process, Settings, Trace};
+use heapmd::{
+    load_trace_auto, AnomalyDetector, FuncId, ModelBuilder, Process, SamplerConfig, Settings,
+    StreamFormat, Trace,
+};
 use sim_ds::{fault_ids::DLIST_SKIP_PREV, SimDList};
 
 fn run(settings: &Settings, plan: &mut FaultPlan) -> (heapmd::MetricReport, Trace) {
@@ -71,7 +74,7 @@ fn offline_check_agrees_with_report_check() {
 }
 
 #[test]
-fn trace_json_roundtrip_preserves_checking() {
+fn binary_roundtrip_preserves_checking() {
     let settings = Settings::builder().frq(10).build().unwrap();
     let mut builder = ModelBuilder::new(settings.clone());
     for _ in 0..3 {
@@ -80,10 +83,47 @@ fn trace_json_roundtrip_preserves_checking() {
     let model = builder.build().model;
     let mut plan = FaultPlan::single(DLIST_SKIP_PREV);
     let (_, trace) = run(&settings, &mut plan);
-    let json = trace.to_json().unwrap();
-    let back = Trace::from_json(&json).unwrap();
+    let back = Trace::decode_binary(&trace.encode_binary()).unwrap();
     assert_eq!(
-        trace.check(&model, &settings).unwrap().len(),
-        back.check(&model, &settings).unwrap().len()
+        trace.check(&model, &settings).unwrap(),
+        back.check(&model, &settings).unwrap()
     );
+}
+
+/// A sampled run streamed in the default format keeps its sampling
+/// outcome, so its offline check widens exactly as the binary codec's
+/// does. (Framed JSONL has no record for it: an offline check of such a
+/// file would use un-widened ranges.)
+#[test]
+fn sampled_stream_in_the_default_format_keeps_its_sampling_outcome() {
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name() == "gzip")
+        .expect("gzip workload");
+    let model = workloads::harness::train(w.as_ref(), &workloads::Input::set(8)).model;
+    let dir = std::env::temp_dir().join(format!("heapmd-sampled-default-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut checked = Vec::new();
+    for (name, format) in [
+        ("default.hmdt", StreamFormat::default()),
+        ("binary.hmdt", StreamFormat::Binary),
+    ] {
+        let path = dir.join(name);
+        let mut p = Process::new(workloads::harness::settings_for(w.as_ref()));
+        p.enable_sampling(SamplerConfig::default());
+        let file = std::fs::File::create(&path).unwrap();
+        p.stream_trace_to_format(Box::new(std::io::BufWriter::new(file)), format)
+            .unwrap();
+        w.run(&mut p, &mut FaultPlan::new(), &workloads::Input::new(24))
+            .unwrap();
+        p.finish_stream().unwrap();
+        let (trace, _) = load_trace_auto(&path, false).unwrap();
+        assert!(
+            trace.sampling().is_some(),
+            "{name}: the sampling outcome was dropped"
+        );
+        checked.push(trace.check(&model, &model.settings).unwrap());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(checked[0], checked[1], "default and binary verdicts differ");
 }
