@@ -97,7 +97,7 @@ use faults::FaultPlan;
 use heapmd::plot::{chart, RefLine};
 use heapmd::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use heapmd::{
-    AnomalyDetector, ArtifactKind, BinaryTraceImage, FuncId, HeapModel, IncidentBundle,
+    AnomalyDetector, ArtifactKind, BinaryTraceImage, BugReport, FuncId, HeapModel, IncidentBundle,
     IncidentLog, LogPhase, ModelBuilder, Process, SalvageStats, StreamFormat, Trace,
     TrainCheckpoint,
 };
@@ -439,9 +439,7 @@ fn cmd_run(args: &[String]) -> i32 {
         }
         if !bugs.is_empty() {
             println!("{} anomaly report(s):", bugs.len());
-            for b in &bugs {
-                println!("  {b}");
-            }
+            print_bugs(&bugs);
             return 3;
         }
         println!("no anomalies against {}", model_path.unwrap_or_default());
@@ -687,13 +685,7 @@ fn cmd_check(args: &[String]) -> i32 {
         0
     } else {
         println!("{} anomaly report(s):", bugs.len());
-        for b in &bugs {
-            println!("  {b}");
-            let funcs = b.implicated_functions();
-            if !funcs.is_empty() {
-                println!("    implicated: {}", funcs.join(", "));
-            }
-        }
+        print_bugs(&bugs);
         3
     }
 }
@@ -769,13 +761,7 @@ fn cmd_check_offline(args: &[String], trace_paths: &[String]) -> i32 {
         }
         anomalies = true;
         println!("{path}: {} anomaly report(s){sampled}:", out.bugs.len());
-        for b in &out.bugs {
-            println!("  {b}");
-            let funcs = b.implicated_functions();
-            if !funcs.is_empty() {
-                println!("    implicated: {}", funcs.join(", "));
-            }
-        }
+        print_bugs(&out.bugs);
     }
     if failed {
         1
@@ -783,6 +769,18 @@ fn cmd_check_offline(args: &[String], trace_paths: &[String]) -> i32 {
         3
     } else {
         0
+    }
+}
+
+/// Prints a bug list: each report on a two-space-indented line, and
+/// under it, indented four spaces, the functions its context implicates.
+fn print_bugs(bugs: &[BugReport]) {
+    for b in bugs {
+        println!("  {b}");
+        let funcs = b.implicated_functions();
+        if !funcs.is_empty() {
+            println!("    implicated: {}", funcs.join(", "));
+        }
     }
 }
 
@@ -1180,9 +1178,7 @@ fn cmd_replay(args: &[String]) -> i32 {
         0
     } else {
         println!("{} anomaly report(s):", out.bugs.len());
-        for b in &out.bugs {
-            println!("  {b}");
-        }
+        print_bugs(&out.bugs);
         3
     }
 }
@@ -1264,9 +1260,7 @@ fn cmd_serve(args: &[String]) -> i32 {
             o.bugs.len(),
             o.bundle_paths.len()
         );
-        for b in &o.bugs {
-            println!("  {b}");
-        }
+        print_bugs(&o.bugs);
         anomalies |= !o.bugs.is_empty();
     }
     if let Some(err) = &summary.prom_dump_error {

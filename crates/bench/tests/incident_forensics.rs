@@ -276,12 +276,12 @@ fn replay_sample_matches_check_sample_and_decimation_one_is_exact() {
             .output()
             .expect("spawn heapmd-cli")
     };
-    // Bug lines only: `check` prefixes its verdict line with the path
-    // and adds `implicated:` lines that `replay` does not print.
+    // The bug block only (reports and their `implicated:` lines):
+    // `check` prefixes its verdict line with the path.
     let bug_lines = |stdout: &[u8]| -> Vec<String> {
         String::from_utf8_lossy(stdout)
             .lines()
-            .filter(|l| l.starts_with("  ") && !l.starts_with("    "))
+            .filter(|l| l.starts_with("  "))
             .map(str::to_string)
             .collect()
     };

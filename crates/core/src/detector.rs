@@ -772,7 +772,7 @@ impl Monitor for AnomalyDetector {
             if st.in_violation && st.after_budget > 0 {
                 if let Some(bug) = &mut st.pending {
                     bug.context.push(StackLogEntry {
-                        tick: ctx.heap.tick(),
+                        tick: ctx.tick,
                         stack: ctx.stack_names(),
                         event: Self::describe(event),
                         phase: LogPhase::After,
@@ -783,7 +783,7 @@ impl Monitor for AnomalyDetector {
         }
         // Approach logging into the circular buffer, unrendered.
         if self.armed {
-            let (tick, stack) = (ctx.heap.tick(), ctx.stack);
+            let (tick, stack) = (ctx.tick, ctx.stack);
             self.log.push_with(|slot| {
                 let mut frames = slot.map(|s| s.stack).unwrap_or_default();
                 frames.clear();
@@ -1215,13 +1215,13 @@ mod tests {
         let main = funcs.intern("main");
         fn ctx_at<'a>(
             graph: &'a GraphImage,
-            heap: &'a SimHeap,
+            heap: &SimHeap,
             funcs: &'a FunctionTable,
             stack: &'a [FuncId],
         ) -> MonitorCtx<'a> {
             MonitorCtx {
                 graph,
-                heap,
+                tick: heap.tick(),
                 stack,
                 funcs,
                 fn_entries: 0,

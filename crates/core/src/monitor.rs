@@ -4,7 +4,7 @@ use crate::callstack::{FuncId, FunctionTable};
 use crate::report::MetricSample;
 use heap_graph::GraphImage;
 use heapmd_obs::SeriesRecorder;
-use sim_heap::{HeapEvent, SimHeap};
+use sim_heap::HeapEvent;
 
 /// Read-only view of the execution state handed to monitors.
 #[derive(Debug)]
@@ -12,8 +12,10 @@ pub struct MonitorCtx<'a> {
     /// The heap-graph image maintained by the execution logger
     /// (single-slab or sharded; identical observables either way).
     pub graph: &'a GraphImage,
-    /// The simulated heap (object table, staleness ticks).
-    pub heap: &'a SimHeap,
+    /// The event clock: events admitted so far, counted from the
+    /// stream's start (the clock [`MetricSample::tick`] reads), the
+    /// same number live and post-mortem.
+    pub tick: u64,
     /// The current call stack, outermost first.
     pub stack: &'a [FuncId],
     /// Function-name intern table for rendering the stack.

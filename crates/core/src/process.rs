@@ -5,7 +5,7 @@ use crate::error::HeapMdError;
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
-use crate::trace::Trace;
+use crate::trace::{Advance, Replayer, Trace};
 use crate::trace_codec::{BinaryTraceWriter, StreamFormat};
 use crate::trace_stream::TraceWriter;
 use heap_graph::GraphImage;
@@ -15,7 +15,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write;
 use std::rc::Rc;
-use swat::{SampledIngest, SamplerConfig, SamplingInfo};
+use swat::{SamplerConfig, SamplingInfo};
 
 /// A simulated instrumented process: the paper's `output.exe` running
 /// under the execution logger.
@@ -24,9 +24,10 @@ use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 /// `free`, `write_ptr`, `enter`/`leave`, …). The process:
 ///
 /// * forwards each operation to the [`SimHeap`];
-/// * keeps the heap-graph image ([`GraphImage`]) in sync;
-/// * counts function entries and, once every `settings.frq` of them,
-///   records a [`MetricSample`] (a *metric computation point*);
+/// * advances its event core, the same one post-mortem replay runs:
+///   it keeps the heap-graph image ([`GraphImage`]) in sync, counts
+///   function entries and, once every `settings.frq` of them, records
+///   a [`MetricSample`] (a *metric computation point*);
 /// * fans events and samples out to attached [`Monitor`]s (the anomaly
 ///   detector, the SWAT baseline, …);
 /// * optionally records the event stream into a [`Trace`] for offline,
@@ -51,14 +52,12 @@ use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 /// ```
 pub struct Process {
     heap: SimHeap,
-    graph: GraphImage,
-    funcs: FunctionTable,
-    stack: Vec<FuncId>,
+    /// Graph image, call stack, function table, sampling schedule,
+    /// store-sampling filter and tick clock: everything a replay of
+    /// this process's trace would rebuild, advanced event by event.
+    core: Replayer,
     sites: HashMap<String, AllocSite>,
     site_names: Vec<String>,
-    settings: Settings,
-    fn_entries: u64,
-    samples: Vec<MetricSample>,
     monitors: Vec<Rc<RefCell<dyn Monitor>>>,
     /// Whether any attached monitor listens for events
     /// ([`Monitor::listening`]), re-read after each sample fan-out —
@@ -78,12 +77,6 @@ pub struct Process {
     /// Heap op totals at the previous computation point, for the rate
     /// series deltas: `(allocs, frees, ptr_writes)`.
     last_op_totals: (u64, u64, u64),
-    /// Production-overhead store sampling
-    /// ([`enable_sampling`](Self::enable_sampling)): when installed,
-    /// pointer/scalar stores the filter rejects update the simulated
-    /// heap (mutator semantics stay exact) but reach neither the heap
-    /// graph nor any trace/stream/monitor sink.
-    sampling: Option<SampledIngest>,
 }
 
 impl Process {
@@ -99,14 +92,9 @@ impl Process {
     pub fn with_shards(settings: Settings, shards: usize) -> Self {
         Process {
             heap: SimHeap::new(),
-            graph: GraphImage::new(shards),
-            funcs: FunctionTable::new(),
-            stack: Vec::new(),
+            core: Replayer::with_shards(settings, &[], shards),
             sites: HashMap::new(),
             site_names: Vec::new(),
-            settings,
-            fn_entries: 0,
-            samples: Vec::new(),
             monitors: Vec::new(),
             listening: false,
             trace: None,
@@ -114,7 +102,6 @@ impl Process {
             stream_error: None,
             recorder: None,
             last_op_totals: (0, 0, 0),
-            sampling: None,
         }
     }
 
@@ -130,31 +117,21 @@ impl Process {
     /// Enable this before driving the mutator, so the filter sees every
     /// allocation site from the start.
     pub fn enable_sampling(&mut self, config: SamplerConfig) {
-        if self.sampling.is_none() {
-            self.sampling = Some(SampledIngest::new(config));
+        if self.core.sampling_info().is_none() {
+            self.core.enable_sampling(config);
         }
     }
 
     /// The sampling filter's measured outcome so far, when sampling is
     /// enabled.
     pub fn sampling_info(&self) -> Option<SamplingInfo> {
-        self.sampling.as_ref().map(|f| f.info())
+        self.core.sampling_info()
     }
 
     /// The effective store-sampling rate so far: `1.0` when sampling is
     /// off or no store has been observed.
     pub fn sample_rate(&self) -> f64 {
-        self.sampling.as_ref().map_or(1.0, |f| f.effective_rate())
-    }
-
-    /// Runs `ev` through the sampling filter (always `true` when
-    /// sampling is off). Allocs register their site as a side effect.
-    #[inline]
-    fn admit(&mut self, ev: &HeapEvent) -> bool {
-        match self.sampling.as_mut() {
-            Some(filter) => filter.admit(ev),
-            None => true,
-        }
+        self.core.effective_rate()
     }
 
     /// Attaches an online monitor. Events that occurred before the
@@ -236,16 +213,17 @@ impl Process {
                 "no trace stream is attached".into(),
             ));
         };
-        let names: Vec<String> = (0..self.funcs.len())
-            .map(|i| self.funcs.name(FuncId(i as u32)).to_string())
+        let funcs = self.core.functions();
+        let names: Vec<String> = (0..funcs.len())
+            .map(|i| funcs.name(FuncId(i as u32)).to_string())
             .collect();
         stream.write_functions(&names)?;
         // Binary streams carry the sampling outcome as a meta block, so
         // an offline check of the artifact widens exactly as the live
         // run did. (The JSONL format has no meta frame; sampled
         // production runs use the binary codec.)
-        if let Some(filter) = &self.sampling {
-            stream.write_sampling_meta(&filter.info())?;
+        if let Some(info) = self.core.sampling_info() {
+            stream.write_sampling_meta(&info)?;
         }
         let events = stream.events_written();
         stream.finish()?;
@@ -262,7 +240,7 @@ impl Process {
 
     /// The settings in force.
     pub fn settings(&self) -> &Settings {
-        &self.settings
+        self.core.settings()
     }
 
     /// The simulated heap (read-only).
@@ -272,22 +250,22 @@ impl Process {
 
     /// The heap-graph image (read-only).
     pub fn graph(&self) -> &GraphImage {
-        &self.graph
+        self.core.graph()
     }
 
     /// The function intern table.
     pub fn functions(&self) -> &FunctionTable {
-        &self.funcs
+        self.core.functions()
     }
 
     /// Cumulative function entries.
     pub fn fn_entries(&self) -> u64 {
-        self.fn_entries
+        self.core.fn_entries()
     }
 
     /// Metric samples recorded so far.
     pub fn samples(&self) -> &[MetricSample] {
-        &self.samples
+        self.core.samples()
     }
 
     /// Interns an allocation-site name, for hot paths that want to avoid
@@ -318,14 +296,8 @@ impl Process {
     /// Returns the interned id. Every `settings.frq` entries, the seven
     /// metrics are sampled from the heap-graph.
     pub fn enter(&mut self, name: &str) -> FuncId {
-        let id = self.funcs.intern(name);
-        self.stack.push(id);
-        self.fn_entries += 1;
-        let ev = HeapEvent::FnEnter { func: id.0 };
-        self.record(&ev);
-        if self.fn_entries.is_multiple_of(self.settings.frq) {
-            self.sample();
-        }
+        let id = self.core.intern(name);
+        self.record(HeapEvent::FnEnter { func: id.0 });
         id
     }
 
@@ -335,9 +307,12 @@ impl Process {
     ///
     /// Panics on leave without a matching enter (a workload defect).
     pub fn leave(&mut self) {
-        let id = self.stack.pop().expect("leave without matching enter");
-        let ev = HeapEvent::FnExit { func: id.0 };
-        self.record(&ev);
+        let &id = self
+            .core
+            .stack()
+            .last()
+            .expect("leave without matching enter");
+        self.record(HeapEvent::FnExit { func: id.0 });
     }
 
     /// Runs `f` inside an enter/leave pair (exception-unsafe by design:
@@ -366,16 +341,12 @@ impl Process {
     /// Propagates [`HeapError`] from the heap.
     pub fn malloc_at(&mut self, size: usize, site: AllocSite) -> Result<Addr, HeapError> {
         let eff = self.heap.alloc(size, site)?;
-        self.graph.on_alloc(eff.id, eff.addr, eff.size);
-        let ev = HeapEvent::Alloc {
+        self.record(HeapEvent::Alloc {
             obj: eff.id,
             addr: eff.addr,
             size: eff.size,
             site,
-        };
-        // Allocs always pass; the filter records the object's site.
-        self.admit(&ev);
-        self.record(&ev);
+        });
         Ok(eff.addr)
     }
 
@@ -386,13 +357,11 @@ impl Process {
     /// Propagates [`HeapError`] (double free, invalid free, …).
     pub fn free(&mut self, addr: Addr) -> Result<(), HeapError> {
         let eff = self.heap.free(addr)?;
-        self.graph.on_free(eff.id);
-        let ev = HeapEvent::Free {
+        self.record(HeapEvent::Free {
             obj: eff.id,
             addr: eff.addr,
             size: eff.size,
-        };
-        self.record(&ev);
+        });
         Ok(())
     }
 
@@ -408,34 +377,24 @@ impl Process {
         // The graph sees realloc as the event decomposition the paper's
         // instrumentation would observe: free, alloc, then the memcpy'd
         // pointer stores.
-        self.graph.on_free(eff.freed.id);
-        let free_ev = HeapEvent::Free {
+        self.record(HeapEvent::Free {
             obj: eff.freed.id,
             addr: eff.freed.addr,
             size: eff.freed.size,
-        };
-        self.record(&free_ev);
-        self.graph
-            .on_alloc(eff.alloc.id, eff.alloc.addr, eff.alloc.size);
-        let alloc_ev = HeapEvent::Alloc {
+        });
+        self.record(HeapEvent::Alloc {
             obj: eff.alloc.id,
             addr: eff.alloc.addr,
             size: eff.alloc.size,
             site,
-        };
-        self.admit(&alloc_ev);
-        self.record(&alloc_ev);
+        });
         for &(off, target) in &eff.moved_slots {
-            let ev = HeapEvent::PtrWrite {
+            self.record(HeapEvent::PtrWrite {
                 src: eff.alloc.id,
                 offset: off,
                 value: target,
                 old_value: None,
-            };
-            if self.admit(&ev) {
-                self.graph.on_ptr_write(eff.alloc.id, off, target);
-                self.record(&ev);
-            }
+            });
         }
         Ok(eff.alloc.addr)
     }
@@ -447,18 +406,14 @@ impl Process {
     /// Propagates [`HeapError`] (wild/torn access, null slot).
     pub fn write_ptr(&mut self, slot: Addr, value: Addr) -> Result<(), HeapError> {
         let w = self.heap.write_ptr(slot, value)?;
-        let ev = HeapEvent::PtrWrite {
+        // The heap already executed the store (mutator semantics are
+        // exact); sampling only decides whether monitoring sees it.
+        self.record(HeapEvent::PtrWrite {
             src: w.src,
             offset: w.offset,
             value,
             old_value: w.old_value,
-        };
-        // The heap already executed the store (mutator semantics are
-        // exact); sampling only decides whether monitoring sees it.
-        if self.admit(&ev) {
-            self.graph.on_ptr_write(w.src, w.offset, value);
-            self.record(&ev);
-        }
+        });
         Ok(())
     }
 
@@ -478,15 +433,11 @@ impl Process {
     /// Propagates [`HeapError`].
     pub fn write_scalar(&mut self, slot: Addr) -> Result<(), HeapError> {
         let w = self.heap.write_scalar(slot)?;
-        let ev = HeapEvent::ScalarWrite {
+        self.record(HeapEvent::ScalarWrite {
             src: w.src,
             offset: w.offset,
             old_value: w.old_value,
-        };
-        if self.admit(&ev) {
-            self.graph.on_scalar_write(w.src, w.offset);
-            self.record(&ev);
-        }
+        });
         Ok(())
     }
 
@@ -502,8 +453,7 @@ impl Process {
             .resolve(slot)
             .expect("read_ptr succeeded on a live object")
             .id();
-        let ev = HeapEvent::Read { obj };
-        self.record(&ev);
+        self.record(HeapEvent::Read { obj });
         Ok(v)
     }
 
@@ -515,131 +465,20 @@ impl Process {
     /// Propagates [`HeapError`].
     pub fn read(&mut self, addr: Addr) -> Result<(), HeapError> {
         let obj = self.heap.read(addr)?;
-        let ev = HeapEvent::Read { obj };
-        self.record(&ev);
+        self.record(HeapEvent::Read { obj });
         Ok(())
-    }
-
-    /// Ingests a recorded event slice — the offline counterpart of the
-    /// mutator API. The heap-graph image, function-entry counter, call
-    /// stack, and sampling schedule advance exactly as if each event had
-    /// been fed individually; the simulated heap is **not** re-executed
-    /// (object ids and addresses come from the recorded stream, so
-    /// samples taken here carry the ingesting heap's logical clock).
-    ///
-    /// When no monitors, trace recorder, or stream sink are attached,
-    /// graph mutations between sampling points are applied through
-    /// [`heap_graph::HeapGraph::apply_batch`], amortizing per-event dispatch;
-    /// throughput is reported via the `process_ingest` obs stage.
-    pub fn apply_batch(&mut self, events: &[HeapEvent]) {
-        if self.sampling.is_some() {
-            // Filter first, then ingest the admitted stream — identical
-            // to feeding the filtered events with sampling off, on both
-            // the fast and slow paths below.
-            let mut filtered = Vec::with_capacity(events.len());
-            let filter = self.sampling.as_mut().expect("checked above");
-            filtered.extend(events.iter().filter(|ev| filter.admit(ev)).copied());
-            self.apply_batch_raw(&filtered);
-        } else {
-            self.apply_batch_raw(events);
-        }
-    }
-
-    fn apply_batch_raw(&mut self, events: &[HeapEvent]) {
-        let fast = self.monitors.is_empty() && self.trace.is_none() && self.stream.is_none();
-        if !fast {
-            for ev in events {
-                self.apply_event(ev);
-            }
-            return;
-        }
-        let clock = heapmd_obs::throughput::stage_clock();
-        let mut batch_start = 0;
-        for (i, ev) in events.iter().enumerate() {
-            match *ev {
-                HeapEvent::FnEnter { func } => {
-                    // Flush pending graph mutations, then advance the
-                    // sampling schedule. Non-graph events inside the
-                    // flushed span are ignored by the graph.
-                    self.graph.apply_batch(&events[batch_start..i]);
-                    batch_start = i + 1;
-                    let id = self.func_id_for(func);
-                    self.stack.push(id);
-                    self.fn_entries += 1;
-                    if self.fn_entries.is_multiple_of(self.settings.frq) {
-                        self.sample();
-                    }
-                }
-                // FnExit only pops the stack, which the graph never
-                // reads — handle it in order, without a batch flush.
-                HeapEvent::FnExit { .. } => {
-                    self.stack.pop();
-                }
-                _ => {}
-            }
-        }
-        self.graph.apply_batch(&events[batch_start..]);
-        if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "process_ingest",
-                events.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-    }
-
-    /// Ingests one recorded event with full monitor/trace fan-out —
-    /// the per-event slow path behind [`apply_batch`](Self::apply_batch).
-    fn apply_event(&mut self, ev: &HeapEvent) {
-        match *ev {
-            HeapEvent::FnEnter { func } => {
-                let id = self.func_id_for(func);
-                self.stack.push(id);
-                self.fn_entries += 1;
-                self.record(ev);
-                if self.fn_entries.is_multiple_of(self.settings.frq) {
-                    self.sample();
-                }
-            }
-            HeapEvent::FnExit { .. } => {
-                self.stack.pop();
-                self.record(ev);
-            }
-            _ => {
-                self.graph.apply(ev);
-                self.record(ev);
-            }
-        }
-    }
-
-    /// Maps a recorded function id onto this process's intern table,
-    /// synthesizing an anonymous `fn#N` name for unknown ids.
-    fn func_id_for(&mut self, raw: u32) -> FuncId {
-        if (raw as usize) < self.funcs.len() {
-            FuncId(raw)
-        } else {
-            self.funcs.intern(&format!("fn#{raw}"))
-        }
     }
 
     /// Finishes the run: notifies monitors and returns the metric
     /// report.
     pub fn finish(mut self, run: impl Into<String>) -> MetricReport {
         let _span = heapmd_obs::span!("process_finish");
-        let ctx = MonitorCtx {
-            graph: &self.graph,
-            heap: &self.heap,
-            stack: &self.stack,
-            funcs: &self.funcs,
-            fn_entries: self.fn_entries,
-            sample_rate: self.sampling.as_ref().map_or(1.0, |f| f.effective_rate()),
-            recorder: self.recorder.as_ref(),
-        };
+        let ctx = self.ctx();
         for m in &self.monitors {
             m.borrow_mut().on_finish(&ctx);
         }
         let rate = self.sample_rate();
-        MetricReport::with_sample_rate(run, std::mem::take(&mut self.samples), rate)
+        MetricReport::with_sample_rate(run, self.core.take_samples(), rate)
     }
 
     /// The recorded trace, if tracing was enabled. Sampling metadata is
@@ -653,13 +492,46 @@ impl Process {
     /// enabled.
     pub fn take_trace(&mut self) -> Option<Trace> {
         let mut trace = self.trace.take()?;
-        if let Some(filter) = &self.sampling {
-            trace.set_sampling(Some(filter.info()));
+        if let Some(info) = self.core.sampling_info() {
+            trace.set_sampling(Some(info));
         }
         Some(trace)
     }
 
-    fn record(&mut self, ev: &HeapEvent) {
+    /// The monitors' view: the event core's, plus the flight recorder.
+    fn ctx(&self) -> MonitorCtx<'_> {
+        MonitorCtx {
+            recorder: self.recorder.as_ref(),
+            ..self.core.ctx()
+        }
+    }
+
+    /// Advances the event core by one executed mutator event. An event
+    /// the sampling filter admits then reaches the trace and stream
+    /// sinks and the listening monitors, and completes a due metric
+    /// computation point.
+    ///
+    /// Inlined into each mutator call, where the event's kind is known,
+    /// so the core's per-kind dispatch folds away; the sinks stay out of
+    /// line in [`fan_out`](Self::fan_out).
+    #[inline(always)]
+    fn record(&mut self, ev: HeapEvent) {
+        let advance = self.core.advance(&ev);
+        if advance == Advance::Dropped {
+            return;
+        }
+        if self.trace.is_some() || self.stream.is_some() || self.listening {
+            self.fan_out(&ev);
+        }
+        if advance == Advance::SampleDue {
+            self.sample();
+        }
+    }
+
+    /// Hands an admitted event to the trace and stream sinks and the
+    /// listening monitors.
+    #[inline(never)]
+    fn fan_out(&mut self, ev: &HeapEvent) {
         if let Some(trace) = &mut self.trace {
             trace.push(*ev);
         }
@@ -675,15 +547,7 @@ impl Process {
             }
         }
         if self.listening {
-            let ctx = MonitorCtx {
-                graph: &self.graph,
-                heap: &self.heap,
-                stack: &self.stack,
-                funcs: &self.funcs,
-                fn_entries: self.fn_entries,
-                sample_rate: self.sampling.as_ref().map_or(1.0, |f| f.effective_rate()),
-                recorder: self.recorder.as_ref(),
-            };
+            let ctx = self.ctx();
             for m in &self.monitors {
                 m.borrow_mut().on_event(&ctx, ev);
             }
@@ -692,19 +556,7 @@ impl Process {
 
     fn sample(&mut self) {
         let _span = heapmd_obs::span!("metric_computation_point");
-        self.graph.reconcile();
-        let ext = self.graph.extended_metrics();
-        let sample = MetricSample {
-            seq: self.samples.len(),
-            fn_entries: self.fn_entries,
-            tick: self.heap.tick(),
-            metrics: self.graph.metrics(),
-            nodes: ext.nodes,
-            edges: ext.edges,
-            dangling: ext.dangling_slots,
-            candidates: Some(self.graph.candidates()),
-        };
-        self.samples.push(sample);
+        let sample = self.core.take_sample();
         if let Some(rec) = self.recorder.as_mut() {
             let x = sample.seq as u64;
             for (kind, value) in sample.metrics.iter() {
@@ -719,17 +571,21 @@ impl Process {
             self.last_op_totals = (allocs, frees, stores);
         }
         heapmd_obs::count!("heapmd_samples_total");
-        heapmd_obs::gauge_set!("heapmd_graph_nodes", ext.nodes);
-        heapmd_obs::gauge_set!("heapmd_graph_edges", ext.edges);
-        heapmd_obs::gauge_set!("heapmd_graph_dangling_slots", ext.dangling_slots);
+        heapmd_obs::gauge_set!("heapmd_graph_nodes", sample.nodes);
+        heapmd_obs::gauge_set!("heapmd_graph_edges", sample.edges);
+        heapmd_obs::gauge_set!("heapmd_graph_dangling_slots", sample.dangling);
         heapmd_obs::export::emit_event("heartbeat", |o| {
+            let mean_degree = match sample.nodes {
+                0 => 0.0,
+                nodes => sample.edges as f64 / nodes as f64,
+            };
             o.field_u64("seq", sample.seq as u64)
                 .field_u64("fn_entries", sample.fn_entries)
                 .field_u64("tick", sample.tick)
-                .field_u64("nodes", ext.nodes)
-                .field_u64("edges", ext.edges)
-                .field_u64("dangling", ext.dangling_slots)
-                .field_f64("mean_degree", ext.mean_degree);
+                .field_u64("nodes", sample.nodes)
+                .field_u64("edges", sample.edges)
+                .field_u64("dangling", sample.dangling)
+                .field_f64("mean_degree", mean_degree);
             let mut metrics = heapmd_obs::json::JsonObject::new();
             for (kind, value) in sample.metrics.iter() {
                 metrics.field_f64(kind.short_name(), value);
@@ -737,15 +593,7 @@ impl Process {
             o.field_raw("metrics", &metrics.finish());
         });
         if !self.monitors.is_empty() {
-            let ctx = MonitorCtx {
-                graph: &self.graph,
-                heap: &self.heap,
-                stack: &self.stack,
-                funcs: &self.funcs,
-                fn_entries: self.fn_entries,
-                sample_rate: self.sampling.as_ref().map_or(1.0, |f| f.effective_rate()),
-                recorder: self.recorder.as_ref(),
-            };
+            let ctx = self.ctx();
             for m in &self.monitors {
                 m.borrow_mut().on_sample(&ctx, &sample);
             }
@@ -818,8 +666,8 @@ impl TraceSink {
 impl std::fmt::Debug for Process {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Process")
-            .field("fn_entries", &self.fn_entries)
-            .field("samples", &self.samples.len())
+            .field("fn_entries", &self.core.fn_entries())
+            .field("samples", &self.core.samples().len())
             .field("live_objects", &self.heap.live_objects())
             .field("monitors", &self.monitors.len())
             .finish()
@@ -918,48 +766,6 @@ mod tests {
         // The 4th sample fires at the 8th `enter`, before that
         // iteration's malloc — so 7 objects are live.
         assert_eq!(r.samples[3].nodes, 7);
-    }
-
-    #[test]
-    fn apply_batch_fast_and_slow_paths_agree() {
-        // Record a real run's event stream...
-        let mut src = Process::new(settings(3));
-        src.enable_trace();
-        let mut prev = None;
-        for i in 0..40 {
-            src.enter("build");
-            let node = src.malloc(16, "node").unwrap();
-            if let Some(prev) = prev {
-                src.write_ptr(node.offset(8), prev).unwrap();
-            }
-            prev = Some(node);
-            if i % 7 == 0 {
-                src.write_scalar(node).unwrap();
-            }
-            src.leave();
-        }
-        let trace = src.take_trace().unwrap();
-        let online = src.finish("online");
-
-        // ...then ingest it through both apply_batch paths: fast (no
-        // sinks) and slow (trace recorder forces per-event fan-out).
-        let mut fast = Process::new(settings(3));
-        fast.apply_batch(trace.events());
-        let fast_report = fast.finish("fast");
-
-        let mut slow = Process::new(settings(3));
-        slow.enable_trace();
-        slow.apply_batch(trace.events());
-        assert_eq!(slow.take_trace().unwrap(), trace);
-        let slow_report = slow.finish("slow");
-
-        assert_eq!(fast_report.samples, slow_report.samples);
-        assert_eq!(fast_report.len(), online.len());
-        for (a, b) in fast_report.samples.iter().zip(&online.samples) {
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.fn_entries, b.fn_entries);
-        }
     }
 
     #[test]

@@ -11,7 +11,11 @@ pub struct MetricSample {
     pub seq: usize,
     /// Cumulative function entries when the sample was taken.
     pub fn_entries: u64,
-    /// Heap logical clock when the sample was taken.
+    /// Admitted-event offset when the sample was taken: the events
+    /// that passed any sampling filter since the stream's start, this
+    /// computation point's `FnEnter` included.
+    /// Live `run`, `replay`, `check` and serve count it alike, and
+    /// heartbeat `tick` fields carry it.
     pub tick: u64,
     /// The seven paper metrics.
     pub metrics: MetricVector,

@@ -17,7 +17,7 @@ use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
 use crate::trace_stream::SalvageStats;
 use heap_graph::GraphImage;
-use sim_heap::{HeapEvent, SimHeap};
+use sim_heap::HeapEvent;
 use std::path::PathBuf;
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 
@@ -319,20 +319,19 @@ pub struct TraceCheckOutcome {
     pub salvage: Option<SalvageStats>,
 }
 
-/// Minimal re-execution of a trace: rebuilds the heap-graph image and
-/// the sampling schedule from events alone.
+/// The one event core behind live monitoring and post-mortem replay:
+/// the heap-graph image, the call stack, the function table, the
+/// sampling schedule and filter, and the tick clock.
 ///
-/// Crate-internal so the binary codec's pipelined engine
-/// ([`crate::trace_codec`]) can drive the same replayer block by block:
-/// every path is resumable, counting `tick` from the running global
-/// event offset, so samples land with the same `tick` whether the
-/// stream arrives as one slice or as decoded blocks, and whether it is
-/// batched or stepped.
+/// [`crate::Process`] feeds its own replayer each event its mutator
+/// API executes; [`Trace::replay`], the binary codec's engines
+/// ([`crate::trace_codec`]) and serve feed recorded streams, as one
+/// slice or block by block. Every event goes through one private step,
+/// [`advance`](Self::advance), and `tick` counts the events it admitted
+/// from the stream's start. So a sample lands with the same `tick` on
+/// every path, however the stream arrives and whoever fans it out.
 pub(crate) struct Replayer {
     graph: GraphImage,
-    /// An empty heap stands in for the traced process's; monitors only
-    /// use it for the logical clock, which we advance per event.
-    heap: SimHeap,
     funcs: FunctionTable,
     stack: Vec<FuncId>,
     settings: Settings,
@@ -351,6 +350,18 @@ pub(crate) struct Replayer {
     /// already decimated at record time (the filter itself is off).
     /// `1.0` for unsampled streams; ignored while `sampling` is live.
     rate_override: f64,
+}
+
+/// What [`Replayer::advance`] did with one event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Advance {
+    /// The sampling filter rejected the event: nothing moved.
+    Dropped,
+    /// The event was applied.
+    Applied,
+    /// The event was applied and is a metric computation point; the
+    /// caller takes the sample ([`Replayer::take_sample`]).
+    SampleDue,
 }
 
 impl Replayer {
@@ -372,7 +383,6 @@ impl Replayer {
         }
         Replayer {
             graph: GraphImage::new(shards),
-            heap: SimHeap::new(),
             funcs,
             stack: Vec::new(),
             settings,
@@ -418,7 +428,6 @@ impl Replayer {
     /// streams this way instead of allocating one per stream.
     pub(crate) fn reset(&mut self, settings: Settings, function_names: &[String]) {
         self.graph.reset();
-        self.heap = SimHeap::new();
         self.funcs = FunctionTable::new();
         for name in function_names {
             self.funcs.intern(name);
@@ -437,16 +446,51 @@ impl Replayer {
         self.rate_override = 1.0;
     }
 
+    /// The settings in force.
+    pub(crate) fn settings(&self) -> &Settings {
+        &self.settings
+    }
+
+    /// The heap-graph image.
+    pub(crate) fn graph(&self) -> &GraphImage {
+        &self.graph
+    }
+
+    /// The function intern table.
+    pub(crate) fn functions(&self) -> &FunctionTable {
+        &self.funcs
+    }
+
+    /// Interns a function name, for a live process entering it.
+    pub(crate) fn intern(&mut self, name: &str) -> FuncId {
+        self.funcs.intern(name)
+    }
+
+    /// The current call stack, outermost first.
+    pub(crate) fn stack(&self) -> &[FuncId] {
+        &self.stack
+    }
+
+    /// Cumulative function entries.
+    pub(crate) fn fn_entries(&self) -> u64 {
+        self.fn_entries
+    }
+
+    /// The samples recorded so far.
+    pub(crate) fn samples(&self) -> &[MetricSample] {
+        &self.samples
+    }
+
     /// Hands over the samples recorded so far.
     pub(crate) fn take_samples(&mut self) -> Vec<MetricSample> {
         std::mem::take(&mut self.samples)
     }
 
     /// The monitors' view of the current replay state.
-    fn ctx(&self) -> MonitorCtx<'_> {
+    pub(crate) fn ctx(&self) -> MonitorCtx<'_> {
         MonitorCtx {
             graph: &self.graph,
-            heap: &self.heap,
+            tick: self.tick,
             stack: &self.stack,
             funcs: &self.funcs,
             fn_entries: self.fn_entries,
@@ -456,7 +500,7 @@ impl Replayer {
     }
 
     /// Records a metric computation point from the current graph state.
-    fn take_sample(&mut self) -> MetricSample {
+    pub(crate) fn take_sample(&mut self) -> MetricSample {
         self.graph.reconcile();
         let ext = self.graph.extended_metrics();
         let sample = MetricSample {
@@ -473,14 +517,37 @@ impl Replayer {
         sample
     }
 
-    /// Monitor-free replay: graph mutations between function entries
-    /// apply through [`heap_graph::HeapGraph::apply_batch`], amortizing dispatch.
-    ///
-    /// Equivalent to [`step`](Self::step)-ing each event with no
-    /// monitors: samples land at the same function-entry boundaries
-    /// with the same tick, and non-graph events inside a flushed span
-    /// are ignored by the graph either way. `FnExit` only pops the
-    /// (unobserved) call stack, so it needs no flush.
+    /// The per-event core every path shares: the filter decision, the
+    /// tick, the call stack, the graph update and the entry count.
+    /// A rejected store is as if it was never recorded, so replaying a
+    /// stream behind the filter is bit-identical to replaying the
+    /// pre-filtered stream without one.
+    #[inline(always)]
+    pub(crate) fn advance(&mut self, ev: &HeapEvent) -> Advance {
+        if let Some(filter) = self.sampling.as_mut() {
+            if !filter.admit(ev) {
+                return Advance::Dropped;
+            }
+        }
+        self.tick += 1;
+        match *ev {
+            HeapEvent::FnEnter { func } => {
+                self.stack.push(FuncId(func));
+                self.fn_entries += 1;
+                if self.fn_entries.is_multiple_of(self.settings.frq) {
+                    return Advance::SampleDue;
+                }
+            }
+            HeapEvent::FnExit { .. } => {
+                self.stack.pop();
+            }
+            _ => self.graph.apply(ev),
+        }
+        Advance::Applied
+    }
+
+    /// Monitor-free replay of a slice, equivalent to
+    /// [`step`](Self::step)-ing each event with no monitors.
     ///
     /// Resumable: ticks count from the running global offset, so
     /// feeding a stream as N block-sized slices (the pipelined binary
@@ -495,12 +562,15 @@ impl Replayer {
     /// first metric computation point when `stop_at_sample` is set.
     /// Returns the number of events consumed.
     fn ingest(&mut self, events: &[HeapEvent], stop_at_sample: bool) -> usize {
-        let Some(mut filter) = self.sampling.take() else {
-            return self.ingest_batch_raw(events, stop_at_sample);
-        };
-        let consumed = self.ingest_batch_filtered(events, &mut filter, stop_at_sample);
-        self.sampling = Some(filter);
-        consumed
+        for (i, ev) in events.iter().enumerate() {
+            if self.advance(ev) == Advance::SampleDue {
+                self.take_sample();
+                if stop_at_sample {
+                    return i + 1;
+                }
+            }
+        }
+        events.len()
     }
 
     /// Replays `events` into `monitors`, delivering each event only
@@ -510,10 +580,10 @@ impl Replayer {
     /// place it may turn on). While a monitor listens, events are
     /// [`step`](Self::step)ped one by one up to the next sample point;
     /// while none does, the span up to and including the next sampling
-    /// `FnEnter` takes the batched path and only its sample is handed
-    /// to the monitors. Both paths count ticks from the same global
-    /// offset, so samples, ticks and everything monitors observe are
-    /// bit-identical to stepping every event.
+    /// `FnEnter` is ingested without fan-out and only its sample is
+    /// handed to the monitors. Both paths advance the same core, so
+    /// samples, ticks and everything monitors observe are bit-identical
+    /// to stepping every event.
     pub(crate) fn drive(&mut self, events: &[HeapEvent], monitors: &mut [&mut dyn Monitor]) {
         let mut rest = events;
         while !rest.is_empty() {
@@ -538,128 +608,26 @@ impl Replayer {
         }
     }
 
-    /// Single-pass fused filter + ingest: the sampled twin of
-    /// [`ingest_batch_raw`](Self::ingest_batch_raw). Rejected stores
-    /// flush the pending graph slice around themselves (zero-copy —
-    /// the batch is never duplicated) and are excluded from the event
-    /// offset, so ticks and sample points land exactly where replaying
-    /// the recorded sampled trace would put them. The filter is
-    /// deterministic and sequential, so chunking cannot change the
-    /// outcome.
-    fn ingest_batch_filtered(
-        &mut self,
-        events: &[HeapEvent],
-        filter: &mut SampledIngest,
-        stop_at_sample: bool,
-    ) -> usize {
-        let base = self.tick;
-        let mut admitted = 0u64;
-        let mut batch_start = 0;
-        for (i, ev) in events.iter().enumerate() {
-            match *ev {
-                HeapEvent::FnEnter { func } => {
-                    self.graph.apply_batch(&events[batch_start..i]);
-                    batch_start = i + 1;
-                    self.stack.push(FuncId(func));
-                    self.fn_entries += 1;
-                    admitted += 1;
-                    self.tick = base + admitted;
-                    if self.fn_entries.is_multiple_of(self.settings.frq) {
-                        self.take_sample();
-                        if stop_at_sample {
-                            return i + 1;
-                        }
-                    }
-                }
-                HeapEvent::FnExit { .. } => {
-                    self.stack.pop();
-                    admitted += 1;
-                }
-                HeapEvent::Alloc { .. }
-                | HeapEvent::PtrWrite { .. }
-                | HeapEvent::ScalarWrite { .. } => {
-                    if filter.admit(ev) {
-                        admitted += 1;
-                    } else {
-                        self.graph.apply_batch(&events[batch_start..i]);
-                        batch_start = i + 1;
-                    }
-                }
-                _ => {
-                    admitted += 1;
-                }
-            }
-        }
-        self.graph.apply_batch(&events[batch_start..]);
-        self.tick = base + admitted;
-        events.len()
-    }
-
-    fn ingest_batch_raw(&mut self, events: &[HeapEvent], stop_at_sample: bool) -> usize {
-        let base = self.tick;
-        let mut batch_start = 0;
-        for (i, ev) in events.iter().enumerate() {
-            match *ev {
-                HeapEvent::FnEnter { func } => {
-                    self.graph.apply_batch(&events[batch_start..i]);
-                    batch_start = i + 1;
-                    self.stack.push(FuncId(func));
-                    self.fn_entries += 1;
-                    self.tick = base + i as u64 + 1;
-                    if self.fn_entries.is_multiple_of(self.settings.frq) {
-                        self.take_sample();
-                        if stop_at_sample {
-                            return i + 1;
-                        }
-                    }
-                }
-                HeapEvent::FnExit { .. } => {
-                    self.stack.pop();
-                }
-                _ => {}
-            }
-        }
-        self.graph.apply_batch(&events[batch_start..]);
-        self.tick = base + events.len() as u64;
-        events.len()
-    }
-
     /// Replays one event with full monitor fan-out. Returns whether it
     /// was a metric computation point.
     pub(crate) fn step(&mut self, ev: &HeapEvent, monitors: &mut [&mut dyn Monitor]) -> bool {
-        if let Some(filter) = self.sampling.as_mut() {
-            // A rejected store is as if it was never recorded: no tick,
-            // no graph mutation, no monitor callback — bit-identical to
-            // stepping the pre-filtered stream without a filter.
-            if !filter.admit(ev) {
-                return false;
-            }
-        }
-        self.tick += 1;
-        match *ev {
-            HeapEvent::FnEnter { func } => {
-                self.stack.push(FuncId(func));
-                self.fn_entries += 1;
-            }
-            HeapEvent::FnExit { .. } => {
-                self.stack.pop();
-            }
-            _ => self.graph.apply(ev),
+        let advance = self.advance(ev);
+        if advance == Advance::Dropped {
+            return false;
         }
         let ctx = self.ctx();
         for m in monitors.iter_mut() {
             m.on_event(&ctx, ev);
         }
-        let sampled = matches!(ev, HeapEvent::FnEnter { .. })
-            && self.fn_entries.is_multiple_of(self.settings.frq);
-        if sampled {
-            let sample = self.take_sample();
-            let ctx = self.ctx();
-            for m in monitors.iter_mut() {
-                m.on_sample(&ctx, &sample);
-            }
+        if advance != Advance::SampleDue {
+            return false;
         }
-        sampled
+        let sample = self.take_sample();
+        let ctx = self.ctx();
+        for m in monitors.iter_mut() {
+            m.on_sample(&ctx, &sample);
+        }
+        true
     }
 
     pub(crate) fn finish(&mut self, monitors: &mut [&mut dyn Monitor]) {
@@ -680,13 +648,16 @@ mod tests {
         let mut p = Process::new(settings);
         p.enable_trace();
         let mut prev = None;
-        for _ in 0..n {
+        for i in 0..n {
             p.enter("build");
             let node = p.malloc(16, "node").unwrap();
             if let Some(prev) = prev {
                 p.write_ptr(node.offset(8), prev).unwrap();
             }
             prev = Some(node);
+            if i % 7 == 0 {
+                p.write_scalar(node).unwrap();
+            }
             p.leave();
         }
         let mut trace = p.take_trace().unwrap();
@@ -707,12 +678,7 @@ mod tests {
         let (trace, online) = traced_run(5, 100);
         let settings = Settings::builder().frq(5).build().unwrap();
         let offline = trace.replay(&settings, "offline").unwrap();
-        assert_eq!(online.len(), offline.len());
-        for (a, b) in online.samples.iter().zip(&offline.samples) {
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.fn_entries, b.fn_entries);
-        }
+        assert_eq!(online.samples, offline.samples);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //!
 //! [`replay_binary`] and [`check_binary_sharded`] run a decoder thread
 //! that streams decoded blocks over a bounded channel into graph
-//! ingestion (`HeapGraph::apply_batch` via the replayer) while the next
+//! ingestion (the replayer's per-event core) while the next
 //! block decodes; event-batch buffers are recycled through a return
 //! channel, so steady-state replay allocates nothing per block. The
 //! check feeds those blocks to the one post-mortem driver that

@@ -329,6 +329,7 @@ impl HeapGraph {
     /// Applies one instrumentation event.
     ///
     /// Reads and function entries/exits do not change the graph.
+    #[inline]
     pub fn apply(&mut self, event: &HeapEvent) {
         match *event {
             HeapEvent::Alloc {

@@ -763,6 +763,7 @@ impl GraphImage {
     }
 
     /// Applies one instrumentation event.
+    #[inline]
     pub fn apply(&mut self, event: &HeapEvent) {
         match self {
             GraphImage::Single(g) => g.apply(event),

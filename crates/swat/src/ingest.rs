@@ -142,7 +142,7 @@ impl SampledIngest {
     /// Decides whether `event` reaches the monitor. Allocs register
     /// the object's site as a side effect; only pointer/scalar stores
     /// can be rejected.
-    #[inline]
+    #[inline(always)]
     pub fn admit(&mut self, event: &HeapEvent) -> bool {
         match *event {
             HeapEvent::Alloc { obj, site, .. } => {

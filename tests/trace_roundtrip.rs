@@ -35,12 +35,33 @@ fn replay_reproduces_the_online_series_exactly() {
     let settings = Settings::builder().frq(10).build().unwrap();
     let (online, trace) = run(&settings, &mut FaultPlan::new());
     let offline = trace.replay(&settings, "replayed").unwrap();
-    assert_eq!(online.len(), offline.len());
-    for (a, b) in online.samples.iter().zip(&offline.samples) {
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.edges, b.edges);
-        assert_eq!(a.dangling, b.dangling);
+    assert_eq!(online.samples, offline.samples);
+}
+
+/// The post-mortem detector stamps its context entries with the event
+/// clock it replays, not a clock that never moves.
+#[test]
+fn offline_context_ticks_advance() {
+    let settings = Settings::builder().frq(10).build().unwrap();
+    let mut builder = ModelBuilder::new(settings.clone());
+    for _ in 0..3 {
+        builder.add_run(&run(&settings, &mut FaultPlan::new()).0);
+    }
+    let model = builder.build().model;
+    let (_, trace) = run(&settings, &mut FaultPlan::single(DLIST_SKIP_PREV));
+    let bugs = trace.check(&model, &settings).unwrap();
+    assert!(!bugs.is_empty(), "the bug must be detected via trace");
+    for bug in &bugs {
+        let ticks: Vec<u64> = bug.context.iter().map(|e| e.tick).collect();
+        assert!(ticks.len() > 1, "{bug}: no context beyond the crossing");
+        assert!(
+            ticks.iter().all(|&t| t > 0),
+            "{bug}: zero tick in {ticks:?}"
+        );
+        assert!(
+            ticks.windows(2).all(|w| w[0] <= w[1]),
+            "{bug}: ticks go backwards: {ticks:?}"
+        );
     }
 }
 
