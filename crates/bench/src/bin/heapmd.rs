@@ -60,8 +60,10 @@
 //!   verdicts bit-identical to `check`, Prometheus `/metrics` plus
 //!   `/fleet.tsv` / `/fleet.jsonl` rollups over HTTP, graceful
 //!   shutdown via `GET /shutdown`. `run --serve ADDR --tenant NAME`
-//!   streams a live run into the daemon; `push` replays a recorded
-//!   trace into it; `top` renders a live dashboard from the rollups.
+//!   streams a live run into the daemon (not with `--sample`, whose
+//!   measured rate is only known at the end: sample daemon-side with
+//!   `serve --sample` instead); `push` replays a recorded trace into
+//!   it; `top` renders a live dashboard from the rollups.
 //! - `push` and `run --serve` speak the resumable session protocol
 //!   (`HMDSERVE2`): bounded retry with jittered exponential backoff
 //!   (`--retry`, `--backoff-ms`), a local spill buffer of unacked
@@ -355,6 +357,14 @@ fn cmd_run(args: &[String]) -> i32 {
             return 1;
         }
     } else if let Some(addr) = &serve_addr {
+        if p.sampling_info().is_some() {
+            eprintln!(
+                "--serve cannot stream a --sample run: the daemon checks events as they \
+                 arrive, and the measured sampling rate is only known at the end \
+                 (use `serve --sample` to sample daemon-side)"
+            );
+            return 2;
+        }
         // Live fleet streaming: the daemon speaks the binary codec, so
         // the run streams exactly what `--trace-out` would have written
         // to disk.

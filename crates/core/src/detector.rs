@@ -187,8 +187,12 @@ pub struct AnomalyDetector {
 }
 
 impl AnomalyDetector {
-    /// Creates a checker for the given model.
-    pub fn new(model: HeapModel, settings: Settings) -> Self {
+    /// Creates a checker for the given model. The start-up skip is the
+    /// model's `settings.warmup_samples` (the warm-up recorded at
+    /// training), whatever `settings` says, so every path that checks
+    /// against one model skips the same points.
+    pub fn new(model: HeapModel, mut settings: Settings) -> Self {
+        settings.warmup_samples = model.settings.warmup_samples;
         let model_rate = if model.sample_rate.is_finite() && model.sample_rate > 0.0 {
             model.sample_rate
         } else {
@@ -326,20 +330,13 @@ impl AnomalyDetector {
     /// Checks a completed [`MetricReport`] offline (post-mortem mode
     /// without event context: reports carry no call-stacks).
     ///
-    /// The first `warmup_samples` are skipped as startup, matching the
-    /// online checker.
+    /// The model's warm-up is skipped as startup, as online.
     pub fn check_report(
         model: &HeapModel,
         settings: &Settings,
         report: &MetricReport,
     ) -> Vec<BugReport> {
-        // Offline, the run length is known: align the startup skip with
-        // the trim the model construction applied.
-        let mut settings = settings.clone();
-        settings.warmup_samples = settings
-            .warmup_samples
-            .max(settings.trim_count(report.len()));
-        let mut det = AnomalyDetector::new(model.clone(), settings);
+        let mut det = AnomalyDetector::new(model.clone(), settings.clone());
         if report.sample_rate.is_finite() && report.sample_rate > 0.0 {
             det.stream_rate = report.sample_rate;
         }
@@ -823,7 +820,7 @@ mod tests {
         HeapModel {
             version: crate::model::MODEL_FORMAT_VERSION,
             program: "test".into(),
-            settings: Settings::default(),
+            settings: settings(),
             stable: vec![StableMetric {
                 kind,
                 min,
@@ -940,6 +937,23 @@ mod tests {
             18.0,
         );
         assert!(bugs.is_empty());
+    }
+
+    #[test]
+    fn the_warm_up_comes_from_the_model() {
+        // The model records a warm-up of 4; the checking settings ask
+        // for 2. A crossing at sample 3 is inside the model's warm-up.
+        let mut model = model_with(MetricKind::Indeg1, 13.0, 18.0);
+        model.settings.warmup_samples = 4;
+        let mut det = AnomalyDetector::new(model, settings());
+        for (i, v) in [15.0, 15.0, 15.0, 19.0, 15.0, 15.0, 15.0, 15.0]
+            .into_iter()
+            .enumerate()
+        {
+            det.scan_sample(&sample(i, MetricKind::Indeg1, v), None);
+        }
+        det.finish_scan();
+        assert!(det.bugs.is_empty(), "unexpected: {:?}", det.bugs);
     }
 
     #[test]

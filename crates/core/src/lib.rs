@@ -25,11 +25,11 @@
 //! to attached [`Monitor`]s.
 //!
 //! Post-mortem checking replays a recorded trace — an in-memory
-//! [`Trace`], a binary `.hmdt` file ([`BinaryTraceImage`]), or a stream
-//! buffered by the [`serve`] daemon — through the same detector. Every
-//! entry point ([`Trace::check`], [`check_binary_sharded`],
-//! [`check_paths_parallel`], serve) shares one driver, so a trace gets
-//! the same verdict whichever way it arrives.
+//! [`Trace`] or a binary `.hmdt` file ([`BinaryTraceImage`]) — through
+//! the same detector, and the [`serve`] daemon checks each tenant's
+//! stream block by block as it arrives. Every path drives one event
+//! core and skips the warm-up the model records, so a trace gets the
+//! same verdict whichever way it arrives.
 //!
 //! # Quickstart
 //!
@@ -88,7 +88,6 @@ mod stability;
 mod trace;
 mod trace_codec;
 mod trace_stream;
-mod values;
 
 pub use bug::{
     AnomalyKind, BugCategory, BugReport, DetectionClass, Direction, LogPhase, StackLogEntry,
@@ -127,7 +126,6 @@ pub use trace_codec::{
     BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 pub use trace_stream::{frame_record, SalvageStats, TraceReader, TraceWriter, STREAM_MAGIC};
-pub use values::{LocationSummary, ValueProfile};
 
 // Re-export the metric vocabulary so downstream crates only need `heapmd`.
 pub use heap_graph::{

@@ -41,6 +41,10 @@ pub struct RunSummary {
     /// Per-metric summaries (canonical metric order), or `None` when the
     /// run was too short to analyse after trimming.
     pub metrics: Option<Vec<MetricSummary>>,
+    /// Metric computation points in the run, before trimming: sizes
+    /// the leading trim the built model records as its warm-up.
+    #[serde(default)]
+    pub samples: usize,
 }
 
 /// Per-run, per-candidate analysis for the extended (non-paper) family,
@@ -178,7 +182,9 @@ pub struct HeapModel {
     pub version: u32,
     /// The program the model was calibrated for.
     pub program: String,
-    /// Settings used during calibration.
+    /// Settings used during calibration. `warmup_samples` is the
+    /// start-up skip every check of this model applies (see
+    /// [`ModelBuilder::build`]).
     pub settings: Settings,
     /// Globally stable metrics with their calibrated ranges, in
     /// canonical metric order.
@@ -641,6 +647,10 @@ impl ModelBuilder {
     /// Per the paper's §2.2, the calibrated `[min, max]` spans **all**
     /// training inputs; training runs straying outside the envelope of
     /// the *stable* runs are additionally flagged as suspect (§4.1).
+    ///
+    /// The model's `settings.warmup_samples` is the larger of the
+    /// configured value and the largest leading trim
+    /// ([`Settings::trim_count`]) of the runs calibrated on.
     pub fn build(&self) -> ModelOutcome {
         let _span = heapmd_obs::span!("model_build");
         let analysable: Vec<&RunSummary> =
@@ -738,11 +748,22 @@ impl ModelBuilder {
             (Vec::new(), Vec::new())
         };
 
+        // The warm-up every checker skips: at least the leading trim
+        // calibration applied to any run it learned from, so no check
+        // enforces ranges on start-up points training never saw. Known
+        // before the checked run's length, so online and post-mortem
+        // checks skip the same points.
+        let mut settings = self.settings.clone();
+        settings.warmup_samples = analysable
+            .iter()
+            .map(|r| self.settings.trim_count(r.samples))
+            .fold(settings.warmup_samples, usize::max);
+
         ModelOutcome {
             model: HeapModel {
                 version: MODEL_FORMAT_VERSION,
                 program: self.program.clone(),
-                settings: self.settings.clone(),
+                settings,
                 stable,
                 unstable: never_stable,
                 locally_stable,
@@ -863,6 +884,7 @@ pub(crate) fn summarize_run(report: &MetricReport, settings: &Settings) -> RunSu
         return RunSummary {
             run: report.run.clone(),
             metrics: None,
+            samples: report.len(),
         };
     }
     let metrics = MetricKind::ALL
@@ -885,6 +907,7 @@ pub(crate) fn summarize_run(report: &MetricReport, settings: &Settings) -> RunSu
     RunSummary {
         run: report.run.clone(),
         metrics: Some(metrics),
+        samples: report.len(),
     }
 }
 
@@ -1109,6 +1132,27 @@ mod tests {
             HeapModel::from_json(&json[..json.len() / 2]),
             Err(HeapMdError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn build_records_the_largest_calibrated_trim_as_the_warm_up() {
+        let mut b = ModelBuilder::new(settings());
+        b.add_run(&flat_report("short", 10.0, 40)); // trims 4
+        assert_eq!(
+            b.build().model.settings.warmup_samples,
+            5,
+            "the floor holds"
+        );
+        b.add_run(&flat_report("long", 10.0, 138)); // trims 13
+        b.add_run(&flat_report("tiny", 10.0, 3)); // too short to calibrate on
+        let model = b.build().model;
+        assert_eq!(model.settings.warmup_samples, 13);
+        // The checkpoint carries the run lengths, so a resumed build
+        // records the same warm-up.
+        let json = serde_json::to_string(&b.checkpoint(3)).unwrap();
+        let (resumed, _) =
+            ModelBuilder::from_checkpoint(serde_json::from_str(&json).unwrap()).unwrap();
+        assert_eq!(resumed.build().model, model);
     }
 
     #[test]

@@ -192,13 +192,43 @@ impl Process {
             StreamFormat::Binary => TraceSink::Binary(BinaryTraceWriter::new(sink)?),
         });
         self.stream_error = None;
+        if !self.core.functions().is_empty() {
+            self.stream_functions();
+        }
         Ok(())
     }
 
-    /// Ends the trace stream: writes the function-name table and the
-    /// `End` trailer, flushes, and detaches the sink. Returns the
-    /// number of events that reached the stream, or the error that
-    /// degraded it mid-run.
+    /// Writes the whole function table to the trace stream. Called
+    /// whenever a new name is interned, so every table frame is ahead
+    /// of the events that use it (readers keep the last one).
+    #[cold]
+    fn stream_functions(&mut self) {
+        let Some(stream) = &mut self.stream else {
+            return;
+        };
+        let funcs = self.core.functions();
+        let names: Vec<String> = (0..funcs.len())
+            .map(|i| funcs.name(FuncId(i as u32)).to_string())
+            .collect();
+        if let Err(e) = stream.write_functions(&names) {
+            self.stream_failed(e);
+        }
+    }
+
+    /// Drops a stream whose sink failed. Losing the trace sink must not
+    /// take down the checked process: keep running, surface the error
+    /// at [`finish_stream`](Self::finish_stream).
+    fn stream_failed(&mut self, e: HeapMdError) {
+        heapmd_obs::count!("heapmd_trace_stream_errors_total");
+        heapmd_obs::warn!("trace stream failed, continuing without it: {e}");
+        self.stream = None;
+        self.stream_error = Some(e);
+    }
+
+    /// Ends the trace stream: writes the sampling outcome and the `End`
+    /// trailer, flushes, and detaches the sink. Returns the number of
+    /// events that reached the stream, or the error that degraded it
+    /// mid-run.
     ///
     /// # Errors
     ///
@@ -213,11 +243,6 @@ impl Process {
                 "no trace stream is attached".into(),
             ));
         };
-        let funcs = self.core.functions();
-        let names: Vec<String> = (0..funcs.len())
-            .map(|i| funcs.name(FuncId(i as u32)).to_string())
-            .collect();
-        stream.write_functions(&names)?;
         // Binary streams carry the sampling outcome as a meta block, so
         // an offline check of the artifact widens exactly as the live
         // run did. (The JSONL format has no meta frame; sampled
@@ -296,7 +321,11 @@ impl Process {
     /// Returns the interned id. Every `settings.frq` entries, the seven
     /// metrics are sampled from the heap-graph.
     pub fn enter(&mut self, name: &str) -> FuncId {
+        let known = self.core.functions().len();
         let id = self.core.intern(name);
+        if self.core.functions().len() > known {
+            self.stream_functions();
+        }
         self.record(HeapEvent::FnEnter { func: id.0 });
         id
     }
@@ -537,13 +566,7 @@ impl Process {
         }
         if let Some(stream) = &mut self.stream {
             if let Err(e) = stream.write_event(ev) {
-                // Graceful degradation: losing the trace sink must not
-                // take down the checked process. Drop the stream, keep
-                // running, surface the error at finish_stream.
-                heapmd_obs::count!("heapmd_trace_stream_errors_total");
-                heapmd_obs::warn!("trace stream failed, continuing without it: {e}");
-                self.stream = None;
-                self.stream_error = Some(e);
+                self.stream_failed(e);
             }
         }
         if self.listening {

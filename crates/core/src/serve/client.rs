@@ -643,15 +643,9 @@ pub fn push_trace_resumable(
 ) -> Result<(u64, u64), HeapMdError> {
     let client = connect_session(addr, tenant, opts)?;
     let mut writer = BinaryTraceWriter::new(io::BufWriter::new(client))?;
-    // Sampling schedule first, so daemon-side live gauges widen from
-    // the first sample on.
-    if let Some(info) = trace.sampling() {
-        writer.write_meta(&crate::trace_codec::encode_sampling_meta(&info))?;
-    }
-    for ev in trace.events() {
-        writer.write_event(ev)?;
-    }
-    writer.write_functions(trace.functions())?;
+    // The daemon checks events as they arrive: the sampling schedule
+    // and the function table go first.
+    trace.write_blocks(&mut writer)?;
     let mut buf = writer.finish()?;
     buf.flush()?;
     let client = buf

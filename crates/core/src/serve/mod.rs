@@ -25,7 +25,7 @@
 //!   block. Structural damage drops the connection but keeps the
 //!   session; a session left disconnected past
 //!   [`ServeConfig::session_timeout`] evicts exactly its tenant
-//!   (salvaging the buffered prefix into a partial verdict first),
+//!   (salvaging the prefix received so far into a partial verdict first),
 //!   never the daemon. See [`session`] for the protocol and crash-only
 //!   recovery.
 //! - **Sharding & backpressure.** Tenants hash-assign to one of N
@@ -34,15 +34,29 @@
 //!   full queue backpressures the client for as long as the shard keeps
 //!   draining it; only a queue that makes no progress for a whole grace
 //!   window gets its tenant evicted as stalled.
-//! - **Verdicts.** Shards feed a resumable [`Replayer`] per tenant for
-//!   live per-metric gauges, and buffer the stream as the encoded event
-//!   blocks it arrived in (about 3 B/event). On clean end of stream the
-//!   blocks decode one at a time into the post-mortem check that
-//!   [`crate::Trace::check`] uses, so the daemon verdict is
-//!   bit-identical to `heapmd check` on the same trace, with incident
-//!   bundles captured into a per-tenant [`IncidentLog`] directory. Each
-//!   tenant checks against the shared model, or its own override from
+//! - **Verdicts.** Each tenant's shard runs one live check: a
+//!   resumable [`Replayer`] with an [`AnomalyDetector`] attached, the
+//!   same pair `run --model` drives, fed block by block as the stream
+//!   arrives. Nothing is buffered or checked twice: per-tenant state
+//!   that grows with the stream is the sample series (one point per
+//!   `frq` function entries, kept for run-store rows). The detector
+//!   skips the warm-up the model records, which needs no stream
+//!   length, so the verdict a tenant's stream closes with — cleanly,
+//!   evicted, or at shutdown — is bit-identical to `heapmd check` on
+//!   the same trace or prefix, with incident bundles captured into a
+//!   per-tenant [`IncidentLog`] directory. Each tenant checks against
+//!   the shared model, or its own override from
 //!   [`ServeConfig::model_dir`].
+//! - **Metadata before events.** Checking as events arrive needs the
+//!   sampling schedule and the function names first, so clients send
+//!   the sampling meta frame and the function table ahead of the
+//!   events that need them (`push` sends both first; a streaming
+//!   [`crate::Process`] re-sends its whole table whenever it interns a
+//!   new name). An events block naming a function outside the table
+//!   received so far fails the tenant with an
+//!   [`HeapMdError::InvalidInput`] error; a sampling meta frame after
+//!   the first events block evicts it as malformed (its prefix's
+//!   verdict is kept).
 //! - **Shutdown.** The toolchain forbids `unsafe`, so there is no
 //!   signal handler; graceful shutdown arrives via the HTTP control
 //!   endpoint (`GET /shutdown`) or [`Server::shutdown`]. In-flight
@@ -56,13 +70,14 @@ pub mod client;
 pub mod session;
 
 use crate::bug::BugReport;
+use crate::detector::AnomalyDetector;
 use crate::error::HeapMdError;
 use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::report::MetricSample;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
-use crate::trace::{check_stream, Replayer, StreamHead};
-use crate::trace_codec::{decode_events_frame, BlockIndex};
+use crate::trace::{validate_function_ids, Replayer};
+use crate::trace_codec::BlockIndex;
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
@@ -86,8 +101,10 @@ pub use client::{
 };
 pub use session::SERVE_PREAMBLE_V2;
 
-/// Idle poll period of the nonblocking accept loops.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Idle poll period of the nonblocking accept loops: the longest a new
+/// session or HTTP request waits to be accepted. Short streams push in
+/// a few milliseconds, so a longer period would dominate their latency.
+const ACCEPT_POLL: Duration = Duration::from_millis(1);
 /// How long a full per-tenant queue may go without draining a single
 /// event before the tenant is evicted as stalled. Progress resets the
 /// clock, so a merely slow shard backpressures instead of evicting.
@@ -203,8 +220,7 @@ impl AnyStream {
 /// shutdown is flagged, bytes the kernel already buffered still read
 /// out normally and the first timeout after that reports EOF. Handlers
 /// therefore salvage everything the client managed to send — force
-/// closing the socket instead would discard the buffered tail (and
-/// with it, typically, the function table at the end of the stream).
+/// closing the socket instead would discard the buffered tail.
 pub(crate) struct DrainingStream {
     inner: AnyStream,
     shutdown: Arc<AtomicBool>,
@@ -298,16 +314,18 @@ pub struct ServeConfig {
     /// that tenant instead of the shared model.
     pub model_dir: Option<PathBuf>,
     /// How long a disconnected, incomplete session is held for
-    /// resumption before it is evicted (its buffered prefix salvaged
+    /// resumption before it is evicted (its prefix salvaged
     /// into a partial verdict).
     pub session_timeout: Duration,
     /// Columnar run-store directory: every finalized tenant verdict
     /// appends its replayed sample series as `kind="serve"` rows.
     pub run_store: Option<PathBuf>,
     /// Daemon-side production-overhead mode: full-fidelity tenant
-    /// streams are re-sampled through the adaptive filter before the
-    /// authoritative check (streams that arrive already sampled keep
-    /// their recorded schedule — re-decimating would double-drop).
+    /// streams are re-sampled at ingest, from their first events block
+    /// on, through the adaptive filter, so the live gauges and the
+    /// check both see the filtered stream (streams whose sampling meta
+    /// frame precedes their events keep their recorded schedule —
+    /// re-decimating would double-drop).
     pub sampler: Option<SamplerConfig>,
 }
 
@@ -336,7 +354,7 @@ impl ServeConfig {
 pub struct TenantOutcome {
     /// Tenant name.
     pub tenant: String,
-    /// Events ingested and replayed.
+    /// Events received.
     pub events: u64,
     /// The detector's verdict (bit-identical to `check` on the same
     /// trace when the stream completed cleanly).
@@ -344,12 +362,13 @@ pub struct TenantOutcome {
     /// Incident bundles flushed for this tenant.
     pub bundle_paths: Vec<PathBuf>,
     /// The stream never reached its index/footer; the verdict covers
-    /// the buffered prefix (shutdown, or an eviction mid-stream).
+    /// the prefix received (shutdown, or an eviction mid-stream).
     pub partial: bool,
     /// Why the tenant was kicked, when it was. Eviction still salvages
-    /// the buffered prefix: `bugs`/`bundle_paths` cover it.
+    /// the prefix received: `bugs`/`bundle_paths` cover it.
     pub evicted: Option<String>,
-    /// Replay/check failure, if the buffered trace was unusable.
+    /// Why the stream was refused (an event naming a function outside
+    /// the table received so far); the outcome then has no verdict.
     pub error: Option<String>,
 }
 
@@ -381,19 +400,16 @@ pub(crate) enum ShardMsg {
     },
     Events {
         tenant: String,
-        /// The decoded block, for the live replayer.
         events: Vec<HeapEvent>,
-        /// The same block as it arrived (block header + payload), for
-        /// the tenant's [`EncodedStream`].
-        block: Vec<u8>,
     },
     Functions {
         tenant: String,
         names: Vec<String>,
     },
     /// Sampling metadata from a production-overhead client: the stream
-    /// was store-decimated at the sender, and the verdict must widen
-    /// ranges by the recorded rate.
+    /// was store-decimated at the sender, and the check widens ranges by
+    /// the recorded rate. The session layer only forwards it ahead of
+    /// the stream's first events block.
     Sampling {
         tenant: String,
         info: SamplingInfo,
@@ -410,7 +426,7 @@ pub(crate) enum ShardMsg {
         /// Mark the outcome evicted (stalled queue, expired session,
         /// unusable journal) instead of a plain partial (a session
         /// replaced by a fresh one). The
-        /// buffered prefix is salvaged into a partial verdict either
+        /// prefix received is salvaged into a partial verdict either
         /// way.
         evict: bool,
         /// Journal files to delete once the verdict is closed.
@@ -418,58 +434,25 @@ pub(crate) enum ShardMsg {
     },
 }
 
-/// A tenant's event stream, buffered as the encoded event blocks it
-/// arrived in: about 3 B/event, against 40 for a decoded [`HeapEvent`].
-/// Finalize decodes it again one block at a time, the way offline
-/// `check` reads a `.hmdt`.
-#[derive(Default)]
-struct EncodedStream {
-    /// Raw events frames (block header + payload), in arrival order.
-    blocks: Vec<Vec<u8>>,
-    /// Events the blocks carry.
-    events: u64,
-    /// `FnEnter`s among them: the check's start-up skip is sized by the
-    /// stream's total.
-    fn_enters: u64,
-}
-
-impl EncodedStream {
-    /// Appends one block: `raw` as it arrived, `events` decoded from it.
-    fn push(&mut self, raw: Vec<u8>, events: &[HeapEvent]) {
-        self.events += events.len() as u64;
-        self.fn_enters += events
-            .iter()
-            .filter(|e| matches!(e, HeapEvent::FnEnter { .. }))
-            .count() as u64;
-        self.blocks.push(raw);
-    }
-
-    /// Decodes the blocks in order into one recycled buffer, handing
-    /// each to `step`.
-    fn replay(
-        &self,
-        step: &mut dyn FnMut(&[HeapEvent]) -> Result<(), HeapMdError>,
-    ) -> Result<(), HeapMdError> {
-        let mut events = Vec::new();
-        for block in &self.blocks {
-            decode_events_frame(block, &mut events)?;
-            step(&events)?;
-        }
-        Ok(())
-    }
-}
-
 struct ShardTenant {
     stats: Arc<TenantStats>,
     pending: Arc<AtomicU64>,
     model: Arc<HeapModel>,
-    stream: EncodedStream,
-    functions: Vec<String>,
+    /// The tenant's event core: graph image, function table, sampling
+    /// filter and the sample series (kept for run-store rows).
     replayer: Replayer,
-    /// Sampling metadata announced by the stream (last one wins),
-    /// handed to the finalize-time check so the daemon verdict matches
-    /// an offline check of the same sampled artifact.
+    /// The check, fed block by block as the stream arrives.
+    detector: AnomalyDetector,
+    /// Events received (before any daemon-side sampling), checked
+    /// against the count the stream's index declares.
+    events: u64,
+    /// Sampling metadata the stream announced ahead of its events.
     sampling: Option<SamplingInfo>,
+    /// Samples already folded into the live gauges.
+    gauged: usize,
+    /// Why the stream was refused mid-way: the rest of it is discarded
+    /// and the outcome carries this error instead of a verdict.
+    error: Option<String>,
     /// Per stable metric: was the last live sample out of range.
     last_out: Vec<bool>,
     window_start: Instant,
@@ -489,27 +472,30 @@ fn metric_value(sample: &MetricSample, kind: heap_graph::MetricKind) -> f64 {
     sample.metrics.get(kind)
 }
 
-/// Folds a batch of new live samples into the tenant's gauges: latest
-/// value/distance/status per calibrated metric (the paper's stable
-/// seven plus any calibrated extended candidates), range-crossing
-/// transitions, and the advisory arm flag (near-edge or out — the
-/// authoritative detector, slope condition included, runs at finalize).
-fn update_live(t: &mut ShardTenant, samples: &[MetricSample], model: &HeapModel) {
+/// Folds the samples taken since the last update into the tenant's
+/// gauges: latest value/distance/status per calibrated metric (the
+/// paper's stable seven plus any calibrated extended candidates),
+/// range-crossing transitions, and the advisory arm flag (near-edge or
+/// out; the detector's own arming also needs an adverse slope).
+fn update_live(t: &mut ShardTenant) {
+    let samples = &t.replayer.samples()[t.gauged..];
+    let model = &t.model;
     let s = &model.settings;
     let stable = &model.stable;
     for _ in samples {
         t.stats.record_sample();
     }
-    // Confidence widening: the mismatch ratio of the stream's
-    // announced sampling rate and the model's calibration-time rate,
-    // matching the authoritative detector at finalize (rate-matched
-    // calibration needs no widening; a rate gap widens by the ratio).
+    // Confidence widening: the mismatch ratio of the stream's sampling
+    // rate (recorded, or measured by the daemon's live filter) and the
+    // model's calibration-time rate, as the detector computes it
+    // (rate-matched calibration needs no widening; a rate gap widens
+    // by the ratio).
     let model_rate = if model.sample_rate.is_finite() && model.sample_rate > 0.0 {
         model.sample_rate
     } else {
         1.0
     };
-    let stream_rate = t.sampling.map_or(1.0, |i| i.rate());
+    let stream_rate = t.replayer.effective_rate();
     let rate = stream_rate.min(model_rate) / stream_rate.max(model_rate).max(f64::MIN_POSITIVE);
     let mut gauges = Vec::with_capacity(stable.len() + model.candidate_stable.len());
     let mut crossings = 0u64;
@@ -577,6 +563,7 @@ fn update_live(t: &mut ShardTenant, samples: &[MetricSample], model: &HeapModel)
     }
     t.stats.set_armed(armed);
     t.stats.set_metrics(gauges);
+    t.gauged = t.replayer.samples().len();
 }
 
 /// The per-metric calibration verdicts a tenant's model implies: the
@@ -667,14 +654,22 @@ impl Shard {
                     }
                     None => Replayer::new(model.settings.clone(), &[]),
                 };
+                let mut detector = AnomalyDetector::new((*model).clone(), model.settings.clone());
+                if let Some(dir) = &self.incident_dir {
+                    // Tenant names are charset-validated (no
+                    // separators), so they are safe as directory names.
+                    detector.log_incidents_to(IncidentLog::new(dir.join(&tenant), tenant.clone()));
+                }
                 stats.set_verdicts(verdicts_for(&model));
                 let state = ShardTenant {
                     stats,
                     pending,
-                    stream: EncodedStream::default(),
-                    functions: Vec::new(),
                     replayer,
+                    detector,
+                    events: 0,
                     sampling: None,
+                    gauged: 0,
+                    error: None,
                     last_out: vec![false; model.stable.len() + model.candidate_stable.len()],
                     model,
                     window_start: Instant::now(),
@@ -682,18 +677,26 @@ impl Shard {
                 };
                 self.tenants.insert(tenant, state);
             }
-            ShardMsg::Events {
-                tenant,
-                events,
-                block,
-            } => {
+            ShardMsg::Events { tenant, events } => {
                 let Some(t) = self.tenants.get_mut(&tenant) else {
                     return;
                 };
                 let n = events.len() as u64;
                 let clock = heapmd_obs::throughput::stage_clock();
-                t.replayer.ingest_batch(&events);
-                t.stream.push(block, &events);
+                if t.events == 0 {
+                    // Sampling metadata never follows events, so the
+                    // stream's sampling is settled at its first block:
+                    // daemon-side re-sampling starts here unless the
+                    // stream announced its own schedule.
+                    t.replayer.sample_like(t.sampling, self.sampler);
+                }
+                t.events += n;
+                if t.error.is_none() {
+                    match validate_function_ids(&events, t.replayer.functions().len()) {
+                        Ok(()) => t.replayer.drive(&events, &mut [&mut t.detector]),
+                        Err(e) => t.error = Some(e.to_string()),
+                    }
+                }
                 if let Some(t0) = clock {
                     heapmd_obs::throughput::record_stage(
                         "serve_ingest",
@@ -704,10 +707,9 @@ impl Shard {
                 t.pending.fetch_sub(n.min(t.pending.load(Relaxed)), Relaxed);
                 t.stats.record_events(n);
                 t.stats.set_queue_depth(t.pending.load(Relaxed));
-                let samples = t.replayer.take_samples();
-                if !samples.is_empty() {
-                    let model = Arc::clone(&t.model);
-                    update_live(t, &samples, &model);
+                t.stats.set_sample_rate(t.replayer.effective_rate());
+                if t.replayer.samples().len() > t.gauged {
+                    update_live(t);
                 }
                 t.window_events += n;
                 let elapsed = t.window_start.elapsed();
@@ -721,7 +723,7 @@ impl Shard {
             }
             ShardMsg::Functions { tenant, names } => {
                 if let Some(t) = self.tenants.get_mut(&tenant) {
-                    t.functions = names;
+                    t.replayer.set_functions(&names);
                 }
             }
             ShardMsg::Sampling { tenant, info } => {
@@ -738,7 +740,7 @@ impl Shard {
                 let Some(t) = self.tenants.get(&tenant) else {
                     return;
                 };
-                let carried = t.stream.events;
+                let carried = t.events;
                 let mismatch = (carried != index.total_events).then(|| {
                     format!(
                         "index declares {} events, stream carried {carried}",
@@ -756,8 +758,7 @@ impl Shard {
         }
     }
 
-    /// Takes `tenant` off the shard, recycles its live replayer, and
-    /// finalizes its verdict.
+    /// Takes `tenant` off the shard and finalizes its verdict.
     fn close(
         &mut self,
         tenant: String,
@@ -765,15 +766,9 @@ impl Shard {
         evicted: Option<String>,
         cleanup: Vec<PathBuf>,
     ) {
-        let Some(mut t) = self.tenants.remove(&tenant) else {
+        let Some(t) = self.tenants.remove(&tenant) else {
             return;
         };
-        if self.replayer_pool.len() < REPLAYER_POOL_CAP {
-            let settings = t.model.settings.clone();
-            let mut r = std::mem::replace(&mut t.replayer, Replayer::new(settings.clone(), &[]));
-            r.reset(settings, &[]);
-            self.replayer_pool.push(r);
-        }
         let outcome = self.finalize(t, tenant, partial, evicted, cleanup);
         self.outcomes.push(outcome);
     }
@@ -789,14 +784,13 @@ impl Shard {
         self.outcomes
     }
 
-    /// Runs the buffered stream through the authoritative offline check
-    /// and closes the tenant's books. An evicted tenant still gets its
-    /// buffered prefix checked (partial verdict + incident bundles) —
-    /// eviction changes how the outcome is labeled, not whether
-    /// evidence is kept.
+    /// Finishes the tenant's check over what it received, closes its
+    /// books, and recycles its replayer. An evicted tenant still gets
+    /// its prefix's verdict (partial, with incident bundles): eviction
+    /// changes how the outcome is labeled, not whether evidence is kept.
     fn finalize(
-        &self,
-        t: ShardTenant,
+        &mut self,
+        mut t: ShardTenant,
         tenant: String,
         partial: bool,
         evicted: Option<String>,
@@ -808,51 +802,34 @@ impl Shard {
         t.stats.set_connected(false);
         t.stats.set_rate(0);
         t.stats.set_queue_depth(0);
-        let model = Arc::clone(&t.model);
-        let events = t.stream.events;
-        // Tenant names are charset-validated (no separators), so they
-        // are safe as directory names.
-        let log = self
-            .incident_dir
-            .as_ref()
-            .map(|d| IncidentLog::new(d.join(&tenant), tenant.clone()));
-        // Daemon-side production-overhead mode: the check re-samples
-        // full-fidelity streams; streams that arrived sampled keep their
-        // recorded schedule.
-        let head = StreamHead {
-            functions: &t.functions,
-            fn_enters: t.stream.fn_enters,
-            sampling: t.sampling,
-        };
-        let checked = check_stream(
-            &model,
-            &model.settings,
-            head,
-            1,
-            log,
-            self.sampler,
-            |step| t.stream.replay(step),
-        );
-        let outcome = match checked {
-            Ok(out) => {
-                if t.sampling.is_none() {
-                    if let Some(info) = out.sampling {
-                        t.stats.set_sample_rate(info.rate());
-                    }
+        let (bugs, bundle_paths) = match &t.error {
+            Some(_) => (Vec::new(), Vec::new()),
+            None => {
+                t.replayer.finish(&mut [&mut t.detector]);
+                let bugs = t.detector.take_bugs();
+                let bundle_paths = t
+                    .detector
+                    .incident_log()
+                    .map(|l| l.paths().to_vec())
+                    .unwrap_or_default();
+                t.stats.record_bugs(bugs.len() as u64);
+                t.stats.add_incidents(bundle_paths.len() as u64);
+                if let Some(b) = bugs.first() {
+                    t.stats
+                        .set_last_anomaly(&format!("{} {}", b.metric, b.kind.slug()));
                 }
-                t.stats.record_bugs(out.bugs.len() as u64);
-                t.stats.add_incidents(out.bundle_paths.len() as u64);
                 if let Some(store) = &self.run_store {
+                    let sampling = t.replayer.sampling_info().or(t.sampling);
                     let src = RowSource {
-                        workload: model.program.clone(),
+                        workload: t.model.program.clone(),
                         version: 0,
                         run: tenant.clone(),
                         tenant: tenant.clone(),
                         kind: RowKind::Serve,
                         time: unix_time_now(),
-                        sample_rate: out.sampling.map_or(1.0, |s| s.rate()),
+                        sample_rate: sampling.map_or(1.0, |s| s.rate()),
                     };
-                    let rows = rows_from_samples(&src, &out.samples);
+                    let rows = rows_from_samples(&src, t.replayer.samples());
                     if let Err(e) = store.append(&rows) {
                         // The verdict is authoritative; a failed append
                         // is a degraded observability plane, not a
@@ -862,30 +839,21 @@ impl Shard {
                         heapmd_obs::count!("serve_run_store_rows_total", rows.len() as u64);
                     }
                 }
-                if let Some(b) = out.bugs.first() {
-                    t.stats
-                        .set_last_anomaly(&format!("{} {}", b.metric, b.kind.slug()));
-                }
-                TenantOutcome {
-                    tenant,
-                    events,
-                    bugs: out.bugs,
-                    bundle_paths: out.bundle_paths,
-                    partial,
-                    evicted,
-                    error: None,
-                }
+                (bugs, bundle_paths)
             }
-            Err(e) => TenantOutcome {
-                tenant,
-                events,
-                bugs: Vec::new(),
-                bundle_paths: Vec::new(),
-                partial,
-                evicted,
-                error: Some(e.to_string()),
-            },
         };
+        let outcome = TenantOutcome {
+            tenant,
+            events: t.events,
+            bugs,
+            bundle_paths,
+            partial,
+            evicted,
+            error: t.error,
+        };
+        if self.replayer_pool.len() < REPLAYER_POOL_CAP {
+            self.replayer_pool.push(t.replayer);
+        }
         for path in cleanup {
             let _ = std::fs::remove_file(path);
         }
@@ -1270,7 +1238,7 @@ impl Server {
     }
 
     /// Requests graceful shutdown: stop accepting, close in-flight
-    /// streams, finalize buffered prefixes, flush incidents, write the
+    /// streams, finalize the prefixes received, flush incidents, write the
     /// final dump. Session journals are left on disk for the next
     /// daemon. Returns immediately; [`Server::wait`] observes it.
     pub fn shutdown(&self) {
@@ -1321,7 +1289,7 @@ pub(crate) fn connect_any(addr: &str) -> Result<AnyStream, HeapMdError> {
 mod tests {
     use super::*;
     use crate::trace::Trace;
-    use crate::trace_codec::{BinaryTraceImage, WireFrame, WireReader, HEADER_LEN};
+    use crate::trace_codec::{BinaryTraceImage, WireFrame, WireReader};
     use crate::{ModelBuilder, Process, Settings};
 
     /// A linked-list build of `n` nodes (four events each, so several
@@ -1349,19 +1317,6 @@ mod tests {
         (trace, bytes, builder.build().model)
     }
 
-    /// The events blocks of an encoded trace, concatenated, read
-    /// through its index independently of any wire reader.
-    fn event_block_bytes(bytes: &[u8]) -> Vec<u8> {
-        let image = BinaryTraceImage::open(bytes.to_vec()).unwrap();
-        let mut out = Vec::new();
-        for entry in image.event_blocks() {
-            let at = entry.offset as usize;
-            let len = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().unwrap()) as usize;
-            out.extend_from_slice(&bytes[at..at + 17 + len]);
-        }
-        out
-    }
-
     fn start(shard: &mut Shard, tenant: &str, model: &HeapModel) {
         shard.handle(ShardMsg::Start {
             tenant: tenant.into(),
@@ -1383,74 +1338,23 @@ mod tests {
     ) -> Option<BlockIndex> {
         let mut blocks = 0;
         while blocks < limit {
-            match reader.next_frame_raw().unwrap() {
-                (WireFrame::Events(events), block) => {
+            match reader.next_frame().unwrap() {
+                WireFrame::Events(events) => {
                     blocks += 1;
                     shard.handle(ShardMsg::Events {
                         tenant: tenant.into(),
                         events,
-                        block,
                     });
                 }
-                (WireFrame::Functions(names), _) => shard.handle(ShardMsg::Functions {
+                WireFrame::Functions(names) => shard.handle(ShardMsg::Functions {
                     tenant: tenant.into(),
                     names,
                 }),
-                (WireFrame::Meta(_), _) => {}
-                (WireFrame::End(index), _) => return Some(index),
+                WireFrame::Meta(_) => {}
+                WireFrame::End(index) => return Some(index),
             }
         }
         None
-    }
-
-    #[test]
-    fn tenants_buffer_the_event_blocks_they_received() {
-        let (trace, bytes, model) = encoded_churn(3000);
-        let expected_blocks = event_block_bytes(&bytes);
-        let offline = trace.check(&model, &model.settings).unwrap();
-
-        // A journal as the v2 handler writes it: the header, then every
-        // frame's raw bytes.
-        let dir = std::env::temp_dir().join(format!("heapmd-encoded-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut journal = session::Journal::open(&dir, "j", true).unwrap();
-        let mut v2 = WireReader::resume(&bytes[HEADER_LEN..], HEADER_LEN as u64);
-        while !v2.is_finished() {
-            journal.append(&v2.next_frame_raw().unwrap().1).unwrap();
-        }
-        drop(journal);
-        let journaled = std::fs::read(dir.join("j.hmdt")).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(journaled, bytes, "the journal is the encoded trace");
-
-        let readers = [
-            (
-                "wire",
-                WireReader::resume(&bytes[HEADER_LEN..], HEADER_LEN as u64),
-            ),
-            ("journal", WireReader::new(&journaled[..])),
-        ];
-        for (mode, reader) in readers {
-            let mut shard = Shard::new(None, None, None);
-            start(&mut shard, mode, &model);
-            let index = feed(&mut shard, mode, reader, usize::MAX).expect("end frame");
-            let stream = &shard.tenants[mode].stream;
-            assert!(stream.blocks.len() >= 3, "{mode}: a multi-block stream");
-            assert!(
-                stream.blocks.concat() == expected_blocks,
-                "{mode}: the buffer differs from the event blocks received"
-            );
-            assert_eq!(stream.events, trace.len() as u64, "{mode}");
-            shard.handle(ShardMsg::End {
-                tenant: mode.into(),
-                index,
-                cleanup: Vec::new(),
-            });
-            let outcome = shard.finish().pop().expect("one outcome");
-            assert!(!outcome.partial && outcome.evicted.is_none(), "{mode}");
-            assert_eq!(outcome.events, trace.len() as u64);
-            assert_eq!(outcome.bugs, offline, "{mode}: serve == offline check");
-        }
     }
 
     #[test]
@@ -1463,7 +1367,7 @@ mod tests {
         let mut shard = Shard::new(None, None, None);
         start(&mut shard, "short", &model);
         assert!(feed(&mut shard, "short", WireReader::new(&bytes[..]), 1).is_none());
-        let carried = shard.tenants["short"].stream.events;
+        let carried = shard.tenants["short"].events;
         assert!(carried < trace.len() as u64);
         shard.handle(ShardMsg::End {
             tenant: "short".into(),
@@ -1483,6 +1387,42 @@ mod tests {
             )
         );
         assert_eq!(outcome.events, carried);
+    }
+
+    #[test]
+    fn an_event_outside_the_table_received_so_far_fails_the_tenant() {
+        let (_, _, model) = encoded_churn(10);
+        let mut shard = Shard::new(None, None, None);
+        start(&mut shard, "t", &model);
+        let names = vec!["main".to_string()];
+        shard.handle(ShardMsg::Functions {
+            tenant: "t".into(),
+            names,
+        });
+        let events = vec![
+            HeapEvent::FnEnter { func: 0 },
+            HeapEvent::FnEnter { func: 1 },
+        ];
+        shard.handle(ShardMsg::Events {
+            tenant: "t".into(),
+            events,
+        });
+        // The table that would have covered id 1 comes too late.
+        let names = vec!["main".to_string(), "late".to_string()];
+        shard.handle(ShardMsg::Functions {
+            tenant: "t".into(),
+            names,
+        });
+        let outcome = shard.finish().pop().expect("one outcome");
+        assert_eq!(
+            outcome.error.as_deref(),
+            Some(
+                "invalid input: event references function id 1, but the trace \
+                 interns only 1 function names"
+            )
+        );
+        assert!(outcome.bugs.is_empty());
+        assert_eq!(outcome.events, 2);
     }
 
     #[test]

@@ -32,9 +32,14 @@
 //! - A duplicate block (retransmitted because its ack was lost) is
 //!   read, discarded, and re-acked; a sequence gap closes the
 //!   connection (the session stays resumable).
+//! - A sampling meta frame after the session's first events block is
+//!   malformed input (the shard already checks events under the
+//!   schedule it settled at that block): the session is evicted with
+//!   [`LATE_SAMPLING_META`] as its reason, keeping the prefix's
+//!   verdict.
 //! - A session that stays disconnected past
 //!   [`super::ServeConfig::session_timeout`] is evicted, salvaging the
-//!   buffered prefix into a partial verdict like any other eviction.
+//!   received prefix into a partial verdict like any other eviction.
 //!
 //! # Crash-only recovery
 //!
@@ -70,6 +75,11 @@ pub(crate) const ACK_LEN: usize = 13;
 /// Ack flag bit: the stream's end frame was accepted and the verdict
 /// is closing; the client is done.
 pub(crate) const ACK_FINAL: u8 = 1;
+
+/// Eviction reason for a stream whose sampling metadata follows its
+/// first events block: the daemon checks events as they arrive, so the
+/// sampling schedule must be known before the first one.
+pub(crate) const LATE_SAMPLING_META: &str = "malformed stream: sampling metadata after events";
 
 /// Current session metadata format version; future-versioned files are
 /// ignored on recovery.
@@ -159,6 +169,8 @@ pub(crate) struct SessionEntry {
     /// End-of-stream accepted; the entry is a tombstone that replays
     /// final acks.
     pub completed: bool,
+    /// An events block was accepted: sampling metadata is now refused.
+    pub events_seen: bool,
     /// Last connect/disconnect/accept activity, for expiry.
     pub last_seen: Instant,
     pub stats: Arc<TenantStats>,
@@ -260,7 +272,7 @@ fn attach_session(ctx: &ServeCtx, tenant: &str, session: &str) -> Attach {
             };
         }
         // A different session id supersedes the old incarnation: its
-        // buffered prefix is salvaged (not evicted) and its journal
+        // received prefix is salvaged (not evicted) and its journal
         // removed synchronously, before the fresh journal is created
         // under the same path.
         drop(e);
@@ -283,6 +295,7 @@ fn attach_session(ctx: &ServeCtx, tenant: &str, session: &str) -> Attach {
         offset: HEADER_LEN as u64,
         connected: true,
         completed: false,
+        events_seen: false,
         last_seen: Instant::now(),
         stats,
         pending,
@@ -456,13 +469,13 @@ pub(crate) fn handle_v2(
                     .send(ShardMsg::Events {
                         tenant: tenant.clone(),
                         events,
-                        block: raw,
                     })
                     .is_err()
                 {
                     detach(&entry);
                     return;
                 }
+                entry.lock().unwrap().events_seen = true;
             }
             WireFrame::Functions(names) => {
                 if tx
@@ -478,6 +491,10 @@ pub(crate) fn handle_v2(
             }
             WireFrame::Meta(payload) => {
                 if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
+                    if entry.lock().unwrap().events_seen {
+                        evict_session(ctx, &tenant, &entry, LATE_SAMPLING_META.into());
+                        return;
+                    }
                     if tx
                         .send(ShardMsg::Sampling {
                             tenant: tenant.clone(),
@@ -528,7 +545,7 @@ pub(crate) fn handle_v2(
 }
 
 /// Evicts sessions that stayed disconnected past the configured
-/// timeout, salvaging their buffered prefix into a partial verdict.
+/// timeout, salvaging the prefix they sent into a partial verdict.
 /// Called periodically from the accept loop.
 pub(crate) fn sweep_expired(ctx: &ServeCtx) {
     let timeout = ctx.session_timeout;
@@ -613,6 +630,7 @@ fn register_entry(
     next_seq: u64,
     offset: u64,
     completed: bool,
+    events_seen: bool,
     stats: Arc<TenantStats>,
     pending: Arc<AtomicU64>,
 ) {
@@ -622,6 +640,7 @@ fn register_entry(
         offset,
         connected: false,
         completed,
+        events_seen,
         last_seen: Instant::now(),
         stats,
         pending,
@@ -649,6 +668,7 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
                 0,
                 HEADER_LEN as u64,
                 true,
+                false,
                 stats,
                 pending,
             );
@@ -680,33 +700,46 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
     let mut reader = WireReader::new(io::Cursor::new(&bytes[..]));
     let mut good = HEADER_LEN as u64;
     let mut frames = 0u64;
+    let mut events_seen = false;
     loop {
-        match reader.next_frame_raw() {
-            Ok((WireFrame::Events(events), block)) => {
+        match reader.next_frame() {
+            Ok(WireFrame::Events(events)) => {
                 // No pending increment: recovery feeds the shard ahead
                 // of any live connection, and the shard's saturating
                 // decrement tolerates the imbalance.
                 let _ = tx.send(ShardMsg::Events {
                     tenant: tenant.to_string(),
                     events,
-                    block,
                 });
+                events_seen = true;
             }
-            Ok((WireFrame::Functions(names), _)) => {
+            Ok(WireFrame::Functions(names)) => {
                 let _ = tx.send(ShardMsg::Functions {
                     tenant: tenant.to_string(),
                     names,
                 });
             }
-            Ok((WireFrame::Meta(payload), _)) => {
+            Ok(WireFrame::Meta(payload)) => {
                 if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
+                    if events_seen {
+                        // Journaled just before the live handler
+                        // evicted the session: finish that eviction.
+                        ctx.fleet.evict(&stats);
+                        let _ = tx.send(ShardMsg::Abort {
+                            tenant: tenant.to_string(),
+                            reason: LATE_SAMPLING_META.into(),
+                            evict: true,
+                            cleanup: vec![jpath, mpath],
+                        });
+                        return;
+                    }
                     let _ = tx.send(ShardMsg::Sampling {
                         tenant: tenant.to_string(),
                         info,
                     });
                 }
             }
-            Ok((WireFrame::End(index), _)) => {
+            Ok(WireFrame::End(index)) => {
                 // The whole stream made it to the journal before the
                 // crash: finalize now and tombstone the session.
                 frames += 1;
@@ -722,6 +755,7 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
                     frames,
                     reader.bytes_consumed(),
                     true,
+                    events_seen,
                     stats,
                     pending,
                 );
@@ -746,6 +780,7 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
         frames,
         good,
         false,
+        events_seen,
         stats,
         pending,
     );

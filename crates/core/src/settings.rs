@@ -55,9 +55,10 @@ pub struct Settings {
     pub near_edge_frac: f64,
     /// Capacity of the circular call-stack log buffer.
     pub callstack_capacity: usize,
-    /// Samples the online checker skips as startup before enforcing
-    /// ranges (the online analogue of `trim_frac`, which needs the whole
-    /// run).
+    /// Samples every checker skips as startup before enforcing ranges.
+    /// This is a floor: [`crate::ModelBuilder`] records in the model the
+    /// larger of it and the leading `trim_frac` trims of the training
+    /// runs, and the detector skips what the model records.
     pub warmup_samples: usize,
     /// Absolute slack (percentage points) added to each side of a
     /// calibrated range during checking. The paper calibrates on ≥ 25
@@ -170,7 +171,7 @@ impl SettingsBuilder {
         self
     }
 
-    /// Sets the number of online warmup samples.
+    /// Sets the minimum number of start-up samples checking skips.
     pub fn warmup_samples(mut self, n: usize) -> Self {
         self.inner.warmup_samples = n;
         self

@@ -10,7 +10,7 @@
 use crate::callstack::{FuncId, FunctionTable};
 use crate::detector::AnomalyDetector;
 use crate::error::HeapMdError;
-use crate::incident::{IncidentBundle, IncidentLog};
+use crate::incident::IncidentBundle;
 use crate::model::HeapModel;
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
@@ -18,7 +18,6 @@ use crate::settings::Settings;
 use crate::trace_stream::SalvageStats;
 use heap_graph::GraphImage;
 use sim_heap::HeapEvent;
-use std::path::PathBuf;
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 
 /// A recorded instrumentation event stream.
@@ -167,8 +166,11 @@ impl Trace {
         shards: usize,
         sampler: Option<SamplerConfig>,
     ) -> Result<TraceCheckOutcome, HeapMdError> {
-        let head = StreamHead::of(&self.events, &self.functions, self.sampling);
-        check_stream(model, settings, head, shards, None, sampler, |step| {
+        let head = StreamHead {
+            functions: &self.functions,
+            sampling: self.sampling,
+        };
+        check_stream(model, settings, head, shards, sampler, |step| {
             step(&self.events)
         })
     }
@@ -179,29 +181,8 @@ impl Trace {
 pub(crate) struct StreamHead<'a> {
     /// The interned function names (empty for anonymous frames).
     pub(crate) functions: &'a [String],
-    /// The stream's total `FnEnter` count.
-    pub(crate) fn_enters: u64,
     /// The recorded sampling outcome (`None` = full fidelity).
     pub(crate) sampling: Option<SamplingInfo>,
-}
-
-impl<'a> StreamHead<'a> {
-    /// The head of an in-memory event stream.
-    pub(crate) fn of(
-        events: &[HeapEvent],
-        functions: &'a [String],
-        sampling: Option<SamplingInfo>,
-    ) -> Self {
-        let fn_enters = events
-            .iter()
-            .filter(|e| matches!(e, HeapEvent::FnEnter { .. }))
-            .count() as u64;
-        StreamHead {
-            functions,
-            fn_enters,
-            sampling,
-        }
-    }
 }
 
 /// The post-mortem check: replays a stream through the anomaly
@@ -210,9 +191,8 @@ impl<'a> StreamHead<'a> {
 /// callback it is given; every slice is validated against the function
 /// table before it is stepped.
 ///
-/// The stream's length is known up front, so the start-up skip aligns
-/// with the trim model construction applied (as
-/// [`AnomalyDetector::check_report`] does). A full-fidelity stream is
+/// The detector skips the model's warm-up, as a live check does, so
+/// the stream's length plays no part. A full-fidelity stream is
 /// re-sampled under `sampler` through a live filter, whose measured
 /// rate the detector observes as it evolves; an already-decimated
 /// stream keeps its recorded schedule (re-decimating would double-drop
@@ -222,26 +202,14 @@ pub(crate) fn check_stream(
     settings: &Settings,
     head: StreamHead<'_>,
     shards: usize,
-    log: Option<IncidentLog>,
     sampler: Option<SamplerConfig>,
     feed: impl FnOnce(
         &mut dyn FnMut(&[HeapEvent]) -> Result<(), HeapMdError>,
     ) -> Result<(), HeapMdError>,
 ) -> Result<TraceCheckOutcome, HeapMdError> {
-    let total_samples = (head.fn_enters / settings.frq) as usize;
-    let mut settings = settings.clone();
-    settings.warmup_samples = settings
-        .warmup_samples
-        .max(settings.trim_count(total_samples));
     let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
-    if let Some(log) = log {
-        detector.log_incidents_to(log);
-    }
-    let mut replayer = Replayer::with_shards(settings, head.functions, shards);
-    match (head.sampling, sampler) {
-        (None, Some(config)) => replayer.enable_sampling(config),
-        (recorded, _) => replayer.set_rate_override(recorded.map_or(1.0, |s| s.rate())),
-    }
+    let mut replayer = Replayer::with_shards(settings.clone(), head.functions, shards);
+    replayer.sample_like(head.sampling, sampler);
     let table_len = head.functions.len();
     feed(&mut |events| {
         validate_function_ids(events, table_len)?;
@@ -251,10 +219,6 @@ pub(crate) fn check_stream(
     let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
     replayer.finish(&mut monitors);
     Ok(TraceCheckOutcome {
-        bundle_paths: detector
-            .incident_log()
-            .map(|l| l.paths().to_vec())
-            .unwrap_or_default(),
         bugs: detector.take_bugs(),
         incidents: detector.take_incidents(),
         candidate_findings: detector.take_candidate_findings(),
@@ -301,8 +265,6 @@ pub struct TraceCheckOutcome {
     /// Incident bundles for range violations that survived the
     /// shutdown trim.
     pub incidents: Vec<IncidentBundle>,
-    /// Bundle files written by the incident log.
-    pub bundle_paths: Vec<PathBuf>,
     /// Findings from the widened candidate family (empty unless the
     /// model calibrated extended candidates).
     pub candidate_findings: Vec<crate::CandidateFinding>,
@@ -377,13 +339,9 @@ impl Replayer {
         function_names: &[String],
         shards: usize,
     ) -> Self {
-        let mut funcs = FunctionTable::new();
-        for name in function_names {
-            funcs.intern(name);
-        }
-        Replayer {
+        let mut replayer = Replayer {
             graph: GraphImage::new(shards),
-            funcs,
+            funcs: FunctionTable::new(),
             stack: Vec::new(),
             settings,
             fn_entries: 0,
@@ -391,7 +349,9 @@ impl Replayer {
             tick: 0,
             sampling: None,
             rate_override: 1.0,
-        }
+        };
+        replayer.set_functions(function_names);
+        replayer
     }
 
     /// Installs a live [`SampledIngest`] filter: subsequent batches and
@@ -400,16 +360,26 @@ impl Replayer {
         self.sampling = Some(SampledIngest::new(config));
     }
 
-    /// Declares the effective rate of an already-decimated input stream
-    /// (see [`Trace::sampling`]); monitors observe it via
+    /// Sets how a recorded stream is sampled before its first event. A
+    /// full-fidelity stream (`recorded` is `None`) is re-sampled under
+    /// `sampler` through a live filter; an already-decimated stream
+    /// keeps its recorded schedule (re-decimating would double-drop
+    /// stores), and monitors observe its recorded rate via
     /// [`MonitorCtx::sample_rate`].
-    pub(crate) fn set_rate_override(&mut self, rate: f64) {
-        self.rate_override = rate;
+    pub(crate) fn sample_like(
+        &mut self,
+        recorded: Option<SamplingInfo>,
+        sampler: Option<SamplerConfig>,
+    ) {
+        match (recorded, sampler) {
+            (None, Some(config)) => self.enable_sampling(config),
+            (recorded, _) => self.rate_override = recorded.map_or(1.0, |s| s.rate()),
+        }
     }
 
     /// The effective sampling rate monitors currently observe: the live
-    /// filter's measured rate when one is installed, the declared
-    /// override otherwise.
+    /// filter's measured rate when one is installed, the recorded rate
+    /// otherwise.
     pub(crate) fn effective_rate(&self) -> f64 {
         match &self.sampling {
             Some(filter) => filter.effective_rate(),
@@ -422,27 +392,29 @@ impl Replayer {
         self.sampling.as_ref().map(|f| f.info())
     }
 
+    /// Replaces the function table (index = id). A stream may carry
+    /// several tables, each a prefix of the next, so ids already seen
+    /// keep their names.
+    pub(crate) fn set_functions(&mut self, names: &[String]) {
+        self.funcs = FunctionTable::new();
+        for name in names {
+            self.funcs.intern(name);
+        }
+    }
+
     /// Returns the replayer to its just-constructed state while
     /// retaining graph capacity (slot slabs, shadow pages, id index):
     /// the serve daemon's shard pools recycle replayers across tenant
     /// streams this way instead of allocating one per stream.
     pub(crate) fn reset(&mut self, settings: Settings, function_names: &[String]) {
         self.graph.reset();
-        self.funcs = FunctionTable::new();
-        for name in function_names {
-            self.funcs.intern(name);
-        }
+        self.set_functions(function_names);
         self.stack.clear();
         self.settings = settings;
         self.fn_entries = 0;
         self.samples.clear();
         self.tick = 0;
-        // A recycled replayer starts a new stream: rebuild the filter
-        // fresh under the same knobs, and forget the prior stream's
-        // declared rate.
-        if let Some(filter) = &self.sampling {
-            self.sampling = Some(SampledIngest::new(filter.config()));
-        }
+        self.sampling = None;
         self.rate_override = 1.0;
     }
 
@@ -827,8 +799,9 @@ mod tests {
 
     /// A model calibrating every paper metric and candidate on the
     /// range its first third of `samples` spans, so later samples
-    /// approach (arming the window) and cross.
-    fn tight_model(samples: &[MetricSample]) -> HeapModel {
+    /// approach (arming the window) and cross. It records the warm-up
+    /// of `settings`.
+    fn tight_model(samples: &[MetricSample], settings: &Settings) -> HeapModel {
         use crate::model::{CandidateMetric, StableMetric};
         let early = &samples[samples.len() / 6..samples.len() / 3];
         let span = |get: &dyn Fn(&MetricSample) -> f64| {
@@ -872,7 +845,7 @@ mod tests {
         HeapModel {
             version: crate::model::MODEL_FORMAT_VERSION,
             program: "shifting".into(),
-            settings: Settings::default(),
+            settings: settings.clone(),
             stable,
             unstable: vec![],
             locally_stable: vec![],
@@ -908,18 +881,9 @@ mod tests {
         sampler: Option<SamplerConfig>,
         block: usize,
     ) -> TraceCheckOutcome {
-        let head = StreamHead::of(trace.events(), trace.functions(), trace.sampling());
-        let mut settings = settings.clone();
-        let total_samples = (head.fn_enters / settings.frq) as usize;
-        settings.warmup_samples = settings
-            .warmup_samples
-            .max(settings.trim_count(total_samples));
         let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
-        let mut replayer = Replayer::new(settings, trace.functions());
-        match (trace.sampling(), sampler) {
-            (None, Some(config)) => replayer.enable_sampling(config),
-            (recorded, _) => replayer.set_rate_override(recorded.map_or(1.0, |s| s.rate())),
-        }
+        let mut replayer = Replayer::new(settings.clone(), trace.functions());
+        replayer.sample_like(trace.sampling(), sampler);
         for part in trace.events().chunks(block) {
             for ev in part {
                 replayer.step(ev, &mut [&mut AlwaysListening(&mut detector)]);
@@ -927,7 +891,6 @@ mod tests {
         }
         replayer.finish(&mut [&mut AlwaysListening(&mut detector)]);
         TraceCheckOutcome {
-            bundle_paths: Vec::new(),
             bugs: detector.take_bugs(),
             incidents: detector.take_incidents(),
             candidate_findings: detector.take_candidate_findings(),
@@ -947,12 +910,18 @@ mod tests {
             .callstack_capacity(16)
             .build()
             .unwrap();
-        let exact = tight_model(&trace.replay(&settings, "calibrate").unwrap().samples);
+        let exact = tight_model(
+            &trace.replay(&settings, "calibrate").unwrap().samples,
+            &settings,
+        );
         let resampler = SamplerConfig::new(16, 2);
         let recorded = trace.sampled(resampler);
         // Rate-matched calibration for the sampled modes, so widening
         // does not swallow the excursions.
-        let mut matched = tight_model(&recorded.replay(&settings, "calibrate").unwrap().samples);
+        let mut matched = tight_model(
+            &recorded.replay(&settings, "calibrate").unwrap().samples,
+            &settings,
+        );
         matched.sample_rate = recorded.sample_rate();
         let cases = [
             ("exact", &trace, &exact, None),
@@ -962,8 +931,11 @@ mod tests {
         for (mode, trace, model, sampler) in cases {
             for block in [trace.len(), 7] {
                 let want = stepped_check(trace, model, &settings, sampler, block);
-                let head = StreamHead::of(trace.events(), trace.functions(), trace.sampling());
-                let got = check_stream(model, &settings, head, 1, None, sampler, |step| {
+                let head = StreamHead {
+                    functions: trace.functions(),
+                    sampling: trace.sampling(),
+                };
+                let got = check_stream(model, &settings, head, 1, sampler, |step| {
                     trace.events().chunks(block).try_for_each(step)
                 })
                 .unwrap();
@@ -1001,10 +973,15 @@ mod tests {
         // Model claiming Roots must stay within [0, 5]: a growing list
         // has Roots ≈ 1/n·100 shrinking toward 0 — fine — but a fresh
         // run that never links nodes has Roots = 100.
+        let settings = Settings::builder()
+            .frq(5)
+            .warmup_samples(1)
+            .build()
+            .unwrap();
         let model = HeapModel {
             version: crate::model::MODEL_FORMAT_VERSION,
             program: "t".into(),
-            settings: Settings::default(),
+            settings: settings.clone(),
             stable: vec![StableMetric {
                 kind: MetricKind::Roots,
                 min: 0.0,
@@ -1021,11 +998,6 @@ mod tests {
             sample_rate: 1.0,
             training_runs: 3,
         };
-        let settings = Settings::builder()
-            .frq(5)
-            .warmup_samples(1)
-            .build()
-            .unwrap();
         // Buggy run: isolated nodes only (Roots = 100 > 5).
         let mut p = Process::new(settings.clone());
         p.enable_trace();

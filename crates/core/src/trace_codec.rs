@@ -448,28 +448,6 @@ fn encode_events_block(events: &[HeapEvent], scratch: &mut Vec<u8>) -> (Vec<u8>,
     (block, fn_enters)
 }
 
-/// Decodes one raw events frame, as [`WireReader::next_frame_raw`]
-/// returned it (block header + payload), into `out` (cleared first).
-/// The frame's checksum was verified when the reader read it, so it is
-/// not verified again.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] when the frame is not an events block or
-/// its payload does not decode to the declared count.
-pub(crate) fn decode_events_frame(
-    frame: &[u8],
-    out: &mut Vec<HeapEvent>,
-) -> Result<(), HeapMdError> {
-    out.clear();
-    if frame.len() < BLOCK_HEADER_LEN || frame[4] != KIND_EVENTS {
-        return Err(HeapMdError::corrupt(0, "not an events frame"));
-    }
-    let count = u32::from_le_bytes(frame[5..9].try_into().unwrap());
-    decode_events_payload(&frame[BLOCK_HEADER_LEN..], count, out)
-        .map_err(|reason| HeapMdError::corrupt(0, reason))
-}
-
 /// Decodes an events-block payload into `out` (appending). The caller
 /// passes `count` from the block header; a mismatch is corruption.
 fn decode_events_payload(
@@ -1227,18 +1205,28 @@ impl Trace {
     /// Encodes the trace into the binary format in memory.
     pub fn encode_binary(&self) -> Vec<u8> {
         let mut w = BinaryTraceWriter::new(Vec::new()).expect("Vec sink cannot fail");
-        for ev in self.events() {
-            w.write_event(ev).expect("Vec sink cannot fail");
+        self.write_blocks(&mut w).expect("Vec sink cannot fail");
+        w.finish().expect("Vec sink cannot fail")
+    }
+
+    /// Writes the trace's blocks through `w`, metadata first: the
+    /// sampling outcome and the function table precede the events, so
+    /// a reader checking the stream as it arrives (`heapmd serve`)
+    /// knows both before the first event.
+    pub(crate) fn write_blocks<W: Write>(
+        &self,
+        w: &mut BinaryTraceWriter<W>,
+    ) -> Result<(), HeapMdError> {
+        if let Some(info) = self.sampling() {
+            w.write_meta(&encode_sampling_meta(&info))?;
         }
         if !self.functions().is_empty() {
-            w.write_functions(self.functions())
-                .expect("Vec sink cannot fail");
+            w.write_functions(self.functions())?;
         }
-        if let Some(info) = self.sampling() {
-            w.write_meta(&encode_sampling_meta(&info))
-                .expect("Vec sink cannot fail");
+        for ev in self.events() {
+            w.write_event(ev)?;
         }
-        w.finish().expect("Vec sink cannot fail")
+        Ok(())
     }
 
     /// Decodes a binary-format trace from bytes (strict).
@@ -1713,10 +1701,9 @@ fn check_image(
     let functions = image.functions()?;
     let head = StreamHead {
         functions: &functions,
-        fn_enters: image.index().total_fn_enters,
         sampling: image.sampling()?,
     };
-    check_stream(model, settings, head, shards, None, sampler, |step| {
+    check_stream(model, settings, head, shards, sampler, |step| {
         pipeline_blocks(image, step)
     })
 }
@@ -1810,7 +1797,8 @@ fn run_pool<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) ->
 pub enum WireFrame {
     /// A block of heap events.
     Events(Vec<HeapEvent>),
-    /// The interned function-name table (written at stream finish).
+    /// The interned function-name table. A stream may carry several,
+    /// each ahead of the events that use its new names; the last wins.
     Functions(Vec<String>),
     /// A metadata block: the raw (CRC-verified) payload. Replay needs
     /// nothing from it, but the serving layer decodes recognized tags
@@ -2231,10 +2219,15 @@ mod tests {
         use crate::model::{HeapModel, StableMetric, MODEL_FORMAT_VERSION};
         use heap_graph::MetricKind;
 
+        let settings = Settings::builder()
+            .frq(5)
+            .warmup_samples(1)
+            .build()
+            .unwrap();
         let model = HeapModel {
             version: MODEL_FORMAT_VERSION,
             program: "t".into(),
-            settings: Settings::default(),
+            settings: settings.clone(),
             stable: vec![StableMetric {
                 kind: MetricKind::Roots,
                 min: 0.0,
@@ -2251,11 +2244,6 @@ mod tests {
             sample_rate: 1.0,
             training_runs: 3,
         };
-        let settings = Settings::builder()
-            .frq(5)
-            .warmup_samples(1)
-            .build()
-            .unwrap();
         // Buggy run: isolated nodes only (Roots = 100 > 5).
         let mut p = Process::new(settings.clone());
         p.enable_trace();
@@ -2298,10 +2286,15 @@ mod tests {
         use crate::model::{HeapModel, StableMetric, MODEL_FORMAT_VERSION};
         use heap_graph::MetricKind;
 
+        let settings = Settings::builder()
+            .frq(5)
+            .warmup_samples(1)
+            .build()
+            .unwrap();
         let model = HeapModel {
             version: MODEL_FORMAT_VERSION,
             program: "t".into(),
-            settings: Settings::default(),
+            settings: settings.clone(),
             stable: vec![StableMetric {
                 kind: MetricKind::Roots,
                 min: 0.0,
@@ -2318,11 +2311,6 @@ mod tests {
             sample_rate: 1.0,
             training_runs: 3,
         };
-        let settings = Settings::builder()
-            .frq(5)
-            .warmup_samples(1)
-            .build()
-            .unwrap();
         // Alternate clean (linked) and buggy (isolated) traces so the
         // expected verdicts differ per index.
         let traces: Vec<Trace> = (0..6)

@@ -979,3 +979,105 @@ fn sampled_tenant_reports_widened_bands_next_to_exact_tenant() {
         "sampled tenant verdict matches the offline check of the sampled trace"
     );
 }
+
+/// The daemon checks events as they arrive, so a sampling schedule
+/// announced after the first events block comes too late: the session
+/// is evicted with a reason naming it, and the prefix's verdict is kept.
+#[test]
+fn sampling_metadata_after_events_evicts_the_tenant() {
+    let fx = webapp_fixture();
+    let sampled = fx.trace.sampled(SamplerConfig::new(64, 8));
+    // The sampled trace's frames are its sampling meta, its function
+    // table, its events blocks and its index: move the meta behind the
+    // first events block.
+    let bytes = sampled.encode_binary();
+    let frames = wire_frames(&bytes);
+    let frame = |i: usize| &bytes[frames[i].clone()];
+    let late: Vec<&[u8]> = vec![frame(1), frame(2), frame(0), frame(3)];
+    let server = Server::start(
+        ServeConfig::new(fx.model.clone()),
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+    )
+    .expect("start daemon");
+    assert!(!hang_up(raw_session(server.ingest_addr(), "late", &late)));
+    let fleet = server.fleet();
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            fleet.snapshot().evictions_total == 1
+        }),
+        "the late schedule never evicted"
+    );
+    server.shutdown();
+    let outcome = server.wait().tenants.remove("late").expect("late outcome");
+    assert_eq!(
+        outcome.evicted.as_deref(),
+        Some("malformed stream: sampling metadata after events")
+    );
+    assert!(outcome.partial && outcome.error.is_none(), "{outcome:?}");
+    assert_eq!(outcome.events, heapmd::EVENTS_PER_BLOCK as u64);
+}
+
+/// Daemon-side sampling happens at ingest, so a full-fidelity tenant's
+/// live gauges already show the filter's measured rate and bands
+/// widened by it, and its verdict is the offline check's under the
+/// same sampler.
+#[test]
+fn daemon_sampled_tenant_reports_its_live_rate_and_widened_bands() {
+    let fx = webapp_fixture();
+    let sampler = SamplerConfig::new(64, 8);
+    let dir = scratch_dir("daemon-sampled");
+    let path = dir.join("t.hmdt");
+    fx.trace.save_binary(&path).expect("save trace");
+    let expected = heapmd::check_paths_parallel(
+        &[path],
+        &fx.model,
+        &fx.model.settings,
+        1,
+        false,
+        1,
+        Some(sampler),
+    )
+    .pop()
+    .expect("one outcome")
+    .expect("offline sampled check");
+
+    let mut config = ServeConfig::new(fx.model.clone());
+    config.sampler = Some(sampler);
+    let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
+    push(server.ingest_addr(), "resampled", &fx.trace);
+    let fleet = server.fleet();
+    assert!(
+        wait_until(Duration::from_secs(30), || fleet.snapshot().connected == 0),
+        "daemon never drained"
+    );
+
+    let metrics = http_get(server.http_addr(), "/metrics");
+    let rate = scrape_tenant_gauge(&metrics, "heapmd_tenant_sample_rate", "resampled")
+        .expect("sample-rate gauge");
+    assert!(rate > 0.0 && rate < 1.0, "live rate {rate}:\n{metrics}");
+    let bands = scrape_metric_family(&metrics, "heapmd_tenant_metric_band", "resampled");
+    assert!(!bands.is_empty(), "no band gauges:\n{metrics}");
+    let margin = fx.model.settings.range_margin;
+    for sm in &fx.model.stable {
+        let exact = sm.max - sm.min + 2.0 * margin;
+        let (_, band) = bands
+            .iter()
+            .find(|(m, _)| m == sm.kind.short_name())
+            .unwrap_or_else(|| panic!("no band for {}", sm.kind));
+        assert!(
+            *band > exact,
+            "{}: band {band} is not wider than the exact {exact}",
+            sm.kind
+        );
+    }
+
+    server.shutdown();
+    let outcome = server.wait().tenants.remove("resampled").expect("outcome");
+    assert!(!outcome.partial && outcome.error.is_none(), "{outcome:?}");
+    assert_eq!(
+        outcome.bugs, expected.bugs,
+        "serve --sample == check --sample"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,10 +3,13 @@
 
 use faults::FaultPlan;
 use heapmd::{
-    load_trace_auto, AnomalyDetector, FuncId, ModelBuilder, Process, SamplerConfig, Settings,
-    StreamFormat, Trace,
+    check_paths_parallel, load_trace_auto, push_trace_resumable, AnomalyDetector, FuncId,
+    HeapEvent, ModelBuilder, Process, SamplerConfig, ServeConfig, Server, SessionOptions, Settings,
+    StreamFormat, Trace, WireFrame, WireReader,
 };
 use sim_ds::{fault_ids::DLIST_SKIP_PREV, SimDList};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn run(settings: &Settings, plan: &mut FaultPlan) -> (heapmd::MetricReport, Trace) {
     let mut p = Process::new(settings.clone());
@@ -147,4 +150,140 @@ fn sampled_stream_in_the_default_format_keeps_its_sampling_outcome() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(checked[0], checked[1], "default and binary verdicts differ");
+}
+
+/// One warm-up on every path: a live check, `Trace::check`, the
+/// per-file checker and the daemon give the same bug list, context
+/// included, on a run long enough (138 points) that a warm-up sized by
+/// the checked run's own length would skip more than a live check can.
+#[test]
+fn live_offline_and_serve_agree_on_a_long_run() {
+    let settings = Settings::builder().frq(10).build().unwrap();
+    let mut builder = ModelBuilder::new(settings.clone());
+    for _ in 0..3 {
+        builder.add_run(&run(&settings, &mut FaultPlan::new()).0);
+    }
+    let model = builder.build().model;
+
+    // Live: the detector rides the checked process.
+    let detector = Rc::new(RefCell::new(AnomalyDetector::new(
+        model.clone(),
+        settings.clone(),
+    )));
+    let mut p = Process::new(settings.clone());
+    p.enable_trace();
+    p.attach(detector.clone());
+    let mut plan = FaultPlan::single(DLIST_SKIP_PREV);
+    let mut list = SimDList::new(&mut p, "t").unwrap();
+    for i in 0..500u64 {
+        p.enter("tick");
+        list.push_back(&mut p, &mut plan, i).unwrap();
+        if list.len() > 120 {
+            if let Some(front) = list.front(&mut p).unwrap() {
+                list.remove(&mut p, front).unwrap();
+            }
+        }
+        p.leave();
+    }
+    let mut trace = p.take_trace().unwrap();
+    let names: Vec<String> = (0..p.functions().len())
+        .map(|i| p.functions().name(FuncId(i as u32)).to_string())
+        .collect();
+    trace.set_functions(names);
+    let report = p.finish("live");
+    assert!(report.len() > 60, "{} points", report.len());
+    let live = detector.borrow_mut().take_bugs();
+    assert!(!live.is_empty(), "the bug must be detected live");
+
+    let offline = trace.check(&model, &settings).unwrap();
+    assert_eq!(live, offline, "live == trace.check");
+
+    let dir = std::env::temp_dir().join(format!("heapmd-live-offline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.hmdt");
+    trace.save_binary(&path).unwrap();
+    let filed = check_paths_parallel(&[path], &model, &settings, 1, false, 1, None)
+        .pop()
+        .unwrap()
+        .unwrap()
+        .bugs;
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(live, filed, "live == check of the .hmdt file");
+
+    let mut config = ServeConfig::new(model);
+    config.shards = 1;
+    let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").unwrap();
+    push_trace_resumable(server.ingest_addr(), "t", &trace, SessionOptions::default()).unwrap();
+    let fleet = server.fleet();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while fleet.snapshot().connected > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    server.shutdown();
+    let outcome = server.wait().tenants.remove("t").unwrap();
+    assert!(!outcome.partial, "{outcome:?}");
+    assert_eq!(live, outcome.bugs, "live == serve");
+}
+
+/// A streaming process writes its function table ahead of the first
+/// event that uses a new name, so a reader checking the stream as it
+/// arrives can always name every frame.
+#[test]
+fn streamed_function_tables_precede_their_first_use() {
+    let settings = Settings::builder().frq(10).build().unwrap();
+    let mut p = Process::new(settings);
+    let bytes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    // A name interned before the stream attaches must be covered too.
+    p.enter("main");
+    p.stream_trace_to_format(Box::new(Shared(bytes.clone())), StreamFormat::Binary)
+        .unwrap();
+    let mut list = SimDList::new(&mut p, "t").unwrap();
+    for i in 0..200u64 {
+        p.enter(["tick", "tock", "main"][i as usize % 3]);
+        list.push_back(&mut p, &mut FaultPlan::new(), i).unwrap();
+        p.leave();
+    }
+    p.leave();
+    p.finish_stream().unwrap();
+    let names = p.functions().len();
+    assert!(names >= 3, "the run interns several names");
+
+    let bytes = bytes.lock().unwrap().clone();
+    let mut reader = WireReader::new(&bytes[..]);
+    let (mut table, mut tables, mut enters) = (0usize, 0, 0);
+    loop {
+        match reader.next_frame().unwrap() {
+            WireFrame::Functions(names) => {
+                assert!(names.len() >= table, "tables only grow");
+                table = names.len();
+                tables += 1;
+            }
+            WireFrame::Events(events) => {
+                for ev in events {
+                    if let HeapEvent::FnEnter { func } = ev {
+                        assert!(
+                            (func as usize) < table,
+                            "fn#{func} precedes a table naming it ({table} names)"
+                        );
+                        enters += 1;
+                    }
+                }
+            }
+            WireFrame::Meta(_) => {}
+            WireFrame::End(_) => break,
+        }
+    }
+    assert_eq!(table, names, "the last table is the whole table");
+    assert!(tables > 1, "new names re-send the table");
+    assert!(enters > 0);
 }
