@@ -13,9 +13,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use heapmd::{AnomalyDetector, HeapModel, Monitor, Process, SamplerConfig, Settings};
 use sim_heap::{Addr, AllocSite, SimHeap, NULL};
-use swat::AdaptiveSampler;
 use std::cell::RefCell;
 use std::rc::Rc;
+use swat::AdaptiveSampler;
 
 const OPS: usize = 4_000;
 

@@ -86,7 +86,9 @@ fn bench_sampling_overhead(c: &mut Criterion) {
                 live_events += buf.len() as u64;
                 for ev in buf.iter() {
                     match *ev {
-                        HeapEvent::Alloc { obj, size, site, .. } => {
+                        HeapEvent::Alloc {
+                            obj, size, site, ..
+                        } => {
                             let a = heap.alloc(size, site).unwrap().addr;
                             let idx = obj.0 as usize;
                             if base.len() <= idx {
@@ -97,7 +99,9 @@ fn bench_sampling_overhead(c: &mut Criterion) {
                         HeapEvent::Free { obj, .. } => {
                             heap.free(base[obj.0 as usize]).unwrap();
                         }
-                        HeapEvent::PtrWrite { src, offset, value, .. } => {
+                        HeapEvent::PtrWrite {
+                            src, offset, value, ..
+                        } => {
                             let _ = heap.write_ptr(base[src.0 as usize].offset(offset), value);
                         }
                         HeapEvent::ScalarWrite { src, offset, .. } => {
@@ -139,12 +143,15 @@ fn bench_sampling_overhead(c: &mut Criterion) {
         })
     });
     for decimation in [8u64, 128] {
-        group.bench_function(BenchmarkId::new("monitored_sampled_decim", decimation), |b| {
-            let config = SamplerConfig::new(default_config.hot_threshold, decimation);
-            b.iter(|| {
-                heapmd::replay_binary_fused_sampled(&image, &settings, "bench", config).unwrap()
-            })
-        });
+        group.bench_function(
+            BenchmarkId::new("monitored_sampled_decim", decimation),
+            |b| {
+                let config = SamplerConfig::new(default_config.hot_threshold, decimation);
+                b.iter(|| {
+                    heapmd::replay_binary_fused_sampled(&image, &settings, "bench", config).unwrap()
+                })
+            },
+        );
     }
 
     // The live (online) path, same story: a sampling-enabled process

@@ -4,17 +4,11 @@
 //! heapmd list                                   # programs and catalogued bugs
 //! heapmd run <program> [--input K] [--version V] [--bug FAULT] [--shards N]
 //!                      [--trace-out FILE] [--sample] [--sample-hot-threshold N]
-//!                      [--sample-decimation N]
-//!                      [--format binary|jsonl] [--model FILE] [--incidents DIR]
+//!                      [--sample-decimation N] [--model FILE] [--incidents DIR]
 //! heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local]
 //!                        [--checkpoint-every N] [--resume] [--threads N]
-//!                        [--format binary|jsonl]
-//! heapmd check <program> --model FILE [--input K] [--version V] [--bug FAULT]
-//!                        [--shards N] [--incidents DIR] [--sample]
 //! heapmd check --model FILE --trace FILE [--trace FILE …] [--jobs N] [--shards N]
 //!              [--salvage] [--sample]
-//! heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT]
-//!                         [--format binary|jsonl]
 //! heapmd replay --model FILE --trace FILE [--salvage] [--shards N]
 //!               [--sample] [--sample-hot-threshold N] [--sample-decimation N]
 //! heapmd inspect <artifact> [--salvage]         # bundle or trace, by magic
@@ -29,27 +23,29 @@
 //!             [--session ID] [--retry N] [--backoff-ms N]
 //! ```
 //!
+//! `run` is the only command that executes a program under the logger:
+//! with `--model` it is the paper's online check, with `--trace-out` it
+//! records the trace that `check --trace` / `replay` later check
+//! post-mortem. Every subcommand refuses (exit 2) a flag it does not
+//! read.
+//!
 //! Robustness features:
 //!
-//! - `run --trace-out FILE` and `record --trace FILE` write the
-//!   block-based binary codec ([`heapmd::BinaryTraceWriter`], `HMDB1`),
-//!   whose completed blocks salvage at block granularity; if a run dies
-//!   mid-way, `replay --salvage` recovers what was flushed.
-//!   `--format jsonl` writes framed JSONL ([`heapmd::TraceWriter`],
-//!   `HMDT1`) instead, which cannot record a `--sample` run's sampling
-//!   outcome, so the two flags are refused together.
+//! - `run --trace-out FILE` streams the block-based binary codec
+//!   ([`heapmd::BinaryTraceWriter`], `HMDB1`) as the run goes, so
+//!   memory stays flat and completed blocks salvage at block
+//!   granularity; if a run dies mid-way, `replay --salvage` recovers
+//!   what was flushed.
 //! - `train --checkpoint-every N` writes an atomic resume checkpoint
 //!   (`<out>.ckpt`) after every N training inputs, in the CRC-protected
-//!   binary container (`--format jsonl`: bare JSON); `train --resume`
-//!   auto-detects either and produces the same model an uninterrupted
-//!   run would have.
-//! - `replay` / `check --trace` auto-detect binary vs. framed JSONL
-//!   traces by magic bytes; `--salvage` accepts damaged inputs and
-//!   reports what was lost. Binary traces replay through the pipelined
-//!   decoder → detector engine.
+//!   binary container; `train --resume` produces the same model an
+//!   uninterrupted run would have.
+//! - `replay` / `check --trace` / `push` / `inspect` read binary and
+//!   framed-JSONL (`HMDT1`) traces alike, by magic bytes; `--salvage`
+//!   accepts damaged inputs and reports what was lost.
 //! - `check --trace A --trace B … --jobs N` fans offline trace checks
 //!   across a scoped thread pool with deterministic input-order output.
-//! - `run --model FILE` / `check … --incidents DIR` attach the anomaly
+//! - `run --model FILE [--incidents DIR]` attaches the anomaly
 //!   detector with the flight recorder enabled: every surviving range
 //!   violation is written as a CRC-framed incident bundle, which
 //!   `inspect` renders as ASCII charts with the calibrated bounds,
@@ -93,15 +89,14 @@
 //!   trace-event JSON on exit (openable in about:tracing / Perfetto).
 //!
 //! Models are the JSON "summarized metric reports" of the paper's
-//! Figure 2; traces are recorded with [`heapmd::Process::enable_trace`].
+//! Figure 2; traces are streamed with [`heapmd::Process::stream_trace_to`].
 
 use faults::FaultPlan;
 use heapmd::plot::{chart, RefLine};
 use heapmd::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use heapmd::{
-    AnomalyDetector, ArtifactKind, BinaryTraceImage, BugReport, FuncId, HeapModel, IncidentBundle,
-    IncidentLog, LogPhase, ModelBuilder, Process, SalvageStats, StreamFormat, Trace,
-    TrainCheckpoint,
+    AnomalyDetector, ArtifactKind, BinaryTraceImage, BugReport, HeapModel, IncidentBundle,
+    IncidentLog, LogPhase, ModelBuilder, Process, SalvageStats, Trace, TrainCheckpoint,
 };
 use heapmd_obs::{debug, error, info};
 use heapmd_runstore::{
@@ -111,9 +106,7 @@ use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use workloads::bugs::{CATALOG, SWAT_ONLY};
-use workloads::harness::{
-    check, check_with_incidents, run_many, run_once, settings_for, FLIGHT_RECORDER_POINTS,
-};
+use workloads::harness::{run_many, run_once, settings_for, FLIGHT_RECORDER_POINTS};
 use workloads::{commercial_at_version, registry, Input, Workload, WorkloadKind};
 
 fn find_program(name: &str, version: u8) -> Option<Box<dyn Workload>> {
@@ -161,15 +154,20 @@ fn arg_values(args: &[String], flag: &str) -> Vec<String> {
     out
 }
 
-/// Parses the optional `--format binary|jsonl` flag, exiting with a
-/// usage error (code 2) on an unrecognized value.
-fn format_flag(args: &[String]) -> Option<StreamFormat> {
-    arg_value(args, "--format").map(|v| {
-        StreamFormat::parse(&v).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
+/// Exits with a usage error (code 2) naming the first `--flag` in
+/// `args` that subcommand `cmd` does not read. `values` lists the
+/// flags that take an argument (skipped unread), `switches` those that
+/// stand alone, both whitespace-separated; other words are positional.
+fn known_flags(cmd: &str, args: &[String], values: &str, switches: &str) {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if values.split_whitespace().any(|f| f == a) {
+            rest.next();
+        } else if a.starts_with("--") && !switches.split_whitespace().any(|f| f == a) {
+            eprintln!("`heapmd {cmd}` does not take {a}");
             std::process::exit(2);
-        })
-    })
+        }
+    }
 }
 
 /// The `--shards N` heap-graph shard count for `run`/`check`/`replay`:
@@ -241,12 +239,13 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--format binary|jsonl] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--resume] [--threads N] [--format binary|jsonl] [--run-store DIR]\n  heapmd check <program> --model FILE [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--incidents DIR] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd record <program> --trace FILE [--input K] [--version V] [--bug FAULT_ID] [--format binary|jsonl]\n  heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N]\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N]\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
 
-fn cmd_list() -> i32 {
+fn cmd_list(args: &[String]) -> i32 {
+    known_flags("list", args, "", "");
     println!("programs:");
     for w in registry() {
         let kind = match w.kind() {
@@ -255,7 +254,7 @@ fn cmd_list() -> i32 {
         };
         println!("  {:<14} {kind}", w.name());
     }
-    println!("\ncatalogued bugs (enable with `check --bug <fault>`):");
+    println!("\ncatalogued bugs (enable with `run --bug <fault>`):");
     for b in &CATALOG {
         println!(
             "  {:<44} {:<24} {}",
@@ -277,6 +276,14 @@ fn cmd_list() -> i32 {
 }
 
 fn cmd_run(args: &[String]) -> i32 {
+    known_flags(
+        "run",
+        args,
+        "--input --version --bug --shards --trace-out --model --incidents \
+         --run-store --serve --tenant --session --retry --backoff-ms \
+         --sample-hot-threshold --sample-decimation",
+        "--sample",
+    );
     let Some(program) = args.first() else { usage() };
     let input_id: u32 = num_flag(args, "--input", "a number", 1000u32);
     let version: u8 = num_flag(args, "--version", "1-5", 1u8);
@@ -290,7 +297,6 @@ fn cmd_run(args: &[String]) -> i32 {
     let settings = settings_for(w.as_ref());
     let mut plan = fault_plan_for(args);
     let shards = shards_flag(args);
-    workloads::harness::set_default_shards(shards);
     let run_store = run_store_flag(args);
     info!(
         "running {program} v{version} on input {input_id} (frq {}, {shards} graph shard(s))",
@@ -337,14 +343,6 @@ fn cmd_run(args: &[String]) -> i32 {
             eprintln!("--serve and --trace-out are mutually exclusive (one stream sink per run)");
             return 2;
         }
-        let format = format_flag(args).unwrap_or_default();
-        if format == StreamFormat::Jsonl && p.sampling_info().is_some() {
-            eprintln!(
-                "--format jsonl cannot record the sampling outcome of --sample; \
-                 drop --format to write the binary default"
-            );
-            return 2;
-        }
         let file = match std::fs::File::create(path) {
             Ok(f) => f,
             Err(e) => {
@@ -352,7 +350,7 @@ fn cmd_run(args: &[String]) -> i32 {
                 return 1;
             }
         };
-        if let Err(e) = p.stream_trace_to_format(Box::new(std::io::BufWriter::new(file)), format) {
+        if let Err(e) = p.stream_trace_to(Box::new(std::io::BufWriter::new(file))) {
             error!("cannot start trace stream: {e}");
             return 1;
         }
@@ -365,9 +363,8 @@ fn cmd_run(args: &[String]) -> i32 {
             );
             return 2;
         }
-        // Live fleet streaming: the daemon speaks the binary codec, so
-        // the run streams exactly what `--trace-out` would have written
-        // to disk.
+        // Live fleet streaming: the run streams exactly what
+        // `--trace-out` would have written to disk.
         let tenant = arg_value(args, "--tenant").unwrap_or_else(|| format!("{program}-{input_id}"));
         let sink = match heapmd::connect_session(addr, &tenant, session_options(args)) {
             Ok(s) => s,
@@ -377,16 +374,10 @@ fn cmd_run(args: &[String]) -> i32 {
             }
         };
         info!("streaming live trace to {addr} as tenant {tenant}");
-        if let Err(e) = p.stream_trace_to_format(
-            Box::new(std::io::BufWriter::new(sink)),
-            StreamFormat::Binary,
-        ) {
+        if let Err(e) = p.stream_trace_to(Box::new(std::io::BufWriter::new(sink))) {
             error!("cannot start serve stream: {e}");
             return 1;
         }
-    } else if format_flag(args).is_some() {
-        eprintln!("--format only applies with --trace-out");
-        return 2;
     }
     if let Err(e) = w.run(&mut p, &mut plan, &Input::new(input_id)) {
         error!("workload run failed: {e}");
@@ -458,6 +449,13 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_train(args: &[String]) -> i32 {
+    known_flags(
+        "train",
+        args,
+        "--inputs --version --out --metrics --checkpoint-every --threads \
+         --checkpoint --run-store",
+        "--local --resume",
+    );
     let Some(program) = args.first() else { usage() };
     let inputs: usize = num_flag(args, "--inputs", "a number", 10usize);
     let version: u8 = num_flag(args, "--version", "1-5", 1u8);
@@ -478,10 +476,6 @@ fn cmd_train(args: &[String]) -> i32 {
     let threads: usize = num_flag(args, "--threads", "a number", 1usize);
     let resume = args.iter().any(|a| a == "--resume");
     let ckpt_path = arg_value(args, "--checkpoint").unwrap_or_else(|| format!("{out}.ckpt"));
-    // Checkpoint serialization: the binary default wraps the JSON state
-    // in the CRC-protected container, `--format jsonl` writes it bare.
-    // `--resume` auto-detects either.
-    let ckpt_format = format_flag(args).unwrap_or_default();
     // Test hook: slow training down so the chaos suite can SIGKILL the
     // process mid-run deterministically.
     let throttle_ms: u64 = std::env::var("HEAPMD_TRAIN_THROTTLE_MS")
@@ -563,10 +557,7 @@ fn cmd_train(args: &[String]) -> i32 {
         builder.add_run(&report);
         let done = start + i as u64 + 1;
         if checkpoint_every > 0 && done.is_multiple_of(checkpoint_every) {
-            if let Err(e) = builder
-                .checkpoint(done)
-                .save_format(&ckpt_path, ckpt_format)
-            {
+            if let Err(e) = builder.checkpoint(done).save(&ckpt_path) {
                 error!("checkpoint write to {ckpt_path} failed: {e}");
                 return 1;
             }
@@ -629,83 +620,27 @@ fn cmd_train(args: &[String]) -> i32 {
     0
 }
 
-fn cmd_check(args: &[String]) -> i32 {
-    // Offline mode: with `--trace` flags the check runs against
-    // recorded trace files instead of a live program.
-    let trace_paths = arg_values(args, "--trace");
-    if !trace_paths.is_empty() {
-        return cmd_check_offline(args, &trace_paths);
-    }
-    let Some(program) = args.first() else { usage() };
-    let Some(model_path) = arg_value(args, "--model") else {
-        usage()
-    };
-    let input_id: u32 = num_flag(args, "--input", "a number", 1000u32);
-    let version: u8 = num_flag(args, "--version", "1-5", 1u8);
-    let Some(w) = find_program(program, version) else {
-        error!("unknown program {program} (see `heapmd list`)");
-        return 1;
-    };
-    let model = match HeapModel::load(&model_path) {
-        Ok(m) => m,
-        Err(e) => {
-            error!("cannot load model {model_path}: {e}");
-            return 1;
-        }
-    };
-    let mut plan = fault_plan_for(args);
-    // The harness builds the process; route the shard count and the
-    // sampling config through its process factory (verdicts are
-    // shard-invariant; sampling widens ranges by the measured rate).
-    workloads::harness::set_default_shards(shards_flag(args));
-    workloads::harness::set_default_sampler(sampler_flag(args));
-    let run_store = run_store_flag(args);
-    let incident_dir = arg_value(args, "--incidents");
-    // A run-store append needs the checked run's sampled report, so it
-    // rides the flight-recorded path even without an incident dir.
-    let bugs = if incident_dir.is_some() || run_store.is_some() {
-        let outcome = check_with_incidents(
-            w.as_ref(),
-            &model,
-            &Input::new(input_id),
-            &mut plan,
-            incident_dir.as_deref().map(Path::new),
-        );
-        for path in &outcome.bundle_paths {
-            println!("incident bundle written to {}", path.display());
-        }
-        if let Some(store) = &run_store {
-            let src = RowSource {
-                workload: program.clone(),
-                version: u64::from(version),
-                run: format!("input-{input_id}"),
-                tenant: String::new(),
-                kind: RowKind::Check,
-                time: unix_time_now(),
-                sample_rate: outcome.report.sample_rate,
-            };
-            append_rows(store, &rows_from_samples(&src, &outcome.report.samples));
-        }
-        outcome.bugs
-    } else {
-        check(w.as_ref(), &model, &Input::new(input_id), &mut plan)
-    };
-    if bugs.is_empty() {
-        println!("no anomalies on input {input_id}");
-        0
-    } else {
-        println!("{} anomaly report(s):", bugs.len());
-        print_bugs(&bugs);
-        3
-    }
-}
-
 /// `check --model FILE --trace A [--trace B …] [--jobs N] [--salvage]`:
-/// fans the trace checks across a scoped thread pool (binary traces go
-/// through the pipelined decoder → detector engine) and prints per-trace
-/// verdicts **in input order** regardless of worker scheduling. With
-/// `--run-store`, each trace's metric samples append as `check` rows.
-fn cmd_check_offline(args: &[String], trace_paths: &[String]) -> i32 {
+/// fans the trace checks across a scoped thread pool and prints
+/// per-trace verdicts **in input order** regardless of worker
+/// scheduling. With `--run-store`, each trace's metric samples append
+/// as `check` rows.
+fn cmd_check(args: &[String]) -> i32 {
+    known_flags(
+        "check",
+        args,
+        "--model --trace --jobs --shards --run-store --version \
+         --sample-hot-threshold --sample-decimation",
+        "--salvage --sample",
+    );
+    let trace_paths = arg_values(args, "--trace");
+    if trace_paths.is_empty() {
+        eprintln!(
+            "`heapmd check` checks recorded traces and needs --trace FILE \
+             (check a live run with `heapmd run <program> --model FILE`)"
+        );
+        return 2;
+    }
     let Some(model_path) = arg_value(args, "--model") else {
         usage()
     };
@@ -928,6 +863,7 @@ fn render_bundle(bundle: &IncidentBundle) -> String {
 }
 
 fn cmd_inspect(args: &[String]) -> i32 {
+    known_flags("inspect", args, "", "--salvage");
     let Some(path) = args.first() else { usage() };
     let salvage = args.iter().any(|a| a == "--salvage");
     // The magic bytes pick the renderer; the extension is advisory
@@ -1090,41 +1026,6 @@ fn fault_plan_for(args: &[String]) -> FaultPlan {
     plan
 }
 
-fn cmd_record(args: &[String]) -> i32 {
-    let Some(program) = args.first() else { usage() };
-    let Some(trace_path) = arg_value(args, "--trace") else {
-        usage()
-    };
-    let input_id: u32 = num_flag(args, "--input", "a number", 1000u32);
-    let version: u8 = num_flag(args, "--version", "1-5", 1u8);
-    let Some(w) = find_program(program, version) else {
-        error!("unknown program {program} (see `heapmd list`)");
-        return 1;
-    };
-    let settings = settings_for(w.as_ref());
-    let mut plan = fault_plan_for(args);
-    let mut p = Process::new(settings);
-    p.enable_trace();
-    if let Err(e) = w.run(&mut p, &mut plan, &Input::new(input_id)) {
-        error!("workload run failed: {e}");
-        return 1;
-    }
-    let mut trace = p.take_trace().expect("tracing enabled");
-    let names: Vec<String> = (0..p.functions().len())
-        .map(|i| p.functions().name(FuncId(i as u32)).to_string())
-        .collect();
-    trace.set_functions(names);
-    let n = trace.len();
-    let format = format_flag(args).unwrap_or_default();
-    if let Err(e) = trace.save_format(&trace_path, format) {
-        error!("cannot write trace to {trace_path}: {e}");
-        return 1;
-    }
-    let _ = p.finish("record");
-    println!("{n} events written to {trace_path}");
-    0
-}
-
 /// Prints what salvage recovered from `path` (and where the damage
 /// was) when the artifact turned out to be incomplete.
 fn report_salvage(path: &str, stats: &SalvageStats) {
@@ -1143,6 +1044,13 @@ fn report_salvage(path: &str, stats: &SalvageStats) {
 }
 
 fn cmd_replay(args: &[String]) -> i32 {
+    known_flags(
+        "replay",
+        args,
+        "--model --trace --shards --sample-hot-threshold \
+         --sample-decimation",
+        "--salvage --sample",
+    );
     let Some(model_path) = arg_value(args, "--model") else {
         usage()
     };
@@ -1209,6 +1117,14 @@ fn session_options(args: &[String]) -> heapmd::SessionOptions {
 }
 
 fn cmd_serve(args: &[String]) -> i32 {
+    known_flags(
+        "serve",
+        args,
+        "--model --listen --http --shards --queue-events --incidents \
+         --prom-dump --journal-dir --model-dir --run-store \
+         --session-timeout-ms --sample-hot-threshold --sample-decimation",
+        "--sample",
+    );
     let Some(model_path) = arg_value(args, "--model") else {
         usage()
     };
@@ -1378,6 +1294,7 @@ fn render_top(addr: &str, tsv: &str, history: &mut Vec<f64>) -> String {
 }
 
 fn cmd_top(args: &[String]) -> i32 {
+    known_flags("top", args, "--connect --interval-ms", "--once");
     let Some(addr) = arg_value(args, "--connect") else {
         usage()
     };
@@ -1411,6 +1328,13 @@ fn cmd_top(args: &[String]) -> i32 {
 /// models. Filters are conjunctive; `--metric` both projects columns
 /// (only those blocks are read) and picks the aggregation targets.
 fn cmd_query(args: &[String]) -> i32 {
+    known_flags(
+        "query",
+        args,
+        "--store --workload --version --run --tenant --kind --since --until \
+         --metric --agg --format --limit",
+        "--describe",
+    );
     let Some(store_dir) = arg_value(args, "--store") else {
         usage()
     };
@@ -1588,6 +1512,13 @@ fn cmd_query(args: &[String]) -> i32 {
 }
 
 fn cmd_push(args: &[String]) -> i32 {
+    known_flags(
+        "push",
+        args,
+        "--to --tenant --trace --session --retry --backoff-ms \
+         --sample-hot-threshold --sample-decimation",
+        "--salvage --sample",
+    );
     let Some(addr) = arg_value(args, "--to") else {
         usage()
     };
@@ -1677,11 +1608,10 @@ fn main() {
     }
 
     let code = match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("train") => cmd_train(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
-        Some("record") => cmd_record(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),

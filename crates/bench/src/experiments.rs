@@ -1,5 +1,6 @@
 //! The experiments behind every figure and table of the paper.
 
+use crate::swat_baseline::{SwatConfig, SwatDetector};
 use crate::table::{f1, Table};
 use crate::Effort;
 use faults::FaultPlan;
@@ -10,7 +11,6 @@ use heapmd::{
 };
 use std::cell::RefCell;
 use std::rc::Rc;
-use crate::swat_baseline::{SwatConfig, SwatDetector};
 use workloads::bugs::{BugSpec, SwatOnlyLeak, CATALOG, SWAT_ONLY};
 use workloads::harness::{run_once, settings_for, train};
 use workloads::{commercial_at_version, registry, Input, Workload};
@@ -965,7 +965,9 @@ fn reexecute_unmonitored(image: &heapmd::BinaryTraceImage, buf: &mut Vec<sim_hea
             .expect("bench image decodes");
         for ev in buf.iter() {
             match *ev {
-                HeapEvent::Alloc { obj, size, site, .. } => {
+                HeapEvent::Alloc {
+                    obj, size, site, ..
+                } => {
                     let a = heap.alloc(size, site).expect("replayed alloc").addr;
                     let idx = obj.0 as usize;
                     if base.len() <= idx {
@@ -976,7 +978,9 @@ fn reexecute_unmonitored(image: &heapmd::BinaryTraceImage, buf: &mut Vec<sim_hea
                 HeapEvent::Free { obj, .. } => {
                     heap.free(base[obj.0 as usize]).expect("replayed free");
                 }
-                HeapEvent::PtrWrite { src, offset, value, .. } => {
+                HeapEvent::PtrWrite {
+                    src, offset, value, ..
+                } => {
                     let _ = heap.write_ptr(base[src.0 as usize].offset(offset), value);
                 }
                 HeapEvent::ScalarWrite { src, offset, .. } => {
@@ -998,8 +1002,8 @@ fn reexecute_unmonitored(image: &heapmd::BinaryTraceImage, buf: &mut Vec<sim_hea
 /// monitoring runs sampled in the field with ranges widened by the
 /// effective rate).
 pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
-    use heapmd::{BinaryTraceImage, SamplerConfig};
-    use workloads::harness::{check, set_default_sampler};
+    use heapmd::{BinaryTraceImage, ModelBuilder, SamplerConfig};
+    use workloads::harness::{check_in, run_in};
     let apps = [
         "multimedia",
         "webapp",
@@ -1017,7 +1021,10 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
         ("default", Some(SamplerConfig::default()), false),
         (
             "decim128",
-            Some(SamplerConfig::new(SamplerConfig::DEFAULT_HOT_THRESHOLD, 128)),
+            Some(SamplerConfig::new(
+                SamplerConfig::DEFAULT_HOT_THRESHOLD,
+                128,
+            )),
             false,
         ),
         ("default_matched", Some(SamplerConfig::default()), true),
@@ -1030,7 +1037,13 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
     for app in apps {
         let w = commercial_at_version(app, 1);
         let settings = settings_for(w.as_ref());
-        set_default_sampler(None);
+        let process = |config: Option<SamplerConfig>| {
+            let mut p = Process::new(settings.clone());
+            if let Some(c) = config {
+                p.enable_sampling(c);
+            }
+            p
+        };
         let model = train(w.as_ref(), &Input::set(effort.training_inputs())).model;
         // One clean recorded trace per program drives every timing
         // measurement and the effective-rate readout.
@@ -1047,10 +1060,12 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
         let catalogued = CATALOG.iter().filter(|b| b.app == app).count();
         for (label, config, matched) in configs {
             let model = if matched {
-                set_default_sampler(config);
-                let m = train(w.as_ref(), &Input::set(effort.training_inputs())).model;
-                set_default_sampler(None);
-                m
+                let mut builder = ModelBuilder::new(settings.clone()).program(w.name());
+                for input in Input::set(effort.training_inputs()) {
+                    let mut plan = FaultPlan::new();
+                    builder.add_run(&run_in(process(config), w.as_ref(), &input, &mut plan));
+                }
+                builder.build().model
             } else {
                 model.clone()
             };
@@ -1064,14 +1079,22 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
                 }),
             } / events;
             let effective_rate = config.map_or(1.0, |c| trace.sampled(c).sample_rate());
-            set_default_sampler(config);
+            let check = |input: u32, plan: &mut FaultPlan| {
+                check_in(
+                    process(config),
+                    w.as_ref(),
+                    &model,
+                    &Input::new(input),
+                    plan,
+                    None,
+                )
+                .bugs
+            };
             let mut detected = 0;
             for bug in CATALOG.iter().filter(|b| b.app == app) {
                 for k in 0..effort.check_inputs() {
                     let mut plan = bug.plan();
-                    if !check(w.as_ref(), &model, &Input::new(2000 + k as u32), &mut plan)
-                        .is_empty()
-                    {
+                    if !check(2000 + k as u32, &mut plan).is_empty() {
                         detected += 1;
                         break;
                     }
@@ -1079,15 +1102,8 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
             }
             let mut false_positives = 0;
             for k in 0..effort.check_inputs() {
-                false_positives += check(
-                    w.as_ref(),
-                    &model,
-                    &Input::new(3000 + k as u32),
-                    &mut FaultPlan::new(),
-                )
-                .len();
+                false_positives += check(3000 + k as u32, &mut FaultPlan::new()).len();
             }
-            set_default_sampler(None);
             rows.push(SamplingSweepRow {
                 program: app.to_string(),
                 config: label.to_string(),

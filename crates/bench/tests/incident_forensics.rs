@@ -264,10 +264,10 @@ fn replay_sample_matches_check_sample_and_decimation_one_is_exact() {
     assert!(status.success(), "training exited with {status}");
     let input = BUGGY_INPUT.to_string();
     let status = Command::new(BIN)
-        .args(["record", PROGRAM, "--input", &input, "--bug", FAULT])
-        .args(["--trace", trace, "--format", "binary"])
+        .args(["run", PROGRAM, "--input", &input, "--bug", FAULT])
+        .args(["--trace-out", trace])
         .status()
-        .expect("spawn heapmd-cli record");
+        .expect("spawn heapmd-cli run");
     assert!(status.success(), "recording exited with {status}");
     let cli = |cmd: &str, extra: &[&str]| {
         Command::new(BIN)

@@ -1,38 +1,107 @@
-//! `heapmd run` refuses flag combinations whose output could not carry
-//! the run's sampling outcome, before it runs anything.
+//! The `heapmd` CLI refuses what it would otherwise ignore or lose —
+//! unknown flags, removed commands, flag combinations whose output
+//! could not carry the run's sampling outcome — before it runs
+//! anything; and `run --model`, its one live check, agrees with the
+//! post-mortem `check` of the run's own recording.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 const BIN: &str = env!("CARGO_BIN_EXE_heapmd-cli");
 
-fn run_exit_code(extra: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(BIN)
-        .args(["run", "gzip", "--input", "11", "--sample"])
-        .args(extra)
+fn cli(args: &[&str]) -> Output {
+    Command::new(BIN)
+        .args(args)
         .output()
-        .expect("run heapmd-cli");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+        .expect("run heapmd-cli")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 #[test]
 fn a_sampled_run_cannot_stream_to_the_daemon() {
     // Refused before any connection attempt: nothing listens here.
-    let (code, stderr) = run_exit_code(&["--serve", "127.0.0.1:1", "--tenant", "t"]);
-    assert_eq!(code, Some(2), "{stderr}");
+    let out = cli(&[
+        "run",
+        "gzip",
+        "--input",
+        "11",
+        "--sample",
+        "--serve",
+        "127.0.0.1:1",
+        "--tenant",
+        "t",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(
-        stderr.contains("--serve cannot stream a --sample run"),
-        "{stderr}"
+        stderr(&out).contains("--serve cannot stream a --sample run"),
+        "{}",
+        stderr(&out)
     );
 }
 
 #[test]
-fn a_sampled_run_cannot_be_recorded_as_jsonl() {
-    let path = std::env::temp_dir().join(format!("heapmd-refusal-{}.jsonl", std::process::id()));
-    let trace_out = path.to_str().unwrap();
-    let (code, stderr) = run_exit_code(&["--trace-out", trace_out, "--format", "jsonl"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(!path.exists(), "nothing was recorded");
+fn unknown_flags_and_removed_commands_are_usage_errors() {
+    let trace = std::env::temp_dir().join(format!("heapmd-refusal-{}.hmdt", std::process::id()));
+    let trace = trace.to_str().unwrap();
+    for (args, names) in [
+        (&["record", "gzip", "--trace", trace][..], None),
+        (&["check", "gzip", "--model", "m"][..], Some("--trace")),
+        (&["run", "gzip", "--format", "jsonl"][..], Some("--format")),
+        (&["run", "gzip", "--bogus"][..], Some("--bogus")),
+        (
+            &["check", "--input", "5", "--trace", trace][..],
+            Some("--input"),
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        if let Some(flag) = names {
+            assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+        }
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+    assert!(
+        !std::path::Path::new(trace).exists(),
+        "nothing was recorded"
+    );
+}
+
+/// The live check and the post-mortem check of the same run print the
+/// same bug block (reports and their `implicated:` lines).
+#[test]
+fn run_with_a_model_matches_check_of_its_recording() {
+    let dir = std::env::temp_dir().join(format!("heapmd-run-check-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("gs.json");
+    let trace = dir.join("bug.hmdt");
+    let (model, trace) = (model.to_str().unwrap(), trace.to_str().unwrap());
+    let out = cli(&["train", "game_sim", "--inputs", "6", "--out", model]);
+    assert!(out.status.success(), "train: {}", stderr(&out));
+    let bug_block = |out: &Output| -> Vec<String> {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("  "))
+            .map(str::to_string)
+            .collect()
+    };
+    let live = cli(&[
+        "run",
+        "game_sim",
+        "--input",
+        "88",
+        "--bug",
+        "gs.unit_props.typo_leak",
+        "--model",
+        model,
+        "--trace-out",
+        trace,
+    ]);
+    let checked = cli(&["check", "--model", model, "--trace", trace]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(live.status.code(), Some(3), "the fault must be reported");
+    assert_eq!(checked.status.code(), Some(3));
+    assert!(!bug_block(&live).is_empty());
+    assert_eq!(bug_block(&live), bug_block(&checked));
 }

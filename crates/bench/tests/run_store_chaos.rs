@@ -10,6 +10,7 @@
 
 use faults::io::{fault_ids::IO_BIT_FLIP_READ, FaultyReader};
 use faults::{FaultConfig, FaultPlan};
+use heapmd::{StreamFormat, Trace};
 use heapmd_runstore::{RowFilter, RowKind, RunRow, RunStore};
 use std::io::Read;
 use std::path::Path;
@@ -178,13 +179,15 @@ fn offline_check_rows_match_across_jobs_and_formats() {
     let out = cli(&["train", "gzip", "--inputs", "3", "--out", &model]);
     assert!(out.status.success(), "train: {out:?}");
     for (input, name) in [("11", "a"), ("12", "b")] {
-        for (format, ext) in [("binary", "hmdt"), ("jsonl", "jsonl")] {
-            let trace = path(&format!("{name}.{ext}"));
-            let out = cli(&[
-                "record", "gzip", "--input", input, "--trace", &trace, "--format", format,
-            ]);
-            assert!(out.status.success(), "record {trace}: {out:?}");
-        }
+        let trace = path(&format!("{name}.hmdt"));
+        let out = cli(&["run", "gzip", "--input", input, "--trace-out", &trace]);
+        assert!(out.status.success(), "run --trace-out {trace}: {out:?}");
+        // The CLI writes binary only; the JSONL copy is the reference
+        // codec's rendering of the same trace.
+        Trace::load_binary(&trace)
+            .unwrap()
+            .save_format(path(&format!("{name}.jsonl")), StreamFormat::Jsonl)
+            .unwrap();
     }
     // Rows as the store holds them, minus the wall-clock stamp and with
     // the run named by its trace stem (the path differs per format).

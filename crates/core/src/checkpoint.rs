@@ -102,57 +102,31 @@ impl TrainCheckpoint {
 
     /// Writes the checkpoint atomically (write-to-temp, then rename),
     /// so a crash mid-checkpoint leaves the previous checkpoint intact.
+    /// The JSON state rides in the `HMDB1` block container, whose
+    /// CRC-32 turns a bit-flipped checkpoint into
+    /// [`HeapMdError::Corrupt`] instead of silently wrong state.
     ///
     /// # Errors
     ///
     /// Returns [`HeapMdError::Io`] / [`HeapMdError::Serde`].
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), HeapMdError> {
-        self.save_format(path, crate::StreamFormat::Jsonl)
-    }
-
-    /// Writes the checkpoint in the chosen on-disk format. JSONL keeps
-    /// the historical bare-JSON document; binary wraps the same JSON
-    /// payload in the `HMDB1` block container, adding a CRC-32 so a
-    /// bit-flipped checkpoint is detected as [`HeapMdError::Corrupt`]
-    /// instead of parsing into silently wrong state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::Io`] / [`HeapMdError::Serde`].
-    pub fn save_format(
-        &self,
-        path: impl AsRef<Path>,
-        format: crate::StreamFormat,
-    ) -> Result<(), HeapMdError> {
         let json = serde_json::to_string(self)?;
-        let bytes = match format {
-            crate::StreamFormat::Jsonl => json.into_bytes(),
-            crate::StreamFormat::Binary => {
-                crate::trace_codec::encode_meta_container(json.as_bytes())
-            }
-        };
+        let bytes = crate::trace_codec::encode_meta_container(json.as_bytes());
         crate::persist::write_atomic(path, &bytes)?;
         Ok(())
     }
 
-    /// Reads and validates a checkpoint written by [`save`](Self::save)
-    /// or [`save_format`](Self::save_format), auto-detecting the format
-    /// by magic bytes.
+    /// Reads and validates a checkpoint written by [`save`](Self::save).
     ///
     /// # Errors
     ///
     /// [`HeapMdError::Io`] when unreadable, [`HeapMdError::Corrupt`]
-    /// when the JSON or the binary container (CRC, framing) is damaged,
+    /// when the container (magic, CRC, framing) or its JSON is damaged,
     /// [`HeapMdError::Checkpoint`] when it parses but fails validation.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, HeapMdError> {
         let bytes = std::fs::read(path)?;
-        let text = if bytes.starts_with(crate::BINARY_MAGIC) {
-            String::from_utf8(crate::trace_codec::decode_meta_container(&bytes)?)
-                .map_err(|_| HeapMdError::corrupt(0, "checkpoint payload is not UTF-8"))?
-        } else {
-            String::from_utf8(bytes)
-                .map_err(|_| HeapMdError::corrupt(0, "checkpoint is not UTF-8"))?
-        };
+        let text = String::from_utf8(crate::trace_codec::decode_meta_container(&bytes)?)
+            .map_err(|_| HeapMdError::corrupt(0, "checkpoint payload is not UTF-8"))?;
         let cp: TrainCheckpoint = serde_json::from_str(&text)
             .map_err(|e| HeapMdError::corrupt(0, format!("checkpoint JSON: {e}")))?;
         cp.validate()?;
@@ -330,18 +304,22 @@ mod tests {
         let cp = b.checkpoint(2);
 
         let path = tmp("binary.ckpt");
-        cp.save_format(&path, crate::StreamFormat::Binary).unwrap();
+        cp.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert!(bytes.starts_with(crate::BINARY_MAGIC));
-        // Auto-detecting load round-trips the exact state.
         assert_eq!(TrainCheckpoint::load(&path).unwrap(), cp);
 
         // Any single corrupted byte in the payload is caught by the
-        // container CRC — the historical bare-JSON format would parse a
-        // flipped digit into silently wrong state.
+        // container CRC — bare JSON would parse a flipped digit into
+        // silently wrong state, so it is refused outright.
         let mut damaged = bytes.clone();
         damaged[bytes.len() / 2] ^= 0x08;
         std::fs::write(&path, &damaged).unwrap();
+        assert!(matches!(
+            TrainCheckpoint::load(&path),
+            Err(HeapMdError::Corrupt { .. })
+        ));
+        std::fs::write(&path, serde_json::to_string(&cp).unwrap()).unwrap();
         assert!(matches!(
             TrainCheckpoint::load(&path),
             Err(HeapMdError::Corrupt { .. })
@@ -356,8 +334,8 @@ mod tests {
         b.checkpoint(0).save(&path).unwrap();
 
         // Truncate the file: parse failure → Corrupt.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(matches!(
             TrainCheckpoint::load(&path),
             Err(HeapMdError::Corrupt { .. })

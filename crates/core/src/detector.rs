@@ -522,8 +522,7 @@ impl AnomalyDetector {
                     .iter()
                     .map(|r| r.1 - r.0)
                     .fold(0.0_f64, f64::max);
-                let margin =
-                    self.settings.range_margin + crate::model::sampling_widen(bw, rate);
+                let margin = self.settings.range_margin + crate::model::sampling_widen(bw, rate);
                 let v = sample.metrics.get(st.lm.kind);
                 if st.lm.contains(v, margin) {
                     st.in_violation = false;

@@ -379,10 +379,7 @@ impl HeapModel {
         if !self.sample_rate.is_finite() || self.sample_rate <= 0.0 || self.sample_rate > 1.0 {
             return Err(HeapMdError::corrupt(
                 0,
-                format!(
-                    "model sample_rate {} is outside (0, 1]",
-                    self.sample_rate
-                ),
+                format!("model sample_rate {} is outside (0, 1]", self.sample_rate),
             ));
         }
         Ok(())

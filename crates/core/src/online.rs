@@ -120,12 +120,16 @@ impl OnlineLearner {
             match st.range {
                 None => st.range = Some((v, v)),
                 Some((lo, hi)) => {
-                    let margin = self.settings.range_margin
-                        + crate::model::sampling_widen(hi - lo, rate);
+                    let margin =
+                        self.settings.range_margin + crate::model::sampling_widen(hi - lo, rate);
                     let out_low = v < lo - margin;
                     let out_high = v > hi + margin;
                     if (out_low || out_high) && !warmup && st.confirmed >= 3 {
-                        let out_by = if out_low { lo - margin - v } else { v - hi - margin };
+                        let out_by = if out_low {
+                            lo - margin - v
+                        } else {
+                            v - hi - margin
+                        };
                         let bug = BugReport {
                             metric: kind,
                             kind: AnomalyKind::RangeViolation {

@@ -6,8 +6,7 @@ use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
 use crate::trace::{Advance, Replayer, Trace};
-use crate::trace_codec::{BinaryTraceWriter, StreamFormat};
-use crate::trace_stream::TraceWriter;
+use crate::trace_codec::{encode_sampling_meta, BinaryTraceWriter};
 use heap_graph::GraphImage;
 use heapmd_obs::SeriesRecorder;
 use sim_heap::{Addr, AllocSite, HeapError, HeapEvent, SimHeap, NULL};
@@ -65,9 +64,8 @@ pub struct Process {
     listening: bool,
     trace: Option<Trace>,
     /// Incremental crash-safe trace stream (see
-    /// [`stream_trace_to_format`](Self::stream_trace_to_format)), in
-    /// either wire format.
-    stream: Option<TraceSink>,
+    /// [`stream_trace_to`](Self::stream_trace_to)).
+    stream: Option<BinaryTraceWriter<Box<dyn Write>>>,
     /// First error that killed the stream, kept for
     /// [`finish_stream`](Self::finish_stream) to report.
     stream_error: Option<HeapMdError>,
@@ -165,13 +163,11 @@ impl Process {
         self.recorder.as_ref()
     }
 
-    /// Streams every subsequent event to `sink` in `format`,
-    /// incrementally — unlike [`enable_trace`](Self::enable_trace),
-    /// events reach the sink as they happen, so whatever was flushed
-    /// before a crash is recoverable: the binary codec
-    /// ([`crate::BinaryTraceWriter`], the default) salvages at block
-    /// granularity, framed JSONL record by record. Only the binary
-    /// codec records the sampling outcome of a sampled process.
+    /// Streams every subsequent event to `sink` in the binary codec
+    /// ([`crate::BinaryTraceWriter`], `HMDB1`), incrementally — unlike
+    /// [`enable_trace`](Self::enable_trace), events reach the sink as
+    /// they happen, so whatever was flushed before a crash salvages at
+    /// block granularity.
     ///
     /// A write failure mid-run does **not** abort the checked process:
     /// the stream is dropped, the failure is counted
@@ -182,15 +178,8 @@ impl Process {
     ///
     /// Returns [`HeapMdError::Io`] when the stream header cannot be
     /// written.
-    pub fn stream_trace_to_format(
-        &mut self,
-        sink: Box<dyn Write>,
-        format: StreamFormat,
-    ) -> Result<(), HeapMdError> {
-        self.stream = Some(match format {
-            StreamFormat::Jsonl => TraceSink::Jsonl(TraceWriter::new(sink)?),
-            StreamFormat::Binary => TraceSink::Binary(BinaryTraceWriter::new(sink)?),
-        });
+    pub fn stream_trace_to(&mut self, sink: Box<dyn Write>) -> Result<(), HeapMdError> {
+        self.stream = Some(BinaryTraceWriter::new(sink)?);
         self.stream_error = None;
         if !self.core.functions().is_empty() {
             self.stream_functions();
@@ -243,24 +232,14 @@ impl Process {
                 "no trace stream is attached".into(),
             ));
         };
-        // Binary streams carry the sampling outcome as a meta block, so
-        // an offline check of the artifact widens exactly as the live
-        // run did. (The JSONL format has no meta frame; sampled
-        // production runs use the binary codec.)
+        // The sampling outcome rides as a meta block, so an offline
+        // check of the artifact widens exactly as the live run did.
         if let Some(info) = self.core.sampling_info() {
-            stream.write_sampling_meta(&info)?;
+            stream.write_meta(&encode_sampling_meta(&info))?;
         }
         let events = stream.events_written();
         stream.finish()?;
         Ok(events)
-    }
-
-    /// The wire format of the attached trace stream, if any.
-    pub fn stream_format(&self) -> Option<StreamFormat> {
-        self.stream.as_ref().map(|s| match s {
-            TraceSink::Jsonl(_) => StreamFormat::Jsonl,
-            TraceSink::Binary(_) => StreamFormat::Binary,
-        })
     }
 
     /// The settings in force.
@@ -510,12 +489,6 @@ impl Process {
         MetricReport::with_sample_rate(run, self.core.take_samples(), rate)
     }
 
-    /// The recorded trace, if tracing was enabled. Sampling metadata is
-    /// attached when the trace is taken, not here.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
     /// Takes ownership of the recorded trace, if any, stamping the
     /// sampling filter's measured outcome onto it when sampling is
     /// enabled.
@@ -637,55 +610,6 @@ const METRIC_SERIES: [&str; heap_graph::METRIC_COUNT] = [
     "metric.In=Out",
 ];
 
-/// The trace stream sink behind [`Process::stream_trace_to_format`]:
-/// one wire format per attached stream. An enum (not a trait object)
-/// because `finish` consumes the writer.
-enum TraceSink {
-    Jsonl(TraceWriter<Box<dyn Write>>),
-    Binary(BinaryTraceWriter<Box<dyn Write>>),
-}
-
-impl TraceSink {
-    fn write_event(&mut self, ev: &HeapEvent) -> Result<(), HeapMdError> {
-        match self {
-            TraceSink::Jsonl(w) => w.write_event(ev),
-            TraceSink::Binary(w) => w.write_event(ev),
-        }
-    }
-
-    fn write_functions(&mut self, names: &[String]) -> Result<(), HeapMdError> {
-        match self {
-            TraceSink::Jsonl(w) => w.write_functions(names),
-            TraceSink::Binary(w) => w.write_functions(names),
-        }
-    }
-
-    fn write_sampling_meta(&mut self, info: &SamplingInfo) -> Result<(), HeapMdError> {
-        match self {
-            // The framed-JSONL format has no meta record; sampling
-            // metadata rides only on the binary codec.
-            TraceSink::Jsonl(_) => Ok(()),
-            TraceSink::Binary(w) => {
-                w.write_meta(&crate::trace_codec::encode_sampling_meta(info))
-            }
-        }
-    }
-
-    fn events_written(&self) -> u64 {
-        match self {
-            TraceSink::Jsonl(w) => w.events_written(),
-            TraceSink::Binary(w) => w.events_written(),
-        }
-    }
-
-    fn finish(self) -> Result<(), HeapMdError> {
-        match self {
-            TraceSink::Jsonl(w) => w.finish().map(drop),
-            TraceSink::Binary(w) => w.finish().map(drop),
-        }
-    }
-}
-
 impl std::fmt::Debug for Process {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Process")
@@ -801,7 +725,7 @@ mod tests {
         p.leave();
         let t = p.take_trace().unwrap();
         assert_eq!(t.len(), 4); // enter, alloc, free, exit
-        assert!(p.trace().is_none());
+        assert!(p.take_trace().is_none());
     }
 
     #[test]
@@ -821,29 +745,23 @@ mod tests {
             }
         }
 
-        for format in [StreamFormat::Jsonl, StreamFormat::Binary] {
-            let buf = Arc::new(Mutex::new(Vec::new()));
-            let mut p = Process::new(settings(1));
-            p.enable_trace();
-            p.stream_trace_to_format(Box::new(SharedBuf(Arc::clone(&buf))), format)
-                .unwrap();
-            assert_eq!(p.stream_format(), Some(format));
-            p.enter("f");
-            let a = p.malloc(16, "x").unwrap();
-            p.free(a).unwrap();
-            p.leave();
-            let streamed_events = p.finish_stream().unwrap();
-            assert_eq!(streamed_events, 4);
-            let mut expected = p.take_trace().unwrap();
-            expected.set_functions(vec!["f".to_string()]);
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let mut p = Process::new(settings(1));
+        p.enable_trace();
+        p.stream_trace_to(Box::new(SharedBuf(Arc::clone(&buf))))
+            .unwrap();
+        p.enter("f");
+        let a = p.malloc(16, "x").unwrap();
+        p.free(a).unwrap();
+        p.leave();
+        let streamed_events = p.finish_stream().unwrap();
+        assert_eq!(streamed_events, 4);
+        let mut expected = p.take_trace().unwrap();
+        expected.set_functions(vec!["f".to_string()]);
 
-            let bytes = buf.lock().unwrap().clone();
-            let back = match format {
-                StreamFormat::Jsonl => crate::trace_stream::TraceReader::strict(&bytes[..]),
-                StreamFormat::Binary => crate::trace_codec::BinaryTraceReader::strict(&bytes[..]),
-            };
-            assert_eq!(back.unwrap(), expected, "{format:?}");
-        }
+        let bytes = buf.lock().unwrap().clone();
+        let back = crate::trace_codec::BinaryTraceReader::strict(&bytes[..]).unwrap();
+        assert_eq!(back, expected);
     }
 
     #[test]
@@ -863,16 +781,18 @@ mod tests {
         }
 
         let mut p = Process::new(settings(1));
-        // Header + 2 event records succeed, then the sink dies.
-        p.stream_trace_to_format(Box::new(FailAfter(3)), StreamFormat::Jsonl)
-            .unwrap();
-        for _ in 0..5 {
-            p.enter("w");
+        // The header and the first function table succeed; the sink
+        // dies on the second table, written when `w1` is interned.
+        p.stream_trace_to(Box::new(FailAfter(2))).unwrap();
+        for i in 0..5 {
+            p.enter(&format!("w{i}"));
             p.malloc(16, "x").unwrap();
             p.leave();
         }
-        // The run itself survived; the error is reported at the end.
+        // The run itself survived without its stream; the error is
+        // reported at the end.
         assert_eq!(p.fn_entries(), 5);
+        assert!(p.stream.is_none(), "the dead stream was dropped mid-run");
         assert!(matches!(p.finish_stream(), Err(HeapMdError::Io(_))));
         // A second finish reports the stream as gone.
         assert!(matches!(

@@ -103,11 +103,7 @@ impl MetricReport {
     }
 
     /// Creates a report observed under store sampling at `rate`.
-    pub fn with_sample_rate(
-        run: impl Into<String>,
-        samples: Vec<MetricSample>,
-        rate: f64,
-    ) -> Self {
+    pub fn with_sample_rate(run: impl Into<String>, samples: Vec<MetricSample>, rate: f64) -> Self {
         MetricReport {
             run: run.into(),
             samples,

@@ -594,10 +594,9 @@ fn default_dialer(io_timeout: Duration) -> Dialer {
 }
 
 /// Connects a resumable session to a daemon, returning a [`Write`]
-/// sink for [`crate::Process::stream_trace_to_format`] with
-/// [`crate::StreamFormat::Binary`]. The initial dial retries per the
-/// policy; afterwards every write transparently survives connection
-/// loss until the retry budget is exhausted.
+/// sink for [`crate::Process::stream_trace_to`]. The initial dial
+/// retries per the policy; afterwards every write transparently
+/// survives connection loss until the retry budget is exhausted.
 ///
 /// # Errors
 ///

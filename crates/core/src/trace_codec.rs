@@ -112,7 +112,9 @@ pub(crate) const KIND_FUNCTIONS: u8 = 2;
 pub(crate) const KIND_INDEX: u8 = 3;
 pub(crate) const KIND_META: u8 = 4;
 
-/// On-disk trace/checkpoint serialization format selector.
+/// On-disk trace format selector for [`Trace::save_format`]. Live
+/// streams and checkpoints are always binary; `Jsonl` writes the
+/// reference codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamFormat {
     /// CRC-framed JSON lines (`HMDT1`): human-greppable, slower, and
@@ -121,21 +123,6 @@ pub enum StreamFormat {
     /// Block-based binary (`HMDB1`): compact, seekable, fast.
     #[default]
     Binary,
-}
-
-impl StreamFormat {
-    /// Parses a `--format` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "jsonl" | "json" => Ok(StreamFormat::Jsonl),
-            "binary" | "bin" => Ok(StreamFormat::Binary),
-            other => Err(format!("unknown format {other:?} (use binary|jsonl)")),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -600,7 +587,6 @@ pub struct BinaryTraceWriter<W: Write> {
     /// Byte offset the next block will land at.
     offset: u64,
     index: BlockIndex,
-    finished: bool,
 }
 
 impl<W: Write> BinaryTraceWriter<W> {
@@ -627,7 +613,6 @@ impl<W: Write> BinaryTraceWriter<W> {
             scratch: Vec::new(),
             offset: header.len() as u64,
             index: BlockIndex::default(),
-            finished: false,
         })
     }
 
@@ -709,7 +694,6 @@ impl<W: Write> BinaryTraceWriter<W> {
         let block = encode_index_block(&self.index);
         self.emit(&block)?;
         self.inner.write_all(&encode_footer(index_offset))?;
-        self.finished = true;
         self.inner.flush()?;
         heapmd_obs::count!("heapmd_codec_traces_finished_total");
         Ok(self.inner)
@@ -1241,7 +1225,7 @@ impl Trace {
     /// Writes the trace in the binary block format, atomically
     /// (write-to-temp + rename via [`crate::persist::write_atomic`]).
     /// For crash-safe incremental recording use [`BinaryTraceWriter`]
-    /// directly (or [`crate::Process::stream_trace_to_format`]).
+    /// directly (or [`crate::Process::stream_trace_to`]).
     ///
     /// # Errors
     ///
@@ -1479,14 +1463,19 @@ pub fn encode_meta_container(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Unwraps a meta container written by [`encode_meta_container`],
-/// returning the payload.
+/// returning the payload. Every byte is checked: the header must be
+/// the one the encoder writes, and the index block and footer must be
+/// intact and point at each other, so no bit flip anywhere parses.
 ///
 /// # Errors
 ///
 /// Returns [`HeapMdError::Corrupt`] on any framing or CRC violation.
 pub fn decode_meta_container(bytes: &[u8]) -> Result<Vec<u8>, HeapMdError> {
-    check_header(bytes)?;
-    let (kind, count, payload, _) =
+    let header = [BINARY_MAGIC.as_slice(), &[BINARY_FORMAT_VERSION, 0]].concat();
+    if !bytes.starts_with(&header) {
+        return Err(HeapMdError::corrupt(0, "bad meta container header"));
+    }
+    let (kind, count, payload, index_at) =
         parse_block(bytes, 8).map_err(|reason| HeapMdError::corrupt(8, reason))?;
     if kind != KIND_META || count != 1 {
         return Err(HeapMdError::corrupt(
@@ -1494,9 +1483,20 @@ pub fn decode_meta_container(bytes: &[u8]) -> Result<Vec<u8>, HeapMdError> {
             format!("expected one meta block, found kind {kind} count {count}"),
         ));
     }
-    // The footer/index are advisory for a single-block container, but a
-    // valid one must still parse — truncation is damage, not a variant.
-    parse_footer(bytes).map_err(|reason| HeapMdError::corrupt(bytes.len() as u64, reason))?;
+    // Truncation or damage past the payload is damage too: the index
+    // block must sit between the meta block and the footer, and the
+    // footer must point at it.
+    let footer_at = bytes.len().saturating_sub(FOOTER_LEN);
+    let index_offset =
+        parse_footer(bytes).map_err(|reason| HeapMdError::corrupt(footer_at as u64, reason))?;
+    let (kind, count, _, end) = parse_block(&bytes[..footer_at.max(index_at)], index_at)
+        .map_err(|reason| HeapMdError::corrupt(index_at as u64, reason))?;
+    if kind != KIND_INDEX || count != 1 || end != footer_at || index_offset != index_at as u64 {
+        return Err(HeapMdError::corrupt(
+            index_at as u64,
+            "index block and footer do not frame the meta block",
+        ));
+    }
     Ok(payload.to_vec())
 }
 
@@ -2400,24 +2400,23 @@ mod tests {
         let bytes = encode_meta_container(payload);
         assert_eq!(sniff_bytes(&bytes), ArtifactKind::BinaryTrace);
         assert_eq!(decode_meta_container(&bytes).unwrap(), payload);
-        for i in [9usize, bytes.len() / 2, bytes.len() - 2] {
-            let mut damaged = bytes.clone();
-            damaged[i] ^= 0x04;
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut damaged = bytes.clone();
+                damaged[i] ^= 1 << bit;
+                assert!(
+                    matches!(
+                        decode_meta_container(&damaged),
+                        Err(HeapMdError::Corrupt { .. })
+                    ),
+                    "flip of bit {bit} at byte {i} must be caught"
+                );
+            }
             assert!(
-                matches!(
-                    decode_meta_container(&damaged),
-                    Err(HeapMdError::Corrupt { .. })
-                ),
-                "flip at byte {i} must be caught"
+                decode_meta_container(&bytes[..i]).is_err(),
+                "truncation to {i} bytes must be caught"
             );
         }
-    }
-
-    #[test]
-    fn stream_format_parses_flag_values() {
-        assert_eq!(StreamFormat::parse("binary").unwrap(), StreamFormat::Binary);
-        assert_eq!(StreamFormat::parse("jsonl").unwrap(), StreamFormat::Jsonl);
-        assert!(StreamFormat::parse("yaml").is_err());
     }
 
     #[test]

@@ -81,7 +81,6 @@ enum StreamRecord {
 pub struct TraceWriter<W: Write> {
     inner: W,
     events: u64,
-    finished: bool,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -91,11 +90,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Returns [`HeapMdError::Io`] if the header cannot be written.
     pub fn new(inner: W) -> Result<Self, HeapMdError> {
-        let mut w = TraceWriter {
-            inner,
-            events: 0,
-            finished: false,
-        };
+        let mut w = TraceWriter { inner, events: 0 };
         w.write_record(&StreamRecord::Header { format: 1 })?;
         Ok(w)
     }
@@ -123,11 +118,6 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Events written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
     /// Writes the end-of-stream trailer, flushes, and returns the inner
     /// writer.
     ///
@@ -139,19 +129,8 @@ impl<W: Write> TraceWriter<W> {
             events: self.events,
         };
         self.write_record(&trailer)?;
-        self.finished = true;
         self.inner.flush()?;
         Ok(self.inner)
-    }
-
-    /// Flushes the inner writer without ending the stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapMdError::Io`].
-    pub fn flush(&mut self) -> Result<(), HeapMdError> {
-        self.inner.flush()?;
-        Ok(())
     }
 
     fn write_record(&mut self, record: &StreamRecord) -> Result<(), HeapMdError> {

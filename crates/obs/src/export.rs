@@ -272,15 +272,6 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex as StdMutex};
 
-    /// Serializes tests that touch the process-global sink.
-    static SINK_TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn sink_test_guard() -> std::sync::MutexGuard<'static, ()> {
-        SINK_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// A `Write` handle that appends into a shared buffer.
     #[derive(Clone)]
     struct SharedBuf(Arc<StdMutex<Vec<u8>>>);
@@ -297,7 +288,7 @@ mod tests {
 
     #[test]
     fn events_reach_the_sink_one_per_line() {
-        let _guard = sink_test_guard();
+        let _guard = crate::global_state_test_guard();
         let buf = Arc::new(StdMutex::new(Vec::new()));
         set_sink(Box::new(SharedBuf(Arc::clone(&buf))));
         assert!(sink_active());
@@ -319,7 +310,7 @@ mod tests {
 
     #[test]
     fn no_sink_means_no_work_and_no_panic() {
-        let _guard = sink_test_guard();
+        let _guard = crate::global_state_test_guard();
         clear_sink();
         emit_event("dropped", |o| {
             o.field_u64("n", 3);
@@ -349,7 +340,7 @@ mod tests {
 
     #[test]
     fn transient_write_failures_are_retried() {
-        let _guard = sink_test_guard();
+        let _guard = crate::global_state_test_guard();
         let out = Arc::new(StdMutex::new(Vec::new()));
         set_sink(Box::new(FlakySink {
             failures_left: Arc::new(StdMutex::new(SINK_ATTEMPTS - 1)),
@@ -397,7 +388,7 @@ mod tests {
 
     #[test]
     fn prometheus_dump_is_line_safe_for_hostile_names() {
-        let _guard = sink_test_guard();
+        let _guard = crate::global_state_test_guard();
         crate::registry().counter("bad\nname\"x").inc();
         let text = prometheus_text();
         assert!(text.contains("# TYPE bad_name_x counter"));
@@ -410,7 +401,7 @@ mod tests {
 
     #[test]
     fn runtime_info_rides_every_prometheus_dump() {
-        let _guard = sink_test_guard();
+        let _guard = crate::global_state_test_guard();
         let text = prometheus_text();
         assert!(
             text.contains("# TYPE heapmd_build_info gauge\nheapmd_build_info{version=\""),
@@ -423,7 +414,7 @@ mod tests {
 
     #[test]
     fn degraded_sink_is_visible_in_the_final_dump() {
-        let _guard = sink_test_guard();
+        let _guard = crate::global_state_test_guard();
         set_sink(Box::new(FlakySink {
             failures_left: Arc::new(StdMutex::new(u32::MAX)),
             out: Arc::new(StdMutex::new(Vec::new())),
@@ -440,7 +431,7 @@ mod tests {
 
     #[test]
     fn persistent_write_failure_degrades_to_counters_only() {
-        let _guard = sink_test_guard();
+        let _guard = crate::global_state_test_guard();
         let out = Arc::new(StdMutex::new(Vec::new()));
         set_sink(Box::new(FlakySink {
             failures_left: Arc::new(StdMutex::new(u32::MAX)),

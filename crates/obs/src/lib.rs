@@ -73,6 +73,16 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
 
+/// Serializes the unit tests that touch process-global state — the
+/// [`set_enabled`] flag, span collection, the event sink — so one
+/// test's `set_enabled(false)` cannot land between another's `true` and
+/// its assertions, and no test's spans reach another's sink.
+#[cfg(test)]
+pub(crate) fn global_state_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// The process-global instrument registry.
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
@@ -157,6 +167,7 @@ mod tests {
 
     #[test]
     fn disabled_macros_touch_nothing() {
+        let _guard = global_state_test_guard();
         set_enabled(false);
         count!("lib_test_disabled_total");
         let _t = timer!("lib_test_disabled_ns");
@@ -173,6 +184,7 @@ mod tests {
 
     #[test]
     fn enabled_macros_record() {
+        let _guard = global_state_test_guard();
         set_enabled(true);
         count!("lib_test_enabled_total");
         count!("lib_test_enabled_total", 4);

@@ -66,10 +66,11 @@ pub fn record_stage(stage: &str, events: u64, elapsed_ns: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_enabled;
+    use crate::{global_state_test_guard, set_enabled};
 
     #[test]
     fn disabled_records_nothing() {
+        let _guard = global_state_test_guard();
         set_enabled(false);
         assert!(stage_clock().is_none());
         record_stage("tp_test_off", 100, 1_000);
@@ -78,6 +79,7 @@ mod tests {
 
     #[test]
     fn enabled_records_rates() {
+        let _guard = global_state_test_guard();
         set_enabled(true);
         record_stage("tp_test_on", 1_000, 2_000_000); // 2µs/event
         set_enabled(false);
@@ -93,6 +95,7 @@ mod tests {
 
     #[test]
     fn zero_events_is_noop() {
+        let _guard = global_state_test_guard();
         set_enabled(true);
         record_stage("tp_test_zero", 0, 5_000);
         set_enabled(false);

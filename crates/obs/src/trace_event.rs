@@ -210,13 +210,9 @@ pub fn write_chrome_trace(path: &std::path::Path) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    // Collection state is process-global; serialize the tests that
-    // toggle it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn spans_nest_and_carry_thread_ids() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = crate::global_state_test_guard();
         clear_events();
         set_collecting(true);
         crate::set_enabled(true);
@@ -239,7 +235,7 @@ mod tests {
 
     #[test]
     fn chrome_json_lists_events_with_complete_phase() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = crate::global_state_test_guard();
         clear_events();
         set_collecting(true);
         crate::set_enabled(true);
@@ -259,7 +255,7 @@ mod tests {
 
     #[test]
     fn buffer_is_bounded() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = crate::global_state_test_guard();
         clear_events();
         {
             let mut buf = events().lock().unwrap();
@@ -289,7 +285,7 @@ mod tests {
 
     #[test]
     fn uncollected_spans_leave_no_events() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = crate::global_state_test_guard();
         clear_events();
         crate::set_enabled(true);
         {

@@ -155,11 +155,7 @@ impl SampledIngest {
             }
             HeapEvent::PtrWrite { src, .. } | HeapEvent::ScalarWrite { src, .. } => {
                 self.total_stores += 1;
-                let site = self
-                    .site_of
-                    .get(src.0 as usize)
-                    .copied()
-                    .unwrap_or(NO_SITE);
+                let site = self.site_of.get(src.0 as usize).copied().unwrap_or(NO_SITE);
                 // Stores against objects allocated before this stream
                 // began (e.g. a salvaged trace suffix) are admitted:
                 // dropping them could only lose information, and they

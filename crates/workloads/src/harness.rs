@@ -4,68 +4,16 @@ use crate::{Input, Workload};
 use faults::FaultPlan;
 use heapmd::{
     AnomalyDetector, BugReport, HeapModel, IncidentBundle, IncidentLog, MetricReport, ModelBuilder,
-    ModelOutcome, Monitor, Process, SamplerConfig, Settings,
+    ModelOutcome, Process, Settings,
 };
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Per-series point budget for the flight recorder attached by
-/// [`check_with_incidents`]: enough to span long runs after
+/// Per-series point budget for the flight recorder every harness
+/// check attaches: enough to span long runs after
 /// stride-doubling, small enough to keep bundles a few KB.
 pub const FLIGHT_RECORDER_POINTS: usize = 512;
-
-/// Heap-graph shard count for every [`Process`] the harness builds
-/// (1 = classic single-slab layout). Shard count changes storage
-/// layout only — samples, models, and verdicts are bit-identical at
-/// every value — so this is safe to flip mid-suite.
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the shard count used by subsequent harness runs (the CLI's
-/// `--shards` flag lands here). Values below 1 clamp to 1.
-pub fn set_default_shards(n: usize) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The shard count harness-built processes currently use.
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
-}
-
-/// Production-overhead sampling for harness-built processes, packed as
-/// `hot_threshold << 32 | decimation` (both knobs are well under 2^32
-/// in practice; values are clamped on set). Zero = sampling off, the
-/// default — training and tests stay exact unless a driver opts in.
-static DEFAULT_SAMPLER: AtomicU64 = AtomicU64::new(0);
-
-/// Sets (or clears, with `None`) the store-sampling config applied to
-/// every process the harness builds from now on — the CLI's `--sample`
-/// flags land here.
-pub fn set_default_sampler(config: Option<SamplerConfig>) {
-    let packed = config.map_or(0, |c| {
-        let hot = c.hot_threshold.min(u64::from(u32::MAX));
-        let dec = c.decimation.clamp(1, u64::from(u32::MAX));
-        (hot << 32) | dec
-    });
-    DEFAULT_SAMPLER.store(packed, Ordering::Relaxed);
-}
-
-/// The sampling config harness-built processes currently apply, if any.
-pub fn default_sampler() -> Option<SamplerConfig> {
-    let packed = DEFAULT_SAMPLER.load(Ordering::Relaxed);
-    (packed != 0).then(|| SamplerConfig::new(packed >> 32, packed & u64::from(u32::MAX)))
-}
-
-/// Builds a workload process honoring [`default_shards`] and
-/// [`default_sampler`].
-fn new_process(settings: Settings) -> Process {
-    let mut p = Process::with_shards(settings, default_shards());
-    if let Some(config) = default_sampler() {
-        p.enable_sampling(config);
-    }
-    p
-}
 
 /// The settings a program is normally analysed under: paper thresholds,
 /// program-specific `frq`.
@@ -88,31 +36,21 @@ pub fn run_once(
     plan: &mut FaultPlan,
     settings: &Settings,
 ) -> MetricReport {
-    let mut p = new_process(settings.clone());
-    {
-        let _span = heapmd_obs::span!("workload_run");
-        w.run(&mut p, plan, input)
-            .unwrap_or_else(|e| panic!("{} on input {} failed: {e}", w.name(), input.id));
-    }
-    p.finish(format!("{}/input-{}", w.name(), input.id))
+    run_in(Process::new(settings.clone()), w, input, plan)
 }
 
-/// Runs `w` once with monitors attached (detectors, baselines).
+/// Runs `w` once on `input` under `plan` in `p`, a process the caller
+/// configured (store sampling, monitors), returning the metric report.
 ///
 /// # Panics
 ///
 /// Same as [`run_once`].
-pub fn run_monitored(
+pub fn run_in(
+    mut p: Process,
     w: &dyn Workload,
     input: &Input,
     plan: &mut FaultPlan,
-    settings: &Settings,
-    monitors: &[Rc<RefCell<dyn Monitor>>],
 ) -> MetricReport {
-    let mut p = new_process(settings.clone());
-    for m in monitors {
-        p.attach(m.clone());
-    }
     {
         let _span = heapmd_obs::span!("workload_run");
         w.run(&mut p, plan, input)
@@ -205,15 +143,7 @@ pub fn check(
     input: &Input,
     plan: &mut FaultPlan,
 ) -> Vec<BugReport> {
-    let settings = settings_for(w);
-    let detector = Rc::new(RefCell::new(AnomalyDetector::new(
-        model.clone(),
-        settings.clone(),
-    )));
-    let monitors: [Rc<RefCell<dyn Monitor>>; 1] = [detector.clone()];
-    let _ = run_monitored(w, input, plan, &settings, &monitors);
-    let mut d = detector.borrow_mut();
-    d.take_bugs()
+    check_in(Process::new(settings_for(w)), w, model, input, plan, None).bugs
 }
 
 /// What a flight-recorded check produced.
@@ -230,9 +160,9 @@ pub struct CheckOutcome {
     pub report: MetricReport,
 }
 
-/// Like [`check`], but with the process flight recorder enabled so any
-/// incident carries metric/rate series and a degree histogram; bundles
-/// are additionally persisted under `incident_dir` when given.
+/// Like [`check`], but returns the whole [`CheckOutcome`]: incidents
+/// carry metric/rate series and a degree histogram, and bundles are
+/// additionally persisted under `incident_dir` when given.
 pub fn check_with_incidents(
     w: &dyn Workload,
     model: &HeapModel,
@@ -240,25 +170,43 @@ pub fn check_with_incidents(
     plan: &mut FaultPlan,
     incident_dir: Option<&Path>,
 ) -> CheckOutcome {
-    let settings = settings_for(w);
+    check_in(
+        Process::new(settings_for(w)),
+        w,
+        model,
+        input,
+        plan,
+        incident_dir,
+    )
+}
+
+/// The one check body: runs `w` in `p` (a process the caller
+/// configured, e.g. store-sampled) with the anomaly detector and the
+/// flight recorder attached.
+///
+/// # Panics
+///
+/// Same as [`run_once`].
+pub fn check_in(
+    mut p: Process,
+    w: &dyn Workload,
+    model: &HeapModel,
+    input: &Input,
+    plan: &mut FaultPlan,
+    incident_dir: Option<&Path>,
+) -> CheckOutcome {
     let detector = Rc::new(RefCell::new(AnomalyDetector::new(
         model.clone(),
-        settings.clone(),
+        p.settings().clone(),
     )));
     if let Some(dir) = incident_dir {
         detector
             .borrow_mut()
             .log_incidents_to(IncidentLog::new(dir, w.name()));
     }
-    let mut p = new_process(settings);
     p.enable_flight_recorder(FLIGHT_RECORDER_POINTS);
     p.attach(detector.clone());
-    {
-        let _span = heapmd_obs::span!("workload_run");
-        w.run(&mut p, plan, input)
-            .unwrap_or_else(|e| panic!("{} on input {} failed: {e}", w.name(), input.id));
-    }
-    let report = p.finish(format!("{}/input-{}", w.name(), input.id));
+    let report = run_in(p, w, input, plan);
     let mut d = detector.borrow_mut();
     CheckOutcome {
         bugs: d.take_bugs(),

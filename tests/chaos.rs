@@ -8,8 +8,8 @@
 use faults::io::{fault_ids::*, FaultyReader, FaultyWriter};
 use faults::{FaultConfig, FaultId, FaultPlan};
 use heapmd::{
-    BinaryTraceReader, BinaryTraceWriter, HeapMdError, ModelBuilder, Process, Settings,
-    StreamFormat, Trace, TraceReader, TraceWriter, TrainCheckpoint,
+    BinaryTraceReader, BinaryTraceWriter, HeapMdError, ModelBuilder, Process, Settings, Trace,
+    TraceReader, TraceWriter, TrainCheckpoint,
 };
 use std::io::{Read, Write};
 
@@ -236,14 +236,9 @@ fn checkpoints_round_trip_under_corruption_never_panic() {
             let path = dir.join("damaged.ckpt");
             std::fs::write(&path, &damaged).unwrap();
             match TrainCheckpoint::load(&path) {
-                Ok(back) => {
-                    // See the model test: JSON carries no checksum, so a
-                    // value-preserving bit flip may parse; all other
-                    // faults must reproduce the checkpoint exactly.
-                    if fault != IO_BIT_FLIP_READ {
-                        assert_eq!(back, cp, "{fault} {config:?}: silent corruption");
-                    }
-                }
+                // The container checks every byte, so whatever loads
+                // is the checkpoint exactly, bit flips included.
+                Ok(back) => assert_eq!(back, cp, "{fault} {config:?}: silent corruption"),
                 Err(
                     HeapMdError::Corrupt { .. }
                     | HeapMdError::Checkpoint(_)
@@ -340,44 +335,11 @@ fn process_survives_a_dying_binary_trace_sink_under_every_schedule() {
             let settings = Settings::builder().frq(10).build().unwrap();
             let mut p = Process::new(settings);
             let sink = Box::new(FaultyWriter::new(Vec::new(), plan));
-            match p.stream_trace_to_format(sink, StreamFormat::Binary) {
+            match p.stream_trace_to(sink) {
                 Ok(()) => {}
                 Err(HeapMdError::Io(_)) => continue,
                 Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
             }
-            for _ in 0..20 {
-                p.enter("w");
-                let a = p.malloc(16, "x").unwrap();
-                p.free(a).unwrap();
-                p.leave();
-            }
-            assert_eq!(p.fn_entries(), 20, "{fault} {config:?} disturbed the run");
-            match p.finish_stream() {
-                Ok(_) | Err(HeapMdError::Io(_)) => {}
-                Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
-            }
-            let _ = p.finish("chaos");
-        }
-    }
-}
-
-#[test]
-fn process_survives_a_dying_trace_sink_under_every_schedule() {
-    for fault in WRITER_FAULTS {
-        for config in schedules() {
-            let mut plan = FaultPlan::new();
-            plan.enable(fault, config);
-            let settings = Settings::builder().frq(10).build().unwrap();
-            let mut p = Process::new(settings);
-            let sink = Box::new(FaultyWriter::new(Vec::new(), plan));
-            match p.stream_trace_to_format(sink, StreamFormat::Jsonl) {
-                Ok(()) => {}
-                // The stream header itself can hit the fault; a typed
-                // error at setup is a legal outcome.
-                Err(HeapMdError::Io(_)) => continue,
-                Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
-            }
-            // The checked process itself must survive any sink failure.
             for _ in 0..20 {
                 p.enter("w");
                 let a = p.malloc(16, "x").unwrap();

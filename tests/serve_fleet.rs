@@ -939,7 +939,9 @@ fn sampled_tenant_reports_widened_bands_next_to_exact_tenant() {
     let tenant_line = |name: &str| {
         firehose
             .lines()
-            .find(|l| l.contains("\"type\":\"tenant\"") && l.contains(&format!("\"name\":\"{name}\"")))
+            .find(|l| {
+                l.contains("\"type\":\"tenant\"") && l.contains(&format!("\"name\":\"{name}\""))
+            })
             .unwrap_or_else(|| panic!("no firehose line for {name}:\n{firehose}"))
             .to_string()
     };

@@ -5,7 +5,7 @@ use faults::FaultPlan;
 use heapmd::{
     check_paths_parallel, load_trace_auto, push_trace_resumable, AnomalyDetector, FuncId,
     HeapEvent, ModelBuilder, Process, SamplerConfig, ServeConfig, Server, SessionOptions, Settings,
-    StreamFormat, Trace, WireFrame, WireReader,
+    Trace, WireFrame, WireReader,
 };
 use sim_ds::{fault_ids::DLIST_SKIP_PREV, SimDList};
 use std::cell::RefCell;
@@ -115,9 +115,8 @@ fn binary_roundtrip_preserves_checking() {
 }
 
 /// A sampled run streamed in the default format keeps its sampling
-/// outcome, so its offline check widens exactly as the binary codec's
-/// does. (Framed JSONL has no record for it: an offline check of such a
-/// file would use un-widened ranges.)
+/// outcome, so its offline check widens exactly as a check of the
+/// in-memory recording (stamped with the same outcome) does.
 #[test]
 fn sampled_stream_in_the_default_format_keeps_its_sampling_outcome() {
     let w = workloads::registry()
@@ -127,29 +126,34 @@ fn sampled_stream_in_the_default_format_keeps_its_sampling_outcome() {
     let model = workloads::harness::train(w.as_ref(), &workloads::Input::set(8)).model;
     let dir = std::env::temp_dir().join(format!("heapmd-sampled-default-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let mut checked = Vec::new();
-    for (name, format) in [
-        ("default.hmdt", StreamFormat::default()),
-        ("binary.hmdt", StreamFormat::Binary),
-    ] {
-        let path = dir.join(name);
-        let mut p = Process::new(workloads::harness::settings_for(w.as_ref()));
-        p.enable_sampling(SamplerConfig::default());
-        let file = std::fs::File::create(&path).unwrap();
-        p.stream_trace_to_format(Box::new(std::io::BufWriter::new(file)), format)
-            .unwrap();
-        w.run(&mut p, &mut FaultPlan::new(), &workloads::Input::new(24))
-            .unwrap();
-        p.finish_stream().unwrap();
-        let (trace, _) = load_trace_auto(&path, false).unwrap();
-        assert!(
-            trace.sampling().is_some(),
-            "{name}: the sampling outcome was dropped"
-        );
-        checked.push(trace.check(&model, &model.settings).unwrap());
-    }
+    let path = dir.join("default.hmdt");
+    let mut p = Process::new(workloads::harness::settings_for(w.as_ref()));
+    p.enable_sampling(SamplerConfig::default());
+    p.enable_trace();
+    let file = std::fs::File::create(&path).unwrap();
+    p.stream_trace_to(Box::new(std::io::BufWriter::new(file)))
+        .unwrap();
+    w.run(&mut p, &mut FaultPlan::new(), &workloads::Input::new(24))
+        .unwrap();
+    p.finish_stream().unwrap();
+    let mut recorded = p.take_trace().unwrap();
+    recorded.set_functions(
+        (0..p.functions().len())
+            .map(|i| p.functions().name(FuncId(i as u32)).to_string())
+            .collect(),
+    );
+    let (streamed, _) = load_trace_auto(&path, false).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(checked[0], checked[1], "default and binary verdicts differ");
+    assert!(
+        streamed.sampling().is_some(),
+        "the sampling outcome was dropped"
+    );
+    assert_eq!(streamed.sampling(), recorded.sampling());
+    assert_eq!(
+        streamed.check(&model, &model.settings).unwrap(),
+        recorded.check(&model, &model.settings).unwrap(),
+        "streamed and in-memory verdicts differ"
+    );
 }
 
 /// One warm-up on every path: a live check, `Trace::check`, the
@@ -245,8 +249,7 @@ fn streamed_function_tables_precede_their_first_use() {
     }
     // A name interned before the stream attaches must be covered too.
     p.enter("main");
-    p.stream_trace_to_format(Box::new(Shared(bytes.clone())), StreamFormat::Binary)
-        .unwrap();
+    p.stream_trace_to(Box::new(Shared(bytes.clone()))).unwrap();
     let mut list = SimDList::new(&mut p, "t").unwrap();
     for i in 0..200u64 {
         p.enter(["tick", "tock", "main"][i as usize % 3]);
