@@ -70,8 +70,6 @@ fn bench_overhead(c: &mut Criterion) {
         stable: vec![],
         unstable: vec![],
         locally_stable: vec![],
-        candidate_stable: vec![],
-        candidate_unstable: vec![],
         sample_rate: 1.0,
         training_runs: 0,
     };

@@ -6,7 +6,8 @@
 //!                      [--trace-out FILE] [--sample] [--sample-hot-threshold N]
 //!                      [--sample-decimation N] [--model FILE] [--incidents DIR]
 //! heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local]
-//!                        [--checkpoint-every N] [--resume] [--threads N]
+//!                        [--metrics paper|candidates] [--checkpoint-every N]
+//!                        [--resume] [--threads N]
 //! heapmd check --model FILE --trace FILE [--trace FILE …] [--jobs N] [--shards N]
 //!              [--salvage] [--sample]
 //! heapmd replay --model FILE --trace FILE [--salvage] [--shards N]
@@ -27,7 +28,11 @@
 //! with `--model` it is the paper's online check, with `--trace-out` it
 //! records the trace that `check --trace` / `replay` later check
 //! post-mortem. Every subcommand refuses (exit 2) a flag it does not
-//! read.
+//! read and a word beyond its positionals (`run`, `train` and `inspect`
+//! take one, the others none). A model trained with `--metrics
+//! candidates` checks its calibrated extended metrics through the same
+//! verdict path as the paper seven: their range violations print, exit
+//! 3 and write bundles.
 //!
 //! Robustness features:
 //!
@@ -154,11 +159,19 @@ fn arg_values(args: &[String], flag: &str) -> Vec<String> {
     out
 }
 
-/// Exits with a usage error (code 2) naming the first `--flag` in
-/// `args` that subcommand `cmd` does not read. `values` lists the
-/// flags that take an argument (skipped unread), `switches` those that
-/// stand alone, both whitespace-separated; other words are positional.
-fn known_flags(cmd: &str, args: &[String], values: &str, switches: &str) {
+/// Returns the positional words of `args`, exiting with a usage error
+/// (code 2) that names the first `--flag` subcommand `cmd` does not
+/// read, or the first word beyond its `positionals`. `values` lists
+/// the flags that take an argument (skipped unread), `switches` those
+/// that stand alone, both whitespace-separated.
+fn known_flags(
+    cmd: &str,
+    args: &[String],
+    values: &str,
+    switches: &str,
+    positionals: usize,
+) -> Vec<String> {
+    let mut words = Vec::new();
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         if values.split_whitespace().any(|f| f == a) {
@@ -166,8 +179,15 @@ fn known_flags(cmd: &str, args: &[String], values: &str, switches: &str) {
         } else if a.starts_with("--") && !switches.split_whitespace().any(|f| f == a) {
             eprintln!("`heapmd {cmd}` does not take {a}");
             std::process::exit(2);
+        } else if !a.starts_with("--") {
+            if words.len() == positionals {
+                eprintln!("`heapmd {cmd}` does not take the argument {a}");
+                std::process::exit(2);
+            }
+            words.push(a.clone());
         }
     }
+    words
 }
 
 /// The `--shards N` heap-graph shard count for `run`/`check`/`replay`:
@@ -245,7 +265,7 @@ fn usage() -> ! {
 }
 
 fn cmd_list(args: &[String]) -> i32 {
-    known_flags("list", args, "", "");
+    known_flags("list", args, "", "", 0);
     println!("programs:");
     for w in registry() {
         let kind = match w.kind() {
@@ -276,15 +296,18 @@ fn cmd_list(args: &[String]) -> i32 {
 }
 
 fn cmd_run(args: &[String]) -> i32 {
-    known_flags(
+    let words = known_flags(
         "run",
         args,
         "--input --version --bug --shards --trace-out --model --incidents \
          --run-store --serve --tenant --session --retry --backoff-ms \
          --sample-hot-threshold --sample-decimation",
         "--sample",
+        1,
     );
-    let Some(program) = args.first() else { usage() };
+    let Some(program) = words.first() else {
+        usage()
+    };
     let input_id: u32 = num_flag(args, "--input", "a number", 1000u32);
     let version: u8 = num_flag(args, "--version", "1-5", 1u8);
     let trace_out = arg_value(args, "--trace-out");
@@ -449,14 +472,17 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_train(args: &[String]) -> i32 {
-    known_flags(
+    let words = known_flags(
         "train",
         args,
         "--inputs --version --out --metrics --checkpoint-every --threads \
          --checkpoint --run-store",
         "--local --resume",
+        1,
     );
-    let Some(program) = args.first() else { usage() };
+    let Some(program) = words.first() else {
+        usage()
+    };
     let inputs: usize = num_flag(args, "--inputs", "a number", 10usize);
     let version: u8 = num_flag(args, "--version", "1-5", 1u8);
     let out = arg_value(args, "--out").unwrap_or_else(|| format!("{program}.heapmd.json"));
@@ -571,7 +597,7 @@ fn cmd_train(args: &[String]) -> i32 {
     for sm in outcome.model.stable_metrics() {
         println!(
             "stable {:<9} [{:6.2}, {:6.2}]  avg chg {:+.2}%  σ {:.2}  ({}/{} runs)",
-            sm.kind.to_string(),
+            sm.kind.short_name(),
             sm.min,
             sm.max,
             sm.avg_change,
@@ -585,18 +611,6 @@ fn cmd_train(args: &[String]) -> i32 {
             "locally stable {:<9} bands {:?}",
             lm.kind.to_string(),
             lm.ranges
-        );
-    }
-    for cm in &outcome.model.candidate_stable {
-        println!(
-            "candidate stable {:<24} [{:8.3}, {:8.3}]  avg chg {:+.2}%  ({}/{} runs)",
-            cm.id, cm.min, cm.max, cm.avg_change, cm.stable_runs, cm.total_runs
-        );
-    }
-    if !outcome.model.candidate_unstable.is_empty() {
-        println!(
-            "candidate unstable: {}",
-            outcome.model.candidate_unstable.join(", ")
         );
     }
     if !outcome.flagged_runs.is_empty() {
@@ -632,6 +646,7 @@ fn cmd_check(args: &[String]) -> i32 {
         "--model --trace --jobs --shards --run-store --version \
          --sample-hot-threshold --sample-decimation",
         "--salvage --sample",
+        0,
     );
     let trace_paths = arg_values(args, "--trace");
     if trace_paths.is_empty() {
@@ -741,7 +756,9 @@ fn render_bundle(bundle: &IncidentBundle) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "source   {}\nmetric   {} — {}\nvalue    {:.3} outside calibrated [{:.3}, {:.3}], slope {:+.3}\n",
-        m.source, m.metric, m.kind, m.value, m.range.0, m.range.1, m.slope
+        m.source,
+        m.metric.short_name(),
+        m.kind, m.value, m.range.0, m.range.1, m.slope
     ));
     out.push_str(&format!(
         "where    sample #{} ({} fn entries), {} samples seen",
@@ -863,8 +880,8 @@ fn render_bundle(bundle: &IncidentBundle) -> String {
 }
 
 fn cmd_inspect(args: &[String]) -> i32 {
-    known_flags("inspect", args, "", "--salvage");
-    let Some(path) = args.first() else { usage() };
+    let words = known_flags("inspect", args, "", "--salvage", 1);
+    let Some(path) = words.first() else { usage() };
     let salvage = args.iter().any(|a| a == "--salvage");
     // The magic bytes pick the renderer; the extension is advisory
     // only, so a mis-named artifact still inspects correctly and an
@@ -1050,6 +1067,7 @@ fn cmd_replay(args: &[String]) -> i32 {
         "--model --trace --shards --sample-hot-threshold \
          --sample-decimation",
         "--salvage --sample",
+        0,
     );
     let Some(model_path) = arg_value(args, "--model") else {
         usage()
@@ -1124,6 +1142,7 @@ fn cmd_serve(args: &[String]) -> i32 {
          --prom-dump --journal-dir --model-dir --run-store \
          --session-timeout-ms --sample-hot-threshold --sample-decimation",
         "--sample",
+        0,
     );
     let Some(model_path) = arg_value(args, "--model") else {
         usage()
@@ -1294,7 +1313,7 @@ fn render_top(addr: &str, tsv: &str, history: &mut Vec<f64>) -> String {
 }
 
 fn cmd_top(args: &[String]) -> i32 {
-    known_flags("top", args, "--connect --interval-ms", "--once");
+    known_flags("top", args, "--connect --interval-ms", "--once", 0);
     let Some(addr) = arg_value(args, "--connect") else {
         usage()
     };
@@ -1334,6 +1353,7 @@ fn cmd_query(args: &[String]) -> i32 {
         "--store --workload --version --run --tenant --kind --since --until \
          --metric --agg --format --limit",
         "--describe",
+        0,
     );
     let Some(store_dir) = arg_value(args, "--store") else {
         usage()
@@ -1518,6 +1538,7 @@ fn cmd_push(args: &[String]) -> i32 {
         "--to --tenant --trace --session --retry --backoff-ms \
          --sample-hot-threshold --sample-decimation",
         "--salvage --sample",
+        0,
     );
     let Some(addr) = arg_value(args, "--to") else {
         usage()

@@ -188,7 +188,7 @@ pub fn fig7a(effort: Effort) -> (Vec<Fig7aRow>, String) {
                 r.program.clone(),
                 r.inputs.to_string(),
                 r.stable_count.to_string(),
-                sm.kind.to_string(),
+                sm.kind.short_name().to_string(),
                 f1(sm.avg_change),
                 f1(sm.std_change),
                 f1(sm.min),
@@ -269,7 +269,7 @@ pub fn fig7b(effort: Effort) -> (Vec<Fig7bRow>, String) {
                     return None;
                 }
                 Some(StableMetric {
-                    kind,
+                    kind: kind.into(),
                     min: entries.iter().map(|e| e.min).fold(f64::INFINITY, f64::min),
                     max: entries
                         .iter()
@@ -309,7 +309,7 @@ pub fn fig7b(effort: Effort) -> (Vec<Fig7bRow>, String) {
                 r.inputs.to_string(),
                 r.versions.to_string(),
                 r.common_stable.len().to_string(),
-                sm.kind.to_string(),
+                sm.kind.short_name().to_string(),
                 f1(sm.avg_change),
                 f1(sm.std_change),
                 f1(sm.min),
@@ -1172,7 +1172,7 @@ mod tests {
     fn example_metric_prefers_the_paper_choice() {
         use heapmd::{HeapModel, Settings, StableMetric};
         let sm = |kind: MetricKind, min: f64, max: f64| StableMetric {
-            kind,
+            kind: kind.into(),
             min,
             max,
             avg_change: 0.0,
@@ -1191,8 +1191,6 @@ mod tests {
             ],
             unstable: vec![],
             locally_stable: vec![],
-            candidate_stable: vec![],
-            candidate_unstable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };

@@ -1,8 +1,9 @@
 //! The `heapmd` CLI refuses what it would otherwise ignore or lose —
-//! unknown flags, removed commands, flag combinations whose output
-//! could not carry the run's sampling outcome — before it runs
-//! anything; and `run --model`, its one live check, agrees with the
-//! post-mortem `check` of the run's own recording.
+//! unknown flags, stray positional words, removed commands, flag
+//! combinations whose output could not carry the run's sampling
+//! outcome — before it runs anything; and `run --model`, its one live
+//! check, agrees with the post-mortem `check` of the run's own
+//! recording.
 
 use std::process::{Command, Output};
 
@@ -47,7 +48,18 @@ fn unknown_flags_and_removed_commands_are_usage_errors() {
     let trace = trace.to_str().unwrap();
     for (args, names) in [
         (&["record", "gzip", "--trace", trace][..], None),
-        (&["check", "gzip", "--model", "m"][..], Some("--trace")),
+        (&["check", "gzip", "--model", "m"][..], Some("gzip")),
+        (
+            &["check", "not_a_program", "--model", "m", "--trace", trace][..],
+            Some("not_a_program"),
+        ),
+        (
+            &["run", "gzip", "extra-word", "--input", "11"][..],
+            Some("extra-word"),
+        ),
+        (&["replay", "gzip", "--model", "m"][..], Some("gzip")),
+        (&["inspect", trace, "extra-word"][..], Some("extra-word")),
+        (&["check", "--model", "m"][..], Some("--trace")),
         (&["run", "gzip", "--format", "jsonl"][..], Some("--format")),
         (&["run", "gzip", "--bogus"][..], Some("--bogus")),
         (

@@ -1,6 +1,6 @@
 //! Bug reports and the paper's bug taxonomy (§4.1, Figures 8 and 9).
 
-use heap_graph::MetricKind;
+use heap_graph::CandidateKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -97,8 +97,9 @@ pub struct StackLogEntry {
 /// function.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BugReport {
-    /// The metric that misbehaved.
-    pub metric: MetricKind,
+    /// The metric that misbehaved: a paper metric, or an extended
+    /// candidate a candidate-mode model calibrated.
+    pub metric: CandidateKind,
     /// What kind of anomaly was seen.
     pub kind: AnomalyKind,
     /// The metric's value at detection time.
@@ -154,7 +155,12 @@ impl fmt::Display for BugReport {
         write!(
             f,
             "{}: {} — value {:.2} vs calibrated [{:.2}, {:.2}] at sample {}",
-            self.metric, self.kind, self.value, self.range.0, self.range.1, self.sample_seq
+            self.metric.short_name(),
+            self.kind,
+            self.value,
+            self.range.0,
+            self.range.1,
+            self.sample_seq
         )?;
         if self.sample_rate < 1.0 {
             write!(
@@ -195,7 +201,7 @@ impl Direction {
 
 /// Emits an `anomaly` obs event (and bumps `heapmd_anomaly_total`) for
 /// a freshly raised report. `source` names the checker that raised it
-/// (`"detector"` or `"online"`). Events are a live view: the offline
+/// (`"detector"`). Events are a live view: the offline
 /// detector's shutdown trim may later drop a report whose event already
 /// fired.
 pub(crate) fn emit_anomaly_event(bug: &BugReport, source: &str) {
@@ -316,7 +322,7 @@ mod tests {
 
     fn report() -> BugReport {
         BugReport {
-            metric: MetricKind::Indeg1,
+            metric: CandidateKind::Indeg1,
             kind: AnomalyKind::RangeViolation {
                 direction: Direction::AboveMax,
             },

@@ -16,7 +16,7 @@
 //! SIGKILL.
 
 use crate::error::HeapMdError;
-use crate::model::{CandidateSummary, ModelBuilder, RunSummary};
+use crate::model::{metric_set, ModelBuilder, RunSummary};
 use crate::settings::Settings;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -42,14 +42,11 @@ pub struct TrainCheckpoint {
     /// Trimmed per-metric series (parallel to `runs`; populated only
     /// when `include_local`).
     pub series: Vec<Option<Vec<Vec<f64>>>>,
-    /// Whether widened candidate-family modelling is on. Absent in
-    /// checkpoints from builds that predate the candidate family.
+    /// Whether the whole candidate family is calibrated, not only the
+    /// paper seven. Absent in checkpoints from builds that predate the
+    /// candidate family.
     #[serde(default)]
     pub include_candidates: bool,
-    /// Per-run extended-candidate summaries (parallel to `runs` when
-    /// candidate modelling is on; empty in legacy checkpoints).
-    #[serde(default)]
-    pub cand_runs: Vec<Option<Vec<CandidateSummary>>>,
     /// Minimum store-sampling rate over the runs summarized so far
     /// (1.0 when every run was exact; absent in legacy checkpoints).
     #[serde(default = "default_checkpoint_sample_rate")]
@@ -63,8 +60,9 @@ fn default_checkpoint_sample_rate() -> f64 {
 }
 
 impl TrainCheckpoint {
-    /// Structural validation: supported version and internally
-    /// consistent run/series bookkeeping.
+    /// Structural validation: supported version, internally
+    /// consistent run/series bookkeeping, and run summaries that cover
+    /// exactly the metric family of the checkpoint's mode.
     ///
     /// # Errors
     ///
@@ -83,12 +81,24 @@ impl TrainCheckpoint {
                 self.series.len()
             )));
         }
-        if !self.cand_runs.is_empty() && self.cand_runs.len() != self.runs.len() {
-            return Err(HeapMdError::Checkpoint(format!(
-                "{} run summaries but {} candidate entries",
-                self.runs.len(),
-                self.cand_runs.len()
-            )));
+        let kinds = metric_set(self.include_candidates);
+        for run in &self.runs {
+            let Some(metrics) = &run.metrics else {
+                continue;
+            };
+            if !metrics.iter().map(|m| m.kind).eq(kinds.iter().copied()) {
+                let mode = if self.include_candidates {
+                    "candidate"
+                } else {
+                    "paper"
+                };
+                return Err(HeapMdError::Checkpoint(format!(
+                    "run {} summarizes {} metrics, not the {} of the {mode} family",
+                    run.run,
+                    metrics.len(),
+                    kinds.len()
+                )));
+            }
         }
         if self.next_input < self.runs.len() as u64 {
             return Err(HeapMdError::Checkpoint(format!(
@@ -146,7 +156,6 @@ impl ModelBuilder {
             runs: self.runs.clone(),
             series: self.series.clone(),
             include_candidates: self.include_candidates,
-            cand_runs: self.cand_runs.clone(),
             min_sample_rate: self.min_sample_rate,
             next_input,
         }
@@ -166,10 +175,6 @@ impl ModelBuilder {
             .validate()
             .map_err(|e| HeapMdError::Checkpoint(format!("embedded settings invalid: {e}")))?;
         let next = cp.next_input;
-        // Legacy checkpoints carry no candidate column; pad with `None`
-        // so the builder's parallel-vector invariant holds.
-        let mut cand_runs = cp.cand_runs;
-        cand_runs.resize(cp.runs.len(), None);
         Ok((
             ModelBuilder {
                 settings: cp.settings,
@@ -178,7 +183,6 @@ impl ModelBuilder {
                 include_local: cp.include_local,
                 series: cp.series,
                 include_candidates: cp.include_candidates,
-                cand_runs,
                 min_sample_rate: if cp.min_sample_rate.is_finite()
                     && cp.min_sample_rate > 0.0
                     && cp.min_sample_rate <= 1.0
@@ -363,6 +367,36 @@ mod tests {
             Err(HeapMdError::Io(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn summaries_outside_the_mode_family_are_refused() {
+        let with_candidates = |run: &str| {
+            let mut r = report(run, 40.0, 30);
+            for s in &mut r.samples {
+                s.candidates = Some(heap_graph::CandidateVector::zero());
+            }
+            r
+        };
+        let mut paper = ModelBuilder::new(Settings::default());
+        paper.add_run(&with_candidates("r0"));
+        let mut cand = ModelBuilder::new(Settings::default()).candidate_metrics(true);
+        cand.add_run(&with_candidates("r0"));
+        assert!(paper.checkpoint(1).validate().is_ok());
+        assert!(cand.checkpoint(1).validate().is_ok());
+
+        // A candidate-mode checkpoint whose runs cover only the paper
+        // seven (as builds that summarized candidates apart wrote them).
+        let mut cp = paper.checkpoint(1);
+        cp.include_candidates = true;
+        assert!(matches!(cp.validate(), Err(HeapMdError::Checkpoint(_))));
+        // And the other way round.
+        let mut cp = cand.checkpoint(1);
+        cp.include_candidates = false;
+        assert!(matches!(
+            ModelBuilder::from_checkpoint(cp),
+            Err(HeapMdError::Checkpoint(_))
+        ));
     }
 
     #[test]

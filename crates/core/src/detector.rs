@@ -4,7 +4,7 @@ use crate::bug::{AnomalyKind, BugReport, Direction, LogPhase, StackLogEntry};
 use crate::callstack::FuncId;
 use crate::fluctuation::FluctuationStats;
 use crate::incident::{DegreeSnapshot, IncidentBundle, IncidentLog, SeriesData};
-use crate::model::{CandidateMetric, HeapModel, StableMetric};
+use crate::model::{HeapModel, StableMetric};
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::phase_model::LocalMetric;
 use crate::report::{MetricReport, MetricSample};
@@ -12,7 +12,6 @@ use crate::ringbuf::CircularBuffer;
 use crate::settings::Settings;
 use crate::stability::{classify, StabilityClass};
 use heap_graph::MetricKind;
-use serde::{Deserialize, Serialize};
 use sim_heap::HeapEvent;
 
 /// Maximum post-crossing events attached to one bug's context.
@@ -51,35 +50,6 @@ struct PendingCapture {
     degrees: Option<DegreeSnapshot>,
 }
 
-/// A calibrated extended candidate straying outside its range during
-/// checking. Deliberately *not* a [`BugReport`]: candidate findings
-/// ride alongside the legacy verdict — `bugs()` is bit-identical with
-/// or without them — and carry the candidate's string id instead of a
-/// [`MetricKind`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CandidateFinding {
-    /// Stable string id of the candidate that strayed.
-    pub id: String,
-    /// The observed value.
-    pub value: f64,
-    /// The calibrated range after the checking slack
-    /// (`[min - range_margin, max + range_margin]`).
-    pub range: (f64, f64),
-    /// Sample index of the excursion's first out-of-range point.
-    pub sample_seq: usize,
-    /// Cumulative function entries at that point.
-    pub fn_entries: u64,
-    /// Which bound was crossed.
-    pub direction: Direction,
-}
-
-/// Per-calibrated-candidate checking state.
-#[derive(Debug)]
-struct CandState {
-    cm: CandidateMetric,
-    in_violation: bool,
-}
-
 /// Per-stable-metric checking state.
 #[derive(Debug)]
 struct MetricState {
@@ -112,11 +82,18 @@ impl MetricState {
 ///   carries context from before the crossing.
 /// * **Range violation** — crossing the calibrated min/max raises a
 ///   [`BugReport`] with before/during/after call-stack context.
-/// * **Poorly disguised** — a metric that exits startup pinned at an
-///   extreme of its range (and stays there) is reported at finish.
-/// * **Pathological** — a metric that was *unstable* in training but
-///   stays globally stable during the checked run is reported at
+/// * **Poorly disguised** — a paper metric that exits startup pinned
+///   at an extreme of its range (and stays there) is reported at
+///   finish.
+/// * **Pathological** — a paper metric that was *unstable* in training
+///   but stays globally stable during the checked run is reported at
 ///   finish as unexpected stability.
+///
+/// A candidate-mode model's extended metrics get the first two checks
+/// only. On clean runs a maximum degree calibrated to one value sits
+/// pinned at its edge by construction, and a mean degree that moved in
+/// training can hold still on one input, so the last two classes would
+/// report noise for them (DESIGN.md §14.1).
 ///
 /// Stability is deliberately *not* required during checking: a metric
 /// may wander, so long as it stays within the calibrated range (§2.2).
@@ -152,13 +129,8 @@ pub struct AnomalyDetector {
     settings: Settings,
     states: Vec<MetricState>,
     local_states: Vec<LocalState>,
-    /// Checking state for the model's calibrated extended candidates.
-    /// Empty for paper-mode models — arming is an artifact property,
-    /// not a check-time flag.
-    cand_states: Vec<CandState>,
-    candidate_findings: Vec<CandidateFinding>,
-    /// Metrics the model recorded as never-stable in training, tracked
-    /// for pathological (unexpected-stability) detection:
+    /// Paper metrics the model recorded as never-stable in training,
+    /// tracked for pathological (unexpected-stability) detection:
     /// (kind, post-warmup values).
     unstable: Vec<(MetricKind, Vec<f64>)>,
     /// The armed window: the last `callstack_capacity` events logged
@@ -213,7 +185,12 @@ impl AnomalyDetector {
                 ever_violated: false,
             })
             .collect::<Vec<_>>();
-        let unstable = model.unstable.iter().map(|&k| (k, Vec::new())).collect();
+        let unstable = model
+            .unstable
+            .iter()
+            .filter_map(|k| k.paper_kind())
+            .map(|k| (k, Vec::new()))
+            .collect();
         let local_states = model
             .locally_stable
             .iter()
@@ -223,22 +200,11 @@ impl AnomalyDetector {
                 in_violation: false,
             })
             .collect();
-        let cand_states = model
-            .candidate_stable
-            .iter()
-            .cloned()
-            .map(|cm| CandState {
-                cm,
-                in_violation: false,
-            })
-            .collect();
         AnomalyDetector {
             log: CircularBuffer::new(settings.callstack_capacity),
             settings,
             states,
             local_states,
-            cand_states,
-            candidate_findings: Vec::new(),
             unstable,
             armed: false,
             armed_at: None,
@@ -289,18 +255,6 @@ impl AnomalyDetector {
     /// Returns `true` if any anomaly has been reported.
     pub fn has_anomalies(&self) -> bool {
         !self.bugs.is_empty()
-    }
-
-    /// Findings from the widened candidate family (empty unless the
-    /// model calibrated extended candidates). Excursions confined to
-    /// the shutdown trim are dropped at finish, like range violations.
-    pub fn candidate_findings(&self) -> &[CandidateFinding] {
-        &self.candidate_findings
-    }
-
-    /// Takes ownership of the candidate findings.
-    pub fn take_candidate_findings(&mut self) -> Vec<CandidateFinding> {
-        std::mem::take(&mut self.candidate_findings)
     }
 
     /// Attaches an [`IncidentLog`]: every range-violation incident that
@@ -394,7 +348,11 @@ impl AnomalyDetector {
                     st.sm.kind,
                 )
             };
-            let v = sample.metrics.get(kind);
+            // An extended metric on a sample replayed from an artifact
+            // that predates the widened family has no value to check.
+            let Some(v) = sample.candidate(kind) else {
+                continue;
+            };
             let slope = last.map(|l| v - l).unwrap_or(0.0);
 
             if warmup {
@@ -533,7 +491,7 @@ impl AnomalyDetector {
                         st.lm.ranges.last().map(|r| r.1).unwrap_or(f64::NAN),
                     );
                     let bug = BugReport {
-                        metric: st.lm.kind,
+                        metric: st.lm.kind.into(),
                         kind: AnomalyKind::LocalRangeViolation,
                         value: v,
                         range: hull,
@@ -545,58 +503,6 @@ impl AnomalyDetector {
                     };
                     crate::bug::emit_anomaly_event(&bug, "detector");
                     self.bugs.push(bug);
-                }
-            }
-        }
-
-        // The widened family: calibrated extended candidates must stay
-        // inside their ranges (with the same checking slack). Strictly
-        // additive — findings never enter `bugs`, so the legacy verdict
-        // is untouched. Samples replayed from pre-candidate artifacts
-        // carry no candidate vector and are skipped.
-        if !warmup {
-            for st in &mut self.cand_states {
-                let kind = match heap_graph::CandidateKind::from_id(&st.cm.id) {
-                    Some(k) => k,
-                    None => continue, // validate() rejects these on load
-                };
-                let v = match sample.candidate(kind) {
-                    Some(v) => v,
-                    None => continue,
-                };
-                let widen = crate::model::sampling_widen(st.cm.width(), rate);
-                let lo = st.cm.min - self.settings.range_margin - widen;
-                let hi = st.cm.max + self.settings.range_margin + widen;
-                let direction = if v > hi {
-                    Some(Direction::AboveMax)
-                } else if v < lo {
-                    Some(Direction::BelowMin)
-                } else {
-                    None
-                };
-                match direction {
-                    Some(direction) => {
-                        if !st.in_violation {
-                            st.in_violation = true;
-                            self.candidate_findings.push(CandidateFinding {
-                                id: st.cm.id.clone(),
-                                value: v,
-                                range: (lo, hi),
-                                sample_seq: sample.seq,
-                                fn_entries: sample.fn_entries,
-                                direction,
-                            });
-                            heapmd_obs::count!("heapmd_candidate_findings_total");
-                            heapmd_obs::export::emit_event("candidate_finding", |o| {
-                                o.field_str("metric", &st.cm.id)
-                                    .field_f64("value", v)
-                                    .field_f64("lo", lo)
-                                    .field_f64("hi", hi)
-                                    .field_u64("sample_seq", sample.seq as u64);
-                            });
-                        }
-                    }
-                    None => st.in_violation = false,
                 }
             }
         }
@@ -672,10 +578,6 @@ impl AnomalyDetector {
                 AnomalyKind::RangeViolation { .. } | AnomalyKind::LocalRangeViolation
             ) || b.sample_seq < cutoff
         });
-        // Candidate findings follow the same shutdown trim as range
-        // violations: a heap being dismantled is not an anomaly in the
-        // widened family either.
-        self.candidate_findings.retain(|f| f.sample_seq < cutoff);
         // Incident bundles follow the same trim: only bundles whose bug
         // survived are materialized, so arming that never fires — or an
         // excursion confined to teardown — leaves no bundle behind.
@@ -702,13 +604,13 @@ impl AnomalyDetector {
             }
         }
         self.incidents.extend(kept);
-        // Poorly disguised: pinned at an extreme for most of the run,
-        // without ever crossing.
+        // Poorly disguised: a paper metric pinned at an extreme for most
+        // of the run, without ever crossing.
         let total = self.post_warmup_samples;
         if total > 0 {
             let needed = ((total as f64) * PINNED_FRACTION).ceil() as usize;
             for st in &self.states {
-                if st.ever_violated {
+                if st.ever_violated || !st.sm.kind.is_paper() {
                     continue;
                 }
                 let extreme = if st.pinned_low >= needed {
@@ -744,7 +646,7 @@ impl AnomalyDetector {
             let stats = FluctuationStats::from_series(values);
             if classify(&stats, &self.settings) == StabilityClass::GloballyStable {
                 let bug = BugReport {
-                    metric: *kind,
+                    metric: (*kind).into(),
                     kind: AnomalyKind::UnexpectedStability,
                     value: *values.last().expect("non-empty"),
                     range: (f64::NAN, f64::NAN),
@@ -813,9 +715,10 @@ impl Monitor for AnomalyDetector {
 mod tests {
     use super::*;
     use crate::model::StableMetric;
-    use heap_graph::{MetricVector, METRIC_COUNT};
+    use heap_graph::{CandidateKind, MetricVector, METRIC_COUNT};
 
-    fn model_with(kind: MetricKind, min: f64, max: f64) -> HeapModel {
+    fn model_with(kind: impl Into<CandidateKind>, min: f64, max: f64) -> HeapModel {
+        let kind = kind.into();
         HeapModel {
             version: crate::model::MODEL_FORMAT_VERSION,
             program: "test".into(),
@@ -829,14 +732,12 @@ mod tests {
                 stable_runs: 5,
                 total_runs: 5,
             }],
-            unstable: MetricKind::ALL
+            unstable: CandidateKind::ALL[..METRIC_COUNT]
                 .iter()
                 .copied()
                 .filter(|&k| k != kind)
                 .collect(),
             locally_stable: vec![],
-            candidate_stable: vec![],
-            candidate_unstable: vec![],
             sample_rate: 1.0,
             training_runs: 5,
         }
@@ -1052,6 +953,79 @@ mod tests {
             .collect();
         assert_eq!(patho.len(), 1);
         assert_eq!(patho[0].metric, MetricKind::Roots);
+    }
+
+    #[test]
+    fn extended_metrics_take_no_pinned_or_stability_verdicts() {
+        use heap_graph::{CandidateVector, CANDIDATE_COUNT};
+        // `pinned` sits glued to the minimum of [13, 33] without
+        // crossing; `flat` was never stable in training and holds still.
+        let check = |pinned: CandidateKind, flat: CandidateKind| -> Vec<BugReport> {
+            let mut model = model_with(pinned, 13.0, 33.0);
+            model.unstable = vec![flat];
+            let mut det = AnomalyDetector::new(model, settings());
+            for i in 0..20 {
+                let noisy = if i % 2 == 0 { 20.0 } else { 60.0 };
+                let mut cands = CandidateVector::from_array([noisy; CANDIDATE_COUNT]);
+                cands.set(pinned, 13.0 + (i % 3) as f64 * 0.02);
+                cands.set(flat, 25.0);
+                let mut metrics = MetricVector::zero();
+                for k in MetricKind::ALL {
+                    metrics.set(k, cands.get(k.into()));
+                }
+                let mut s = sample(i, MetricKind::Roots, 0.0);
+                s.metrics = metrics;
+                s.candidates = Some(cands);
+                det.scan_sample(&s, None);
+            }
+            det.finish_scan();
+            det.bugs
+        };
+        let paper = check(CandidateKind::Indeg1, CandidateKind::Roots);
+        let kinds: Vec<_> = paper.iter().map(|b| (b.metric, b.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (
+                    CandidateKind::Indeg1,
+                    AnomalyKind::PoorlyDisguised {
+                        extreme: Direction::BelowMin
+                    }
+                ),
+                (CandidateKind::Roots, AnomalyKind::UnexpectedStability),
+            ]
+        );
+        let extended = check(CandidateKind::MaxOutDegree, CandidateKind::MeanDegree);
+        assert!(extended.is_empty(), "unexpected: {extended:?}");
+    }
+
+    #[test]
+    fn extended_metrics_raise_range_violations() {
+        let mut model = model_with(CandidateKind::MaxInDegree, 3.0, 3.0);
+        model.unstable.clear();
+        let mut det = AnomalyDetector::new(model, settings());
+        for (i, v) in [3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 3.0, 3.0, 3.0, 3.0]
+            .into_iter()
+            .enumerate()
+        {
+            let mut s = sample(i, MetricKind::Roots, 0.0);
+            let mut cands = heap_graph::CandidateVector::zero();
+            cands.set(CandidateKind::MaxInDegree, v);
+            s.candidates = Some(cands);
+            det.scan_sample(&s, None);
+            // A sample without the widened family has nothing to check.
+            s.candidates = None;
+            det.scan_sample(&s, None);
+        }
+        det.finish_scan();
+        assert_eq!(det.bugs.len(), 1, "{:?}", det.bugs);
+        assert_eq!(det.bugs[0].metric, CandidateKind::MaxInDegree);
+        assert_eq!(det.bugs[0].value, 4.0);
+        assert_eq!(det.bugs[0].sample_seq, 4);
+        assert_eq!(det.bugs[0].range, (2.5, 3.5));
+        assert!(det.bugs[0]
+            .to_string()
+            .starts_with("MaxIndeg: range violation"));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::bug::{AnomalyKind, BugReport, StackLogEntry};
 use crate::error::HeapMdError;
 use crate::trace_stream::{frame_with_magic, parse_frame};
-use heap_graph::{DegreeHistogram, MetricKind};
+use heap_graph::{CandidateKind, DegreeHistogram};
 use heapmd_obs::SeriesSnapshot;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -91,10 +91,10 @@ pub struct IncidentMeta {
     /// Bundle format version (absent in hand-written files ⇒ 0).
     #[serde(default)]
     pub version: u32,
-    /// Which checker raised the incident (`detector` or `online`).
+    /// Which checker raised the incident (`detector`).
     pub source: String,
     /// The metric that misbehaved.
-    pub metric: MetricKind,
+    pub metric: CandidateKind,
     /// The anomaly classification.
     pub kind: AnomalyKind,
     /// The metric's value at detection time.
@@ -633,7 +633,7 @@ mod tests {
             meta: IncidentMeta {
                 version: INCIDENT_FORMAT_VERSION,
                 source: "detector".into(),
-                metric: MetricKind::Indeg1,
+                metric: CandidateKind::Indeg1,
                 kind: AnomalyKind::RangeViolation {
                     direction: Direction::AboveMax,
                 },

@@ -74,7 +74,6 @@ mod fluctuation;
 mod incident;
 mod model;
 mod monitor;
-mod online;
 pub mod persist;
 pub mod phase_model;
 pub mod plot;
@@ -94,7 +93,7 @@ pub use bug::{
 };
 pub use callstack::{FuncId, FunctionTable};
 pub use checkpoint::{TrainCheckpoint, CHECKPOINT_FORMAT_VERSION};
-pub use detector::{AnomalyDetector, CandidateFinding};
+pub use detector::AnomalyDetector;
 pub use error::HeapMdError;
 pub use fluctuation::{percent_changes, FluctuationStats};
 pub use incident::{
@@ -102,11 +101,10 @@ pub use incident::{
     DEGREE_BUCKETS, INCIDENT_FORMAT_VERSION, INCIDENT_MAGIC,
 };
 pub use model::{
-    sampling_widen, CandidateMetric, CandidateSummary, HeapModel, MetricSummary, ModelBuilder,
-    ModelOutcome, StableMetric, MODEL_FORMAT_VERSION,
+    sampling_widen, HeapModel, MetricSummary, ModelBuilder, ModelOutcome, StableMetric,
+    MODEL_FORMAT_VERSION,
 };
 pub use monitor::{Monitor, MonitorCtx};
-pub use online::OnlineLearner;
 pub use phase_model::{merge_ranges, segment, LocalMetric, Plateau};
 pub use process::Process;
 pub use report::{MetricReport, MetricSample};

@@ -10,48 +10,21 @@ use heap_graph::{CandidateKind, MetricKind, METRIC_COUNT};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// The extended (non-paper) candidates, in canonical order — the slice
-/// of the family that candidate calibration runs the stability filter
-/// over. The paper seven are excluded so a metric never earns two
-/// verdicts: they stay under the legacy [`StableMetric`] machinery.
-pub(crate) fn extended_candidates() -> &'static [CandidateKind] {
-    &CandidateKind::ALL[METRIC_COUNT..]
+/// The metric family a builder calibrates: the paper seven, or the
+/// whole candidate family (`train --metrics candidates`), whose first
+/// seven members are the paper seven.
+pub(crate) fn metric_set(candidates: bool) -> &'static [CandidateKind] {
+    if candidates {
+        &CandidateKind::ALL
+    } else {
+        &CandidateKind::ALL[..METRIC_COUNT]
+    }
 }
 
 /// Per-run, per-metric analysis produced while summarizing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MetricSummary {
     /// The metric analysed.
-    pub kind: MetricKind,
-    /// Fluctuation statistics over the trimmed samples.
-    pub stats: FluctuationStats,
-    /// Stability classification for this run.
-    pub class: StabilityClass,
-    /// Minimum value over the trimmed samples.
-    pub min: f64,
-    /// Maximum value over the trimmed samples.
-    pub max: f64,
-}
-
-/// One run's summaries, one entry per metric in canonical order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunSummary {
-    /// The run label.
-    pub run: String,
-    /// Per-metric summaries (canonical metric order), or `None` when the
-    /// run was too short to analyse after trimming.
-    pub metrics: Option<Vec<MetricSummary>>,
-    /// Metric computation points in the run, before trimming: sizes
-    /// the leading trim the built model records as its warm-up.
-    #[serde(default)]
-    pub samples: usize,
-}
-
-/// Per-run, per-candidate analysis for the extended (non-paper) family,
-/// produced when candidate calibration is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CandidateSummary {
-    /// The candidate analysed.
     pub kind: CandidateKind,
     /// Fluctuation statistics over the trimmed samples.
     pub stats: FluctuationStats,
@@ -63,55 +36,27 @@ pub struct CandidateSummary {
     pub max: f64,
 }
 
-/// One calibrated candidate metric from the widened family, keyed by
-/// its stable string id so model artifacts survive family growth: a
-/// build that does not know an id rejects the model loudly (see
-/// [`HeapModel::validate`]) instead of silently dropping the entry.
+/// One run's summaries, one entry per metric of the builder's family
+/// in canonical order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CandidateMetric {
-    /// Stable string id ([`CandidateKind::id`]).
-    pub id: String,
-    /// Minimum observed across all training inputs.
-    pub min: f64,
-    /// Maximum observed across all training inputs.
-    pub max: f64,
-    /// Mean per-step % change averaged across the stable runs.
-    pub avg_change: f64,
-    /// Standard deviation of change averaged across the stable runs.
-    pub std_change: f64,
-    /// Number of training runs on which the candidate was stable.
-    pub stable_runs: usize,
-    /// Total training runs with candidate data.
-    pub total_runs: usize,
-}
-
-impl CandidateMetric {
-    /// The resolved candidate kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is unknown — `validate` guarantees resolved ids
-    /// on every loaded model.
-    pub fn kind(&self) -> CandidateKind {
-        CandidateKind::from_id(&self.id).expect("validated candidate id")
-    }
-
-    /// Width of the calibrated range.
-    pub fn width(&self) -> f64 {
-        self.max - self.min
-    }
-
-    /// Returns `true` when `value` lies within the calibrated range.
-    pub fn contains(&self, value: f64) -> bool {
-        (self.min..=self.max).contains(&value)
-    }
+pub struct RunSummary {
+    /// The run label.
+    pub run: String,
+    /// Per-metric summaries (canonical metric order), or `None` when the
+    /// run was too short to analyse after trimming, or its samples lack
+    /// a metric of the family.
+    pub metrics: Option<Vec<MetricSummary>>,
+    /// Metric computation points in the run, before trimming: sizes
+    /// the leading trim the built model records as its warm-up.
+    #[serde(default)]
+    pub samples: usize,
 }
 
 /// One globally stable metric's calibrated model entry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StableMetric {
     /// The metric.
-    pub kind: MetricKind,
+    pub kind: CandidateKind,
     /// Minimum observed across **all** training inputs (§2.2: "the
     /// minimum and maximum values these metrics attained across all
     /// the training inputs") — the calibrated lower bound.
@@ -152,6 +97,13 @@ impl StableMetric {
 /// calibration-time store-sampling rate (older files default to 1.0).
 pub const MODEL_FORMAT_VERSION: u32 = 2;
 
+/// Keys of the separate candidate block that builds before the one
+/// metric family wrote. Every model still carries them, empty, so
+/// paper-mode files keep their bytes; a file with a non-empty one is
+/// refused, since loading it without that block would silently check
+/// only the paper seven.
+const RETIRED_KEYS: [&str; 2] = ["candidate_stable", "candidate_unstable"];
+
 /// Extra slack added to **each side** of a calibrated `[min, max]`
 /// range when the observed stream was store-sampled at `rate`: with
 /// only a `rate` fraction of pointer stores reaching the heap graph,
@@ -187,26 +139,18 @@ pub struct HeapModel {
     /// [`ModelBuilder::build`]).
     pub settings: Settings,
     /// Globally stable metrics with their calibrated ranges, in
-    /// canonical metric order.
+    /// canonical metric order: paper metrics only, or candidates too
+    /// when the model was built with [`ModelBuilder::candidate_metrics`].
     pub stable: Vec<StableMetric>,
-    /// Metrics that were globally stable on *zero* training runs — the
-    /// "normally unstable" metrics whose unexpected stability during
-    /// checking flags a pathological bug (§4.1).
-    pub unstable: Vec<MetricKind>,
+    /// Metrics that were globally stable on *zero* training runs. The
+    /// paper ones are the "normally unstable" metrics whose unexpected
+    /// stability during checking flags a pathological bug (§4.1).
+    pub unstable: Vec<CandidateKind>,
     /// Locally stable metrics with their calibrated phase bands —
     /// present when the model was built with
     /// [`ModelBuilder::locally_stable`] (the paper's §2.1 extension).
     #[serde(default)]
     pub locally_stable: Vec<LocalMetric>,
-    /// Calibrated extended candidates (the widened, id-keyed family) —
-    /// present when the model was built with
-    /// [`ModelBuilder::candidate_metrics`]. Empty for paper-mode
-    /// models, which keeps the default detector byte-identical.
-    #[serde(default)]
-    pub candidate_stable: Vec<CandidateMetric>,
-    /// Extended candidate ids that were stable on zero training runs.
-    #[serde(default)]
-    pub candidate_unstable: Vec<String>,
     /// The lowest effective store-sampling rate among the training
     /// runs, in `(0, 1]`. `1.0` (the default for pre-v2 artifacts)
     /// means every training run observed every store; lower values mean
@@ -224,12 +168,13 @@ fn default_model_sample_rate() -> f64 {
 
 impl HeapModel {
     /// The calibrated entry for `kind`, if it is globally stable.
-    pub fn stable_metric(&self, kind: MetricKind) -> Option<&StableMetric> {
+    pub fn stable_metric(&self, kind: impl Into<CandidateKind>) -> Option<&StableMetric> {
+        let kind = kind.into();
         self.stable.iter().find(|m| m.kind == kind)
     }
 
     /// Returns `true` when `kind` was identified as globally stable.
-    pub fn is_stable(&self, kind: MetricKind) -> bool {
+    pub fn is_stable(&self, kind: impl Into<CandidateKind>) -> bool {
         self.stable_metric(kind).is_some()
     }
 
@@ -238,35 +183,53 @@ impl HeapModel {
         &self.stable
     }
 
-    /// The calibrated entry for a candidate id, if it calibrated.
-    pub fn candidate_metric(&self, id: &str) -> Option<&CandidateMetric> {
-        self.candidate_stable.iter().find(|c| c.id == id)
-    }
-
-    /// Returns `true` when the model carries any calibrated extended
-    /// candidates — the artifact property that arms candidate checking
-    /// in the detector (there is no check-time flag to get wrong).
-    pub fn has_candidates(&self) -> bool {
-        !self.candidate_stable.is_empty()
-    }
-
-    /// Serializes the model to pretty JSON.
+    /// Serializes the model to pretty JSON, with the retired candidate
+    /// keys written empty after `locally_stable`.
     ///
     /// # Errors
     ///
     /// Returns [`HeapMdError::Serde`] on serialization failure.
     pub fn to_json(&self) -> Result<String, HeapMdError> {
-        Ok(serde_json::to_string_pretty(self)?)
+        let mut value = serde::Serialize::to_value(self);
+        if let serde::Value::Object(fields) = &mut value {
+            let at = fields
+                .iter()
+                .position(|(k, _)| k == "locally_stable")
+                .map_or(fields.len(), |i| i + 1);
+            for (i, key) in RETIRED_KEYS.iter().enumerate() {
+                fields.insert(at + i, (key.to_string(), serde::Value::Array(Vec::new())));
+            }
+        }
+        Ok(serde_json::to_string_pretty(&value)?)
     }
 
     /// Parses and validates a model from JSON.
     ///
     /// # Errors
     ///
-    /// Returns [`HeapMdError::Corrupt`] on malformed JSON or a model
-    /// that fails [`validate`](Self::validate).
+    /// Returns [`HeapMdError::Corrupt`] on malformed JSON, on a model
+    /// whose retired candidate keys are not empty, or on a model that
+    /// fails [`validate`](Self::validate).
     pub fn from_json(json: &str) -> Result<Self, HeapMdError> {
-        let model: HeapModel = serde_json::from_str(json)
+        let value: serde::Value = serde_json::from_str(json)
+            .map_err(|e| HeapMdError::corrupt(0, format!("model JSON: {e}")))?;
+        for key in RETIRED_KEYS {
+            match value.get(key) {
+                None => {}
+                Some(serde::Value::Array(a)) if a.is_empty() => {}
+                Some(_) => {
+                    return Err(HeapMdError::corrupt(
+                        0,
+                        format!(
+                            "model carries a non-empty `{key}` from a build that checked \
+                             candidates apart from the paper metrics; retrain it with \
+                             `train --metrics candidates`"
+                        ),
+                    ))
+                }
+            }
+        }
+        let model = <HeapModel as serde::Deserialize>::from_value(&value)
             .map_err(|e| HeapMdError::corrupt(0, format!("model JSON: {e}")))?;
         model.validate()?;
         Ok(model)
@@ -332,48 +295,6 @@ impl HeapModel {
                         format!("locally stable metric {} has invalid band", lm.kind),
                     ));
                 }
-            }
-        }
-        for cm in &self.candidate_stable {
-            if CandidateKind::from_id(&cm.id).is_none() {
-                return Err(HeapMdError::corrupt(
-                    0,
-                    format!(
-                        "model calibrates unknown metric id {:?}; this build knows the \
-                         candidate family up to {} ids — refusing to silently drop it",
-                        cm.id,
-                        CandidateKind::ALL.len()
-                    ),
-                ));
-            }
-            if !cm.min.is_finite() || !cm.max.is_finite() || cm.min > cm.max {
-                return Err(HeapMdError::corrupt(
-                    0,
-                    format!("candidate metric {:?} has invalid bounds", cm.id),
-                ));
-            }
-            if !cm.std_change.is_finite() || cm.std_change < 0.0 {
-                return Err(HeapMdError::corrupt(
-                    0,
-                    format!("candidate metric {:?} has invalid std_change", cm.id),
-                ));
-            }
-            if cm.stable_runs > cm.total_runs {
-                return Err(HeapMdError::corrupt(
-                    0,
-                    format!(
-                        "candidate metric {:?} claims {} stable of {} total runs",
-                        cm.id, cm.stable_runs, cm.total_runs
-                    ),
-                ));
-            }
-        }
-        for id in &self.candidate_unstable {
-            if CandidateKind::from_id(id).is_none() {
-                return Err(HeapMdError::corrupt(
-                    0,
-                    format!("model names unknown metric id {id:?} as unstable"),
-                ));
             }
         }
         if !self.sample_rate.is_finite() || self.sample_rate <= 0.0 || self.sample_rate > 1.0 {
@@ -456,11 +377,8 @@ pub struct ModelBuilder {
     pub(crate) include_local: bool,
     /// Trimmed per-metric series, kept only when local modelling is on.
     pub(crate) series: Vec<Option<Vec<Vec<f64>>>>,
+    /// Calibrate the whole candidate family, not only the paper seven.
     pub(crate) include_candidates: bool,
-    /// Per-run extended-candidate summaries (parallel to `runs`; `None`
-    /// when candidate modelling is off, the run was too short, or its
-    /// samples carry no candidate vectors).
-    pub(crate) cand_runs: Vec<Option<Vec<CandidateSummary>>>,
     /// Lowest store-sampling rate among the added runs (1.0 until a
     /// sampled report arrives); stamped into the built model.
     pub(crate) min_sample_rate: f64,
@@ -476,7 +394,6 @@ impl ModelBuilder {
             include_local: false,
             series: Vec::new(),
             include_candidates: false,
-            cand_runs: Vec::new(),
             min_sample_rate: 1.0,
         }
     }
@@ -489,11 +406,11 @@ impl ModelBuilder {
         self
     }
 
-    /// Also run the widened candidate family (the `--metrics
-    /// candidates` mode) through the stability filter, learning per
-    /// program which extended metrics calibrate. The legacy seven are
-    /// untouched: they keep their own [`StableMetric`] pass whatever
-    /// this flag says. Call before adding runs.
+    /// Calibrate the whole candidate family (the `--metrics
+    /// candidates` mode), not only the paper seven: every member goes
+    /// through the same stability filter and, when it calibrates,
+    /// becomes a [`StableMetric`]. The paper seven calibrate the same
+    /// either way. Call before adding runs.
     pub fn candidate_metrics(mut self, enable: bool) -> Self {
         self.include_candidates = enable;
         self
@@ -510,7 +427,7 @@ impl ModelBuilder {
         if report.sample_rate.is_finite() && report.sample_rate > 0.0 {
             self.min_sample_rate = self.min_sample_rate.min(report.sample_rate);
         }
-        let summary = summarize_run(report, &self.settings);
+        let summary = summarize_run(report, &self.settings, metric_set(self.include_candidates));
         self.series
             .push(if self.include_local && summary.metrics.is_some() {
                 Some(
@@ -519,12 +436,6 @@ impl ModelBuilder {
                         .map(|&k| report.trimmed_series(k, &self.settings))
                         .collect(),
                 )
-            } else {
-                None
-            });
-        self.cand_runs
-            .push(if self.include_candidates && summary.metrics.is_some() {
-                summarize_candidates(report, &self.settings)
             } else {
                 None
             });
@@ -560,12 +471,8 @@ impl ModelBuilder {
         let clock = heapmd_obs::throughput::stage_clock();
         let settings = &self.settings;
         let include_local = self.include_local;
-        let include_candidates = self.include_candidates;
-        type Summarized = Option<(
-            RunSummary,
-            Option<Vec<Vec<f64>>>,
-            Option<Vec<CandidateSummary>>,
-        )>;
+        let kinds = metric_set(self.include_candidates);
+        type Summarized = Option<(RunSummary, Option<Vec<Vec<f64>>>)>;
         let mut results: Vec<Summarized> = vec![None; reports.len()];
         let chunk = reports.len().div_ceil(workers);
         let busy: Vec<u64> = std::thread::scope(|scope| {
@@ -576,7 +483,7 @@ impl ModelBuilder {
                     scope.spawn(move || {
                         let t0 = std::time::Instant::now();
                         for (slot, report) in slots.iter_mut().zip(part) {
-                            let summary = summarize_run(report, settings);
+                            let summary = summarize_run(report, settings, kinds);
                             let series = if include_local && summary.metrics.is_some() {
                                 Some(
                                     MetricKind::ALL
@@ -587,12 +494,7 @@ impl ModelBuilder {
                             } else {
                                 None
                             };
-                            let cands = if include_candidates && summary.metrics.is_some() {
-                                summarize_candidates(report, settings)
-                            } else {
-                                None
-                            };
-                            *slot = Some((summary, series, cands));
+                            *slot = Some((summary, series));
                         }
                         t0.elapsed().as_nanos() as u64
                     })
@@ -609,9 +511,8 @@ impl ModelBuilder {
             }
         }
         for result in results {
-            let (summary, series, cands) = result.expect("every slot filled");
+            let (summary, series) = result.expect("every slot filled");
             self.series.push(series);
-            self.cand_runs.push(cands);
             self.runs.push(summary);
         }
         if let Some(t0) = clock {
@@ -657,13 +558,12 @@ impl ModelBuilder {
         let needed = needed.max(1);
 
         let mut stable = Vec::new();
-        let mut stable_envelopes: Vec<(MetricKind, f64, f64)> = Vec::new();
+        let mut stable_envelopes: Vec<(usize, f64, f64)> = Vec::new();
         let mut never_stable = Vec::new();
-        for kind in MetricKind::ALL {
+        for (idx, &kind) in metric_set(self.include_candidates).iter().enumerate() {
             if total == 0 {
                 break;
             }
-            let idx = kind.index();
             let per_run: Vec<&MetricSummary> = analysable
                 .iter()
                 .map(|r| &r.metrics.as_ref().expect("filtered")[idx])
@@ -694,7 +594,7 @@ impl ModelBuilder {
                 .iter()
                 .map(|m| m.max)
                 .fold(f64::NEG_INFINITY, f64::max);
-            stable_envelopes.push((kind, stable_min, stable_max));
+            stable_envelopes.push((idx, stable_min, stable_max));
             let avg_change =
                 stable_runs.iter().map(|m| m.stats.mean).sum::<f64>() / stable_runs.len() as f64;
             let std_change =
@@ -718,8 +618,8 @@ impl ModelBuilder {
         let mut flagged = Vec::new();
         for run in &analysable {
             let metrics = run.metrics.as_ref().expect("filtered");
-            let violates = stable_envelopes.iter().any(|&(kind, lo, hi)| {
-                let m = &metrics[kind.index()];
+            let violates = stable_envelopes.iter().any(|&(idx, lo, hi)| {
+                let m = &metrics[idx];
                 m.min < lo - margin || m.max > hi + margin
             });
             if violates {
@@ -733,16 +633,6 @@ impl ModelBuilder {
             self.build_local(&stable, needed)
         } else {
             Vec::new()
-        };
-
-        // The widened family: run the same stability filter over the
-        // extended candidates, learning per program which of them
-        // calibrate. Strictly additive — nothing above reads candidate
-        // state, so paper-mode verdicts cannot move.
-        let (candidate_stable, candidate_unstable) = if self.include_candidates {
-            self.build_candidates()
-        } else {
-            (Vec::new(), Vec::new())
         };
 
         // The warm-up every checker skips: at least the leading trim
@@ -764,65 +654,12 @@ impl ModelBuilder {
                 stable,
                 unstable: never_stable,
                 locally_stable,
-                candidate_stable,
-                candidate_unstable,
                 sample_rate: self.min_sample_rate,
                 training_runs: total,
             },
             runs: self.runs.clone(),
             flagged_runs: flagged,
         }
-    }
-
-    /// The candidate calibration pass: for each extended candidate,
-    /// classify its per-run stability exactly as the legacy pass does
-    /// ([`classify`] over [`FluctuationStats`]), calibrate those stable
-    /// on at least `stable_input_frac` of the candidate-carrying runs,
-    /// and name the never-stable rest.
-    fn build_candidates(&self) -> (Vec<CandidateMetric>, Vec<String>) {
-        let analysable: Vec<&Vec<CandidateSummary>> =
-            self.cand_runs.iter().filter_map(|r| r.as_ref()).collect();
-        let total = analysable.len();
-        if total == 0 {
-            return (Vec::new(), Vec::new());
-        }
-        let needed = ((total as f64) * self.settings.stable_input_frac).ceil() as usize;
-        let needed = needed.max(1);
-        let mut stable = Vec::new();
-        let mut never_stable = Vec::new();
-        for (idx, kind) in extended_candidates().iter().enumerate() {
-            let per_run: Vec<&CandidateSummary> = analysable.iter().map(|r| &r[idx]).collect();
-            let stable_runs: Vec<&&CandidateSummary> = per_run
-                .iter()
-                .filter(|c| c.class == StabilityClass::GloballyStable)
-                .collect();
-            if stable_runs.is_empty() {
-                never_stable.push(kind.id().to_string());
-                continue;
-            }
-            if stable_runs.len() < needed {
-                continue;
-            }
-            let min = per_run.iter().map(|c| c.min).fold(f64::INFINITY, f64::min);
-            let max = per_run
-                .iter()
-                .map(|c| c.max)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let avg_change =
-                stable_runs.iter().map(|c| c.stats.mean).sum::<f64>() / stable_runs.len() as f64;
-            let std_change =
-                stable_runs.iter().map(|c| c.stats.std_dev).sum::<f64>() / stable_runs.len() as f64;
-            stable.push(CandidateMetric {
-                id: kind.id().to_string(),
-                min,
-                max,
-                avg_change,
-                std_change,
-                stable_runs: stable_runs.len(),
-                total_runs: total,
-            });
-        }
-        (stable, never_stable)
     }
 
     fn build_local(&self, stable: &[StableMetric], needed: usize) -> Vec<LocalMetric> {
@@ -873,75 +710,47 @@ impl ModelBuilder {
     }
 }
 
-/// Summarizes one run: trims startup/shutdown, computes fluctuation
-/// statistics, and classifies each metric.
-pub(crate) fn summarize_run(report: &MetricReport, settings: &Settings) -> RunSummary {
-    let trimmed = report.trimmed(settings);
-    if trimmed.len() < settings.min_samples {
-        return RunSummary {
-            run: report.run.clone(),
-            metrics: None,
-            samples: report.len(),
-        };
-    }
-    let metrics = MetricKind::ALL
-        .iter()
-        .map(|&kind| {
-            let series: Vec<f64> = trimmed.iter().map(|s| s.metrics.get(kind)).collect();
-            let stats = FluctuationStats::from_series(&series);
-            let class = classify(&stats, settings);
-            let min = series.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = series.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            MetricSummary {
-                kind,
-                stats,
-                class,
-                min,
-                max,
-            }
-        })
-        .collect();
-    RunSummary {
-        run: report.run.clone(),
-        metrics: Some(metrics),
-        samples: report.len(),
-    }
-}
-
-/// Summarizes the extended candidates of one run, or `None` when any
-/// trimmed sample lacks a candidate vector (a report replayed from an
-/// artifact that predates the widened family): a partial series would
-/// calibrate ranges from a biased slice of the run.
-pub(crate) fn summarize_candidates(
+/// Summarizes one run over the metric family `kinds`: trims
+/// startup/shutdown, computes fluctuation statistics, and classifies
+/// each metric. A run whose trimmed samples lack a member of `kinds`
+/// (an extended candidate on a sample that never computed the widened
+/// family) is not analysable: a partial series would calibrate from a
+/// biased slice of the run.
+pub(crate) fn summarize_run(
     report: &MetricReport,
     settings: &Settings,
-) -> Option<Vec<CandidateSummary>> {
+    kinds: &[CandidateKind],
+) -> RunSummary {
     let trimmed = report.trimmed(settings);
-    if trimmed.len() < settings.min_samples || trimmed.iter().any(|s| s.candidates.is_none()) {
-        return None;
-    }
-    Some(
-        extended_candidates()
+    let metrics = if trimmed.len() < settings.min_samples {
+        None
+    } else {
+        kinds
             .iter()
             .map(|&kind| {
                 let series: Vec<f64> = trimmed
                     .iter()
-                    .map(|s| s.candidates.expect("checked above").get(kind))
-                    .collect();
+                    .map(|s| s.candidate(kind))
+                    .collect::<Option<_>>()?;
                 let stats = FluctuationStats::from_series(&series);
                 let class = classify(&stats, settings);
                 let min = series.iter().copied().fold(f64::INFINITY, f64::min);
                 let max = series.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                CandidateSummary {
+                Some(MetricSummary {
                     kind,
                     stats,
                     class,
                     min,
                     max,
-                }
+                })
             })
-            .collect(),
-    )
+            .collect()
+    };
+    RunSummary {
+        run: report.run.clone(),
+        metrics,
+        samples: report.len(),
+    }
 }
 
 #[cfg(test)]
@@ -1132,6 +941,69 @@ mod tests {
     }
 
     #[test]
+    fn a_separate_candidate_block_is_refused_not_dropped() {
+        let mut b = ModelBuilder::new(settings());
+        b.add_run(&flat_report("r", 25.0, 30));
+        let json = b.build().model.to_json().unwrap();
+        // Every model still writes the retired keys, empty.
+        assert!(json.contains("\"candidate_stable\": []"));
+        assert!(json.contains("\"candidate_unstable\": []"));
+        HeapModel::from_json(&json).unwrap();
+        HeapModel::from_json(&json.replace("\"candidate_stable\": [],", "")).unwrap();
+
+        // A model from a build that calibrated candidates apart: loading
+        // it as paper-mode would silently drop the extended metrics.
+        for stray in [
+            json.replace(
+                "\"candidate_stable\": []",
+                "\"candidate_stable\": [{\"id\": \"shape.max_indegree\", \"min\": 3, \"max\": 3}]",
+            ),
+            json.replace(
+                "\"candidate_unstable\": []",
+                "\"candidate_unstable\": [\"deg.outdeg3plus\"]",
+            ),
+        ] {
+            match HeapModel::from_json(&stray) {
+                Err(HeapMdError::Corrupt { reason, .. }) => {
+                    assert!(reason.contains("train --metrics candidates"), "{reason}")
+                }
+                other => panic!("loaded a stray candidate block: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_mode_calibrates_the_whole_family_in_one_pass() {
+        let report = |run: &str, value: f64| {
+            let mut r = flat_report(run, value, 30);
+            for s in &mut r.samples {
+                s.candidates = Some(heap_graph::CandidateVector::from_array(
+                    [value; heap_graph::CANDIDATE_COUNT],
+                ));
+            }
+            r
+        };
+        let mut paper = ModelBuilder::new(settings());
+        let mut cand = ModelBuilder::new(settings()).candidate_metrics(true);
+        for i in 0..3 {
+            paper.add_run(&report(&format!("r{i}"), 40.0 + i as f64));
+            cand.add_run(&report(&format!("r{i}"), 40.0 + i as f64));
+        }
+        let (paper, cand) = (paper.build().model, cand.build().model);
+        assert_eq!(paper.stable.len(), METRIC_COUNT);
+        let kinds: Vec<CandidateKind> = cand.stable.iter().map(|sm| sm.kind).collect();
+        assert_eq!(kinds, CandidateKind::ALL);
+        assert_eq!(paper.stable[..], cand.stable[..METRIC_COUNT]);
+        let sm = cand.stable_metric(CandidateKind::MaxInDegree).unwrap();
+        assert_eq!((sm.min, sm.max), (40.0, 42.0));
+
+        // A run without candidate vectors cannot calibrate the family.
+        let mut b = ModelBuilder::new(settings()).candidate_metrics(true);
+        b.add_run(&flat_report("old", 10.0, 30));
+        assert!(b.build().runs[0].metrics.is_none());
+    }
+
+    #[test]
     fn build_records_the_largest_calibrated_trim_as_the_warm_up() {
         let mut b = ModelBuilder::new(settings());
         b.add_run(&flat_report("short", 10.0, 40)); // trims 4
@@ -1182,7 +1054,7 @@ mod tests {
     #[test]
     fn stable_metric_contains_and_width() {
         let sm = StableMetric {
-            kind: MetricKind::Leaves,
+            kind: MetricKind::Leaves.into(),
             min: 10.0,
             max: 20.0,
             avg_change: 0.0,

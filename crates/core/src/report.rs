@@ -34,16 +34,15 @@ pub struct MetricSample {
 }
 
 impl MetricSample {
-    /// Reads one candidate metric: from the stored candidate vector if
-    /// present, falling back to the legacy seven for paper candidates.
+    /// Reads one candidate metric: a paper candidate from `metrics`, an
+    /// extended one from the stored candidate vector.
     ///
     /// Returns `None` for an extended candidate on a sample that never
     /// computed the widened family.
     pub fn candidate(&self, kind: CandidateKind) -> Option<f64> {
-        match (&self.candidates, kind.paper_kind()) {
-            (Some(c), _) => Some(c.get(kind)),
-            (None, Some(paper)) => Some(self.metrics.get(paper)),
-            (None, None) => None,
+        match kind.paper_kind() {
+            Some(paper) => Some(self.metrics.get(paper)),
+            None => self.candidates.map(|c| c.get(kind)),
         }
     }
 }

@@ -74,7 +74,6 @@ use crate::detector::AnomalyDetector;
 use crate::error::HeapMdError;
 use crate::incident::IncidentLog;
 use crate::model::HeapModel;
-use crate::report::MetricSample;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use crate::trace::{validate_function_ids, Replayer};
 use crate::trace_codec::BlockIndex;
@@ -467,16 +466,12 @@ fn shard_for(tenant: &str, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Looks `kind` up in a sample's metric vector.
-fn metric_value(sample: &MetricSample, kind: heap_graph::MetricKind) -> f64 {
-    sample.metrics.get(kind)
-}
-
 /// Folds the samples taken since the last update into the tenant's
-/// gauges: latest value/distance/status per calibrated metric (the
-/// paper's stable seven plus any calibrated extended candidates),
+/// gauges: latest value/distance/status per calibrated metric,
 /// range-crossing transitions, and the advisory arm flag (near-edge or
-/// out; the detector's own arming also needs an adverse slope).
+/// out; the detector's own arming also needs an adverse slope). A paper
+/// metric's gauge is labelled with its short name, an extended
+/// candidate's with its id.
 fn update_live(t: &mut ShardTenant) {
     let samples = &t.replayer.samples()[t.gauged..];
     let model = &t.model;
@@ -497,17 +492,11 @@ fn update_live(t: &mut ShardTenant) {
     };
     let stream_rate = t.replayer.effective_rate();
     let rate = stream_rate.min(model_rate) / stream_rate.max(model_rate).max(f64::MIN_POSITIVE);
-    let mut gauges = Vec::with_capacity(stable.len() + model.candidate_stable.len());
+    let mut gauges = Vec::with_capacity(stable.len());
     let mut crossings = 0u64;
     let mut armed = false;
-    // One closure folds a sample series into a gauge so the paper
-    // metrics and the extended candidates share the exact same
-    // range/near-edge/crossing semantics.
-    let mut fold = |slot: usize,
-                    name: String,
-                    min: f64,
-                    max: f64,
-                    read: &dyn Fn(&MetricSample) -> Option<f64>| {
+    for (slot, sm) in stable.iter().enumerate() {
+        let (min, max) = (sm.min, sm.max);
         let widen = crate::model::sampling_widen(max - min, rate);
         let lo = min - s.range_margin - widen;
         let hi = max + s.range_margin + widen;
@@ -515,7 +504,9 @@ fn update_live(t: &mut ShardTenant) {
         let mut was_out = t.last_out[slot];
         let (mut value, mut distance, mut status) = (0.0, 0.0, STATUS_OK);
         for sample in samples {
-            let Some(v) = read(sample) else { continue };
+            let Some(v) = sample.candidate(sm.kind) else {
+                continue;
+            };
             let out = v < lo || v > hi;
             if out && !was_out {
                 crossings += 1;
@@ -539,23 +530,17 @@ fn update_live(t: &mut ShardTenant) {
         }
         t.last_out[slot] = was_out;
         armed |= status != STATUS_OK;
+        let name = if sm.kind.is_paper() {
+            sm.kind.short_name()
+        } else {
+            sm.kind.id()
+        };
         gauges.push(MetricGauge {
-            metric: name,
+            metric: name.to_string(),
             value,
             distance,
             band: hi - lo,
             status,
-        });
-    };
-    for (i, sm) in stable.iter().enumerate() {
-        fold(i, sm.kind.short_name().to_string(), sm.min, sm.max, &|m| {
-            Some(metric_value(m, sm.kind))
-        });
-    }
-    for (j, cm) in model.candidate_stable.iter().enumerate() {
-        let kind = cm.kind();
-        fold(stable.len() + j, cm.id.clone(), cm.min, cm.max, &|m| {
-            m.candidate(kind)
         });
     }
     if crossings > 0 {
@@ -567,35 +552,27 @@ fn update_live(t: &mut ShardTenant) {
 }
 
 /// The per-metric calibration verdicts a tenant's model implies: the
-/// paper seven always get a verdict; the extended family appears only
-/// when the model actually calibrated candidates, so paper-mode
-/// exposition is unchanged.
+/// paper seven always get a verdict; an extended candidate appears only
+/// when the model calibrated it or found it never stable, so
+/// paper-mode exposition is unchanged.
 fn verdicts_for(model: &HeapModel) -> Vec<MetricVerdict> {
-    let mut out: Vec<MetricVerdict> = heap_graph::CandidateKind::ALL[..heap_graph::METRIC_COUNT]
+    let paper = &heap_graph::CandidateKind::ALL[..heap_graph::METRIC_COUNT];
+    let is_stable = |k| model.stable.iter().any(|sm| sm.kind == k);
+    let extended = model
+        .stable
         .iter()
-        .map(|k| {
-            let paper = k.paper_kind().expect("first seven are paper metrics");
-            MetricVerdict {
-                metric: k.id().to_string(),
-                stable: model.stable.iter().any(|sm| sm.kind == paper),
-            }
+        .map(|sm| (sm.kind, true))
+        .chain(model.unstable.iter().map(|&k| (k, false)))
+        .filter(|(k, _)| !k.is_paper());
+    paper
+        .iter()
+        .map(|&k| (k, is_stable(k)))
+        .chain(extended)
+        .map(|(k, stable)| MetricVerdict {
+            metric: k.id().to_string(),
+            stable,
         })
-        .collect();
-    if model.has_candidates() || !model.candidate_unstable.is_empty() {
-        for cm in &model.candidate_stable {
-            out.push(MetricVerdict {
-                metric: cm.id.clone(),
-                stable: true,
-            });
-        }
-        for id in &model.candidate_unstable {
-            out.push(MetricVerdict {
-                metric: id.clone(),
-                stable: false,
-            });
-        }
-    }
-    out
+        .collect()
 }
 
 /// Replayers a shard loop keeps warm for reuse; beyond this, finished
@@ -670,7 +647,7 @@ impl Shard {
                     sampling: None,
                     gauged: 0,
                     error: None,
-                    last_out: vec![false; model.stable.len() + model.candidate_stable.len()],
+                    last_out: vec![false; model.stable.len()],
                     model,
                     window_start: Instant::now(),
                     window_events: 0,
@@ -815,8 +792,11 @@ impl Shard {
                 t.stats.record_bugs(bugs.len() as u64);
                 t.stats.add_incidents(bundle_paths.len() as u64);
                 if let Some(b) = bugs.first() {
-                    t.stats
-                        .set_last_anomaly(&format!("{} {}", b.metric, b.kind.slug()));
+                    t.stats.set_last_anomaly(&format!(
+                        "{} {}",
+                        b.metric.short_name(),
+                        b.kind.slug()
+                    ));
                 }
                 if let Some(store) = &self.run_store {
                     let sampling = t.replayer.sampling_info().or(t.sampling);
@@ -1290,7 +1270,7 @@ mod tests {
     use super::*;
     use crate::trace::Trace;
     use crate::trace_codec::{BinaryTraceImage, WireFrame, WireReader};
-    use crate::{ModelBuilder, Process, Settings};
+    use crate::{ModelBuilder, Process, Settings, StableMetric};
 
     /// A linked-list build of `n` nodes (four events each, so several
     /// 4096-event blocks), its encoding, and a model trained on it.
@@ -1423,6 +1403,33 @@ mod tests {
         );
         assert!(outcome.bugs.is_empty());
         assert_eq!(outcome.events, 2);
+    }
+
+    #[test]
+    fn verdicts_name_the_paper_seven_then_the_calibrated_extension() {
+        use heap_graph::{CandidateKind, METRIC_COUNT};
+        let (_, _, paper) = encoded_churn(3000);
+        let mut cand = paper.clone();
+        cand.stable.push(StableMetric {
+            kind: CandidateKind::MaxInDegree,
+            ..paper.stable[0]
+        });
+        cand.unstable.push(CandidateKind::MeanDegree);
+        let ids = |model: &HeapModel| -> Vec<(String, bool)> {
+            verdicts_for(model)
+                .into_iter()
+                .map(|v| (v.metric, v.stable))
+                .collect()
+        };
+        let paper_ids = ids(&paper);
+        assert_eq!(paper_ids.len(), METRIC_COUNT);
+        for (v, k) in paper_ids.iter().zip(&CandidateKind::ALL) {
+            assert_eq!((v.0.as_str(), v.1), (k.id(), paper.is_stable(*k)));
+        }
+        let mut want = paper_ids;
+        want.push(("shape.max_indegree".into(), true));
+        want.push(("shape.mean_degree".into(), false));
+        assert_eq!(ids(&cand), want);
     }
 
     #[test]

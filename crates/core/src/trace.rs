@@ -221,7 +221,6 @@ pub(crate) fn check_stream(
     Ok(TraceCheckOutcome {
         bugs: detector.take_bugs(),
         incidents: detector.take_incidents(),
-        candidate_findings: detector.take_candidate_findings(),
         samples: replayer.take_samples(),
         sampling: replayer.sampling_info().or(head.sampling),
         salvage: None,
@@ -265,9 +264,6 @@ pub struct TraceCheckOutcome {
     /// Incident bundles for range violations that survived the
     /// shutdown trim.
     pub incidents: Vec<IncidentBundle>,
-    /// Findings from the widened candidate family (empty unless the
-    /// model calibrated extended candidates).
-    pub candidate_findings: Vec<crate::CandidateFinding>,
     /// The metric samples the check replayed — the same series a
     /// [`Trace::replay`] would produce, exposed so callers (e.g. the
     /// run-store append path) need not replay the trace twice.
@@ -797,12 +793,12 @@ mod tests {
         trace
     }
 
-    /// A model calibrating every paper metric and candidate on the
-    /// range its first third of `samples` spans, so later samples
-    /// approach (arming the window) and cross. It records the warm-up
-    /// of `settings`.
+    /// A model calibrating every candidate (the paper seven included)
+    /// on the range its first third of `samples` spans, so later
+    /// samples approach (arming the window) and cross. It records the
+    /// warm-up of `settings`.
     fn tight_model(samples: &[MetricSample], settings: &Settings) -> HeapModel {
-        use crate::model::{CandidateMetric, StableMetric};
+        use crate::model::StableMetric;
         let early = &samples[samples.len() / 6..samples.len() / 3];
         let span = |get: &dyn Fn(&MetricSample) -> f64| {
             early
@@ -812,27 +808,12 @@ mod tests {
                     (lo.min(v), hi.max(v))
                 })
         };
-        let stable = heap_graph::MetricKind::ALL
-            .iter()
-            .map(|&kind| {
-                let (min, max) = span(&|s| s.metrics.get(kind));
-                StableMetric {
-                    kind,
-                    min,
-                    max,
-                    avg_change: 0.0,
-                    std_change: 1.0,
-                    stable_runs: 3,
-                    total_runs: 3,
-                }
-            })
-            .collect();
-        let candidate_stable = heap_graph::CandidateKind::ALL
+        let stable = heap_graph::CandidateKind::ALL
             .iter()
             .map(|&kind| {
                 let (min, max) = span(&|s| s.candidate(kind).unwrap());
-                CandidateMetric {
-                    id: kind.id().to_string(),
+                StableMetric {
+                    kind,
                     min,
                     max,
                     avg_change: 0.0,
@@ -849,8 +830,6 @@ mod tests {
             stable,
             unstable: vec![],
             locally_stable: vec![],
-            candidate_stable,
-            candidate_unstable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         }
@@ -893,7 +872,6 @@ mod tests {
         TraceCheckOutcome {
             bugs: detector.take_bugs(),
             incidents: detector.take_incidents(),
-            candidate_findings: detector.take_candidate_findings(),
             samples: replayer.take_samples(),
             sampling: replayer.sampling_info().or(trace.sampling()),
             salvage: None,
@@ -958,7 +936,6 @@ mod tests {
                 );
                 assert_eq!(got.bugs, want.bugs, "{what}");
                 assert_eq!(got.incidents, want.incidents, "{what}");
-                assert_eq!(got.candidate_findings, want.candidate_findings, "{what}");
                 assert_eq!(got.samples, want.samples, "{what}");
                 assert_eq!(got.sampling, want.sampling, "{what}");
             }
@@ -983,7 +960,7 @@ mod tests {
             program: "t".into(),
             settings: settings.clone(),
             stable: vec![StableMetric {
-                kind: MetricKind::Roots,
+                kind: MetricKind::Roots.into(),
                 min: 0.0,
                 max: 5.0,
                 avg_change: 0.0,
@@ -993,8 +970,6 @@ mod tests {
             }],
             unstable: vec![],
             locally_stable: vec![],
-            candidate_stable: vec![],
-            candidate_unstable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };

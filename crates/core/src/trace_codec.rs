@@ -2229,7 +2229,7 @@ mod tests {
             program: "t".into(),
             settings: settings.clone(),
             stable: vec![StableMetric {
-                kind: MetricKind::Roots,
+                kind: MetricKind::Roots.into(),
                 min: 0.0,
                 max: 5.0,
                 avg_change: 0.0,
@@ -2239,8 +2239,6 @@ mod tests {
             }],
             unstable: vec![],
             locally_stable: vec![],
-            candidate_stable: vec![],
-            candidate_unstable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };
@@ -2296,7 +2294,7 @@ mod tests {
             program: "t".into(),
             settings: settings.clone(),
             stable: vec![StableMetric {
-                kind: MetricKind::Roots,
+                kind: MetricKind::Roots.into(),
                 min: 0.0,
                 max: 5.0,
                 avg_change: 0.0,
@@ -2306,8 +2304,6 @@ mod tests {
             }],
             unstable: vec![],
             locally_stable: vec![],
-            candidate_stable: vec![],
-            candidate_unstable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };

@@ -68,7 +68,7 @@ fn a_full_armed_window_logs_without_allocating() {
         program: "alloc-free".into(),
         settings: settings.clone(),
         stable: vec![StableMetric {
-            kind: MetricKind::Roots,
+            kind: MetricKind::Roots.into(),
             min: 0.0,
             max: 5.0,
             avg_change: 0.0,
@@ -78,8 +78,6 @@ fn a_full_armed_window_logs_without_allocating() {
         }],
         unstable: vec![],
         locally_stable: vec![],
-        candidate_stable: vec![],
-        candidate_unstable: vec![],
         sample_rate: 1.0,
         training_runs: 3,
     };

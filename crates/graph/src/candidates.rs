@@ -196,6 +196,18 @@ impl CandidateKind {
     }
 }
 
+impl From<MetricKind> for CandidateKind {
+    fn from(kind: MetricKind) -> Self {
+        CandidateKind::from_index(kind.index())
+    }
+}
+
+impl PartialEq<MetricKind> for CandidateKind {
+    fn eq(&self, other: &MetricKind) -> bool {
+        self.index() == other.index()
+    }
+}
+
 impl fmt::Display for CandidateKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.id())
@@ -351,7 +363,15 @@ mod tests {
             assert_eq!(c.paper_kind(), Some(k));
             assert!(c.is_paper());
             assert_eq!(c.short_name(), k.short_name());
+            assert_eq!(CandidateKind::from(k), c);
+            assert_eq!(c, k);
+            // Same serde names, so paper-mode model files keep their bytes.
+            assert_eq!(
+                serde_json::to_string(&c).unwrap(),
+                serde_json::to_string(&k).unwrap()
+            );
         }
+        assert_ne!(CandidateKind::Indeg3Plus, MetricKind::Roots);
         assert!(!CandidateKind::Indeg3Plus.is_paper());
         assert_eq!(CandidateKind::InEntropy.paper_kind(), None);
     }

@@ -64,7 +64,6 @@ mod metrics;
 mod node;
 #[cfg(any(test, feature = "reference-graph"))]
 mod reference;
-mod scoped;
 mod shard;
 
 pub use candidates::{CandidateKind, CandidateVector, CANDIDATE_COUNT, TAIL_MIN_DEGREE};
@@ -77,5 +76,4 @@ pub use metrics::{ExtendedMetrics, MetricKind, MetricVector, METRIC_COUNT};
 pub use node::NodeInfo;
 #[cfg(any(test, feature = "reference-graph"))]
 pub use reference::ReferenceGraph;
-pub use scoped::ScopedGraph;
 pub use shard::{GraphImage, ShardedGraph, MAX_SHARDS, SHARD_BITS, SLOT_BITS};

@@ -46,7 +46,7 @@ fn main() {
     for sm in model.stable_metrics() {
         println!(
             "  {:<9} range [{:6.2}, {:6.2}]",
-            sm.kind.to_string(),
+            sm.kind.short_name(),
             sm.min,
             sm.max
         );

@@ -19,7 +19,7 @@ fn main() {
     for sm in model.stable_metrics() {
         println!(
             "  stable {:<9} [{:6.2}, {:6.2}]",
-            sm.kind.to_string(),
+            sm.kind.short_name(),
             sm.min,
             sm.max
         );
