@@ -10,9 +10,10 @@ use sim_heap::{AllocSite, AllocatorConfig, HeapConfig, SimHeap};
 fn churn_process(settings: &Settings) {
     let mut p = Process::new(settings.clone());
     let mut prev = None;
+    let (func, site) = (p.function("work"), p.site("node"));
     for _ in 0..2_000 {
-        p.enter("work");
-        let a = p.malloc(24, "node").unwrap();
+        p.enter(func);
+        let a = p.malloc(24, site).unwrap();
         if let Some(prev) = prev {
             p.write_ptr(a.offset(8), prev).unwrap();
         }

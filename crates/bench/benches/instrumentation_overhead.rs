@@ -43,9 +43,10 @@ fn raw_heap_loop() {
 fn instrumented_loop(p: &mut Process) {
     let mut head = NULL;
     let mut live: Vec<Addr> = Vec::new();
+    let (func, site) = (p.function("loop_body"), p.site("node"));
     for i in 0..OPS {
-        p.enter("loop_body");
-        let a = p.malloc(24, "node").unwrap();
+        p.enter(func);
+        let a = p.malloc(24, site).unwrap();
         if !head.is_null() {
             p.write_ptr(a.offset(8), head).unwrap();
         }

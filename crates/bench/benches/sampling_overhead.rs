@@ -31,9 +31,10 @@ const OPS: usize = 6_000;
 fn churn(p: &mut Process) {
     let mut head = NULL;
     let mut live: Vec<Addr> = Vec::new();
+    let (func, site) = (p.function("loop_body"), p.site("node"));
     for i in 0..OPS {
-        p.enter("loop_body");
-        let a = p.malloc(48, "node").unwrap();
+        p.enter(func);
+        let a = p.malloc(48, site).unwrap();
         if !head.is_null() {
             p.write_ptr(a.offset(8), head).unwrap();
             p.write_ptr(a.offset(16), live[i % live.len()]).unwrap();

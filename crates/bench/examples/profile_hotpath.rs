@@ -116,9 +116,10 @@ fn main() {
         let mut p = Process::new(settings);
         p.enable_trace();
         let mut prev = None;
+        let (func, site) = (p.function("build"), p.site("node"));
         for _ in 0..N {
-            p.enter("build");
-            let a = p.malloc(24, "node").unwrap();
+            p.enter(func);
+            let a = p.malloc(24, site).unwrap();
             if let Some(prev) = prev {
                 p.write_ptr(a, prev).unwrap();
             }

@@ -249,14 +249,16 @@ mod tests {
         let leaks = run_with_swat(test_config(), |p| {
             // Leak 10 objects early, then churn long enough that they
             // go stale.
+            let (leaky, leak_site) = (p.function("leaky"), p.site("leak_site"));
+            let (churn, hot_site) = (p.function("churn"), p.site("hot_site"));
             for _ in 0..10 {
-                p.enter("leaky");
-                p.malloc(64, "leak_site").unwrap();
+                p.enter(leaky);
+                p.malloc(64, leak_site).unwrap();
                 p.leave();
             }
             for _ in 0..300 {
-                p.enter("churn");
-                let a = p.malloc(32, "hot_site").unwrap();
+                p.enter(churn);
+                let a = p.malloc(32, hot_site).unwrap();
                 p.read(a).unwrap();
                 p.free(a).unwrap();
                 p.leave();
@@ -270,11 +272,13 @@ mod tests {
     #[test]
     fn recently_accessed_objects_are_not_leaks() {
         let leaks = run_with_swat(test_config(), |p| {
+            let working_set = p.site("working_set");
             let keep: Vec<_> = (0..10)
-                .map(|_| p.malloc(64, "working_set").unwrap())
+                .map(|_| p.malloc(64, working_set).unwrap())
                 .collect();
+            let work = p.function("work");
             for _ in 0..200 {
-                p.enter("work");
+                p.enter(work);
                 for &a in &keep {
                     p.read(a).unwrap();
                 }
@@ -289,12 +293,14 @@ mod tests {
         // The cache is reachable (not a leak) but never accessed again:
         // SWAT flags it — the Table 1 false-positive mechanism.
         let leaks = run_with_swat(test_config(), |p| {
+            let cache_entry = p.site("cache_entry");
             for _ in 0..10 {
-                p.malloc(48, "cache_entry").unwrap();
+                p.malloc(48, cache_entry).unwrap();
             }
+            let (busy, scratch) = (p.function("busy"), p.site("scratch"));
             for _ in 0..300 {
-                p.enter("busy");
-                let a = p.malloc(16, "scratch").unwrap();
+                p.enter(busy);
+                let a = p.malloc(16, scratch).unwrap();
                 p.read(a).unwrap();
                 p.free(a).unwrap();
                 p.leave();
@@ -307,12 +313,14 @@ mod tests {
     #[test]
     fn freed_objects_never_leak() {
         let leaks = run_with_swat(test_config(), |p| {
-            let addrs: Vec<_> = (0..20).map(|_| p.malloc(32, "tmp").unwrap()).collect();
+            let tmp = p.site("tmp");
+            let addrs: Vec<_> = (0..20).map(|_| p.malloc(32, tmp).unwrap()).collect();
             for a in addrs {
                 p.free(a).unwrap();
             }
+            let churn = p.function("churn");
             for _ in 0..200 {
-                p.enter("churn");
+                p.enter(churn);
                 p.leave();
             }
         });
@@ -326,10 +334,12 @@ mod tests {
             ..test_config()
         };
         let leaks = run_with_swat(config, |p| {
-            p.malloc(64, "lone").unwrap();
+            let lone = p.site("lone");
+            p.malloc(64, lone).unwrap();
+            let (churn, scratch) = (p.function("churn"), p.site("scratch"));
             for _ in 0..300 {
-                p.enter("churn");
-                let a = p.malloc(16, "scratch").unwrap();
+                p.enter(churn);
+                let a = p.malloc(16, scratch).unwrap();
                 p.read(a).unwrap();
                 p.free(a).unwrap();
                 p.leave();

@@ -200,14 +200,14 @@ impl Direction {
 }
 
 /// Emits an `anomaly` obs event (and bumps `heapmd_anomaly_total`) for
-/// a freshly raised report. `source` names the checker that raised it
-/// (`"detector"`). Events are a live view: the offline
-/// detector's shutdown trim may later drop a report whose event already
-/// fired.
-pub(crate) fn emit_anomaly_event(bug: &BugReport, source: &str) {
+/// a freshly raised report. The event's `source` field names the
+/// checker that raised it, always `detector`. Events are a live view:
+/// the offline detector's shutdown trim may later drop a report whose
+/// event already fired.
+pub(crate) fn emit_anomaly_event(bug: &BugReport) {
     heapmd_obs::count!("heapmd_anomaly_total");
     heapmd_obs::export::emit_event("anomaly", |o| {
-        o.field_str("source", source)
+        o.field_str("source", "detector")
             .field_str("metric", bug.metric.short_name())
             .field_str("kind", bug.kind.slug());
         match bug.kind {

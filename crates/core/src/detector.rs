@@ -110,7 +110,8 @@ impl MetricState {
 /// # let mut b = ModelBuilder::new(settings.clone());
 /// # for _ in 0..3 {
 /// #     let mut p = Process::new(settings.clone());
-/// #     for _ in 0..200 { p.enter("w"); p.malloc(16, "n")?; p.leave(); }
+/// #     let (w, n) = (p.function("w"), p.site("n"));
+/// #     for _ in 0..200 { p.enter(w); p.malloc(16, n)?; p.leave(); }
 /// #     b.add_run(&p.finish("train"));
 /// # }
 /// # let model = b.build().model;
@@ -118,7 +119,8 @@ impl MetricState {
 /// let mut p = Process::new(settings);
 /// p.attach(detector.clone());
 /// // … run the program under test …
-/// # for _ in 0..100 { p.enter("w"); p.malloc(16, "n")?; p.leave(); }
+/// # let (w, n) = (p.function("w"), p.site("n"));
+/// # for _ in 0..100 { p.enter(w); p.malloc(16, n)?; p.leave(); }
 /// let _report = p.finish("check");
 /// assert!(detector.borrow().bugs().is_empty());
 /// # Ok(())
@@ -501,7 +503,7 @@ impl AnomalyDetector {
                         band_distance: 0.0,
                         context: Vec::new(),
                     };
-                    crate::bug::emit_anomaly_event(&bug, "detector");
+                    crate::bug::emit_anomaly_event(&bug);
                     self.bugs.push(bug);
                 }
             }
@@ -541,7 +543,6 @@ impl AnomalyDetector {
     fn finalize_bug(&mut self, bug: BugReport, capture: Option<PendingCapture>) {
         let cap = capture.unwrap_or_default();
         self.pending_incidents.push(IncidentBundle::from_report(
-            "detector",
             &bug,
             cap.slope,
             cap.armed_at_seq,
@@ -549,7 +550,7 @@ impl AnomalyDetector {
             cap.series,
             cap.degrees,
         ));
-        crate::bug::emit_anomaly_event(&bug, "detector");
+        crate::bug::emit_anomaly_event(&bug);
         self.bugs.push(bug);
     }
 
@@ -632,7 +633,7 @@ impl AnomalyDetector {
                         band_distance: 0.0,
                         context: Vec::new(),
                     };
-                    crate::bug::emit_anomaly_event(&bug, "detector");
+                    crate::bug::emit_anomaly_event(&bug);
                     self.bugs.push(bug);
                 }
             }
@@ -656,7 +657,7 @@ impl AnomalyDetector {
                     band_distance: 0.0,
                     context: Vec::new(),
                 };
-                crate::bug::emit_anomaly_event(&bug, "detector");
+                crate::bug::emit_anomaly_event(&bug);
                 self.bugs.push(bug);
             }
         }

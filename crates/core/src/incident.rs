@@ -237,9 +237,9 @@ pub struct BundleSalvageStats {
 
 impl IncidentBundle {
     /// Builds a bundle from a detector report plus its capture context.
-    #[allow(clippy::too_many_arguments)]
+    /// The bundle's `source` is `detector`, the one checker that raises
+    /// reports.
     pub fn from_report(
-        source: &str,
         bug: &BugReport,
         slope: f64,
         armed_at_seq: Option<u64>,
@@ -250,7 +250,7 @@ impl IncidentBundle {
         IncidentBundle {
             meta: IncidentMeta {
                 version: INCIDENT_FORMAT_VERSION,
-                source: source.to_string(),
+                source: "detector".to_string(),
                 metric: bug.metric,
                 kind: bug.kind,
                 value: bug.value,

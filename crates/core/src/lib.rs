@@ -43,10 +43,12 @@
 //! let mut builder = ModelBuilder::new(settings.clone());
 //! for input in 0..2 {
 //!     let mut p = Process::new(settings.clone());
+//!     // Names are interned once; the mutators take the ids.
+//!     let (build, node_site) = (p.function("build"), p.site("node"));
 //!     let mut prev = None;
 //!     for i in 0..400 {
-//!         p.enter("build");
-//!         let node = p.malloc(16, "node")?;
+//!         p.enter(build);
+//!         let node = p.malloc(16, node_site)?;
 //!         if let Some(prev) = prev {
 //!             p.write_ptr(node, prev)?; // node.next = prev
 //!         }

@@ -356,9 +356,10 @@ pub struct ModelOutcome {
 /// let mut b = ModelBuilder::new(settings.clone());
 /// for _ in 0..3 {
 ///     let mut p = Process::new(settings.clone());
+///     let (work, leafy) = (p.function("work"), p.site("leafy"));
 ///     for _ in 0..200 {
-///         p.enter("work");
-///         p.malloc(16, "leafy")?;
+///         p.enter(work);
+///         p.malloc(16, leafy)?;
 ///         p.leave();
 ///     }
 ///     b.add_run(&p.finish("run"));

@@ -136,9 +136,10 @@ mod tests {
         let deaf = Rc::new(RefCell::new(Deaf::default()));
         let mut p = Process::new(settings);
         p.attach(deaf.clone());
+        let (work, n) = (p.function("work"), p.site("n"));
         for _ in 0..6 {
-            p.enter("work");
-            p.malloc(16, "n").unwrap();
+            p.enter(work);
+            p.malloc(16, n).unwrap();
             p.leave();
         }
         let report = p.finish("run");
@@ -155,9 +156,10 @@ mod tests {
         let counter = Rc::new(RefCell::new(Counter::default()));
         let mut p = Process::new(settings);
         p.attach(counter.clone());
+        let (work, n) = (p.function("work"), p.site("n"));
         for _ in 0..6 {
-            p.enter("work");
-            p.malloc(16, "n").unwrap();
+            p.enter(work);
+            p.malloc(16, n).unwrap();
             p.leave();
         }
         let _ = p.finish("run");

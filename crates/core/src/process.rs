@@ -20,7 +20,10 @@ use swat::{SamplerConfig, SamplingInfo};
 /// under the execution logger.
 ///
 /// Workload code drives the process through its mutator API (`malloc`,
-/// `free`, `write_ptr`, `enter`/`leave`, …). The process:
+/// `free`, `write_ptr`, `enter`/`leave`, …). Names are interned once,
+/// at set-up, through [`function`](Self::function) and
+/// [`site`](Self::site); the mutators take the resulting [`FuncId`] and
+/// [`AllocSite`] ids, so no per-event call looks a name up. The process:
 ///
 /// * forwards each operation to the [`SimHeap`];
 /// * advances its event core, the same one post-mortem replay runs:
@@ -39,9 +42,13 @@ use swat::{SamplerConfig, SamplingInfo};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut p = Process::new(Settings::builder().frq(1).build()?);
-/// p.enter("main");
-/// let head = p.malloc(24, "list_node")?;
-/// let next = p.malloc(24, "list_node")?;
+/// // Set-up: intern every name once.
+/// let main = p.function("main");
+/// let node = p.site("list_node");
+/// // Hot path: ids only.
+/// p.enter(main);
+/// let head = p.malloc(24, node)?;
+/// let next = p.malloc(24, node)?;
 /// p.write_ptr(head.offset(8), next)?;
 /// p.leave();
 /// let report = p.finish("example");
@@ -272,9 +279,23 @@ impl Process {
         self.core.samples()
     }
 
-    /// Interns an allocation-site name, for hot paths that want to avoid
-    /// repeated string lookups via [`malloc_at`](Self::malloc_at).
-    pub fn intern_site(&mut self, name: &str) -> AllocSite {
+    /// Interns a function name, returning the id that
+    /// [`enter`](Self::enter) and [`scoped`](Self::scoped) take. Call it
+    /// at set-up, not per event. A new name is written to an attached
+    /// trace stream at once, ahead of any event that uses it.
+    pub fn function(&mut self, name: &str) -> FuncId {
+        let known = self.core.functions().len();
+        let id = self.core.intern(name);
+        if self.core.functions().len() > known {
+            self.stream_functions();
+        }
+        id
+    }
+
+    /// Interns an allocation-site name, returning the id that
+    /// [`malloc`](Self::malloc) and [`realloc`](Self::realloc) take.
+    /// Call it at set-up, not per event.
+    pub fn site(&mut self, name: &str) -> AllocSite {
         if let Some(&s) = self.sites.get(name) {
             return s;
         }
@@ -295,18 +316,16 @@ impl Process {
         &self.site_names
     }
 
-    /// Enters a function: a potential metric computation point.
-    ///
-    /// Returns the interned id. Every `settings.frq` entries, the seven
-    /// metrics are sampled from the heap-graph.
-    pub fn enter(&mut self, name: &str) -> FuncId {
-        let known = self.core.functions().len();
-        let id = self.core.intern(name);
-        if self.core.functions().len() > known {
-            self.stream_functions();
-        }
-        self.record(HeapEvent::FnEnter { func: id.0 });
-        id
+    /// Enters the function `func` (interned by
+    /// [`function`](Self::function)): a potential metric computation
+    /// point. Every `settings.frq` entries, the seven metrics are sampled
+    /// from the heap-graph.
+    pub fn enter(&mut self, func: FuncId) {
+        debug_assert!(
+            (func.0 as usize) < self.core.functions().len(),
+            "enter of an id this process never interned"
+        );
+        self.record(HeapEvent::FnEnter { func: func.0 });
     }
 
     /// Leaves the innermost function.
@@ -325,29 +344,24 @@ impl Process {
 
     /// Runs `f` inside an enter/leave pair (exception-unsafe by design:
     /// the simulation has no unwinding mutators).
-    pub fn scoped<R>(&mut self, name: &str, f: impl FnOnce(&mut Process) -> R) -> R {
-        self.enter(name);
+    pub fn scoped<R>(&mut self, func: FuncId, f: impl FnOnce(&mut Process) -> R) -> R {
+        self.enter(func);
         let r = f(self);
         self.leave();
         r
     }
 
-    /// Allocates `size` bytes at the named call-site.
+    /// Allocates `size` bytes at call-site `site` (interned by
+    /// [`site`](Self::site)).
     ///
     /// # Errors
     ///
     /// Propagates [`HeapError`] from the heap (zero size, capacity).
-    pub fn malloc(&mut self, size: usize, site: &str) -> Result<Addr, HeapError> {
-        let site = self.intern_site(site);
-        self.malloc_at(size, site)
-    }
-
-    /// Allocates `size` bytes at a pre-interned call-site.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`HeapError`] from the heap.
-    pub fn malloc_at(&mut self, size: usize, site: AllocSite) -> Result<Addr, HeapError> {
+    pub fn malloc(&mut self, size: usize, site: AllocSite) -> Result<Addr, HeapError> {
+        debug_assert!(
+            (site.0 as usize) < self.site_names.len(),
+            "malloc at a site this process never interned"
+        );
         let eff = self.heap.alloc(size, site)?;
         self.record(HeapEvent::Alloc {
             obj: eff.id,
@@ -379,8 +393,16 @@ impl Process {
     /// # Errors
     ///
     /// Propagates [`HeapError`].
-    pub fn realloc(&mut self, addr: Addr, new_size: usize, site: &str) -> Result<Addr, HeapError> {
-        let site = self.intern_site(site);
+    pub fn realloc(
+        &mut self,
+        addr: Addr,
+        new_size: usize,
+        site: AllocSite,
+    ) -> Result<Addr, HeapError> {
+        debug_assert!(
+            (site.0 as usize) < self.site_names.len(),
+            "realloc at a site this process never interned"
+        );
         let eff = self.heap.realloc(addr, new_size, site)?;
         // The graph sees realloc as the event decomposition the paper's
         // instrumentation would observe: free, alloc, then the memcpy'd
@@ -455,12 +477,7 @@ impl Process {
     ///
     /// Propagates [`HeapError`].
     pub fn read_ptr(&mut self, slot: Addr) -> Result<Option<Addr>, HeapError> {
-        let v = self.heap.read_ptr(slot)?;
-        let obj = self
-            .heap
-            .resolve(slot)
-            .expect("read_ptr succeeded on a live object")
-            .id();
+        let (obj, v) = self.heap.read_ptr(slot)?;
         self.record(HeapEvent::Read { obj });
         Ok(v)
     }
@@ -598,6 +615,64 @@ impl Process {
     }
 }
 
+/// Declares a struct of names interned once, at set-up: a
+/// `func("…")` field holds the [`FuncId`] of that function name, a
+/// `site("…")` field the [`AllocSite`] of that allocation-site name,
+/// and `new(p)` interns them all in a [`Process`]. Programs build one
+/// per run so their hot paths enter and allocate by id.
+///
+/// # Example
+///
+/// ```
+/// use heapmd::{Process, Settings};
+///
+/// heapmd::interned! {
+///     struct Names {
+///         main: func("main"),
+///         push: func("List::push"),
+///         node: site("list_node"),
+///     }
+/// }
+///
+/// # fn main() -> Result<(), heapmd::HeapError> {
+/// let mut p = Process::new(Settings::default());
+/// let n = Names::new(&mut p);
+/// p.enter(n.main);
+/// p.scoped(n.push, |p| p.malloc(16, n.node))?;
+/// p.leave();
+/// assert_eq!(p.functions().name(n.push), "List::push");
+/// # Ok(())
+/// # }
+/// ```
+#[macro_export]
+macro_rules! interned {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($field:ident: $kind:ident($text:expr)),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy)]
+        $vis struct $name {
+            $($field: $crate::interned!(@type $kind),)+
+        }
+
+        impl $name {
+            /// Interns every name in `p`.
+            fn new(p: &mut $crate::Process) -> Self {
+                $name {
+                    $($field: $crate::interned!(@intern $kind, p, $text),)+
+                }
+            }
+        }
+    };
+    (@type func) => { $crate::FuncId };
+    (@type site) => { $crate::AllocSite };
+    (@intern func, $p:ident, $text:expr) => { $p.function($text) };
+    (@intern site, $p:ident, $text:expr) => { $p.site($text) };
+}
+
 /// Flight-recorder series names, `"metric." + short_name`, indexed by
 /// [`heap_graph::MetricKind::index`].
 const METRIC_SERIES: [&str; heap_graph::METRIC_COUNT] = [
@@ -632,8 +707,9 @@ mod tests {
     #[test]
     fn sampling_happens_every_frq_entries() {
         let mut p = Process::new(settings(3));
+        let f = p.function("f");
         for _ in 0..10 {
-            p.enter("f");
+            p.enter(f);
             p.leave();
         }
         assert_eq!(p.samples().len(), 3);
@@ -644,9 +720,11 @@ mod tests {
     #[test]
     fn graph_stays_in_sync_with_heap() {
         let mut p = Process::new(settings(1));
-        p.enter("main");
-        let a = p.malloc(24, "a").unwrap();
-        let b = p.malloc(24, "b").unwrap();
+        let main = p.function("main");
+        let (sa, sb) = (p.site("a"), p.site("b"));
+        p.enter(main);
+        let a = p.malloc(24, sa).unwrap();
+        let b = p.malloc(24, sb).unwrap();
         p.write_ptr(a, b).unwrap();
         assert_eq!(p.graph().edge_count(), 1);
         p.free(b).unwrap();
@@ -660,10 +738,11 @@ mod tests {
     #[test]
     fn realloc_moves_edges() {
         let mut p = Process::new(settings(1));
-        let a = p.malloc(32, "a").unwrap();
-        let t = p.malloc(16, "t").unwrap();
+        let (sa, st) = (p.site("a"), p.site("t"));
+        let a = p.malloc(32, sa).unwrap();
+        let t = p.malloc(16, st).unwrap();
         p.write_ptr(a, t).unwrap();
-        let a2 = p.realloc(a, 64, "a").unwrap();
+        let a2 = p.realloc(a, 64, sa).unwrap();
         assert_ne!(a, a2);
         assert_eq!(p.graph().edge_count(), 1);
         assert_eq!(p.read_ptr(a2).unwrap(), Some(t));
@@ -673,11 +752,16 @@ mod tests {
     #[test]
     fn scoped_pairs_enter_and_leave() {
         let mut p = Process::new(settings(1));
-        let out = p.scoped("outer", |p| p.scoped("inner", |p| p.fn_entries()));
+        let (outer, inner, again) = (
+            p.function("outer"),
+            p.function("inner"),
+            p.function("again"),
+        );
+        let out = p.scoped(outer, |p| p.scoped(inner, |p| p.fn_entries()));
         assert_eq!(out, 2);
         assert_eq!(p.fn_entries(), 2);
         // Stack is balanced again: another enter/leave works.
-        p.enter("again");
+        p.enter(again);
         p.leave();
     }
 
@@ -691,20 +775,33 @@ mod tests {
     #[test]
     fn site_interning_round_trips() {
         let mut p = Process::new(settings(1));
-        let s1 = p.intern_site("ListInsert");
-        let s2 = p.intern_site("ListInsert");
+        let s1 = p.site("ListInsert");
+        let s2 = p.site("ListInsert");
         assert_eq!(s1, s2);
         assert_eq!(p.site_name(s1), "ListInsert");
-        let a = p.malloc_at(16, s1).unwrap();
+        let a = p.malloc(16, s1).unwrap();
         assert_eq!(p.heap().object_at(a).unwrap().site(), s1);
+    }
+
+    #[test]
+    fn function_interning_round_trips() {
+        let mut p = Process::new(settings(1));
+        let f1 = p.function("ListInsert");
+        let f2 = p.function("ListInsert");
+        assert_eq!(f1, f2);
+        assert_eq!(p.functions().name(f1), "ListInsert");
+        assert_eq!(p.functions().len(), 1);
+        // Interning alone is no event: nothing entered, nothing sampled.
+        assert_eq!(p.fn_entries(), 0);
     }
 
     #[test]
     fn finish_returns_all_samples() {
         let mut p = Process::new(settings(2));
+        let (w, x) = (p.function("w"), p.site("x"));
         for _ in 0..8 {
-            p.enter("w");
-            p.malloc(16, "x").unwrap();
+            p.enter(w);
+            p.malloc(16, x).unwrap();
             p.leave();
         }
         let r = p.finish("myrun");
@@ -719,8 +816,9 @@ mod tests {
     fn trace_records_events_when_enabled() {
         let mut p = Process::new(settings(1));
         p.enable_trace();
-        p.enter("f");
-        let a = p.malloc(16, "x").unwrap();
+        let (f, x) = (p.function("f"), p.site("x"));
+        p.enter(f);
+        let a = p.malloc(16, x).unwrap();
         p.free(a).unwrap();
         p.leave();
         let t = p.take_trace().unwrap();
@@ -750,8 +848,9 @@ mod tests {
         p.enable_trace();
         p.stream_trace_to(Box::new(SharedBuf(Arc::clone(&buf))))
             .unwrap();
-        p.enter("f");
-        let a = p.malloc(16, "x").unwrap();
+        let (f, x) = (p.function("f"), p.site("x"));
+        p.enter(f);
+        let a = p.malloc(16, x).unwrap();
         p.free(a).unwrap();
         p.leave();
         let streamed_events = p.finish_stream().unwrap();
@@ -784,9 +883,11 @@ mod tests {
         // The header and the first function table succeed; the sink
         // dies on the second table, written when `w1` is interned.
         p.stream_trace_to(Box::new(FailAfter(2))).unwrap();
+        let x = p.site("x");
         for i in 0..5 {
-            p.enter(&format!("w{i}"));
-            p.malloc(16, "x").unwrap();
+            let w = p.function(&format!("w{i}"));
+            p.enter(w);
+            p.malloc(16, x).unwrap();
             p.leave();
         }
         // The run itself survived without its stream; the error is
@@ -814,7 +915,8 @@ mod tests {
     #[test]
     fn heap_errors_propagate_without_corrupting_graph() {
         let mut p = Process::new(settings(1));
-        let a = p.malloc(16, "x").unwrap();
+        let x = p.site("x");
+        let a = p.malloc(16, x).unwrap();
         p.free(a).unwrap();
         assert!(p.free(a).is_err());
         p.graph().validate().unwrap();

@@ -57,9 +57,10 @@ impl MetricSample {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut p = Process::new(Settings::builder().frq(1).build()?);
+/// let (tick, obj) = (p.function("tick"), p.site("obj"));
 /// for _ in 0..10 {
-///     p.enter("tick");
-///     p.malloc(16, "obj")?;
+///     p.enter(tick);
+///     p.malloc(16, obj)?;
 ///     p.leave();
 /// }
 /// let report = p.finish("demo");

@@ -1278,10 +1278,11 @@ mod tests {
         let settings = Settings::builder().frq(5).build().unwrap();
         let mut p = Process::new(settings.clone());
         p.enable_trace();
+        let (build, node_site) = (p.function("build"), p.site("node"));
         let mut prev = None;
         for _ in 0..n {
-            p.enter("build");
-            let node = p.malloc(16, "node").unwrap();
+            p.enter(build);
+            let node = p.malloc(16, node_site).unwrap();
             if let Some(prev) = prev {
                 p.write_ptr(node.offset(8), prev).unwrap();
             }

@@ -615,10 +615,11 @@ mod tests {
         let settings = Settings::builder().frq(frq).build().unwrap();
         let mut p = Process::new(settings);
         p.enable_trace();
+        let (build, node_site) = (p.function("build"), p.site("node"));
         let mut prev = None;
         for i in 0..n {
-            p.enter("build");
-            let node = p.malloc(16, "node").unwrap();
+            p.enter(build);
+            let node = p.malloc(16, node_site).unwrap();
             if let Some(prev) = prev {
                 p.write_ptr(node.offset(8), prev).unwrap();
             }
@@ -759,13 +760,16 @@ mod tests {
         let settings = Settings::builder().frq(3).build().unwrap();
         let mut p = Process::new(settings);
         p.enable_trace();
+        let (parse, nested) = (p.function("parse"), p.function("nested"));
+        let phases = [parse, p.function("build"), p.function("link")];
+        let node_site = p.site("node");
         let mut live: Vec<sim_heap::Addr> = Vec::new();
         for i in 0..n {
-            p.enter(["parse", "build", "link"][i % 3]);
+            p.enter(phases[i % 3]);
             if i % 5 == 0 {
-                p.enter("nested");
+                p.enter(nested);
             }
-            let node = p.malloc(32, "node").unwrap();
+            let node = p.malloc(32, node_site).unwrap();
             if i < n / 2 || i % 4 == 0 {
                 if let Some(&prev) = live.last() {
                     p.write_ptr(node.offset(8), prev).unwrap();
@@ -976,9 +980,10 @@ mod tests {
         // Buggy run: isolated nodes only (Roots = 100 > 5).
         let mut p = Process::new(settings.clone());
         p.enable_trace();
+        let (lp, iso) = (p.function("loop"), p.site("iso"));
         for _ in 0..50 {
-            p.enter("loop");
-            p.malloc(16, "iso").unwrap();
+            p.enter(lp);
+            p.malloc(16, iso).unwrap();
             p.leave();
         }
         let trace = p.take_trace().unwrap();

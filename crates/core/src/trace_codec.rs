@@ -2016,10 +2016,11 @@ mod tests {
     fn sample_trace(n: usize) -> Trace {
         let mut p = Process::new(settings(5));
         p.enable_trace();
+        let (build, node_site) = (p.function("build"), p.site("node"));
         let mut prev = None;
         for i in 0..n {
-            p.enter("build");
-            let node = p.malloc(16 + (i % 3) * 8, "node").unwrap();
+            p.enter(build);
+            let node = p.malloc(16 + (i % 3) * 8, node_site).unwrap();
             if let Some(prev) = prev {
                 p.write_ptr(node.offset(8), prev).unwrap();
             }
@@ -2245,9 +2246,10 @@ mod tests {
         // Buggy run: isolated nodes only (Roots = 100 > 5).
         let mut p = Process::new(settings.clone());
         p.enable_trace();
+        let (lp, iso) = (p.function("loop"), p.site("iso"));
         for _ in 0..EVENTS_PER_BLOCK {
-            p.enter("loop");
-            p.malloc(16, "iso").unwrap();
+            p.enter(lp);
+            p.malloc(16, iso).unwrap();
             p.leave();
         }
         let trace = p.take_trace().unwrap();
@@ -2313,10 +2315,11 @@ mod tests {
             .map(|i| {
                 let mut p = Process::new(settings.clone());
                 p.enable_trace();
+                let (lp, n) = (p.function("loop"), p.site("n"));
                 let mut prev = None;
                 for _ in 0..60 {
-                    p.enter("loop");
-                    let node = p.malloc(16, "n").unwrap();
+                    p.enter(lp);
+                    let node = p.malloc(16, n).unwrap();
                     if i % 2 == 0 {
                         if let Some(prev) = prev {
                             p.write_ptr(node.offset(8), prev).unwrap();

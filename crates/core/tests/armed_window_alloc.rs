@@ -84,10 +84,12 @@ fn a_full_armed_window_logs_without_allocating() {
     let detector = Rc::new(RefCell::new(AnomalyDetector::new(model, settings.clone())));
     let mut p = Process::new(settings);
     p.attach(detector.clone());
-    p.enter("main"); // sample 0: warm-up
-    let node = p.malloc(16, "node").unwrap();
-    p.enter("work"); // sample 1: Roots = 100 crosses
-                     // Spend the after-crossing budget and fill the window.
+    let (main, work, node_site) = (p.function("main"), p.function("work"), p.site("node"));
+    p.enter(main); // sample 0: warm-up
+    let node = p.malloc(16, node_site).unwrap();
+    p.enter(work); // sample 1: Roots = 100 crosses
+
+    // Spend the after-crossing budget and fill the window.
     for _ in 0..8 + capacity {
         p.read(node).unwrap();
     }

@@ -2,7 +2,7 @@
 
 use crate::fault_ids::{BINTREE_SINGLE_CHILD, BINTREE_SKIP_PARENT};
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process, NULL};
+use heapmd::{Addr, AllocSite, HeapError, Process, NULL};
 use std::collections::HashMap;
 
 /// Node layout: `[0] = left, [8] = right, [16] = parent, [24] = key`.
@@ -10,6 +10,19 @@ const LEFT: u64 = 0;
 const RIGHT: u64 = 8;
 const PARENT: u64 = 16;
 const NODE_SIZE: usize = 32;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        insert: func("SimBinTree::insert"),
+        contains: func("SimBinTree::contains"),
+        pop_leaf: func("SimBinTree::pop_leaf"),
+        check: func("SimBinTree::check"),
+        touch_all: func("SimBinTree::touch_all"),
+        depth: func("SimBinTree::depth"),
+        free_all: func("SimBinTree::free_all"),
+    }
+}
 
 /// A binary search tree whose nodes carry parent pointers.
 ///
@@ -38,7 +51,7 @@ const NODE_SIZE: usize = 32;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut p = Process::new(Settings::builder().frq(100).build()?);
 /// let mut plan = FaultPlan::new();
-/// let mut tree = SimBinTree::new("scene");
+/// let mut tree = SimBinTree::new(&mut p, "scene");
 /// for key in [50, 30, 70, 20, 40, 60, 80] {
 ///     tree.insert(&mut p, &mut plan, key)?;
 /// }
@@ -52,25 +65,32 @@ pub struct SimBinTree {
     root: Addr,
     keys: HashMap<Addr, u64>,
     len: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_skip_parent: FaultId,
     fault_single_child: FaultId,
 }
 
 impl SimBinTree {
-    /// Creates an empty tree.
-    pub fn new(site: &str) -> Self {
-        SimBinTree::with_faults(site, BINTREE_SKIP_PARENT, BINTREE_SINGLE_CHILD)
+    /// Creates an empty tree, interning its names in `p`.
+    pub fn new(p: &mut Process, site: &str) -> Self {
+        SimBinTree::with_faults(p, site, BINTREE_SKIP_PARENT, BINTREE_SINGLE_CHILD)
     }
 
     /// Creates an empty tree with per-instance fault ids for its two
     /// buggy call-sites.
-    pub fn with_faults(site: &str, skip_parent: FaultId, single_child: FaultId) -> Self {
+    pub fn with_faults(
+        p: &mut Process,
+        site: &str,
+        skip_parent: FaultId,
+        single_child: FaultId,
+    ) -> Self {
         SimBinTree {
             root: NULL,
             keys: HashMap::new(),
             len: 0,
-            site: format!("{site}::tree_node"),
+            site: p.site(&format!("{site}::tree_node")),
+            fns: Fns::new(p),
             fault_skip_parent: skip_parent,
             fault_single_child: single_child,
         }
@@ -108,8 +128,8 @@ impl SimBinTree {
         plan: &mut FaultPlan,
         key: u64,
     ) -> Result<Addr, HeapError> {
-        p.enter("SimBinTree::insert");
-        let node = p.malloc(NODE_SIZE, &self.site)?;
+        p.enter(self.fns.insert);
+        let node = p.malloc(NODE_SIZE, self.site)?;
         p.write_scalar(node.offset(24))?; // key payload
         self.keys.insert(node, key);
         if self.root.is_null() {
@@ -147,7 +167,7 @@ impl SimBinTree {
     ///
     /// Propagates [`HeapError`].
     pub fn contains(&self, p: &mut Process, key: u64) -> Result<bool, HeapError> {
-        p.enter("SimBinTree::contains");
+        p.enter(self.fns.contains);
         let mut cur = self.root;
         let mut found = false;
         while !cur.is_null() {
@@ -177,7 +197,7 @@ impl SimBinTree {
         if self.root.is_null() {
             return Ok(None);
         }
-        p.enter("SimBinTree::pop_leaf");
+        p.enter(self.fns.pop_leaf);
         let mut parent: Option<(Addr, u64)> = None;
         let mut cur = self.root;
         loop {
@@ -213,7 +233,7 @@ impl SimBinTree {
     ///
     /// Propagates [`HeapError`].
     pub fn count_parent_pointer_violations(&self, p: &mut Process) -> Result<usize, HeapError> {
-        p.enter("SimBinTree::check");
+        p.enter(self.fns.check);
         let mut violations = 0;
         let mut stack = vec![self.root];
         while let Some(node) = stack.pop() {
@@ -239,7 +259,7 @@ impl SimBinTree {
     ///
     /// Propagates [`HeapError`].
     pub fn touch_all(&self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimBinTree::touch_all");
+        p.enter(self.fns.touch_all);
         for &addr in self.keys.keys() {
             p.read(addr)?;
         }
@@ -253,7 +273,7 @@ impl SimBinTree {
     ///
     /// Propagates [`HeapError`].
     pub fn depth(&self, p: &mut Process) -> Result<usize, HeapError> {
-        p.enter("SimBinTree::depth");
+        p.enter(self.fns.depth);
         let mut max = 0;
         let mut stack = vec![(self.root, 1usize)];
         while let Some((node, d)) = stack.pop() {
@@ -277,7 +297,7 @@ impl SimBinTree {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(&mut self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimBinTree::free_all");
+        p.enter(self.fns.free_all);
         let mut stack = vec![self.root];
         while let Some(node) = stack.pop() {
             if node.is_null() {
@@ -318,7 +338,7 @@ mod tests {
     fn bst_property_and_parent_invariant_hold_clean() {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut t = SimBinTree::new("t");
+        let mut t = SimBinTree::new(&mut p, "t");
         for k in keys(100) {
             t.insert(&mut p, &mut plan, k).unwrap();
         }
@@ -337,8 +357,8 @@ mod tests {
         let mut buggy_p = process();
         let mut clean_plan = FaultPlan::new();
         let mut buggy_plan = FaultPlan::single(BINTREE_SKIP_PARENT);
-        let mut clean = SimBinTree::new("t");
-        let mut buggy = SimBinTree::new("t");
+        let mut clean = SimBinTree::new(&mut clean_p, "t");
+        let mut buggy = SimBinTree::new(&mut buggy_p, "t");
         for k in keys(200) {
             clean.insert(&mut clean_p, &mut clean_plan, k).unwrap();
             buggy.insert(&mut buggy_p, &mut buggy_plan, k).unwrap();
@@ -356,7 +376,7 @@ mod tests {
     fn single_child_fault_degenerates_depth() {
         let mut p = process();
         let mut plan = FaultPlan::single(BINTREE_SINGLE_CHILD);
-        let mut t = SimBinTree::new("t");
+        let mut t = SimBinTree::new(&mut p, "t");
         for k in keys(50) {
             t.insert(&mut p, &mut plan, k).unwrap();
         }
@@ -365,7 +385,7 @@ mod tests {
 
         let mut p2 = process();
         let mut plan2 = FaultPlan::new();
-        let mut t2 = SimBinTree::new("t");
+        let mut t2 = SimBinTree::new(&mut p2, "t");
         for k in keys(50) {
             t2.insert(&mut p2, &mut plan2, k).unwrap();
         }
@@ -376,7 +396,7 @@ mod tests {
     fn pop_leaf_shrinks_to_empty() {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut t = SimBinTree::new("t");
+        let mut t = SimBinTree::new(&mut p, "t");
         for k in keys(40) {
             t.insert(&mut p, &mut plan, k).unwrap();
         }
@@ -394,7 +414,7 @@ mod tests {
     fn pop_leaf_works_on_damaged_trees() {
         let mut p = process();
         let mut plan = FaultPlan::single(BINTREE_SKIP_PARENT);
-        let mut t = SimBinTree::new("t");
+        let mut t = SimBinTree::new(&mut p, "t");
         for k in keys(20) {
             t.insert(&mut p, &mut plan, k).unwrap();
         }
@@ -408,7 +428,7 @@ mod tests {
     fn free_all_releases_everything() {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut t = SimBinTree::new("t");
+        let mut t = SimBinTree::new(&mut p, "t");
         for k in keys(64) {
             t.insert(&mut p, &mut plan, k).unwrap();
         }

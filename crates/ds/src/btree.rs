@@ -4,7 +4,7 @@
 
 use crate::fault_ids::BTREE_SKIP_SIBLING;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process};
+use heapmd::{Addr, AllocSite, HeapError, Process};
 
 /// Minimum degree (CLRS `t`): nodes hold 1..=3 keys and 2..=4 children.
 const T: usize = 2;
@@ -12,6 +12,19 @@ const MAX_KEYS: usize = 2 * T - 1;
 /// Node layout: `[0..32] = 4 child pointers, [32..56] = 3 key words`.
 const CHILD_STRIDE: u64 = 8;
 const NODE_SIZE: usize = (2 * T) * 8 + MAX_KEYS * 8;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        new: func("SimBTree::new"),
+        insert: func("SimBTree::insert"),
+        contains: func("SimBTree::contains"),
+        touch_all: func("SimBTree::touch_all"),
+        check_links: func("SimBTree::check_links"),
+        free_all: func("SimBTree::free_all"),
+        split_child: func("SimBTree::split_child"),
+    }
+}
 
 /// Shadow node: the program's *logical* view of the tree. The heap
 /// objects are kept in sync with it — except where a fault deliberately
@@ -65,7 +78,8 @@ pub struct SimBTree {
     nodes: Vec<BNode>,
     root: usize,
     len: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_skip_sibling: FaultId,
 }
 
@@ -86,9 +100,10 @@ impl SimBTree {
     ///
     /// Propagates [`HeapError`].
     pub fn with_fault(p: &mut Process, site: &str, fault: FaultId) -> Result<Self, HeapError> {
-        p.enter("SimBTree::new");
-        let site = format!("{site}::btree_node");
-        let addr = p.malloc(NODE_SIZE, &site)?;
+        let fns = Fns::new(p);
+        let site = p.site(&format!("{site}::btree_node"));
+        p.enter(fns.new);
+        let addr = p.malloc(NODE_SIZE, site)?;
         p.leave();
         Ok(SimBTree {
             nodes: vec![BNode {
@@ -99,6 +114,7 @@ impl SimBTree {
             root: 0,
             len: 0,
             site,
+            fns,
             fault_skip_sibling: fault,
         })
     }
@@ -129,11 +145,11 @@ impl SimBTree {
         plan: &mut FaultPlan,
         key: u64,
     ) -> Result<(), HeapError> {
-        p.enter("SimBTree::insert");
+        p.enter(self.fns.insert);
         if self.nodes[self.root].keys.len() == MAX_KEYS {
             // Grow a new root and split the old one under it.
             let old_root = self.root;
-            let addr = p.malloc(NODE_SIZE, &self.site)?;
+            let addr = p.malloc(NODE_SIZE, self.site)?;
             self.nodes.push(BNode {
                 addr,
                 keys: Vec::new(),
@@ -155,7 +171,7 @@ impl SimBTree {
     ///
     /// Propagates [`HeapError`].
     pub fn contains(&self, p: &mut Process, key: u64) -> Result<bool, HeapError> {
-        p.enter("SimBTree::contains");
+        p.enter(self.fns.contains);
         let mut idx = self.root;
         let found = loop {
             p.read(self.nodes[idx].addr)?;
@@ -222,7 +238,7 @@ impl SimBTree {
     ///
     /// Propagates [`HeapError`].
     pub fn touch_all(&self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimBTree::touch_all");
+        p.enter(self.fns.touch_all);
         for node in &self.nodes {
             p.read(node.addr)?;
         }
@@ -237,7 +253,7 @@ impl SimBTree {
     ///
     /// Propagates [`HeapError`].
     pub fn count_heap_link_mismatches(&self, p: &mut Process) -> Result<usize, HeapError> {
-        p.enter("SimBTree::check_links");
+        p.enter(self.fns.check_links);
         let mut mismatches = 0;
         for node in &self.nodes {
             for (i, &child) in node.children.iter().enumerate() {
@@ -257,7 +273,7 @@ impl SimBTree {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimBTree::free_all");
+        p.enter(self.fns.free_all);
         for node in &self.nodes {
             p.free(node.addr)?;
         }
@@ -307,9 +323,9 @@ impl SimBTree {
         parent: usize,
         pos: usize,
     ) -> Result<(), HeapError> {
-        p.enter("SimBTree::split_child");
+        p.enter(self.fns.split_child);
         let left = self.nodes[parent].children[pos];
-        let addr = p.malloc(NODE_SIZE, &self.site)?;
+        let addr = p.malloc(NODE_SIZE, self.site)?;
         let right = self.nodes.len();
         let (mid_key, right_keys, right_children) = {
             let l = &mut self.nodes[left];

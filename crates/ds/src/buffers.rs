@@ -1,8 +1,17 @@
 //! A FIFO pool of large leaf buffers (the gzip/multimedia allocation
 //! pattern).
 
-use heapmd::{Addr, HeapError, Process};
+use heapmd::{Addr, AllocSite, HeapError, Process};
 use std::collections::VecDeque;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        acquire: func("BufferPool::acquire"),
+        touch_all: func("BufferPool::touch_all"),
+        drain: func("BufferPool::drain"),
+    }
+}
 
 /// A bounded FIFO of plain data buffers.
 ///
@@ -20,7 +29,7 @@ use std::collections::VecDeque;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut p = Process::new(Settings::builder().frq(100).build()?);
-/// let mut pool = BufferPool::new(4, "frames");
+/// let mut pool = BufferPool::new(&mut p, 4, "frames");
 /// for i in 0..10 {
 ///     pool.acquire(&mut p, 1024 + i)?; // rolls over at capacity 4
 /// }
@@ -34,21 +43,24 @@ use std::collections::VecDeque;
 pub struct BufferPool {
     buffers: VecDeque<Addr>,
     capacity: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
 }
 
 impl BufferPool {
-    /// Creates a pool that retains at most `capacity` buffers.
+    /// Creates a pool that retains at most `capacity` buffers,
+    /// interning its names in `p`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, site: &str) -> Self {
+    pub fn new(p: &mut Process, capacity: usize, site: &str) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         BufferPool {
             buffers: VecDeque::with_capacity(capacity),
             capacity,
-            site: format!("{site}::buffer"),
+            site: p.site(&format!("{site}::buffer")),
+            fns: Fns::new(p),
         }
     }
 
@@ -69,12 +81,12 @@ impl BufferPool {
     ///
     /// Propagates [`HeapError`].
     pub fn acquire(&mut self, p: &mut Process, size: usize) -> Result<Addr, HeapError> {
-        p.enter("BufferPool::acquire");
+        p.enter(self.fns.acquire);
         if self.buffers.len() == self.capacity {
             let oldest = self.buffers.pop_front().expect("non-empty at capacity");
             p.free(oldest)?;
         }
-        let buf = p.malloc(size, &self.site)?;
+        let buf = p.malloc(size, self.site)?;
         // Fill a few words: plain data stores, no pointers.
         for w in 0..(size / 8).min(4) {
             p.write_scalar(buf.offset(w as u64 * 8))?;
@@ -90,7 +102,7 @@ impl BufferPool {
     ///
     /// Propagates [`HeapError`].
     pub fn touch_all(&self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("BufferPool::touch_all");
+        p.enter(self.fns.touch_all);
         for &b in &self.buffers {
             p.read(b)?;
         }
@@ -104,7 +116,7 @@ impl BufferPool {
     ///
     /// Propagates [`HeapError`].
     pub fn drain(&mut self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("BufferPool::drain");
+        p.enter(self.fns.drain);
         while let Some(b) = self.buffers.pop_front() {
             p.free(b)?;
         }
@@ -125,7 +137,7 @@ mod tests {
     #[test]
     fn fifo_eviction_bounds_live_buffers() {
         let mut p = process();
-        let mut pool = BufferPool::new(3, "t");
+        let mut pool = BufferPool::new(&mut p, 3, "t");
         let first = pool.acquire(&mut p, 256).unwrap();
         for _ in 0..5 {
             pool.acquire(&mut p, 256).unwrap();
@@ -139,7 +151,7 @@ mod tests {
     #[test]
     fn buffers_are_pure_leaves() {
         let mut p = process();
-        let mut pool = BufferPool::new(8, "t");
+        let mut pool = BufferPool::new(&mut p, 8, "t");
         for _ in 0..8 {
             pool.acquire(&mut p, 512).unwrap();
         }
@@ -153,7 +165,7 @@ mod tests {
     #[test]
     fn drain_empties_the_pool() {
         let mut p = process();
-        let mut pool = BufferPool::new(4, "t");
+        let mut pool = BufferPool::new(&mut p, 4, "t");
         for _ in 0..4 {
             pool.acquire(&mut p, 128).unwrap();
         }
@@ -165,6 +177,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        BufferPool::new(0, "t");
+        BufferPool::new(&mut process(), 0, "t");
     }
 }

@@ -4,11 +4,21 @@
 
 use crate::fault_ids::CACHE_REACHABLE_LEAK;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process, NULL};
+use heapmd::{Addr, AllocSite, HeapError, Process, NULL};
 
 /// Entry layout: `[0] = next, [8] = payload`.
 const NEXT: u64 = 0;
 const ENTRY_SIZE: usize = 16;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        new: func("StaleCache::new"),
+        insert: func("StaleCache::insert"),
+        touch_recent: func("StaleCache::touch_recent"),
+        free_all: func("StaleCache::free_all"),
+    }
+}
 
 /// A cache whose entries stay reachable from its heap-allocated header
 /// but are rarely (or never) read again.
@@ -50,7 +60,8 @@ pub struct StaleCache {
     header: Addr,
     entries: Vec<Addr>,
     capacity: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_leak: FaultId,
 }
 
@@ -85,14 +96,17 @@ impl StaleCache {
         fault: FaultId,
     ) -> Result<Self, HeapError> {
         assert!(capacity > 0, "capacity must be positive");
-        p.enter("StaleCache::new");
-        let header = p.malloc(16, &format!("{site}::header"))?;
+        let fns = Fns::new(p);
+        let header_site = p.site(&format!("{site}::header"));
+        p.enter(fns.new);
+        let header = p.malloc(16, header_site)?;
         p.leave();
         Ok(StaleCache {
             header,
             entries: Vec::new(),
             capacity,
-            site: format!("{site}::entry"),
+            site: p.site(&format!("{site}::entry")),
+            fns,
             fault_leak: fault,
         })
     }
@@ -122,8 +136,8 @@ impl StaleCache {
         plan: &mut FaultPlan,
         _key: u64,
     ) -> Result<Addr, HeapError> {
-        p.enter("StaleCache::insert");
-        let entry = p.malloc(ENTRY_SIZE, &self.site)?;
+        p.enter(self.fns.insert);
+        let entry = p.malloc(ENTRY_SIZE, self.site)?;
         p.write_scalar(entry.offset(8))?;
         if let Some(head) = p.read_ptr(self.header)? {
             p.write_ptr(entry.offset(NEXT), head)?;
@@ -150,7 +164,7 @@ impl StaleCache {
     ///
     /// Propagates [`HeapError`].
     pub fn touch_recent(&self, p: &mut Process, n: usize) -> Result<(), HeapError> {
-        p.enter("StaleCache::touch_recent");
+        p.enter(self.fns.touch_recent);
         for &e in self.entries.iter().rev().take(n) {
             p.read(e)?;
         }
@@ -164,7 +178,7 @@ impl StaleCache {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(mut self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("StaleCache::free_all");
+        p.enter(self.fns.free_all);
         for &e in &self.entries {
             p.free(e)?;
         }

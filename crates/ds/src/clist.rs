@@ -2,11 +2,21 @@
 
 use crate::fault_ids::CLIST_FREE_SHARED_HEAD;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process, NULL};
+use heapmd::{Addr, AllocSite, HeapError, Process, NULL};
 
 /// Node layout: `[0] = next, [8..] = payload`.
 const NEXT: u64 = 0;
 const NODE_SIZE: usize = 16;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        push: func("SimCircularList::push"),
+        rotate_free_head: func("SimCircularList::rotate_free_head"),
+        walk: func("SimCircularList::walk"),
+        free_all: func("SimCircularList::free_all"),
+    }
+}
 
 /// A circular singly-linked list whose tail points back at the head.
 ///
@@ -28,7 +38,7 @@ const NODE_SIZE: usize = 16;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut p = Process::new(Settings::builder().frq(100).build()?);
 /// let mut plan = FaultPlan::new();
-/// let mut ring = SimCircularList::new("columns");
+/// let mut ring = SimCircularList::new(&mut p, "columns");
 /// for i in 0..4 {
 ///     ring.push(&mut p, i)?;
 /// }
@@ -43,24 +53,26 @@ pub struct SimCircularList {
     head: Addr,
     tail: Addr,
     len: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_free_head: FaultId,
 }
 
 impl SimCircularList {
-    /// Creates an empty ring.
-    pub fn new(site: &str) -> Self {
-        SimCircularList::with_fault(site, CLIST_FREE_SHARED_HEAD)
+    /// Creates an empty ring, interning its names in `p`.
+    pub fn new(p: &mut Process, site: &str) -> Self {
+        SimCircularList::with_fault(p, site, CLIST_FREE_SHARED_HEAD)
     }
 
     /// Creates an empty ring with a per-instance fault id for the
     /// shared-head-free call-site.
-    pub fn with_fault(site: &str, fault: FaultId) -> Self {
+    pub fn with_fault(p: &mut Process, site: &str, fault: FaultId) -> Self {
         SimCircularList {
             head: NULL,
             tail: NULL,
             len: 0,
-            site: format!("{site}::node"),
+            site: p.site(&format!("{site}::node")),
+            fns: Fns::new(p),
             fault_free_head: fault,
         }
     }
@@ -87,8 +99,8 @@ impl SimCircularList {
     ///
     /// Propagates [`HeapError`].
     pub fn push(&mut self, p: &mut Process, _payload: u64) -> Result<Addr, HeapError> {
-        p.enter("SimCircularList::push");
-        let node = p.malloc(NODE_SIZE, &self.site)?;
+        p.enter(self.fns.push);
+        let node = p.malloc(NODE_SIZE, self.site)?;
         p.write_scalar(node.offset(8))?;
         if self.head.is_null() {
             // Single node pointing at itself.
@@ -126,7 +138,7 @@ impl SimCircularList {
         if self.len <= 1 {
             return Ok(false);
         }
-        p.enter("SimCircularList::rotate_free_head");
+        p.enter(self.fns.rotate_free_head);
         let old_head = self.head;
         let new_head = p.read_ptr(old_head.offset(NEXT))?.expect("ring is closed");
         if !plan.fires(self.fault_free_head) {
@@ -151,7 +163,7 @@ impl SimCircularList {
         if self.head.is_null() {
             return Ok(0);
         }
-        p.enter("SimCircularList::walk");
+        p.enter(self.fns.walk);
         let mut cur = self.head;
         let mut n = 0;
         for _ in 0..self.len {
@@ -174,7 +186,7 @@ impl SimCircularList {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(mut self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimCircularList::free_all");
+        p.enter(self.fns.free_all);
         let mut cur = self.head;
         for _ in 0..self.len {
             if cur.is_null() {
@@ -204,7 +216,7 @@ mod tests {
     #[test]
     fn ring_is_closed_and_all_indeg1() {
         let mut p = process();
-        let mut ring = SimCircularList::new("t");
+        let mut ring = SimCircularList::new(&mut p, "t");
         for i in 0..8 {
             ring.push(&mut p, i).unwrap();
         }
@@ -221,7 +233,7 @@ mod tests {
     fn clean_rotation_keeps_the_ring_closed() {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut ring = SimCircularList::new("t");
+        let mut ring = SimCircularList::new(&mut p, "t");
         for i in 0..6 {
             ring.push(&mut p, i).unwrap();
         }
@@ -237,7 +249,7 @@ mod tests {
     fn fig12_fault_dangles_the_tail_and_rebinds_on_reuse() {
         let mut p = process();
         let mut plan = FaultPlan::single(CLIST_FREE_SHARED_HEAD);
-        let mut ring = SimCircularList::new("t");
+        let mut ring = SimCircularList::new(&mut p, "t");
         for i in 0..6 {
             ring.push(&mut p, i).unwrap();
         }
@@ -248,7 +260,8 @@ mod tests {
         // re-binds, giving the unrelated object indegree ≥ 1 (and the
         // new head keeps its own in-edge → indeg 2 shows up when the
         // recycled object is also linked normally).
-        let recycled = p.malloc(NODE_SIZE, "unrelated").unwrap();
+        let unrelated = p.site("unrelated");
+        let recycled = p.malloc(NODE_SIZE, unrelated).unwrap();
         assert_eq!(p.graph().dangling_count(), 0);
         let id = p.heap().object_at(recycled).unwrap().id();
         assert_eq!(p.graph().node(id).unwrap().indegree, 1);
@@ -259,7 +272,7 @@ mod tests {
     fn rotation_on_tiny_rings_is_a_noop() {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut ring = SimCircularList::new("t");
+        let mut ring = SimCircularList::new(&mut p, "t");
         assert!(!ring.rotate_free_head(&mut p, &mut plan).unwrap());
         ring.push(&mut p, 1).unwrap();
         assert!(!ring.rotate_free_head(&mut p, &mut plan).unwrap());
@@ -269,7 +282,7 @@ mod tests {
     #[test]
     fn free_all_handles_self_loop() {
         let mut p = process();
-        let mut ring = SimCircularList::new("t");
+        let mut ring = SimCircularList::new(&mut p, "t");
         for i in 0..5 {
             ring.push(&mut p, i).unwrap();
         }

@@ -2,12 +2,25 @@
 
 use crate::fault_ids::DLIST_SKIP_PREV;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process};
+use heapmd::{Addr, AllocSite, HeapError, Process};
 
 /// Node layout: `[0] = next, [8] = prev, [16..] = payload`.
 const NEXT: u64 = 0;
 const PREV: u64 = 8;
 const NODE_SIZE: usize = 24;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        new: func("SimDList::new"),
+        push_back: func("SimDList::push_back"),
+        insert_after: func("SimDList::insert_after"),
+        remove: func("SimDList::remove"),
+        walk: func("SimDList::walk"),
+        check: func("SimDList::check"),
+        free_all: func("SimDList::free_all"),
+    }
+}
 
 /// A doubly-linked list with a heap-allocated sentinel header (the
 /// `pAssetList` of the paper's Figure 1).
@@ -43,7 +56,8 @@ pub struct SimDList {
     /// Sentinel header object: `[NEXT]` = first node, `[PREV]` = last.
     sentinel: Addr,
     len: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_skip_prev: FaultId,
 }
 
@@ -64,13 +78,16 @@ impl SimDList {
     ///
     /// Propagates [`HeapError`].
     pub fn with_fault(p: &mut Process, site: &str, fault: FaultId) -> Result<Self, HeapError> {
-        p.enter("SimDList::new");
-        let sentinel = p.malloc(NODE_SIZE, &format!("{site}::header"))?;
+        let fns = Fns::new(p);
+        let header_site = p.site(&format!("{site}::header"));
+        p.enter(fns.new);
+        let sentinel = p.malloc(NODE_SIZE, header_site)?;
         p.leave();
         Ok(SimDList {
             sentinel,
             len: 0,
-            site: format!("{site}::node"),
+            site: p.site(&format!("{site}::node")),
+            fns,
             fault_skip_prev: fault,
         })
     }
@@ -113,8 +130,8 @@ impl SimDList {
         plan: &mut FaultPlan,
         _payload: u64,
     ) -> Result<Addr, HeapError> {
-        p.enter("SimDList::push_back");
-        let node = p.malloc(NODE_SIZE, &self.site)?;
+        p.enter(self.fns.push_back);
+        let node = p.malloc(NODE_SIZE, self.site)?;
         p.write_scalar(node.offset(16))?; // payload word
         let tail = p.read_ptr(self.sentinel.offset(PREV))?;
         let skip_prev = plan.fires(self.fault_skip_prev);
@@ -156,8 +173,8 @@ impl SimDList {
         pred: Addr,
         _payload: u64,
     ) -> Result<Addr, HeapError> {
-        p.enter("SimDList::insert_after");
-        let node = p.malloc(NODE_SIZE, &self.site)?;
+        p.enter(self.fns.insert_after);
+        let node = p.malloc(NODE_SIZE, self.site)?;
         p.write_scalar(node.offset(16))?;
         let succ = p.read_ptr(pred.offset(NEXT))?;
         let skip_prev = plan.fires(self.fault_skip_prev);
@@ -184,7 +201,7 @@ impl SimDList {
     ///
     /// Propagates [`HeapError`].
     pub fn remove(&mut self, p: &mut Process, node: Addr) -> Result<(), HeapError> {
-        p.enter("SimDList::remove");
+        p.enter(self.fns.remove);
         let prev = p.read_ptr(node.offset(PREV))?;
         let next = p.read_ptr(node.offset(NEXT))?;
         // A node inserted by the buggy path has no prev pointer; fall
@@ -220,7 +237,7 @@ impl SimDList {
     ///
     /// Propagates [`HeapError`].
     pub fn walk(&self, p: &mut Process) -> Result<usize, HeapError> {
-        p.enter("SimDList::walk");
+        p.enter(self.fns.walk);
         let mut n = 0;
         let mut cur = p.read_ptr(self.sentinel.offset(NEXT))?;
         while let Some(node) = cur {
@@ -240,7 +257,7 @@ impl SimDList {
     ///
     /// Propagates [`HeapError`].
     pub fn count_back_pointer_violations(&self, p: &mut Process) -> Result<usize, HeapError> {
-        p.enter("SimDList::check");
+        p.enter(self.fns.check);
         let mut violations = 0;
         let mut prev = self.sentinel;
         let mut cur = p.read_ptr(self.sentinel.offset(NEXT))?;
@@ -261,7 +278,7 @@ impl SimDList {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimDList::free_all");
+        p.enter(self.fns.free_all);
         let mut cur = p.read_ptr(self.sentinel.offset(NEXT))?;
         while let Some(node) = cur {
             cur = p.read_ptr(node.offset(NEXT))?;

@@ -3,7 +3,7 @@
 
 use crate::fault_ids::GRAPH_ATYPICAL;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process};
+use heapmd::{Addr, AllocSite, HeapError, Process};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,6 +14,17 @@ const VERTEX_SIZE: usize = 16;
 const CELL_NEXT: u64 = 0;
 const CELL_TARGET: u64 = 8;
 const CELL_SIZE: usize = 16;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        generate: func("SimGraph::generate"),
+        add_edge: func("SimGraph::add_edge"),
+        touch_all: func("SimGraph::touch_all"),
+        bfs: func("SimGraph::bfs"),
+        free_all: func("SimGraph::free_all"),
+    }
+}
 
 /// The macroscopic shape of a generated graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +69,9 @@ pub enum GraphShape {
 pub struct SimGraph {
     vertices: Vec<Addr>,
     cells: Vec<Addr>,
+    /// Allocation site of the adjacency cells.
+    cell_site: AllocSite,
+    fns: Fns,
 }
 
 impl SimGraph {
@@ -103,20 +117,23 @@ impl SimGraph {
         site: &str,
         fault: FaultId,
     ) -> Result<Self, HeapError> {
-        p.enter("SimGraph::generate");
+        let fns = Fns::new(p);
+        let vsite = p.site(&format!("{site}::vertex"));
+        let cell_site = p.site(&format!("{site}::adj_cell"));
+        p.enter(fns.generate);
         let shape = if plan.fires(fault) {
             GraphShape::Star
         } else {
             shape
         };
-        let vsite = format!("{site}::vertex");
-        let csite = format!("{site}::adj_cell");
         let mut g = SimGraph {
             vertices: Vec::with_capacity(n),
             cells: Vec::new(),
+            cell_site,
+            fns,
         };
         for _ in 0..n {
-            g.vertices.push(p.malloc(VERTEX_SIZE, &vsite)?);
+            g.vertices.push(p.malloc(VERTEX_SIZE, vsite)?);
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         match shape {
@@ -124,18 +141,18 @@ impl SimGraph {
                 for i in 0..n {
                     for _ in 0..avg_degree {
                         let j = rng.gen_range(0..n);
-                        g.add_edge_inner(p, &csite, i, j)?;
+                        g.add_edge_inner(p, i, j)?;
                     }
                 }
             }
             GraphShape::Ring => {
                 for i in 0..n {
-                    g.add_edge_inner(p, &csite, i, (i + 1) % n)?;
+                    g.add_edge_inner(p, i, (i + 1) % n)?;
                 }
             }
             GraphShape::Star => {
                 for i in 1..n {
-                    g.add_edge_inner(p, &csite, i, 0)?;
+                    g.add_edge_inner(p, i, 0)?;
                 }
             }
         }
@@ -158,7 +175,8 @@ impl SimGraph {
         &self.vertices
     }
 
-    /// Adds the edge `from → to` by vertex index.
+    /// Adds the edge `from → to` by vertex index, allocating its cell at
+    /// the graph's adjacency-cell site.
     ///
     /// # Panics
     ///
@@ -167,28 +185,15 @@ impl SimGraph {
     /// # Errors
     ///
     /// Propagates [`HeapError`].
-    pub fn add_edge(
-        &mut self,
-        p: &mut Process,
-        from: usize,
-        to: usize,
-        site: &str,
-    ) -> Result<(), HeapError> {
-        p.enter("SimGraph::add_edge");
-        let csite = format!("{site}::adj_cell");
-        self.add_edge_inner(p, &csite, from, to)?;
+    pub fn add_edge(&mut self, p: &mut Process, from: usize, to: usize) -> Result<(), HeapError> {
+        p.enter(self.fns.add_edge);
+        self.add_edge_inner(p, from, to)?;
         p.leave();
         Ok(())
     }
 
-    fn add_edge_inner(
-        &mut self,
-        p: &mut Process,
-        csite: &str,
-        from: usize,
-        to: usize,
-    ) -> Result<(), HeapError> {
-        let cell = p.malloc(CELL_SIZE, csite)?;
+    fn add_edge_inner(&mut self, p: &mut Process, from: usize, to: usize) -> Result<(), HeapError> {
+        let cell = p.malloc(CELL_SIZE, self.cell_site)?;
         self.cells.push(cell);
         let vfrom = self.vertices[from];
         if let Some(head) = p.read_ptr(vfrom.offset(ADJ_HEAD))? {
@@ -207,7 +212,7 @@ impl SimGraph {
     ///
     /// Propagates [`HeapError`].
     pub fn touch_all(&self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimGraph::touch_all");
+        p.enter(self.fns.touch_all);
         for &v in &self.vertices {
             p.read(v)?;
         }
@@ -228,7 +233,7 @@ impl SimGraph {
         if self.vertices.is_empty() {
             return Ok(0);
         }
-        p.enter("SimGraph::bfs");
+        p.enter(self.fns.bfs);
         use std::collections::{HashMap, VecDeque};
         let index: HashMap<Addr, usize> = self
             .vertices
@@ -267,7 +272,7 @@ impl SimGraph {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimGraph::free_all");
+        p.enter(self.fns.free_all);
         for &c in &self.cells {
             p.free(c)?;
         }

@@ -2,12 +2,24 @@
 
 use crate::fault_ids::HASH_DEGENERATE;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process, NULL};
+use heapmd::{Addr, AllocSite, HeapError, Process, NULL};
 use std::collections::HashMap;
 
 /// Entry layout: `[0] = next, [8] = key word`.
 const NEXT: u64 = 0;
 const ENTRY_SIZE: usize = 16;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        new: func("SimHashTable::new"),
+        insert: func("SimHashTable::insert"),
+        lookup: func("SimHashTable::lookup"),
+        remove: func("SimHashTable::remove"),
+        longest_chain: func("SimHashTable::longest_chain"),
+        free_all: func("SimHashTable::free_all"),
+    }
+}
 
 /// A separate-chaining hash table whose bucket array and entries live
 /// on the simulated heap.
@@ -48,7 +60,8 @@ pub struct SimHashTable {
     len: usize,
     /// Shadow key per entry address (navigation only).
     keys: HashMap<Addr, u64>,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_degenerate: FaultId,
 }
 
@@ -83,15 +96,18 @@ impl SimHashTable {
         fault: FaultId,
     ) -> Result<Self, HeapError> {
         assert!(buckets > 0, "bucket count must be positive");
-        p.enter("SimHashTable::new");
-        let table = p.malloc(buckets * 8, &format!("{site}::buckets"))?;
+        let fns = Fns::new(p);
+        let table_site = p.site(&format!("{site}::buckets"));
+        p.enter(fns.new);
+        let table = p.malloc(buckets * 8, table_site)?;
         p.leave();
         Ok(SimHashTable {
             table,
             buckets,
             len: 0,
             keys: HashMap::new(),
-            site: format!("{site}::entry"),
+            site: p.site(&format!("{site}::entry")),
+            fns,
             fault_degenerate: fault,
         })
     }
@@ -136,9 +152,9 @@ impl SimHashTable {
         plan: &mut FaultPlan,
         key: u64,
     ) -> Result<Addr, HeapError> {
-        p.enter("SimHashTable::insert");
+        p.enter(self.fns.insert);
         let b = self.hash(key, plan);
-        let entry = p.malloc(ENTRY_SIZE, &self.site)?;
+        let entry = p.malloc(ENTRY_SIZE, self.site)?;
         p.write_scalar(entry.offset(8))?; // key word
         self.keys.insert(entry, key);
         if let Some(head) = p.read_ptr(self.bucket_slot(b))? {
@@ -158,7 +174,7 @@ impl SimHashTable {
     ///
     /// Propagates [`HeapError`].
     pub fn lookup(&self, p: &mut Process, key: u64) -> Result<bool, HeapError> {
-        p.enter("SimHashTable::lookup");
+        p.enter(self.fns.lookup);
         let b = (key.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize % self.buckets;
         let mut cur = p.read_ptr(self.bucket_slot(b))?;
         let mut found = false;
@@ -180,7 +196,7 @@ impl SimHashTable {
     ///
     /// Propagates [`HeapError`].
     pub fn remove(&mut self, p: &mut Process, key: u64) -> Result<bool, HeapError> {
-        p.enter("SimHashTable::remove");
+        p.enter(self.fns.remove);
         for b in 0..self.buckets {
             let mut prev: Option<Addr> = None;
             let mut cur = p.read_ptr(self.bucket_slot(b))?;
@@ -211,7 +227,7 @@ impl SimHashTable {
     ///
     /// Propagates [`HeapError`].
     pub fn longest_chain(&self, p: &mut Process) -> Result<usize, HeapError> {
-        p.enter("SimHashTable::longest_chain");
+        p.enter(self.fns.longest_chain);
         let mut longest = 0;
         for b in 0..self.buckets {
             let mut n = 0;
@@ -232,7 +248,7 @@ impl SimHashTable {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(mut self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimHashTable::free_all");
+        p.enter(self.fns.free_all);
         for b in 0..self.buckets {
             let mut cur = p.read_ptr(self.bucket_slot(b))?;
             while let Some(entry) = cur {

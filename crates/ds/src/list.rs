@@ -2,12 +2,22 @@
 
 use crate::fault_ids::LIST_SMALL_LEAK;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process, NULL};
+use heapmd::{Addr, AllocSite, HeapError, Process, NULL};
 
 /// Node layout: `[0] = next pointer, [8..] = payload`.
 const NEXT: u64 = 0;
 /// Node size in bytes (one pointer + one payload word).
 const NODE_SIZE: usize = 16;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        push_front: func("SimList::push_front"),
+        pop_front: func("SimList::pop_front"),
+        walk: func("SimList::walk"),
+        free_all: func("SimList::free_all"),
+    }
+}
 
 /// A singly-linked list whose nodes live on the simulated heap.
 ///
@@ -26,7 +36,7 @@ const NODE_SIZE: usize = 16;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut p = Process::new(Settings::builder().frq(100).build()?);
 /// let mut plan = FaultPlan::new();
-/// let mut list = SimList::new("work_queue");
+/// let mut list = SimList::new(&mut p, "work_queue");
 /// list.push_front(&mut p, 7)?;
 /// list.push_front(&mut p, 8)?;
 /// assert_eq!(list.len(), 2);
@@ -40,25 +50,27 @@ const NODE_SIZE: usize = 16;
 pub struct SimList {
     head: Addr,
     len: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_leak: FaultId,
 }
 
 impl SimList {
     /// Creates an empty list whose nodes will be tagged with the given
-    /// allocation-site name.
-    pub fn new(site: &str) -> Self {
-        SimList::with_fault(site, LIST_SMALL_LEAK)
+    /// allocation-site name, interning its names in `p`.
+    pub fn new(p: &mut Process, site: &str) -> Self {
+        SimList::with_fault(p, site, LIST_SMALL_LEAK)
     }
 
     /// Creates an empty list whose leak call-site consults `fault`
     /// instead of the crate-wide default — lets one program host
     /// several distinct instances of the same bug class.
-    pub fn with_fault(site: &str, fault: FaultId) -> Self {
+    pub fn with_fault(p: &mut Process, site: &str, fault: FaultId) -> Self {
         SimList {
             head: NULL,
             len: 0,
-            site: format!("{site}::node"),
+            site: p.site(&format!("{site}::node")),
+            fns: Fns::new(p),
             fault_leak: fault,
         }
     }
@@ -84,8 +96,8 @@ impl SimList {
     ///
     /// Propagates [`HeapError`] from the allocation or link stores.
     pub fn push_front(&mut self, p: &mut Process, _payload: u64) -> Result<Addr, HeapError> {
-        p.enter("SimList::push_front");
-        let node = p.malloc(NODE_SIZE, &self.site)?;
+        p.enter(self.fns.push_front);
+        let node = p.malloc(NODE_SIZE, self.site)?;
         p.write_scalar(node.offset(8))?; // payload word
         if !self.head.is_null() {
             p.write_ptr(node.offset(NEXT), self.head)?;
@@ -110,7 +122,7 @@ impl SimList {
         if self.head.is_null() {
             return Ok(false);
         }
-        p.enter("SimList::pop_front");
+        p.enter(self.fns.pop_front);
         let old = self.head;
         let next = p.read_ptr(old.offset(NEXT))?;
         self.head = next.unwrap_or(NULL);
@@ -129,7 +141,7 @@ impl SimList {
     ///
     /// Propagates [`HeapError`].
     pub fn walk(&self, p: &mut Process) -> Result<usize, HeapError> {
-        p.enter("SimList::walk");
+        p.enter(self.fns.walk);
         let mut cur = self.head;
         let mut n = 0;
         while !cur.is_null() {
@@ -147,7 +159,7 @@ impl SimList {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(&mut self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimList::free_all");
+        p.enter(self.fns.free_all);
         let mut cur = self.head;
         while !cur.is_null() {
             let next = p.read_ptr(cur.offset(NEXT))?.unwrap_or(NULL);
@@ -175,7 +187,7 @@ mod tests {
     fn chain_shape_in_heap_graph() {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut l = SimList::new("t");
+        let mut l = SimList::new(&mut p, "t");
         for i in 0..10 {
             l.push_front(&mut p, i).unwrap();
         }
@@ -195,7 +207,7 @@ mod tests {
     fn pop_front_frees_nodes() {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut l = SimList::new("t");
+        let mut l = SimList::new(&mut p, "t");
         for i in 0..5 {
             l.push_front(&mut p, i).unwrap();
         }
@@ -210,7 +222,7 @@ mod tests {
         let mut p = process();
         let mut plan = FaultPlan::new();
         plan.enable(LIST_SMALL_LEAK, FaultConfig::every(2));
-        let mut l = SimList::new("t");
+        let mut l = SimList::new(&mut p, "t");
         for i in 0..10 {
             l.push_front(&mut p, i).unwrap();
         }
@@ -224,7 +236,7 @@ mod tests {
     #[test]
     fn free_all_releases_everything() {
         let mut p = process();
-        let mut l = SimList::new("t");
+        let mut l = SimList::new(&mut p, "t");
         for i in 0..7 {
             l.push_front(&mut p, i).unwrap();
         }

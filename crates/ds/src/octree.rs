@@ -2,11 +2,21 @@
 
 use crate::fault_ids::OCTREE_ALIAS_SUBTREE;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process};
+use heapmd::{Addr, AllocSite, HeapError, Process};
 
 /// Node layout: `[0..64] = 8 child pointers, [64..] = payload`.
 const CHILD_STRIDE: u64 = 8;
 const NODE_SIZE: usize = 80;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        build: func("SimOctTree::build"),
+        expand: func("SimOctTree::expand"),
+        touch_all: func("SimOctTree::touch_all"),
+        free_all: func("SimOctTree::free_all"),
+    }
+}
 
 /// A fixed-depth oct-tree built during program startup.
 ///
@@ -39,6 +49,8 @@ const NODE_SIZE: usize = 80;
 pub struct SimOctTree {
     root: Addr,
     nodes: Vec<Addr>,
+    site: AllocSite,
+    fns: Fns,
 }
 
 impl SimOctTree {
@@ -74,45 +86,48 @@ impl SimOctTree {
         site: &str,
         fault: FaultId,
     ) -> Result<Self, HeapError> {
-        p.enter("SimOctTree::build");
-        let site = format!("{site}::octree_node");
-        let mut nodes = Vec::new();
-        let root = p.malloc(NODE_SIZE, &site)?;
-        nodes.push(root);
-        Self::expand(p, plan, root, depth, &site, &mut nodes, fault)?;
+        let fns = Fns::new(p);
+        let site = p.site(&format!("{site}::octree_node"));
+        p.enter(fns.build);
+        let root = p.malloc(NODE_SIZE, site)?;
+        let mut tree = SimOctTree {
+            root,
+            nodes: vec![root],
+            site,
+            fns,
+        };
+        tree.expand(p, plan, root, depth, fault)?;
         p.leave();
-        Ok(SimOctTree { root, nodes })
+        Ok(tree)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn expand(
+        &mut self,
         p: &mut Process,
         plan: &mut FaultPlan,
         node: Addr,
         depth: usize,
-        site: &str,
-        nodes: &mut Vec<Addr>,
         fault: FaultId,
     ) -> Result<(), HeapError> {
         if depth == 0 {
             return Ok(());
         }
-        p.enter("SimOctTree::expand");
+        p.enter(self.fns.expand);
         let alias = plan.fires(fault);
-        let first = p.malloc(NODE_SIZE, site)?;
-        nodes.push(first);
+        let first = p.malloc(NODE_SIZE, self.site)?;
+        self.nodes.push(first);
         p.write_ptr(node, first)?; // child slot 0
-        Self::expand(p, plan, first, depth - 1, site, nodes, fault)?;
+        self.expand(p, plan, first, depth - 1, fault)?;
         for i in 1..8u64 {
             let slot = node.offset(i * CHILD_STRIDE);
             if alias {
                 // The oct-DAG bug: reuse child 0's subtree.
                 p.write_ptr(slot, first)?;
             } else {
-                let child = p.malloc(NODE_SIZE, site)?;
-                nodes.push(child);
+                let child = p.malloc(NODE_SIZE, self.site)?;
+                self.nodes.push(child);
                 p.write_ptr(slot, child)?;
-                Self::expand(p, plan, child, depth - 1, site, nodes, fault)?;
+                self.expand(p, plan, child, depth - 1, fault)?;
             }
         }
         p.leave();
@@ -136,7 +151,7 @@ impl SimOctTree {
     ///
     /// Propagates [`HeapError`].
     pub fn touch_all(&self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimOctTree::touch_all");
+        p.enter(self.fns.touch_all);
         for &n in &self.nodes {
             p.read(n)?;
         }
@@ -150,7 +165,7 @@ impl SimOctTree {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("SimOctTree::free_all");
+        p.enter(self.fns.free_all);
         for &n in self.nodes.iter().rev() {
             p.free(n)?;
         }

@@ -3,11 +3,22 @@
 
 use crate::fault_ids::TABLE_TYPO_LEAK;
 use faults::{FaultId, FaultPlan};
-use heapmd::{Addr, HeapError, Process, NULL};
+use heapmd::{Addr, AllocSite, HeapError, Process, NULL};
 
 /// Property-list node layout: `[0] = next, [8] = payload`.
 const NEXT: u64 = 0;
 const PROP_SIZE: usize = 16;
+
+heapmd::interned! {
+    /// Interned ids of the instrumented methods.
+    struct Fns {
+        new: func("TableDescriptors::new"),
+        set_props: func("TableDescriptors::set_props"),
+        collect_props: func("TableDescriptors::collect_props"),
+        walk_props: func("TableDescriptors::walk_props"),
+        free_all: func("TableDescriptors::free_all"),
+    }
+}
 
 /// An array of table descriptors, each owning a linked property list.
 ///
@@ -52,7 +63,8 @@ pub struct TableDescriptors {
     /// at byte offset `j * 8`.
     table: Addr,
     slots: usize,
-    site: String,
+    site: AllocSite,
+    fns: Fns,
     fault_typo: FaultId,
 }
 
@@ -87,13 +99,16 @@ impl TableDescriptors {
         fault: FaultId,
     ) -> Result<Self, HeapError> {
         assert!(slots > 0, "slot count must be positive");
-        p.enter("TableDescriptors::new");
-        let table = p.malloc(slots * 8, &format!("{site}::table"))?;
+        let fns = Fns::new(p);
+        let table_site = p.site(&format!("{site}::table"));
+        p.enter(fns.new);
+        let table = p.malloc(slots * 8, table_site)?;
         p.leave();
         Ok(TableDescriptors {
             table,
             slots,
-            site: format!("{site}::prop_desc"),
+            site: p.site(&format!("{site}::prop_desc")),
+            fns,
             fault_typo: fault,
         })
     }
@@ -120,11 +135,11 @@ impl TableDescriptors {
     ///
     /// Propagates [`HeapError`].
     pub fn set_props(&mut self, p: &mut Process, j: usize, len: usize) -> Result<(), HeapError> {
-        p.enter("TableDescriptors::set_props");
+        p.enter(self.fns.set_props);
         self.free_chain(p, j)?;
         let mut head = NULL;
         for _ in 0..len {
-            let node = p.malloc(PROP_SIZE, &self.site)?;
+            let node = p.malloc(PROP_SIZE, self.site)?;
             p.write_scalar(node.offset(8))?;
             if !head.is_null() {
                 p.write_ptr(node.offset(NEXT), head)?;
@@ -155,7 +170,7 @@ impl TableDescriptors {
         plan: &mut FaultPlan,
         j: usize,
     ) -> Result<usize, HeapError> {
-        p.enter("TableDescriptors::collect_props");
+        p.enter(self.fns.collect_props);
         let freed = if plan.fires(self.fault_typo) {
             // The typo: frees the chain of the *wrong* slot (often
             // empty), then detaches slot j regardless.
@@ -178,7 +193,7 @@ impl TableDescriptors {
     ///
     /// Propagates [`HeapError`].
     pub fn walk_props(&self, p: &mut Process, j: usize) -> Result<usize, HeapError> {
-        p.enter("TableDescriptors::walk_props");
+        p.enter(self.fns.walk_props);
         let mut n = 0;
         let mut cur = p.read_ptr(self.slot_addr(j))?;
         while let Some(node) = cur {
@@ -199,7 +214,7 @@ impl TableDescriptors {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(mut self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("TableDescriptors::free_all");
+        p.enter(self.fns.free_all);
         for j in 0..self.slots {
             self.free_chain(p, j)?;
         }

@@ -62,7 +62,7 @@ proptest! {
     fn bintree_membership_is_exact(keys in proptest::collection::hash_set(0u64..500, 1..100)) {
         let mut p = process();
         let mut plan = FaultPlan::new();
-        let mut t = SimBinTree::new("t");
+        let mut t = SimBinTree::new(&mut p, "t");
         for &k in &keys {
             t.insert(&mut p, &mut plan, k).unwrap();
         }

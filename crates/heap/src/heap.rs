@@ -7,7 +7,6 @@ use crate::event::{AllocEffect, FreeEffect, ReallocEffect, WriteEffect};
 use crate::object::{AllocSite, ObjectId, ObjectRecord};
 use crate::shadow::ShadowMap;
 use crate::stats::HeapStats;
-use fxhash::{FxHashMap, FxHashSet};
 
 /// Configuration for [`SimHeap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,8 +50,6 @@ pub struct HeapConfig {
 #[derive(Debug, Clone)]
 pub struct SimHeap {
     allocator: AddressAllocator,
-    /// Start address → slab slot of the live object beginning there.
-    index: FxHashMap<u64, u32>,
     /// The record slab. Slots on `free_slots` are dead but keep their
     /// slot-vec capacity for reuse.
     records: Vec<ObjectRecord>,
@@ -63,9 +60,11 @@ pub struct SimHeap {
     /// starts), sorted by start address. Empty for the default
     /// allocator configuration.
     spill: Vec<ObjRange>,
-    /// Start addresses that were live at some point (for double-free
-    /// classification). FxHash: inserted on every allocation.
-    ever_allocated: FxHashSet<u64>,
+    /// Every start the allocator bumped fresh, in address order (bump
+    /// addresses only grow). The allocator never splits blocks, so a
+    /// recycled start was fresh once: this is every start ever handed
+    /// out, binary-searched only to classify a failed free.
+    fresh_starts: Vec<u64>,
     next_id: u64,
     tick: u64,
     capacity: Option<usize>,
@@ -97,12 +96,11 @@ impl SimHeap {
     pub fn with_config(config: HeapConfig) -> Self {
         SimHeap {
             allocator: AddressAllocator::new(config.allocator),
-            index: FxHashMap::default(),
             records: Vec::new(),
             free_slots: Vec::new(),
             shadow: ShadowMap::new(),
             spill: Vec::new(),
-            ever_allocated: FxHashSet::default(),
+            fresh_starts: Vec::new(),
             next_id: 0,
             tick: 0,
             capacity: config.capacity,
@@ -122,7 +120,8 @@ impl SimHeap {
 
     /// Number of live objects.
     pub fn live_objects(&self) -> usize {
-        self.index.len()
+        // Every slab slot is either live or on the free list.
+        self.records.len() - self.free_slots.len()
     }
 
     /// Bytes currently live.
@@ -138,6 +137,15 @@ impl SimHeap {
     /// [`HeapError::OutOfMemory`] when a configured capacity would be
     /// exceeded.
     pub fn alloc(&mut self, size: usize, site: AllocSite) -> Result<AllocEffect, HeapError> {
+        self.alloc_slot(size, site).map(|(eff, _)| eff)
+    }
+
+    /// [`alloc`](Self::alloc), also returning the new object's slab slot.
+    fn alloc_slot(
+        &mut self,
+        size: usize,
+        site: AllocSite,
+    ) -> Result<(AllocEffect, u32), HeapError> {
         if size == 0 {
             self.stats.faults += 1;
             return Err(HeapError::ZeroSizeAlloc);
@@ -170,8 +178,10 @@ impl SimHeap {
                 s
             }
         };
-        let prev = self.index.insert(raw, slot);
-        debug_assert!(prev.is_none(), "allocator handed out a live address");
+        debug_assert!(
+            self.object_slot(raw).is_none(),
+            "allocator handed out a live address"
+        );
         let end = raw + size as u64;
         if !self.shadow.insert(raw, end, slot) {
             let pos = self.spill.partition_point(|r| r.start < raw);
@@ -184,21 +194,26 @@ impl SimHeap {
                 },
             );
         }
-        self.ever_allocated.insert(raw);
+        if !recycled {
+            self.fresh_starts.push(raw);
+        }
 
         self.stats.allocs += 1;
         self.stats.bytes_allocated += size as u64;
         self.stats.live_bytes += size as u64;
         self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes);
-        self.stats.peak_live_objects = self.stats.peak_live_objects.max(self.index.len() as u64);
+        self.stats.peak_live_objects = self.stats.peak_live_objects.max(self.live_objects() as u64);
         heapmd_obs::count!("sim_heap_alloc_total");
 
-        Ok(AllocEffect {
-            id,
-            addr,
-            size,
-            recycled,
-        })
+        Ok((
+            AllocEffect {
+                id,
+                addr,
+                size,
+                recycled,
+            },
+            slot,
+        ))
     }
 
     /// Frees the object starting at `addr`.
@@ -215,9 +230,9 @@ impl SimHeap {
             return Err(HeapError::NullDeref);
         }
         let raw = addr.get();
-        let Some(slot) = self.index.remove(&raw) else {
+        let Some(slot) = self.object_slot(raw) else {
             self.stats.faults += 1;
-            return Err(if self.ever_allocated.contains(&raw) {
+            return Err(if self.fresh_starts.binary_search(&raw).is_ok() {
                 HeapError::DoubleFree(addr)
             } else {
                 HeapError::InvalidFree(addr)
@@ -269,14 +284,10 @@ impl SimHeap {
             return Err(HeapError::ZeroSizeAlloc);
         }
         let freed = self.free(addr)?;
-        let alloc = self.alloc(new_size, site)?;
+        let (alloc, slot) = self.alloc_slot(new_size, site)?;
         let mut moved = Vec::new();
         for &(off, target) in &freed.slots {
             if (off as usize) + 8 <= new_size {
-                let slot = *self
-                    .index
-                    .get(&alloc.addr.get())
-                    .expect("object just allocated");
                 self.records[slot as usize].set_slot(off, target);
                 moved.push((off, target));
             }
@@ -379,14 +390,16 @@ impl SimHeap {
         }
     }
 
-    /// Reads the pointer stored at `slot_addr`.
+    /// Reads the pointer stored at `slot_addr`, returning the id of the
+    /// object read alongside the value.
     ///
-    /// Returns `None` when the slot does not currently hold a pointer.
+    /// The value is `None` when the slot does not currently hold a
+    /// pointer.
     ///
     /// # Errors
     ///
     /// Same conditions as [`write_ptr`](Self::write_ptr).
-    pub fn read_ptr(&mut self, slot_addr: Addr) -> Result<Option<Addr>, HeapError> {
+    pub fn read_ptr(&mut self, slot_addr: Addr) -> Result<(ObjectId, Option<Addr>), HeapError> {
         if slot_addr.is_null() {
             self.stats.faults += 1;
             return Err(HeapError::NullDeref);
@@ -408,7 +421,7 @@ impl SimHeap {
                 self.tick = tick;
                 rec.touch(tick);
                 self.stats.reads += 1;
-                Ok(rec.slot(off))
+                Ok((rec.id(), rec.slot(off)))
             }
             None => {
                 self.stats.faults += 1;
@@ -453,14 +466,15 @@ impl SimHeap {
 
     /// The live object starting exactly at `addr`, if any.
     pub fn object_at(&self, addr: Addr) -> Option<&ObjectRecord> {
-        self.index
-            .get(&addr.get())
-            .map(|&s| &self.records[s as usize])
+        self.object_slot(addr.get())
+            .map(|s| &self.records[s as usize])
     }
 
     /// Iterates over live objects in address order.
     pub fn iter_live(&self) -> impl Iterator<Item = &ObjectRecord> {
-        let mut slots: Vec<u32> = self.index.values().copied().collect();
+        let mut slots: Vec<u32> = (0..self.records.len() as u32)
+            .filter(|&s| self.object_slot(self.records[s as usize].start().get()) == Some(s))
+            .collect();
         slots.sort_unstable_by_key(|&s| self.records[s as usize].start());
         slots.into_iter().map(move |s| &self.records[s as usize])
     }
@@ -468,7 +482,14 @@ impl SimHeap {
     /// Returns `true` when the address range of a former object has been
     /// handed out again (used by tests asserting re-binding behaviour).
     pub fn is_live_start(&self, addr: Addr) -> bool {
-        self.index.contains_key(&addr.get())
+        self.object_slot(addr.get()).is_some()
+    }
+
+    /// The slab slot of the live object starting exactly at `raw`.
+    #[inline]
+    fn object_slot(&self, raw: u64) -> Option<u32> {
+        self.resolve_slot(raw)
+            .filter(|&s| self.records[s as usize].start().get() == raw)
     }
 
     /// The slab slot of the live object containing `raw`: one shadow
@@ -573,11 +594,11 @@ mod tests {
         assert_eq!(w1.offset, 8);
         let w2 = h.write_ptr(a.offset(8), t2).unwrap();
         assert_eq!(w2.old_value, Some(t1));
-        assert_eq!(h.read_ptr(a.offset(8)).unwrap(), Some(t2));
+        assert_eq!(h.read_ptr(a.offset(8)).unwrap().1, Some(t2));
         // null store clears the slot
         let w3 = h.write_ptr(a.offset(8), NULL).unwrap();
         assert_eq!(w3.old_value, Some(t2));
-        assert_eq!(h.read_ptr(a.offset(8)).unwrap(), None);
+        assert_eq!(h.read_ptr(a.offset(8)).unwrap().1, None);
     }
 
     #[test]
@@ -588,7 +609,7 @@ mod tests {
         h.write_ptr(a, t).unwrap();
         let w = h.write_scalar(a).unwrap();
         assert_eq!(w.old_value, Some(t));
-        assert_eq!(h.read_ptr(a).unwrap(), None);
+        assert_eq!(h.read_ptr(a).unwrap().1, None);
     }
 
     #[test]
@@ -645,7 +666,7 @@ mod tests {
         // slot at 0 fits in 16 bytes, slot at 24 does not
         assert_eq!(eff.moved_slots, vec![(0, t1)]);
         let new_addr = eff.alloc.addr;
-        assert_eq!(h.read_ptr(new_addr).unwrap(), Some(t1));
+        assert_eq!(h.read_ptr(new_addr).unwrap().1, Some(t1));
         assert_eq!(h.stats().reallocs, 1);
     }
 

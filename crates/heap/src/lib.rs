@@ -32,7 +32,7 @@
 //! let b = heap.alloc(32, site)?.addr;
 //! // Store a pointer to `b` in the first slot of `a`.
 //! heap.write_ptr(a, b)?;
-//! assert_eq!(heap.read_ptr(a)?, Some(b));
+//! assert_eq!(heap.read_ptr(a)?.1, Some(b));
 //! heap.free(b)?;
 //! heap.free(a)?;
 //! assert_eq!(heap.live_objects(), 0);

@@ -106,7 +106,7 @@ proptest! {
             shadow.insert(off, targets[t]);
         }
         for (off, want) in shadow {
-            prop_assert_eq!(heap.read_ptr(base.offset(off)).unwrap(), Some(want));
+            prop_assert_eq!(heap.read_ptr(base.offset(off)).unwrap().1, Some(want));
         }
     }
 

@@ -16,6 +16,18 @@ use sim_ds::{
     TableDescriptors,
 };
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("ga::main"),
+        load_level: func("ga::load_level"),
+        render_frame: func("ga::render_frame"),
+        sweep: func("ga::sweep"),
+        stream_world_chunk: func("ga::stream_world_chunk"),
+        shutdown: func("ga::shutdown"),
+    }
+}
+
 /// The action-game-like workload.
 #[derive(Debug, Clone, Copy)]
 pub struct GameAction {
@@ -49,6 +61,7 @@ impl Workload for GameAction {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         let vscale = 1.0 + 0.04 * (self.version as f64 - 1.0);
         let sized = |base: usize| ((base as f64 * input.scale() * vscale) as usize).max(1);
@@ -59,16 +72,16 @@ impl Workload for GameAction {
         let lod_baseline = sized(30);
         let frames = sized(1300);
 
-        p.enter("ga::main");
+        p.enter(names.main);
 
         // --- Startup: level load ---------------------------------------
-        p.enter("ga::load_level");
+        p.enter(names.load_level);
         // The world oct-tree is built once at startup — where the
         // oct-DAG bug lives (a poorly disguised bug: it pins Indeg=1 at
         // an extreme from the very first samples).
         let world =
             SimOctTree::build_with_fault(p, plan, 2, "ga.world", FaultId("ga.world_octree.alias"))?;
-        let mut assets = BufferPool::new(asset_buffers, "ga.asset_blob");
+        let mut assets = BufferPool::new(p, asset_buffers, "ga.asset_blob");
         for _ in 0..asset_buffers {
             assets.acquire(p, 160 + rng.gen_range(0..160))?;
         }
@@ -78,6 +91,7 @@ impl Workload for GameAction {
             asset_list.push_back(p, plan, k as u64)?;
         }
         let mut scene = SimBinTree::with_faults(
+            p,
             "ga.scene",
             FaultId("ga.scene_tree.skip_parent"),
             FaultId("ga.scene_tree.single_child.unused"),
@@ -86,6 +100,7 @@ impl Workload for GameAction {
             scene.insert(p, plan, rng.gen_range(0..1_000_000))?;
         }
         let mut lod = SimBinTree::with_faults(
+            p,
             "ga.lod",
             FaultId("ga.lod_tree.skip_parent.unused"),
             FaultId("ga.lod_tree.single_child"),
@@ -106,6 +121,7 @@ impl Workload for GameAction {
         let mut particles: Vec<SimCircularList> = Vec::new();
         for _ in 0..sized(16) {
             let mut ring = SimCircularList::with_fault(
+                p,
                 "ga.particles",
                 FaultId("ga.particle_ring.free_shared_head"),
             );
@@ -114,7 +130,7 @@ impl Workload for GameAction {
             }
             particles.push(ring);
         }
-        let mut decals = SimList::with_fault("ga.decal_list", FaultId("ga.decal_list.pop_leak"));
+        let mut decals = SimList::with_fault(p, "ga.decal_list", FaultId("ga.decal_list.pop_leak"));
         for k in 0..16 {
             decals.push_front(p, k)?;
         }
@@ -142,7 +158,7 @@ impl Workload for GameAction {
         // --- Frame loop ---------------------------------------------------
         let rebuild_period = 220;
         for i in 0..frames {
-            p.enter("ga::render_frame");
+            p.enter(names.render_frame);
             // Asset streaming.
             assets.acquire(p, 160 + rng.gen_range(0..160))?;
             if let Some(front) = asset_list.front(p)? {
@@ -178,7 +194,7 @@ impl Workload for GameAction {
             }
             // Maintenance sweep: everything a frame renderer touches.
             if i % 40 == 17 {
-                p.enter("ga::sweep");
+                p.enter(names.sweep);
                 batches.touch_all(p)?;
                 for ring in &particles {
                     ring.walk(p)?;
@@ -197,7 +213,7 @@ impl Workload for GameAction {
             p.leave();
 
             if i % rebuild_period == rebuild_period - 1 {
-                p.enter("ga::stream_world_chunk");
+                p.enter(names.stream_world_chunk);
                 scene.free_all(p)?;
                 for _ in 0..scene_baseline {
                     scene.insert(p, plan, rng.gen_range(0..1_000_000))?;
@@ -222,7 +238,7 @@ impl Workload for GameAction {
         }
 
         // --- Shutdown -------------------------------------------------------
-        p.enter("ga::shutdown");
+        p.enter(names.shutdown);
         scene.free_all(p)?;
         lod.free_all(p)?;
         asset_list.free_all(p)?;

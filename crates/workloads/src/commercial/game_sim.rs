@@ -14,6 +14,18 @@ use sim_ds::{
     TableDescriptors,
 };
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("gs::main"),
+        load_map: func("gs::load_map"),
+        tick: func("gs::tick"),
+        sweep: func("gs::sweep"),
+        stream_terrain: func("gs::stream_terrain"),
+        shutdown: func("gs::shutdown"),
+    }
+}
+
 /// The simulation-game-like workload.
 #[derive(Debug, Clone, Copy)]
 pub struct GameSim {
@@ -47,6 +59,7 @@ impl Workload for GameSim {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         let vscale = 1.0 + 0.04 * (self.version as f64 - 1.0);
         let sized = |base: usize| ((base as f64 * input.scale() * vscale) as usize).max(1);
@@ -61,15 +74,15 @@ impl Workload for GameSim {
         let hash_target = sized(120) as u64;
         let ticks = sized(1300);
 
-        p.enter("gs::main");
+        p.enter(names.main);
 
-        p.enter("gs::load_map");
+        p.enter(names.load_map);
         let mut units = SimDList::with_fault(p, "gs.units", FaultId("gs.unit_dlist.skip_prev"))?;
         for k in 0..unit_target {
             units.push_back(p, plan, k as u64)?;
         }
         let mut orders: Vec<SimList> = (0..order_lists)
-            .map(|_| SimList::with_fault("gs.order_queue", FaultId("gs.order_queue.pop_leak")))
+            .map(|_| SimList::with_fault(p, "gs.order_queue", FaultId("gs.order_queue.pop_leak")))
             .collect();
         for q in &mut orders {
             for k in 0..order_len {
@@ -83,7 +96,7 @@ impl Workload for GameSim {
                 1 => FaultId("gs.anim_ring.free_shared_head"),
                 _ => FaultId("gs.sound_ring.free_shared_head"),
             };
-            let mut ring = SimCircularList::with_fault("gs.ring", fault);
+            let mut ring = SimCircularList::with_fault(p, "gs.ring", fault);
             for k in 0..ring_size {
                 ring.push(p, k as u64)?;
             }
@@ -143,7 +156,7 @@ impl Workload for GameSim {
             ai_cache.insert(p, plan, k as u64)?;
         }
         let mut replays =
-            SimList::with_fault("gs.replay_list", FaultId("gs.replay_list.tiny_leak"));
+            SimList::with_fault(p, "gs.replay_list", FaultId("gs.replay_list.tiny_leak"));
         for k in 0..8 {
             replays.push_front(p, k)?;
         }
@@ -160,7 +173,7 @@ impl Workload for GameSim {
 
         let rebuild_period = 300;
         for i in 0..ticks {
-            p.enter("gs::tick");
+            p.enter(names.tick);
             // Unit roster churn.
             if let Some(front) = units.front(p)? {
                 units.remove(p, front)?;
@@ -211,7 +224,7 @@ impl Workload for GameSim {
             // Maintenance sweep: game state is hot every few dozen
             // ticks; the AI cache stays cold on purpose.
             if i % 40 == 17 {
-                p.enter("gs::sweep");
+                p.enter(names.sweep);
                 formations.touch_all(p)?;
                 for ring in &rings {
                     ring.walk(p)?;
@@ -235,7 +248,7 @@ impl Workload for GameSim {
             p.leave();
 
             if i % rebuild_period == rebuild_period - 1 {
-                p.enter("gs::stream_terrain");
+                p.enter(names.stream_terrain);
                 let shard_idx = (i / rebuild_period) % terrain.len();
                 let mut fresh = SimBTree::with_fault(
                     p,
@@ -250,7 +263,7 @@ impl Workload for GameSim {
             }
         }
 
-        p.enter("gs::shutdown");
+        p.enter(names.shutdown);
         units.free_all(p)?;
         for mut q in orders {
             q.free_all(p)?;

@@ -13,6 +13,18 @@ use sim_ds::{
     TableDescriptors,
 };
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("mm::main"),
+        startup: func("mm::startup"),
+        decode_frame: func("mm::decode_frame"),
+        sweep: func("mm::sweep"),
+        rebuild_indexes: func("mm::rebuild_indexes"),
+        shutdown: func("mm::shutdown"),
+    }
+}
+
 /// The multimedia-player-like workload.
 #[derive(Debug, Clone, Copy)]
 pub struct Multimedia {
@@ -46,6 +58,7 @@ impl Workload for Multimedia {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         // Successive versions grow the workload slightly without
         // changing the structure mix — the Figure 7B property.
@@ -61,10 +74,10 @@ impl Workload for Multimedia {
         let tree_baseline = sized(36);
         let iterations = sized(1300);
 
-        p.enter("mm::main");
+        p.enter(names.main);
 
         // --- Startup ---------------------------------------------------
-        p.enter("mm::startup");
+        p.enter(names.startup);
         let mut codecs = SimHashTable::with_fault(
             p,
             codec_buckets,
@@ -85,7 +98,7 @@ impl Workload for Multimedia {
             } else {
                 FaultId("mm.mixer_ring.free_shared_head")
             };
-            let mut ring = SimCircularList::with_fault("mm.ring", fault);
+            let mut ring = SimCircularList::with_fault(p, "mm.ring", fault);
             for k in 0..ring_size {
                 ring.push(p, k as u64)?;
             }
@@ -95,11 +108,12 @@ impl Workload for Multimedia {
         for k in 0..track_target {
             tracks.push_back(p, plan, k as u64)?;
         }
-        let mut playlist = SimList::with_fault("mm.playlist", FaultId("mm.playlist.pop_leak"));
+        let mut playlist = SimList::with_fault(p, "mm.playlist", FaultId("mm.playlist.pop_leak"));
         for k in 0..playlist_target {
             playlist.push_front(p, k as u64)?;
         }
         let mut overlay = SimBinTree::with_faults(
+            p,
             "mm.overlay",
             FaultId("mm.scene_tree.skip_parent"),
             FaultId("mm.scene_tree.single_child.unused"),
@@ -128,7 +142,8 @@ impl Workload for Multimedia {
         }
         let mut registry =
             StaleCache::with_fault(p, 8, "mm.registry", FaultId("mm.registry.reachable_leak"))?;
-        let mut thumbs = SimList::with_fault("mm.thumb_list", FaultId("mm.thumb_list.tiny_leak"));
+        let mut thumbs =
+            SimList::with_fault(p, "mm.thumb_list", FaultId("mm.thumb_list.tiny_leak"));
         for k in 0..8 {
             thumbs.push_front(p, k)?;
         }
@@ -139,7 +154,7 @@ impl Workload for Multimedia {
         // --- Playback loop ----------------------------------------------
         let rebuild_period = 260;
         for i in 0..iterations {
-            p.enter("mm::decode_frame");
+            p.enter(names.decode_frame);
             // Codec table churn.
             codecs.lookup(p, rng.gen_range(0..next_codec.max(1)))?;
             codecs.insert(p, plan, next_codec)?;
@@ -204,7 +219,7 @@ impl Workload for Multimedia {
             // working set (render, seek, save); the registry cache is
             // deliberately left cold.
             if i % 40 == 17 {
-                p.enter("mm::sweep");
+                p.enter(names.sweep);
                 for ring in &rings {
                     ring.walk(p)?;
                 }
@@ -231,7 +246,7 @@ impl Workload for Multimedia {
             // staggered, so the transient stays a small fraction of
             // the heap.
             if i % rebuild_period == rebuild_period - 1 {
-                p.enter("mm::rebuild_indexes");
+                p.enter(names.rebuild_indexes);
                 overlay.free_all(p)?;
                 for _ in 0..tree_baseline {
                     overlay.insert(p, plan, rng.gen_range(0..1_000_000))?;
@@ -251,7 +266,7 @@ impl Workload for Multimedia {
         }
 
         // --- Shutdown ----------------------------------------------------
-        p.enter("mm::shutdown");
+        p.enter(names.shutdown);
         overlay.free_all(p)?;
         for shard in media_index {
             shard.free_all(p)?;

@@ -13,6 +13,18 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::{BufferPool, SimBTree, SimBinTree, SimDList, SimHashTable};
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("prod::main"),
+        open_document: func("prod::open_document"),
+        apply_edit: func("prod::apply_edit"),
+        sweep: func("prod::sweep"),
+        repaginate: func("prod::repaginate"),
+        close_document: func("prod::close_document"),
+    }
+}
+
 /// The office-suite-like workload.
 #[derive(Debug, Clone, Copy)]
 pub struct Productivity {
@@ -46,6 +58,7 @@ impl Workload for Productivity {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         let vscale = 1.0 + 0.04 * (self.version as f64 - 1.0);
         let sized = |base: usize| ((base as f64 * input.scale() * vscale) as usize).max(1);
@@ -59,9 +72,9 @@ impl Workload for Productivity {
         let xref_target = sized(90) as u64;
         let edits = sized(1300);
 
-        p.enter("prod::main");
+        p.enter(names.main);
 
-        p.enter("prod::open_document");
+        p.enter(names.open_document);
         let piece_shard_size = (piece_baseline / 4).max(4);
         let mut pieces: Vec<SimBTree> = Vec::new();
         for _ in 0..4 {
@@ -73,6 +86,7 @@ impl Workload for Productivity {
             pieces.push(shard);
         }
         let mut outline = SimBinTree::with_faults(
+            p,
             "prod.outline",
             FaultId("prod.outline_tree.skip_parent"),
             FaultId("prod.outline_tree.single_child.unused"),
@@ -90,7 +104,7 @@ impl Workload for Productivity {
         for k in 0..anno_target {
             annos.push_back(p, plan, k as u64)?;
         }
-        let mut paragraphs = BufferPool::new(para_buffers, "prod.paragraph");
+        let mut paragraphs = BufferPool::new(p, para_buffers, "prod.paragraph");
         for _ in 0..para_buffers {
             paragraphs.acquire(p, 96 + rng.gen_range(0..64))?;
         }
@@ -114,7 +128,7 @@ impl Workload for Productivity {
 
         let rebuild_period = 120;
         for i in 0..edits {
-            p.enter("prod::apply_edit");
+            p.enter(names.apply_edit);
             // Piece-table updates (the skip-sibling call-site splits):
             // steady split traffic across the shards.
             if i % 3 == 0 {
@@ -138,7 +152,7 @@ impl Workload for Productivity {
             // Maintenance sweep: repagination and autosave touch the
             // whole document model.
             if i % 40 == 17 {
-                p.enter("prod::sweep");
+                p.enter(names.sweep);
                 for shard in &pieces {
                     shard.touch_all(p)?;
                 }
@@ -167,7 +181,7 @@ impl Workload for Productivity {
                 clipboard.flip(p)?;
             }
             if i % rebuild_period == rebuild_period - 1 {
-                p.enter("prod::repaginate");
+                p.enter(names.repaginate);
                 let shard_idx = (i / rebuild_period) % pieces.len();
                 let mut fresh = SimBTree::with_fault(
                     p,
@@ -182,7 +196,7 @@ impl Workload for Productivity {
             }
         }
 
-        p.enter("prod::close_document");
+        p.enter(names.close_document);
         for shard in pieces {
             shard.free_all(p)?;
         }

@@ -14,6 +14,18 @@ use sim_ds::{
     GraphShape, SimBTree, SimBinTree, SimDList, SimGraph, SimList, StaleCache, TableDescriptors,
 };
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("webapp::main"),
+        startup: func("webapp::startup"),
+        handle_request: func("webapp::handle_request"),
+        sweep: func("webapp::sweep"),
+        navigate: func("webapp::navigate"),
+        shutdown: func("webapp::shutdown"),
+    }
+}
+
 /// The interactive-web-app-like workload.
 #[derive(Debug, Clone, Copy)]
 pub struct WebApp {
@@ -47,6 +59,7 @@ impl Workload for WebApp {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         let vscale = 1.0 + 0.04 * (self.version as f64 - 1.0);
         let sized = |base: usize| ((base as f64 * input.scale() * vscale) as usize).max(1);
@@ -58,10 +71,11 @@ impl Workload for WebApp {
         let nav_target = sized(24);
         let requests = sized(1200);
 
-        p.enter("webapp::main");
+        p.enter(names.main);
 
-        p.enter("webapp::startup");
+        p.enter(names.startup);
         let mut dom = SimBinTree::with_faults(
+            p,
             "webapp.dom",
             FaultId("webapp.dom_tree.skip_parent"),
             FaultId("webapp.dom_tree.single_child.unused"),
@@ -70,6 +84,7 @@ impl Workload for WebApp {
             dom.insert(p, plan, rng.gen_range(0..1_000_000))?;
         }
         let mut form = SimBinTree::with_faults(
+            p,
             "webapp.form",
             FaultId("webapp.form_tree.skip_parent"),
             FaultId("webapp.form_tree.single_child.unused"),
@@ -118,9 +133,13 @@ impl Workload for WebApp {
             session_props.set_props(p, j, 2)?;
             tmpl_props.set_props(p, j, 2)?;
         }
-        let mut req_log = SimList::with_fault("webapp.req_log", FaultId("webapp.req_log.pop_leak"));
-        let mut cookies =
-            SimList::with_fault("webapp.cookie_list", FaultId("webapp.cookie_list.pop_leak"));
+        let mut req_log =
+            SimList::with_fault(p, "webapp.req_log", FaultId("webapp.req_log.pop_leak"));
+        let mut cookies = SimList::with_fault(
+            p,
+            "webapp.cookie_list",
+            FaultId("webapp.cookie_list.pop_leak"),
+        );
         for k in 0..16 {
             req_log.push_front(p, k)?;
             cookies.push_front(p, k)?;
@@ -167,9 +186,9 @@ impl Workload for WebApp {
             FaultId("webapp.hist_registry.reachable_leak"),
         )?;
         let mut tmp_files =
-            SimList::with_fault("webapp.tmp_list", FaultId("webapp.tmp_list.tiny_leak"));
+            SimList::with_fault(p, "webapp.tmp_list", FaultId("webapp.tmp_list.tiny_leak"));
         let mut fragments =
-            SimList::with_fault("webapp.frag_list", FaultId("webapp.frag_list.tiny_leak"));
+            SimList::with_fault(p, "webapp.frag_list", FaultId("webapp.frag_list.tiny_leak"));
         for k in 0..8 {
             tmp_files.push_front(p, k)?;
             fragments.push_front(p, k)?;
@@ -188,7 +207,7 @@ impl Workload for WebApp {
 
         let rebuild_period = 240;
         for i in 0..requests {
-            p.enter("webapp::handle_request");
+            p.enter(names.handle_request);
             // DOM churn: balanced insert + leaf removal keeps the tree
             // at its baseline size while exercising the buggy insert.
             dom.insert(p, plan, rng.gen_range(0..1_000_000))?;
@@ -228,7 +247,7 @@ impl Workload for WebApp {
             // Maintenance sweep: sessions, DOM, and indexes are hot;
             // the render cache and the leak-prone registries stay cold.
             if i % 40 == 17 {
-                p.enter("webapp::sweep");
+                p.enter(names.sweep);
                 pins.touch_all(p)?;
                 dom.touch_all(p)?;
                 form.touch_all(p)?;
@@ -274,7 +293,7 @@ impl Workload for WebApp {
             p.leave();
 
             if i % rebuild_period == rebuild_period - 1 {
-                p.enter("webapp::navigate");
+                p.enter(names.navigate);
                 dom.free_all(p)?;
                 for _ in 0..dom_baseline {
                     dom.insert(p, plan, rng.gen_range(0..1_000_000))?;
@@ -308,7 +327,7 @@ impl Workload for WebApp {
             }
         }
 
-        p.enter("webapp::shutdown");
+        p.enter(names.shutdown);
         dom.free_all(p)?;
         form.free_all(p)?;
         for shard in index {

@@ -16,7 +16,7 @@
 //! thresholds while blowing the small-baseline ones far past them:
 //! exactly the paper's "locally stable" / unstable residue.
 
-use heapmd::{Addr, HeapError, Process, NULL};
+use heapmd::{Addr, FuncId, HeapError, Process, NULL};
 
 /// Node layout: `[0] = next`.
 const NEXT: u64 = 0;
@@ -50,6 +50,10 @@ pub struct PhaseFlipper {
     nodes: Vec<Addr>,
     style: FlipStyle,
     linked: bool,
+    /// Interned ids of `PhaseFlipper::flip`, `::touch` and `::free`.
+    flip_fn: FuncId,
+    touch_fn: FuncId,
+    free_fn: FuncId,
 }
 
 impl PhaseFlipper {
@@ -75,23 +79,30 @@ impl PhaseFlipper {
         site: &str,
         style: FlipStyle,
     ) -> Result<Self, HeapError> {
-        p.enter("PhaseFlipper::new");
-        let site = format!("{site}::phase_node");
+        let new = p.function("PhaseFlipper::new");
+        let flip_fn = p.function("PhaseFlipper::flip");
+        let touch_fn = p.function("PhaseFlipper::touch");
+        let free_fn = p.function("PhaseFlipper::free");
+        let site = p.site(&format!("{site}::phase_node"));
+        p.enter(new);
         let holder = match style {
             FlipStyle::IsolateChain => None,
             FlipStyle::FanChain | FlipStyle::DoubleLink => {
-                Some(p.malloc((2 * k.max(1)) * 8, &site)?)
+                Some(p.malloc((2 * k.max(1)) * 8, site)?)
             }
         };
         let mut nodes = Vec::with_capacity(k);
         for _ in 0..k {
-            nodes.push(p.malloc(NODE_SIZE, &site)?);
+            nodes.push(p.malloc(NODE_SIZE, site)?);
         }
         let mut flipper = PhaseFlipper {
             holder,
             nodes,
             style,
             linked: false,
+            flip_fn,
+            touch_fn,
+            free_fn,
         };
         // The non-isolate styles keep every node referenced at all
         // times; set up the first topology now.
@@ -168,7 +179,7 @@ impl PhaseFlipper {
     ///
     /// Propagates [`HeapError`].
     pub fn flip(&mut self, p: &mut Process) -> Result<bool, HeapError> {
-        p.enter("PhaseFlipper::flip");
+        p.enter(self.flip_fn);
         match (self.style, self.linked) {
             (FlipStyle::IsolateChain, true) => {
                 for &n in &self.nodes {
@@ -196,7 +207,7 @@ impl PhaseFlipper {
     ///
     /// Propagates [`HeapError`].
     pub fn touch_all(&self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("PhaseFlipper::touch");
+        p.enter(self.touch_fn);
         for &n in &self.nodes {
             p.read(n)?;
         }
@@ -210,7 +221,7 @@ impl PhaseFlipper {
     ///
     /// Propagates [`HeapError`].
     pub fn free_all(self, p: &mut Process) -> Result<(), HeapError> {
-        p.enter("PhaseFlipper::free");
+        p.enter(self.free_fn);
         for &n in &self.nodes {
             p.free(n)?;
         }

@@ -9,6 +9,16 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::{BufferPool, SimHashTable};
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("crafty::main"),
+        init: func("crafty::init"),
+        search_node: func("crafty::search_node"),
+        cleanup: func("crafty::cleanup"),
+    }
+}
+
 /// The crafty-like chess-engine workload.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Crafty;
@@ -27,6 +37,7 @@ impl Workload for Crafty {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         let tt_buckets = input.scaled(384);
         let boards = input.scaled(60);
@@ -34,12 +45,12 @@ impl Workload for Crafty {
         // Load factor < 1 keeps most chains singleton ⇒ leaf entries.
         let tt_target = (tt_buckets as f64 * (0.25 + input.shape() * 0.2)) as u64;
 
-        p.enter("crafty::main");
+        p.enter(names.main);
         let mut tt = SimHashTable::new(p, tt_buckets, "crafty.ttable")?;
-        let mut board_pool = BufferPool::new(boards, "crafty.board");
+        let mut board_pool = BufferPool::new(p, boards, "crafty.board");
         // Killer-move chains: rebuilt between search phases.
         let mut killers = crate::PhaseFlipper::new(p, input.scaled(10), "crafty.killers")?;
-        p.enter("crafty::init");
+        p.enter(names.init);
         for _ in 0..boards {
             board_pool.acquire(p, 128)?;
         }
@@ -48,7 +59,7 @@ impl Workload for Crafty {
         let mut next_key = 0u64;
         let mut live: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
         for i in 0..iterations {
-            p.enter("crafty::search_node");
+            p.enter(names.search_node);
             board_pool.acquire(p, 128)?;
             // Probe, then store: keep the table near its target size.
             let probe = rng.gen_range(0..next_key.max(1));
@@ -74,7 +85,7 @@ impl Workload for Crafty {
             }
         }
 
-        p.enter("crafty::cleanup");
+        p.enter(names.cleanup);
         killers.free_all(p)?;
         board_pool.drain(p)?;
         tt.free_all(p)?;

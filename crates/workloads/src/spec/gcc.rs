@@ -11,6 +11,17 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::{BufferPool, SimBinTree, SimList};
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("gcc::main"),
+        init: func("gcc::init"),
+        parse_function: func("gcc::parse_function"),
+        optimize_function: func("gcc::optimize_function"),
+        cleanup: func("gcc::cleanup"),
+    }
+}
+
 /// The gcc-like compiler workload.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gcc;
@@ -29,21 +40,22 @@ impl Workload for Gcc {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         let chain_count = 10 + (input.shape() * 60.0) as usize;
         let chain_len = 6;
         let rtl_records = input.scaled(150);
         let functions = input.scaled(24);
 
-        p.enter("gcc::main");
-        let mut rtl = BufferPool::new(rtl_records, "gcc.rtl");
-        p.enter("gcc::init");
+        p.enter(names.main);
+        let mut rtl = BufferPool::new(p, rtl_records, "gcc.rtl");
+        p.enter(names.init);
         for _ in 0..rtl_records {
             rtl.acquire(p, 64)?;
         }
         let mut chains: Vec<SimList> = Vec::new();
         for _ in 0..chain_count {
-            let mut c = SimList::new("gcc.insn_chain");
+            let mut c = SimList::new(p, "gcc.insn_chain");
             for k in 0..chain_len {
                 c.push_front(p, k as u64)?;
             }
@@ -54,8 +66,8 @@ impl Workload for Gcc {
         // Compile one "function" per phase pair: parse builds trees,
         // optimize tears them down — classic phase behaviour.
         for f in 0..functions {
-            p.enter("gcc::parse_function");
-            let mut ast = SimBinTree::new("gcc.ast");
+            p.enter(names.parse_function);
+            let mut ast = SimBinTree::new(p, "gcc.ast");
             let ast_size = 40 + rng.gen_range(0..40);
             for _ in 0..ast_size {
                 ast.insert(p, plan, rng.gen_range(0..1_000_000))?;
@@ -71,7 +83,7 @@ impl Workload for Gcc {
             }
             p.leave();
 
-            p.enter("gcc::optimize_function");
+            p.enter(names.optimize_function);
             for _ in 0..20 {
                 ast.contains(p, rng.gen_range(0..1_000_000))?;
                 rtl.acquire(p, 64)?;
@@ -81,7 +93,7 @@ impl Workload for Gcc {
             let _ = f;
         }
 
-        p.enter("gcc::cleanup");
+        p.enter(names.cleanup);
         for mut c in chains {
             c.free_all(p)?;
         }

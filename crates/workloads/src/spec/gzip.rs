@@ -8,6 +8,16 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::{BufferPool, SimList};
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("gzip::main"),
+        init: func("gzip::init"),
+        deflate_block: func("gzip::deflate_block"),
+        cleanup: func("gzip::cleanup"),
+    }
+}
+
 /// The gzip-like compressor workload.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gzip;
@@ -26,6 +36,7 @@ impl Workload for Gzip {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         // Window buffers dominate; a small chain of block descriptors
         // rides along. The input's shape nudges the buffer:descriptor
@@ -34,9 +45,9 @@ impl Workload for Gzip {
         let desc_target = 12 + (input.shape() * 28.0) as usize;
         let iterations = input.scaled(2200);
 
-        p.enter("gzip::main");
-        let mut windows = BufferPool::new(window_slots, "gzip.window");
-        let mut descs = SimList::new("gzip.block_desc");
+        p.enter(names.main);
+        let mut windows = BufferPool::new(p, window_slots, "gzip.window");
+        let mut descs = SimList::new(p, "gzip.block_desc");
         // Huffman-table scratch: alternates between built (chained) and
         // torn-down per compression phase. Small next to the window
         // buffers, so Leaves stays stable while the low-baseline
@@ -44,14 +55,14 @@ impl Workload for Gzip {
         let mut huffman = crate::PhaseFlipper::new(p, input.scaled(8), "gzip.huffman")?;
 
         // Startup: prime the window.
-        p.enter("gzip::init");
+        p.enter(names.init);
         for _ in 0..window_slots {
             windows.acquire(p, 256 + rng.gen_range(0..256))?;
         }
         p.leave();
 
         for i in 0..iterations {
-            p.enter("gzip::deflate_block");
+            p.enter(names.deflate_block);
             windows.acquire(p, 256 + rng.gen_range(0..256))?;
             if descs.len() < desc_target || rng.gen_bool(0.5) {
                 descs.push_front(p, i as u64)?;
@@ -71,7 +82,7 @@ impl Workload for Gzip {
         }
 
         // Shutdown.
-        p.enter("gzip::cleanup");
+        p.enter(names.cleanup);
         huffman.free_all(p)?;
         windows.drain(p)?;
         descs.free_all(p)?;

@@ -8,6 +8,15 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::{GraphShape, SimGraph, SimList};
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("mcf::main"),
+        simplex_iteration: func("mcf::simplex_iteration"),
+        cleanup: func("mcf::cleanup"),
+    }
+}
+
 /// The mcf-like network-simplex workload.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mcf;
@@ -26,12 +35,13 @@ impl Workload for Mcf {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         let nodes = input.scaled(90);
         let avg_degree = 2 + (input.shape() * 2.0) as usize;
         let iterations = input.scaled(1500);
 
-        p.enter("mcf::main");
+        p.enter(names.main);
         // The network is built once and stays; pricing sweeps touch it.
         let mut network = SimGraph::generate(
             p,
@@ -44,7 +54,7 @@ impl Workload for Mcf {
         )?;
 
         // Candidate-arc lists churn in a steady cycle.
-        let mut candidates = SimList::new("mcf.candidate");
+        let mut candidates = SimList::new(p, "mcf.candidate");
         let cand_target = 10 + (input.shape() * 10.0) as usize;
         // Basis scratch: restructured at each refactorization (fan↔chain
         // leaves Roots — mcf's signature — untouched).
@@ -56,7 +66,7 @@ impl Workload for Mcf {
         )?;
 
         for i in 0..iterations {
-            p.enter("mcf::simplex_iteration");
+            p.enter(names.simplex_iteration);
             if candidates.len() < cand_target || rng.gen_bool(0.5) {
                 candidates.push_front(p, i as u64)?;
             }
@@ -71,7 +81,7 @@ impl Workload for Mcf {
                 // Occasionally densify the basis with a fresh arc.
                 let a = rng.gen_range(0..nodes);
                 let b = rng.gen_range(0..nodes);
-                network.add_edge(p, a, b, "mcf.network")?;
+                network.add_edge(p, a, b)?;
             }
             if i % 64 == 0 {
                 basis.touch_all(p)?;
@@ -82,7 +92,7 @@ impl Workload for Mcf {
             }
         }
 
-        p.enter("mcf::cleanup");
+        p.enter(names.cleanup);
         basis.free_all(p)?;
         candidates.free_all(p)?;
         network.free_all(p)?;

@@ -8,6 +8,16 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::SimList;
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("parser::main"),
+        read_dict: func("parser::read_dict"),
+        parse_sentence: func("parser::parse_sentence"),
+        cleanup: func("parser::cleanup"),
+    }
+}
+
 /// The parser-like linkage workload.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Parser;
@@ -26,6 +36,7 @@ impl Workload for Parser {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         // Two fixed chain lengths: "short" parses (length 2 — head and
         // tail only, contributing nothing to In=Out) and "long" parses
@@ -40,20 +51,20 @@ impl Workload for Parser {
             .collect();
         let iterations = input.scaled(1500);
 
-        p.enter("parser::main");
+        p.enter(names.main);
         // Expression-stack scratch: built and torn down per batch of
         // sentences — the phase residue that keeps parser at ~1 stable
         // metric in the paper rather than 7.
         let mut scratch = crate::PhaseFlipper::new(p, input.scaled(18), "parser.scratch")?;
         let build = |p: &mut Process, len: usize| -> Result<SimList, HeapError> {
-            let mut l = SimList::new("parser.linkage");
+            let mut l = SimList::new(p, "parser.linkage");
             for k in 0..len {
                 l.push_front(p, k as u64)?;
             }
             Ok(l)
         };
 
-        p.enter("parser::read_dict");
+        p.enter(names.read_dict);
         let mut parses: Vec<SimList> = Vec::with_capacity(sentences);
         for &len in &lengths {
             parses.push(build(p, len)?);
@@ -61,7 +72,7 @@ impl Workload for Parser {
         p.leave();
 
         for i in 0..iterations {
-            p.enter("parser::parse_sentence");
+            p.enter(names.parse_sentence);
             // Re-parse one sentence: free its linkage, build anew at
             // the same length.
             let k = rng.gen_range(0..parses.len());
@@ -77,7 +88,7 @@ impl Workload for Parser {
             }
         }
 
-        p.enter("parser::cleanup");
+        p.enter(names.cleanup);
         scratch.free_all(p)?;
         for mut l in parses {
             l.free_all(p)?;

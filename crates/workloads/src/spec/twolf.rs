@@ -9,6 +9,20 @@ use faults::FaultPlan;
 use heapmd::{Addr, HeapError, Process};
 use rand::Rng;
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        place_cell: func("twolf::place_cell"),
+        rip_cell: func("twolf::rip_cell"),
+        main: func("twolf::main"),
+        initial_placement: func("twolf::initial_placement"),
+        anneal_step: func("twolf::anneal_step"),
+        cleanup: func("twolf::cleanup"),
+        cell: site("twolf.cell"),
+        terminal: site("twolf.terminal"),
+    }
+}
+
 /// Cell layout: `[0] = left terminal, [8] = right terminal`.
 const CELL_SIZE: usize = 24;
 /// Terminals are pointer-free records.
@@ -26,11 +40,11 @@ struct Placed {
 }
 
 impl Twolf {
-    fn place_cell(p: &mut Process, rng: &mut impl Rng) -> Result<Placed, HeapError> {
-        p.enter("twolf::place_cell");
-        let cell = p.malloc(CELL_SIZE, "twolf.cell")?;
-        let left = p.malloc(TERM_SIZE, "twolf.terminal")?;
-        let right = p.malloc(TERM_SIZE, "twolf.terminal")?;
+    fn place_cell(p: &mut Process, names: &Names, rng: &mut impl Rng) -> Result<Placed, HeapError> {
+        p.enter(names.place_cell);
+        let cell = p.malloc(CELL_SIZE, names.cell)?;
+        let left = p.malloc(TERM_SIZE, names.terminal)?;
+        let right = p.malloc(TERM_SIZE, names.terminal)?;
         p.write_ptr(cell, left)?;
         p.write_ptr(cell.offset(8), right)?;
         p.write_scalar(cell.offset(16))?; // placement coordinates
@@ -39,8 +53,8 @@ impl Twolf {
         Ok(Placed { cell, left, right })
     }
 
-    fn rip_cell(p: &mut Process, placed: Placed) -> Result<(), HeapError> {
-        p.enter("twolf::rip_cell");
+    fn rip_cell(p: &mut Process, names: &Names, placed: Placed) -> Result<(), HeapError> {
+        p.enter(names.rip_cell);
         p.free(placed.cell)?;
         p.free(placed.left)?;
         p.free(placed.right)?;
@@ -63,12 +77,13 @@ impl Workload for Twolf {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let _ = plan; // twolf hosts no catalog bugs
         let mut rng = input.rng();
         let population = input.scaled(120);
         let iterations = input.scaled(1800);
 
-        p.enter("twolf::main");
+        p.enter(names.main);
         // Row-assignment scratch: rebuilt between annealing temperature
         // steps (a fan↔chain flip leaves Outdeg=2 and the indegree
         // metrics alone).
@@ -79,19 +94,19 @@ impl Workload for Twolf {
             crate::FlipStyle::FanChain,
         )?;
         let mut placed: Vec<Placed> = Vec::with_capacity(population);
-        p.enter("twolf::initial_placement");
+        p.enter(names.initial_placement);
         for _ in 0..population {
-            placed.push(Self::place_cell(p, &mut rng)?);
+            placed.push(Self::place_cell(p, &names, &mut rng)?);
         }
         p.leave();
 
         // Simulated annealing: swap = rip up one cell, place another.
         for i in 0..iterations {
-            p.enter("twolf::anneal_step");
+            p.enter(names.anneal_step);
             let k = rng.gen_range(0..placed.len());
             let old = placed.swap_remove(k);
-            Self::rip_cell(p, old)?;
-            placed.push(Self::place_cell(p, &mut rng)?);
+            Self::rip_cell(p, &names, old)?;
+            placed.push(Self::place_cell(p, &names, &mut rng)?);
             if i % 40 == 0 {
                 // Cost evaluation touches a sample of cells.
                 for _ in 0..4 {
@@ -106,10 +121,10 @@ impl Workload for Twolf {
             }
         }
 
-        p.enter("twolf::cleanup");
+        p.enter(names.cleanup);
         rows.free_all(p)?;
         for cell in placed {
-            Self::rip_cell(p, cell)?;
+            Self::rip_cell(p, &names, cell)?;
         }
         p.leave();
         p.leave();

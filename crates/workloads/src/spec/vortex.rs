@@ -9,6 +9,16 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::{SimBTree, SimDList};
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("vortex::main"),
+        load_db: func("vortex::load_db"),
+        transaction: func("vortex::transaction"),
+        cleanup: func("vortex::cleanup"),
+    }
+}
+
 /// The vortex-like object-database workload.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Vortex;
@@ -27,6 +37,7 @@ impl Workload for Vortex {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         // The shape decides how index-heavy vs. list-heavy the database
         // is; indeg=1 moves with the B-tree share.
@@ -35,9 +46,9 @@ impl Workload for Vortex {
         let list_len = 8;
         let iterations = input.scaled(1400);
 
-        p.enter("vortex::main");
+        p.enter(names.main);
         let mut index = SimBTree::new(p, "vortex.index")?;
-        p.enter("vortex::load_db");
+        p.enter(names.load_db);
         for k in 0..index_keys as u64 {
             index.insert(p, plan, k.wrapping_mul(2654435761) % 1_000_000)?;
         }
@@ -52,7 +63,7 @@ impl Workload for Vortex {
         p.leave();
 
         for i in 0..iterations {
-            p.enter("vortex::transaction");
+            p.enter(names.transaction);
             // Lookups dominate; inserts trickle in.
             index.contains(p, rng.gen_range(0..1_000_000))?;
             if i % 6 == 0 {
@@ -67,7 +78,7 @@ impl Workload for Vortex {
             p.leave();
         }
 
-        p.enter("vortex::cleanup");
+        p.enter(names.cleanup);
         for l in parts {
             l.free_all(p)?;
         }

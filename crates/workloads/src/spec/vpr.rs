@@ -12,6 +12,20 @@ use heapmd::{HeapError, Process};
 use rand::Rng;
 use sim_ds::{BufferPool, SimList};
 
+heapmd::interned! {
+    /// The names this program interns once per run.
+    struct Names {
+        main: func("vpr::main"),
+        build_rr_graph: func("vpr::build_rr_graph"),
+        read_netlist: func("vpr::read_netlist"),
+        alloc_usage_table: func("vpr::alloc_usage_table"),
+        place_iteration: func("vpr::place_iteration"),
+        cleanup: func("vpr::cleanup"),
+        usage_table: site("vpr.usage_table"),
+        usage_record: site("vpr.usage_record"),
+    }
+}
+
 /// The vpr-like place-and-route workload.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Vpr;
@@ -30,6 +44,7 @@ impl Workload for Vpr {
     }
 
     fn run(&self, p: &mut Process, plan: &mut FaultPlan, input: &Input) -> Result<(), HeapError> {
+        let names = Names::new(p);
         let mut rng = input.rng();
         // The input decides how chain-heavy the netlist is.
         let net_count = 16 + (input.shape() * 48.0) as usize;
@@ -37,17 +52,17 @@ impl Workload for Vpr {
         let rr_records = input.scaled(260);
         let iterations = input.scaled(1600);
 
-        p.enter("vpr::main");
-        let mut rr = BufferPool::new(rr_records, "vpr.rr_node");
-        p.enter("vpr::build_rr_graph");
+        p.enter(names.main);
+        let mut rr = BufferPool::new(p, rr_records, "vpr.rr_node");
+        p.enter(names.build_rr_graph);
         for _ in 0..rr_records {
             rr.acquire(p, 48)?;
         }
         p.leave();
 
         // Netlist: fixed population of connection chains.
-        let mut nets: Vec<SimList> = (0..net_count).map(|_| SimList::new("vpr.net")).collect();
-        p.enter("vpr::read_netlist");
+        let mut nets: Vec<SimList> = (0..net_count).map(|_| SimList::new(p, "vpr.net")).collect();
+        p.enter(names.read_netlist);
         for net in &mut nets {
             for k in 0..net_len {
                 net.push_front(p, k as u64)?;
@@ -62,17 +77,17 @@ impl Workload for Vpr {
         // In=Out drains steadily over the run while the outdegree
         // metrics stay put — the drift behind Figures 4–6.
         let usage_cap = iterations / 3 + 1;
-        p.enter("vpr::alloc_usage_table");
-        let usage_table = p.malloc(usage_cap * 8, "vpr.usage_table")?;
+        p.enter(names.alloc_usage_table);
+        let usage_table = p.malloc(usage_cap * 8, names.usage_table)?;
         let mut usage_records: Vec<heapmd::Addr> = Vec::new();
         for _ in 0..usage_cap {
-            usage_records.push(p.malloc(16, "vpr.usage_record")?);
+            usage_records.push(p.malloc(16, names.usage_record)?);
         }
         let mut usage_count: usize = 0;
         p.leave();
 
         for i in 0..iterations {
-            p.enter("vpr::place_iteration");
+            p.enter(names.place_iteration);
             // Rip-up and re-route one net: free its chain, rebuild it.
             let n = rng.gen_range(0..nets.len());
             nets[n].free_all(p)?;
@@ -91,7 +106,7 @@ impl Workload for Vpr {
             p.leave();
         }
 
-        p.enter("vpr::cleanup");
+        p.enter(names.cleanup);
         for mut net in nets {
             net.free_all(p)?;
         }

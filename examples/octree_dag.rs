@@ -16,10 +16,11 @@ fn run(settings: &Settings, plan: &mut FaultPlan, depth: usize) -> heapmd::Metri
     let mut p = Process::new(settings.clone());
     // Startup: build the world.
     let world = SimOctTree::build(&mut p, plan, depth, "world").expect("build");
-    let mut scratch = BufferPool::new(60, "frame");
+    let mut scratch = BufferPool::new(&mut p, 60, "frame");
+    let render_frame = p.function("render_frame");
     // Steady state: render frames.
     for _ in 0..700 {
-        p.enter("render_frame");
+        p.enter(render_frame);
         scratch.acquire(&mut p, 128).expect("acquire");
         world.touch_all(&mut p).expect("touch");
         p.leave();

@@ -19,15 +19,17 @@ fn run(
     if traced {
         p.enable_trace();
     }
-    let mut rings: Vec<SimCircularList> =
-        (0..12).map(|_| SimCircularList::new("columns")).collect();
+    let mut rings: Vec<SimCircularList> = (0..12)
+        .map(|_| SimCircularList::new(&mut p, "columns"))
+        .collect();
+    let tick = p.function("scheduler_tick");
     for ring in &mut rings {
         for k in 0..6 {
             ring.push(&mut p, k).expect("push");
         }
     }
     for i in 0..800usize {
-        p.enter("scheduler_tick");
+        p.enter(tick);
         let r = i % rings.len();
         rings[r].push(&mut p, i as u64).expect("push");
         rings[r].rotate_free_head(&mut p, plan).expect("rotate");

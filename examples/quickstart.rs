@@ -17,10 +17,11 @@ use std::rc::Rc;
 /// then churns in steady state.
 fn run(seed: u64, plan: &mut FaultPlan, settings: &Settings) -> heapmd::MetricReport {
     let mut p = Process::new(settings.clone());
+    let main_loop = p.function("main_loop");
     let mut list = SimDList::new(&mut p, "assets").expect("allocate header");
     let target = 150 + (seed % 7) * 10;
     for i in 0..900u64 {
-        p.enter("main_loop");
+        p.enter(main_loop);
         list.push_back(&mut p, plan, seed.wrapping_add(i))
             .expect("insert");
         if list.len() as u64 > target {
@@ -70,9 +71,10 @@ fn main() {
     let mut p = Process::new(settings.clone());
     p.attach(detector.clone());
     let mut plan = FaultPlan::single(DLIST_SKIP_PREV);
+    let main_loop = p.function("main_loop");
     let mut list = SimDList::new(&mut p, "assets").expect("header");
     for i in 0..600u64 {
-        p.enter("main_loop");
+        p.enter(main_loop);
         list.push_back(&mut p, &mut plan, i).expect("insert");
         p.leave();
     }

@@ -36,10 +36,11 @@ fn sample_trace() -> Trace {
     let settings = Settings::builder().frq(10).build().unwrap();
     let mut p = Process::new(settings);
     p.enable_trace();
+    let (build, node) = (p.function("build"), p.site("node"));
     let mut nodes = Vec::new();
     for _ in 0..12 {
-        p.enter("build");
-        let n = p.malloc(24, "node").unwrap();
+        p.enter(build);
+        let n = p.malloc(24, node).unwrap();
         if let Some(&prev) = nodes.last() {
             p.write_ptr(n, prev).unwrap();
         }
@@ -340,9 +341,10 @@ fn process_survives_a_dying_binary_trace_sink_under_every_schedule() {
                 Err(HeapMdError::Io(_)) => continue,
                 Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
             }
+            let (w, x) = (p.function("w"), p.site("x"));
             for _ in 0..20 {
-                p.enter("w");
-                let a = p.malloc(16, "x").unwrap();
+                p.enter(w);
+                let a = p.malloc(16, x).unwrap();
                 p.free(a).unwrap();
                 p.leave();
             }

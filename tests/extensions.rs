@@ -76,13 +76,13 @@ fn connectivity_metrics_census_a_real_workload() {
     let plan = FaultPlan::new();
     let mut rings: Vec<sim_ds::SimCircularList> = Vec::new();
     for _ in 0..6 {
-        let mut ring = sim_ds::SimCircularList::new("rings");
+        let mut ring = sim_ds::SimCircularList::new(&mut p, "rings");
         for k in 0..5 {
             ring.push(&mut p, k).unwrap();
         }
         rings.push(ring);
     }
-    let mut list = sim_ds::SimList::new("chain");
+    let mut list = sim_ds::SimList::new(&mut p, "chain");
     for k in 0..20 {
         list.push_front(&mut p, k).unwrap();
     }

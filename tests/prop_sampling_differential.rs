@@ -48,12 +48,14 @@ fn settings() -> Settings {
 /// writes target only live objects (object size 64 covers every slot
 /// offset the strategy emits).
 fn drive(p: &mut Process, ops: &[Op]) {
+    let scopes = [p.function("even"), p.function("odd")];
+    let site = p.site("site");
     let mut live: Vec<sim_heap::Addr> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        p.enter(if i % 2 == 0 { "even" } else { "odd" });
+        p.enter(scopes[i % 2]);
         match op {
             Op::Alloc => {
-                let addr = p.malloc(64, "site").expect("alloc");
+                let addr = p.malloc(64, site).expect("alloc");
                 live.push(addr);
             }
             Op::FreeNth(n) => {

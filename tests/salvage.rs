@@ -23,10 +23,11 @@ fn sample_trace(extra_events: usize) -> Trace {
     let settings = Settings::builder().frq(10).build().unwrap();
     let mut p = Process::new(settings);
     p.enable_trace();
+    let (build, node) = (p.function("build"), p.site("node"));
     let mut nodes = Vec::new();
     for _ in 0..(2 + extra_events / 4) {
-        p.enter("build");
-        let n = p.malloc(24, "node").unwrap();
+        p.enter(build);
+        let n = p.malloc(24, node).unwrap();
         if let Some(&prev) = nodes.last() {
             p.write_ptr(n, prev).unwrap();
         }

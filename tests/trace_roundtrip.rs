@@ -14,9 +14,10 @@ use std::rc::Rc;
 fn run(settings: &Settings, plan: &mut FaultPlan) -> (heapmd::MetricReport, Trace) {
     let mut p = Process::new(settings.clone());
     p.enable_trace();
+    let tick = p.function("tick");
     let mut list = SimDList::new(&mut p, "t").unwrap();
     for i in 0..500u64 {
-        p.enter("tick");
+        p.enter(tick);
         list.push_back(&mut p, plan, i).unwrap();
         if list.len() > 120 {
             if let Some(front) = list.front(&mut p).unwrap() {
@@ -178,9 +179,10 @@ fn live_offline_and_serve_agree_on_a_long_run() {
     p.enable_trace();
     p.attach(detector.clone());
     let mut plan = FaultPlan::single(DLIST_SKIP_PREV);
+    let tick = p.function("tick");
     let mut list = SimDList::new(&mut p, "t").unwrap();
     for i in 0..500u64 {
-        p.enter("tick");
+        p.enter(tick);
         list.push_back(&mut p, &mut plan, i).unwrap();
         if list.len() > 120 {
             if let Some(front) = list.front(&mut p).unwrap() {
@@ -248,11 +250,14 @@ fn streamed_function_tables_precede_their_first_use() {
         }
     }
     // A name interned before the stream attaches must be covered too.
-    p.enter("main");
+    let main = p.function("main");
+    p.enter(main);
     p.stream_trace_to(Box::new(Shared(bytes.clone()))).unwrap();
+    // Names interned after it attaches reach the stream at interning.
     let mut list = SimDList::new(&mut p, "t").unwrap();
+    let scopes = [p.function("tick"), p.function("tock"), main];
     for i in 0..200u64 {
-        p.enter(["tick", "tock", "main"][i as usize % 3]);
+        p.enter(scopes[i as usize % 3]);
         list.push_back(&mut p, &mut FaultPlan::new(), i).unwrap();
         p.leave();
     }
