@@ -53,8 +53,8 @@
 //! - `run --model FILE [--incidents DIR]` attaches the anomaly
 //!   detector with the flight recorder enabled: every surviving range
 //!   violation is written as a CRC-framed incident bundle, which
-//!   `inspect` renders as ASCII charts with the calibrated bounds,
-//!   implicated functions, and the armed-window stack digest
+//!   `inspect` renders as the verdict `run` printed, ASCII charts with
+//!   the calibrated bounds, and the armed-window stack digest
 //!   (`inspect --salvage` recovers damaged bundles).
 //! - `serve` runs the fleet daemon ([`heapmd::Server`]): concurrent
 //!   binary trace streams over TCP or `unix:` sockets, per-tenant
@@ -100,7 +100,7 @@ use faults::FaultPlan;
 use heapmd::plot::{chart, RefLine};
 use heapmd::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use heapmd::{
-    AnomalyDetector, ArtifactKind, BinaryTraceImage, BugReport, HeapModel, IncidentBundle,
+    render_verdicts, AnomalyDetector, ArtifactKind, BinaryTraceImage, HeapModel, IncidentBundle,
     IncidentLog, LogPhase, ModelBuilder, Process, SalvageStats, Trace, TrainCheckpoint,
 };
 use heapmd_obs::{debug, error, info};
@@ -463,7 +463,7 @@ fn cmd_run(args: &[String]) -> i32 {
         }
         if !bugs.is_empty() {
             println!("{} anomaly report(s):", bugs.len());
-            print_bugs(&bugs);
+            print!("{}", render_verdicts(&bugs));
             return 3;
         }
         println!("no anomalies against {}", model_path.unwrap_or_default());
@@ -721,7 +721,7 @@ fn cmd_check(args: &[String]) -> i32 {
         }
         anomalies = true;
         println!("{path}: {} anomaly report(s){sampled}:", out.bugs.len());
-        print_bugs(&out.bugs);
+        print!("{}", render_verdicts(&out.bugs));
     }
     if failed {
         1
@@ -732,39 +732,22 @@ fn cmd_check(args: &[String]) -> i32 {
     }
 }
 
-/// Prints a bug list: each report on a two-space-indented line, and
-/// under it, indented four spaces, the functions its context implicates.
-fn print_bugs(bugs: &[BugReport]) {
-    for b in bugs {
-        println!("  {b}");
-        let funcs = b.implicated_functions();
-        if !funcs.is_empty() {
-            println!("    implicated: {}", funcs.join(", "));
-        }
-    }
-}
-
 /// Chart geometry for `inspect`.
 const CHART_WIDTH: usize = 64;
 const CHART_HEIGHT: usize = 10;
 
-/// Renders an incident bundle: metadata, per-series charts (the
+/// Renders an incident bundle: its verdict as `run` prints it, the
+/// capture (slope, where, armed since), per-series charts (the
 /// offending metric gets its calibrated bounds as reference lines),
-/// the degree histogram, implicated functions, and the stack digest.
+/// the degree histogram, and the stack digest.
 fn render_bundle(bundle: &IncidentBundle) -> String {
-    let m = &bundle.meta;
-    let mut out = String::new();
+    let m = &bundle.report;
+    let mut out = render_verdicts(std::slice::from_ref(m));
     out.push_str(&format!(
-        "source   {}\nmetric   {} — {}\nvalue    {:.3} outside calibrated [{:.3}, {:.3}], slope {:+.3}\n",
-        m.source,
-        m.metric.short_name(),
-        m.kind, m.value, m.range.0, m.range.1, m.slope
+        "slope    {:+.3}\nwhere    sample #{} ({} fn entries), {} samples seen",
+        bundle.slope, m.sample_seq, m.fn_entries, bundle.samples_seen
     ));
-    out.push_str(&format!(
-        "where    sample #{} ({} fn entries), {} samples seen",
-        m.sample_seq, m.fn_entries, m.samples_seen
-    ));
-    match m.armed_at_seq {
+    match bundle.armed_at_seq {
         Some(at) => out.push_str(&format!(", armed since sample #{at}\n")),
         None => out.push('\n'),
     }
@@ -850,16 +833,12 @@ fn render_bundle(bundle: &IncidentBundle) -> String {
         }
     }
 
-    let funcs = bundle.implicated_functions();
-    if !funcs.is_empty() {
-        out.push_str(&format!("\nimplicated functions: {}\n", funcs.join(", ")));
-    }
-    if !bundle.stacks.is_empty() {
+    if !m.context.is_empty() {
         out.push_str(&format!(
             "\narmed-window stack digest ({} entries):\n",
-            bundle.stacks.len()
+            m.context.len()
         ));
-        for entry in &bundle.stacks {
+        for entry in &m.context {
             let phase = match entry.phase {
                 LogPhase::Before => "before",
                 LogPhase::During => "DURING",
@@ -1114,7 +1093,7 @@ fn cmd_replay(args: &[String]) -> i32 {
         0
     } else {
         println!("{} anomaly report(s):", out.bugs.len());
-        print_bugs(&out.bugs);
+        print!("{}", render_verdicts(&out.bugs));
         3
     }
 }
@@ -1205,7 +1184,7 @@ fn cmd_serve(args: &[String]) -> i32 {
             o.bugs.len(),
             o.bundle_paths.len()
         );
-        print_bugs(&o.bugs);
+        print!("{}", render_verdicts(&o.bugs));
         anomalies |= !o.bugs.is_empty();
     }
     if let Some(err) = &summary.prom_dump_error {

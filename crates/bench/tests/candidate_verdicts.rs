@@ -69,10 +69,12 @@ fn a_candidate_only_crossing_reaches_stdout_and_the_exit_code() {
         .expect("a MaxIndeg incident bundle");
     let shown = cli(&["inspect", bundle.to_str().unwrap()]);
     assert!(shown.status.success());
+    // `inspect` opens with the verdict line `run` printed.
+    let shown = stdout(&shown);
+    let verdict = shown.lines().find(|l| l.starts_with("  ")).unwrap_or("");
     assert!(
-        stdout(&shown).contains("metric   MaxIndeg — range violation"),
-        "{}",
-        stdout(&shown)
+        verdict.starts_with("  MaxIndeg: range violation") && text.lines().any(|l| l == verdict),
+        "{shown}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@
 
 use faults::io::{fault_ids, FaultyReader, FaultyWriter};
 use faults::{FaultConfig, FaultPlan};
-use heapmd::IncidentBundle;
+use heapmd::{BugReport, IncidentBundle};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -45,8 +45,9 @@ fn fault_plan() -> FaultPlan {
 }
 
 /// Trains a model and produces incident bundles from one buggy check
-/// run, returning the written bundle paths plus in-memory bundles.
-fn bundles_from_buggy_run(dir: &Path) -> (Vec<PathBuf>, Vec<IncidentBundle>) {
+/// run, returning the written bundle paths, the in-memory bundles and
+/// the run's reports.
+fn bundles_from_buggy_run(dir: &Path) -> (Vec<PathBuf>, Vec<IncidentBundle>, Vec<BugReport>) {
     let w = program();
     let model = train(w.as_ref(), &Input::set(6)).model;
     let outcome = check_with_incidents(
@@ -61,13 +62,22 @@ fn bundles_from_buggy_run(dir: &Path) -> (Vec<PathBuf>, Vec<IncidentBundle>) {
         "the catalogued fault must cross a calibrated bound"
     );
     assert_eq!(outcome.bundle_paths.len(), outcome.incidents.len());
-    (outcome.bundle_paths, outcome.incidents)
+    (outcome.bundle_paths, outcome.incidents, outcome.bugs)
+}
+
+/// The lines of a command's stdout that `render_verdicts` printed.
+fn verdict_lines(stdout: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .filter(|l| l.starts_with("  "))
+        .map(str::to_string)
+        .collect()
 }
 
 #[test]
 fn buggy_run_emits_bundles_that_round_trip() {
     let dir = tmp_dir("roundtrip");
-    let (paths, incidents) = bundles_from_buggy_run(&dir);
+    let (paths, incidents, bugs) = bundles_from_buggy_run(&dir);
     assert!(!incidents.is_empty(), "bound crossing must emit a bundle");
     for (path, expected) in paths.iter().zip(&incidents) {
         let loaded = IncidentBundle::load(path).expect("bundle loads strictly");
@@ -81,14 +91,17 @@ fn buggy_run_emits_bundles_that_round_trip() {
             loaded.degrees.is_some(),
             "degree histogram must be captured"
         );
-        assert_eq!(loaded.meta.source, "detector");
+        assert!(
+            bugs.contains(&loaded.report),
+            "a bundle holds the report it was raised for"
+        );
     }
     // At least one bundle carries armed-window stacks with implicated
     // functions (the paper's §3.2 circular-buffer payoff).
     assert!(
         incidents
             .iter()
-            .any(|b| !b.implicated_functions().is_empty()),
+            .any(|b| !b.report.implicated_functions().is_empty()),
         "no bundle implicated any function"
     );
 }
@@ -96,7 +109,7 @@ fn buggy_run_emits_bundles_that_round_trip() {
 #[test]
 fn a_single_bit_flip_is_salvageable() {
     let dir = tmp_dir("bitflip");
-    let (paths, incidents) = bundles_from_buggy_run(&dir);
+    let (paths, incidents, _) = bundles_from_buggy_run(&dir);
     let mut bytes = std::fs::read(&paths[0]).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
@@ -106,7 +119,19 @@ fn a_single_bit_flip_is_salvageable() {
     );
     let (salvaged, stats) = IncidentBundle::salvage_bytes(&bytes);
     let salvaged = salvaged.expect("metadata survives a mid-file flip");
-    assert_eq!(salvaged.meta, incidents[0].meta, "meta is intact");
+    // The flip may cost a stack record, never the Meta record.
+    let meta = |b: &IncidentBundle| {
+        (
+            BugReport {
+                context: Vec::new(),
+                ..b.report.clone()
+            },
+            b.slope.to_bits(),
+            b.armed_at_seq,
+            b.samples_seen,
+        )
+    };
+    assert_eq!(meta(&salvaged), meta(&incidents[0]), "meta is intact");
     assert!(!stats.complete);
     assert!(stats.skipped <= 2, "resync loses at most two records");
     assert!(stats.corruption.is_some());
@@ -115,7 +140,7 @@ fn a_single_bit_flip_is_salvageable() {
 #[test]
 fn faults_io_matrix_is_typed_error_or_valid() {
     let dir = tmp_dir("io-matrix");
-    let (paths, _) = bundles_from_buggy_run(&dir);
+    let (paths, _, _) = bundles_from_buggy_run(&dir);
     let pristine = std::fs::read(&paths[0]).unwrap();
 
     let read_faults = [
@@ -222,6 +247,7 @@ fn cli_run_produces_bundles_and_inspect_renders_them() {
         stdout.contains("incident bundle written to"),
         "run must report bundle paths:\n{stdout}"
     );
+    let reported = verdict_lines(&out.stdout);
 
     let bundle = std::fs::read_dir(&incidents)
         .expect("incident dir exists")
@@ -234,17 +260,54 @@ fn cli_run_produces_bundles_and_inspect_renders_them() {
         .expect("spawn heapmd-cli inspect");
     assert!(out.status.success());
     let rendered = String::from_utf8_lossy(&out.stdout);
-    for needle in [
-        "source   detector",
-        "outside calibrated",
-        "where    sample #",
-    ] {
+    let verdict = verdict_lines(&out.stdout)
+        .into_iter()
+        .next()
+        .expect("inspect prints the bundle's verdict");
+    assert!(
+        reported.contains(&verdict),
+        "inspect's verdict {verdict:?} is not one of run's:\n{stdout}"
+    );
+    for needle in ["slope    ", "where    sample #"] {
         assert!(rendered.contains(needle), "missing {needle:?}:\n{rendered}");
     }
     assert!(
         rendered.contains('*'),
         "charts must plot at least one point"
     );
+}
+
+/// A bundle a format-2 writer left behind (`run --incidents` on
+/// `game_sim` input 88 with `gs.unit_props.typo_leak`) still loads,
+/// salvages, and renders the verdict that run printed.
+#[test]
+fn format_two_bundles_load_salvage_and_render() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/v2_incident.hmdi"
+    );
+    let printed = "  Leaves: range violation (below calibrated minimum) — value 27.25 vs \
+                   calibrated [27.29, 34.15] at sample 7 (in TableDescriptors::walk_props)";
+    let strict = IncidentBundle::load(path).expect("a v2 bundle loads strictly");
+    let (salvaged, stats) = IncidentBundle::salvage(path).unwrap();
+    assert!(stats.complete && stats.corruption.is_none());
+    assert_eq!(salvaged.as_ref(), Some(&strict));
+    assert_eq!(strict.report.sample_rate, 1.0);
+    assert_eq!(strict.report.band_distance, 0.0);
+    assert_eq!(format!("  {}", strict.report), printed);
+    for extra in [&[][..], &["--salvage"][..]] {
+        let out = Command::new(BIN)
+            .arg("inspect")
+            .arg(path)
+            .args(extra)
+            .output()
+            .expect("spawn heapmd-cli inspect");
+        assert!(out.status.success());
+        assert_eq!(
+            verdict_lines(&out.stdout).first().map(String::as_str),
+            Some(printed)
+        );
+    }
 }
 
 /// `replay` and `check --trace` share one per-path check: under
@@ -276,16 +339,6 @@ fn replay_sample_matches_check_sample_and_decimation_one_is_exact() {
             .output()
             .expect("spawn heapmd-cli")
     };
-    // The bug block only (reports and their `implicated:` lines):
-    // `check` prefixes its verdict line with the path.
-    let bug_lines = |stdout: &[u8]| -> Vec<String> {
-        String::from_utf8_lossy(stdout)
-            .lines()
-            .filter(|l| l.starts_with("  "))
-            .map(str::to_string)
-            .collect()
-    };
-
     let exact = cli("replay", &[]);
     assert_eq!(exact.status.code(), Some(3), "the fault must be reported");
     let passthrough = cli("replay", &["--sample-decimation", "1"]);
@@ -303,7 +356,12 @@ fn replay_sample_matches_check_sample_and_decimation_one_is_exact() {
         checked_out.contains("(sampled at"),
         "check --sample names its rate:\n{checked_out}"
     );
-    assert_eq!(bug_lines(&replayed.stdout), bug_lines(&checked.stdout));
+    // The bug block only: `check` prefixes its verdict line with the
+    // path.
+    assert_eq!(
+        verdict_lines(&replayed.stdout),
+        verdict_lines(&checked.stdout)
+    );
 }
 
 #[test]

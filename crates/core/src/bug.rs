@@ -2,7 +2,7 @@
 
 use heap_graph::CandidateKind;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Which calibrated bound an anomaly involves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,7 +123,10 @@ pub struct BugReport {
     /// alerts on. `0.0` for anomaly kinds without a crossing.
     #[serde(default)]
     pub band_distance: f64,
-    /// Call-stack context before/during/after the crossing.
+    /// Call-stack context before/during/after the crossing. (An
+    /// incident bundle stores it as separate records, so its report
+    /// reads back without this key.)
+    #[serde(default)]
     pub context: Vec<StackLogEntry>,
 }
 
@@ -250,6 +253,21 @@ impl BugReport {
     }
 }
 
+/// Renders verdicts the one way every command prints them: each report
+/// on a line indented two spaces and, under it, indented four, the
+/// functions its context implicates.
+pub fn render_verdicts(bugs: &[BugReport]) -> String {
+    let mut out = String::new();
+    for b in bugs {
+        let _ = writeln!(out, "  {b}");
+        let funcs = b.implicated_functions();
+        if !funcs.is_empty() {
+            let _ = writeln!(out, "    implicated: {}", funcs.join(", "));
+        }
+    }
+    out
+}
+
 /// The root-cause categories of Figures 8 and 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BugCategory {
@@ -364,6 +382,20 @@ mod tests {
         assert_eq!(funcs[0], "TreeInsert");
         assert_eq!(funcs.iter().filter(|f| *f == "main").count(), 1);
         assert!(funcs.contains(&"LinkChild".to_string()));
+    }
+
+    #[test]
+    fn verdicts_render_a_report_line_and_its_implicated_line() {
+        let mut quiet = report();
+        quiet.context.clear();
+        let text = render_verdicts(&[report(), quiet.clone()]);
+        assert_eq!(
+            text,
+            format!(
+                "  {}\n    implicated: TreeInsert, main, LinkChild\n  {quiet}\n",
+                report()
+            )
+        );
     }
 
     #[test]

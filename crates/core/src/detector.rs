@@ -4,7 +4,7 @@ use crate::bug::{AnomalyKind, BugReport, Direction, LogPhase, StackLogEntry};
 use crate::callstack::FuncId;
 use crate::fluctuation::FluctuationStats;
 use crate::incident::{DegreeSnapshot, IncidentBundle, IncidentLog, SeriesData};
-use crate::model::{HeapModel, StableMetric};
+use crate::model::{sampling_widen, HeapModel, StableMetric};
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::phase_model::LocalMetric;
 use crate::report::{MetricReport, MetricSample};
@@ -42,7 +42,7 @@ struct LocalState {
 
 /// Flight-recorder context snapshotted when an excursion opens, held
 /// until the bug finalizes (the report may still grow after-context).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PendingCapture {
     slope: f64,
     armed_at_seq: Option<u64>,
@@ -55,18 +55,80 @@ struct PendingCapture {
 struct MetricState {
     sm: StableMetric,
     last: Option<f64>,
-    in_violation: bool,
-    pending: Option<BugReport>,
-    capture: Option<PendingCapture>,
+    /// The open excursion: its report (still growing after-context)
+    /// and the capture taken at the crossing.
+    open: Option<(BugReport, PendingCapture)>,
     after_budget: usize,
     pinned_low: usize,
     pinned_high: usize,
     ever_violated: bool,
 }
 
-impl MetricState {
-    fn margin(&self, settings: &Settings) -> f64 {
-        (self.sm.width()).max(0.5) * settings.near_edge_frac
+/// The band a checker accepts around one calibrated `[min, max]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Band {
+    /// Lowest accepted value.
+    pub(crate) lo: f64,
+    /// Highest accepted value.
+    pub(crate) hi: f64,
+    /// How close to an edge counts as near it: with an adverse slope
+    /// it arms call-stack logging, it counts toward pinning, and serve
+    /// shows it as the `near_edge` gauge status.
+    pub(crate) near: f64,
+}
+
+/// How one checked stream widens calibrated ranges. The detector's
+/// global and local checks and serve's live gauges all set their
+/// accepted bands here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BandPolicy {
+    /// The rate that parameterizes confidence widening: the *mismatch
+    /// ratio* `min(model, stream) / max(model, stream)` of the model's
+    /// calibration-time sampling rate and the checked stream's rate.
+    ///
+    /// Store sampling biases connectivity metrics (dropped stores are
+    /// missing edges), so what needs slack is not sampling per se but
+    /// checking a stream against ranges calibrated at a *different*
+    /// rate: rate-matched calibration sees the same biased
+    /// distribution on both sides and needs no widening, while an
+    /// exact model checking a `rate`-sampled stream (or vice versa)
+    /// widens by the full mismatch. `1.0` → zero widening,
+    /// bit-identical to the pre-sampling detector.
+    pub(crate) rate: f64,
+    range_margin: f64,
+    near_edge_frac: f64,
+}
+
+impl BandPolicy {
+    /// The policy for a stream sampled at `stream_rate` checked against
+    /// a model calibrated at `model_rate` (a rate that is not a
+    /// positive number counts as `1.0`, full fidelity).
+    pub(crate) fn new(model_rate: f64, stream_rate: f64, settings: &Settings) -> Self {
+        let model_rate = if model_rate.is_finite() && model_rate > 0.0 {
+            model_rate
+        } else {
+            1.0
+        };
+        BandPolicy {
+            rate: model_rate.min(stream_rate) / model_rate.max(stream_rate),
+            range_margin: settings.range_margin,
+            near_edge_frac: settings.near_edge_frac,
+        }
+    }
+
+    /// The accepted band around calibrated `[min, max]`.
+    pub(crate) fn band(&self, min: f64, max: f64) -> Band {
+        let widen = sampling_widen(max - min, self.rate);
+        Band {
+            lo: min - self.range_margin - widen,
+            hi: max + self.range_margin + widen,
+            near: (max - min).max(0.5) * self.near_edge_frac,
+        }
+    }
+
+    /// The slack on each side of a band `width` wide.
+    pub(crate) fn slack(&self, width: f64) -> f64 {
+        self.range_margin + sampling_widen(width, self.rate)
     }
 }
 
@@ -144,19 +206,17 @@ pub struct AnomalyDetector {
     armed_at: Option<u64>,
     samples_seen: usize,
     bugs: Vec<BugReport>,
-    /// Bundles staged at bug finalization; survivors of the shutdown
-    /// trim move to `incidents` (and the attached log) in `finish_scan`.
-    pending_incidents: Vec<IncidentBundle>,
+    /// One bundle per finalized range violation. `finish_scan` drops
+    /// those whose report the shutdown trim drops, and writes the rest
+    /// to the attached log.
     incidents: Vec<IncidentBundle>,
     incident_log: Option<IncidentLog>,
-    startup_checked: bool,
     post_warmup_samples: usize,
     /// Calibration-time store-sampling rate carried by the model.
     model_rate: f64,
     /// Store-sampling rate of the checked stream (updated from the
-    /// monitor context online; set from the report offline). The
-    /// effective widening rate is the *mismatch ratio* of both — see
-    /// [`Self::effective_rate`].
+    /// monitor context online; set from the report offline). Bands
+    /// widen by the mismatch of both (see [`BandPolicy`]).
     stream_rate: f64,
 }
 
@@ -167,20 +227,13 @@ impl AnomalyDetector {
     /// against one model skips the same points.
     pub fn new(model: HeapModel, mut settings: Settings) -> Self {
         settings.warmup_samples = model.settings.warmup_samples;
-        let model_rate = if model.sample_rate.is_finite() && model.sample_rate > 0.0 {
-            model.sample_rate
-        } else {
-            1.0
-        };
         let states = model
             .stable
             .iter()
             .map(|&sm| MetricState {
                 sm,
                 last: None,
-                in_violation: false,
-                pending: None,
-                capture: None,
+                open: None,
                 after_budget: 0,
                 pinned_low: 0,
                 pinned_high: 0,
@@ -212,35 +265,16 @@ impl AnomalyDetector {
             armed_at: None,
             samples_seen: 0,
             bugs: Vec::new(),
-            pending_incidents: Vec::new(),
             incidents: Vec::new(),
             incident_log: None,
-            startup_checked: false,
             post_warmup_samples: 0,
-            model_rate,
+            model_rate: model.sample_rate,
             stream_rate: 1.0,
         }
     }
 
-    /// The rate that parameterizes confidence widening: the *mismatch
-    /// ratio* `min(model, stream) / max(model, stream)` of the model's
-    /// calibration-time sampling rate and the checked stream's rate.
-    ///
-    /// Store sampling biases connectivity metrics (dropped stores are
-    /// missing edges), so what needs slack is not sampling per se but
-    /// checking a stream against ranges calibrated at a *different*
-    /// rate: rate-matched calibration sees the same biased
-    /// distribution on both sides and needs no widening, while an
-    /// exact model checking a `rate`-sampled stream (or vice versa)
-    /// widens by the full mismatch. `1.0` → zero widening,
-    /// bit-identical to the pre-sampling detector.
-    fn effective_rate(&self) -> f64 {
-        let lo = self.model_rate.min(self.stream_rate);
-        let hi = self.model_rate.max(self.stream_rate);
-        if hi <= 0.0 {
-            return 1.0;
-        }
-        lo / hi
+    fn band_policy(&self) -> BandPolicy {
+        BandPolicy::new(self.model_rate, self.stream_rate, &self.settings)
     }
 
     /// Bug reports raised so far (range violations immediately; poorly
@@ -271,9 +305,9 @@ impl AnomalyDetector {
         self.incident_log.as_ref()
     }
 
-    /// Incident bundles for range violations that survived the
-    /// shutdown trim. Populated by `finish_scan` (i.e. after
-    /// [`crate::Process::finish`] when attached as a monitor).
+    /// Incident bundles for the range violations finalized so far. After
+    /// [`crate::Process::finish`] (when attached as a monitor), only
+    /// those that survived the shutdown trim.
     pub fn incidents(&self) -> &[IncidentBundle] {
         &self.incidents
     }
@@ -325,7 +359,8 @@ impl AnomalyDetector {
                 self.stream_rate = c.sample_rate;
             }
         }
-        let rate = self.effective_rate();
+        let policy = self.band_policy();
+        let rate = policy.rate;
         self.samples_seen += 1;
         let warmup = self.samples_seen <= self.settings.warmup_samples;
 
@@ -339,17 +374,9 @@ impl AnomalyDetector {
         let mut any_armed = false;
         let mut arm_triggers = Vec::new();
         for i in 0..self.states.len() {
-            let (lo, hi, margin, last, kind) = {
-                let st = &self.states[i];
-                let widen = crate::model::sampling_widen(st.sm.width(), rate);
-                (
-                    st.sm.min - self.settings.range_margin - widen,
-                    st.sm.max + self.settings.range_margin + widen,
-                    st.margin(&self.settings),
-                    st.last,
-                    st.sm.kind,
-                )
-            };
+            let st = &self.states[i];
+            let Band { lo, hi, near } = policy.band(st.sm.min, st.sm.max);
+            let (last, kind) = (st.last, st.sm.kind);
             // An extended metric on a sample replayed from an artifact
             // that predates the widened family has no value to check.
             let Some(v) = sample.candidate(kind) else {
@@ -369,17 +396,17 @@ impl AnomalyDetector {
             // calibrated value is normal, not extreme.
             if hi - lo >= 1.0 {
                 let st = &mut self.states[i];
-                if v <= lo + margin {
+                if v <= lo + near {
                     st.pinned_low += 1;
                 }
-                if v >= hi - margin {
+                if v >= hi - near {
                     st.pinned_high += 1;
                 }
             }
 
             // Arm call-stack logging on approach with adverse slope.
-            let near_high = v >= hi - margin && v <= hi && slope > 0.0;
-            let near_low = v <= lo + margin && v >= lo && slope < 0.0;
+            let near_high = v >= hi - near && v <= hi && slope > 0.0;
+            let near_low = v <= lo + near && v >= lo && slope < 0.0;
             if near_high || near_low {
                 any_armed = true;
                 arm_triggers.push((kind, v, slope, if near_high { "high" } else { "low" }));
@@ -399,8 +426,7 @@ impl AnomalyDetector {
                     arm_triggers.push((kind, v, slope, "violation"));
                     let st = &mut self.states[i];
                     st.ever_violated = true;
-                    if !st.in_violation {
-                        st.in_violation = true;
+                    if st.open.is_none() {
                         // Render the armed window now that a report reads
                         // it. Offline scans (no ctx) never log events.
                         let mut context: Vec<StackLogEntry> = match ctx {
@@ -429,7 +455,7 @@ impl AnomalyDetector {
                             Direction::AboveMax => v - hi,
                             Direction::BelowMin => lo - v,
                         };
-                        st.pending = Some(BugReport {
+                        let bug = BugReport {
                             metric: kind,
                             kind: AnomalyKind::RangeViolation { direction },
                             value: v,
@@ -439,13 +465,12 @@ impl AnomalyDetector {
                             sample_rate: rate,
                             band_distance: out_by / (hi - lo).max(1.0),
                             context,
-                        });
-                        st.after_budget = AFTER_CONTEXT_EVENTS;
+                        };
                         // Flight-recorder snapshot at the crossing. When
                         // arming starts on this very sample (a jump that
                         // crossed without an approach) the window opens
                         // here too.
-                        st.capture = Some(PendingCapture {
+                        let capture = PendingCapture {
                             slope,
                             armed_at_seq: self.armed_at.or(Some(sample.seq as u64)),
                             series: ctx
@@ -453,17 +478,14 @@ impl AnomalyDetector {
                                 .map(|r| r.snapshot().iter().map(SeriesData::from).collect())
                                 .unwrap_or_default(),
                             degrees: ctx.map(|c| DegreeSnapshot::capture(c.graph.histogram())),
-                        });
+                        };
+                        st.open = Some((bug, capture));
+                        st.after_budget = AFTER_CONTEXT_EVENTS;
                     }
                 }
                 None => {
-                    let st = &mut self.states[i];
-                    if st.in_violation {
-                        st.in_violation = false;
-                        if let Some(bug) = st.pending.take() {
-                            let capture = st.capture.take();
-                            self.finalize_bug(bug, capture);
-                        }
+                    if let Some((bug, capture)) = self.states[i].open.take() {
+                        self.finalize_bug(bug, capture);
                     }
                 }
             }
@@ -474,15 +496,14 @@ impl AnomalyDetector {
         // *some* calibrated phase band.
         if !warmup {
             for st in &mut self.local_states {
-                // Widen each phase band by the widest band's
-                // sampling-confidence slack.
+                // Widen each phase band by the widest band's slack.
                 let bw = st
                     .lm
                     .ranges
                     .iter()
                     .map(|r| r.1 - r.0)
                     .fold(0.0_f64, f64::max);
-                let margin = self.settings.range_margin + crate::model::sampling_widen(bw, rate);
+                let margin = policy.slack(bw);
                 let v = sample.metrics.get(st.lm.kind);
                 if st.lm.contains(v, margin) {
                     st.in_violation = false;
@@ -509,9 +530,6 @@ impl AnomalyDetector {
             }
         }
 
-        if !warmup {
-            self.startup_checked = true;
-        }
         // Rising edge of the slope heuristic: the circular call-stack
         // buffer starts recording here, so surface why it armed.
         if any_armed && !self.armed {
@@ -536,66 +554,48 @@ impl AnomalyDetector {
         }
     }
 
-    /// Emits a finalized range-violation bug and stages its incident
-    /// bundle. Bundles are only materialized (and written to any
-    /// attached log) in `finish_scan`, for bugs that survive the
-    /// shutdown trim.
-    fn finalize_bug(&mut self, bug: BugReport, capture: Option<PendingCapture>) {
-        let cap = capture.unwrap_or_default();
-        self.pending_incidents.push(IncidentBundle::from_report(
-            &bug,
-            cap.slope,
-            cap.armed_at_seq,
-            self.samples_seen as u64,
-            cap.series,
-            cap.degrees,
-        ));
+    /// Emits a finalized range-violation bug and its incident bundle.
+    /// The attached log writes only the bundles `finish_scan` keeps.
+    fn finalize_bug(&mut self, bug: BugReport, capture: PendingCapture) {
         crate::bug::emit_anomaly_event(&bug);
+        self.incidents.push(IncidentBundle {
+            report: bug.clone(),
+            slope: capture.slope,
+            armed_at_seq: capture.armed_at_seq,
+            samples_seen: self.samples_seen as u64,
+            series: capture.series,
+            degrees: capture.degrees,
+        });
         self.bugs.push(bug);
     }
 
     fn finish_scan(&mut self) {
         let _span = heapmd_obs::span!("detector_finish");
-        let rate = self.effective_rate();
+        let rate = self.band_policy().rate;
         // Flush excursions still open at end of run.
-        let mut flushed = Vec::new();
-        for st in &mut self.states {
-            if let Some(bug) = st.pending.take() {
-                flushed.push((bug, st.capture.take()));
+        for i in 0..self.states.len() {
+            if let Some((bug, capture)) = self.states[i].open.take() {
+                self.finalize_bug(bug, capture);
             }
-        }
-        for (bug, capture) in flushed {
-            self.finalize_bug(bug, capture);
         }
         // Shutdown trim: the model ignores the final `trim_frac` of
         // metric computation points as teardown (§2.1); drop range
         // violations that only began there — a heap being dismantled
-        // is not an anomaly.
+        // is not an anomaly. Bundles follow their reports, so arming
+        // that never fires, or an excursion confined to teardown,
+        // leaves no bundle behind.
         let n = self.samples_seen;
         let cutoff = n.saturating_sub(self.settings.trim_count(n));
-        self.bugs.retain(|b| {
+        let kept = |b: &BugReport| {
             !matches!(
                 b.kind,
                 AnomalyKind::RangeViolation { .. } | AnomalyKind::LocalRangeViolation
             ) || b.sample_seq < cutoff
-        });
-        // Incident bundles follow the same trim: only bundles whose bug
-        // survived are materialized, so arming that never fires — or an
-        // excursion confined to teardown — leaves no bundle behind.
-        let bugs = &self.bugs;
-        let kept: Vec<IncidentBundle> = self
-            .pending_incidents
-            .drain(..)
-            .filter(|inc| {
-                bugs.iter().any(|b| {
-                    matches!(b.kind, AnomalyKind::RangeViolation { .. })
-                        && b.metric == inc.meta.metric
-                        && b.sample_seq as u64 == inc.meta.sample_seq
-                })
-            })
-            .collect();
+        };
+        self.bugs.retain(|b| kept(b));
+        self.incidents.retain(|inc| kept(&inc.report));
         if let Some(log) = self.incident_log.as_mut() {
-            for inc in &kept {
+            for inc in &self.incidents {
                 if let Err(err) = log.write(inc) {
                     heapmd_obs::count!("heapmd_incident_write_errors_total");
                     heapmd_obs::export::emit_event("incident_write_failed", |o| {
@@ -604,7 +604,6 @@ impl AnomalyDetector {
                 }
             }
         }
-        self.incidents.extend(kept);
         // Poorly disguised: a paper metric pinned at an extreme for most
         // of the run, without ever crossing.
         let total = self.post_warmup_samples;
@@ -668,8 +667,8 @@ impl Monitor for AnomalyDetector {
     fn on_event(&mut self, ctx: &MonitorCtx<'_>, event: &HeapEvent) {
         // Post-crossing context capture for open excursions.
         for st in &mut self.states {
-            if st.in_violation && st.after_budget > 0 {
-                if let Some(bug) = &mut st.pending {
+            if st.after_budget > 0 {
+                if let Some((bug, _)) = &mut st.open {
                     bug.context.push(StackLogEntry {
                         tick: ctx.tick,
                         stack: ctx.stack_names(),
@@ -1156,8 +1155,10 @@ mod tests {
         values.extend([19.0, 20.0]);
         let (det, _) = run_stepped(&values, MetricKind::Indeg1, 13.0, 18.0);
         assert!(det.bugs.is_empty(), "unexpected: {:?}", det.bugs);
-        assert!(det.incidents().is_empty());
-        assert!(det.pending_incidents.is_empty(), "staging must drain");
+        assert!(
+            det.incidents().is_empty(),
+            "the trim drops the staged bundle"
+        );
     }
 
     #[test]
@@ -1170,18 +1171,20 @@ mod tests {
         assert_eq!(det.incidents().len(), 1);
         let inc = &det.incidents()[0];
         assert!(inc.validate().is_ok());
-        assert_eq!(inc.meta.source, "detector");
-        assert_eq!(inc.meta.metric, MetricKind::Indeg1);
-        assert_eq!(inc.meta.value, 19.5);
-        assert_eq!(inc.meta.sample_seq, 4);
-        assert_eq!(inc.meta.armed_at_seq, Some(3), "armed on the approach");
-        assert!((inc.meta.slope - 1.2).abs() < 1e-9);
+        assert_eq!(inc.report, det.bugs[0], "the bundle holds its report");
+        assert_eq!(inc.report.value, 19.5);
+        assert_eq!(inc.report.sample_seq, 4);
+        assert_eq!(inc.armed_at_seq, Some(3), "armed on the approach");
+        assert!((inc.slope - 1.2).abs() < 1e-9);
         // Finalized when the excursion closed at sample index 5.
-        assert_eq!(inc.meta.samples_seen, 6);
+        assert_eq!(inc.samples_seen, 6);
         // Offline scan: no recorder or heap graph was attached.
         assert!(inc.series.is_empty());
         assert!(inc.degrees.is_none());
-        assert!(!inc.stacks.is_empty(), "carries the during-crossing entry");
+        assert!(
+            !inc.report.context.is_empty(),
+            "carries the during-crossing entry"
+        );
     }
 
     #[test]
@@ -1255,8 +1258,8 @@ mod tests {
 
         let crossing = sample(4, MetricKind::Indeg1, 19.5);
         det.on_sample(&ctx_at(&graph, &heap, &funcs, &stack), &crossing);
-        let bug = det.states[0]
-            .pending
+        let (bug, _) = det.states[0]
+            .open
             .as_ref()
             .expect("the crossing opened a report");
         let mut want = eager[eager.len() - capacity..].to_vec();

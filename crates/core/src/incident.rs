@@ -20,8 +20,11 @@
 //!
 //! A healthy bundle is `Header`, one `Meta`, zero or more `Stack` /
 //! `Series` records, at most one `Degrees`, then an `End { records }`
-//! trailer counting everything before it. Splitting the bundle across
-//! records is deliberate: a single bit flip damages one record, and
+//! trailer counting everything before it. `Header` carries the format
+//! version; `Meta` is the report the bundle was captured for plus the
+//! capture's scalars, and the report's context travels as the `Stack`
+//! records. Splitting the bundle across records is deliberate: a
+//! single bit flip damages one record, and
 //! [`IncidentBundle::salvage_bytes`] resynchronizes at the next line
 //! that starts with the magic, so the rest of the bundle survives.
 //!
@@ -29,10 +32,10 @@
 //! mid-write leaves either the previous artifact or none — never a
 //! torn file.
 
-use crate::bug::{AnomalyKind, BugReport, StackLogEntry};
+use crate::bug::{BugReport, StackLogEntry};
 use crate::error::HeapMdError;
 use crate::trace_stream::{frame_with_magic, parse_frame};
-use heap_graph::{CandidateKind, DegreeHistogram};
+use heap_graph::DegreeHistogram;
 use heapmd_obs::SeriesSnapshot;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -42,8 +45,10 @@ pub const INCIDENT_MAGIC: &str = "HMDI1";
 
 /// Current incident-bundle format version. Readers reject bundles from
 /// the future; older versions are upgraded on read (v1 bundles lack the
-/// full-resolution degree distributions, which default to empty).
-pub const INCIDENT_FORMAT_VERSION: u32 = 2;
+/// full-resolution degree distributions, which default to empty, and
+/// v1/v2 bundles lack the report's sampling rate and band distance,
+/// which default to 1.0 and 0.0).
+pub const INCIDENT_FORMAT_VERSION: u32 = 3;
 
 /// Highest degree bucket captured per direction in [`DegreeSnapshot`]
 /// (degrees past it are summed into the last bucket).
@@ -58,10 +63,10 @@ enum BundleRecord {
         /// Bundle format version.
         format: u32,
     },
-    /// The incident's identity: what fired, where, against what range.
+    /// The report the incident was captured for, and the capture.
     Meta {
         /// The metadata payload.
-        meta: IncidentMeta,
+        meta: MetaRecord,
     },
     /// One armed-window call-stack snapshot.
     Stack {
@@ -85,34 +90,17 @@ enum BundleRecord {
     },
 }
 
-/// The incident's identity and calibration context.
+/// The `Meta` record's payload: the [`BugReport`], written without its
+/// context (which travels as `Stack` records), beside the capture's
+/// scalars. The report's keys are v2's, so v1/v2 bundles parse; their
+/// `version` and `source` keys are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IncidentMeta {
-    /// Bundle format version (absent in hand-written files ⇒ 0).
-    #[serde(default)]
-    pub version: u32,
-    /// Which checker raised the incident (`detector`).
-    pub source: String,
-    /// The metric that misbehaved.
-    pub metric: CandidateKind,
-    /// The anomaly classification.
-    pub kind: AnomalyKind,
-    /// The metric's value at detection time.
-    pub value: f64,
-    /// The calibrated `[min, max]` range it violated.
-    pub range: (f64, f64),
-    /// Per-sample slope at the crossing (the adverse-drift signal that
-    /// armed logging).
-    pub slope: f64,
-    /// Sample index (metric computation point) of the detection.
-    pub sample_seq: u64,
-    /// Cumulative function entries at detection.
-    pub fn_entries: u64,
-    /// Sample index at which armed logging began, when the detector
-    /// armed before firing.
-    pub armed_at_seq: Option<u64>,
-    /// Total metric computation points seen by the checker at capture.
-    pub samples_seen: u64,
+struct MetaRecord {
+    #[serde(flatten)]
+    report: BugReport,
+    slope: f64,
+    armed_at_seq: Option<u64>,
+    samples_seen: u64,
 }
 
 /// One captured time series (a [`SeriesSnapshot`] in serializable form).
@@ -205,14 +193,22 @@ impl DegreeSnapshot {
     }
 }
 
-/// A complete incident: metadata, armed-window stacks, recorded series,
-/// and the degree histogram.
+/// A complete incident: the report it was captured for, and what the
+/// capture adds — the slope and armed window at the crossing, the
+/// recorded series, and the degree histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentBundle {
-    /// What fired and against which calibration.
-    pub meta: IncidentMeta,
-    /// Armed-window call stacks, oldest first.
-    pub stacks: Vec<StackLogEntry>,
+    /// The verdict. Its `context` holds the armed-window call stacks,
+    /// oldest first.
+    pub report: BugReport,
+    /// Per-sample slope at the crossing (the adverse-drift signal that
+    /// armed logging).
+    pub slope: f64,
+    /// Sample index at which armed logging began, when the detector
+    /// armed before firing.
+    pub armed_at_seq: Option<u64>,
+    /// Total metric computation points seen by the checker at capture.
+    pub samples_seen: u64,
     /// Recorded metric/rate series (empty when no flight recorder was
     /// attached).
     pub series: Vec<SeriesData>,
@@ -236,94 +232,44 @@ pub struct BundleSalvageStats {
 }
 
 impl IncidentBundle {
-    /// Builds a bundle from a detector report plus its capture context.
-    /// The bundle's `source` is `detector`, the one checker that raises
-    /// reports.
-    pub fn from_report(
-        bug: &BugReport,
-        slope: f64,
-        armed_at_seq: Option<u64>,
-        samples_seen: u64,
-        series: Vec<SeriesData>,
-        degrees: Option<DegreeSnapshot>,
-    ) -> Self {
-        IncidentBundle {
-            meta: IncidentMeta {
-                version: INCIDENT_FORMAT_VERSION,
-                source: "detector".to_string(),
-                metric: bug.metric,
-                kind: bug.kind,
-                value: bug.value,
-                range: bug.range,
-                slope,
-                sample_seq: bug.sample_seq as u64,
-                fn_entries: bug.fn_entries,
-                armed_at_seq,
-                samples_seen,
-            },
-            stacks: bug.context.clone(),
-            series,
-            degrees,
-        }
-    }
-
-    /// Functions implicated by the armed-window stacks, innermost
-    /// first, deduplicated — the same digest as
-    /// [`crate::BugReport::implicated_functions`].
-    pub fn implicated_functions(&self) -> Vec<String> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for entry in &self.stacks {
-            for name in entry.stack.iter().rev() {
-                if seen.insert(name.clone()) {
-                    out.push(name.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// Structural validation: version, finite calibration, ordered
-    /// range.
+    /// Structural validation: finite value and slope, finite ordered
+    /// range. (The format version is the `Header` record's, checked on
+    /// read.)
     ///
     /// # Errors
     ///
     /// [`HeapMdError::Corrupt`] naming the offending field.
     pub fn validate(&self) -> Result<(), HeapMdError> {
-        let m = &self.meta;
-        if m.version > INCIDENT_FORMAT_VERSION {
-            return Err(HeapMdError::corrupt(
-                0,
-                format!(
-                    "incident bundle version {} is newer than supported {INCIDENT_FORMAT_VERSION}",
-                    m.version
-                ),
-            ));
-        }
-        if !m.value.is_finite() || !m.slope.is_finite() {
+        let r = &self.report;
+        if !r.value.is_finite() || !self.slope.is_finite() {
             return Err(HeapMdError::corrupt(0, "non-finite value or slope"));
         }
-        if !m.range.0.is_finite() || !m.range.1.is_finite() || m.range.0 > m.range.1 {
+        if !r.range.0.is_finite() || !r.range.1.is_finite() || r.range.0 > r.range.1 {
             return Err(HeapMdError::corrupt(
                 0,
-                format!("invalid calibrated range [{}, {}]", m.range.0, m.range.1),
+                format!("invalid calibrated range [{}, {}]", r.range.0, r.range.1),
             ));
         }
         Ok(())
     }
 
     fn records(&self) -> Vec<BundleRecord> {
-        let mut out = Vec::with_capacity(3 + self.stacks.len() + self.series.len());
+        let mut report = self.report.clone();
+        let context = std::mem::take(&mut report.context);
+        let mut out = Vec::with_capacity(3 + context.len() + self.series.len());
         out.push(BundleRecord::Header {
             format: INCIDENT_FORMAT_VERSION,
         });
         out.push(BundleRecord::Meta {
-            meta: self.meta.clone(),
+            meta: MetaRecord {
+                report,
+                slope: self.slope,
+                armed_at_seq: self.armed_at_seq,
+                samples_seen: self.samples_seen,
+            },
         });
-        for entry in &self.stacks {
-            out.push(BundleRecord::Stack {
-                entry: entry.clone(),
-            });
+        for entry in context {
+            out.push(BundleRecord::Stack { entry });
         }
         for series in &self.series {
             out.push(BundleRecord::Series {
@@ -415,7 +361,7 @@ impl IncidentBundle {
     /// costs one record, not the rest of the artifact. Returns `None`
     /// for the bundle only when no `Meta` record could be recovered.
     pub fn salvage_bytes(bytes: &[u8]) -> (Option<Self>, BundleSalvageStats) {
-        let mut meta: Option<IncidentMeta> = None;
+        let mut meta: Option<MetaRecord> = None;
         let mut stacks = Vec::new();
         let mut series = Vec::new();
         let mut degrees = None;
@@ -493,9 +439,14 @@ impl IncidentBundle {
             }
         }
 
-        let bundle = meta.map(|meta| IncidentBundle {
-            meta,
-            stacks,
+        let bundle = meta.map(|m| IncidentBundle {
+            report: BugReport {
+                context: stacks,
+                ..m.report
+            },
+            slope: m.slope,
+            armed_at_seq: m.armed_at_seq,
+            samples_seen: m.samples_seen,
             series,
             degrees,
         });
@@ -584,7 +535,7 @@ impl IncidentLog {
             "{}-incident-{:03}-{}.hmdi",
             self.prefix,
             self.written.len(),
-            slug(bundle.meta.metric.short_name())
+            slug(bundle.report.metric.short_name())
         );
         let path = self.dir.join(name);
         bundle.save(&path)?;
@@ -592,12 +543,12 @@ impl IncidentLog {
         heapmd_obs::count!("heapmd_incidents_written_total");
         heapmd_obs::export::emit_event("incident", |o| {
             o.field_str("path", &path.to_string_lossy())
-                .field_str("source", &bundle.meta.source)
-                .field_str("metric", bundle.meta.metric.short_name())
-                .field_str("kind", bundle.meta.kind.slug())
-                .field_f64("value", bundle.meta.value)
-                .field_u64("sample_seq", bundle.meta.sample_seq)
-                .field_u64("stacks", bundle.stacks.len() as u64)
+                .field_str("source", "detector")
+                .field_str("metric", bundle.report.metric.short_name())
+                .field_str("kind", bundle.report.kind.slug())
+                .field_f64("value", bundle.report.value)
+                .field_u64("sample_seq", bundle.report.sample_seq as u64)
+                .field_u64("stacks", bundle.report.context.len() as u64)
                 .field_u64("series", bundle.series.len() as u64);
         });
         Ok(path)
@@ -626,39 +577,40 @@ fn slug(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bug::{Direction, LogPhase};
+    use crate::bug::{AnomalyKind, Direction, LogPhase};
+    use heap_graph::CandidateKind;
 
     fn sample_bundle() -> IncidentBundle {
         IncidentBundle {
-            meta: IncidentMeta {
-                version: INCIDENT_FORMAT_VERSION,
-                source: "detector".into(),
+            report: BugReport {
                 metric: CandidateKind::Indeg1,
                 kind: AnomalyKind::RangeViolation {
                     direction: Direction::AboveMax,
                 },
                 value: 27.5,
                 range: (12.0, 19.5),
-                slope: 0.75,
                 sample_seq: 41,
                 fn_entries: 4_100,
-                armed_at_seq: Some(38),
-                samples_seen: 44,
+                sample_rate: 0.5,
+                band_distance: 1.25,
+                context: vec![
+                    StackLogEntry {
+                        tick: 90,
+                        stack: vec!["main".into(), "TreeInsert".into()],
+                        event: "alloc 40B".into(),
+                        phase: LogPhase::Before,
+                    },
+                    StackLogEntry {
+                        tick: 100,
+                        stack: vec!["main".into(), "TreeInsert".into(), "LinkChild".into()],
+                        event: "ptr write".into(),
+                        phase: LogPhase::During,
+                    },
+                ],
             },
-            stacks: vec![
-                StackLogEntry {
-                    tick: 90,
-                    stack: vec!["main".into(), "TreeInsert".into()],
-                    event: "alloc 40B".into(),
-                    phase: LogPhase::Before,
-                },
-                StackLogEntry {
-                    tick: 100,
-                    stack: vec!["main".into(), "TreeInsert".into(), "LinkChild".into()],
-                    event: "ptr write".into(),
-                    phase: LogPhase::During,
-                },
-            ],
+            slope: 0.75,
+            armed_at_seq: Some(38),
+            samples_seen: 44,
             series: vec![
                 SeriesData {
                     name: "metric.Indeg=1".into(),
@@ -734,7 +686,8 @@ mod tests {
             if let Some(s) = salvaged {
                 // A flipped record terminator can hide the start of the
                 // following record too, so up to two records may go.
-                let total = 1 + s.stacks.len() + s.series.len() + usize::from(s.degrees.is_some());
+                let total =
+                    1 + s.report.context.len() + s.series.len() + usize::from(s.degrees.is_some());
                 assert!(total >= 4, "flip at {byte} lost too much: {total}");
             }
         }
@@ -749,10 +702,13 @@ mod tests {
         let damaged = text.replacen("alloc 40B", "XXXXX 40B", 1);
         let (salvaged, stats) = IncidentBundle::salvage_bytes(damaged.as_bytes());
         let s = salvaged.expect("meta survives");
-        assert_eq!(s.meta, b.meta);
+        assert_eq!(
+            s.report.context,
+            b.report.context[1..],
+            "only the damaged stack is lost"
+        );
         assert_eq!(s.series, b.series);
         assert_eq!(s.degrees, b.degrees);
-        assert_eq!(s.stacks.len(), 1, "only the damaged stack is lost");
         assert_eq!(stats.skipped, 1);
         assert!(!stats.complete);
     }
@@ -771,37 +727,53 @@ mod tests {
         assert!(!stats.complete);
     }
 
+    /// Re-frames every record of `bytes` after `edit` rewrites its
+    /// payload (the CRC covers the edited payload).
+    fn reframe(bytes: &[u8], edit: impl Fn(&str) -> String) -> String {
+        let mut out = String::new();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            let (payload, next) = parse_frame(INCIDENT_MAGIC, bytes, pos).unwrap();
+            out.push_str(&frame_with_magic(INCIDENT_MAGIC, &edit(payload)));
+            pos = next;
+        }
+        out
+    }
+
     #[test]
     fn v1_bundles_without_full_distributions_still_load() {
-        // Reproduce a v1 writer: take the current frames, strip the v2
-        // full-resolution fields from each payload, stamp version 1,
-        // and re-frame (the CRC covers the edited payload).
+        // Reproduce a v1 writer: strip the fields v2 and v3 added, and
+        // stamp format 1 with v1's `version` and `source` meta keys.
         let mut b = sample_bundle();
         if let Some(d) = &mut b.degrees {
             d.indeg_full.clear();
             d.outdeg_full.clear();
         }
-        let bytes = b.to_bytes().unwrap();
-        let mut v1 = String::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let (payload, next) = parse_frame(INCIDENT_MAGIC, &bytes, pos).unwrap();
-            let downgraded = payload
-                .replace("\"indeg_full\":[],", "")
+        let v1 = reframe(&b.to_bytes().unwrap(), |payload| {
+            payload
                 .replace(",\"indeg_full\":[]", "")
-                .replace("\"outdeg_full\":[],", "")
                 .replace(",\"outdeg_full\":[]", "")
-                .replace("\"format\":2", "\"format\":1")
-                .replace("\"version\":2", "\"version\":1");
-            v1.push_str(&frame_with_magic(INCIDENT_MAGIC, &downgraded));
-            pos = next;
-        }
+                .replace(",\"sample_rate\":0.5,\"band_distance\":1.25", "")
+                .replace(",\"context\":[]", "")
+                .replace("\"format\":3", "\"format\":1")
+                .replace(
+                    "{\"meta\":{",
+                    "{\"meta\":{\"version\":1,\"source\":\"detector\",",
+                )
+        });
         assert!(
-            !v1.contains("indeg_full"),
-            "v1 image still carries v2 fields"
+            v1.contains("\"source\"")
+                && !v1.contains("indeg_full")
+                && !v1.contains("sample_rate")
+                && !v1.contains("context"),
+            "not a v1 image: {v1}"
         );
         let back = IncidentBundle::from_bytes_strict(v1.as_bytes()).unwrap();
-        assert_eq!(back.meta.version, 1);
+        assert_eq!(
+            (back.report.sample_rate, back.report.band_distance),
+            (1.0, 0.0)
+        );
+        assert_eq!(back.report.context, b.report.context);
         let d = back.degrees.expect("bucketed degrees survive");
         assert_eq!(d.indeg, b.degrees.as_ref().unwrap().indeg);
         assert!(d.indeg_full.is_empty() && d.outdeg_full.is_empty());
@@ -819,23 +791,27 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_rejected() {
-        let mut b = sample_bundle();
-        b.meta.version = INCIDENT_FORMAT_VERSION + 1;
-        assert!(matches!(b.validate(), Err(HeapMdError::Corrupt { .. })));
-        assert!(b.save(std::env::temp_dir().join("never.hmdi")).is_err());
+    fn future_format_is_rejected() {
+        let future = reframe(&sample_bundle().to_bytes().unwrap(), |payload| {
+            payload.replace("\"format\":3", "\"format\":4")
+        });
+        assert!(matches!(
+            IncidentBundle::from_bytes_strict(future.as_bytes()),
+            Err(HeapMdError::Corrupt { .. })
+        ));
     }
 
     #[test]
     fn non_finite_and_inverted_ranges_are_rejected() {
         let mut b = sample_bundle();
-        b.meta.value = f64::NAN;
+        b.report.value = f64::NAN;
         assert!(b.validate().is_err());
         let mut b = sample_bundle();
-        b.meta.range = (5.0, 1.0);
+        b.report.range = (5.0, 1.0);
         assert!(b.validate().is_err());
+        assert!(b.save(std::env::temp_dir().join("never.hmdi")).is_err());
         let mut b = sample_bundle();
-        b.meta.slope = f64::INFINITY;
+        b.slope = f64::INFINITY;
         assert!(b.validate().is_err());
     }
 

@@ -91,7 +91,8 @@ mod trace_codec;
 mod trace_stream;
 
 pub use bug::{
-    AnomalyKind, BugCategory, BugReport, DetectionClass, Direction, LogPhase, StackLogEntry,
+    render_verdicts, AnomalyKind, BugCategory, BugReport, DetectionClass, Direction, LogPhase,
+    StackLogEntry,
 };
 pub use callstack::{FuncId, FunctionTable};
 pub use checkpoint::{TrainCheckpoint, CHECKPOINT_FORMAT_VERSION};
@@ -99,8 +100,8 @@ pub use detector::AnomalyDetector;
 pub use error::HeapMdError;
 pub use fluctuation::{percent_changes, FluctuationStats};
 pub use incident::{
-    BundleSalvageStats, DegreeSnapshot, IncidentBundle, IncidentLog, IncidentMeta, SeriesData,
-    DEGREE_BUCKETS, INCIDENT_FORMAT_VERSION, INCIDENT_MAGIC,
+    BundleSalvageStats, DegreeSnapshot, IncidentBundle, IncidentLog, SeriesData, DEGREE_BUCKETS,
+    INCIDENT_FORMAT_VERSION, INCIDENT_MAGIC,
 };
 pub use model::{
     sampling_widen, HeapModel, MetricSummary, ModelBuilder, ModelOutcome, StableMetric,

@@ -70,7 +70,7 @@ pub mod client;
 pub mod session;
 
 use crate::bug::BugReport;
-use crate::detector::AnomalyDetector;
+use crate::detector::{AnomalyDetector, Band, BandPolicy};
 use crate::error::HeapMdError;
 use crate::incident::IncidentLog;
 use crate::model::HeapModel;
@@ -475,32 +475,22 @@ fn shard_for(tenant: &str, shards: usize) -> usize {
 fn update_live(t: &mut ShardTenant) {
     let samples = &t.replayer.samples()[t.gauged..];
     let model = &t.model;
-    let s = &model.settings;
     let stable = &model.stable;
     for _ in samples {
         t.stats.record_sample();
     }
-    // Confidence widening: the mismatch ratio of the stream's sampling
-    // rate (recorded, or measured by the daemon's live filter) and the
-    // model's calibration-time rate, as the detector computes it
-    // (rate-matched calibration needs no widening; a rate gap widens
-    // by the ratio).
-    let model_rate = if model.sample_rate.is_finite() && model.sample_rate > 0.0 {
-        model.sample_rate
-    } else {
-        1.0
-    };
-    let stream_rate = t.replayer.effective_rate();
-    let rate = stream_rate.min(model_rate) / stream_rate.max(model_rate).max(f64::MIN_POSITIVE);
+    // The detector's bands, for the stream's sampling rate (recorded,
+    // or measured by the daemon's live filter).
+    let policy = BandPolicy::new(
+        model.sample_rate,
+        t.replayer.effective_rate(),
+        &model.settings,
+    );
     let mut gauges = Vec::with_capacity(stable.len());
     let mut crossings = 0u64;
     let mut armed = false;
     for (slot, sm) in stable.iter().enumerate() {
-        let (min, max) = (sm.min, sm.max);
-        let widen = crate::model::sampling_widen(max - min, rate);
-        let lo = min - s.range_margin - widen;
-        let hi = max + s.range_margin + widen;
-        let near = (max - min).max(0.5) * s.near_edge_frac;
+        let Band { lo, hi, near } = policy.band(sm.min, sm.max);
         let mut was_out = t.last_out[slot];
         let (mut value, mut distance, mut status) = (0.0, 0.0, STATUS_OK);
         for sample in samples {

@@ -2,8 +2,8 @@
 
 use crate::fault_ids::{BINTREE_SINGLE_CHILD, BINTREE_SKIP_PARENT};
 use faults::{FaultId, FaultPlan};
+use fxhash::FxHashMap;
 use heapmd::{Addr, AllocSite, HeapError, Process, NULL};
-use std::collections::HashMap;
 
 /// Node layout: `[0] = left, [8] = right, [16] = parent, [24] = key`.
 const LEFT: u64 = 0;
@@ -63,7 +63,9 @@ heapmd::interned! {
 #[derive(Debug, Clone)]
 pub struct SimBinTree {
     root: Addr,
-    keys: HashMap<Addr, u64>,
+    /// Node keys. An unkeyed hasher makes the iteration order (and so
+    /// `touch_all`'s reads) depend only on the operations applied.
+    keys: FxHashMap<Addr, u64>,
     len: usize,
     site: AllocSite,
     fns: Fns,
@@ -87,7 +89,7 @@ impl SimBinTree {
     ) -> Self {
         SimBinTree {
             root: NULL,
-            keys: HashMap::new(),
+            keys: FxHashMap::default(),
             len: 0,
             site: p.site(&format!("{site}::tree_node")),
             fns: Fns::new(p),

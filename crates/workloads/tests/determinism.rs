@@ -3,6 +3,7 @@
 //! this: trained models and archived results must be regenerable.)
 
 use faults::{FaultConfig, FaultPlan};
+use heapmd::Process;
 use sim_ds::fault_ids::DLIST_SKIP_PREV;
 use workloads::harness::{run_once, settings_for};
 use workloads::{commercial_at_version, Input};
@@ -35,6 +36,22 @@ fn buggy_runs_are_reproducible_too() {
     let a = run_once(w.as_ref(), &Input::new(9), &mut plan(), &settings);
     let b = run_once(w.as_ref(), &Input::new(9), &mut plan(), &settings);
     assert_eq!(a.samples, b.samples);
+}
+
+/// Two recordings of one run are the same bytes: no structure's event
+/// order depends on a per-process hash seed (webapp's trees read every
+/// node in key-table order).
+#[test]
+fn recordings_are_byte_identical() {
+    let record = || {
+        let w = commercial_at_version("webapp", 1);
+        let mut p = Process::new(settings_for(w.as_ref()));
+        p.enable_trace();
+        w.run(&mut p, &mut FaultPlan::new(), &Input::new(3))
+            .unwrap();
+        p.take_trace().unwrap().encode_binary()
+    };
+    assert!(record() == record(), "webapp input 3 records differently");
 }
 
 #[test]

@@ -71,12 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = Trace::load_binary(dir.join("crash.hmdt"))?;
     let bugs = trace.check(&model, &settings)?;
     println!("post-mortem found {} anomalies", bugs.len());
-    for b in bugs.iter().take(3) {
-        println!("  {b}");
-        let funcs = b.implicated_functions();
-        if !funcs.is_empty() {
-            println!("    implicated: {funcs:?}");
-        }
-    }
+    print!("{}", heapmd::render_verdicts(&bugs[..bugs.len().min(3)]));
     Ok(())
 }

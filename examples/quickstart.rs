@@ -82,7 +82,6 @@ fn main() {
     let det = detector.borrow();
     if let Some(bug) = det.bugs().first() {
         println!("\nOnline report with call-stack context:");
-        println!("  {bug}");
-        println!("  implicated: {:?}", bug.implicated_functions());
+        print!("{}", heapmd::render_verdicts(std::slice::from_ref(bug)));
     }
 }

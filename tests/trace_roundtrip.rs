@@ -3,9 +3,9 @@
 
 use faults::FaultPlan;
 use heapmd::{
-    check_paths_parallel, load_trace_auto, push_trace_resumable, AnomalyDetector, FuncId,
-    HeapEvent, ModelBuilder, Process, SamplerConfig, ServeConfig, Server, SessionOptions, Settings,
-    Trace, WireFrame, WireReader,
+    check_paths_parallel, load_trace_auto, push_trace_resumable, render_verdicts, AnomalyDetector,
+    BugReport, FuncId, HeapEvent, IncidentBundle, ModelBuilder, Process, SamplerConfig,
+    ServeConfig, Server, SessionOptions, Settings, Trace, WireFrame, WireReader,
 };
 use sim_ds::{fault_ids::DLIST_SKIP_PREV, SimDList};
 use std::cell::RefCell;
@@ -200,6 +200,15 @@ fn live_offline_and_serve_agree_on_a_long_run() {
     assert!(report.len() > 60, "{} points", report.len());
     let live = detector.borrow_mut().take_bugs();
     assert!(!live.is_empty(), "the bug must be detected live");
+    let live_text = render_verdicts(&live);
+    // Every bundle holds the report it was raised for.
+    let holds_its_report = |bundles: &[IncidentBundle], bugs: &[BugReport]| {
+        assert!(!bundles.is_empty(), "the crossing leaves a bundle");
+        for b in bundles {
+            assert!(bugs.contains(&b.report), "{:?} is not a verdict", b.report);
+        }
+    };
+    holds_its_report(detector.borrow().incidents(), &live);
 
     let offline = trace.check(&model, &settings).unwrap();
     assert_eq!(live, offline, "live == trace.check");
@@ -211,13 +220,14 @@ fn live_offline_and_serve_agree_on_a_long_run() {
     let filed = check_paths_parallel(&[path], &model, &settings, 1, false, 1, None)
         .pop()
         .unwrap()
-        .unwrap()
-        .bugs;
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(live, filed, "live == check of the .hmdt file");
+        .unwrap();
+    assert_eq!(live, filed.bugs, "live == check of the .hmdt file");
+    assert_eq!(live_text, render_verdicts(&filed.bugs));
+    holds_its_report(&filed.incidents, &filed.bugs);
 
     let mut config = ServeConfig::new(model);
     config.shards = 1;
+    config.incident_dir = Some(dir.join("incidents"));
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").unwrap();
     push_trace_resumable(server.ingest_addr(), "t", &trace, SessionOptions::default()).unwrap();
     let fleet = server.fleet();
@@ -229,6 +239,14 @@ fn live_offline_and_serve_agree_on_a_long_run() {
     let outcome = server.wait().tenants.remove("t").unwrap();
     assert!(!outcome.partial, "{outcome:?}");
     assert_eq!(live, outcome.bugs, "live == serve");
+    assert_eq!(live_text, render_verdicts(&outcome.bugs));
+    let served: Vec<IncidentBundle> = outcome
+        .bundle_paths
+        .iter()
+        .map(|p| IncidentBundle::load(p).unwrap())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    holds_its_report(&served, &outcome.bugs);
 }
 
 /// A streaming process writes its function table ahead of the first
