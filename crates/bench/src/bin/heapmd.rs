@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! heapmd list                                   # programs and catalogued bugs
-//! heapmd run <program> [--input K] [--version V] [--bug FAULT] [--shards N]
+//! heapmd run <program> [--input K] [--version V] [--bug FAULT]
 //!                      [--trace-out FILE] [--sample] [--sample-hot-threshold N]
 //!                      [--sample-decimation N] [--model FILE] [--incidents DIR]
 //! heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local]
@@ -10,8 +10,7 @@
 //!                        [--resume] [--threads N]
 //! heapmd check --model FILE --trace FILE [--trace FILE …] [--jobs N] [--shards N]
 //!              [--salvage] [--sample]
-//! heapmd replay --model FILE --trace FILE [--salvage] [--shards N]
-//!               [--sample] [--sample-hot-threshold N] [--sample-decimation N]
+//! heapmd replay …                               # the same command as check
 //! heapmd inspect <artifact> [--salvage]         # bundle or trace, by magic
 //! heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N]
 //!              [--queue-events N] [--incidents DIR] [--prom-dump FILE]
@@ -26,30 +25,32 @@
 //!
 //! `run` is the only command that executes a program under the logger:
 //! with `--model` it is the paper's online check, with `--trace-out` it
-//! records the trace that `check --trace` / `replay` later check
-//! post-mortem. Every subcommand refuses (exit 2) a flag it does not
-//! read and a word beyond its positionals (`run`, `train` and `inspect`
-//! take one, the others none). A model trained with `--metrics
-//! candidates` checks its calibrated extended metrics through the same
-//! verdict path as the paper seven: their range violations print, exit
-//! 3 and write bundles.
+//! records the trace that `check --trace` later checks post-mortem
+//! (`replay` is another name for `check`). Every subcommand refuses
+//! (exit 2) a flag it does not read and a word beyond its positionals
+//! (`run`, `train` and `inspect` take one, the others none). A model
+//! trained with `--metrics candidates` checks its calibrated extended
+//! metrics through the same verdict path as the paper seven: their
+//! range violations print, exit 3 and write bundles.
 //!
 //! Robustness features:
 //!
 //! - `run --trace-out FILE` streams the block-based binary codec
 //!   ([`heapmd::BinaryTraceWriter`], `HMDB1`) as the run goes, so
 //!   memory stays flat and completed blocks salvage at block
-//!   granularity; if a run dies mid-way, `replay --salvage` recovers
+//!   granularity; if a run dies mid-way, `check --salvage` recovers
 //!   what was flushed.
 //! - `train --checkpoint-every N` writes an atomic resume checkpoint
 //!   (`<out>.ckpt`) after every N training inputs, in the CRC-protected
 //!   binary container; `train --resume` produces the same model an
 //!   uninterrupted run would have.
-//! - `replay` / `check --trace` / `push` / `inspect` read binary and
+//! - `check --trace` / `push` / `inspect` read binary and
 //!   framed-JSONL (`HMDT1`) traces alike, by magic bytes; `--salvage`
 //!   accepts damaged inputs and reports what was lost.
 //! - `check --trace A --trace B … --jobs N` fans offline trace checks
 //!   across a scoped thread pool with deterministic input-order output.
+//! - A closed stdout (`heapmd list | head -1`) ends the process with
+//!   status 141 (128 + SIGPIPE) and nothing on stderr.
 //! - `run --model FILE [--incidents DIR]` attaches the anomaly
 //!   detector with the flight recorder enabled: every surviving range
 //!   violation is written as a CRC-framed incident bundle, which
@@ -113,6 +114,36 @@ use std::rc::Rc;
 use workloads::bugs::{CATALOG, SWAT_ONLY};
 use workloads::harness::{run_many, run_once, settings_for, FLIGHT_RECORDER_POINTS};
 use workloads::{commercial_at_version, registry, Input, Workload, WorkloadKind};
+
+// Every `print!`/`println!` below goes through `write_stdout`, which
+// exits quietly when stdout is closed instead of panicking.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that went away (`heapmd list | head -1`)
+/// ends the process with status 141, 128 + SIGPIPE, as a shell tool
+/// killed by the signal would, and nothing on stderr.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn find_program(name: &str, version: u8) -> Option<Box<dyn Workload>> {
     let w = registry().into_iter().find(|w| w.name() == name)?;
@@ -190,13 +221,6 @@ fn known_flags(
     words
 }
 
-/// The `--shards N` heap-graph shard count for `run`/`check`/`replay`:
-/// defaults to 1, the single-slab graph. Observables are bit-identical
-/// at every value.
-fn shards_flag(args: &[String]) -> usize {
-    num_flag(args, "--shards", "a number", 1usize)
-}
-
 /// The production-overhead sampling flags shared by `run`, `check`,
 /// `serve`, and `push`: `--sample` turns the adaptive store sampler on
 /// at the production default; `--sample-hot-threshold N` and
@@ -259,7 +283,7 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay --model FILE --trace FILE [--salvage] [--shards N] [--sample] [--sample-hot-threshold N] [--sample-decimation N]\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
@@ -299,7 +323,7 @@ fn cmd_run(args: &[String]) -> i32 {
     let words = known_flags(
         "run",
         args,
-        "--input --version --bug --shards --trace-out --model --incidents \
+        "--input --version --bug --trace-out --model --incidents \
          --run-store --serve --tenant --session --retry --backoff-ms \
          --sample-hot-threshold --sample-decimation",
         "--sample",
@@ -319,13 +343,12 @@ fn cmd_run(args: &[String]) -> i32 {
     };
     let settings = settings_for(w.as_ref());
     let mut plan = fault_plan_for(args);
-    let shards = shards_flag(args);
     let run_store = run_store_flag(args);
     info!(
-        "running {program} v{version} on input {input_id} (frq {}, {shards} graph shard(s))",
+        "running {program} v{version} on input {input_id} (frq {})",
         settings.frq
     );
-    let mut p = Process::with_shards(settings.clone(), shards);
+    let mut p = Process::new(settings.clone());
     if let Some(config) = sampler_flag(args) {
         info!(
             "store sampling on: full fidelity for a site's first {} stores, 1/{} after",
@@ -634,10 +657,11 @@ fn cmd_train(args: &[String]) -> i32 {
     0
 }
 
-/// `check --model FILE --trace A [--trace B …] [--jobs N] [--salvage]`:
-/// fans the trace checks across a scoped thread pool and prints
-/// per-trace verdicts **in input order** regardless of worker
-/// scheduling. With `--run-store`, each trace's metric samples append
+/// `check --model FILE --trace A [--trace B …] [--jobs N] [--salvage]`
+/// (also spelled `replay`): fans the trace checks across a scoped
+/// thread pool and prints per-trace verdicts **in input order**
+/// regardless of worker scheduling, each salvaged trace's recovery
+/// line first. With `--run-store`, each trace's metric samples append
 /// as `check` rows.
 fn cmd_check(args: &[String]) -> i32 {
     known_flags(
@@ -682,7 +706,9 @@ fn cmd_check(args: &[String]) -> i32 {
         &model.settings,
         jobs,
         salvage,
-        shards_flag(args),
+        // Graph shards: 1 is the single-slab graph; observables are
+        // bit-identical at every count.
+        num_flag(args, "--shards", "a number", 1usize),
         sampler,
     );
     let (mut failed, mut anomalies) = (false, false);
@@ -698,6 +724,9 @@ fn cmd_check(args: &[String]) -> i32 {
                 continue;
             }
         };
+        if let Some(stats) = &out.salvage {
+            report_salvage(path, stats);
+        }
         let rate = out.sampling.map_or(1.0, |s| s.rate());
         if let Some(store) = &run_store {
             let src = RowSource {
@@ -1036,65 +1065,6 @@ fn report_salvage(path: &str, stats: &SalvageStats) {
             "salvaged {} of {} bytes ({} events) from {path}; damage at byte {offset}: {reason}",
             stats.valid_bytes, stats.total_bytes, stats.events
         );
-    }
-}
-
-fn cmd_replay(args: &[String]) -> i32 {
-    known_flags(
-        "replay",
-        args,
-        "--model --trace --shards --sample-hot-threshold \
-         --sample-decimation",
-        "--salvage --sample",
-        0,
-    );
-    let Some(model_path) = arg_value(args, "--model") else {
-        usage()
-    };
-    let Some(trace_path) = arg_value(args, "--trace") else {
-        usage()
-    };
-    let salvage = args.iter().any(|a| a == "--salvage");
-    let model = match HeapModel::load(&model_path) {
-        Ok(m) => m,
-        Err(e) => {
-            error!("cannot load model {model_path}: {e}");
-            return 1;
-        }
-    };
-    let shards = shards_flag(args);
-    info!("replaying {trace_path} ({shards} graph shard(s))");
-    let paths = [PathBuf::from(&trace_path)];
-    let checked = heapmd::check_paths_parallel(
-        &paths,
-        &model,
-        &model.settings,
-        1,
-        salvage,
-        shards,
-        sampler_flag(args),
-    )
-    .remove(0);
-    let out = match checked {
-        Ok(out) => out,
-        Err(e) => {
-            error!("cannot replay trace {trace_path}: {e}");
-            if !salvage {
-                eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
-            }
-            return 1;
-        }
-    };
-    if let Some(stats) = &out.salvage {
-        report_salvage(&trace_path, stats);
-    }
-    if out.bugs.is_empty() {
-        println!("no anomalies in trace");
-        0
-    } else {
-        println!("{} anomaly report(s):", out.bugs.len());
-        print!("{}", render_verdicts(&out.bugs));
-        3
     }
 }
 
@@ -1611,8 +1581,7 @@ fn main() {
         Some("list") => cmd_list(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("train") => cmd_train(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
+        Some("check" | "replay") => cmd_check(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),

@@ -3,9 +3,9 @@
 //! combinations whose output could not carry the run's sampling
 //! outcome — before it runs anything; and `run --model`, its one live
 //! check, agrees with the post-mortem `check` of the run's own
-//! recording.
+//! recording. A closed stdout ends it quietly.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_heapmd-cli");
 
@@ -62,6 +62,7 @@ fn unknown_flags_and_removed_commands_are_usage_errors() {
         (&["check", "--model", "m"][..], Some("--trace")),
         (&["run", "gzip", "--format", "jsonl"][..], Some("--format")),
         (&["run", "gzip", "--bogus"][..], Some("--bogus")),
+        (&["run", "gzip", "--shards", "2"][..], Some("--shards")),
         (
             &["check", "--input", "5", "--trace", trace][..],
             Some("--input"),
@@ -116,4 +117,23 @@ fn run_with_a_model_matches_check_of_its_recording() {
     assert_eq!(checked.status.code(), Some(3));
     assert!(!bug_block(&live).is_empty());
     assert_eq!(bug_block(&live), bug_block(&checked));
+}
+
+/// A reader that goes away (`heapmd-cli list | true`) ends the CLI with
+/// status 141, 128 + SIGPIPE, as a shell tool killed by the signal
+/// would, and nothing on stderr: no panic, no backtrace. The reader is
+/// dropped before the CLI starts, so its first write already fails.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let child = Command::new(BIN)
+        .arg("list")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn heapmd-cli");
+    let out = child.wait_with_output().expect("wait for heapmd-cli");
+    assert_eq!(out.status.code(), Some(141), "{}", stderr(&out));
+    assert!(out.stderr.is_empty(), "{}", stderr(&out));
 }

@@ -201,22 +201,23 @@ impl ModelBuilder {
 mod tests {
     use super::*;
     use crate::report::{MetricReport, MetricSample};
-    use heap_graph::{MetricVector, METRIC_COUNT};
+    use heap_graph::{CandidateVector, CANDIDATE_COUNT};
+
+    /// Sample `i` with every metric at `value`.
+    fn flat_sample(i: usize, value: f64) -> MetricSample {
+        MetricSample {
+            seq: i,
+            fn_entries: i as u64,
+            tick: i as u64,
+            nodes: 10,
+            edges: 5,
+            dangling: 0,
+            values: CandidateVector::from_array([value; CANDIDATE_COUNT]),
+        }
+    }
 
     fn report(run: &str, value: f64, n: usize) -> MetricReport {
-        let samples = (0..n)
-            .map(|i| MetricSample {
-                seq: i,
-                fn_entries: i as u64,
-                tick: i as u64,
-                metrics: MetricVector::from_array([value; METRIC_COUNT]),
-                nodes: 10,
-                edges: 5,
-                dangling: 0,
-                candidates: None,
-            })
-            .collect();
-        MetricReport::new(run, samples)
+        MetricReport::new(run, (0..n).map(|i| flat_sample(i, value)).collect())
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -263,18 +264,7 @@ mod tests {
         let settings = Settings::default();
         let phase = |run: &str| {
             let samples = (0..40)
-                .map(|i| MetricSample {
-                    seq: i,
-                    fn_entries: i as u64,
-                    tick: i as u64,
-                    metrics: MetricVector::from_array(
-                        [if i < 20 { 10.0 } else { 30.0 }; METRIC_COUNT],
-                    ),
-                    nodes: 10,
-                    edges: 5,
-                    dangling: 0,
-                    candidates: None,
-                })
+                .map(|i| flat_sample(i, if i < 20 { 10.0 } else { 30.0 }))
                 .collect();
             MetricReport::new(run, samples)
         };
@@ -371,17 +361,10 @@ mod tests {
 
     #[test]
     fn summaries_outside_the_mode_family_are_refused() {
-        let with_candidates = |run: &str| {
-            let mut r = report(run, 40.0, 30);
-            for s in &mut r.samples {
-                s.candidates = Some(heap_graph::CandidateVector::zero());
-            }
-            r
-        };
         let mut paper = ModelBuilder::new(Settings::default());
-        paper.add_run(&with_candidates("r0"));
+        paper.add_run(&report("r0", 40.0, 30));
         let mut cand = ModelBuilder::new(Settings::default()).candidate_metrics(true);
-        cand.add_run(&with_candidates("r0"));
+        cand.add_run(&report("r0", 40.0, 30));
         assert!(paper.checkpoint(1).validate().is_ok());
         assert!(cand.checkpoint(1).validate().is_ok());
 

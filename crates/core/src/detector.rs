@@ -367,7 +367,7 @@ impl AnomalyDetector {
         if !warmup {
             self.post_warmup_samples += 1;
             for (kind, values) in &mut self.unstable {
-                values.push(sample.metrics.get(*kind));
+                values.push(sample.metric(*kind));
             }
         }
 
@@ -377,11 +377,7 @@ impl AnomalyDetector {
             let st = &self.states[i];
             let Band { lo, hi, near } = policy.band(st.sm.min, st.sm.max);
             let (last, kind) = (st.last, st.sm.kind);
-            // An extended metric on a sample replayed from an artifact
-            // that predates the widened family has no value to check.
-            let Some(v) = sample.candidate(kind) else {
-                continue;
-            };
+            let v = sample.metric(kind);
             let slope = last.map(|l| v - l).unwrap_or(0.0);
 
             if warmup {
@@ -504,7 +500,7 @@ impl AnomalyDetector {
                     .map(|r| r.1 - r.0)
                     .fold(0.0_f64, f64::max);
                 let margin = policy.slack(bw);
-                let v = sample.metrics.get(st.lm.kind);
+                let v = sample.metric(st.lm.kind);
                 if st.lm.contains(v, margin) {
                     st.in_violation = false;
                 } else if !st.in_violation {
@@ -715,7 +711,7 @@ impl Monitor for AnomalyDetector {
 mod tests {
     use super::*;
     use crate::model::StableMetric;
-    use heap_graph::{CandidateKind, MetricVector, METRIC_COUNT};
+    use heap_graph::{CandidateKind, CandidateVector, CANDIDATE_COUNT, METRIC_COUNT};
 
     fn model_with(kind: impl Into<CandidateKind>, min: f64, max: f64) -> HeapModel {
         let kind = kind.into();
@@ -748,24 +744,29 @@ mod tests {
     }
 
     fn sample(seq: usize, kind: MetricKind, value: f64) -> MetricSample {
-        let mut metrics = MetricVector::from_array([50.0; METRIC_COUNT]);
-        metrics.set(kind, value);
         // Make non-target metrics noisy so the pathological detector
         // stays quiet in these tests.
-        for other in MetricKind::ALL {
-            if other != kind {
-                metrics.set(other, if seq.is_multiple_of(2) { 20.0 } else { 60.0 });
-            }
-        }
+        let noisy = if seq.is_multiple_of(2) { 20.0 } else { 60.0 };
+        let mut values = CandidateVector::from_array([noisy; CANDIDATE_COUNT]);
+        values.set(kind.into(), value);
         MetricSample {
-            seq,
             fn_entries: (seq as u64 + 1) * 100,
             tick: (seq as u64 + 1) * 1000,
-            metrics,
             nodes: 100,
             edges: 50,
+            ..at(seq, values)
+        }
+    }
+
+    fn at(seq: usize, values: CandidateVector) -> MetricSample {
+        MetricSample {
+            seq,
+            fn_entries: seq as u64,
+            tick: seq as u64,
+            nodes: 10,
+            edges: 0,
             dangling: 0,
-            candidates: None,
+            values,
         }
     }
 
@@ -918,32 +919,20 @@ mod tests {
         let model = model_with(MetricKind::Indeg1, 0.0, 100.0);
         let mut det = AnomalyDetector::new(model, settings());
         for i in 0..20 {
-            let mut metrics = MetricVector::from_array([0.0; METRIC_COUNT]);
-            metrics.set(MetricKind::Indeg1, 50.0);
-            metrics.set(MetricKind::Roots, 25.0); // flat: unexpected
-                                                  // keep the rest noisy
+            let mut values = CandidateVector::zero();
+            values.set(CandidateKind::Indeg1, 50.0);
+            values.set(CandidateKind::Roots, 25.0); // flat: unexpected
+                                                    // keep the rest noisy
             for k in [
-                MetricKind::Indeg2,
-                MetricKind::Leaves,
-                MetricKind::Outdeg1,
-                MetricKind::Outdeg2,
-                MetricKind::InEqOut,
+                CandidateKind::Indeg2,
+                CandidateKind::Leaves,
+                CandidateKind::Outdeg1,
+                CandidateKind::Outdeg2,
+                CandidateKind::InEqOut,
             ] {
-                metrics.set(k, if i % 2 == 0 { 10.0 } else { 70.0 });
+                values.set(k, if i % 2 == 0 { 10.0 } else { 70.0 });
             }
-            det.scan_sample(
-                &MetricSample {
-                    seq: i,
-                    fn_entries: i as u64,
-                    tick: i as u64,
-                    metrics,
-                    nodes: 10,
-                    edges: 0,
-                    dangling: 0,
-                    candidates: None,
-                },
-                None,
-            );
+            det.scan_sample(&at(i, values), None);
         }
         det.finish_scan();
         let patho: Vec<_> = det
@@ -957,7 +946,6 @@ mod tests {
 
     #[test]
     fn extended_metrics_take_no_pinned_or_stability_verdicts() {
-        use heap_graph::{CandidateVector, CANDIDATE_COUNT};
         // `pinned` sits glued to the minimum of [13, 33] without
         // crossing; `flat` was never stable in training and holds still.
         let check = |pinned: CandidateKind, flat: CandidateKind| -> Vec<BugReport> {
@@ -966,17 +954,10 @@ mod tests {
             let mut det = AnomalyDetector::new(model, settings());
             for i in 0..20 {
                 let noisy = if i % 2 == 0 { 20.0 } else { 60.0 };
-                let mut cands = CandidateVector::from_array([noisy; CANDIDATE_COUNT]);
-                cands.set(pinned, 13.0 + (i % 3) as f64 * 0.02);
-                cands.set(flat, 25.0);
-                let mut metrics = MetricVector::zero();
-                for k in MetricKind::ALL {
-                    metrics.set(k, cands.get(k.into()));
-                }
-                let mut s = sample(i, MetricKind::Roots, 0.0);
-                s.metrics = metrics;
-                s.candidates = Some(cands);
-                det.scan_sample(&s, None);
+                let mut values = CandidateVector::from_array([noisy; CANDIDATE_COUNT]);
+                values.set(pinned, 13.0 + (i % 3) as f64 * 0.02);
+                values.set(flat, 25.0);
+                det.scan_sample(&at(i, values), None);
             }
             det.finish_scan();
             det.bugs
@@ -1008,14 +989,9 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let mut s = sample(i, MetricKind::Roots, 0.0);
-            let mut cands = heap_graph::CandidateVector::zero();
-            cands.set(CandidateKind::MaxInDegree, v);
-            s.candidates = Some(cands);
-            det.scan_sample(&s, None);
-            // A sample without the widened family has nothing to check.
-            s.candidates = None;
-            det.scan_sample(&s, None);
+            let mut values = CandidateVector::zero();
+            values.set(CandidateKind::MaxInDegree, v);
+            det.scan_sample(&at(i, values), None);
         }
         det.finish_scan();
         assert_eq!(det.bugs.len(), 1, "{:?}", det.bugs);
@@ -1042,22 +1018,9 @@ mod tests {
         // Values in either band are fine; 20 (between bands) is not.
         let values = [11.0, 11.0, 31.0, 11.0, 20.0, 31.0, 11.0, 31.0, 30.5, 31.0];
         for (i, &v) in values.iter().enumerate() {
-            let mut metrics = MetricVector::from_array([50.0; METRIC_COUNT]);
-            metrics.set(MetricKind::Indeg1, 50.0);
-            metrics.set(MetricKind::Leaves, v);
-            det.scan_sample(
-                &MetricSample {
-                    seq: i,
-                    fn_entries: i as u64,
-                    tick: i as u64,
-                    metrics,
-                    nodes: 10,
-                    edges: 0,
-                    dangling: 0,
-                    candidates: None,
-                },
-                None,
-            );
+            let mut values = CandidateVector::from_array([50.0; CANDIDATE_COUNT]);
+            values.set(CandidateKind::Leaves, v);
+            det.scan_sample(&at(i, values), None);
         }
         det.finish_scan();
         let local: Vec<_> = det

@@ -122,9 +122,9 @@ pub use trace::{Trace, TraceCheckOutcome};
 pub use trace_codec::{
     check_binary_sharded, check_paths_parallel, encode_sampling_meta, load_trace_auto,
     replay_binary, replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded,
-    sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter,
-    BlockEntry, BlockIndex, StreamFormat, WireFrame, WireReader, BINARY_FORMAT_VERSION,
-    BINARY_MAGIC, EVENTS_PER_BLOCK,
+    run_pool, sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader,
+    BinaryTraceWriter, BlockEntry, BlockIndex, StreamFormat, WireFrame, WireReader,
+    BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 pub use trace_stream::{frame_record, SalvageStats, TraceReader, TraceWriter, STREAM_MAGIC};
 

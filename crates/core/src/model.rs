@@ -444,95 +444,6 @@ impl ModelBuilder {
         self
     }
 
-    /// Summarizes `reports` on up to `threads` scoped worker threads and
-    /// adds them to the pool in input order.
-    ///
-    /// Deterministic by construction: [`summarize_run`] is a pure
-    /// function of `(report, settings)`, each worker writes its results
-    /// into slots addressed by input index, and the pool is appended in
-    /// index order afterwards — so the builder state (and any model or
-    /// checkpoint derived from it) is bit-identical to calling
-    /// [`add_run`](Self::add_run) sequentially, whatever `threads` is.
-    ///
-    /// Reports per-stage throughput and thread utilization through
-    /// `heapmd-obs` (`model_train_summarize` stage).
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker thread (as the sequential
-    /// path would).
-    pub fn add_runs_parallel(&mut self, reports: &[MetricReport], threads: usize) -> &mut Self {
-        let workers = threads.max(1).min(reports.len());
-        if workers <= 1 {
-            for report in reports {
-                self.add_run(report);
-            }
-            return self;
-        }
-        let clock = heapmd_obs::throughput::stage_clock();
-        let settings = &self.settings;
-        let include_local = self.include_local;
-        let kinds = metric_set(self.include_candidates);
-        type Summarized = Option<(RunSummary, Option<Vec<Vec<f64>>>)>;
-        let mut results: Vec<Summarized> = vec![None; reports.len()];
-        let chunk = reports.len().div_ceil(workers);
-        let busy: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = results
-                .chunks_mut(chunk)
-                .zip(reports.chunks(chunk))
-                .map(|(slots, part)| {
-                    scope.spawn(move || {
-                        let t0 = std::time::Instant::now();
-                        for (slot, report) in slots.iter_mut().zip(part) {
-                            let summary = summarize_run(report, settings, kinds);
-                            let series = if include_local && summary.metrics.is_some() {
-                                Some(
-                                    MetricKind::ALL
-                                        .iter()
-                                        .map(|&k| report.trimmed_series(k, settings))
-                                        .collect(),
-                                )
-                            } else {
-                                None
-                            };
-                            *slot = Some((summary, series));
-                        }
-                        t0.elapsed().as_nanos() as u64
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("summarize worker panicked"))
-                .collect()
-        });
-        for report in reports {
-            if report.sample_rate.is_finite() && report.sample_rate > 0.0 {
-                self.min_sample_rate = self.min_sample_rate.min(report.sample_rate);
-            }
-        }
-        for result in results {
-            let (summary, series) = result.expect("every slot filled");
-            self.series.push(series);
-            self.runs.push(summary);
-        }
-        if let Some(t0) = clock {
-            let wall = (t0.elapsed().as_nanos() as u64).max(1);
-            heapmd_obs::throughput::record_stage(
-                "model_train_summarize",
-                reports.len() as u64,
-                wall,
-            );
-            heapmd_obs::gauge_set!("model_train_threads", workers as i64);
-            let busy_total: u64 = busy.iter().sum();
-            heapmd_obs::gauge_set!(
-                "model_train_thread_utilization_pct",
-                (busy_total.saturating_mul(100)) / (wall * workers as u64)
-            );
-        }
-        self
-    }
-
     /// Number of runs added so far.
     pub fn run_count(&self) -> usize {
         self.runs.len()
@@ -713,40 +624,32 @@ impl ModelBuilder {
 
 /// Summarizes one run over the metric family `kinds`: trims
 /// startup/shutdown, computes fluctuation statistics, and classifies
-/// each metric. A run whose trimmed samples lack a member of `kinds`
-/// (an extended candidate on a sample that never computed the widened
-/// family) is not analysable: a partial series would calibrate from a
-/// biased slice of the run.
+/// each metric.
 pub(crate) fn summarize_run(
     report: &MetricReport,
     settings: &Settings,
     kinds: &[CandidateKind],
 ) -> RunSummary {
     let trimmed = report.trimmed(settings);
-    let metrics = if trimmed.len() < settings.min_samples {
-        None
-    } else {
+    let metrics = (trimmed.len() >= settings.min_samples).then(|| {
         kinds
             .iter()
             .map(|&kind| {
-                let series: Vec<f64> = trimmed
-                    .iter()
-                    .map(|s| s.candidate(kind))
-                    .collect::<Option<_>>()?;
+                let series: Vec<f64> = trimmed.iter().map(|s| s.metric(kind)).collect();
                 let stats = FluctuationStats::from_series(&series);
                 let class = classify(&stats, settings);
                 let min = series.iter().copied().fold(f64::INFINITY, f64::min);
                 let max = series.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                Some(MetricSummary {
+                MetricSummary {
                     kind,
                     stats,
                     class,
                     min,
                     max,
-                })
+                }
             })
             .collect()
-    };
+    });
     RunSummary {
         run: report.run.clone(),
         metrics,
@@ -758,39 +661,28 @@ pub(crate) fn summarize_run(
 mod tests {
     use super::*;
     use crate::report::MetricSample;
-    use heap_graph::{MetricVector, METRIC_COUNT};
+    use heap_graph::{CandidateVector, CANDIDATE_COUNT};
+
+    /// Sample `i` with every metric at `value`.
+    fn flat_sample(i: usize, value: f64) -> MetricSample {
+        MetricSample {
+            seq: i,
+            fn_entries: i as u64,
+            tick: i as u64,
+            nodes: 10,
+            edges: 5,
+            dangling: 0,
+            values: CandidateVector::from_array([value; CANDIDATE_COUNT]),
+        }
+    }
 
     fn flat_report(run: &str, value: f64, n: usize) -> MetricReport {
-        let samples = (0..n)
-            .map(|i| MetricSample {
-                seq: i,
-                fn_entries: i as u64,
-                tick: i as u64,
-                metrics: MetricVector::from_array([value; METRIC_COUNT]),
-                nodes: 10,
-                edges: 5,
-                dangling: 0,
-                candidates: None,
-            })
-            .collect();
-        MetricReport::new(run, samples)
+        MetricReport::new(run, (0..n).map(|i| flat_sample(i, value)).collect())
     }
 
     fn noisy_report(run: &str, n: usize) -> MetricReport {
         let samples = (0..n)
-            .map(|i| {
-                let v = if i % 2 == 0 { 10.0 } else { 30.0 };
-                MetricSample {
-                    seq: i,
-                    fn_entries: i as u64,
-                    tick: i as u64,
-                    metrics: MetricVector::from_array([v; METRIC_COUNT]),
-                    nodes: 10,
-                    edges: 5,
-                    dangling: 0,
-                    candidates: None,
-                }
-            })
+            .map(|i| flat_sample(i, if i % 2 == 0 { 10.0 } else { 30.0 }))
             .collect();
         MetricReport::new(run, samples)
     }
@@ -975,15 +867,7 @@ mod tests {
 
     #[test]
     fn candidate_mode_calibrates_the_whole_family_in_one_pass() {
-        let report = |run: &str, value: f64| {
-            let mut r = flat_report(run, value, 30);
-            for s in &mut r.samples {
-                s.candidates = Some(heap_graph::CandidateVector::from_array(
-                    [value; heap_graph::CANDIDATE_COUNT],
-                ));
-            }
-            r
-        };
+        let report = |run: &str, value: f64| flat_report(run, value, 30);
         let mut paper = ModelBuilder::new(settings());
         let mut cand = ModelBuilder::new(settings()).candidate_metrics(true);
         for i in 0..3 {
@@ -997,11 +881,6 @@ mod tests {
         assert_eq!(paper.stable[..], cand.stable[..METRIC_COUNT]);
         let sm = cand.stable_metric(CandidateKind::MaxInDegree).unwrap();
         assert_eq!((sm.min, sm.max), (40.0, 42.0));
-
-        // A run without candidate vectors cannot calibrate the family.
-        let mut b = ModelBuilder::new(settings()).candidate_metrics(true);
-        b.add_run(&flat_report("old", 10.0, 30));
-        assert!(b.build().runs[0].metrics.is_none());
     }
 
     #[test]
@@ -1073,19 +952,7 @@ mod tests {
     fn phase_report(run: &str, lo: f64, hi: f64, n: usize) -> MetricReport {
         // First half at `lo`, second half at `hi`: locally stable.
         let samples = (0..n)
-            .map(|i| {
-                let v = if i < n / 2 { lo } else { hi };
-                MetricSample {
-                    seq: i,
-                    fn_entries: i as u64,
-                    tick: i as u64,
-                    metrics: MetricVector::from_array([v; METRIC_COUNT]),
-                    nodes: 10,
-                    edges: 5,
-                    dangling: 0,
-                    candidates: None,
-                }
-            })
+            .map(|i| flat_sample(i, if i < n / 2 { lo } else { hi }))
             .collect();
         MetricReport::new(run, samples)
     }
@@ -1119,30 +986,6 @@ mod tests {
             b.add_run(&phase_report(&format!("r{i}"), 10.0, 30.0 + i as f64, 40));
         }
         assert!(b.build().model.locally_stable.is_empty());
-    }
-
-    #[test]
-    fn parallel_add_runs_matches_sequential() {
-        let reports: Vec<MetricReport> = (0..7)
-            .map(|i| {
-                if i % 2 == 0 {
-                    flat_report(&format!("r{i}"), 20.0 + i as f64, 30)
-                } else {
-                    noisy_report(&format!("r{i}"), 30)
-                }
-            })
-            .collect();
-        let mut seq = ModelBuilder::new(settings()).locally_stable(true);
-        for r in &reports {
-            seq.add_run(r);
-        }
-        for threads in [1, 2, 8, 32] {
-            let mut par = ModelBuilder::new(settings()).locally_stable(true);
-            par.add_runs_parallel(&reports, threads);
-            assert_eq!(par.runs, seq.runs, "{threads} threads");
-            assert_eq!(par.series, seq.series, "{threads} threads");
-            assert_eq!(par.build(), seq.build(), "{threads} threads");
-        }
     }
 
     #[test]

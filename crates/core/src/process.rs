@@ -7,7 +7,7 @@ use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
 use crate::trace::{Advance, Replayer, Trace};
 use crate::trace_codec::{encode_sampling_meta, BinaryTraceWriter};
-use heap_graph::GraphImage;
+use heap_graph::{GraphImage, MetricKind};
 use heapmd_obs::SeriesRecorder;
 use sim_heap::{Addr, AllocSite, HeapError, HeapEvent, SimHeap, NULL};
 use std::cell::RefCell;
@@ -572,8 +572,8 @@ impl Process {
         let sample = self.core.take_sample();
         if let Some(rec) = self.recorder.as_mut() {
             let x = sample.seq as u64;
-            for (kind, value) in sample.metrics.iter() {
-                rec.record(METRIC_SERIES[kind.index()], x, value);
+            for kind in MetricKind::ALL {
+                rec.record(METRIC_SERIES[kind.index()], x, sample.metric(kind));
             }
             let stats = self.heap.stats();
             let (allocs, frees, stores) = (stats.allocs, stats.frees, stats.ptr_writes);
@@ -600,8 +600,8 @@ impl Process {
                 .field_u64("dangling", sample.dangling)
                 .field_f64("mean_degree", mean_degree);
             let mut metrics = heapmd_obs::json::JsonObject::new();
-            for (kind, value) in sample.metrics.iter() {
-                metrics.field_f64(kind.short_name(), value);
+            for kind in MetricKind::ALL {
+                metrics.field_f64(kind.short_name(), sample.metric(kind));
             }
             o.field_raw("metrics", &metrics.finish());
         });

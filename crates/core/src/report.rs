@@ -1,7 +1,7 @@
 //! Per-run metric reports.
 
 use crate::settings::Settings;
-use heap_graph::{CandidateKind, CandidateVector, MetricKind, MetricVector};
+use heap_graph::{CandidateKind, CandidateVector, MetricKind};
 use serde::{Deserialize, Serialize};
 
 /// The metric values observed at one metric computation point.
@@ -17,33 +17,21 @@ pub struct MetricSample {
     /// Live `run`, `replay`, `check` and serve count it alike, and
     /// heartbeat `tick` fields carry it.
     pub tick: u64,
-    /// The seven paper metrics.
-    pub metrics: MetricVector,
     /// Live vertexes at the sample.
     pub nodes: u64,
     /// Resolved edges at the sample.
     pub edges: u64,
     /// Dangling pointer slots at the sample.
     pub dangling: u64,
-    /// The full candidate metric family at the sample, when the
-    /// producer computed it (samples replayed from older artifacts
-    /// carry `None`). The first seven candidates duplicate `metrics`
-    /// bit-for-bit; the rest are the widened family.
-    #[serde(default)]
-    pub candidates: Option<CandidateVector>,
+    /// The candidate metric family at the sample: the seven paper
+    /// metrics first, then the widened family.
+    pub values: CandidateVector,
 }
 
 impl MetricSample {
-    /// Reads one candidate metric: a paper candidate from `metrics`, an
-    /// extended one from the stored candidate vector.
-    ///
-    /// Returns `None` for an extended candidate on a sample that never
-    /// computed the widened family.
-    pub fn candidate(&self, kind: CandidateKind) -> Option<f64> {
-        match kind.paper_kind() {
-            Some(paper) => Some(self.metrics.get(paper)),
-            None => self.candidates.map(|c| c.get(kind)),
-        }
+    /// Reads one metric: a paper [`MetricKind`] or any [`CandidateKind`].
+    pub fn metric(&self, kind: impl Into<CandidateKind>) -> f64 {
+        self.values.get(kind.into())
     }
 }
 
@@ -123,7 +111,7 @@ impl MetricReport {
 
     /// The full value series of one metric, in sample order.
     pub fn series(&self, kind: MetricKind) -> Vec<f64> {
-        self.samples.iter().map(|s| s.metrics.get(kind)).collect()
+        self.samples.iter().map(|s| s.metric(kind)).collect()
     }
 
     /// The samples with startup and shutdown trimmed per `settings`
@@ -143,7 +131,7 @@ impl MetricReport {
     pub fn trimmed_series(&self, kind: MetricKind, settings: &Settings) -> Vec<f64> {
         self.trimmed(settings)
             .iter()
-            .map(|s| s.metrics.get(kind))
+            .map(|s| s.metric(kind))
             .collect()
     }
 
@@ -168,18 +156,17 @@ impl MetricReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heap_graph::METRIC_COUNT;
+    use heap_graph::CANDIDATE_COUNT;
 
     fn sample(seq: usize, value: f64) -> MetricSample {
         MetricSample {
             seq,
             fn_entries: seq as u64,
             tick: seq as u64,
-            metrics: MetricVector::from_array([value; METRIC_COUNT]),
             nodes: 1,
             edges: 0,
             dangling: 0,
-            candidates: None,
+            values: CandidateVector::from_array([value; CANDIDATE_COUNT]),
         }
     }
 

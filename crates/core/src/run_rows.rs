@@ -3,7 +3,6 @@
 //! maps onto columnar metric ids.
 
 use crate::report::MetricSample;
-use heap_graph::{CandidateKind, METRIC_COUNT};
 use heapmd_runstore::{RowKind, RunRow};
 
 /// Provenance shared by every row of one recorded run.
@@ -38,29 +37,17 @@ pub fn unix_time_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Converts a sampled metric series into run-store rows.
-///
-/// Samples carrying the widened candidate family record all
-/// [`CandidateKind::ALL`] metric ids; legacy samples record the seven
-/// paper ids (which are the family's first seven, so columns line up
-/// across mixed batches).
+/// Converts a sampled metric series into run-store rows, one
+/// [`heap_graph::CandidateKind::ALL`] metric id per candidate.
 pub fn rows_from_samples(src: &RowSource, samples: &[MetricSample]) -> Vec<RunRow> {
     samples
         .iter()
         .map(|s| {
-            let mut metrics: Vec<(String, f64)> = match &s.candidates {
-                Some(c) => CandidateKind::ALL
-                    .iter()
-                    .map(|k| (k.id().to_string(), c.get(*k)))
-                    .collect(),
-                None => CandidateKind::ALL[..METRIC_COUNT]
-                    .iter()
-                    .map(|k| {
-                        let paper = k.paper_kind().expect("first seven are paper metrics");
-                        (k.id().to_string(), s.metrics.get(paper))
-                    })
-                    .collect(),
-            };
+            let mut metrics: Vec<(String, f64)> = s
+                .values
+                .iter()
+                .map(|(k, v)| (k.id().to_string(), v))
+                .collect();
             if src.sample_rate < 1.0 {
                 metrics.push(("sampling.rate".to_string(), src.sample_rate));
                 metrics.push((
@@ -89,26 +76,20 @@ pub fn rows_from_samples(src: &RowSource, samples: &[MetricSample]) -> Vec<RunRo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heap_graph::{CandidateVector, MetricVector};
+    use heap_graph::{CandidateKind, CandidateVector};
 
-    fn sample(seq: usize, with_candidates: bool) -> MetricSample {
-        let mut metrics = MetricVector::zero();
-        metrics.set(heap_graph::MetricKind::Roots, 12.5);
-        let candidates = with_candidates.then(|| {
-            let mut c = CandidateVector::zero();
-            c.set(CandidateKind::Roots, 12.5);
-            c.set(CandidateKind::InEntropy, 1.75);
-            c
-        });
+    fn sample(seq: usize) -> MetricSample {
+        let mut values = CandidateVector::zero();
+        values.set(CandidateKind::Roots, 12.5);
+        values.set(CandidateKind::InEntropy, 1.75);
         MetricSample {
             seq,
             fn_entries: seq as u64 * 100,
             tick: 0,
-            metrics,
             nodes: 10,
             edges: 9,
             dangling: 0,
-            candidates,
+            values,
         }
     }
 
@@ -126,18 +107,10 @@ mod tests {
 
     #[test]
     fn candidate_samples_record_the_full_family() {
-        let rows = rows_from_samples(&source(), &[sample(0, true)]);
+        let rows = rows_from_samples(&source(), &[sample(4)]);
         assert_eq!(rows[0].metrics.len(), heap_graph::CANDIDATE_COUNT);
         assert_eq!(rows[0].metric("paper.roots"), Some(12.5));
         assert_eq!(rows[0].metric("dist.in_entropy"), Some(1.75));
-    }
-
-    #[test]
-    fn legacy_samples_record_the_paper_seven() {
-        let rows = rows_from_samples(&source(), &[sample(4, false)]);
-        assert_eq!(rows[0].metrics.len(), METRIC_COUNT);
-        assert_eq!(rows[0].metric("paper.roots"), Some(12.5));
-        assert_eq!(rows[0].metric("dist.in_entropy"), None);
         assert_eq!(rows[0].seq, 4);
         assert_eq!(rows[0].version, 3);
     }
@@ -146,13 +119,13 @@ mod tests {
     fn sampled_runs_tee_rate_and_band_columns() {
         let mut src = source();
         src.sample_rate = 0.25;
-        let rows = rows_from_samples(&src, &[sample(0, true)]);
+        let rows = rows_from_samples(&src, &[sample(0)]);
         assert_eq!(rows[0].metric("sampling.rate"), Some(0.25));
         let band = rows[0].metric("sampling.band").unwrap();
         assert!(band > 0.0, "band column must carry the widening factor");
         assert_eq!(band, crate::model::sampling_widen(1.0, 0.25));
         // Exact runs stay column-compatible with pre-sampling stores.
-        let exact = rows_from_samples(&source(), &[sample(0, true)]);
+        let exact = rows_from_samples(&source(), &[sample(0)]);
         assert_eq!(exact[0].metric("sampling.rate"), None);
         assert_eq!(exact[0].metric("sampling.band"), None);
     }

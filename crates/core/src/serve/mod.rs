@@ -494,9 +494,7 @@ fn update_live(t: &mut ShardTenant) {
         let mut was_out = t.last_out[slot];
         let (mut value, mut distance, mut status) = (0.0, 0.0, STATUS_OK);
         for sample in samples {
-            let Some(v) = sample.candidate(sm.kind) else {
-                continue;
-            };
+            let v = sample.metric(sm.kind);
             let out = v < lo || v > hi;
             if out && !was_out {
                 crossings += 1;

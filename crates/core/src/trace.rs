@@ -470,16 +470,15 @@ impl Replayer {
     /// Records a metric computation point from the current graph state.
     pub(crate) fn take_sample(&mut self) -> MetricSample {
         self.graph.reconcile();
-        let ext = self.graph.extended_metrics();
+        let (ext, values) = self.graph.measure();
         let sample = MetricSample {
             seq: self.samples.len(),
             fn_entries: self.fn_entries,
             tick: self.tick,
-            metrics: self.graph.metrics(),
             nodes: ext.nodes,
             edges: ext.edges,
             dangling: ext.dangling_slots,
-            candidates: Some(self.graph.candidates()),
+            values,
         };
         self.samples.push(sample);
         sample
@@ -815,7 +814,7 @@ mod tests {
         let stable = heap_graph::CandidateKind::ALL
             .iter()
             .map(|&kind| {
-                let (min, max) = span(&|s| s.candidate(kind).unwrap());
+                let (min, max) = span(&|s| s.metric(kind));
                 StableMetric {
                     kind,
                     min,

@@ -52,9 +52,9 @@
 //! Graph shards (`shards > 1`) partition the graph's storage on that
 //! same thread; the verdicts and samples are identical at every count.
 //!
-//! [`check_paths_parallel`] fans N trace files out across a scoped
-//! thread pool and merges outcomes in input order — the same
-//! determinism discipline as `ModelBuilder::add_runs_parallel`.
+//! [`check_paths_parallel`] fans N trace files out across the scoped
+//! thread pool [`run_pool`], which merges outcomes in input order;
+//! training's `run_many` shares it.
 
 use crate::bug::BugReport;
 use crate::error::HeapMdError;
@@ -1713,10 +1713,8 @@ fn check_image(
 // ---------------------------------------------------------------------
 
 /// Loads (auto-detecting format) and checks N trace files on up to
-/// `jobs` scoped worker threads, returning per-trace outcomes **in
-/// input order** regardless of scheduling — the same determinism
-/// discipline as `ModelBuilder::add_runs_parallel`: each worker writes
-/// into slots addressed by input index.
+/// `jobs` [`run_pool`] workers, returning per-trace outcomes **in
+/// input order** regardless of scheduling.
 ///
 /// Every trace checks over a `shards`-way graph image (verdicts are
 /// shard-invariant); a full-fidelity trace is re-sampled under
@@ -1737,7 +1735,7 @@ pub fn check_paths_parallel(
     shards: usize,
     sampler: Option<SamplerConfig>,
 ) -> Vec<Result<TraceCheckOutcome, HeapMdError>> {
-    run_pool(paths.len(), jobs, |i| {
+    run_pool("check_pool", paths.len(), jobs, |i| {
         let path = &paths[i];
         if !salvage && sniff_file(path)? == ArtifactKind::BinaryTrace {
             let image = BinaryTraceImage::open_path(path)?;
@@ -1750,9 +1748,23 @@ pub fn check_paths_parallel(
     })
 }
 
-/// Chunked scoped-thread fan-out with input-order merge: worker `w`
-/// owns a contiguous slot range, results land by index.
-fn run_pool<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// Runs `work(0..n)` on up to `jobs` scoped worker threads and returns
+/// the results **in input order** regardless of scheduling: worker `w`
+/// owns a contiguous slot range and results land by index, so the
+/// output equals a sequential loop whenever `work(i)` depends on `i`
+/// alone. With obs on, a multi-worker pool records its wall time as
+/// the throughput stage `stage` and its worker count as the gauge
+/// `<stage>_workers`.
+///
+/// # Panics
+///
+/// Propagates a panic from any worker (as the sequential loop would).
+pub fn run_pool<T: Send>(
+    stage: &str,
+    n: usize,
+    jobs: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
     let workers = jobs.max(1).min(n.max(1));
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     if workers <= 1 {
@@ -1773,12 +1785,10 @@ fn run_pool<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) ->
             }
         });
         if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "check_pool",
-                n as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
-            heapmd_obs::gauge_set!("check_pool_jobs", workers as i64);
+            heapmd_obs::throughput::record_stage(stage, n as u64, t0.elapsed().as_nanos() as u64);
+            heapmd_obs::registry()
+                .gauge(&format!("{stage}_workers"))
+                .set(workers as i64);
         }
     }
     results

@@ -3,9 +3,9 @@
 //! construction, and range checking.
 
 use heapmd::{
-    classify, merge_ranges, percent_changes, segment, AnomalyDetector, CandidateKind,
-    CandidateVector, CircularBuffer, FluctuationStats, MetricReport, MetricSample, MetricVector,
-    ModelBuilder, Settings, StabilityClass, CANDIDATE_COUNT, METRIC_COUNT,
+    classify, merge_ranges, percent_changes, segment, AnomalyDetector, CandidateVector,
+    CircularBuffer, FluctuationStats, MetricReport, MetricSample, ModelBuilder, Settings,
+    StabilityClass, CANDIDATE_COUNT, METRIC_COUNT,
 };
 use proptest::prelude::*;
 
@@ -13,48 +13,31 @@ fn series_strategy() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..100.0, 2..120)
 }
 
+fn sample(i: usize, values: [f64; CANDIDATE_COUNT]) -> MetricSample {
+    MetricSample {
+        seq: i,
+        fn_entries: i as u64,
+        tick: i as u64,
+        nodes: 10,
+        edges: 5,
+        dangling: 0,
+        values: CandidateVector::from_array(values),
+    }
+}
+
 fn samples_from(values: &[f64]) -> Vec<MetricSample> {
     values
         .iter()
         .enumerate()
-        .map(|(i, &v)| MetricSample {
-            seq: i,
-            fn_entries: i as u64,
-            tick: i as u64,
-            metrics: MetricVector::from_array([v; METRIC_COUNT]),
-            nodes: 10,
-            edges: 5,
-            dangling: 0,
-            candidates: None,
-        })
+        .map(|(i, &v)| sample(i, [v; CANDIDATE_COUNT]))
         .collect()
 }
 
-/// Samples carrying the full candidate family, with the paper seven
-/// mirrored into the legacy vector exactly as [`heapmd::Process`] does.
+/// Samples whose candidate values are the rows, in canonical order.
 fn candidate_samples_from(rows: &[Vec<f64>]) -> Vec<MetricSample> {
     rows.iter()
         .enumerate()
-        .map(|(i, vals)| {
-            let mut metrics = MetricVector::zero();
-            let mut cand = CandidateVector::zero();
-            for (j, kind) in CandidateKind::ALL.iter().enumerate() {
-                cand.set(*kind, vals[j]);
-                if let Some(paper) = kind.paper_kind() {
-                    metrics.set(paper, vals[j]);
-                }
-            }
-            MetricSample {
-                seq: i,
-                fn_entries: i as u64,
-                tick: i as u64,
-                metrics,
-                nodes: 10,
-                edges: 5,
-                dangling: 0,
-                candidates: Some(cand),
-            }
-        })
+        .map(|(i, vals)| sample(i, vals[..].try_into().expect("one value per candidate")))
         .collect()
 }
 

@@ -297,12 +297,12 @@ impl HeapGraph {
     /// (the seven paper metrics plus the distribution-shape and
     /// structural extensions).
     pub fn candidates(&self) -> CandidateVector {
+        let _t = heapmd_obs::timer!("heap_graph_metrics_ns");
         CandidateVector::compute(&self.histogram, &self.extended_metrics())
     }
 
     /// Computes the extension metrics for the current graph.
     pub fn extended_metrics(&self) -> ExtendedMetrics {
-        let _t = heapmd_obs::timer!("heap_graph_metrics_ns");
         let nodes = self.node_count();
         ExtendedMetrics {
             nodes,

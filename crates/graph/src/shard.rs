@@ -243,12 +243,6 @@ impl ShardedGraph {
         MetricVector::from_histogram(&self.merged_now())
     }
 
-    /// Computes the full candidate metric family from the reconciled
-    /// histogram.
-    pub fn candidates(&self) -> CandidateVector {
-        CandidateVector::compute(&self.merged_now(), &self.extended_metrics())
-    }
-
     /// Computes the extension metrics.
     pub fn extended_metrics(&self) -> ExtendedMetrics {
         let nodes = self.node_count();
@@ -843,20 +837,17 @@ impl GraphImage {
         }
     }
 
-    /// The extension metrics.
-    pub fn extended_metrics(&self) -> ExtendedMetrics {
-        match self {
+    /// The structural counters and the full candidate metric family
+    /// (paper seven plus extensions) computed from them and the
+    /// reconciled histogram, once: call [`reconcile`](Self::reconcile)
+    /// first.
+    pub fn measure(&self) -> (ExtendedMetrics, CandidateVector) {
+        let _t = heapmd_obs::timer!("heap_graph_metrics_ns");
+        let ext = match self {
             GraphImage::Single(g) => g.extended_metrics(),
             GraphImage::Sharded(s) => s.extended_metrics(),
-        }
-    }
-
-    /// The full candidate metric family (paper seven plus extensions).
-    pub fn candidates(&self) -> CandidateVector {
-        match self {
-            GraphImage::Single(g) => g.candidates(),
-            GraphImage::Sharded(s) => s.candidates(),
-        }
+        };
+        (ext, CandidateVector::compute(self.histogram(), &ext))
     }
 
     /// A serializable summary of the current instant.

@@ -71,68 +71,22 @@ pub fn train(w: &dyn Workload, inputs: &[Input]) -> ModelOutcome {
 }
 
 /// Runs `w` once per input under clean fault plans, distributing the
-/// runs over up to `threads` scoped worker threads, and returns the
-/// reports **in input order** regardless of scheduling.
+/// runs over up to `threads` workers of [`heapmd::run_pool`] (stage
+/// `train_runs`), and returns the reports **in input order** regardless
+/// of scheduling.
 ///
 /// Each worker builds its own [`Process`] (processes are single-thread
 /// state machines), and a run's report depends only on its input, so
 /// the result is identical to calling [`run_once`] in a loop.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker (as the sequential loop would).
 pub fn run_many(
     w: &dyn Workload,
     inputs: &[Input],
     settings: &Settings,
     threads: usize,
 ) -> Vec<MetricReport> {
-    let workers = threads.max(1).min(inputs.len().max(1));
-    let mut reports: Vec<Option<MetricReport>> = (0..inputs.len()).map(|_| None).collect();
-    if workers <= 1 {
-        for (slot, input) in reports.iter_mut().zip(inputs) {
-            *slot = Some(run_once(w, input, &mut FaultPlan::new(), settings));
-        }
-    } else {
-        let clock = heapmd_obs::throughput::stage_clock();
-        let chunk = inputs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (slots, part) in reports.chunks_mut(chunk).zip(inputs.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, input) in slots.iter_mut().zip(part) {
-                        *slot = Some(run_once(w, input, &mut FaultPlan::new(), settings));
-                    }
-                });
-            }
-        });
-        if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(
-                "train_runs",
-                inputs.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
-            heapmd_obs::gauge_set!("train_run_threads", workers as i64);
-        }
-    }
-    reports
-        .into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
-}
-
-/// Trains like [`train`], but distributes the input runs and the
-/// summarization over up to `threads` worker threads.
-///
-/// The outcome (and any model serialized from it) is bit-identical to
-/// the sequential [`train`]: runs execute independently, and both
-/// [`run_many`] and [`ModelBuilder::add_runs_parallel`] merge strictly
-/// in input order.
-pub fn train_parallel(w: &dyn Workload, inputs: &[Input], threads: usize) -> ModelOutcome {
-    let settings = settings_for(w);
-    let reports = run_many(w, inputs, &settings, threads);
-    let mut builder = ModelBuilder::new(settings.clone()).program(w.name());
-    builder.add_runs_parallel(&reports, threads);
-    builder.build()
+    heapmd::run_pool("train_runs", inputs.len(), threads, |i| {
+        run_once(w, &inputs[i], &mut FaultPlan::new(), settings)
+    })
 }
 
 /// Checks `w` on `input` under `plan` against `model`, returning the
@@ -235,15 +189,6 @@ mod tests {
         );
         let bugs = check(&w, &outcome.model, &Input::new(50), &mut FaultPlan::new());
         assert!(bugs.is_empty(), "clean run raised: {bugs:?}");
-    }
-
-    #[test]
-    fn parallel_train_matches_sequential() {
-        let w = Gzip;
-        let inputs = Input::set(4);
-        let seq = train(&w, &inputs);
-        let par = train_parallel(&w, &inputs, 4);
-        assert_eq!(seq, par, "parallel training must be bit-identical");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! this: trained models and archived results must be regenerable.)
 
 use faults::{FaultConfig, FaultPlan};
-use heapmd::Process;
+use heapmd::{MetricKind, Process};
 use sim_ds::fault_ids::DLIST_SKIP_PREV;
 use workloads::harness::{run_once, settings_for};
 use workloads::{commercial_at_version, Input};
@@ -74,8 +74,8 @@ fn different_inputs_differ_and_versions_share_shape() {
     let mid_c = &c.samples[c.len() / 2];
     assert!(mid_c.nodes >= mid_a.nodes, "v5 should not shrink the heap");
     // Metric profile stays recognisably the same (within a few points).
-    for (kind, v) in mid_a.metrics.iter() {
-        let d = (v - mid_c.metrics.get(kind)).abs();
+    for kind in MetricKind::ALL {
+        let d = (mid_a.metric(kind) - mid_c.metric(kind)).abs();
         assert!(d < 12.0, "{kind} drifted {d:.1} points between versions");
     }
 }

@@ -11,7 +11,7 @@
 //! `HEAPMD_GOLDEN_PRINT=1 cargo test -p workloads --test live_golden -- --nocapture`.
 
 use faults::FaultPlan;
-use heapmd::{MetricSample, Process};
+use heapmd::{MetricSample, MetricVector, Process, METRIC_COUNT};
 use sim_heap::HeapStats;
 use workloads::harness::settings_for;
 use workloads::{bugs, commercial_at_version, registry, Input, Workload};
@@ -19,10 +19,38 @@ use workloads::{bugs, commercial_at_version, registry, Input, Workload};
 /// FNV-1a 64 over the `Debug` rendering: field order and `f64`
 /// formatting (shortest round-trip) are both deterministic.
 fn digest(samples: &[MetricSample], stats: &HeapStats) -> u64 {
-    let text = format!("{samples:?}|{stats:?}");
+    let text = format!("{}|{stats:?}", recorded_layout(samples));
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// The samples' `Debug` rendering in the layout the digests were
+/// recorded in, when a sample kept the paper seven apart from the
+/// candidate family: `metrics: MetricVector([first seven])` after
+/// `tick`, and `candidates: Some(CandidateVector([all 20]))` last.
+fn recorded_layout(samples: &[MetricSample]) -> String {
+    let rendered: Vec<String> = samples
+        .iter()
+        .map(|s| {
+            let paper: [f64; METRIC_COUNT] = s.values.as_array()[..METRIC_COUNT]
+                .try_into()
+                .expect("the family starts with the paper seven");
+            format!(
+                "MetricSample {{ seq: {:?}, fn_entries: {:?}, tick: {:?}, metrics: {:?}, \
+                 nodes: {:?}, edges: {:?}, dangling: {:?}, candidates: {:?} }}",
+                s.seq,
+                s.fn_entries,
+                s.tick,
+                MetricVector::from_array(paper),
+                s.nodes,
+                s.edges,
+                s.dangling,
+                Some(s.values),
+            )
+        })
+        .collect();
+    format!("[{}]", rendered.join(", "))
 }
 
 fn live_digest(w: &dyn Workload, plan: &mut FaultPlan) -> u64 {

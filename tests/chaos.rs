@@ -55,23 +55,29 @@ fn sample_trace() -> Trace {
     trace
 }
 
+/// 30 samples with every metric at `value`.
+fn flat_samples(value: f64) -> Vec<heapmd::MetricSample> {
+    (0..30)
+        .map(|s| heapmd::MetricSample {
+            seq: s,
+            fn_entries: s as u64,
+            tick: s as u64,
+            nodes: 10,
+            edges: 5,
+            dangling: 0,
+            values: heapmd::CandidateVector::from_array([value; heapmd::CANDIDATE_COUNT]),
+        })
+        .collect()
+}
+
 fn sample_model() -> heapmd::HeapModel {
     let settings = Settings::default();
     let mut b = ModelBuilder::new(settings).program("chaos");
     for i in 0..4 {
-        let samples = (0..30)
-            .map(|s| heapmd::MetricSample {
-                seq: s,
-                fn_entries: s as u64,
-                tick: s as u64,
-                metrics: heapmd::MetricVector::from_array([40.0 + i as f64; heapmd::METRIC_COUNT]),
-                nodes: 10,
-                edges: 5,
-                dangling: 0,
-                candidates: None,
-            })
-            .collect();
-        b.add_run(&heapmd::MetricReport::new(format!("r{i}"), samples));
+        b.add_run(&heapmd::MetricReport::new(
+            format!("r{i}"),
+            flat_samples(40.0 + i as f64),
+        ));
     }
     b.build().model
 }
@@ -202,19 +208,7 @@ fn model_round_trips_under_every_fault_schedule_never_panic() {
 fn checkpoints_round_trip_under_corruption_never_panic() {
     let settings = Settings::default();
     let mut b = ModelBuilder::new(settings).program("chaos");
-    let samples: Vec<heapmd::MetricSample> = (0..30)
-        .map(|s| heapmd::MetricSample {
-            seq: s,
-            fn_entries: s as u64,
-            tick: s as u64,
-            metrics: heapmd::MetricVector::from_array([50.0; heapmd::METRIC_COUNT]),
-            nodes: 10,
-            edges: 5,
-            dangling: 0,
-            candidates: None,
-        })
-        .collect();
-    b.add_run(&heapmd::MetricReport::new("r0", samples));
+    b.add_run(&heapmd::MetricReport::new("r0", flat_samples(50.0)));
     let cp = b.checkpoint(1);
 
     let dir = std::env::temp_dir().join("heapmd-chaos-test");

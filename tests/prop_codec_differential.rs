@@ -10,8 +10,8 @@
 //! an implementation detail that must never change a single observable.
 
 use heapmd::{
-    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, MetricKind, MetricReport, ModelBuilder,
-    Settings, Trace, TraceReader, TraceWriter,
+    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, CandidateKind, MetricReport,
+    ModelBuilder, Settings, Trace, TraceReader, TraceWriter,
 };
 use proptest::prelude::*;
 use sim_heap::{AllocSite, HeapError, HeapEvent, SimHeap};
@@ -152,9 +152,9 @@ proptest! {
         prop_assert_eq!(&from_jsonl, &trace, "JSONL round trip changed the trace");
         prop_assert_eq!(&from_binary, &trace, "binary round trip changed the trace");
 
-        // Replay both copies: every sample must agree on every one of
-        // the seven paper metrics at the bit level, plus the structural
-        // counters and the sampling clocks.
+        // Replay both copies: every sample must agree on all 20 candidate
+        // metrics at the bit level, plus the structural counters and the
+        // sampling clocks.
         let settings = Settings::builder().frq(frq).build().unwrap();
         let a = from_jsonl.replay(&settings, "differential").unwrap();
         let b = from_binary.replay(&settings, "differential").unwrap();
@@ -164,14 +164,14 @@ proptest! {
             prop_assert_eq!(sa.fn_entries, sb.fn_entries);
             prop_assert_eq!(sa.tick, sb.tick);
             prop_assert_eq!((sa.nodes, sa.edges, sa.dangling), (sb.nodes, sb.edges, sb.dangling));
-            for kind in MetricKind::ALL {
+            for kind in CandidateKind::ALL {
                 prop_assert_eq!(
-                    sa.metrics.get(kind).to_bits(),
-                    sb.metrics.get(kind).to_bits(),
+                    sa.metric(kind).to_bits(),
+                    sb.metric(kind).to_bits(),
                     "metric {:?} diverged between formats: {} vs {}",
                     kind,
-                    sa.metrics.get(kind),
-                    sb.metrics.get(kind)
+                    sa.metric(kind),
+                    sb.metric(kind)
                 );
             }
         }
@@ -232,15 +232,15 @@ fn assert_reports_match(
             (sa.nodes, sa.edges, sa.dangling),
             (sb.nodes, sb.edges, sb.dangling)
         );
-        for kind in MetricKind::ALL {
+        for kind in CandidateKind::ALL {
             prop_assert_eq!(
-                sa.metrics.get(kind).to_bits(),
-                sb.metrics.get(kind).to_bits(),
+                sa.metric(kind).to_bits(),
+                sb.metric(kind).to_bits(),
                 "{}: metric {:?} diverged: {} vs {}",
                 what,
                 kind,
-                sa.metrics.get(kind),
-                sb.metrics.get(kind)
+                sa.metric(kind),
+                sb.metric(kind)
             );
         }
     }
