@@ -43,8 +43,7 @@ pub struct RunSummary {
     /// The run label.
     pub run: String,
     /// Per-metric summaries (canonical metric order), or `None` when the
-    /// run was too short to analyse after trimming, or its samples lack
-    /// a metric of the family.
+    /// run was too short to analyse after trimming.
     pub metrics: Option<Vec<MetricSummary>>,
     /// Metric computation points in the run, before trimming: sizes
     /// the leading trim the built model records as its warm-up.
@@ -506,7 +505,13 @@ impl ModelBuilder {
                 .iter()
                 .map(|m| m.max)
                 .fold(f64::NEG_INFINITY, f64::max);
-            stable_envelopes.push((idx, stable_min, stable_max));
+            // Suspect inputs are judged on the paper metrics alone: an
+            // extended metric stable on few runs has a narrow envelope
+            // that most inputs stray from (the detector keeps its
+            // run-level verdicts paper-only for the same reason).
+            if kind.is_paper() {
+                stable_envelopes.push((idx, stable_min, stable_max));
+            }
             let avg_change =
                 stable_runs.iter().map(|m| m.stats.mean).sum::<f64>() / stable_runs.len() as f64;
             let std_change =
@@ -881,6 +886,39 @@ mod tests {
         assert_eq!(paper.stable[..], cand.stable[..METRIC_COUNT]);
         let sm = cand.stable_metric(CandidateKind::MaxInDegree).unwrap();
         assert_eq!((sm.min, sm.max), (40.0, 42.0));
+    }
+
+    #[test]
+    fn candidate_mode_flags_the_suspect_inputs_paper_mode_flags() {
+        // Every paper metric flat at 40 on all five runs; one extended
+        // metric stable at 50 on two runs and swinging 10..30 on three.
+        let run = |i: usize, swing: bool| {
+            let samples = (0..30)
+                .map(|j| {
+                    let mut s = flat_sample(j, 40.0);
+                    let v = match (swing, j % 2) {
+                        (false, _) => 50.0,
+                        (true, 0) => 10.0,
+                        (true, _) => 30.0,
+                    };
+                    s.values.set(CandidateKind::MaxInDegree, v);
+                    s
+                })
+                .collect();
+            MetricReport::new(format!("r{i}"), samples)
+        };
+        let mut paper = ModelBuilder::new(settings());
+        let mut cand = ModelBuilder::new(settings()).candidate_metrics(true);
+        for i in 0..5 {
+            paper.add_run(&run(i, i >= 2));
+            cand.add_run(&run(i, i >= 2));
+        }
+        let (paper, cand) = (paper.build(), cand.build());
+        // The extended metric calibrates (2 of 5 runs is the 40% rule)...
+        assert!(cand.model.is_stable(CandidateKind::MaxInDegree));
+        // ...but its narrow stable-run envelope marks no input suspect.
+        assert!(paper.flagged_runs.is_empty());
+        assert_eq!(cand.flagged_runs, paper.flagged_runs);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Process {
 
     /// Turns on production-overhead store sampling: from now on,
     /// pointer/scalar stores are burst-sampled per allocation site by a
-    /// [`SampledIngest`] filter under `config`. Alloc/free and function
+    /// [`swat::SampledIngest`] filter under `config`. Alloc/free and function
     /// events always record, so object counts and the sampling schedule
     /// stay exact; a rejected store still mutates the simulated heap
     /// but is invisible to the heap graph, monitors, and any trace or

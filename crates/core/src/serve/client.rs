@@ -24,7 +24,9 @@ use super::session::{decode_ack, ACK_FINAL, ACK_LEN, SERVE_PREAMBLE_V2};
 use super::{connect_any, valid_tenant, AnyStream};
 use crate::error::HeapMdError;
 use crate::trace::Trace;
-use crate::trace_codec::{BinaryTraceWriter, BLOCK_HEADER_LEN, FOOTER_LEN, HEADER_LEN, KIND_INDEX};
+use crate::trace_codec::{
+    BinaryTraceWriter, BlockHeader, BLOCK_HEADER_LEN, HEADER_LEN, KIND_INDEX,
+};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
@@ -147,7 +149,12 @@ impl BlockSplitter {
     }
 
     /// Feeds bytes; returns every frame completed by them.
-    fn push(&mut self, mut bytes: &[u8]) -> Vec<Vec<u8>> {
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] when the bytes do not frame as
+    /// blocks (a bad magic, length or kind).
+    fn push(&mut self, mut bytes: &[u8]) -> io::Result<Vec<Vec<u8>>> {
         if self.header_left > 0 {
             let n = self.header_left.min(bytes.len());
             self.header_left -= n;
@@ -155,27 +162,21 @@ impl BlockSplitter {
         }
         self.buf.extend_from_slice(bytes);
         let mut frames = Vec::new();
-        loop {
-            if self.buf.len() < BLOCK_HEADER_LEN {
-                break;
-            }
-            let kind = self.buf[4];
-            let len = u32::from_le_bytes(self.buf[9..13].try_into().unwrap()) as usize;
-            let mut frame_len = BLOCK_HEADER_LEN + len;
-            if kind == KIND_INDEX {
-                frame_len += FOOTER_LEN;
-            }
+        while self.buf.len() >= BLOCK_HEADER_LEN {
+            let header = BlockHeader::parse(&self.buf)
+                .map_err(|reason| io::Error::new(io::ErrorKind::InvalidData, reason))?;
+            let frame_len = header.frame_len();
             if self.buf.len() < frame_len {
                 break;
             }
             let rest = self.buf.split_off(frame_len);
             frames.push(std::mem::replace(&mut self.buf, rest));
-            if kind == KIND_INDEX {
+            if header.kind == KIND_INDEX {
                 self.ended = true;
                 break;
             }
         }
-        frames
+        Ok(frames)
     }
 }
 
@@ -531,7 +532,7 @@ impl SessionClient {
 impl Write for SessionClient {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let mut completed = false;
-        for frame in self.splitter.push(buf) {
+        for frame in self.splitter.push(buf)? {
             self.enqueue(frame);
             completed = true;
         }
@@ -680,7 +681,7 @@ mod tests {
             let mut sp = BlockSplitter::new();
             let mut frames = Vec::new();
             for part in bytes.chunks(chunk) {
-                frames.extend(sp.push(part));
+                frames.extend(sp.push(part).unwrap());
             }
             assert!(sp.ended, "chunk {chunk}: index frame seen");
             let total: usize = frames.iter().map(Vec::len).sum();

@@ -9,7 +9,7 @@
 //!  client ──seq-prefixed .hmdt blocks──────┤ accept loop ──(hash(tenant) % N)──▶ shard 0..N
 //!         ◀── HMAK acks ────────────────────┘      │                                 │
 //!                                                  ▼                                 ▼
-//!                                             FleetRegistry ◀── live gauges ── Replayer + model
+//!                                             FleetRegistry ◀── live gauges ── stream check + model
 //!                                                  │                                 │
 //!                    HTTP /metrics /fleet.tsv /fleet.jsonl /shutdown            IncidentLog
 //! ```
@@ -17,9 +17,11 @@
 //! - **Wire format.** A connection opens with `HMDSERVE2 <tenant>
 //!   <session> <acked>\n`, which attaches (or re-attaches) a client
 //!   session. The `.hmdt` blocks follow: the same length-framed,
-//!   CRC-checked block codec ([`crate::trace_codec`]) that `record`
-//!   writes to disk, each block prefixed with a `u64` sequence number.
-//!   Frames decode through [`crate::WireReader`]. The daemon acknowledges
+//!   CRC-checked block codec that `run --trace-out` writes to disk, each
+//!   block prefixed with a `u64` sequence number. Frames decode through
+//!   [`crate::WireReader`], and one forwarder turns each into shard
+//!   messages for the live connection and journal recovery alike. The
+//!   daemon acknowledges
 //!   journaled blocks back on the same socket, so a client that loses
 //!   its connection reconnects and resumes from the first unacked
 //!   block. Structural damage drops the connection but keeps the
@@ -34,12 +36,13 @@
 //!   full queue backpressures the client for as long as the shard keeps
 //!   draining it; only a queue that makes no progress for a whole grace
 //!   window gets its tenant evicted as stalled.
-//! - **Verdicts.** Each tenant's shard runs one live check: a
-//!   resumable [`Replayer`] with an [`AnomalyDetector`] attached, the
-//!   same pair `run --model` drives, fed block by block as the stream
-//!   arrives. Nothing is buffered or checked twice: per-tenant state
-//!   that grows with the stream is the sample series (one point per
-//!   `frq` function entries, kept for run-store rows). The detector
+//! - **Verdicts.** Each tenant's shard runs one live check, the stream
+//!   check `heapmd check` runs over a trace file: a resumable replayer
+//!   with an [`crate::AnomalyDetector`] attached, the same pair `run
+//!   --model` drives, fed block by block as the stream arrives. Nothing
+//!   is buffered or checked twice: per-tenant state that grows with the
+//!   stream is the sample series (one point per `frq` function entries,
+//!   kept for run-store rows). The detector
 //!   skips the warm-up the model records, which needs no stream
 //!   length, so the verdict a tenant's stream closes with — cleanly,
 //!   evicted, or at shutdown — is bit-identical to `heapmd check` on
@@ -70,12 +73,12 @@ pub mod client;
 pub mod session;
 
 use crate::bug::BugReport;
-use crate::detector::{AnomalyDetector, Band, BandPolicy};
+use crate::detector::{Band, BandPolicy};
 use crate::error::HeapMdError;
 use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
-use crate::trace::{validate_function_ids, Replayer};
+use crate::trace::{Replayer, StreamCheck};
 use crate::trace_codec::BlockIndex;
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
@@ -437,21 +440,12 @@ struct ShardTenant {
     stats: Arc<TenantStats>,
     pending: Arc<AtomicU64>,
     model: Arc<HeapModel>,
-    /// The tenant's event core: graph image, function table, sampling
-    /// filter and the sample series (kept for run-store rows).
-    replayer: Replayer,
-    /// The check, fed block by block as the stream arrives.
-    detector: AnomalyDetector,
-    /// Events received (before any daemon-side sampling), checked
-    /// against the count the stream's index declares.
-    events: u64,
-    /// Sampling metadata the stream announced ahead of its events.
-    sampling: Option<SamplingInfo>,
+    /// The tenant's check, fed block by block as the stream arrives:
+    /// the same state `heapmd check` holds for a trace. Its sample
+    /// series is kept for run-store rows.
+    check: StreamCheck,
     /// Samples already folded into the live gauges.
     gauged: usize,
-    /// Why the stream was refused mid-way: the rest of it is discarded
-    /// and the outcome carries this error instead of a verdict.
-    error: Option<String>,
     /// Per stable metric: was the last live sample out of range.
     last_out: Vec<bool>,
     window_start: Instant,
@@ -473,7 +467,7 @@ fn shard_for(tenant: &str, shards: usize) -> usize {
 /// metric's gauge is labelled with its short name, an extended
 /// candidate's with its id.
 fn update_live(t: &mut ShardTenant) {
-    let samples = &t.replayer.samples()[t.gauged..];
+    let samples = &t.check.samples()[t.gauged..];
     let model = &t.model;
     let stable = &model.stable;
     for _ in samples {
@@ -481,11 +475,7 @@ fn update_live(t: &mut ShardTenant) {
     }
     // The detector's bands, for the stream's sampling rate (recorded,
     // or measured by the daemon's live filter).
-    let policy = BandPolicy::new(
-        model.sample_rate,
-        t.replayer.effective_rate(),
-        &model.settings,
-    );
+    let policy = BandPolicy::new(model.sample_rate, t.check.effective_rate(), &model.settings);
     let mut gauges = Vec::with_capacity(stable.len());
     let mut crossings = 0u64;
     let mut armed = false;
@@ -536,7 +526,7 @@ fn update_live(t: &mut ShardTenant) {
     }
     t.stats.set_armed(armed);
     t.stats.set_metrics(gauges);
-    t.gauged = t.replayer.samples().len();
+    t.gauged = t.check.samples().len();
 }
 
 /// The per-metric calibration verdicts a tenant's model implies: the
@@ -619,22 +609,18 @@ impl Shard {
                     }
                     None => Replayer::new(model.settings.clone(), &[]),
                 };
-                let mut detector = AnomalyDetector::new((*model).clone(), model.settings.clone());
+                let mut check = StreamCheck::new((*model).clone(), replayer, self.sampler);
                 if let Some(dir) = &self.incident_dir {
                     // Tenant names are charset-validated (no
                     // separators), so they are safe as directory names.
-                    detector.log_incidents_to(IncidentLog::new(dir.join(&tenant), tenant.clone()));
+                    check.log_incidents_to(IncidentLog::new(dir.join(&tenant), tenant.clone()));
                 }
                 stats.set_verdicts(verdicts_for(&model));
                 let state = ShardTenant {
                     stats,
                     pending,
-                    replayer,
-                    detector,
-                    events: 0,
-                    sampling: None,
+                    check,
                     gauged: 0,
-                    error: None,
                     last_out: vec![false; model.stable.len()],
                     model,
                     window_start: Instant::now(),
@@ -648,20 +634,7 @@ impl Shard {
                 };
                 let n = events.len() as u64;
                 let clock = heapmd_obs::throughput::stage_clock();
-                if t.events == 0 {
-                    // Sampling metadata never follows events, so the
-                    // stream's sampling is settled at its first block:
-                    // daemon-side re-sampling starts here unless the
-                    // stream announced its own schedule.
-                    t.replayer.sample_like(t.sampling, self.sampler);
-                }
-                t.events += n;
-                if t.error.is_none() {
-                    match validate_function_ids(&events, t.replayer.functions().len()) {
-                        Ok(()) => t.replayer.drive(&events, &mut [&mut t.detector]),
-                        Err(e) => t.error = Some(e.to_string()),
-                    }
-                }
+                t.check.feed(&events);
                 if let Some(t0) = clock {
                     heapmd_obs::throughput::record_stage(
                         "serve_ingest",
@@ -672,8 +645,8 @@ impl Shard {
                 t.pending.fetch_sub(n.min(t.pending.load(Relaxed)), Relaxed);
                 t.stats.record_events(n);
                 t.stats.set_queue_depth(t.pending.load(Relaxed));
-                t.stats.set_sample_rate(t.replayer.effective_rate());
-                if t.replayer.samples().len() > t.gauged {
+                t.stats.set_sample_rate(t.check.effective_rate());
+                if t.check.samples().len() > t.gauged {
                     update_live(t);
                 }
                 t.window_events += n;
@@ -688,12 +661,12 @@ impl Shard {
             }
             ShardMsg::Functions { tenant, names } => {
                 if let Some(t) = self.tenants.get_mut(&tenant) {
-                    t.replayer.set_functions(&names);
+                    t.check.set_functions(&names);
                 }
             }
             ShardMsg::Sampling { tenant, info } => {
                 if let Some(t) = self.tenants.get_mut(&tenant) {
-                    t.sampling = Some(info);
+                    t.check.set_sampling(info);
                     t.stats.set_sample_rate(info.rate());
                 }
             }
@@ -705,7 +678,7 @@ impl Shard {
                 let Some(t) = self.tenants.get(&tenant) else {
                     return;
                 };
-                let carried = t.events;
+                let carried = t.check.events();
                 let mismatch = (carried != index.total_events).then(|| {
                     format!(
                         "index declares {} events, stream carried {carried}",
@@ -767,19 +740,14 @@ impl Shard {
         t.stats.set_connected(false);
         t.stats.set_rate(0);
         t.stats.set_queue_depth(0);
-        let (bugs, bundle_paths) = match &t.error {
-            Some(_) => (Vec::new(), Vec::new()),
-            None => {
-                t.replayer.finish(&mut [&mut t.detector]);
-                let bugs = t.detector.take_bugs();
-                let bundle_paths = t
-                    .detector
-                    .incident_log()
-                    .map(|l| l.paths().to_vec())
-                    .unwrap_or_default();
-                t.stats.record_bugs(bugs.len() as u64);
+        let events = t.check.events();
+        let (bugs, bundle_paths, error) = match t.check.finish() {
+            Err(e) => (Vec::new(), Vec::new(), Some(e.to_string())),
+            Ok(checked) => {
+                let bundle_paths = t.check.bundle_paths().to_vec();
+                t.stats.record_bugs(checked.bugs.len() as u64);
                 t.stats.add_incidents(bundle_paths.len() as u64);
-                if let Some(b) = bugs.first() {
+                if let Some(b) = checked.bugs.first() {
                     t.stats.set_last_anomaly(&format!(
                         "{} {}",
                         b.metric.short_name(),
@@ -787,7 +755,6 @@ impl Shard {
                     ));
                 }
                 if let Some(store) = &self.run_store {
-                    let sampling = t.replayer.sampling_info().or(t.sampling);
                     let src = RowSource {
                         workload: t.model.program.clone(),
                         version: 0,
@@ -795,9 +762,9 @@ impl Shard {
                         tenant: tenant.clone(),
                         kind: RowKind::Serve,
                         time: unix_time_now(),
-                        sample_rate: sampling.map_or(1.0, |s| s.rate()),
+                        sample_rate: checked.sampling.map_or(1.0, |s| s.rate()),
                     };
-                    let rows = rows_from_samples(&src, t.replayer.samples());
+                    let rows = rows_from_samples(&src, &checked.samples);
                     if let Err(e) = store.append(&rows) {
                         // The verdict is authoritative; a failed append
                         // is a degraded observability plane, not a
@@ -807,20 +774,20 @@ impl Shard {
                         heapmd_obs::count!("serve_run_store_rows_total", rows.len() as u64);
                     }
                 }
-                (bugs, bundle_paths)
+                (checked.bugs, bundle_paths, None)
             }
         };
         let outcome = TenantOutcome {
             tenant,
-            events: t.events,
+            events,
             bugs,
             bundle_paths,
             partial,
             evicted,
-            error: t.error,
+            error,
         };
         if self.replayer_pool.len() < REPLAYER_POOL_CAP {
-            self.replayer_pool.push(t.replayer);
+            self.replayer_pool.push(t.check.into_replayer());
         }
         for path in cleanup {
             let _ = std::fs::remove_file(path);
@@ -1296,31 +1263,38 @@ mod tests {
         });
     }
 
-    /// Hands `reader`'s frames to the shard as the connection handlers
-    /// and journal recovery do, up to the end frame, whose index it
-    /// returns. `limit` stops after that many events frames instead.
+    /// Hands `reader`'s frames to the shard through the forwarder the
+    /// connection handlers and journal recovery use, up to the end
+    /// frame, whose index it returns. `limit` stops after that many
+    /// events frames instead.
     fn feed(
         shard: &mut Shard,
         tenant: &str,
         mut reader: WireReader<impl Read>,
         limit: usize,
     ) -> Option<BlockIndex> {
-        let mut blocks = 0;
+        let (tx, rx) = channel();
+        let ctx = ServeCtx {
+            senders: vec![tx],
+            fleet: Arc::new(FleetRegistry::new()),
+            queue_events: 1,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            model: Arc::new(encoded_churn(1).2),
+            model_dir: None,
+            journal_dir: None,
+            session_timeout: Duration::from_secs(1),
+            sessions: Mutex::new(BTreeMap::new()),
+            model_cache: Mutex::new(BTreeMap::new()),
+        };
+        let stats = ctx.fleet.tenant(tenant);
+        let (mut blocks, mut events_seen) = (0, false);
         while blocks < limit {
-            match reader.next_frame().unwrap() {
-                WireFrame::Events(events) => {
-                    blocks += 1;
-                    shard.handle(ShardMsg::Events {
-                        tenant: tenant.into(),
-                        events,
-                    });
-                }
-                WireFrame::Functions(names) => shard.handle(ShardMsg::Functions {
-                    tenant: tenant.into(),
-                    names,
-                }),
-                WireFrame::Meta(_) => {}
-                WireFrame::End(index) => return Some(index),
+            let frame = reader.next_frame().unwrap();
+            blocks += usize::from(matches!(frame, WireFrame::Events(_)));
+            let forwarded = session::forward(&ctx, tenant, &stats, frame, &mut events_seen);
+            rx.try_iter().for_each(|msg| shard.handle(msg));
+            if let session::Forward::End(index) = forwarded {
+                return Some(index);
             }
         }
         None
@@ -1336,7 +1310,7 @@ mod tests {
         let mut shard = Shard::new(None, None, None);
         start(&mut shard, "short", &model);
         assert!(feed(&mut shard, "short", WireReader::new(&bytes[..]), 1).is_none());
-        let carried = shard.tenants["short"].events;
+        let carried = shard.tenants["short"].check.events();
         assert!(carried < trace.len() as u64);
         shard.handle(ShardMsg::End {
             tenant: "short".into(),

@@ -35,8 +35,8 @@
 //! - A sampling meta frame after the session's first events block is
 //!   malformed input (the shard already checks events under the
 //!   schedule it settled at that block): the session is evicted with
-//!   [`LATE_SAMPLING_META`] as its reason, keeping the prefix's
-//!   verdict.
+//!   the reason `malformed stream: sampling metadata after events`,
+//!   keeping the prefix's verdict.
 //! - A session that stays disconnected past
 //!   [`super::ServeConfig::session_timeout`] is evicted, salvaging the
 //!   received prefix into a partial verdict like any other eviction.
@@ -47,16 +47,21 @@
 //! is appended to `<tenant>.hmdt` — a header-complete, salvageable
 //! binary trace — next to a tiny atomic `<tenant>.session.json`
 //! ([`write_atomic`], the checkpoint idiom) recording the session id.
-//! A restarted daemon replays each journal through the normal shard
-//! path (truncating any torn tail a crash left), registers the session
-//! at the recovered sequence number, and lets the client resume as if
-//! the daemon had never died. Journals survive graceful shutdown too:
+//! A restarted daemon forwards each journal's frames to the shards
+//! through the live connection's own frame forwarder, so the dispatch
+//! and the late-sampling rule are the same (a journal whose sampling
+//! meta frame follows its events evicts the tenant at restart). It
+//! truncates any torn tail a crash left, registers the session at the
+//! recovered sequence number, and lets the client resume as if the
+//! daemon had never died. Journals survive graceful shutdown too:
 //! there is no special shutdown state, recovery *is* the startup path.
 
 use super::{wait_for_room, DrainingStream, ServeCtx, ShardMsg};
 use crate::error::HeapMdError;
 use crate::persist::write_atomic;
-use crate::trace_codec::{WireFrame, WireReader, BINARY_FORMAT_VERSION, BINARY_MAGIC, HEADER_LEN};
+use crate::trace_codec::{
+    decode_sampling_meta, BlockIndex, WireFrame, WireReader, FILE_HEADER, HEADER_LEN,
+};
 use heapmd_obs::fleet::TenantStats;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
@@ -177,6 +182,24 @@ pub(crate) struct SessionEntry {
     pub pending: Arc<AtomicU64>,
 }
 
+impl SessionEntry {
+    /// A disconnected session at the start of its stream (no block
+    /// accepted yet, the next one lands right after the file header).
+    fn new(session: String, stats: Arc<TenantStats>) -> Self {
+        SessionEntry {
+            session,
+            next_seq: 0,
+            offset: HEADER_LEN as u64,
+            connected: false,
+            completed: false,
+            events_seen: false,
+            last_seen: Instant::now(),
+            stats,
+            pending: Arc::new(AtomicU64::new(0)),
+        }
+    }
+}
+
 /// Both journal paths for `tenant`, if journaling is configured.
 fn journal_cleanup(ctx: &ServeCtx, tenant: &str) -> Vec<PathBuf> {
     match &ctx.journal_dir {
@@ -222,10 +245,7 @@ impl Journal {
         }
         let mut file = opts.open(path)?;
         if file.metadata()?.len() == 0 {
-            let mut header = [0u8; HEADER_LEN];
-            header[..6].copy_from_slice(BINARY_MAGIC);
-            header[6] = BINARY_FORMAT_VERSION;
-            file.write_all(&header)?;
+            file.write_all(&FILE_HEADER)?;
         }
         Ok(Journal { file })
     }
@@ -287,19 +307,9 @@ fn attach_session(ctx: &ServeCtx, tenant: &str, session: &str) -> Attach {
             let _ = std::fs::remove_file(path);
         }
     }
-    let stats = ctx.fleet.connect(tenant);
-    let pending = Arc::new(AtomicU64::new(0));
-    let entry = Arc::new(Mutex::new(SessionEntry {
-        session: session.to_string(),
-        next_seq: 0,
-        offset: HEADER_LEN as u64,
-        connected: true,
-        completed: false,
-        events_seen: false,
-        last_seen: Instant::now(),
-        stats,
-        pending,
-    }));
+    let mut fresh = SessionEntry::new(session.to_string(), ctx.fleet.connect(tenant));
+    fresh.connected = true;
+    let entry = Arc::new(Mutex::new(fresh));
     map.insert(tenant.to_string(), Arc::clone(&entry));
     Attach::Attached {
         entry,
@@ -317,19 +327,74 @@ fn detach(entry: &Arc<Mutex<SessionEntry>>) {
     e.stats.set_rate(0);
 }
 
-/// Removes the session and salvage-evicts its shard state.
-fn evict_session(ctx: &ServeCtx, tenant: &str, entry: &Arc<Mutex<SessionEntry>>, reason: String) {
+/// Removes the session (if registered) and salvage-evicts its shard
+/// state, deleting its journal once the verdict is closed.
+fn evict_session(ctx: &ServeCtx, tenant: &str, stats: &TenantStats, reason: String) {
     ctx.sessions.lock().unwrap().remove(tenant);
-    {
-        let e = entry.lock().unwrap();
-        ctx.fleet.evict(&e.stats);
-    }
+    ctx.fleet.evict(stats);
     let _ = ctx.sender_for(tenant).send(ShardMsg::Abort {
         tenant: tenant.to_string(),
         reason,
         evict: true,
         cleanup: journal_cleanup(ctx, tenant),
     });
+}
+
+/// What [`forward`] did with one frame.
+pub(crate) enum Forward {
+    /// The frame reached the shard (a meta payload with a tag the
+    /// daemon does not read is dropped).
+    Sent,
+    /// The end frame: the caller closes the stream with this index.
+    End(BlockIndex),
+    /// The frame broke the stream's rules and the session was evicted.
+    Evicted,
+    /// The shard's channel is closed (the daemon is shutting down).
+    Closed,
+}
+
+/// Turns one wire frame of `tenant`'s stream into shard messages: the
+/// one dispatch the live connection and journal recovery share. It
+/// enforces the stream's one ordering rule: a sampling meta frame after
+/// the first events frame evicts the session with
+/// [`LATE_SAMPLING_META`], keeping the prefix's verdict.
+/// `events_seen` carries whether an events frame was forwarded.
+pub(crate) fn forward(
+    ctx: &ServeCtx,
+    tenant: &str,
+    stats: &TenantStats,
+    frame: WireFrame,
+    events_seen: &mut bool,
+) -> Forward {
+    let msg = match frame {
+        WireFrame::Events(events) => {
+            *events_seen = true;
+            ShardMsg::Events {
+                tenant: tenant.to_string(),
+                events,
+            }
+        }
+        WireFrame::Functions(names) => ShardMsg::Functions {
+            tenant: tenant.to_string(),
+            names,
+        },
+        WireFrame::Meta(payload) => match decode_sampling_meta(&payload) {
+            Ok(Some(_)) if *events_seen => {
+                evict_session(ctx, tenant, stats, LATE_SAMPLING_META.into());
+                return Forward::Evicted;
+            }
+            Ok(Some(info)) => ShardMsg::Sampling {
+                tenant: tenant.to_string(),
+                info,
+            },
+            _ => return Forward::Sent,
+        },
+        WireFrame::End(index) => return Forward::End(index),
+    };
+    match ctx.sender_for(tenant).send(msg) {
+        Ok(()) => Forward::Sent,
+        Err(_) => Forward::Closed,
+    }
 }
 
 /// Drives one v2 connection: attach, hello ack, then the
@@ -353,7 +418,7 @@ pub(crate) fn handle_v2(
         Attach::Attached { entry, resumed } => (entry, resumed),
     };
 
-    let mut journal = match &ctx.journal_dir {
+    let journal = match &ctx.journal_dir {
         Some(dir) => match Journal::open(dir, &tenant, !resumed) {
             Ok(j) => {
                 if !resumed {
@@ -364,182 +429,118 @@ pub(crate) fn handle_v2(
             Err(_) => {
                 // Can't make acks durable: refuse the session rather
                 // than promise resumability the journal can't back.
-                evict_session(ctx, &tenant, &entry, "journal unavailable".into());
+                let stats = Arc::clone(&entry.lock().unwrap().stats);
+                evict_session(ctx, &tenant, &stats, "journal unavailable".into());
                 return;
             }
         },
         None => None,
     };
 
-    let (stats, pending, next_seq, offset) = {
+    if carry_blocks(ctx, &tenant, &session, &entry, resumed, journal, stream).is_none() {
+        detach(&entry);
+    }
+}
+
+/// Carries an attached session's blocks: the shard's Start, the hello
+/// ack, then per block the sequence check, the journal append,
+/// backpressure, [`forward`] and the ack. `Some` once the stream ended
+/// or the session was evicted; `None` when the connection or the
+/// stream broke off (a lost socket, shutdown draining to EOF, a torn or
+/// damaged frame, a sequence gap): nothing past the last ack was
+/// journaled, so the session stays resumable and the client re-sends
+/// from there.
+fn carry_blocks(
+    ctx: &ServeCtx,
+    tenant: &str,
+    session: &str,
+    entry: &Mutex<SessionEntry>,
+    resumed: bool,
+    mut journal: Option<Journal>,
+    mut stream: DrainingStream,
+) -> Option<()> {
+    let (stats, pending, next_seq, offset, mut events_seen) = {
         let e = entry.lock().unwrap();
-        (
-            Arc::clone(&e.stats),
-            Arc::clone(&e.pending),
-            e.next_seq,
-            e.offset,
-        )
+        let (stats, pending) = (Arc::clone(&e.stats), Arc::clone(&e.pending));
+        (stats, pending, e.next_seq, e.offset, e.events_seen)
     };
-    let tx = ctx.sender_for(&tenant);
-    if tx
-        .send(ShardMsg::Start {
-            tenant: tenant.clone(),
-            stats: Arc::clone(&stats),
-            pending: Arc::clone(&pending),
-            model: ctx.model_for(&tenant),
-            resume: resumed,
-        })
-        .is_err()
-    {
-        detach(&entry);
-        return;
-    }
+    let tx = ctx.sender_for(tenant);
+    tx.send(ShardMsg::Start {
+        tenant: tenant.to_string(),
+        stats: Arc::clone(&stats),
+        pending: Arc::clone(&pending),
+        model: ctx.model_for(tenant),
+        resume: resumed,
+    })
+    .ok()?;
     // Hello ack: where to resume from.
-    if send_ack(&mut stream, next_seq, 0).is_err() {
-        detach(&entry);
-        return;
-    }
+    send_ack(&mut stream, next_seq, 0).ok()?;
 
     let mut reader = WireReader::resume(stream, offset);
     loop {
         let mut seq_buf = [0u8; 8];
-        if reader.stream_mut().read_exact(&mut seq_buf).is_err() {
-            // Connection gone (or shutdown drained to EOF): the session
-            // stays resumable; the journal already holds every acked
-            // block.
-            detach(&entry);
-            return;
-        }
+        reader.stream_mut().read_exact(&mut seq_buf).ok()?;
         let seq = u64::from_le_bytes(seq_buf);
         let expected = entry.lock().unwrap().next_seq;
         if seq < expected {
             // Retransmitted duplicate (its ack was lost): consume the
             // frame, discard it, rewind the logical offset, re-ack.
             let before = reader.bytes_consumed();
-            if reader.next_frame_raw().is_err() {
-                detach(&entry);
-                return;
-            }
+            reader.next_frame_raw().ok()?;
             reader.rewind(before);
-            if send_ack(reader.stream_mut(), expected, 0).is_err() {
-                detach(&entry);
-                return;
-            }
+            send_ack(reader.stream_mut(), expected, 0).ok()?;
             continue;
         }
         if seq > expected {
-            // The client is ahead of the journal — some earlier frame
-            // never arrived. Drop the connection; the hello ack on
-            // reconnect resynchronizes.
-            detach(&entry);
-            return;
+            // The client is ahead of the journal: an earlier frame never
+            // arrived. The hello ack on reconnect resynchronizes it.
+            return None;
         }
-        let (frame, raw) = match reader.next_frame_raw() {
-            Ok(fr) => fr,
-            Err(_) => {
-                // Torn or damaged frame (a mid-block cut, a flipped
-                // bit, a silent truncation surfacing as a framing
-                // error): nothing past the last ack was journaled, so
-                // resuming re-sends the damaged block intact.
-                detach(&entry);
-                return;
-            }
-        };
+        let (frame, raw) = reader.next_frame_raw().ok()?;
         if let Some(j) = &mut journal {
-            if j.append(&raw).is_err() {
-                // An unjournalable block must not be acked.
-                detach(&entry);
-                return;
-            }
+            // An unjournalable block must not be acked.
+            j.append(&raw).ok()?;
         }
-        match frame {
-            WireFrame::Events(events) => {
-                if !wait_for_room(&pending, ctx.queue_events, &ctx.shutdown) {
-                    evict_session(
-                        ctx,
-                        &tenant,
-                        &entry,
-                        format!("slow consumer: over {} queued events", ctx.queue_events),
-                    );
-                    return;
-                }
-                pending.fetch_add(events.len() as u64, Relaxed);
-                stats.set_queue_depth(pending.load(Relaxed));
-                if tx
-                    .send(ShardMsg::Events {
-                        tenant: tenant.clone(),
-                        events,
-                    })
-                    .is_err()
-                {
-                    detach(&entry);
-                    return;
-                }
-                entry.lock().unwrap().events_seen = true;
+        if let WireFrame::Events(events) = &frame {
+            if !wait_for_room(&pending, ctx.queue_events, &ctx.shutdown) {
+                let reason = format!("slow consumer: over {} queued events", ctx.queue_events);
+                evict_session(ctx, tenant, &stats, reason);
+                return Some(());
             }
-            WireFrame::Functions(names) => {
-                if tx
-                    .send(ShardMsg::Functions {
-                        tenant: tenant.clone(),
-                        names,
-                    })
-                    .is_err()
-                {
-                    detach(&entry);
-                    return;
-                }
-            }
-            WireFrame::Meta(payload) => {
-                if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
-                    if entry.lock().unwrap().events_seen {
-                        evict_session(ctx, &tenant, &entry, LATE_SAMPLING_META.into());
-                        return;
-                    }
-                    if tx
-                        .send(ShardMsg::Sampling {
-                            tenant: tenant.clone(),
-                            info,
-                        })
-                        .is_err()
-                    {
-                        detach(&entry);
-                        return;
-                    }
-                }
-            }
-            WireFrame::End(index) => {
-                let final_seq = {
-                    let mut e = entry.lock().unwrap();
-                    e.next_seq += 1;
-                    e.offset = reader.bytes_consumed();
-                    e.completed = true;
-                    e.connected = false;
-                    e.last_seen = Instant::now();
-                    e.next_seq
-                };
-                // Tombstone the metadata before the shard deletes the
-                // journal: a crash in between leaves either a replayable
-                // journal or a final-ack tombstone, never a lost stream.
-                write_meta(ctx, &tenant, &session, true);
-                let _ = tx.send(ShardMsg::End {
-                    tenant: tenant.clone(),
-                    index,
-                    cleanup: journal_cleanup(ctx, &tenant),
-                });
-                let _ = send_ack(reader.stream_mut(), final_seq, ACK_FINAL);
-                return;
-            }
+            pending.fetch_add(events.len() as u64, Relaxed);
+            stats.set_queue_depth(pending.load(Relaxed));
         }
+        let index = match forward(ctx, tenant, &stats, frame, &mut events_seen) {
+            Forward::Sent => None,
+            Forward::End(index) => Some(index),
+            Forward::Evicted => return Some(()),
+            Forward::Closed => return None,
+        };
         let acked = {
             let mut e = entry.lock().unwrap();
             e.next_seq += 1;
             e.offset = reader.bytes_consumed();
+            e.events_seen = events_seen;
+            e.completed = index.is_some();
+            e.connected = index.is_none();
             e.last_seen = Instant::now();
             e.next_seq
         };
-        if send_ack(reader.stream_mut(), acked, 0).is_err() {
-            detach(&entry);
-            return;
+        match index {
+            None => send_ack(reader.stream_mut(), acked, 0).ok()?,
+            Some(index) => {
+                // Tombstone the metadata before the shard deletes the
+                // journal: a crash in between leaves either a replayable
+                // journal or a final-ack tombstone, never a lost stream.
+                write_meta(ctx, tenant, session, true);
+                let _ = tx.send(ShardMsg::End {
+                    tenant: tenant.to_string(),
+                    index,
+                    cleanup: journal_cleanup(ctx, tenant),
+                });
+                let _ = send_ack(reader.stream_mut(), acked, ACK_FINAL);
+                return Some(());
+            }
         }
     }
 }
@@ -590,7 +591,7 @@ pub(crate) fn sweep_expired(ctx: &ServeCtx) {
 }
 
 /// Replays every journal the previous daemon left: rebuilds shard
-/// state through the normal message path, truncates torn tails, and
+/// state through the live path's [`forward`], truncates torn tails, and
 /// registers each session so its client can resume. Runs before the
 /// accept loop starts.
 pub(crate) fn recover_sessions(ctx: &ServeCtx) {
@@ -622,70 +623,37 @@ pub(crate) fn recover_sessions(ctx: &ServeCtx) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn register_entry(
-    ctx: &ServeCtx,
-    tenant: &str,
-    session: String,
-    next_seq: u64,
-    offset: u64,
-    completed: bool,
-    events_seen: bool,
-    stats: Arc<TenantStats>,
-    pending: Arc<AtomicU64>,
-) {
-    let entry = Arc::new(Mutex::new(SessionEntry {
-        session,
-        next_seq,
-        offset,
-        connected: false,
-        completed,
-        events_seen,
-        last_seen: Instant::now(),
-        stats,
-        pending,
-    }));
+fn register_entry(ctx: &ServeCtx, tenant: &str, entry: SessionEntry) {
     ctx.sessions
         .lock()
         .unwrap()
-        .insert(tenant.to_string(), entry);
+        .insert(tenant.to_string(), Arc::new(Mutex::new(entry)));
 }
 
 fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
     let jpath = dir.join(format!("{tenant}.hmdt"));
-    let mpath = dir.join(format!("{tenant}.session.json"));
     let bytes = std::fs::read(&jpath).unwrap_or_default();
     if bytes.len() < HEADER_LEN {
         if meta.completed {
             // The journal was already cleaned up but the tombstone
             // survived: keep replaying final acks to the client.
-            let stats = ctx.fleet.tenant(tenant);
-            let pending = Arc::new(AtomicU64::new(0));
-            register_entry(
-                ctx,
-                tenant,
-                meta.session,
-                0,
-                HEADER_LEN as u64,
-                true,
-                false,
-                stats,
-                pending,
-            );
+            let mut entry = SessionEntry::new(meta.session, ctx.fleet.tenant(tenant));
+            entry.completed = true;
+            register_entry(ctx, tenant, entry);
         } else {
-            let _ = std::fs::remove_file(&mpath);
-            let _ = std::fs::remove_file(&jpath);
+            for path in journal_cleanup(ctx, tenant) {
+                let _ = std::fs::remove_file(path);
+            }
         }
         return;
     }
-    let stats = ctx.fleet.tenant(tenant);
-    let pending = Arc::new(AtomicU64::new(0));
+    let mut entry = SessionEntry::new(meta.session, ctx.fleet.tenant(tenant));
     let tx = ctx.sender_for(tenant);
     if tx
         .send(ShardMsg::Start {
             tenant: tenant.to_string(),
-            stats: Arc::clone(&stats),
-            pending: Arc::clone(&pending),
+            stats: Arc::clone(&entry.stats),
+            pending: Arc::clone(&entry.pending),
             model: ctx.model_for(tenant),
             resume: false,
         })
@@ -697,93 +665,40 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
         o.field_str("tenant", tenant)
             .field_u64("journal_bytes", bytes.len() as u64);
     });
+    // No pending increment: recovery feeds the shard ahead of any live
+    // connection, and the shard's saturating decrement tolerates the
+    // imbalance.
     let mut reader = WireReader::new(io::Cursor::new(&bytes[..]));
-    let mut good = HEADER_LEN as u64;
-    let mut frames = 0u64;
-    let mut events_seen = false;
-    loop {
-        match reader.next_frame() {
-            Ok(WireFrame::Events(events)) => {
-                // No pending increment: recovery feeds the shard ahead
-                // of any live connection, and the shard's saturating
-                // decrement tolerates the imbalance.
-                let _ = tx.send(ShardMsg::Events {
-                    tenant: tenant.to_string(),
-                    events,
-                });
-                events_seen = true;
-            }
-            Ok(WireFrame::Functions(names)) => {
-                let _ = tx.send(ShardMsg::Functions {
-                    tenant: tenant.to_string(),
-                    names,
-                });
-            }
-            Ok(WireFrame::Meta(payload)) => {
-                if let Ok(Some(info)) = crate::trace_codec::decode_sampling_meta(&payload) {
-                    if events_seen {
-                        // Journaled just before the live handler
-                        // evicted the session: finish that eviction.
-                        ctx.fleet.evict(&stats);
-                        let _ = tx.send(ShardMsg::Abort {
-                            tenant: tenant.to_string(),
-                            reason: LATE_SAMPLING_META.into(),
-                            evict: true,
-                            cleanup: vec![jpath, mpath],
-                        });
-                        return;
-                    }
-                    let _ = tx.send(ShardMsg::Sampling {
-                        tenant: tenant.to_string(),
-                        info,
-                    });
-                }
-            }
-            Ok(WireFrame::End(index)) => {
+    while let Ok(frame) = reader.next_frame() {
+        entry.next_seq += 1;
+        match forward(ctx, tenant, &entry.stats, frame, &mut entry.events_seen) {
+            Forward::Sent => entry.offset = reader.bytes_consumed(),
+            Forward::End(index) => {
                 // The whole stream made it to the journal before the
                 // crash: finalize now and tombstone the session.
-                frames += 1;
                 let _ = tx.send(ShardMsg::End {
                     tenant: tenant.to_string(),
                     index,
-                    cleanup: vec![jpath, mpath],
+                    cleanup: journal_cleanup(ctx, tenant),
                 });
-                register_entry(
-                    ctx,
-                    tenant,
-                    meta.session,
-                    frames,
-                    reader.bytes_consumed(),
-                    true,
-                    events_seen,
-                    stats,
-                    pending,
-                );
+                entry.offset = reader.bytes_consumed();
+                entry.completed = true;
+                register_entry(ctx, tenant, entry);
                 return;
             }
-            Err(_) => break,
+            // Journaled just before the live handler evicted the
+            // session: the eviction is finished now.
+            Forward::Evicted | Forward::Closed => return,
         }
-        frames += 1;
-        good = reader.bytes_consumed();
     }
     // A crash mid-append left a torn tail: truncate back to the last
     // whole block (everything acked is before it) and resume there.
-    if (good as usize) < bytes.len() {
+    if (entry.offset as usize) < bytes.len() {
         if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&jpath) {
-            let _ = f.set_len(good);
+            let _ = f.set_len(entry.offset);
         }
     }
-    register_entry(
-        ctx,
-        tenant,
-        meta.session,
-        frames,
-        good,
-        false,
-        events_seen,
-        stats,
-        pending,
-    );
+    register_entry(ctx, tenant, entry);
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use crate::callstack::{FuncId, FunctionTable};
 use crate::detector::AnomalyDetector;
 use crate::error::HeapMdError;
-use crate::incident::IncidentBundle;
+use crate::incident::{IncidentBundle, IncidentLog};
 use crate::model::HeapModel;
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
@@ -18,6 +18,7 @@ use crate::settings::Settings;
 use crate::trace_stream::SalvageStats;
 use heap_graph::GraphImage;
 use sim_heap::HeapEvent;
+use std::path::PathBuf;
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 
 /// A recorded instrumentation event stream.
@@ -166,65 +167,159 @@ impl Trace {
         shards: usize,
         sampler: Option<SamplerConfig>,
     ) -> Result<TraceCheckOutcome, HeapMdError> {
-        let head = StreamHead {
-            functions: &self.functions,
-            sampling: self.sampling,
-        };
-        check_stream(model, settings, head, shards, sampler, |step| {
-            step(&self.events)
-        })
+        let replayer = Replayer::with_shards(settings.clone(), &[], shards);
+        let mut check = StreamCheck::new(model.clone(), replayer, sampler);
+        check.set_functions(&self.functions);
+        if let Some(info) = self.sampling {
+            check.set_sampling(info);
+        }
+        check.feed(&self.events);
+        check.finish()
     }
 }
 
-/// What the post-mortem check knows about a stream before its first
-/// event.
-pub(crate) struct StreamHead<'a> {
-    /// The interned function names (empty for anonymous frames).
-    pub(crate) functions: &'a [String],
-    /// The recorded sampling outcome (`None` = full fidelity).
-    pub(crate) sampling: Option<SamplingInfo>,
-}
-
-/// The post-mortem check: replays a stream through the anomaly
-/// detector on a `shards`-way graph image. `feed` hands the events over
-/// as slices (one whole trace, or decoded blocks) through the step
-/// callback it is given; every slice is validated against the function
-/// table before it is stepped.
+/// One checked stream: the state every post-mortem check and every
+/// serve tenant holds, and the one way events reach it.
+///
+/// A [`Replayer`] with an [`AnomalyDetector`] attached, the count of
+/// events received, and the first refusal. The stream's metadata
+/// arrives ahead of its events ([`set_functions`](Self::set_functions),
+/// [`set_sampling`](Self::set_sampling)), and its events arrive as
+/// slices, one whole trace or block by block
+/// ([`feed`](Self::feed)). Three rules hold on every path:
+///
+/// - sampling is settled at the first events slice: a full-fidelity
+///   stream is re-sampled under the check's sampler through a live
+///   filter, whose measured rate the detector observes as it evolves;
+///   an already-decimated stream keeps its recorded schedule
+///   (re-decimating would double-drop stores), and the detector widens
+///   its ranges by the recorded rate;
+/// - every slice is validated against the function table received so
+///   far;
+/// - the first refusal is latched: later events are counted but not
+///   checked, and [`finish`](Self::finish) returns the refusal instead
+///   of a verdict.
 ///
 /// The detector skips the model's warm-up, as a live check does, so
-/// the stream's length plays no part. A full-fidelity stream is
-/// re-sampled under `sampler` through a live filter, whose measured
-/// rate the detector observes as it evolves; an already-decimated
-/// stream keeps its recorded schedule (re-decimating would double-drop
-/// stores), and the detector widens its ranges by the recorded rate.
-pub(crate) fn check_stream(
-    model: &HeapModel,
-    settings: &Settings,
-    head: StreamHead<'_>,
-    shards: usize,
-    sampler: Option<SamplerConfig>,
-    feed: impl FnOnce(
-        &mut dyn FnMut(&[HeapEvent]) -> Result<(), HeapMdError>,
-    ) -> Result<(), HeapMdError>,
-) -> Result<TraceCheckOutcome, HeapMdError> {
-    let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
-    let mut replayer = Replayer::with_shards(settings.clone(), head.functions, shards);
-    replayer.sample_like(head.sampling, sampler);
-    let table_len = head.functions.len();
-    feed(&mut |events| {
-        validate_function_ids(events, table_len)?;
-        replayer.drive(events, &mut [&mut detector]);
-        Ok(())
-    })?;
-    let mut monitors: [&mut dyn Monitor; 1] = [&mut detector];
-    replayer.finish(&mut monitors);
-    Ok(TraceCheckOutcome {
-        bugs: detector.take_bugs(),
-        incidents: detector.take_incidents(),
-        samples: replayer.take_samples(),
-        sampling: replayer.sampling_info().or(head.sampling),
-        salvage: None,
-    })
+/// the stream's length plays no part.
+pub(crate) struct StreamCheck {
+    replayer: Replayer,
+    detector: AnomalyDetector,
+    /// The recorded sampling outcome the stream announced (`None` =
+    /// full fidelity).
+    recorded: Option<SamplingInfo>,
+    /// Names in the function table received so far.
+    table_len: usize,
+    /// Events received, before any re-sampling.
+    events: u64,
+    refusal: Option<HeapMdError>,
+}
+
+impl StreamCheck {
+    /// A check of `model` over `replayer` (fresh or [reset](Replayer::reset),
+    /// with an empty function table), re-sampling a full-fidelity
+    /// stream under `sampler`.
+    pub(crate) fn new(
+        model: HeapModel,
+        mut replayer: Replayer,
+        sampler: Option<SamplerConfig>,
+    ) -> Self {
+        if let Some(config) = sampler {
+            replayer.enable_sampling(config);
+        }
+        let detector = AnomalyDetector::new(model, replayer.settings().clone());
+        StreamCheck {
+            replayer,
+            detector,
+            recorded: None,
+            table_len: 0,
+            events: 0,
+            refusal: None,
+        }
+    }
+
+    /// Persists the incident bundles of range violations under `log`
+    /// at [`finish`](Self::finish).
+    pub(crate) fn log_incidents_to(&mut self, log: IncidentLog) {
+        self.detector.log_incidents_to(log);
+    }
+
+    /// Replaces the function table (index = id).
+    pub(crate) fn set_functions(&mut self, names: &[String]) {
+        self.replayer.set_functions(names);
+        self.table_len = names.len();
+    }
+
+    /// Records the sampling outcome of an already-decimated stream,
+    /// which then keeps its recorded schedule. Sampling is settled once
+    /// events arrive: later calls are ignored.
+    pub(crate) fn set_sampling(&mut self, info: SamplingInfo) {
+        if self.events == 0 {
+            self.recorded = Some(info);
+            self.replayer.keep_recorded(info);
+        }
+    }
+
+    /// Checks the next slice of the stream's events.
+    pub(crate) fn feed(&mut self, events: &[HeapEvent]) {
+        self.events += events.len() as u64;
+        if self.refusal.is_some() {
+            return;
+        }
+        match validate_function_ids(events, self.table_len) {
+            Ok(()) => self.replayer.drive(events, &mut [&mut self.detector]),
+            Err(e) => self.refusal = Some(e),
+        }
+    }
+
+    /// Events received so far, before any re-sampling.
+    pub(crate) fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// The samples taken so far.
+    pub(crate) fn samples(&self) -> &[MetricSample] {
+        self.replayer.samples()
+    }
+
+    /// The sampling rate the detector currently observes.
+    pub(crate) fn effective_rate(&self) -> f64 {
+        self.replayer.effective_rate()
+    }
+
+    /// Ends the check over what arrived: the detector's verdict, its
+    /// incident bundles and the sample series, or the latched refusal.
+    /// Call it once; [`into_replayer`](Self::into_replayer) then hands
+    /// the replayer back for reuse.
+    ///
+    /// # Errors
+    ///
+    /// The latched refusal: [`HeapMdError::InvalidInput`] for an event
+    /// naming a function outside the table received before it.
+    pub(crate) fn finish(&mut self) -> Result<TraceCheckOutcome, HeapMdError> {
+        if let Some(e) = self.refusal.take() {
+            return Err(e);
+        }
+        self.replayer.finish(&mut [&mut self.detector]);
+        Ok(TraceCheckOutcome {
+            bugs: self.detector.take_bugs(),
+            incidents: self.detector.take_incidents(),
+            samples: self.replayer.take_samples(),
+            sampling: self.replayer.sampling_info().or(self.recorded),
+            salvage: None,
+        })
+    }
+
+    /// The bundle files the incident log wrote at
+    /// [`finish`](Self::finish) (none without a log).
+    pub(crate) fn bundle_paths(&self) -> &[PathBuf] {
+        self.detector.incident_log().map_or(&[], |l| l.paths())
+    }
+
+    /// The replayer, graph capacity intact, for the next stream.
+    pub(crate) fn into_replayer(self) -> Replayer {
+        self.replayer
+    }
 }
 
 /// Checks that every `FnEnter`/`FnExit` event references an id inside
@@ -356,21 +451,13 @@ impl Replayer {
         self.sampling = Some(SampledIngest::new(config));
     }
 
-    /// Sets how a recorded stream is sampled before its first event. A
-    /// full-fidelity stream (`recorded` is `None`) is re-sampled under
-    /// `sampler` through a live filter; an already-decimated stream
-    /// keeps its recorded schedule (re-decimating would double-drop
-    /// stores), and monitors observe its recorded rate via
-    /// [`MonitorCtx::sample_rate`].
-    pub(crate) fn sample_like(
-        &mut self,
-        recorded: Option<SamplingInfo>,
-        sampler: Option<SamplerConfig>,
-    ) {
-        match (recorded, sampler) {
-            (None, Some(config)) => self.enable_sampling(config),
-            (recorded, _) => self.rate_override = recorded.map_or(1.0, |s| s.rate()),
-        }
+    /// Replays an already-decimated stream under its recorded schedule,
+    /// before its first event: any live filter is dropped (re-decimating
+    /// would double-drop stores), and monitors observe the recorded rate
+    /// via [`MonitorCtx::sample_rate`].
+    pub(crate) fn keep_recorded(&mut self, recorded: SamplingInfo) {
+        self.sampling = None;
+        self.rate_override = recorded.rate();
     }
 
     /// The effective sampling rate monitors currently observe: the live
@@ -854,7 +941,7 @@ mod tests {
         }
     }
 
-    /// `check_stream`'s set-up with every event stepped, `block` events
+    /// [`StreamCheck`]'s set-up with every event stepped, `block` events
     /// per fed slice.
     fn stepped_check(
         trace: &Trace,
@@ -865,7 +952,12 @@ mod tests {
     ) -> TraceCheckOutcome {
         let mut detector = AnomalyDetector::new(model.clone(), settings.clone());
         let mut replayer = Replayer::new(settings.clone(), trace.functions());
-        replayer.sample_like(trace.sampling(), sampler);
+        if let Some(config) = sampler {
+            replayer.enable_sampling(config);
+        }
+        if let Some(info) = trace.sampling() {
+            replayer.keep_recorded(info);
+        }
         for part in trace.events().chunks(block) {
             for ev in part {
                 replayer.step(ev, &mut [&mut AlwaysListening(&mut detector)]);
@@ -912,14 +1004,17 @@ mod tests {
         for (mode, trace, model, sampler) in cases {
             for block in [trace.len(), 7] {
                 let want = stepped_check(trace, model, &settings, sampler, block);
-                let head = StreamHead {
-                    functions: trace.functions(),
-                    sampling: trace.sampling(),
-                };
-                let got = check_stream(model, &settings, head, 1, sampler, |step| {
-                    trace.events().chunks(block).try_for_each(step)
-                })
-                .unwrap();
+                let replayer = Replayer::new(settings.clone(), &[]);
+                let mut check = StreamCheck::new(model.clone(), replayer, sampler);
+                check.set_functions(trace.functions());
+                if let Some(info) = trace.sampling() {
+                    check.set_sampling(info);
+                }
+                trace
+                    .events()
+                    .chunks(block)
+                    .for_each(|part| check.feed(part));
+                let got = check.finish().unwrap();
                 let what = format!("{mode}, {block}-event slices");
                 // The case must exercise the window: logged before the
                 // crossing and context collected after it.

@@ -62,9 +62,7 @@ use crate::model::HeapModel;
 use crate::persist::crc32;
 use crate::report::MetricReport;
 use crate::settings::Settings;
-use crate::trace::{
-    check_stream, validate_function_ids, Replayer, StreamHead, Trace, TraceCheckOutcome,
-};
+use crate::trace::{validate_function_ids, Replayer, StreamCheck, Trace, TraceCheckOutcome};
 use crate::trace_stream::SalvageStats;
 use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
 use std::io::{Read, Write};
@@ -94,6 +92,13 @@ pub(crate) const BLOCK_HEADER_LEN: usize = 4 + 1 + 4 + 4 + 4;
 
 /// File header size: magic + version + reserved byte.
 pub(crate) const HEADER_LEN: usize = 8;
+
+/// The file header every writer emits: magic, version, a zero reserved
+/// byte. Traces, journals and meta containers all start with it.
+pub(crate) const FILE_HEADER: [u8; HEADER_LEN] = {
+    let [h, m, d, b, one, newline] = *BINARY_MAGIC;
+    [h, m, d, b, one, newline, BINARY_FORMAT_VERSION, 0]
+};
 
 /// Events per full block. Large enough to amortize header + dispatch,
 /// small enough that salvage loses little and the pipeline stays busy.
@@ -386,38 +391,96 @@ fn put_block(out: &mut Vec<u8>, kind: u8, count: u32, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// What a block header declares. Every reader of block bytes (the
+/// in-memory parser, the wire reader, the session client's splitter)
+/// decodes headers through [`parse`](Self::parse).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockHeader {
+    /// Block kind (`KIND_*`).
+    pub(crate) kind: u8,
+    /// Event count (events blocks) or entry count (other kinds).
+    pub(crate) count: u32,
+    /// Payload length in bytes.
+    pub(crate) len: u32,
+    crc: u32,
+}
+
+impl BlockHeader {
+    /// Decodes and checks the first [`BLOCK_HEADER_LEN`] bytes of
+    /// `head`: the magic, the length cap and a known kind.
+    ///
+    /// # Errors
+    ///
+    /// A reason string naming the first check that failed.
+    pub(crate) fn parse(head: &[u8]) -> Result<BlockHeader, String> {
+        let Some(head) = head.get(..BLOCK_HEADER_LEN) else {
+            return Err("truncated block header".into());
+        };
+        if head[..4] != BLOCK_MAGIC {
+            return Err("bad block magic".into());
+        }
+        let word =
+            |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("a four-byte field"));
+        let header = BlockHeader {
+            kind: head[4],
+            count: word(5),
+            len: word(9),
+            crc: word(13),
+        };
+        if header.len > MAX_BLOCK_LEN {
+            return Err(format!(
+                "block length {} exceeds cap {MAX_BLOCK_LEN}",
+                header.len
+            ));
+        }
+        if !(KIND_EVENTS..=KIND_META).contains(&header.kind) {
+            return Err(format!("unknown block kind {}", header.kind));
+        }
+        Ok(header)
+    }
+
+    /// Bytes the block spans on the wire: header and payload, plus the
+    /// footer that travels with the index block.
+    pub(crate) fn frame_len(&self) -> usize {
+        let footer = if self.kind == KIND_INDEX {
+            FOOTER_LEN
+        } else {
+            0
+        };
+        BLOCK_HEADER_LEN + self.len as usize + footer
+    }
+
+    /// Checks `payload` against the declared CRC.
+    fn verify(&self, payload: &[u8]) -> Result<(), String> {
+        let actual = crc32(payload);
+        if actual != self.crc {
+            return Err(format!(
+                "block checksum mismatch: declared {:08x}, computed {actual:08x}",
+                self.crc
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Room to reserve for the `count` items a block header declares: each
+/// item takes at least one payload byte, and the count is outside the
+/// CRC, so a damaged count must not size an allocation.
+fn item_capacity(count: u32, payload: &[u8]) -> usize {
+    (count as usize).min(payload.len())
+}
+
 /// Parses a block header + payload at `pos`. Returns
 /// `(kind, count, payload, next_pos)`.
 fn parse_block(bytes: &[u8], pos: usize) -> Result<(u8, u32, &[u8], usize), String> {
     let rest = &bytes[pos..];
-    if rest.len() < BLOCK_HEADER_LEN {
-        return Err("truncated block header".into());
-    }
-    if rest[..4] != BLOCK_MAGIC {
-        return Err("bad block magic".into());
-    }
-    let kind = rest[4];
-    let count = u32::from_le_bytes(rest[5..9].try_into().unwrap());
-    let len = u32::from_le_bytes(rest[9..13].try_into().unwrap());
-    let declared_crc = u32::from_le_bytes(rest[13..17].try_into().unwrap());
-    if len > MAX_BLOCK_LEN {
-        return Err(format!("block length {len} exceeds cap {MAX_BLOCK_LEN}"));
-    }
-    let end = BLOCK_HEADER_LEN + len as usize;
-    if rest.len() < end {
-        return Err("block truncated mid-payload".into());
-    }
-    let payload = &rest[BLOCK_HEADER_LEN..end];
-    let actual = crc32(payload);
-    if actual != declared_crc {
-        return Err(format!(
-            "block checksum mismatch: declared {declared_crc:08x}, computed {actual:08x}"
-        ));
-    }
-    if !(KIND_EVENTS..=KIND_META).contains(&kind) {
-        return Err(format!("unknown block kind {kind}"));
-    }
-    Ok((kind, count, payload, pos + end))
+    let header = BlockHeader::parse(rest)?;
+    let end = BLOCK_HEADER_LEN + header.len as usize;
+    let payload = rest
+        .get(BLOCK_HEADER_LEN..end)
+        .ok_or("block truncated mid-payload")?;
+    header.verify(payload)?;
+    Ok((header.kind, header.count, payload, pos + end))
 }
 
 fn encode_events_block(events: &[HeapEvent], scratch: &mut Vec<u8>) -> (Vec<u8>, u64) {
@@ -468,7 +531,7 @@ fn encode_functions_block(names: &[String]) -> Vec<u8> {
 }
 
 fn decode_functions_payload(payload: &[u8], count: u32) -> Result<Vec<String>, String> {
-    let mut names = Vec::with_capacity(count as usize);
+    let mut names = Vec::with_capacity(item_capacity(count, payload));
     let mut pos = 0usize;
     for _ in 0..count {
         let len = get_varint(payload, &mut pos)? as usize;
@@ -516,7 +579,7 @@ fn encode_index_block(index: &BlockIndex) -> Vec<u8> {
 
 fn decode_index_payload(payload: &[u8], count: u32) -> Result<BlockIndex, String> {
     let mut pos = 0usize;
-    let mut blocks = Vec::with_capacity(count as usize);
+    let mut blocks = Vec::with_capacity(item_capacity(count, payload));
     for _ in 0..count {
         let offset = get_varint(payload, &mut pos)?;
         let &kind = payload.get(pos).ok_or("index entry truncated")?;
@@ -596,22 +659,12 @@ impl<W: Write> BinaryTraceWriter<W> {
     ///
     /// Returns [`HeapMdError::Io`] if the header cannot be written.
     pub fn new(mut inner: W) -> Result<Self, HeapMdError> {
-        let header = [
-            BINARY_MAGIC[0],
-            BINARY_MAGIC[1],
-            BINARY_MAGIC[2],
-            BINARY_MAGIC[3],
-            BINARY_MAGIC[4],
-            BINARY_MAGIC[5],
-            BINARY_FORMAT_VERSION,
-            0,
-        ];
-        inner.write_all(&header)?;
+        inner.write_all(&FILE_HEADER)?;
         Ok(BinaryTraceWriter {
             inner,
             pending: Vec::with_capacity(EVENTS_PER_BLOCK),
             scratch: Vec::new(),
-            offset: header.len() as u64,
+            offset: HEADER_LEN as u64,
             index: BlockIndex::default(),
         })
     }
@@ -862,19 +915,13 @@ impl BinaryTraceImage {
     /// Returns [`HeapMdError::Corrupt`].
     pub fn functions(&self) -> Result<Vec<String>, HeapMdError> {
         let mut names = Vec::new();
-        for entry in &self.index.blocks {
-            if entry.kind != KIND_FUNCTIONS {
-                continue;
-            }
-            let (kind, count, payload, _) = parse_block(&self.bytes, entry.offset as usize)
-                .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?;
-            if kind != KIND_FUNCTIONS || count != entry.count {
-                return Err(HeapMdError::corrupt(
-                    entry.offset,
-                    "index entry disagrees with functions block header",
-                ));
-            }
-            names = decode_functions_payload(payload, count)
+        for entry in self
+            .index
+            .blocks
+            .iter()
+            .filter(|b| b.kind == KIND_FUNCTIONS)
+        {
+            names = decode_functions_payload(self.payload(entry, KIND_FUNCTIONS)?, entry.count)
                 .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?;
         }
         Ok(names)
@@ -894,19 +941,8 @@ impl BinaryTraceImage {
     /// Returns [`HeapMdError::Corrupt`] on a damaged meta block.
     pub fn sampling(&self) -> Result<Option<SamplingInfo>, HeapMdError> {
         let mut sampling = None;
-        for entry in &self.index.blocks {
-            if entry.kind != KIND_META {
-                continue;
-            }
-            let (kind, _, payload, _) = parse_block(&self.bytes, entry.offset as usize)
-                .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?;
-            if kind != KIND_META {
-                return Err(HeapMdError::corrupt(
-                    entry.offset,
-                    "index entry disagrees with meta block header",
-                ));
-            }
-            if let Some(info) = decode_sampling_meta(payload)
+        for entry in self.index.blocks.iter().filter(|b| b.kind == KIND_META) {
+            if let Some(info) = decode_sampling_meta(self.payload(entry, KIND_META)?)
                 .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?
             {
                 sampling = Some(info);
@@ -927,16 +963,23 @@ impl BinaryTraceImage {
         out: &mut Vec<HeapEvent>,
     ) -> Result<(), HeapMdError> {
         out.clear();
+        decode_events_payload(self.payload(entry, KIND_EVENTS)?, entry.count, out)
+            .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))
+    }
+
+    /// The payload of the block `entry` locates, once its header agrees
+    /// with the entry's count and is of kind `expected`.
+    fn payload(&self, entry: &BlockEntry, expected: u8) -> Result<&[u8], HeapMdError> {
         let (kind, count, payload, _) = parse_block(&self.bytes, entry.offset as usize)
             .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?;
-        if kind != KIND_EVENTS || count != entry.count {
+        if (kind, count) != (expected, entry.count) {
+            let name = ["events", "functions", "index", "meta"][usize::from(expected) - 1];
             return Err(HeapMdError::corrupt(
                 entry.offset,
-                "index entry disagrees with events block header",
+                format!("index entry disagrees with {name} block header"),
             ));
         }
-        decode_events_payload(payload, count, out)
-            .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))
+        Ok(payload)
     }
 
     /// Decodes everything into an in-memory [`Trace`], verifying the
@@ -972,17 +1015,24 @@ impl BinaryTraceImage {
     }
 }
 
+/// Checks the file header: the magic, the one format version, and the
+/// zero reserved byte, so every header byte is covered.
 pub(crate) fn check_header(bytes: &[u8]) -> Result<(), HeapMdError> {
-    if bytes.len() < 8 || &bytes[..6] != BINARY_MAGIC {
-        return Err(HeapMdError::corrupt(0, "missing binary trace magic"));
+    match bytes.get(..HEADER_LEN) {
+        Some(&[h, m, d, b, one, newline, version, reserved])
+            if [h, m, d, b, one, newline] == *BINARY_MAGIC =>
+        {
+            if version != BINARY_FORMAT_VERSION {
+                let reason = format!("unsupported binary trace version {version}");
+                return Err(HeapMdError::corrupt(6, reason));
+            }
+            if reserved != 0 {
+                return Err(HeapMdError::corrupt(7, "nonzero reserved header byte"));
+            }
+            Ok(())
+        }
+        _ => Err(HeapMdError::corrupt(0, "missing binary trace magic")),
     }
-    if bytes[6] > BINARY_FORMAT_VERSION {
-        return Err(HeapMdError::corrupt(
-            6,
-            format!("unsupported binary trace version {}", bytes[6]),
-        ));
-    }
-    Ok(())
 }
 
 impl BinaryTraceReader {
@@ -1045,108 +1095,82 @@ fn salvage_bytes(bytes: &[u8]) -> (Trace, SalvageStats) {
     let mut events: Vec<HeapEvent> = Vec::new();
     let mut functions: Vec<String> = Vec::new();
     let mut sampling: Option<SamplingInfo> = None;
-    let mut block_buf: Vec<HeapEvent> = Vec::new();
     let mut records = 0u64;
     let mut valid_bytes = 0u64;
+    // The first damage; every damaged region records it if it is first.
     let mut corruption: Option<(u64, String)> = None;
-    let mut saw_index = false;
-    let mut damaged = false;
+    // The walk ended on an intact index block with its footer.
+    let mut closed = false;
 
     let mut pos = match check_header(bytes) {
-        Ok(()) => {
-            valid_bytes += 8;
-            8
-        }
+        Ok(()) => HEADER_LEN,
         Err(e) => {
             let HeapMdError::Corrupt { offset, reason } = e else {
                 unreachable!("check_header only reports corruption")
             };
             corruption = Some((offset, reason));
-            damaged = true;
             0
         }
     };
+    valid_bytes += pos as u64;
 
     while pos < bytes.len() {
-        // The footer is legal only at the very end; reaching it cleanly
-        // terminates the walk.
-        if bytes.len() - pos == FOOTER_LEN && parse_footer(bytes).is_ok() {
-            valid_bytes += FOOTER_LEN as u64;
-            pos = bytes.len();
-            break;
-        }
-        match parse_block(bytes, pos) {
-            Ok((kind, count, payload, next)) => {
-                let intact = match kind {
-                    KIND_EVENTS => {
-                        let start = block_buf.len();
-                        match decode_events_payload(payload, count, &mut block_buf) {
-                            Ok(()) => {
-                                events.extend_from_slice(&block_buf[start..]);
-                                block_buf.clear();
-                                true
-                            }
-                            Err(reason) => {
-                                block_buf.truncate(start);
-                                if corruption.is_none() {
-                                    corruption = Some((pos as u64, reason));
-                                }
-                                false
-                            }
-                        }
-                    }
-                    KIND_FUNCTIONS => match decode_functions_payload(payload, count) {
-                        Ok(names) => {
-                            functions = names;
-                            true
-                        }
-                        Err(reason) => {
-                            if corruption.is_none() {
-                                corruption = Some((pos as u64, reason));
-                            }
-                            false
-                        }
-                    },
-                    KIND_INDEX => {
-                        saw_index = true;
-                        decode_index_payload(payload, count).is_ok()
-                    }
-                    // Meta blocks already passed their CRC; recognized
-                    // sampling payloads are recovered, other tags are
-                    // opaque — both count as intact.
-                    _ => {
-                        if let Ok(Some(info)) = decode_sampling_meta(payload) {
-                            sampling = Some(info);
-                        }
-                        true
-                    }
-                };
-                if intact {
-                    records += 1;
-                    valid_bytes += (next - pos) as u64;
+        let (kind, count, payload, next) = match parse_block(bytes, pos) {
+            Ok(block) => block,
+            Err(reason) => {
+                corruption.get_or_insert((pos as u64, reason));
+                // Resync: scan forward for the next plausible block.
+                pos = find_block_magic(bytes, pos + 1).unwrap_or(bytes.len());
+                continue;
+            }
+        };
+        let decoded = match kind {
+            KIND_EVENTS => {
+                let start = events.len();
+                decode_events_payload(payload, count, &mut events)
+                    .inspect_err(|_| events.truncate(start))
+            }
+            KIND_FUNCTIONS => {
+                decode_functions_payload(payload, count).map(|names| functions = names)
+            }
+            // The index ends the stream: it is intact only with the
+            // footer pointing back at it right behind it, which is where
+            // the wire reader ends a stream too.
+            KIND_INDEX => decode_index_payload(payload, count).and_then(|_| {
+                closed = bytes.len() - next == FOOTER_LEN && parse_footer(bytes) == Ok(pos as u64);
+                if closed {
+                    Ok(())
                 } else {
-                    damaged = true;
+                    Err("index block is not followed by its footer".into())
                 }
-                pos = next;
+            }),
+            // Meta blocks already passed their CRC; recognized sampling
+            // payloads are recovered, other tags are opaque — both count
+            // as intact.
+            _ => {
+                if let Ok(Some(info)) = decode_sampling_meta(payload) {
+                    sampling = Some(info);
+                }
+                Ok(())
+            }
+        };
+        match decoded {
+            Ok(()) => {
+                records += 1;
+                valid_bytes += (next - pos) as u64;
             }
             Err(reason) => {
-                if corruption.is_none() {
-                    corruption = Some((pos as u64, reason));
-                }
-                damaged = true;
-                // Resync: scan forward for the next plausible block.
-                match find_block_magic(bytes, pos + 1) {
-                    Some(next) => pos = next,
-                    None => {
-                        pos = bytes.len();
-                        break;
-                    }
-                }
+                corruption.get_or_insert((pos as u64, reason));
             }
+        }
+        pos = next;
+        if closed {
+            valid_bytes += FOOTER_LEN as u64;
+            break;
         }
     }
 
-    let complete = !damaged && saw_index && pos == bytes.len() && valid_bytes == bytes.len() as u64;
+    let complete = closed && corruption.is_none();
     if !complete && corruption.is_none() {
         corruption = Some((pos as u64, "stream truncated before index/footer".into()));
     }
@@ -1441,9 +1465,7 @@ pub(crate) fn decode_sampling_meta(payload: &[u8]) -> Result<Option<SamplingInfo
 /// the same CRC + version protection as traces.
 pub fn encode_meta_container(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 64);
-    out.extend_from_slice(BINARY_MAGIC);
-    out.push(BINARY_FORMAT_VERSION);
-    out.push(0);
+    out.extend_from_slice(&FILE_HEADER);
     let index_offset_entry = out.len() as u64;
     put_block(&mut out, KIND_META, 1, payload);
     let index_offset = out.len() as u64;
@@ -1471,8 +1493,7 @@ pub fn encode_meta_container(payload: &[u8]) -> Vec<u8> {
 ///
 /// Returns [`HeapMdError::Corrupt`] on any framing or CRC violation.
 pub fn decode_meta_container(bytes: &[u8]) -> Result<Vec<u8>, HeapMdError> {
-    let header = [BINARY_MAGIC.as_slice(), &[BINARY_FORMAT_VERSION, 0]].concat();
-    if !bytes.starts_with(&header) {
+    if !bytes.starts_with(&FILE_HEADER) {
         return Err(HeapMdError::corrupt(0, "bad meta container header"));
     }
     let (kind, count, payload, index_at) =
@@ -1698,14 +1719,17 @@ fn check_image(
     shards: usize,
     sampler: Option<SamplerConfig>,
 ) -> Result<TraceCheckOutcome, HeapMdError> {
-    let functions = image.functions()?;
-    let head = StreamHead {
-        functions: &functions,
-        sampling: image.sampling()?,
-    };
-    check_stream(model, settings, head, shards, sampler, |step| {
-        pipeline_blocks(image, step)
-    })
+    let replayer = Replayer::with_shards(settings.clone(), &[], shards);
+    let mut check = StreamCheck::new(model.clone(), replayer, sampler);
+    check.set_functions(&image.functions()?);
+    if let Some(info) = image.sampling()? {
+        check.set_sampling(info);
+    }
+    pipeline_blocks(image, |events| {
+        check.feed(events);
+        Ok(())
+    })?;
+    check.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1844,11 +1868,8 @@ impl<R: Read> WireReader<R> {
     /// Wraps a byte stream positioned at the 8-byte `.hmdt` header.
     pub fn new(inner: R) -> Self {
         WireReader {
-            inner,
-            consumed: 0,
             header_done: false,
-            finished: false,
-            tee: None,
+            ..WireReader::resume(inner, 0)
         }
     }
 
@@ -1949,56 +1970,29 @@ impl<R: Read> WireReader<R> {
         }
         self.read_header()?;
         let block_start = self.consumed;
+        let corrupt = |reason: String| HeapMdError::corrupt(block_start, reason);
         let mut head = [0u8; BLOCK_HEADER_LEN];
         self.fill(&mut head)?;
-        if head[..4] != BLOCK_MAGIC {
-            return Err(HeapMdError::corrupt(block_start, "bad block magic"));
-        }
-        let kind = head[4];
-        let count = u32::from_le_bytes(head[5..9].try_into().unwrap());
-        let len = u32::from_le_bytes(head[9..13].try_into().unwrap());
-        let declared_crc = u32::from_le_bytes(head[13..17].try_into().unwrap());
-        if len > MAX_BLOCK_LEN {
-            return Err(HeapMdError::corrupt(
-                block_start,
-                format!("block length {len} exceeds cap {MAX_BLOCK_LEN}"),
-            ));
-        }
-        if !(KIND_EVENTS..=KIND_META).contains(&kind) {
-            return Err(HeapMdError::corrupt(
-                block_start,
-                format!("unknown block kind {kind}"),
-            ));
-        }
-        let mut payload = vec![0u8; len as usize];
+        let header = BlockHeader::parse(&head).map_err(corrupt)?;
+        let mut payload = vec![0u8; header.len as usize];
         self.fill(&mut payload)?;
-        let actual = crc32(&payload);
-        if actual != declared_crc {
-            return Err(HeapMdError::corrupt(
-                block_start,
-                format!(
-                    "block checksum mismatch: declared {declared_crc:08x}, computed {actual:08x}"
-                ),
-            ));
-        }
-        match kind {
+        header.verify(&payload).map_err(corrupt)?;
+        let count = header.count;
+        match header.kind {
             KIND_EVENTS => {
-                let mut events = Vec::with_capacity(count as usize);
-                decode_events_payload(&payload, count, &mut events)
-                    .map_err(|r| HeapMdError::corrupt(block_start, r))?;
+                let mut events = Vec::with_capacity(item_capacity(count, &payload));
+                decode_events_payload(&payload, count, &mut events).map_err(corrupt)?;
                 Ok(WireFrame::Events(events))
             }
             KIND_FUNCTIONS => decode_functions_payload(&payload, count)
                 .map(WireFrame::Functions)
-                .map_err(|r| HeapMdError::corrupt(block_start, r)),
+                .map_err(corrupt),
             KIND_META => Ok(WireFrame::Meta(payload)),
             _ => {
-                let index = decode_index_payload(&payload, count)
-                    .map_err(|r| HeapMdError::corrupt(block_start, r))?;
+                let index = decode_index_payload(&payload, count).map_err(corrupt)?;
                 let mut footer = [0u8; FOOTER_LEN];
                 self.fill(&mut footer)?;
-                let index_offset =
-                    parse_footer(&footer).map_err(|r| HeapMdError::corrupt(block_start, r))?;
+                let index_offset = parse_footer(&footer).map_err(corrupt)?;
                 if index_offset != block_start {
                     return Err(HeapMdError::corrupt(
                         block_start,

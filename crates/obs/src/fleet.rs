@@ -674,7 +674,7 @@ impl FleetSnapshot {
     ///
     /// Tab/newline bytes cannot appear in the variable columns: tenant
     /// names are charset-validated by the serving layer and metric
-    /// names come from [`MetricKind::short_name`]-style constants; both
+    /// names come from `MetricKind::short_name`-style constants; both
     /// are additionally stripped here as defense in depth.
     pub fn tsv(&self) -> String {
         fn cell(s: &str) -> String {

@@ -11,7 +11,7 @@
 
 use heapmd::{
     BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, CandidateKind, MetricReport,
-    ModelBuilder, Settings, Trace, TraceReader, TraceWriter,
+    ModelBuilder, SamplerConfig, Settings, Trace, TraceReader, TraceWriter, WireFrame, WireReader,
 };
 use proptest::prelude::*;
 use sim_heap::{AllocSite, HeapError, HeapEvent, SimHeap};
@@ -320,5 +320,93 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&trunc).ok();
+    }
+}
+
+/// Encodes `trace` as a serve client streams it: the sampling meta and
+/// function table first, then the events in blocks of `chunk` (flushed
+/// early, so short traces still span several blocks), then the index.
+fn streamed_bytes(trace: &Trace, chunk: usize) -> Vec<u8> {
+    let mut w = BinaryTraceWriter::new(Vec::new()).unwrap();
+    if let Some(info) = trace.sampling() {
+        w.write_meta(&heapmd::encode_sampling_meta(&info)).unwrap();
+    }
+    w.write_functions(trace.functions()).unwrap();
+    for part in trace.events().chunks(chunk) {
+        for ev in part {
+            w.write_event(ev).unwrap();
+        }
+        w.flush().unwrap();
+    }
+    w.finish().unwrap()
+}
+
+/// What a [`WireReader`] yields from `bytes` before its first error:
+/// the events, the last function table, and whether it reached `End`.
+fn wire_read(bytes: &[u8]) -> (Vec<HeapEvent>, Vec<String>, bool) {
+    let mut reader = WireReader::new(bytes);
+    let (mut events, mut functions) = (Vec::new(), Vec::new());
+    loop {
+        match reader.next_frame() {
+            Ok(WireFrame::Events(block)) => events.extend(block),
+            Ok(WireFrame::Functions(names)) => functions = names,
+            Ok(WireFrame::Meta(_)) => {}
+            Ok(WireFrame::End(_)) => return (events, functions, true),
+            Err(_) => return (events, functions, false),
+        }
+    }
+}
+
+/// Checks the wire reader against block salvage on one (possibly
+/// damaged) stream: it reaches `End` exactly when salvage calls the
+/// stream complete, and up to its first error it yields what salvage
+/// recovers before its first corruption — the salvage of the bytes
+/// ahead of that offset.
+fn assert_wire_matches_salvage(bytes: &[u8], what: &str) -> Result<(), TestCaseError> {
+    let (events, functions, ended) = wire_read(bytes);
+    let (whole, stats) = BinaryTraceReader::salvage(bytes).unwrap();
+    prop_assert_eq!(ended, stats.complete, "{}: {:?}", what, stats.corruption);
+    let before = match &stats.corruption {
+        Some((offset, _)) => {
+            BinaryTraceReader::salvage(&bytes[..*offset as usize])
+                .unwrap()
+                .0
+        }
+        None => whole,
+    };
+    prop_assert_eq!(&events[..], before.events(), "{}: events", what);
+    prop_assert_eq!(&functions[..], before.functions(), "{}: functions", what);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The wire reader and block salvage parse blocks through one header
+    // parser and one CRC check, so on every prefix cut and every
+    // single-bit flip of an encoded stream they agree on where the
+    // stream ends and on what precedes its first damage.
+    #[test]
+    fn wire_reader_agrees_with_salvage_on_every_cut_and_bit_flip(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        chunk in 1usize..24,
+        sampled in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        let mut trace = build_trace(&ops);
+        if sampled {
+            trace = trace.sampled(SamplerConfig::new(2, 2));
+        }
+        let bytes = streamed_bytes(&trace, chunk);
+        assert_wire_matches_salvage(&bytes, "undamaged")?;
+        prop_assert!(wire_read(&bytes).2, "an undamaged stream reaches End");
+        for cut in 0..bytes.len() {
+            assert_wire_matches_salvage(&bytes[..cut], &format!("cut at {cut}"))?;
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_wire_matches_salvage(&flipped, &format!("bit {bit} flipped"))?;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }

@@ -1020,6 +1020,62 @@ fn sampling_metadata_after_events_evicts_the_tenant() {
     assert_eq!(outcome.events, heapmd::EVENTS_PER_BLOCK as u64);
 }
 
+/// Journal recovery forwards frames through the live dispatch, so a
+/// sampling meta frame journaled behind an events frame (the live
+/// handler journals a frame before it evicts the session for it)
+/// evicts the tenant at restart too: the prefix's verdict is kept and
+/// both journal files are deleted.
+#[test]
+fn recovery_evicts_a_journal_whose_sampling_metadata_follows_events() {
+    let fx = webapp_fixture();
+    let sampled = fx.trace.sampled(SamplerConfig::new(64, 8));
+    let bytes = sampled.encode_binary();
+    let frames = wire_frames(&bytes);
+    let frame = |i: usize| &bytes[frames[i].clone()];
+    let dir = scratch_dir("late-journal");
+    // The file header, the function table, the first events block, and
+    // only then the sampling meta frame.
+    let journal = [&bytes[..8], frame(1), frame(2), frame(0)].concat();
+    std::fs::write(dir.join("late.hmdt"), journal).expect("write journal");
+    std::fs::write(
+        dir.join("late.session.json"),
+        r#"{"version":1,"tenant":"late","session":"s-1","completed":false}"#,
+    )
+    .expect("write session meta");
+
+    let mut config = ServeConfig::new(fx.model.clone());
+    config.journal_dir = Some(dir.clone());
+    let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
+    assert_eq!(server.fleet().snapshot().evictions_total, 1);
+    server.shutdown();
+    let outcome = server.wait().tenants.remove("late").expect("late outcome");
+    assert_eq!(
+        outcome.evicted.as_deref(),
+        Some("malformed stream: sampling metadata after events")
+    );
+    assert!(outcome.partial && outcome.error.is_none(), "{outcome:?}");
+    // The prefix is the first events block, checked at full fidelity:
+    // the schedule came too late to apply.
+    let mut prefix = Trace::new();
+    for ev in &sampled.events()[..heapmd::EVENTS_PER_BLOCK] {
+        prefix.push(*ev);
+    }
+    prefix.set_functions(sampled.functions().to_vec());
+    assert_eq!(outcome.events, heapmd::EVENTS_PER_BLOCK as u64);
+    assert_eq!(
+        outcome.bugs,
+        prefix
+            .check(&fx.model, &fx.model.settings)
+            .expect("prefix check")
+    );
+    assert!(!dir.join("late.hmdt").exists(), "journal deleted");
+    assert!(
+        !dir.join("late.session.json").exists(),
+        "session meta deleted"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Daemon-side sampling happens at ingest, so a full-fidelity tenant's
 /// live gauges already show the filter's measured rate and bands
 /// widened by it, and its verdict is the offline check's under the
