@@ -47,8 +47,14 @@
 //! - `check --trace` / `push` / `inspect` read binary and
 //!   framed-JSONL (`HMDT1`) traces alike, by magic bytes; `--salvage`
 //!   accepts damaged inputs and reports what was lost.
+//! - `train` runs its inputs on every available core (`--threads N`
+//!   caps the workers at N) and folds each run into the model in input
+//!   order as soon as it and every earlier run are done, so models and
+//!   checkpoints are byte-identical at any worker count, and a
+//!   checkpoint is cut while later runs are still in flight.
 //! - `check --trace A --trace B … --jobs N` fans offline trace checks
-//!   across a scoped thread pool with deterministic input-order output.
+//!   across the same worker pool with deterministic input-order output
+//!   (one job by default).
 //! - A closed stdout (`heapmd list | head -1`) ends the process with
 //!   status 141 (128 + SIGPIPE) and nothing on stderr.
 //! - `run --model FILE [--incidents DIR]` attaches the anomaly
@@ -101,18 +107,20 @@ use faults::FaultPlan;
 use heapmd::plot::{chart, RefLine};
 use heapmd::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use heapmd::{
-    render_verdicts, AnomalyDetector, ArtifactKind, BinaryTraceImage, HeapModel, IncidentBundle,
-    IncidentLog, LogPhase, ModelBuilder, Process, SalvageStats, Trace, TrainCheckpoint,
+    available_workers, render_verdicts, AnomalyDetector, ArtifactKind, BinaryTraceImage, HeapModel,
+    IncidentBundle, IncidentLog, LogPhase, ModelBuilder, Process, SalvageStats, Trace,
+    TrainCheckpoint,
 };
 use heapmd_obs::{debug, error, info};
 use heapmd_runstore::{
     drift_by_version, MetricStats, RowFilter, RowKind, RunRow, RunStore, ENCODING_NAMES,
 };
 use std::cell::RefCell;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use workloads::bugs::{CATALOG, SWAT_ONLY};
-use workloads::harness::{run_many, run_once, settings_for, FLIGHT_RECORDER_POINTS};
+use workloads::harness::{run_many, settings_for, FLIGHT_RECORDER_POINTS};
 use workloads::{commercial_at_version, registry, Input, Workload, WorkloadKind};
 
 // Every `print!`/`println!` below goes through `write_stdout`, which
@@ -283,7 +291,7 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N (default: every core)] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
@@ -494,6 +502,9 @@ fn cmd_run(args: &[String]) -> i32 {
     0
 }
 
+/// `train`'s default `--inputs`.
+const TRAIN_INPUTS: NonZeroUsize = NonZeroUsize::new(10).unwrap();
+
 fn cmd_train(args: &[String]) -> i32 {
     let words = known_flags(
         "train",
@@ -506,7 +517,7 @@ fn cmd_train(args: &[String]) -> i32 {
     let Some(program) = words.first() else {
         usage()
     };
-    let inputs: usize = num_flag(args, "--inputs", "a number", 10usize);
+    let inputs = num_flag(args, "--inputs", "a positive number", TRAIN_INPUTS).get();
     let version: u8 = num_flag(args, "--version", "1-5", 1u8);
     let out = arg_value(args, "--out").unwrap_or_else(|| format!("{program}.heapmd.json"));
     let local = args.iter().any(|a| a == "--local");
@@ -522,7 +533,8 @@ fn cmd_train(args: &[String]) -> i32 {
         }
     };
     let checkpoint_every: u64 = num_flag(args, "--checkpoint-every", "a number", 0u64);
-    let threads: usize = num_flag(args, "--threads", "a number", 1usize);
+    // Every core by default; `--threads N` caps the workers at N.
+    let threads = num_flag(args, "--threads", "a positive number", available_workers()).get();
     let resume = args.iter().any(|a| a == "--resume");
     let ckpt_path = arg_value(args, "--checkpoint").unwrap_or_else(|| format!("{out}.ckpt"));
     // Test hook: slow training down so the chaos suite can SIGKILL the
@@ -569,21 +581,14 @@ fn cmd_train(args: &[String]) -> i32 {
     };
     let all_inputs = Input::set(inputs);
     let pending = &all_inputs[(start as usize).min(all_inputs.len())..];
-    // With --threads > 1 the pending runs execute on worker threads and
-    // are merged in input order, so the model (and every checkpoint) is
-    // bit-identical to the sequential path.
-    let reports = if threads > 1 {
-        run_many(w.as_ref(), pending, &settings, threads)
-    } else {
-        Vec::new()
-    };
+    // The pending runs execute on the worker pool; the sink folds each
+    // report in input order as soon as it and every earlier one are
+    // done, so the model and every checkpoint are byte-identical to a
+    // sequential loop's, and checkpoints are cut while later runs are
+    // still in flight.
     let mut store_rows: Vec<RunRow> = Vec::new();
-    for (i, input) in pending.iter().enumerate() {
-        let report = if threads > 1 {
-            reports[i].clone()
-        } else {
-            run_once(w.as_ref(), input, &mut FaultPlan::new(), &settings)
-        };
+    let folded = run_many(w.as_ref(), pending, &settings, threads, |i, report| {
+        let input = &pending[i];
         debug!(
             "training input {} contributed {} samples",
             input.id,
@@ -606,15 +611,20 @@ fn cmd_train(args: &[String]) -> i32 {
         builder.add_run(&report);
         let done = start + i as u64 + 1;
         if checkpoint_every > 0 && done.is_multiple_of(checkpoint_every) {
-            if let Err(e) = builder.checkpoint(done).save(&ckpt_path) {
-                error!("checkpoint write to {ckpt_path} failed: {e}");
-                return 1;
-            }
+            builder
+                .checkpoint(done)
+                .save(&ckpt_path)
+                .map_err(|e| format!("checkpoint write to {ckpt_path} failed: {e}"))?;
             debug!("checkpointed {done}/{inputs} inputs to {ckpt_path}");
         }
         if throttle_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
         }
+        Ok::<(), String>(())
+    });
+    if let Err(e) = folded {
+        error!("{e}");
+        return 1;
     }
     let outcome = builder.build();
     for sm in outcome.model.stable_metrics() {

@@ -63,6 +63,8 @@ fn unknown_flags_and_removed_commands_are_usage_errors() {
         (&["run", "gzip", "--format", "jsonl"][..], Some("--format")),
         (&["run", "gzip", "--bogus"][..], Some("--bogus")),
         (&["run", "gzip", "--shards", "2"][..], Some("--shards")),
+        (&["train", "gzip", "--inputs", "0"][..], Some("--inputs")),
+        (&["train", "gzip", "--threads", "0"][..], Some("--threads")),
         (
             &["check", "--input", "5", "--trace", trace][..],
             Some("--input"),

@@ -79,6 +79,7 @@ mod monitor;
 pub mod persist;
 pub mod phase_model;
 pub mod plot;
+mod pool;
 mod process;
 mod report;
 mod ringbuf;
@@ -109,6 +110,7 @@ pub use model::{
 };
 pub use monitor::{Monitor, MonitorCtx};
 pub use phase_model::{merge_ranges, segment, LocalMetric, Plateau};
+pub use pool::{available_workers, run_pool, run_pool_streaming};
 pub use process::Process;
 pub use report::{MetricReport, MetricSample};
 pub use ringbuf::CircularBuffer;
@@ -122,9 +124,9 @@ pub use trace::{Trace, TraceCheckOutcome};
 pub use trace_codec::{
     check_binary_sharded, check_paths_parallel, encode_sampling_meta, load_trace_auto,
     replay_binary, replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded,
-    run_pool, sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader,
-    BinaryTraceWriter, BlockEntry, BlockIndex, StreamFormat, WireFrame, WireReader,
-    BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
+    sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter,
+    BlockEntry, BlockIndex, StreamFormat, WireFrame, WireReader, BINARY_FORMAT_VERSION,
+    BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 pub use trace_stream::{frame_record, SalvageStats, TraceReader, TraceWriter, STREAM_MAGIC};
 

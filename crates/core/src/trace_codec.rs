@@ -52,14 +52,15 @@
 //! Graph shards (`shards > 1`) partition the graph's storage on that
 //! same thread; the verdicts and samples are identical at every count.
 //!
-//! [`check_paths_parallel`] fans N trace files out across the scoped
-//! thread pool [`run_pool`], which merges outcomes in input order;
-//! training's `run_many` shares it.
+//! [`check_paths_parallel`] fans N trace files out across the one
+//! worker pool, [`run_pool`], which returns outcomes in input order;
+//! training streams its runs through the same pool.
 
 use crate::bug::BugReport;
 use crate::error::HeapMdError;
 use crate::model::HeapModel;
 use crate::persist::crc32;
+use crate::pool::run_pool;
 use crate::report::MetricReport;
 use crate::settings::Settings;
 use crate::trace::{validate_function_ids, Replayer, StreamCheck, Trace, TraceCheckOutcome};
@@ -1770,55 +1771,6 @@ pub fn check_paths_parallel(
         outcome.salvage = stats;
         Ok(outcome)
     })
-}
-
-/// Runs `work(0..n)` on up to `jobs` scoped worker threads and returns
-/// the results **in input order** regardless of scheduling: worker `w`
-/// owns a contiguous slot range and results land by index, so the
-/// output equals a sequential loop whenever `work(i)` depends on `i`
-/// alone. With obs on, a multi-worker pool records its wall time as
-/// the throughput stage `stage` and its worker count as the gauge
-/// `<stage>_workers`.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker (as the sequential loop would).
-pub fn run_pool<T: Send>(
-    stage: &str,
-    n: usize,
-    jobs: usize,
-    work: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let workers = jobs.max(1).min(n.max(1));
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    if workers <= 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(work(i));
-        }
-    } else {
-        let clock = heapmd_obs::throughput::stage_clock();
-        let chunk = n.div_ceil(workers);
-        let work = &work;
-        std::thread::scope(|scope| {
-            for (w, slots) in results.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(work(w * chunk + j));
-                    }
-                });
-            }
-        });
-        if let Some(t0) = clock {
-            heapmd_obs::throughput::record_stage(stage, n as u64, t0.elapsed().as_nanos() as u64);
-            heapmd_obs::registry()
-                .gauge(&format!("{stage}_workers"))
-                .set(workers as i64);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ use heapmd::{
     ModelOutcome, Process, Settings,
 };
 use std::cell::RefCell;
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -59,34 +60,48 @@ pub fn run_in(
     p.finish(format!("{}/input-{}", w.name(), input.id))
 }
 
-/// Trains a heap model for `w` on clean runs over `inputs`.
+/// Trains a heap model for `w` on clean runs over `inputs`, running
+/// them on every available core ([`run_many`]).
 pub fn train(w: &dyn Workload, inputs: &[Input]) -> ModelOutcome {
     let settings = settings_for(w);
     let mut builder = ModelBuilder::new(settings.clone()).program(w.name());
-    for input in inputs {
-        let mut plan = FaultPlan::new();
-        builder.add_run(&run_once(w, input, &mut plan, &settings));
-    }
+    let Ok(()) = run_many(
+        w,
+        inputs,
+        &settings,
+        heapmd::available_workers().get(),
+        |_, report| {
+            builder.add_run(&report);
+            Ok::<(), Infallible>(())
+        },
+    );
     builder.build()
 }
 
-/// Runs `w` once per input under clean fault plans, distributing the
-/// runs over up to `threads` workers of [`heapmd::run_pool`] (stage
-/// `train_runs`), and returns the reports **in input order** regardless
-/// of scheduling.
+/// Runs `w` once per input under clean fault plans on up to `threads`
+/// workers of [`heapmd::run_pool_streaming`] (stage `train_runs`), and
+/// hands each report to `sink` with its index into `inputs`, **in input
+/// order**, as soon as it and every earlier report are done. A sink
+/// error stops the runs and is returned.
 ///
 /// Each worker builds its own [`Process`] (processes are single-thread
 /// state machines), and a run's report depends only on its input, so
-/// the result is identical to calling [`run_once`] in a loop.
-pub fn run_many(
+/// the sink sees exactly what calling [`run_once`] in a loop would
+/// give it.
+pub fn run_many<E>(
     w: &dyn Workload,
     inputs: &[Input],
     settings: &Settings,
     threads: usize,
-) -> Vec<MetricReport> {
-    heapmd::run_pool("train_runs", inputs.len(), threads, |i| {
-        run_once(w, &inputs[i], &mut FaultPlan::new(), settings)
-    })
+    sink: impl FnMut(usize, MetricReport) -> Result<(), E>,
+) -> Result<(), E> {
+    heapmd::run_pool_streaming(
+        "train_runs",
+        inputs.len(),
+        threads,
+        |i| run_once(w, &inputs[i], &mut FaultPlan::new(), settings),
+        sink,
+    )
 }
 
 /// Checks `w` on `input` under `plan` against `model`, returning the
