@@ -1,17 +1,12 @@
-//! Trace codec throughput (PR 5): the block-based binary format vs.
-//! the CRC-framed JSONL stream, end to end — encode, decode, replay
-//! (binary goes through the pipelined decoder → ingest engine), and
-//! the offline multi-trace `check --jobs N` pool.
+//! Trace codec throughput of the block-based binary format, end to
+//! end — encode, decode, replay (through the pipelined decoder →
+//! ingest engine), and the offline multi-trace `check --jobs N` pool.
 //!
-//! The acceptance bar is ≥5× replay events/s for binary over JSONL and
-//! ≥3× end-to-end `check` throughput (see BENCH_PR5.json). Every bench
-//! name carries its format (`*_jsonl` / `*_binary`) so before/after
-//! phases can be assembled from one run per format.
+//! Bench names keep their `*_binary` suffix so they line up with the
+//! phases recorded in BENCH_PR5.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use heapmd::{
-    BinaryTraceImage, BinaryTraceReader, ModelBuilder, Process, Settings, Trace, TraceReader,
-};
+use heapmd::{BinaryTraceImage, BinaryTraceReader, ModelBuilder, Process, Settings, Trace};
 use sim_heap::{Addr, NULL};
 use std::path::PathBuf;
 
@@ -51,28 +46,14 @@ fn churn_trace() -> Trace {
     trace
 }
 
-/// Streams `trace` through the framed-JSONL writer into memory.
-fn jsonl_bytes(trace: &Trace) -> Vec<u8> {
-    let mut w = heapmd::TraceWriter::new(Vec::new()).unwrap();
-    for ev in trace.events() {
-        w.write_event(ev).unwrap();
-    }
-    w.write_functions(trace.functions()).unwrap();
-    w.finish().unwrap()
-}
-
 /// Writes `n` copies of the trace under `tmp`, returning the paths.
-fn pool_files(trace: &Trace, format: heapmd::StreamFormat, n: usize) -> Vec<PathBuf> {
+fn pool_files(trace: &Trace, n: usize) -> Vec<PathBuf> {
     let dir = std::env::temp_dir().join("heapmd-codec-bench");
     std::fs::create_dir_all(&dir).unwrap();
-    let ext = match format {
-        heapmd::StreamFormat::Binary => "bin.hmdt",
-        heapmd::StreamFormat::Jsonl => "jsonl.hmdt",
-    };
     (0..n)
         .map(|i| {
-            let path = dir.join(format!("pool-{i}.{ext}"));
-            trace.save_format(&path, format).unwrap();
+            let path = dir.join(format!("pool-{i}.bin.hmdt"));
+            trace.save_binary(&path).unwrap();
             path
         })
         .collect()
@@ -81,36 +62,24 @@ fn pool_files(trace: &Trace, format: heapmd::StreamFormat, n: usize) -> Vec<Path
 fn bench_trace_codec(c: &mut Criterion) {
     let trace = churn_trace();
     let events = trace.len() as u64;
-    let jsonl = jsonl_bytes(&trace);
     let binary = trace.encode_binary();
     let settings = Settings::builder().frq(100).build().unwrap();
     let mut builder = ModelBuilder::new(settings.clone());
     builder.add_run(&trace.replay(&settings, "train").unwrap());
     let model = builder.build().model;
-    let jsonl_pool = pool_files(&trace, heapmd::StreamFormat::Jsonl, POOL_TRACES);
-    let binary_pool = pool_files(&trace, heapmd::StreamFormat::Binary, POOL_TRACES);
+    let binary_pool = pool_files(&trace, POOL_TRACES);
 
     let mut group = c.benchmark_group("trace_codec");
     group.throughput(Throughput::Elements(events));
 
-    group.bench_function("encode_jsonl", |b| b.iter(|| jsonl_bytes(&trace)));
     group.bench_function("encode_binary", |b| b.iter(|| trace.encode_binary()));
-    group.bench_function("decode_jsonl", |b| {
-        b.iter(|| TraceReader::strict(&jsonl[..]).unwrap())
-    });
     group.bench_function("decode_binary", |b| {
         b.iter(|| BinaryTraceReader::strict(&binary[..]).unwrap())
     });
 
     // End-to-end replay from bytes to a metric report: parse + graph
-    // ingest + sampling. The binary path decodes blocks on a pipeline
-    // thread while ingestion consumes them.
-    group.bench_function("replay_jsonl", |b| {
-        b.iter(|| {
-            let t = TraceReader::strict(&jsonl[..]).unwrap();
-            t.replay(&settings, "bench").unwrap()
-        })
-    });
+    // ingest + sampling. Blocks decode on a pipeline thread while
+    // ingestion consumes them.
     group.bench_function("replay_binary", |b| {
         b.iter(|| {
             let image = BinaryTraceImage::open(binary.clone()).unwrap();
@@ -122,14 +91,6 @@ fn bench_trace_codec(c: &mut Criterion) {
     // (open + decode + detector replay), merged in input order.
     group.throughput(Throughput::Elements(events * POOL_TRACES as u64));
     for jobs in [1usize, 2, 8] {
-        group.bench_function(BenchmarkId::new("check_jsonl_jobs", jobs), |b| {
-            b.iter(|| {
-                heapmd::check_paths_parallel(&jsonl_pool, &model, &settings, jobs, false, 1, None)
-                    .into_iter()
-                    .map(|r| r.unwrap().bugs.len())
-                    .sum::<usize>()
-            })
-        });
         group.bench_function(BenchmarkId::new("check_binary_jobs", jobs), |b| {
             b.iter(|| {
                 heapmd::check_paths_parallel(&binary_pool, &model, &settings, jobs, false, 1, None)

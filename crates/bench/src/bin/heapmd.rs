@@ -44,8 +44,9 @@
 //!   (`<out>.ckpt`) after every N training inputs, in the CRC-protected
 //!   binary container; `train --resume` produces the same model an
 //!   uninterrupted run would have.
-//! - `check --trace` / `push` / `inspect` read binary and
-//!   framed-JSONL (`HMDT1`) traces alike, by magic bytes; `--salvage`
+//! - `check --trace` / `push` / `inspect` read binary (`HMDB1`) traces,
+//!   recognized by magic bytes, and refuse (exit 1) a file of the
+//!   retired framed-JSONL format (`HMDT1`) by name; `--salvage`
 //!   accepts damaged inputs and reports what was lost.
 //! - `train` runs its inputs on every available core (`--threads N`
 //!   caps the workers at N) and folds each run into the model in input
@@ -693,7 +694,10 @@ fn cmd_check(args: &[String]) -> i32 {
     let Some(model_path) = arg_value(args, "--model") else {
         usage()
     };
-    let jobs: usize = num_flag(args, "--jobs", "a number", 1usize);
+    let jobs = num_flag(args, "--jobs", "a positive number", NonZeroUsize::MIN).get();
+    // Graph shards: 1 is the single-slab graph; observables are
+    // bit-identical at every count.
+    let shards = num_flag(args, "--shards", "a positive number", NonZeroUsize::MIN).get();
     let salvage = args.iter().any(|a| a == "--salvage");
     let model = match HeapModel::load(&model_path) {
         Ok(m) => m,
@@ -716,9 +720,7 @@ fn cmd_check(args: &[String]) -> i32 {
         &model.settings,
         jobs,
         salvage,
-        // Graph shards: 1 is the single-slab graph; observables are
-        // bit-identical at every count.
-        num_flag(args, "--shards", "a number", 1usize),
+        shards,
         sampler,
     );
     let (mut failed, mut anomalies) = (false, false);
@@ -728,7 +730,7 @@ fn cmd_check(args: &[String]) -> i32 {
             Err(e) => {
                 failed = true;
                 error!("{path}: {e}");
-                if !salvage {
+                if !salvage && matches!(e, heapmd::HeapMdError::Corrupt { .. }) {
                     eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
                 }
                 continue;
@@ -914,10 +916,9 @@ fn cmd_inspect(args: &[String]) -> i32 {
     match kind {
         ArtifactKind::IncidentBundle => inspect_bundle(path, salvage),
         ArtifactKind::BinaryTrace => inspect_binary_trace(path, salvage),
-        ArtifactKind::JsonlTrace => inspect_jsonl_trace(path, salvage),
-        ArtifactKind::Unknown => {
+        other => {
             error!(
-                "{path}: unrecognized artifact — magic bytes match neither a trace (binary or JSONL) nor an incident bundle"
+                "{path}: {other} — inspect reads binary traces (HMDB1) and incident bundles (HMDI1)"
             );
             1
         }
@@ -974,31 +975,6 @@ fn inspect_binary_trace(path: &str, salvage: bool) -> i32 {
         }
     }
     0
-}
-
-/// `inspect` on a framed JSONL trace: event summary.
-fn inspect_jsonl_trace(path: &str, salvage: bool) -> i32 {
-    match heapmd::load_trace_auto(path, salvage) {
-        Ok((trace, stats)) => {
-            if let Some(stats) = &stats {
-                report_salvage(path, stats);
-            }
-            println!("{} {path}", ArtifactKind::JsonlTrace);
-            println!(
-                "  {} events, {} functions",
-                trace.len(),
-                trace.functions().len()
-            );
-            0
-        }
-        Err(e) => {
-            error!("cannot load trace {path}: {e}");
-            if !salvage {
-                eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
-            }
-            1
-        }
-    }
 }
 
 fn inspect_bundle(path: &str, salvage: bool) -> i32 {
@@ -1108,6 +1084,8 @@ fn cmd_serve(args: &[String]) -> i32 {
     };
     let listen = arg_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:7700".to_string());
     let http = arg_value(args, "--http").unwrap_or_else(|| "127.0.0.1:7701".to_string());
+    let shards = arg_value(args, "--shards")
+        .map(|_| num_flag(args, "--shards", "a positive number", NonZeroUsize::MIN));
     let model = match HeapModel::load(&model_path) {
         Ok(m) => m,
         Err(e) => {
@@ -1116,7 +1094,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     };
     let mut config = heapmd::ServeConfig::new(model);
-    config.shards = num_flag(args, "--shards", "a number", config.shards);
+    config.shards = shards.map_or(config.shards, NonZeroUsize::get);
     config.queue_events = num_flag(args, "--queue-events", "a number", config.queue_events);
     config.incident_dir = arg_value(args, "--incidents").map(PathBuf::from);
     config.prom_dump = arg_value(args, "--prom-dump").map(PathBuf::from);

@@ -66,6 +66,18 @@ fn unknown_flags_and_removed_commands_are_usage_errors() {
         (&["train", "gzip", "--inputs", "0"][..], Some("--inputs")),
         (&["train", "gzip", "--threads", "0"][..], Some("--threads")),
         (
+            &["check", "--model", "m", "--trace", trace, "--jobs", "0"][..],
+            Some("--jobs"),
+        ),
+        (
+            &["check", "--model", "m", "--trace", trace, "--shards", "0"][..],
+            Some("--shards"),
+        ),
+        (
+            &["serve", "--model", "m", "--shards", "0"][..],
+            Some("--shards"),
+        ),
+        (
             &["check", "--input", "5", "--trace", trace][..],
             Some("--input"),
         ),
@@ -81,6 +93,56 @@ fn unknown_flags_and_removed_commands_are_usage_errors() {
         !std::path::Path::new(trace).exists(),
         "nothing was recorded"
     );
+}
+
+/// A trace in the retired framed-JSONL format (`HMDT1`) is refused by
+/// name — `check --trace`, `inspect` and `push` each exit 1 as for any
+/// unreadable trace, without a panic — rather than read or mistaken for
+/// an unknown artifact.
+#[test]
+fn retired_jsonl_traces_are_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("heapmd-hmdt1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A complete, empty `HMDT1` stream: a header and an end record.
+    let trace = dir.join("old.hmdt");
+    let line = |payload: &str| {
+        format!(
+            "HMDT1 {:08x} {:08x} {payload}\n",
+            payload.len(),
+            heapmd_runstore::persist::crc32(payload.as_bytes())
+        )
+    };
+    let stream = line(r#"{"Header":{"format":1}}"#) + &line(r#"{"End":{"events":0}}"#);
+    std::fs::write(&trace, stream).unwrap();
+    let model = dir.join("model.json");
+    let report = heapmd::MetricReport::new("r", Vec::new());
+    let mut builder = heapmd::ModelBuilder::new(heapmd::Settings::default()).program("p");
+    builder.add_run(&report);
+    builder.build().model.save(&model).unwrap();
+    let (trace, model) = (trace.to_str().unwrap(), model.to_str().unwrap());
+    for args in [
+        &["check", "--model", model, "--trace", trace][..],
+        &["inspect", trace][..],
+        &[
+            "push",
+            "--to",
+            "127.0.0.1:1",
+            "--tenant",
+            "t",
+            "--trace",
+            trace,
+        ][..],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("HMDT1"), "{args:?}: {}", stderr(&out));
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The live check and the post-mortem check of the same run print the

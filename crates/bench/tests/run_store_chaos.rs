@@ -10,7 +10,6 @@
 
 use faults::io::{fault_ids::IO_BIT_FLIP_READ, FaultyReader};
 use faults::{FaultConfig, FaultPlan};
-use heapmd::{StreamFormat, Trace};
 use heapmd_runstore::{RowFilter, RowKind, RunRow, RunStore};
 use std::io::Read;
 use std::path::Path;
@@ -163,7 +162,8 @@ fn stray_tmp_files_are_not_segments() {
 
 /// Offline `check --trace … --run-store` appends one row per metric
 /// computation point of every trace, and those rows do not depend on
-/// the pool width or on the traces' on-disk format.
+/// the pool width or on the check's branch (a `--salvage` check decodes
+/// in memory instead of mapping the file).
 #[test]
 fn offline_check_rows_match_across_jobs_and_formats() {
     let dir = temp_dir("cli-check");
@@ -182,20 +182,14 @@ fn offline_check_rows_match_across_jobs_and_formats() {
         let trace = path(&format!("{name}.hmdt"));
         let out = cli(&["run", "gzip", "--input", input, "--trace-out", &trace]);
         assert!(out.status.success(), "run --trace-out {trace}: {out:?}");
-        // The CLI writes binary only; the JSONL copy is the reference
-        // codec's rendering of the same trace.
-        Trace::load_binary(&trace)
-            .unwrap()
-            .save_format(path(&format!("{name}.jsonl")), StreamFormat::Jsonl)
-            .unwrap();
     }
     // Rows as the store holds them, minus the wall-clock stamp and with
-    // the run named by its trace stem (the path differs per format).
+    // the run named by its trace stem.
     // Debug rendering keeps NaN (absent metric) cells comparable.
-    let rows = |ext: &str, jobs: &str, store: &str| -> Vec<String> {
-        let (a, b) = (path(&format!("a.{ext}")), path(&format!("b.{ext}")));
+    let rows = |salvage: bool, jobs: &str, store: &str| -> Vec<String> {
+        let (a, b) = (path("a.hmdt"), path("b.hmdt"));
         let store = path(store);
-        let out = cli(&[
+        let mut args = vec![
             "check",
             "--model",
             &model,
@@ -207,7 +201,11 @@ fn offline_check_rows_match_across_jobs_and_formats() {
             &store,
             "--jobs",
             jobs,
-        ]);
+        ];
+        if salvage {
+            args.push("--salvage");
+        }
+        let out = cli(&args);
         assert!(matches!(out.status.code(), Some(0 | 3)), "check: {out:?}");
         let scan = RunStore::open(&store)
             .unwrap()
@@ -226,19 +224,19 @@ fn offline_check_rows_match_across_jobs_and_formats() {
             })
             .collect()
     };
-    let one = rows("hmdt", "1", "s-bin-1");
+    let one = rows(false, "1", "s-bin-1");
     assert!(!one.is_empty(), "a check must append rows");
     assert!(one.iter().any(|r| r.contains("run: \"a\"")));
     assert!(one.iter().any(|r| r.contains("run: \"b\"")));
     assert_eq!(
-        rows("hmdt", "2", "s-bin-2"),
+        rows(false, "2", "s-bin-2"),
         one,
         "--jobs 2 changed the rows"
     );
     assert_eq!(
-        rows("jsonl", "1", "s-jsonl"),
+        rows(true, "1", "s-salvage"),
         one,
-        "JSONL copies changed the rows"
+        "--salvage changed the rows"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

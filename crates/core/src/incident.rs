@@ -11,8 +11,7 @@
 //!
 //! # Wire format
 //!
-//! Same length-framed, CRC-checked JSONL as the trace stream, under its
-//! own magic:
+//! Length-framed, CRC-checked JSON lines under the bundle magic:
 //!
 //! ```text
 //! HMDI1 <len:08x> <crc:08x> <payload-json>\n
@@ -34,7 +33,7 @@
 
 use crate::bug::{BugReport, StackLogEntry};
 use crate::error::HeapMdError;
-use crate::trace_stream::{frame_with_magic, parse_frame};
+use crate::persist::crc32;
 use heap_graph::DegreeHistogram;
 use heapmd_obs::SeriesSnapshot;
 use serde::{Deserialize, Serialize};
@@ -483,6 +482,74 @@ impl IncidentBundle {
         }
         Ok((bundle, stats))
     }
+}
+
+/// Frames one payload under `magic` into a full record line: the
+/// length + CRC framing every bundle record carries.
+fn frame_with_magic(magic: &str, payload: &str) -> String {
+    format!(
+        "{magic} {:08x} {:08x} {payload}\n",
+        payload.len(),
+        crc32(payload.as_bytes()),
+    )
+}
+
+/// Parses one framed payload under `magic` starting at `pos`; returns
+/// the payload text and the offset just past the record's newline, or a
+/// description of the damage. Validation is strict: exact magic, single
+/// spaces, fixed-width lowercase hex, matching CRC, trailing newline,
+/// UTF-8 payload.
+fn parse_frame<'a>(magic: &str, bytes: &'a [u8], pos: usize) -> Result<(&'a str, usize), String> {
+    let prefix_len = magic.len() + 1 + 8 + 1 + 8 + 1;
+    let rest = &bytes[pos..];
+    if rest.len() < prefix_len {
+        return Err("truncated record prefix".into());
+    }
+    let prefix = &rest[..prefix_len];
+    let prefix = std::str::from_utf8(prefix).map_err(|_| "record prefix is not UTF-8")?;
+    let found_magic = &prefix[..magic.len()];
+    if found_magic != magic {
+        return Err(format!("bad magic {found_magic:?}"));
+    }
+    let len_hex = &prefix[magic.len() + 1..magic.len() + 9];
+    let crc_hex = &prefix[magic.len() + 10..magic.len() + 18];
+    if prefix.as_bytes()[magic.len()] != b' '
+        || prefix.as_bytes()[magic.len() + 9] != b' '
+        || prefix.as_bytes()[prefix_len - 1] != b' '
+    {
+        return Err("malformed record prefix".into());
+    }
+    // The writer emits lowercase hex only; `from_str_radix` would also
+    // accept uppercase (and a leading `+`), which would let some
+    // single-bit flips in the prefix pass undetected.
+    let strict_hex = |s: &str| {
+        s.bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    };
+    if !strict_hex(len_hex) || !strict_hex(crc_hex) {
+        return Err("malformed record prefix".into());
+    }
+    let len = usize::from_str_radix(len_hex, 16).map_err(|_| "unparsable length field")?;
+    let declared_crc = u32::from_str_radix(crc_hex, 16).map_err(|_| "unparsable CRC field")?;
+    let payload_start = prefix_len;
+    let payload_end = payload_start
+        .checked_add(len)
+        .ok_or("length field overflow")?;
+    if payload_end + 1 > rest.len() {
+        return Err("record truncated mid-payload".into());
+    }
+    if rest[payload_end] != b'\n' {
+        return Err("missing record terminator".into());
+    }
+    let payload = &rest[payload_start..payload_end];
+    let actual_crc = crc32(payload);
+    if actual_crc != declared_crc {
+        return Err(format!(
+            "checksum mismatch: declared {declared_crc:08x}, computed {actual_crc:08x}"
+        ));
+    }
+    let payload = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8")?;
+    Ok((payload, pos + payload_end + 1))
 }
 
 /// Finds the start of the next record line at or after `pos + 1`: the

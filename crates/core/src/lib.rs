@@ -89,7 +89,6 @@ mod settings;
 mod stability;
 mod trace;
 mod trace_codec;
-mod trace_stream;
 
 pub use bug::{
     render_verdicts, AnomalyKind, BugCategory, BugReport, DetectionClass, Direction, LogPhase,
@@ -125,10 +124,9 @@ pub use trace_codec::{
     check_binary_sharded, check_paths_parallel, encode_sampling_meta, load_trace_auto,
     replay_binary, replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded,
     sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter,
-    BlockEntry, BlockIndex, StreamFormat, WireFrame, WireReader, BINARY_FORMAT_VERSION,
-    BINARY_MAGIC, EVENTS_PER_BLOCK,
+    BlockEntry, BlockIndex, SalvageStats, StreamFormat, WireFrame, WireReader,
+    BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
-pub use trace_stream::{frame_record, SalvageStats, TraceReader, TraceWriter, STREAM_MAGIC};
 
 // Re-export the metric vocabulary so downstream crates only need `heapmd`.
 pub use heap_graph::{

@@ -1,5 +1,5 @@
 //! Crash-safe persistence primitives shared by the model, checkpoint,
-//! and streaming-trace writers.
+//! trace and incident-bundle writers.
 //!
 //! The implementations live in [`heapmd_runstore::persist`] — the
 //! run-store sits below this crate in the observability plane and
@@ -9,7 +9,7 @@
 //! * [`write_atomic`] — the classic write-to-temp-then-rename protocol,
 //!   so a reader never observes a half-written model or checkpoint: it
 //!   sees either the old file or the new one, never a torn mix.
-//! * [`crc32`] — the IEEE CRC-32 used by the length-framed trace
-//!   stream (`trace_stream`) to detect torn or bit-flipped records.
+//! * [`crc32`] — the IEEE CRC-32 that binary trace blocks and
+//!   incident-bundle records carry to detect torn or bit-flipped bytes.
 
 pub use heapmd_runstore::persist::{crc32, write_atomic};

@@ -15,7 +15,7 @@ use crate::model::HeapModel;
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
-use crate::trace_stream::SalvageStats;
+use crate::trace_codec::SalvageStats;
 use heap_graph::GraphImage;
 use sim_heap::HeapEvent;
 use std::path::PathBuf;

@@ -1,16 +1,14 @@
 //! Compact block-based binary trace format (`.hmdt`) and the
 //! pipelined/parallel replay engine built on top of it.
 //!
-//! The CRC-framed JSONL stream (`trace_stream`) made traces crash-safe,
-//! but every event still pays a JSON encode/decode on each process
-//! boundary — by PR 3 that serialization cost, not graph maintenance,
-//! dominates `record`/`replay`/`check` end to end. This module replaces
-//! the wire bytes while keeping the crash-safety contract:
+//! `HMDB1` is the one trace format heapmd writes and reads. A file that
+//! opens with the magic of the retired framed-JSONL format (`HMDT1`) is
+//! recognized by [`sniff_bytes`] only so it can be refused by name. The
+//! format is crash-safe and costs a few bytes per event:
 //!
 //! * **varint + delta encoding** — object ids, addresses, sizes,
 //!   offsets, and function ids are LEB128 varints of zigzag deltas
-//!   against per-block registers, so a typical event is 3–8 bytes
-//!   instead of ~100 bytes of framed JSON;
+//!   against per-block registers, so a typical event is 3–8 bytes;
 //! * **fixed-size event blocks** — events are grouped into blocks of
 //!   [`EVENTS_PER_BLOCK`], each independently decodable (delta
 //!   registers reset per block) and protected by its own CRC-32, so a
@@ -18,10 +16,9 @@
 //! * **trailing block index + footer** — readers seek straight to the
 //!   function table, know the total event/fn-entry counts without a
 //!   pre-pass, and can split blocks across workers;
-//! * **block-granular salvage** — unlike the JSONL reader's
-//!   longest-valid-prefix rule, [`BinaryTraceReader::salvage`] resyncs
-//!   on the block magic after damage and recovers every intact block,
-//!   before *and after* the corruption.
+//! * **block-granular salvage** — [`BinaryTraceReader::salvage`]
+//!   resyncs on the block magic after damage and recovers every intact
+//!   block, before *and after* the corruption.
 //!
 //! # Wire format
 //!
@@ -64,7 +61,6 @@ use crate::pool::run_pool;
 use crate::report::MetricReport;
 use crate::settings::Settings;
 use crate::trace::{validate_function_ids, Replayer, StreamCheck, Trace, TraceCheckOutcome};
-use crate::trace_stream::SalvageStats;
 use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -118,14 +114,12 @@ pub(crate) const KIND_FUNCTIONS: u8 = 2;
 pub(crate) const KIND_INDEX: u8 = 3;
 pub(crate) const KIND_META: u8 = 4;
 
-/// On-disk trace format selector for [`Trace::save_format`]. Live
-/// streams and checkpoints are always binary; `Jsonl` writes the
-/// reference codec.
+/// On-disk trace format selector for [`Trace::save_format`]. `Binary`
+/// is the only format; the selector and `save_format` remain only
+/// because the benchmark ledger calls them, and go once it calls
+/// [`Trace::save_binary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamFormat {
-    /// CRC-framed JSON lines (`HMDT1`): human-greppable, slower, and
-    /// without a record for sampling metadata.
-    Jsonl,
     /// Block-based binary (`HMDB1`): compact, seekable, fast.
     #[default]
     Binary,
@@ -635,12 +629,11 @@ fn parse_footer(bytes: &[u8]) -> Result<u64, String> {
 
 /// Incremental writer for the block-based binary trace format.
 ///
-/// The crash-safety contract matches [`crate::TraceWriter`]: every
-/// completed block on disk is independently CRC-verified and
-/// recoverable, so whatever was flushed before a crash salvages at
-/// block granularity. The trailing index and footer are written by
-/// [`finish`](Self::finish); their absence is exactly what tells a
-/// reader the stream died mid-record.
+/// Crash-safety contract: every completed block on disk is
+/// independently CRC-verified and recoverable, so whatever was flushed
+/// before a crash salvages at block granularity. The trailing index
+/// and footer are written by [`finish`](Self::finish); their absence is
+/// exactly what tells a reader the stream died mid-record.
 #[derive(Debug)]
 pub struct BinaryTraceWriter<W: Write> {
     inner: W,
@@ -685,7 +678,7 @@ impl<W: Write> BinaryTraceWriter<W> {
     }
 
     /// Writes the function-name table block (index = id). The last
-    /// table in the stream wins, mirroring the JSONL writer.
+    /// table in the stream wins.
     ///
     /// # Errors
     ///
@@ -1052,11 +1045,11 @@ impl BinaryTraceReader {
 
     /// Recovers every intact block of a possibly damaged binary trace.
     ///
-    /// Unlike the JSONL salvage (longest valid prefix), block salvage
-    /// resyncs on the block magic after damage: a corrupted or
-    /// truncated region costs only the blocks it touches, and intact
-    /// blocks *after* it are still recovered. Stats are reported
-    /// through `heapmd-obs` exactly like the JSONL path.
+    /// Block salvage resyncs on the block magic after damage: a
+    /// corrupted or truncated region costs only the blocks it touches,
+    /// and intact blocks *after* it are still recovered. Stats are
+    /// reported through `heapmd-obs` (`heapmd_trace_salvage_*` counters
+    /// and a `trace_salvage` event).
     ///
     /// # Errors
     ///
@@ -1089,6 +1082,26 @@ impl BinaryTraceReader {
         });
         Ok((trace, stats))
     }
+}
+
+/// What a salvage pass recovered, and what it had to give up.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SalvageStats {
+    /// Intact blocks consumed (tables, metadata and index included).
+    pub records: u64,
+    /// Events recovered.
+    pub events: u64,
+    /// Bytes of the stream covered by the header, intact blocks and
+    /// footer.
+    pub valid_bytes: u64,
+    /// Total bytes in the stream.
+    pub total_bytes: u64,
+    /// `true` when the stream ended on its index block and footer with
+    /// no damage anywhere — i.e. nothing was lost.
+    pub complete: bool,
+    /// Byte offset and description of the first corruption, when the
+    /// stream was damaged or truncated.
+    pub corruption: Option<(u64, String)>,
 }
 
 /// Block-granular salvage over raw bytes: never fails, never panics.
@@ -1280,19 +1293,18 @@ impl Trace {
         BinaryTraceReader::salvage(std::fs::File::open(path)?)
     }
 
-    /// Saves in the chosen on-disk format ([`save_stream`](Trace::save_stream)
-    /// for JSONL, [`save_binary`](Trace::save_binary) for binary).
+    /// Saves in the chosen on-disk format: [`save_binary`](Trace::save_binary),
+    /// the only one. Kept for the benchmark ledger's callers.
     ///
     /// # Errors
     ///
-    /// Returns [`HeapMdError::Io`] / [`HeapMdError::Serde`].
+    /// Returns [`HeapMdError::Io`].
     pub fn save_format(
         &self,
         path: impl AsRef<Path>,
         format: StreamFormat,
     ) -> Result<(), HeapMdError> {
         match format {
-            StreamFormat::Jsonl => self.save_stream(path),
             StreamFormat::Binary => self.save_binary(path),
         }
     }
@@ -1307,7 +1319,8 @@ impl Trace {
 pub enum ArtifactKind {
     /// Block-based binary trace (`HMDB1`).
     BinaryTrace,
-    /// CRC-framed JSONL trace stream (`HMDT1`).
+    /// Framed-JSONL trace (`HMDT1`), a retired format heapmd no longer
+    /// reads: recognized only so it is refused by name.
     JsonlTrace,
     /// CRC-framed incident bundle (`HMDI1`).
     IncidentBundle,
@@ -1319,7 +1332,7 @@ impl std::fmt::Display for ArtifactKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             ArtifactKind::BinaryTrace => "binary trace (HMDB1)",
-            ArtifactKind::JsonlTrace => "framed JSONL trace (HMDT1)",
+            ArtifactKind::JsonlTrace => "retired framed-JSONL trace (HMDT1)",
             ArtifactKind::IncidentBundle => "incident bundle (HMDI1)",
             ArtifactKind::Unknown => "unknown artifact",
         };
@@ -1332,7 +1345,7 @@ pub fn sniff_bytes(prefix: &[u8]) -> ArtifactKind {
     if prefix.starts_with(BINARY_MAGIC) {
         return ArtifactKind::BinaryTrace;
     }
-    if prefix.starts_with(crate::trace_stream::STREAM_MAGIC.as_bytes()) {
+    if prefix.starts_with(b"HMDT1") {
         return ArtifactKind::JsonlTrace;
     }
     if prefix.starts_with(crate::incident::INCIDENT_MAGIC.as_bytes()) {
@@ -1361,41 +1374,37 @@ pub fn sniff_file(path: impl AsRef<Path>) -> Result<ArtifactKind, HeapMdError> {
     Ok(sniff_bytes(&prefix[..filled]))
 }
 
-/// Loads a trace from `path`, auto-detecting binary or framed JSONL by
-/// magic bytes. In salvage mode a damaged binary or
-/// JSONL stream yields what its format's salvage recovers, together
-/// with the stats; complete artifacts return `None` stats.
+/// Loads a binary trace from `path`, checking its magic bytes first. In
+/// salvage mode a damaged trace yields what block salvage recovers,
+/// together with the stats; complete artifacts return `None` stats.
 ///
 /// # Errors
 ///
-/// [`HeapMdError::Io`] when unreadable, [`HeapMdError::Corrupt`] /
-/// [`HeapMdError::Serde`] on strict-mode damage, and
-/// [`HeapMdError::InvalidInput`] naming the sniffed kind when the file
-/// is not a trace at all.
+/// [`HeapMdError::Io`] when unreadable, [`HeapMdError::Corrupt`] on
+/// strict-mode damage, and [`HeapMdError::InvalidInput`] naming the
+/// sniffed kind when the file is not a binary trace (a retired `HMDT1`
+/// trace included).
 pub fn load_trace_auto(
     path: impl AsRef<Path>,
     salvage: bool,
 ) -> Result<(Trace, Option<SalvageStats>), HeapMdError> {
     let path = path.as_ref();
+    require_binary(path)?;
+    if salvage {
+        let (trace, stats) = Trace::salvage_binary(path)?;
+        Ok((trace, Some(stats)))
+    } else {
+        Ok((Trace::load_binary(path)?, None))
+    }
+}
+
+/// Refuses a file whose magic is not `HMDB1`, naming what it is.
+fn require_binary(path: &Path) -> Result<(), HeapMdError> {
     match sniff_file(path)? {
-        ArtifactKind::BinaryTrace => {
-            if salvage {
-                let (trace, stats) = Trace::salvage_binary(path)?;
-                Ok((trace, Some(stats)))
-            } else {
-                Ok((Trace::load_binary(path)?, None))
-            }
-        }
-        ArtifactKind::JsonlTrace => {
-            if salvage {
-                let (trace, stats) = Trace::salvage_stream(path)?;
-                Ok((trace, Some(stats)))
-            } else {
-                Ok((Trace::load_stream(path)?, None))
-            }
-        }
+        ArtifactKind::BinaryTrace => Ok(()),
         other => Err(HeapMdError::InvalidInput(format!(
-            "{} is not a trace: magic identifies {other}",
+            "{} is not a binary trace (HMDB1), the only trace format heapmd reads: \
+             magic identifies {other}",
             path.display()
         ))),
     }
@@ -1737,20 +1746,21 @@ fn check_image(
 // Multi-trace checking pool
 // ---------------------------------------------------------------------
 
-/// Loads (auto-detecting format) and checks N trace files on up to
-/// `jobs` [`run_pool`] workers, returning per-trace outcomes **in
-/// input order** regardless of scheduling.
+/// Loads and checks N binary trace files on up to `jobs` [`run_pool`]
+/// workers, returning per-trace outcomes **in input order** regardless
+/// of scheduling.
 ///
 /// Every trace checks over a `shards`-way graph image (verdicts are
 /// shard-invariant); a full-fidelity trace is re-sampled under
 /// `sampler` first, an already-sampled one keeps its recorded schedule.
-/// Strict binary checks memory-map the file and run the pipelined
-/// decoder; everything else decodes to an in-memory trace first. With
-/// `salvage`, a damaged stream contributes whatever its format's
+/// A strict check memory-maps the file and runs the pipelined decoder.
+/// With `salvage`, the file decodes to an in-memory trace through
+/// block salvage instead, so a damaged trace contributes whatever
 /// salvage recovers, and its outcome carries the salvage stats.
 ///
 /// A failing trace yields its error in its slot; it never aborts the
-/// other checks.
+/// other checks. A file that is not a binary trace fails with an error
+/// naming what its magic identifies.
 pub fn check_paths_parallel(
     paths: &[std::path::PathBuf],
     model: &HeapModel,
@@ -1762,14 +1772,15 @@ pub fn check_paths_parallel(
 ) -> Vec<Result<TraceCheckOutcome, HeapMdError>> {
     run_pool("check_pool", paths.len(), jobs, |i| {
         let path = &paths[i];
-        if !salvage && sniff_file(path)? == ArtifactKind::BinaryTrace {
-            let image = BinaryTraceImage::open_path(path)?;
-            return check_image(&image, model, settings, shards, sampler);
+        if salvage {
+            let (trace, stats) = load_trace_auto(path, true)?;
+            let mut outcome = trace.check_with(model, settings, shards, sampler)?;
+            outcome.salvage = stats;
+            return Ok(outcome);
         }
-        let (trace, stats) = load_trace_auto(path, salvage)?;
-        let mut outcome = trace.check_with(model, settings, shards, sampler)?;
-        outcome.salvage = stats;
-        Ok(outcome)
+        require_binary(path)?;
+        let image = BinaryTraceImage::open_path(path)?;
+        check_image(&image, model, settings, shards, sampler)
     })
 }
 
@@ -2011,19 +2022,13 @@ mod tests {
         let bytes = trace.encode_binary();
         let back = Trace::decode_binary(&bytes).unwrap();
         assert_eq!(back, trace);
-        // Compact: the binary form must be far smaller than the framed
-        // JSONL form of the same trace.
-        let mut w = crate::TraceWriter::new(Vec::new()).unwrap();
-        for ev in trace.events() {
-            w.write_event(ev).unwrap();
-        }
-        w.write_functions(trace.functions()).unwrap();
-        let jsonl = w.finish().unwrap();
+        // Compact: a few bytes per event (3.6 here; the retired framed
+        // JSONL form of the same trace took 85).
         assert!(
-            bytes.len() * 4 < jsonl.len(),
-            "binary {} bytes vs jsonl {} bytes",
+            bytes.len() < 8 * trace.len(),
+            "binary {} bytes for {} events",
             bytes.len(),
-            jsonl.len()
+            trace.len()
         );
     }
 
@@ -2291,26 +2296,21 @@ mod tests {
             .iter()
             .map(|t| t.check(&model, &settings).unwrap())
             .collect();
-        // Alternate the on-disk formats too: binary files take the
-        // pipelined engine, JSONL ones the in-memory checker.
+        // Both branches: a strict check takes the pipelined engine over
+        // the mapped file, a salvage check the in-memory checker.
         let dir = std::env::temp_dir().join(format!("heapmd-pool-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let paths: Vec<std::path::PathBuf> = traces
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                let (name, format) = if i % 3 == 0 {
-                    (format!("t{i}.jsonl"), StreamFormat::Jsonl)
-                } else {
-                    (format!("t{i}.hmdt"), StreamFormat::Binary)
-                };
-                let path = dir.join(name);
-                t.save_format(&path, format).unwrap();
+                let path = dir.join(format!("t{i}.hmdt"));
+                t.save_binary(&path).unwrap();
                 path
             })
             .collect();
-        for jobs in [1, 2, 8] {
-            let pooled = check_paths_parallel(&paths, &model, &settings, jobs, false, 1, None);
+        for (jobs, salvage) in [1, 2, 8].into_iter().flat_map(|j| [(j, false), (j, true)]) {
+            let pooled = check_paths_parallel(&paths, &model, &settings, jobs, salvage, 1, None);
             let pooled: Vec<_> = pooled.into_iter().map(|r| r.unwrap().bugs).collect();
             assert_eq!(pooled, sequential, "jobs={jobs} must merge in order");
         }
@@ -2319,8 +2319,9 @@ mod tests {
 
     #[test]
     fn sampled_pool_checks_agree_across_formats() {
-        // Re-sampling happens in one driver, so a binary file and its
-        // JSONL copy give the same sampled verdict, samples, and rate.
+        // Re-sampling happens in one driver, so a strict check of a
+        // binary file (mapped) and a salvage check of it (in memory)
+        // give the same sampled verdict, samples, and rate.
         let trace = sample_trace(600);
         let settings = settings(5);
         let mut builder = crate::model::ModelBuilder::new(settings.clone());
@@ -2328,15 +2329,16 @@ mod tests {
         let model = builder.build().model;
         let dir = std::env::temp_dir().join(format!("heapmd-pool-sampled-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let paths = [dir.join("t.hmdt"), dir.join("t.jsonl")];
-        trace.save_format(&paths[0], StreamFormat::Binary).unwrap();
-        trace.save_format(&paths[1], StreamFormat::Jsonl).unwrap();
+        let paths = [dir.join("t.hmdt")];
+        trace.save_binary(&paths[0]).unwrap();
         let config = SamplerConfig::new(8, 4);
-        let outcomes: Vec<_> =
-            check_paths_parallel(&paths, &model, &settings, 2, false, 1, Some(config))
-                .into_iter()
-                .map(|r| r.unwrap())
-                .collect();
+        let outcomes: Vec<_> = [false, true]
+            .into_iter()
+            .flat_map(|salvage| {
+                check_paths_parallel(&paths, &model, &settings, 2, salvage, 1, Some(config))
+            })
+            .map(|r| r.unwrap())
+            .collect();
         let rate = outcomes[0].sampling.expect("re-sampled").rate();
         assert!(rate < 1.0, "the filter must drop stores (rate {rate})");
         // Debug rendering keeps the comparison NaN-stable.

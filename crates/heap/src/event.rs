@@ -11,14 +11,13 @@
 
 use crate::addr::Addr;
 use crate::object::{AllocSite, ObjectId};
-use serde::{Deserialize, Serialize};
 
 /// One record in the instrumentation stream.
 ///
-/// This is the serializable form used by the offline (post-mortem) mode:
-/// the execution logger appends events to a trace, and the checker
-/// replays them against a previously constructed model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// This is the record of the offline (post-mortem) mode: the execution
+/// logger appends events to a trace, and the checker replays them
+/// against a previously constructed model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeapEvent {
     /// An object was allocated.
     Alloc {
@@ -167,18 +166,5 @@ mod tests {
             old_value: None,
         }
         .mutates_graph());
-    }
-
-    #[test]
-    fn events_round_trip_through_json() {
-        let ev = HeapEvent::PtrWrite {
-            src: ObjectId(3),
-            offset: 16,
-            value: Addr::new(0x40),
-            old_value: Some(Addr::new(0x30)),
-        };
-        let json = serde_json::to_string(&ev).expect("serialize");
-        let back: HeapEvent = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(ev, back);
     }
 }

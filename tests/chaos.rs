@@ -9,7 +9,7 @@ use faults::io::{fault_ids::*, FaultyReader, FaultyWriter};
 use faults::{FaultConfig, FaultId, FaultPlan};
 use heapmd::{
     BinaryTraceReader, BinaryTraceWriter, HeapMdError, ModelBuilder, Process, Settings, Trace,
-    TraceReader, TraceWriter, TrainCheckpoint,
+    TrainCheckpoint,
 };
 use std::io::{Read, Write};
 
@@ -82,82 +82,6 @@ fn sample_model() -> heapmd::HeapModel {
     b.build().model
 }
 
-/// Streams `trace` through a faulty writer; Ok(bytes) or a typed error.
-fn stream_through_faulty_writer(trace: &Trace, plan: FaultPlan) -> Result<Vec<u8>, HeapMdError> {
-    let mut w = TraceWriter::new(FaultyWriter::new(Vec::new(), plan))?;
-    w.write_functions(trace.functions())?;
-    for ev in trace.events() {
-        w.write_event(ev)?;
-    }
-    Ok(w.finish()?.into_inner())
-}
-
-#[test]
-fn trace_writes_under_every_fault_schedule_never_panic() {
-    let trace = sample_trace();
-    let clean = stream_through_faulty_writer(&trace, FaultPlan::new()).unwrap();
-    for fault in WRITER_FAULTS {
-        for config in schedules() {
-            let mut plan = FaultPlan::new();
-            plan.enable(fault, config);
-            match stream_through_faulty_writer(&trace, plan) {
-                // A surviving write (fault missed, bounded, or absorbed
-                // by retry-free short-write semantics) must either
-                // produce a loadable stream or be caught on read-back.
-                Ok(bytes) => match TraceReader::strict(&bytes[..]) {
-                    Ok(back) => {
-                        if fault != IO_BIT_FLIP_WRITE {
-                            assert_eq!(back, trace, "{fault} {config:?} altered the trace");
-                        } else {
-                            // Flips that landed were CRC-caught above;
-                            // strict Ok means every flip was out-schedule.
-                            assert_eq!(bytes, clean, "undetected corruption under {fault}");
-                        }
-                    }
-                    Err(HeapMdError::Corrupt { .. }) => {
-                        // Damaged on the wire but detected: salvage must
-                        // still recover a clean prefix without error.
-                        let (salvaged, _) = TraceReader::salvage(&bytes[..]).unwrap();
-                        let got = salvaged.events();
-                        assert_eq!(got, &trace.events()[..got.len()]);
-                    }
-                    Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
-                },
-                Err(HeapMdError::Io(_)) => {}
-                Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn trace_reads_under_every_fault_schedule_never_panic() {
-    let trace = sample_trace();
-    let bytes = stream_through_faulty_writer(&trace, FaultPlan::new()).unwrap();
-    for fault in READER_FAULTS {
-        for config in schedules() {
-            let mut plan = FaultPlan::new();
-            plan.enable(fault, config);
-            match TraceReader::strict(FaultyReader::new(&bytes[..], plan.clone())) {
-                Ok(back) => assert_eq!(back, trace, "{fault} {config:?} altered the trace"),
-                Err(HeapMdError::Corrupt { .. }) | Err(HeapMdError::Io(_)) => {}
-                Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
-            }
-            // Salvage mode: only a true I/O error may fail; any
-            // recovered data must be a prefix of the original events.
-            match TraceReader::salvage(FaultyReader::new(&bytes[..], plan)) {
-                Ok((salvaged, stats)) => {
-                    let got = salvaged.events();
-                    assert_eq!(got, &trace.events()[..got.len()]);
-                    assert_eq!(stats.events as usize, got.len());
-                }
-                Err(HeapMdError::Io(_)) => assert_eq!(fault, IO_READ_ERROR),
-                Err(e) => panic!("{fault} {config:?}: wrong error type {e}"),
-            }
-        }
-    }
-}
-
 #[test]
 fn model_round_trips_under_every_fault_schedule_never_panic() {
     let model = sample_model();
@@ -189,7 +113,7 @@ fn model_round_trips_under_every_fault_schedule_never_panic() {
             });
             // `Err(())` means the damage was detected with a typed error.
             if let Ok(back) = parsed {
-                // Unlike the CRC-framed trace stream, model JSON has
+                // Unlike the CRC-checked binary trace, model JSON has
                 // no integrity checksum: a bit flip that lands on a
                 // digit can survive parsing and validation. That is
                 // the documented trade-off (models rely on atomic

@@ -1,17 +1,17 @@
 //! Differential property test for the binary trace codec: any valid
 //! event sequence round-tripped through the block-based binary format
-//! and through the framed-JSONL stream must come back as the same
-//! `Trace` — and the two copies must replay to bit-identical metric
-//! reports (all seven paper metrics compared via `f64::to_bits`) and
-//! produce identical `check` verdicts, whether checked in memory or
-//! through the pipelined binary engine.
+//! must come back as the same `Trace` as the in-memory original — and
+//! the two must replay to bit-identical metric reports (every candidate
+//! metric compared via `f64::to_bits`) and produce identical `check`
+//! verdicts, whether checked in memory or through the pipelined binary
+//! engine.
 //!
 //! This is the acceptance gate for the codec: the on-disk encoding is
 //! an implementation detail that must never change a single observable.
 
 use heapmd::{
     BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, CandidateKind, MetricReport,
-    ModelBuilder, SamplerConfig, Settings, Trace, TraceReader, TraceWriter, WireFrame, WireReader,
+    ModelBuilder, SamplerConfig, Settings, Trace, WireFrame, WireReader,
 };
 use proptest::prelude::*;
 use sim_heap::{AllocSite, HeapError, HeapEvent, SimHeap};
@@ -115,16 +115,6 @@ fn build_trace(ops: &[Op]) -> Trace {
     trace
 }
 
-/// Streams `trace` through the framed-JSONL writer into memory.
-fn jsonl_bytes(trace: &Trace) -> Vec<u8> {
-    let mut w = TraceWriter::new(Vec::new()).unwrap();
-    for ev in trace.events() {
-        w.write_event(ev).unwrap();
-    }
-    w.write_functions(trace.functions()).unwrap();
-    w.finish().unwrap()
-}
-
 /// Streams `trace` through the binary block writer into memory.
 fn binary_bytes(trace: &Trace) -> Vec<u8> {
     let mut w = BinaryTraceWriter::new(Vec::new()).unwrap();
@@ -138,8 +128,8 @@ fn binary_bytes(trace: &Trace) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // ISSUE acceptance: binary and JSONL round trips of an arbitrary
-    // event sequence are indistinguishable — same events, same
+    // A binary round trip of an arbitrary event sequence is
+    // indistinguishable from the in-memory trace — same events, same
     // replayed samples bit-for-bit, same check verdicts.
     #[test]
     fn binary_and_jsonl_round_trips_are_indistinguishable(
@@ -147,16 +137,14 @@ proptest! {
         frq in 1u64..8,
     ) {
         let trace = build_trace(&ops);
-        let from_jsonl = TraceReader::strict(&jsonl_bytes(&trace)[..]).unwrap();
         let from_binary = BinaryTraceReader::strict(&binary_bytes(&trace)[..]).unwrap();
-        prop_assert_eq!(&from_jsonl, &trace, "JSONL round trip changed the trace");
         prop_assert_eq!(&from_binary, &trace, "binary round trip changed the trace");
 
-        // Replay both copies: every sample must agree on all 20 candidate
-        // metrics at the bit level, plus the structural counters and the
-        // sampling clocks.
+        // Replay the original and its copy: every sample must agree on
+        // all 20 candidate metrics at the bit level, plus the structural
+        // counters and the sampling clocks.
         let settings = Settings::builder().frq(frq).build().unwrap();
-        let a = from_jsonl.replay(&settings, "differential").unwrap();
+        let a = trace.replay(&settings, "differential").unwrap();
         let b = from_binary.replay(&settings, "differential").unwrap();
         prop_assert_eq!(a.samples.len(), b.samples.len());
         for (sa, sb) in a.samples.iter().zip(&b.samples) {
@@ -168,7 +156,7 @@ proptest! {
                 prop_assert_eq!(
                     sa.metric(kind).to_bits(),
                     sb.metric(kind).to_bits(),
-                    "metric {:?} diverged between formats: {} vs {}",
+                    "metric {:?} diverged after the round trip: {} vs {}",
                     kind,
                     sa.metric(kind),
                     sb.metric(kind)
@@ -177,37 +165,21 @@ proptest! {
         }
 
         // Check verdicts: train a throwaway model on the replayed
-        // report, then both copies — in-memory and pipelined — must
-        // return the same `BugReport` list.
+        // report, then the original and the decoded copy — in memory
+        // and pipelined — must return the same `BugReport` list.
         let mut builder = ModelBuilder::new(settings.clone());
         builder.add_run(&a);
         let model = builder.build().model;
         // Debug rendering keeps the comparison NaN-stable: a metric the
         // tiny one-run model never calibrated carries (NaN, NaN) bounds,
         // which are *identical* but not PartialEq-equal.
-        let jsonl_bugs = format!("{:?}", from_jsonl.check(&model, &settings).unwrap());
+        let reference_bugs = format!("{:?}", trace.check(&model, &settings).unwrap());
         let memory_bugs = format!("{:?}", from_binary.check(&model, &settings).unwrap());
         let image = BinaryTraceImage::open(binary_bytes(&trace)).unwrap();
         let pipelined_bugs =
             format!("{:?}", heapmd::check_binary_sharded(&image, &model, &settings, 1).unwrap());
-        prop_assert_eq!(&jsonl_bugs, &memory_bugs, "verdicts diverged between formats");
-        prop_assert_eq!(&jsonl_bugs, &pipelined_bugs, "pipelined verdicts diverged");
-    }
-
-    // The binary encoding earns its keep: it must never be larger than
-    // the framed JSONL of the same events (and is typically 5-15x
-    // smaller for non-trivial traces).
-    #[test]
-    fn binary_is_never_larger_than_jsonl(
-        ops in proptest::collection::vec(op_strategy(), 8..200),
-    ) {
-        let trace = build_trace(&ops);
-        let jsonl = jsonl_bytes(&trace).len();
-        let binary = binary_bytes(&trace).len();
-        prop_assert!(
-            binary <= jsonl,
-            "binary encoding ({binary} bytes) larger than JSONL ({jsonl} bytes)"
-        );
+        prop_assert_eq!(&reference_bugs, &memory_bugs, "verdicts diverged after the round trip");
+        prop_assert_eq!(&reference_bugs, &pipelined_bugs, "pipelined verdicts diverged");
     }
 }
 

@@ -1,13 +1,12 @@
-//! Salvage-mode coverage for the crash-safe streaming trace format:
-//! a hand-damaged corpus under `tests/data/` plus properties that any
-//! prefix (simulated crash) and any single bit flip (simulated media
-//! corruption) of a valid stream salvage cleanly — the reader recovers
-//! a prefix of the original events and never panics, never returns
-//! garbage, never errors out of salvage mode for non-I/O damage.
+//! Salvage-mode coverage for the binary trace format: a damaged corpus
+//! under `tests/data/` plus properties that any prefix (simulated
+//! crash) and any single bit flip (simulated media corruption) of a
+//! valid trace salvage cleanly — the reader recovers only intact blocks
+//! of the original events and never panics, never returns garbage,
+//! never errors out of salvage mode for non-I/O damage.
 
 use heapmd::{
-    BinaryTraceImage, BinaryTraceReader, HeapEvent, HeapMdError, Process, Settings, Trace,
-    TraceReader, EVENTS_PER_BLOCK,
+    BinaryTraceImage, BinaryTraceReader, HeapMdError, Process, Settings, Trace, EVENTS_PER_BLOCK,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -42,85 +41,19 @@ fn sample_trace(extra_events: usize) -> Trace {
     trace
 }
 
-fn stream_bytes(trace: &Trace) -> Vec<u8> {
-    let dir = std::env::temp_dir().join("heapmd-salvage-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("s{}.hmdt", trace.len()));
-    trace.save_stream(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    bytes
-}
-
-#[test]
-fn corpus_valid_stream_loads_strict_and_complete() {
-    let trace = Trace::load_stream(data("valid.hmdt")).unwrap();
-    assert_eq!(trace.len(), 41);
-    assert_eq!(trace.functions(), ["build", "teardown"]);
-    let (salvaged, stats) = Trace::salvage_stream(data("valid.hmdt")).unwrap();
-    assert!(stats.complete);
-    assert_eq!(stats.events, 41);
-    assert!(stats.corruption.is_none());
-    assert_eq!(salvaged, trace);
-}
-
-#[test]
-fn corpus_truncated_stream_salvages_a_prefix() {
-    assert!(matches!(
-        Trace::load_stream(data("truncated.hmdt")),
-        Err(HeapMdError::Corrupt { .. })
-    ));
-    let full = Trace::load_stream(data("valid.hmdt")).unwrap();
-    let (salvaged, stats) = Trace::salvage_stream(data("truncated.hmdt")).unwrap();
-    assert!(!stats.complete);
-    assert_eq!(stats.events, 28);
-    assert_eq!(salvaged.events(), &full.events()[..28]);
-    assert!(stats.valid_bytes < stats.total_bytes);
-}
-
-#[test]
-fn corpus_bit_flipped_stream_stops_at_the_damage() {
-    assert!(matches!(
-        Trace::load_stream(data("bitflip.hmdt")),
-        Err(HeapMdError::Corrupt { .. })
-    ));
-    let full = Trace::load_stream(data("valid.hmdt")).unwrap();
-    let (salvaged, stats) = Trace::salvage_stream(data("bitflip.hmdt")).unwrap();
-    assert!(!stats.complete);
-    let (offset, reason) = stats.corruption.expect("damage was located");
-    assert_eq!(offset, 1741, "damage at the start of the flipped record");
-    assert!(reason.contains("checksum mismatch"), "reason: {reason}");
-    assert_eq!(salvaged.events(), &full.events()[..stats.events as usize]);
-}
-
 #[test]
 fn corpus_garbage_salvages_to_an_empty_trace() {
-    assert!(Trace::load_stream(data("garbage.hmdt")).is_err());
-    let (salvaged, stats) = Trace::salvage_stream(data("garbage.hmdt")).unwrap();
+    assert!(Trace::load_binary(data("garbage.hmdt")).is_err());
+    let (salvaged, stats) = Trace::salvage_binary(data("garbage.hmdt")).unwrap();
     assert_eq!(salvaged.len(), 0);
     assert_eq!(stats.records, 0);
     assert!(!stats.complete);
     assert!(stats.corruption.is_some());
 }
 
-/// Events of the salvaged trace must be a prefix of the original's.
-fn assert_salvages_to_prefix(damaged: &[u8], original: &Trace) {
-    let (salvaged, stats) = TraceReader::salvage(damaged).expect("salvage never fails on bytes");
-    let got: &[HeapEvent] = salvaged.events();
-    let all: &[HeapEvent] = original.events();
-    assert!(
-        got.len() <= all.len() && got == &all[..got.len()],
-        "salvaged {} events are not a prefix of the original {}",
-        got.len(),
-        all.len()
-    );
-    assert_eq!(stats.events as usize, got.len());
-}
-
 // ---------------------------------------------------------------------
-// Binary (.hmdt, HMDB1) corpus: block-granular salvage. Unlike the
-// JSONL prefix salvage above, the binary reader recovers every intact
-// block — including blocks *after* a damaged one.
+// Binary (.hmdt, HMDB1) corpus: block-granular salvage. The reader
+// recovers every intact block — including blocks *after* a damaged one.
 // ---------------------------------------------------------------------
 
 /// The deterministic trace behind the binary corpus: 1802 linked-list
@@ -202,52 +135,6 @@ fn corpus_bit_flipped_binary_recovers_blocks_after_the_hole() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn any_prefix_of_a_valid_stream_salvages_cleanly(
-        extra in 0usize..40,
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let trace = sample_trace(extra);
-        let bytes = stream_bytes(&trace);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        assert_salvages_to_prefix(&bytes[..cut], &trace);
-    }
-
-    #[test]
-    fn any_single_bit_flip_is_detected_not_propagated(
-        extra in 0usize..40,
-        pos_frac in 0.0f64..1.0,
-        bit in 0u32..8,
-    ) {
-        let trace = sample_trace(extra);
-        let mut bytes = stream_bytes(&trace);
-        let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
-        bytes[pos] ^= 1 << bit;
-        // Strict mode must reject the damage (typed, not a panic)...
-        match TraceReader::strict(&bytes[..]) {
-            Err(HeapMdError::Corrupt { .. }) => {}
-            Err(e) => prop_assert!(false, "wrong error type: {e}"),
-            // ...unless the flip hit the End trailer's event count in a
-            // way that still parses — impossible, CRC-32 catches all
-            // single-bit errors — so Ok means the reader missed it.
-            Ok(_) => prop_assert!(false, "single-bit corruption at byte {pos} accepted"),
-        }
-        // ...and salvage must still recover a clean prefix.
-        assert_salvages_to_prefix(&bytes, &trace);
-    }
-
-    #[test]
-    fn salvage_of_undamaged_streams_is_lossless(extra in 0usize..60) {
-        let trace = sample_trace(extra);
-        let bytes = stream_bytes(&trace);
-        let (salvaged, stats) = TraceReader::salvage(&bytes[..]).unwrap();
-        prop_assert!(stats.complete);
-        prop_assert_eq!(stats.valid_bytes, bytes.len() as u64);
-        prop_assert_eq!(salvaged, trace);
-    }
-
-    // ----- binary format properties -----
 
     #[test]
     fn any_prefix_of_a_binary_trace_salvages_whole_blocks(
