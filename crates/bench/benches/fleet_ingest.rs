@@ -54,8 +54,7 @@ fn churn_trace() -> Trace {
 /// concurrent sessions, wait for every stream to finalize, shut down.
 /// Returns the summary so the verdict work cannot be elided.
 fn fleet_round(trace: &Trace, model: &heapmd::HeapModel, tenants: usize) -> usize {
-    let mut config = ServeConfig::new(model.clone());
-    config.shards = 4;
+    let config = ServeConfig::new(model.clone());
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
     let ingest = server.ingest_addr().to_string();
     std::thread::scope(|scope| {

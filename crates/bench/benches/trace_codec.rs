@@ -93,10 +93,16 @@ fn bench_trace_codec(c: &mut Criterion) {
     for jobs in [1usize, 2, 8] {
         group.bench_function(BenchmarkId::new("check_binary_jobs", jobs), |b| {
             b.iter(|| {
-                heapmd::check_paths_parallel(&binary_pool, &model, &settings, jobs, false, 1, None)
-                    .into_iter()
-                    .map(|r| r.unwrap().bugs.len())
-                    .sum::<usize>()
+                let mut bugs = 0;
+                let check = |i: usize| {
+                    heapmd::check_path(&binary_pool[i], &model, &settings, false, 1, None)
+                };
+                let Ok(()) =
+                    heapmd::run_pool_streaming("check_pool", POOL_TRACES, jobs, check, |_, r| {
+                        bugs += r.unwrap().bugs.len();
+                        Ok::<(), std::convert::Infallible>(())
+                    });
+                bugs
             })
         });
     }

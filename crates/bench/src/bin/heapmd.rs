@@ -12,9 +12,9 @@
 //!              [--salvage] [--sample]
 //! heapmd replay …                               # the same command as check
 //! heapmd inspect <artifact> [--salvage]         # bundle or trace, by magic
-//! heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N]
-//!              [--queue-events N] [--incidents DIR] [--prom-dump FILE]
-//!              [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N]
+//! heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--incidents DIR]
+//!              [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR]
+//!              [--session-timeout-ms N]
 //!              [--sample] [--sample-hot-threshold N] [--sample-decimation N]
 //! heapmd query --store DIR [--workload NAME] [--version V] [--kind K]
 //!              [--metric ID …] [--agg stats|drift] [--format tsv|jsonl]
@@ -292,7 +292,7 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N (default: every core)] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--shards N] [--queue-events N] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N (default: every core)] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
@@ -669,10 +669,10 @@ fn cmd_train(args: &[String]) -> i32 {
 }
 
 /// `check --model FILE --trace A [--trace B …] [--jobs N] [--salvage]`
-/// (also spelled `replay`): fans the trace checks across a scoped
-/// thread pool and prints per-trace verdicts **in input order**
-/// regardless of worker scheduling, each salvaged trace's recovery
-/// line first. With `--run-store`, each trace's metric samples append
+/// (also spelled `replay`): fans the trace checks across the worker
+/// pool and prints per-trace verdicts **in input order** regardless of
+/// worker scheduling, each as soon as it and every earlier one are in,
+/// each salvaged trace's recovery line first. With `--run-store`, each trace's metric samples append
 /// as `check` rows.
 fn cmd_check(args: &[String]) -> i32 {
     known_flags(
@@ -714,17 +714,12 @@ fn cmd_check(args: &[String]) -> i32 {
     let sampler = sampler_flag(args);
     let paths: Vec<PathBuf> = trace_paths.iter().map(PathBuf::from).collect();
     info!("checking {} trace(s) with {jobs} job(s)", paths.len());
-    let results = heapmd::check_paths_parallel(
-        &paths,
-        &model,
-        &model.settings,
-        jobs,
-        salvage,
-        shards,
-        sampler,
-    );
     let (mut failed, mut anomalies) = (false, false);
-    for (path, result) in trace_paths.iter().zip(results) {
+    let check =
+        |i: usize| heapmd::check_path(&paths[i], &model, &model.settings, salvage, shards, sampler);
+    // Each verdict prints as soon as it and every earlier one are in.
+    let Ok(()) = heapmd::run_pool_streaming("check_pool", paths.len(), jobs, check, |i, result| {
+        let path = &trace_paths[i];
         let out = match result {
             Ok(out) => out,
             Err(e) => {
@@ -733,7 +728,7 @@ fn cmd_check(args: &[String]) -> i32 {
                 if !salvage && matches!(e, heapmd::HeapMdError::Corrupt { .. }) {
                     eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
                 }
-                continue;
+                return Ok(());
             }
         };
         if let Some(stats) = &out.salvage {
@@ -758,12 +753,13 @@ fn cmd_check(args: &[String]) -> i32 {
         };
         if out.bugs.is_empty() {
             println!("{path}: no anomalies{sampled}");
-            continue;
+            return Ok(());
         }
         anomalies = true;
         println!("{path}: {} anomaly report(s){sampled}:", out.bugs.len());
         print!("{}", render_verdicts(&out.bugs));
-    }
+        Ok::<(), std::convert::Infallible>(())
+    });
     if failed {
         1
     } else if anomalies {
@@ -1073,8 +1069,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     known_flags(
         "serve",
         args,
-        "--model --listen --http --shards --queue-events --incidents \
-         --prom-dump --journal-dir --model-dir --run-store \
+        "--model --listen --http --incidents --prom-dump --journal-dir --model-dir --run-store \
          --session-timeout-ms --sample-hot-threshold --sample-decimation",
         "--sample",
         0,
@@ -1084,8 +1079,6 @@ fn cmd_serve(args: &[String]) -> i32 {
     };
     let listen = arg_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:7700".to_string());
     let http = arg_value(args, "--http").unwrap_or_else(|| "127.0.0.1:7701".to_string());
-    let shards = arg_value(args, "--shards")
-        .map(|_| num_flag(args, "--shards", "a positive number", NonZeroUsize::MIN));
     let model = match HeapModel::load(&model_path) {
         Ok(m) => m,
         Err(e) => {
@@ -1094,8 +1087,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     };
     let mut config = heapmd::ServeConfig::new(model);
-    config.shards = shards.map_or(config.shards, NonZeroUsize::get);
-    config.queue_events = num_flag(args, "--queue-events", "a number", config.queue_events);
     config.incident_dir = arg_value(args, "--incidents").map(PathBuf::from);
     config.prom_dump = arg_value(args, "--prom-dump").map(PathBuf::from);
     config.journal_dir = arg_value(args, "--journal-dir").map(PathBuf::from);

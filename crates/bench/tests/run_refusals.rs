@@ -78,6 +78,14 @@ fn unknown_flags_and_removed_commands_are_usage_errors() {
             Some("--shards"),
         ),
         (
+            &["serve", "--model", "m", "--shards", "2"][..],
+            Some("--shards"),
+        ),
+        (
+            &["serve", "--model", "m", "--queue-events", "256"][..],
+            Some("--queue-events"),
+        ),
+        (
             &["check", "--input", "5", "--trace", trace][..],
             Some("--input"),
         ),

@@ -102,27 +102,6 @@ fn deliver_in_order<T, E>(
     Ok(())
 }
 
-/// Runs `work(0..n)` on up to `jobs` workers of
-/// [`run_pool_streaming`] and returns the results **in input order**
-/// regardless of scheduling.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker (as the sequential loop would).
-pub fn run_pool<T: Send>(
-    stage: &str,
-    n: usize,
-    jobs: usize,
-    work: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let mut results = Vec::with_capacity(n);
-    let Ok(()) = run_pool_streaming(stage, n, jobs, work, |_, result| {
-        results.push(result);
-        Ok::<(), std::convert::Infallible>(())
-    });
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +118,11 @@ mod tests {
         seen
     }
 
+    /// What the sink saw, without the indices.
+    fn results<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        sunk(n, jobs, work).into_iter().map(|(_, t)| t).collect()
+    }
+
     #[test]
     fn results_finishing_out_of_order_reach_the_sink_in_input_order() {
         // Earlier items sleep longer, so they finish after later ones.
@@ -148,10 +132,7 @@ mod tests {
             i * 10
         });
         assert_eq!(seen, (0..n).map(|i| (i, i * 10)).collect::<Vec<_>>());
-        assert_eq!(
-            run_pool("test_pool", n, 3, |i| i + 1),
-            (1..=n).collect::<Vec<_>>()
-        );
+        assert_eq!(results(n, 3, |i| i + 1), (1..=n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -198,7 +179,7 @@ mod tests {
     fn a_panicking_item_propagates_without_hanging() {
         for jobs in [1, 3] {
             let caught = std::panic::catch_unwind(|| {
-                run_pool("test_pool", 6, jobs, |i| {
+                results(6, jobs, |i| {
                     assert_ne!(i, 2, "item two fails");
                     i
                 })
@@ -238,14 +219,14 @@ mod tests {
     #[test]
     fn one_worker_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let on_caller = run_pool("test_pool", 3, 1, |_| std::thread::current().id() == caller);
+        let on_caller = results(3, 1, |_| std::thread::current().id() == caller);
         assert_eq!(on_caller, [true; 3]);
         // More jobs than items clamp to one worker too.
         assert_eq!(
-            run_pool("test_pool", 1, 8, |_| std::thread::current().id() == caller),
+            results(1, 8, |_| std::thread::current().id() == caller),
             [true]
         );
-        let spread = run_pool("test_pool", 3, 2, |_| std::thread::current().id() == caller);
+        let spread = results(3, 2, |_| std::thread::current().id() == caller);
         assert_eq!(spread, [false; 3], "two workers run off the caller");
     }
 }

@@ -6,12 +6,12 @@
 //!
 //! ```text
 //!  client ──HMDSERVE2 tenant sess acked\n──┐
-//!  client ──seq-prefixed .hmdt blocks──────┤ accept loop ──(hash(tenant) % N)──▶ shard 0..N
-//!         ◀── HMAK acks ────────────────────┘      │                                 │
-//!                                                  ▼                                 ▼
-//!                                             FleetRegistry ◀── live gauges ── stream check + model
-//!                                                  │                                 │
-//!                    HTTP /metrics /fleet.tsv /fleet.jsonl /shutdown            IncidentLog
+//!  client ──seq-prefixed .hmdt blocks──────┤ accept loop ──▶ one thread per connection
+//!         ◀── HMAK acks ────────────────────┘      │             │ journal, then check
+//!                                                  ▼             ▼
+//!                                             FleetRegistry ◀── session: stream check + model
+//!                                                  │                          │
+//!                    HTTP /metrics /fleet.tsv /fleet.jsonl /shutdown     IncidentLog
 //! ```
 //!
 //! - **Wire format.** A connection opens with `HMDSERVE2 <tenant>
@@ -19,9 +19,9 @@
 //!   session. The `.hmdt` blocks follow: the same length-framed,
 //!   CRC-checked block codec that `run --trace-out` writes to disk, each
 //!   block prefixed with a `u64` sequence number. Frames decode through
-//!   [`crate::WireReader`], and one forwarder turns each into shard
-//!   messages for the live connection and journal recovery alike. The
-//!   daemon acknowledges
+//!   [`crate::WireReader`], and one forwarder applies each to the
+//!   session's check, for the live connection and journal recovery
+//!   alike. The daemon acknowledges
 //!   journaled blocks back on the same socket, so a client that loses
 //!   its connection reconnects and resumes from the first unacked
 //!   block. Structural damage drops the connection but keeps the
@@ -30,13 +30,14 @@
 //!   (salvaging the prefix received so far into a partial verdict first),
 //!   never the daemon. See [`session`] for the protocol and crash-only
 //!   recovery.
-//! - **Sharding & backpressure.** Tenants hash-assign to one of N
-//!   worker shards over bounded per-tenant queues (a pending-event
-//!   counter shared between the connection handler and the shard). A
-//!   full queue backpressures the client for as long as the shard keeps
-//!   draining it; only a queue that makes no progress for a whole grace
-//!   window gets its tenant evicted as stalled.
-//! - **Verdicts.** Each tenant's shard runs one live check, the stream
+//! - **One owner per stream.** Each connection has its own thread, and
+//!   it checks every block it reads before it reads the next, so TCP
+//!   flow control keeps a fast client behind the daemon. A tenant's
+//!   check lives in its session entry: whichever thread owns the stream
+//!   (the connection, journal recovery, the expiry sweeper, a
+//!   superseding session, shutdown) feeds or closes it under the
+//!   entry's lock.
+//! - **Verdicts.** Each tenant's session holds one live check, the stream
 //!   check `heapmd check` runs over a trace file: a resumable replayer
 //!   with an [`crate::AnomalyDetector`] attached, the same pair `run
 //!   --model` drives, fed block by block as the stream arrives. Nothing
@@ -63,7 +64,7 @@
 //! - **Shutdown.** The toolchain forbids `unsafe`, so there is no
 //!   signal handler; graceful shutdown arrives via the HTTP control
 //!   endpoint (`GET /shutdown`) or [`Server::shutdown`]. In-flight
-//!   streams drain whatever the kernel already buffered, the prefixes
+//!   streams check whatever the kernel already buffered, the prefixes
 //!   are finalized as partial verdicts, every incident bundle flushed,
 //!   and the final Prometheus dump written. Session journals survive
 //!   shutdown untouched, so a restarted daemon replays them and lets
@@ -79,7 +80,6 @@ use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use crate::trace::{Replayer, StreamCheck};
-use crate::trace_codec::BlockIndex;
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
@@ -91,8 +91,7 @@ use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,12 +106,6 @@ pub use session::SERVE_PREAMBLE_V2;
 /// session or HTTP request waits to be accepted. Short streams push in
 /// a few milliseconds, so a longer period would dominate their latency.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
-/// How long a full per-tenant queue may go without draining a single
-/// event before the tenant is evicted as stalled. Progress resets the
-/// clock, so a merely slow shard backpressures instead of evicting.
-const BACKPRESSURE_GRACE: Duration = Duration::from_secs(5);
-/// Poll period while waiting for queue room.
-const BACKPRESSURE_POLL: Duration = Duration::from_millis(5);
 /// Read timeout on ingest sockets: the latency with which a blocked
 /// connection handler notices the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(25);
@@ -296,11 +289,6 @@ impl Write for AnyStream {
 pub struct ServeConfig {
     /// The shared calibrated model tenants check against by default.
     pub model: HeapModel,
-    /// Worker shard count (tenants hash-assign; min 1).
-    pub shards: usize,
-    /// Per-tenant pending-event bound before backpressure, then
-    /// eviction, kicks in.
-    pub queue_events: u64,
     /// Root directory for per-tenant incident bundles (one
     /// subdirectory per tenant), if incident capture is on.
     pub incident_dir: Option<PathBuf>,
@@ -332,14 +320,11 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 4 shards, 65 536 queued events per tenant, no incident
-    /// capture, no final dump, no journal or model override directory,
-    /// 30 s session timeout.
+    /// Defaults: no incident capture, no final dump, no journal or model
+    /// override directory, 30 s session timeout.
     pub fn new(model: HeapModel) -> Self {
         ServeConfig {
             model,
-            shards: 4,
-            queue_events: 1 << 16,
             incident_dir: None,
             prom_dump: None,
             journal_dir: None,
@@ -385,60 +370,14 @@ pub struct ServeSummary {
 }
 
 // ---------------------------------------------------------------------
-// Shard workers
+// Tenant checks
 // ---------------------------------------------------------------------
 
-pub(crate) enum ShardMsg {
-    Start {
-        tenant: String,
-        stats: Arc<TenantStats>,
-        pending: Arc<AtomicU64>,
-        /// The model this tenant checks against (shared or per-tenant
-        /// override, resolved by the connection handler).
-        model: Arc<HeapModel>,
-        /// A reconnecting session keeps its accumulated state; a fresh
-        /// session replaces it.
-        resume: bool,
-    },
-    Events {
-        tenant: String,
-        events: Vec<HeapEvent>,
-    },
-    Functions {
-        tenant: String,
-        names: Vec<String>,
-    },
-    /// Sampling metadata from a production-overhead client: the stream
-    /// was store-decimated at the sender, and the check widens ranges by
-    /// the recorded rate. The session layer only forwards it ahead of
-    /// the stream's first events block.
-    Sampling {
-        tenant: String,
-        info: SamplingInfo,
-    },
-    End {
-        tenant: String,
-        index: BlockIndex,
-        /// Journal files to delete once the verdict is closed.
-        cleanup: Vec<PathBuf>,
-    },
-    Abort {
-        tenant: String,
-        reason: String,
-        /// Mark the outcome evicted (stalled queue, expired session,
-        /// unusable journal) instead of a plain partial (a session
-        /// replaced by a fresh one). The
-        /// prefix received is salvaged into a partial verdict either
-        /// way.
-        evict: bool,
-        /// Journal files to delete once the verdict is closed.
-        cleanup: Vec<PathBuf>,
-    },
-}
-
-struct ShardTenant {
+/// One tenant stream's live check, owned by its session entry
+/// ([`session::SessionEntry::check`]) and fed under the entry's lock
+/// by whichever thread owns the stream.
+pub(crate) struct TenantCheck {
     stats: Arc<TenantStats>,
-    pending: Arc<AtomicU64>,
     model: Arc<HeapModel>,
     /// The tenant's check, fed block by block as the stream arrives:
     /// the same state `heapmd check` holds for a trace. Its sample
@@ -452,12 +391,68 @@ struct ShardTenant {
     window_events: u64,
 }
 
-fn shard_for(tenant: &str, shards: usize) -> usize {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    tenant.hash(&mut h);
-    (h.finish() % shards as u64) as usize
+impl TenantCheck {
+    /// A fresh check of `tenant`'s stream against its model, over a
+    /// recycled replayer when the daemon has one.
+    fn new(ctx: &ServeCtx, tenant: &str, stats: Arc<TenantStats>) -> Self {
+        let model = ctx.model_for(tenant);
+        let pooled = ctx.replayers.lock().unwrap().pop();
+        let replayer = match pooled {
+            Some(mut r) => {
+                r.reset(model.settings.clone(), &[]);
+                heapmd_obs::count!("serve_replayer_pool_reuse_total");
+                r
+            }
+            None => Replayer::new(model.settings.clone(), &[]),
+        };
+        let mut check = StreamCheck::new((*model).clone(), replayer, ctx.sampler);
+        if let Some(dir) = &ctx.incident_dir {
+            // Tenant names are charset-validated (no separators), so
+            // they are safe as directory names.
+            check.log_incidents_to(IncidentLog::new(dir.join(tenant), tenant.to_string()));
+        }
+        stats.set_verdicts(verdicts_for(&model));
+        TenantCheck {
+            stats,
+            last_out: vec![false; model.stable.len()],
+            model,
+            check,
+            gauged: 0,
+            window_start: Instant::now(),
+            window_events: 0,
+        }
+    }
+
+    /// Records the sampling outcome the stream announced.
+    fn set_sampling(&mut self, info: SamplingInfo) {
+        self.check.set_sampling(info);
+        self.stats.set_sample_rate(info.rate());
+    }
+
+    /// Checks the next events block and updates the live gauges and
+    /// the windowed ingest rate.
+    fn feed(&mut self, events: &[HeapEvent]) {
+        let n = events.len() as u64;
+        let clock = heapmd_obs::throughput::stage_clock();
+        self.check.feed(events);
+        if let Some(t0) = clock {
+            heapmd_obs::throughput::record_stage("serve_ingest", n, t0.elapsed().as_nanos() as u64);
+        }
+        self.stats.record_events(n);
+        self.stats.set_sample_rate(self.check.effective_rate());
+        if self.check.samples().len() > self.gauged {
+            update_live(self);
+        }
+        self.window_events += n;
+        let elapsed = self.window_start.elapsed();
+        if elapsed >= RATE_WINDOW {
+            let rate =
+                (self.window_events as u128 * 1_000_000_000 / elapsed.as_nanos().max(1)) as u64;
+            self.stats.set_rate(rate);
+            self.window_start = Instant::now();
+            self.window_events = 0;
+        }
+    }
 }
 
 /// Folds the samples taken since the last update into the tenant's
@@ -466,7 +461,7 @@ fn shard_for(tenant: &str, shards: usize) -> usize {
 /// out; the detector's own arming also needs an adverse slope). A paper
 /// metric's gauge is labelled with its short name, an extended
 /// candidate's with its id.
-fn update_live(t: &mut ShardTenant) {
+fn update_live(t: &mut TenantCheck) {
     let samples = &t.check.samples()[t.gauged..];
     let model = &t.model;
     let stable = &model.stable;
@@ -553,279 +548,19 @@ fn verdicts_for(model: &HeapModel) -> Vec<MetricVerdict> {
         .collect()
 }
 
-/// Replayers a shard loop keeps warm for reuse; beyond this, finished
+/// Replayers the daemon keeps warm for reuse; beyond this, finished
 /// streams' replayers are dropped instead of pooled.
 const REPLAYER_POOL_CAP: usize = 8;
-
-/// One shard worker's state: its live tenants, the outcomes of the
-/// finished ones, and what every verdict shares.
-struct Shard {
-    tenants: BTreeMap<String, ShardTenant>,
-    outcomes: Vec<TenantOutcome>,
-    /// Recycled replayers: a finished stream's replayer goes back here
-    /// (graph slabs and shadow pages intact) and the next Start reuses
-    /// it instead of allocating cold.
-    replayer_pool: Vec<Replayer>,
-    incident_dir: Option<PathBuf>,
-    run_store: Option<Arc<RunStore>>,
-    sampler: Option<SamplerConfig>,
-}
-
-impl Shard {
-    fn new(
-        incident_dir: Option<PathBuf>,
-        run_store: Option<Arc<RunStore>>,
-        sampler: Option<SamplerConfig>,
-    ) -> Self {
-        Shard {
-            tenants: BTreeMap::new(),
-            outcomes: Vec::new(),
-            replayer_pool: Vec::new(),
-            incident_dir,
-            run_store,
-            sampler,
-        }
-    }
-
-    fn handle(&mut self, msg: ShardMsg) {
-        match msg {
-            ShardMsg::Start {
-                tenant,
-                stats,
-                pending,
-                model,
-                resume,
-            } => {
-                // A reconnect re-attaches to the accumulated state; a
-                // fresh session starts a new stream.
-                if resume && self.tenants.contains_key(&tenant) {
-                    return;
-                }
-                let replayer = match self.replayer_pool.pop() {
-                    Some(mut r) => {
-                        r.reset(model.settings.clone(), &[]);
-                        heapmd_obs::count!("serve_replayer_pool_reuse_total");
-                        r
-                    }
-                    None => Replayer::new(model.settings.clone(), &[]),
-                };
-                let mut check = StreamCheck::new((*model).clone(), replayer, self.sampler);
-                if let Some(dir) = &self.incident_dir {
-                    // Tenant names are charset-validated (no
-                    // separators), so they are safe as directory names.
-                    check.log_incidents_to(IncidentLog::new(dir.join(&tenant), tenant.clone()));
-                }
-                stats.set_verdicts(verdicts_for(&model));
-                let state = ShardTenant {
-                    stats,
-                    pending,
-                    check,
-                    gauged: 0,
-                    last_out: vec![false; model.stable.len()],
-                    model,
-                    window_start: Instant::now(),
-                    window_events: 0,
-                };
-                self.tenants.insert(tenant, state);
-            }
-            ShardMsg::Events { tenant, events } => {
-                let Some(t) = self.tenants.get_mut(&tenant) else {
-                    return;
-                };
-                let n = events.len() as u64;
-                let clock = heapmd_obs::throughput::stage_clock();
-                t.check.feed(&events);
-                if let Some(t0) = clock {
-                    heapmd_obs::throughput::record_stage(
-                        "serve_ingest",
-                        n,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-                t.pending.fetch_sub(n.min(t.pending.load(Relaxed)), Relaxed);
-                t.stats.record_events(n);
-                t.stats.set_queue_depth(t.pending.load(Relaxed));
-                t.stats.set_sample_rate(t.check.effective_rate());
-                if t.check.samples().len() > t.gauged {
-                    update_live(t);
-                }
-                t.window_events += n;
-                let elapsed = t.window_start.elapsed();
-                if elapsed >= RATE_WINDOW {
-                    let rate = (t.window_events as u128 * 1_000_000_000 / elapsed.as_nanos().max(1))
-                        as u64;
-                    t.stats.set_rate(rate);
-                    t.window_start = Instant::now();
-                    t.window_events = 0;
-                }
-            }
-            ShardMsg::Functions { tenant, names } => {
-                if let Some(t) = self.tenants.get_mut(&tenant) {
-                    t.check.set_functions(&names);
-                }
-            }
-            ShardMsg::Sampling { tenant, info } => {
-                if let Some(t) = self.tenants.get_mut(&tenant) {
-                    t.check.set_sampling(info);
-                    t.stats.set_sample_rate(info.rate());
-                }
-            }
-            ShardMsg::End {
-                tenant,
-                index,
-                cleanup,
-            } => {
-                let Some(t) = self.tenants.get(&tenant) else {
-                    return;
-                };
-                let carried = t.check.events();
-                let mismatch = (carried != index.total_events).then(|| {
-                    format!(
-                        "index declares {} events, stream carried {carried}",
-                        index.total_events
-                    )
-                });
-                self.close(tenant, mismatch.is_some(), mismatch, cleanup);
-            }
-            ShardMsg::Abort {
-                tenant,
-                reason,
-                evict,
-                cleanup,
-            } => self.close(tenant, true, evict.then_some(reason), cleanup),
-        }
-    }
-
-    /// Takes `tenant` off the shard and finalizes its verdict.
-    fn close(
-        &mut self,
-        tenant: String,
-        partial: bool,
-        evicted: Option<String>,
-        cleanup: Vec<PathBuf>,
-    ) {
-        let Some(t) = self.tenants.remove(&tenant) else {
-            return;
-        };
-        let outcome = self.finalize(t, tenant, partial, evicted, cleanup);
-        self.outcomes.push(outcome);
-    }
-
-    /// The channel closed (shutdown drained the accept loop): finalizes
-    /// whatever streams never sent an explicit end. Journals stay on
-    /// disk so a restarted daemon can pick the sessions back up.
-    fn finish(mut self) -> Vec<TenantOutcome> {
-        for (tenant, t) in std::mem::take(&mut self.tenants) {
-            let outcome = self.finalize(t, tenant, true, None, Vec::new());
-            self.outcomes.push(outcome);
-        }
-        self.outcomes
-    }
-
-    /// Finishes the tenant's check over what it received, closes its
-    /// books, and recycles its replayer. An evicted tenant still gets
-    /// its prefix's verdict (partial, with incident bundles): eviction
-    /// changes how the outcome is labeled, not whether evidence is kept.
-    fn finalize(
-        &mut self,
-        mut t: ShardTenant,
-        tenant: String,
-        partial: bool,
-        evicted: Option<String>,
-        cleanup: Vec<PathBuf>,
-    ) -> TenantOutcome {
-        if evicted.is_some() {
-            t.stats.set_evicted();
-        }
-        t.stats.set_connected(false);
-        t.stats.set_rate(0);
-        t.stats.set_queue_depth(0);
-        let events = t.check.events();
-        let (bugs, bundle_paths, error) = match t.check.finish() {
-            Err(e) => (Vec::new(), Vec::new(), Some(e.to_string())),
-            Ok(checked) => {
-                let bundle_paths = t.check.bundle_paths().to_vec();
-                t.stats.record_bugs(checked.bugs.len() as u64);
-                t.stats.add_incidents(bundle_paths.len() as u64);
-                if let Some(b) = checked.bugs.first() {
-                    t.stats.set_last_anomaly(&format!(
-                        "{} {}",
-                        b.metric.short_name(),
-                        b.kind.slug()
-                    ));
-                }
-                if let Some(store) = &self.run_store {
-                    let src = RowSource {
-                        workload: t.model.program.clone(),
-                        version: 0,
-                        run: tenant.clone(),
-                        tenant: tenant.clone(),
-                        kind: RowKind::Serve,
-                        time: unix_time_now(),
-                        sample_rate: checked.sampling.map_or(1.0, |s| s.rate()),
-                    };
-                    let rows = rows_from_samples(&src, &checked.samples);
-                    if let Err(e) = store.append(&rows) {
-                        // The verdict is authoritative; a failed append
-                        // is a degraded observability plane, not a
-                        // failed tenant.
-                        heapmd_obs::error!("run-store append for tenant {tenant} failed: {e}");
-                    } else {
-                        heapmd_obs::count!("serve_run_store_rows_total", rows.len() as u64);
-                    }
-                }
-                (checked.bugs, bundle_paths, None)
-            }
-        };
-        let outcome = TenantOutcome {
-            tenant,
-            events,
-            bugs,
-            bundle_paths,
-            partial,
-            evicted,
-            error,
-        };
-        if self.replayer_pool.len() < REPLAYER_POOL_CAP {
-            self.replayer_pool.push(t.check.into_replayer());
-        }
-        for path in cleanup {
-            let _ = std::fs::remove_file(path);
-        }
-        heapmd_obs::export::emit_event("tenant_verdict", |o| {
-            o.field_str("tenant", &outcome.tenant)
-                .field_u64("events", outcome.events)
-                .field_u64("bugs", outcome.bugs.len() as u64)
-                .field_bool("partial", outcome.partial);
-        });
-        outcome
-    }
-}
-
-fn shard_loop(
-    rx: Receiver<ShardMsg>,
-    incident_dir: Option<PathBuf>,
-    run_store: Option<Arc<RunStore>>,
-    sampler: Option<SamplerConfig>,
-) -> Vec<TenantOutcome> {
-    let mut shard = Shard::new(incident_dir, run_store, sampler);
-    while let Ok(msg) = rx.recv() {
-        shard.handle(msg);
-    }
-    shard.finish()
-}
 
 // ---------------------------------------------------------------------
 // Shared connection-handling context
 // ---------------------------------------------------------------------
 
 /// Everything a connection handler needs, bundled so the accept loop
-/// clones one `Arc`. Dropped (with the shard senders inside) once the
-/// accept loop joins its handlers, which closes the shard channels.
+/// clones one `Arc`: the sessions (each holding its tenant's check),
+/// what every verdict shares, and the outcomes of the closed streams.
 pub(crate) struct ServeCtx {
-    pub(crate) senders: Vec<Sender<ShardMsg>>,
     pub(crate) fleet: Arc<FleetRegistry>,
-    pub(crate) queue_events: u64,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) model: Arc<HeapModel>,
     pub(crate) model_dir: Option<PathBuf>,
@@ -833,11 +568,44 @@ pub(crate) struct ServeCtx {
     pub(crate) session_timeout: Duration,
     pub(crate) sessions: Mutex<BTreeMap<String, Arc<Mutex<session::SessionEntry>>>>,
     model_cache: Mutex<BTreeMap<String, Arc<HeapModel>>>,
+    incident_dir: Option<PathBuf>,
+    /// One store for every tenant: appends are segment-atomic and
+    /// serialized behind the store's own lock.
+    run_store: Option<RunStore>,
+    sampler: Option<SamplerConfig>,
+    /// Recycled replayers: a finished stream's replayer comes back here
+    /// (graph slabs and shadow pages intact) and the next fresh session
+    /// reuses it instead of allocating cold.
+    replayers: Mutex<Vec<Replayer>>,
+    /// Every closed stream's outcome, in the order the verdicts closed.
+    outcomes: Mutex<Vec<TenantOutcome>>,
 }
 
 impl ServeCtx {
-    pub(crate) fn sender_for(&self, tenant: &str) -> &Sender<ShardMsg> {
-        &self.senders[shard_for(tenant, self.senders.len())]
+    /// The context for `config`, with the run store (if any) opened.
+    fn new(config: ServeConfig) -> Result<ServeCtx, HeapMdError> {
+        let run_store = match &config.run_store {
+            Some(dir) => Some(RunStore::open(dir).map_err(|e| match e {
+                heapmd_runstore::StoreError::Io(io) => HeapMdError::from(io),
+                other => HeapMdError::InvalidInput(other.to_string()),
+            })?),
+            None => None,
+        };
+        Ok(ServeCtx {
+            fleet: Arc::new(FleetRegistry::new()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            model: Arc::new(config.model),
+            model_dir: config.model_dir,
+            journal_dir: config.journal_dir,
+            session_timeout: config.session_timeout,
+            sessions: Mutex::new(BTreeMap::new()),
+            model_cache: Mutex::new(BTreeMap::new()),
+            incident_dir: config.incident_dir,
+            run_store,
+            sampler: config.sampler,
+            replayers: Mutex::new(Vec::new()),
+            outcomes: Mutex::new(Vec::new()),
+        })
     }
 
     /// Resolves the model `tenant` checks against: `<model_dir>/
@@ -872,6 +640,111 @@ impl ServeCtx {
             .unwrap()
             .insert(tenant.to_string(), Arc::clone(&model));
         model
+    }
+
+    /// Finishes the tenant's check over what it received, closes its
+    /// books, recycles its replayer, deletes `cleanup` (its journal)
+    /// once the verdict is in, and records the outcome. An evicted
+    /// tenant still gets its prefix's verdict (partial, with incident
+    /// bundles): eviction changes how the outcome is labeled, not
+    /// whether evidence is kept.
+    fn finalize(
+        &self,
+        tenant: &str,
+        mut t: TenantCheck,
+        partial: bool,
+        evicted: Option<String>,
+        cleanup: &[PathBuf],
+    ) {
+        if evicted.is_some() {
+            t.stats.set_evicted();
+        }
+        t.stats.set_rate(0);
+        let events = t.check.events();
+        let (bugs, bundle_paths, error) = match t.check.finish() {
+            Err(e) => (Vec::new(), Vec::new(), Some(e.to_string())),
+            Ok(checked) => {
+                let bundle_paths = t.check.bundle_paths().to_vec();
+                t.stats.record_bugs(checked.bugs.len() as u64);
+                t.stats.add_incidents(bundle_paths.len() as u64);
+                if let Some(b) = checked.bugs.first() {
+                    t.stats.set_last_anomaly(&format!(
+                        "{} {}",
+                        b.metric.short_name(),
+                        b.kind.slug()
+                    ));
+                }
+                if let Some(store) = &self.run_store {
+                    let src = RowSource {
+                        workload: t.model.program.clone(),
+                        version: 0,
+                        run: tenant.to_string(),
+                        tenant: tenant.to_string(),
+                        kind: RowKind::Serve,
+                        time: unix_time_now(),
+                        sample_rate: checked.sampling.map_or(1.0, |s| s.rate()),
+                    };
+                    let rows = rows_from_samples(&src, &checked.samples);
+                    if let Err(e) = store.append(&rows) {
+                        // The verdict is authoritative; a failed append
+                        // is a degraded observability plane, not a
+                        // failed tenant.
+                        heapmd_obs::error!("run-store append for tenant {tenant} failed: {e}");
+                    } else {
+                        heapmd_obs::count!("serve_run_store_rows_total", rows.len() as u64);
+                    }
+                }
+                (checked.bugs, bundle_paths, None)
+            }
+        };
+        // The verdict is in: the fleet row reads `done` from here on.
+        t.stats.set_connected(false);
+        let outcome = TenantOutcome {
+            tenant: tenant.to_string(),
+            events,
+            bugs,
+            bundle_paths,
+            partial,
+            evicted,
+            error,
+        };
+        {
+            let mut pool = self.replayers.lock().unwrap();
+            if pool.len() < REPLAYER_POOL_CAP {
+                pool.push(t.check.into_replayer());
+            }
+        }
+        for path in cleanup {
+            let _ = std::fs::remove_file(path);
+        }
+        heapmd_obs::export::emit_event("tenant_verdict", |o| {
+            o.field_str("tenant", &outcome.tenant)
+                .field_u64("events", outcome.events)
+                .field_u64("bugs", outcome.bugs.len() as u64)
+                .field_bool("partial", outcome.partial);
+        });
+        self.outcomes.lock().unwrap().push(outcome);
+    }
+
+    /// Finalizes every session that still holds a check as partial —
+    /// streams that never sent their end frame — keeping its journal so
+    /// a restarted daemon can pick the session back up, and returns
+    /// every outcome in the order the verdicts closed. Runs once no
+    /// connection handler is left.
+    fn finish(&self) -> Vec<TenantOutcome> {
+        let open: Vec<(String, TenantCheck)> = self
+            .sessions
+            .lock()
+            .unwrap()
+            .iter()
+            .filter_map(|(tenant, entry)| {
+                Some((tenant.clone(), entry.lock().unwrap().check.take()?))
+            })
+            .collect();
+        for (tenant, t) in open {
+            self.finalize(&tenant, t, true, None, &[]);
+        }
+        std::mem::take(&mut *self.outcomes.lock().unwrap())
     }
 }
 
@@ -916,37 +789,6 @@ fn read_preamble(stream: &mut impl Read) -> Option<Preamble> {
     None
 }
 
-/// Waits for the tenant's queue to drop under `bound`; `false` means
-/// the queue made no progress at all for a whole grace window and the
-/// tenant should be evicted as stalled. Only this connection's thread
-/// increments `pending`, so any decrease observed here is shard
-/// progress, which resets the grace clock — a busy-but-alive shard
-/// backpressures the client indefinitely rather than evicting it.
-fn wait_for_room(pending: &AtomicU64, bound: u64, shutdown: &AtomicBool) -> bool {
-    let mut last = pending.load(Relaxed);
-    if last < bound {
-        return true;
-    }
-    let mut deadline = Instant::now() + BACKPRESSURE_GRACE;
-    loop {
-        if shutdown.load(Relaxed) {
-            // Let the shutdown path finalize the tenant instead.
-            return true;
-        }
-        std::thread::sleep(BACKPRESSURE_POLL);
-        let now = pending.load(Relaxed);
-        if now < bound {
-            return true;
-        }
-        if now < last {
-            last = now;
-            deadline = Instant::now() + BACKPRESSURE_GRACE;
-        } else if Instant::now() >= deadline {
-            return false;
-        }
-    }
-}
-
 fn handle_conn(stream: AnyStream, ctx: Arc<ServeCtx>) {
     let _ = stream.set_read_timeout(READ_POLL);
     let mut stream = DrainingStream {
@@ -987,14 +829,12 @@ fn accept_loop(listener: AnyListener, ctx: Arc<ServeCtx>) {
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
-    // Handlers notice the flag within one read-timeout tick, drain what
-    // the kernel buffered, and hand their tenants to the shards.
+    // Handlers notice the flag within one read-timeout tick and check
+    // what the kernel buffered; `Server::wait` then finalizes the
+    // streams they leave open.
     for h in handles {
         let _ = h.join();
     }
-    // Dropping `ctx` (the handlers' clones died with them) drops the
-    // shard senders, which closes the channels, which drain and
-    // finalize.
 }
 
 // ---------------------------------------------------------------------
@@ -1066,11 +906,9 @@ fn http_loop(listener: TcpListener, fleet: Arc<FleetRegistry>, shutdown: Arc<Ato
 pub struct Server {
     ingest_addr: String,
     http_addr: String,
-    fleet: Arc<FleetRegistry>,
-    shutdown: Arc<AtomicBool>,
+    ctx: Arc<ServeCtx>,
     accept: JoinHandle<()>,
     http: JoinHandle<()>,
-    shards: Vec<JoinHandle<Vec<TenantOutcome>>>,
     prom_dump: Option<PathBuf>,
 }
 
@@ -1078,7 +916,7 @@ impl Server {
     /// Binds the ingest socket (`host:port` or `unix:<path>`) and the
     /// HTTP control socket (`host:port`; port 0 picks a free one),
     /// replays any session journals left by a previous daemon, and
-    /// spawns the accept, HTTP, and shard worker threads.
+    /// spawns the accept and HTTP threads.
     ///
     /// # Errors
     ///
@@ -1090,56 +928,21 @@ impl Server {
         let http_addr = http_listener.local_addr()?.to_string();
         http_listener.set_nonblocking(true)?;
 
-        let fleet = Arc::new(FleetRegistry::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let model = Arc::new(config.model);
-
-        // One store shared by every shard: appends are segment-atomic
-        // and serialized behind the store's own lock.
-        let run_store = match &config.run_store {
-            Some(dir) => Some(Arc::new(RunStore::open(dir).map_err(|e| match e {
-                heapmd_runstore::StoreError::Io(io) => HeapMdError::from(io),
-                other => HeapMdError::InvalidInput(other.to_string()),
-            })?)),
-            None => None,
-        };
-        let shard_count = config.shards.max(1);
-        let mut senders = Vec::with_capacity(shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        for i in 0..shard_count {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            let incident_dir = config.incident_dir.clone();
-            let run_store = run_store.clone();
-            let sampler = config.sampler;
-            shards.push(
-                std::thread::Builder::new()
-                    .name(format!("hmd-shard-{i}"))
-                    .spawn(move || shard_loop(rx, incident_dir, run_store, sampler))?,
-            );
-        }
-        let ctx = Arc::new(ServeCtx {
-            senders,
-            fleet: Arc::clone(&fleet),
-            queue_events: config.queue_events.max(1),
-            shutdown: Arc::clone(&shutdown),
-            model,
-            model_dir: config.model_dir,
-            journal_dir: config.journal_dir,
-            session_timeout: config.session_timeout,
-            sessions: Mutex::new(BTreeMap::new()),
-            model_cache: Mutex::new(BTreeMap::new()),
-        });
+        let prom_dump = config.prom_dump.clone();
+        let ctx = Arc::new(ServeCtx::new(config)?);
         // Crash-only recovery: replay whatever journals the previous
         // daemon left before accepting new connections, so resuming
         // clients find their sessions already rebuilt.
         session::recover_sessions(&ctx);
-        let accept = std::thread::Builder::new()
-            .name("hmd-accept".into())
-            .spawn(move || accept_loop(ingest, ctx))?;
+        let accept = {
+            let ctx = Arc::clone(&ctx);
+            std::thread::Builder::new()
+                .name("hmd-accept".into())
+                .spawn(move || accept_loop(ingest, ctx))?
+        };
         let http = {
-            let fleet = Arc::clone(&fleet);
-            let shutdown = Arc::clone(&shutdown);
+            let fleet = Arc::clone(&ctx.fleet);
+            let shutdown = Arc::clone(&ctx.shutdown);
             std::thread::Builder::new()
                 .name("hmd-http".into())
                 .spawn(move || http_loop(http_listener, fleet, shutdown))?
@@ -1147,12 +950,10 @@ impl Server {
         Ok(Server {
             ingest_addr,
             http_addr,
-            fleet,
-            shutdown,
+            ctx,
             accept,
             http,
-            shards,
-            prom_dump: config.prom_dump,
+            prom_dump,
         })
     }
 
@@ -1169,7 +970,7 @@ impl Server {
 
     /// The daemon's tenant registry (live rollups).
     pub fn fleet(&self) -> Arc<FleetRegistry> {
-        Arc::clone(&self.fleet)
+        Arc::clone(&self.ctx.fleet)
     }
 
     /// Requests graceful shutdown: stop accepting, close in-flight
@@ -1177,25 +978,22 @@ impl Server {
     /// final dump. Session journals are left on disk for the next
     /// daemon. Returns immediately; [`Server::wait`] observes it.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Relaxed);
+        self.ctx.shutdown.store(true, Relaxed);
     }
 
     /// Blocks until shutdown (via [`Server::shutdown`] or HTTP
-    /// `/shutdown`), then drains every shard and returns the summary.
+    /// `/shutdown`), then finalizes every open stream and returns the
+    /// summary.
     pub fn wait(self) -> ServeSummary {
         let _ = self.accept.join();
         let mut summary = ServeSummary::default();
-        for shard in self.shards {
-            if let Ok(outcomes) = shard.join() {
-                for o in outcomes {
-                    summary.tenants.insert(o.tenant.clone(), o);
-                }
-            }
+        for o in self.ctx.finish() {
+            summary.tenants.insert(o.tenant.clone(), o);
         }
         let _ = self.http.join();
         if let Some(path) = &self.prom_dump {
             let mut text = heapmd_obs::export::prometheus_text();
-            text.push_str(&self.fleet.prometheus_text());
+            text.push_str(&self.ctx.fleet.prometheus_text());
             if let Err(e) = std::fs::write(path, text) {
                 summary.prom_dump_error = Some(format!("{}: {e}", path.display()));
             }
@@ -1224,7 +1022,7 @@ pub(crate) fn connect_any(addr: &str) -> Result<AnyStream, HeapMdError> {
 mod tests {
     use super::*;
     use crate::trace::Trace;
-    use crate::trace_codec::{BinaryTraceImage, WireFrame, WireReader};
+    use crate::trace_codec::{BinaryTraceImage, BlockIndex, WireFrame, WireReader};
     use crate::{ModelBuilder, Process, Settings, StableMetric};
 
     /// A linked-list build of `n` nodes (four events each, so several
@@ -1253,51 +1051,54 @@ mod tests {
         (trace, bytes, builder.build().model)
     }
 
-    fn start(shard: &mut Shard, tenant: &str, model: &HeapModel) {
-        shard.handle(ShardMsg::Start {
-            tenant: tenant.into(),
-            stats: FleetRegistry::new().connect(tenant),
-            pending: Arc::new(AtomicU64::new(0)),
-            model: Arc::new(model.clone()),
-            resume: false,
-        });
+    /// A daemon context checking against `model`, and a session of
+    /// `tenant` registered in it with a fresh check.
+    fn start(tenant: &str, model: &HeapModel) -> (ServeCtx, Arc<Mutex<session::SessionEntry>>) {
+        let ctx = ServeCtx::new(ServeConfig::new(model.clone())).unwrap();
+        let stats = ctx.fleet.connect(tenant);
+        let check = TenantCheck::new(&ctx, tenant, Arc::clone(&stats));
+        let entry = session::SessionEntry::new("s-1".into(), stats, Some(check));
+        let entry = Arc::new(Mutex::new(entry));
+        session::register_entry(&ctx, tenant, Arc::clone(&entry));
+        (ctx, entry)
     }
 
-    /// Hands `reader`'s frames to the shard through the forwarder the
-    /// connection handlers and journal recovery use, up to the end
-    /// frame, whose index it returns. `limit` stops after that many
-    /// events frames instead.
+    /// Applies `reader`'s frames to the session's check through the
+    /// forwarder the connection handlers and journal recovery use, up
+    /// to the end frame, whose index it returns unapplied. `limit`
+    /// stops after that many events frames instead.
     fn feed(
-        shard: &mut Shard,
+        ctx: &ServeCtx,
         tenant: &str,
+        entry: &Arc<Mutex<session::SessionEntry>>,
         mut reader: WireReader<impl Read>,
         limit: usize,
     ) -> Option<BlockIndex> {
-        let (tx, rx) = channel();
-        let ctx = ServeCtx {
-            senders: vec![tx],
-            fleet: Arc::new(FleetRegistry::new()),
-            queue_events: 1,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            model: Arc::new(encoded_churn(1).2),
-            model_dir: None,
-            journal_dir: None,
-            session_timeout: Duration::from_secs(1),
-            sessions: Mutex::new(BTreeMap::new()),
-            model_cache: Mutex::new(BTreeMap::new()),
-        };
-        let stats = ctx.fleet.tenant(tenant);
-        let (mut blocks, mut events_seen) = (0, false);
+        let mut blocks = 0;
         while blocks < limit {
-            let frame = reader.next_frame().unwrap();
+            let frame = match reader.next_frame().unwrap() {
+                WireFrame::End(index) => return Some(index),
+                frame => frame,
+            };
             blocks += usize::from(matches!(frame, WireFrame::Events(_)));
-            let forwarded = session::forward(&ctx, tenant, &stats, frame, &mut events_seen);
-            rx.try_iter().for_each(|msg| shard.handle(msg));
-            if let session::Forward::End(index) = forwarded {
-                return Some(index);
-            }
+            let consumed = reader.bytes_consumed();
+            assert!(matches!(
+                session::forward(ctx, tenant, entry, frame, consumed),
+                session::Forward::Accepted(_)
+            ));
         }
         None
+    }
+
+    /// Applies one frame the way a connection would.
+    fn apply(
+        ctx: &ServeCtx,
+        tenant: &str,
+        entry: &Arc<Mutex<session::SessionEntry>>,
+        frame: WireFrame,
+    ) {
+        let consumed = entry.lock().unwrap().offset;
+        let _ = session::forward(ctx, tenant, entry, frame, consumed);
     }
 
     #[test]
@@ -1307,17 +1108,12 @@ mod tests {
             .unwrap()
             .index()
             .clone();
-        let mut shard = Shard::new(None, None, None);
-        start(&mut shard, "short", &model);
-        assert!(feed(&mut shard, "short", WireReader::new(&bytes[..]), 1).is_none());
-        let carried = shard.tenants["short"].check.events();
+        let (ctx, entry) = start("short", &model);
+        assert!(feed(&ctx, "short", &entry, WireReader::new(&bytes[..]), 1).is_none());
+        let carried = entry.lock().unwrap().check.as_ref().unwrap().check.events();
         assert!(carried < trace.len() as u64);
-        shard.handle(ShardMsg::End {
-            tenant: "short".into(),
-            index,
-            cleanup: Vec::new(),
-        });
-        let outcome = shard.finish().pop().expect("one outcome");
+        apply(&ctx, "short", &entry, WireFrame::End(index));
+        let outcome = ctx.finish().pop().expect("one outcome");
         assert!(outcome.partial);
         assert_eq!(
             outcome.evicted.as_deref(),
@@ -1335,28 +1131,18 @@ mod tests {
     #[test]
     fn an_event_outside_the_table_received_so_far_fails_the_tenant() {
         let (_, _, model) = encoded_churn(10);
-        let mut shard = Shard::new(None, None, None);
-        start(&mut shard, "t", &model);
+        let (ctx, entry) = start("t", &model);
         let names = vec!["main".to_string()];
-        shard.handle(ShardMsg::Functions {
-            tenant: "t".into(),
-            names,
-        });
+        apply(&ctx, "t", &entry, WireFrame::Functions(names));
         let events = vec![
             HeapEvent::FnEnter { func: 0 },
             HeapEvent::FnEnter { func: 1 },
         ];
-        shard.handle(ShardMsg::Events {
-            tenant: "t".into(),
-            events,
-        });
+        apply(&ctx, "t", &entry, WireFrame::Events(events));
         // The table that would have covered id 1 comes too late.
         let names = vec!["main".to_string(), "late".to_string()];
-        shard.handle(ShardMsg::Functions {
-            tenant: "t".into(),
-            names,
-        });
-        let outcome = shard.finish().pop().expect("one outcome");
+        apply(&ctx, "t", &entry, WireFrame::Functions(names));
+        let outcome = ctx.finish().pop().expect("one outcome");
         assert_eq!(
             outcome.error.as_deref(),
             Some(
@@ -1366,6 +1152,27 @@ mod tests {
         );
         assert!(outcome.bugs.is_empty());
         assert_eq!(outcome.events, 2);
+    }
+
+    #[test]
+    fn an_event_the_graph_cannot_apply_evicts_only_its_stream() {
+        let (_, _, model) = encoded_churn(10);
+        let (ctx, entry) = start("t", &model);
+        let stray = HeapEvent::PtrWrite {
+            src: sim_heap::ObjectId(7),
+            offset: 0,
+            value: sim_heap::NULL,
+            old_value: None,
+        };
+        apply(&ctx, "t", &entry, WireFrame::Events(vec![stray]));
+        assert!(entry.lock().is_ok(), "the entry's lock is not poisoned");
+        assert!(ctx.sessions.lock().unwrap().is_empty(), "unregistered");
+        let outcome = ctx.finish().pop().expect("one outcome");
+        assert_eq!(
+            outcome.evicted.as_deref(),
+            Some(session::UNAPPLIABLE_EVENTS)
+        );
+        assert!(outcome.partial);
     }
 
     #[test]
@@ -1403,17 +1210,6 @@ mod tests {
         assert!(!valid_tenant("path/../escape"));
         assert!(!valid_tenant(&"x".repeat(65)));
         assert!(valid_tenant(&"x".repeat(64)));
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for shards in [1usize, 2, 4, 7] {
-            for name in ["a", "tenant-42", "web.eu:1"] {
-                let s = shard_for(name, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_for(name, shards), "deterministic");
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! expected sequence number), one progress ack after each journaled
 //! block, and a final ack (flags bit 0) once the end-of-stream frame is
 //! accepted. **An ack means the block is journaled** (or, without a
-//! journal directory, handed to the checking shard) — the client may
-//! drop it from its spill buffer.
+//! journal directory, checked) — the client may drop it from its spill
+//! buffer.
 //!
 //! # Failure semantics
 //!
@@ -33,13 +33,16 @@
 //!   read, discarded, and re-acked; a sequence gap closes the
 //!   connection (the session stays resumable).
 //! - A sampling meta frame after the session's first events block is
-//!   malformed input (the shard already checks events under the
+//!   malformed input (the session already checks events under the
 //!   schedule it settled at that block): the session is evicted with
 //!   the reason `malformed stream: sampling metadata after events`,
 //!   keeping the prefix's verdict.
 //! - A session that stays disconnected past
 //!   [`super::ServeConfig::session_timeout`] is evicted, salvaging the
 //!   received prefix into a partial verdict like any other eviction.
+//! - A session with a different id supersedes the tenant's current one:
+//!   the old stream's prefix is finalized as a partial verdict, and a
+//!   connection still carrying it hangs up unacked at its next frame.
 //!
 //! # Crash-only recovery
 //!
@@ -47,26 +50,24 @@
 //! is appended to `<tenant>.hmdt` — a header-complete, salvageable
 //! binary trace — next to a tiny atomic `<tenant>.session.json`
 //! ([`write_atomic`], the checkpoint idiom) recording the session id.
-//! A restarted daemon forwards each journal's frames to the shards
-//! through the live connection's own frame forwarder, so the dispatch
-//! and the late-sampling rule are the same (a journal whose sampling
+//! A restarted daemon applies each journal's frames to the session's
+//! check through the live connection's own frame forwarder, so the
+//! dispatch and the late-sampling rule are the same (a journal whose sampling
 //! meta frame follows its events evicts the tenant at restart). It
 //! truncates any torn tail a crash left, registers the session at the
 //! recovered sequence number, and lets the client resume as if the
 //! daemon had never died. Journals survive graceful shutdown too:
 //! there is no special shutdown state, recovery *is* the startup path.
 
-use super::{wait_for_room, DrainingStream, ServeCtx, ShardMsg};
+use super::{DrainingStream, ServeCtx, TenantCheck};
 use crate::error::HeapMdError;
 use crate::persist::write_atomic;
-use crate::trace_codec::{
-    decode_sampling_meta, BlockIndex, WireFrame, WireReader, FILE_HEADER, HEADER_LEN,
-};
+use crate::trace_codec::{decode_sampling_meta, WireFrame, WireReader, FILE_HEADER, HEADER_LEN};
 use heapmd_obs::fleet::TenantStats;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -85,6 +86,10 @@ pub(crate) const ACK_FINAL: u8 = 1;
 /// first events block: the daemon checks events as they arrive, so the
 /// sampling schedule must be known before the first one.
 pub(crate) const LATE_SAMPLING_META: &str = "malformed stream: sampling metadata after events";
+
+/// Eviction reason for a stream whose events the check cannot apply
+/// (a store into or a free of an object the stream never allocated).
+pub(crate) const UNAPPLIABLE_EVENTS: &str = "malformed stream: events the check cannot apply";
 
 /// Current session metadata format version; future-versioned files are
 /// ignored on recovery.
@@ -179,13 +184,21 @@ pub(crate) struct SessionEntry {
     /// Last connect/disconnect/accept activity, for expiry.
     pub last_seen: Instant,
     pub stats: Arc<TenantStats>,
-    pub pending: Arc<AtomicU64>,
+    /// The stream's check while the stream is open. Whatever ends the
+    /// stream (its end frame, an eviction, expiry, a superseding
+    /// session, shutdown) takes it out and finalizes it, so a thread
+    /// that finds it gone knows another owner closed the stream.
+    pub check: Option<TenantCheck>,
 }
 
 impl SessionEntry {
     /// A disconnected session at the start of its stream (no block
     /// accepted yet, the next one lands right after the file header).
-    fn new(session: String, stats: Arc<TenantStats>) -> Self {
+    pub(super) fn new(
+        session: String,
+        stats: Arc<TenantStats>,
+        check: Option<TenantCheck>,
+    ) -> Self {
         SessionEntry {
             session,
             next_seq: 0,
@@ -195,7 +208,7 @@ impl SessionEntry {
             events_seen: false,
             last_seen: Instant::now(),
             stats,
-            pending: Arc::new(AtomicU64::new(0)),
+            check,
         }
     }
 }
@@ -294,20 +307,21 @@ fn attach_session(ctx: &ServeCtx, tenant: &str, session: &str) -> Attach {
         // A different session id supersedes the old incarnation: its
         // received prefix is salvaged (not evicted) and its journal
         // removed synchronously, before the fresh journal is created
-        // under the same path.
+        // under the same path. A connection still carrying the old
+        // stream finds the check gone at its next frame.
+        let superseded = e.check.take();
         drop(e);
         map.remove(tenant);
-        let _ = ctx.sender_for(tenant).send(ShardMsg::Abort {
-            tenant: tenant.to_string(),
-            reason: format!("superseded by session {session}"),
-            evict: false,
-            cleanup: Vec::new(),
-        });
+        if let Some(t) = superseded {
+            ctx.finalize(tenant, t, true, None, &[]);
+        }
         for path in journal_cleanup(ctx, tenant) {
             let _ = std::fs::remove_file(path);
         }
     }
-    let mut fresh = SessionEntry::new(session.to_string(), ctx.fleet.connect(tenant));
+    let stats = ctx.fleet.connect(tenant);
+    let check = TenantCheck::new(ctx, tenant, Arc::clone(&stats));
+    let mut fresh = SessionEntry::new(session.to_string(), stats, Some(check));
     fresh.connected = true;
     let entry = Arc::new(Mutex::new(fresh));
     map.insert(tenant.to_string(), Arc::clone(&entry));
@@ -318,83 +332,127 @@ fn attach_session(ctx: &ServeCtx, tenant: &str, session: &str) -> Attach {
 }
 
 /// Marks the session disconnected (resumable until the sweeper expires
-/// it) after a connection loss or torn frame.
-fn detach(entry: &Arc<Mutex<SessionEntry>>) {
+/// it) after a connection loss or torn frame. A session whose check is
+/// gone no longer reports to the tenant's stats: they belong to
+/// whatever session replaced it.
+fn detach(entry: &Mutex<SessionEntry>) {
     let mut e = entry.lock().unwrap();
     e.connected = false;
     e.last_seen = Instant::now();
-    e.stats.set_connected(false);
-    e.stats.set_rate(0);
+    if e.check.is_some() {
+        e.stats.set_connected(false);
+        e.stats.set_rate(0);
+    }
 }
 
-/// Removes the session (if registered) and salvage-evicts its shard
-/// state, deleting its journal once the verdict is closed.
-fn evict_session(ctx: &ServeCtx, tenant: &str, stats: &TenantStats, reason: String) {
-    ctx.sessions.lock().unwrap().remove(tenant);
-    ctx.fleet.evict(stats);
-    let _ = ctx.sender_for(tenant).send(ShardMsg::Abort {
-        tenant: tenant.to_string(),
-        reason,
-        evict: true,
-        cleanup: journal_cleanup(ctx, tenant),
-    });
+/// Evicts the session `entry`: unregisters it if it is still the
+/// tenant's, takes its check and finalizes it, deleting its journal
+/// once the verdict is closed. A session whose check another owner
+/// already took is left alone.
+fn evict_session(ctx: &ServeCtx, tenant: &str, entry: &Arc<Mutex<SessionEntry>>, reason: String) {
+    let (stats, check) = {
+        let mut map = ctx.sessions.lock().unwrap();
+        if map.get(tenant).is_some_and(|e| Arc::ptr_eq(e, entry)) {
+            map.remove(tenant);
+        }
+        let mut e = entry.lock().unwrap();
+        (Arc::clone(&e.stats), e.check.take())
+    };
+    if let Some(t) = check {
+        ctx.fleet.evict(&stats);
+        ctx.finalize(tenant, t, true, Some(reason), &journal_cleanup(ctx, tenant));
+    }
 }
 
 /// What [`forward`] did with one frame.
 pub(crate) enum Forward {
-    /// The frame reached the shard (a meta payload with a tag the
-    /// daemon does not read is dropped).
-    Sent,
-    /// The end frame: the caller closes the stream with this index.
-    End(BlockIndex),
-    /// The frame broke the stream's rules and the session was evicted.
-    Evicted,
-    /// The shard's channel is closed (the daemon is shutting down).
-    Closed,
+    /// The session accepted the frame and has now accepted this many
+    /// blocks (a meta payload with a tag the daemon does not read is
+    /// accepted and dropped).
+    Accepted(u64),
+    /// The end frame: the stream's verdict is closed and the session
+    /// completed with this many blocks accepted.
+    End(u64),
+    /// The session has no check: this frame broke the stream's rules
+    /// and evicted it, or another owner (a superseding session, the
+    /// sweeper) already closed the stream. Nothing was accepted.
+    Gone,
 }
 
-/// Turns one wire frame of `tenant`'s stream into shard messages: the
-/// one dispatch the live connection and journal recovery share. It
-/// enforces the stream's one ordering rule: a sampling meta frame after
-/// the first events frame evicts the session with
-/// [`LATE_SAMPLING_META`], keeping the prefix's verdict.
-/// `events_seen` carries whether an events frame was forwarded.
+/// Applies one wire frame of `tenant`'s stream to the session's check
+/// and advances the session past it (`consumed`: the stream offset
+/// after the frame): the one dispatch the live connection and journal
+/// recovery share. It enforces the stream's one ordering rule: a
+/// sampling meta frame after the first events frame evicts the session
+/// with [`LATE_SAMPLING_META`], keeping the prefix's verdict. The end
+/// frame completes the session: its metadata is tombstoned, then the
+/// check is closed against the frame's index and the journal deleted,
+/// so a crash in between leaves either a replayable journal or a
+/// final-ack tombstone, never a lost stream.
 pub(crate) fn forward(
     ctx: &ServeCtx,
     tenant: &str,
-    stats: &TenantStats,
+    entry: &Arc<Mutex<SessionEntry>>,
     frame: WireFrame,
-    events_seen: &mut bool,
+    consumed: u64,
 ) -> Forward {
-    let msg = match frame {
+    let mut guard = entry.lock().unwrap();
+    let e = &mut *guard;
+    let Some(t) = e.check.as_mut() else {
+        return Forward::Gone;
+    };
+    let mut end = None;
+    match frame {
         WireFrame::Events(events) => {
-            *events_seen = true;
-            ShardMsg::Events {
-                tenant: tenant.to_string(),
-                events,
+            e.events_seen = true;
+            // The heap graph panics on an event it cannot apply. The
+            // panic ends this stream only: caught here, it cannot
+            // poison the entry's lock for the sweeper, a reconnecting
+            // client or shutdown.
+            if catch_unwind(AssertUnwindSafe(|| t.feed(&events))).is_err() {
+                drop(guard);
+                evict_session(ctx, tenant, entry, UNAPPLIABLE_EVENTS.into());
+                return Forward::Gone;
             }
         }
-        WireFrame::Functions(names) => ShardMsg::Functions {
-            tenant: tenant.to_string(),
-            names,
-        },
+        WireFrame::Functions(names) => t.check.set_functions(&names),
         WireFrame::Meta(payload) => match decode_sampling_meta(&payload) {
-            Ok(Some(_)) if *events_seen => {
-                evict_session(ctx, tenant, stats, LATE_SAMPLING_META.into());
-                return Forward::Evicted;
+            Ok(Some(_)) if e.events_seen => {
+                drop(guard);
+                evict_session(ctx, tenant, entry, LATE_SAMPLING_META.into());
+                return Forward::Gone;
             }
-            Ok(Some(info)) => ShardMsg::Sampling {
-                tenant: tenant.to_string(),
-                info,
-            },
-            _ => return Forward::Sent,
+            Ok(Some(info)) => t.set_sampling(info),
+            _ => {}
         },
-        WireFrame::End(index) => return Forward::End(index),
-    };
-    match ctx.sender_for(tenant).send(msg) {
-        Ok(()) => Forward::Sent,
-        Err(_) => Forward::Closed,
+        WireFrame::End(index) => end = Some(index),
     }
+    e.next_seq += 1;
+    e.offset = consumed;
+    e.last_seen = Instant::now();
+    let Some(index) = end else {
+        return Forward::Accepted(e.next_seq);
+    };
+    e.completed = true;
+    e.connected = false;
+    let (acked, session) = (e.next_seq, e.session.clone());
+    let check = e.check.take();
+    drop(guard);
+    write_meta(ctx, tenant, &session, true);
+    if let Some(t) = check {
+        // The verdict is complete unless the index declares a different
+        // event count than the stream carried, which evicts it.
+        let carried = t.check.events();
+        let mismatch = (carried != index.total_events).then(|| {
+            format!(
+                "index declares {} events, stream carried {carried}",
+                index.total_events
+            )
+        });
+        let cleanup = journal_cleanup(ctx, tenant);
+        ctx.finalize(tenant, t, mismatch.is_some(), mismatch, &cleanup);
+    }
+    Forward::End(acked)
 }
 
 /// Drives one v2 connection: attach, hello ack, then the
@@ -429,50 +487,36 @@ pub(crate) fn handle_v2(
             Err(_) => {
                 // Can't make acks durable: refuse the session rather
                 // than promise resumability the journal can't back.
-                let stats = Arc::clone(&entry.lock().unwrap().stats);
-                evict_session(ctx, &tenant, &stats, "journal unavailable".into());
+                evict_session(ctx, &tenant, &entry, "journal unavailable".into());
                 return;
             }
         },
         None => None,
     };
 
-    if carry_blocks(ctx, &tenant, &session, &entry, resumed, journal, stream).is_none() {
+    if carry_blocks(ctx, &tenant, &entry, journal, stream).is_none() {
         detach(&entry);
     }
 }
 
-/// Carries an attached session's blocks: the shard's Start, the hello
-/// ack, then per block the sequence check, the journal append,
-/// backpressure, [`forward`] and the ack. `Some` once the stream ended
-/// or the session was evicted; `None` when the connection or the
-/// stream broke off (a lost socket, shutdown draining to EOF, a torn or
-/// damaged frame, a sequence gap): nothing past the last ack was
-/// journaled, so the session stays resumable and the client re-sends
-/// from there.
+/// Carries an attached session's blocks: the hello ack, then per block
+/// the sequence check, the journal append, [`forward`] and the ack.
+/// `Some` once the stream ended or the session lost its check; `None`
+/// when the connection or the stream broke off (a lost socket,
+/// shutdown draining to EOF, a torn or damaged frame, a sequence gap):
+/// nothing past the last ack was journaled, so the session stays
+/// resumable and the client re-sends from there.
 fn carry_blocks(
     ctx: &ServeCtx,
     tenant: &str,
-    session: &str,
-    entry: &Mutex<SessionEntry>,
-    resumed: bool,
+    entry: &Arc<Mutex<SessionEntry>>,
     mut journal: Option<Journal>,
     mut stream: DrainingStream,
 ) -> Option<()> {
-    let (stats, pending, next_seq, offset, mut events_seen) = {
+    let (next_seq, offset) = {
         let e = entry.lock().unwrap();
-        let (stats, pending) = (Arc::clone(&e.stats), Arc::clone(&e.pending));
-        (stats, pending, e.next_seq, e.offset, e.events_seen)
+        (e.next_seq, e.offset)
     };
-    let tx = ctx.sender_for(tenant);
-    tx.send(ShardMsg::Start {
-        tenant: tenant.to_string(),
-        stats: Arc::clone(&stats),
-        pending: Arc::clone(&pending),
-        model: ctx.model_for(tenant),
-        resume: resumed,
-    })
-    .ok()?;
     // Hello ack: where to resume from.
     send_ack(&mut stream, next_seq, 0).ok()?;
 
@@ -501,46 +545,13 @@ fn carry_blocks(
             // An unjournalable block must not be acked.
             j.append(&raw).ok()?;
         }
-        if let WireFrame::Events(events) = &frame {
-            if !wait_for_room(&pending, ctx.queue_events, &ctx.shutdown) {
-                let reason = format!("slow consumer: over {} queued events", ctx.queue_events);
-                evict_session(ctx, tenant, &stats, reason);
-                return Some(());
-            }
-            pending.fetch_add(events.len() as u64, Relaxed);
-            stats.set_queue_depth(pending.load(Relaxed));
-        }
-        let index = match forward(ctx, tenant, &stats, frame, &mut events_seen) {
-            Forward::Sent => None,
-            Forward::End(index) => Some(index),
-            Forward::Evicted => return Some(()),
-            Forward::Closed => return None,
-        };
-        let acked = {
-            let mut e = entry.lock().unwrap();
-            e.next_seq += 1;
-            e.offset = reader.bytes_consumed();
-            e.events_seen = events_seen;
-            e.completed = index.is_some();
-            e.connected = index.is_none();
-            e.last_seen = Instant::now();
-            e.next_seq
-        };
-        match index {
-            None => send_ack(reader.stream_mut(), acked, 0).ok()?,
-            Some(index) => {
-                // Tombstone the metadata before the shard deletes the
-                // journal: a crash in between leaves either a replayable
-                // journal or a final-ack tombstone, never a lost stream.
-                write_meta(ctx, tenant, session, true);
-                let _ = tx.send(ShardMsg::End {
-                    tenant: tenant.to_string(),
-                    index,
-                    cleanup: journal_cleanup(ctx, tenant),
-                });
+        match forward(ctx, tenant, entry, frame, reader.bytes_consumed()) {
+            Forward::Accepted(acked) => send_ack(reader.stream_mut(), acked, 0).ok()?,
+            Forward::End(acked) => {
                 let _ = send_ack(reader.stream_mut(), acked, ACK_FINAL);
                 return Some(());
             }
+            Forward::Gone => return Some(()),
         }
     }
 }
@@ -550,50 +561,41 @@ fn carry_blocks(
 /// Called periodically from the accept loop.
 pub(crate) fn sweep_expired(ctx: &ServeCtx) {
     let timeout = ctx.session_timeout;
-    let candidates: Vec<String> = {
-        let map = ctx.sessions.lock().unwrap();
-        map.iter()
-            .filter(|(_, arc)| {
-                let e = arc.lock().unwrap();
-                !e.connected && !e.completed && e.last_seen.elapsed() > timeout
-            })
-            .map(|(tenant, _)| tenant.clone())
-            .collect()
-    };
-    for tenant in candidates {
-        // Re-check under the lock: the client may have reconnected
-        // between the scan and now.
-        let stats = {
-            let mut map = ctx.sessions.lock().unwrap();
-            let Some(arc) = map.get(&tenant) else {
-                continue;
-            };
-            let e = arc.lock().unwrap();
-            if e.connected || e.completed || e.last_seen.elapsed() <= timeout {
-                continue;
-            }
-            let stats = Arc::clone(&e.stats);
-            drop(e);
-            map.remove(&tenant);
-            stats
+    let mut expired = Vec::new();
+    ctx.sessions.lock().unwrap().retain(|tenant, arc| {
+        // An entry another thread holds is being fed or closed right
+        // now, so it is not idle.
+        let Ok(mut e) = arc.try_lock() else {
+            return true;
         };
+        if e.connected || e.completed || e.last_seen.elapsed() <= timeout {
+            return true;
+        }
+        if let Some(t) = e.check.take() {
+            expired.push((tenant.clone(), Arc::clone(&e.stats), t));
+        }
+        false
+    });
+    for (tenant, stats, t) in expired {
         ctx.fleet.evict(&stats);
-        let _ = ctx.sender_for(&tenant).send(ShardMsg::Abort {
-            tenant: tenant.clone(),
-            reason: format!(
-                "session expired after {}ms disconnected",
-                timeout.as_millis()
-            ),
-            evict: true,
-            cleanup: journal_cleanup(ctx, &tenant),
-        });
+        let reason = format!(
+            "session expired after {}ms disconnected",
+            timeout.as_millis()
+        );
+        ctx.finalize(
+            &tenant,
+            t,
+            true,
+            Some(reason),
+            &journal_cleanup(ctx, &tenant),
+        );
     }
 }
 
-/// Replays every journal the previous daemon left: rebuilds shard
-/// state through the live path's [`forward`], truncates torn tails, and
-/// registers each session so its client can resume. Runs before the
-/// accept loop starts.
+/// Replays every journal the previous daemon left: rebuilds each
+/// session's check through the live path's [`forward`], truncates torn
+/// tails, and registers each session so its client can resume. Runs
+/// before the accept loop starts.
 pub(crate) fn recover_sessions(ctx: &ServeCtx) {
     let Some(dir) = ctx.journal_dir.clone() else {
         return;
@@ -623,23 +625,24 @@ pub(crate) fn recover_sessions(ctx: &ServeCtx) {
     }
 }
 
-fn register_entry(ctx: &ServeCtx, tenant: &str, entry: SessionEntry) {
+pub(super) fn register_entry(ctx: &ServeCtx, tenant: &str, entry: Arc<Mutex<SessionEntry>>) {
     ctx.sessions
         .lock()
         .unwrap()
-        .insert(tenant.to_string(), Arc::new(Mutex::new(entry)));
+        .insert(tenant.to_string(), entry);
 }
 
 fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
     let jpath = dir.join(format!("{tenant}.hmdt"));
     let bytes = std::fs::read(&jpath).unwrap_or_default();
+    let stats = ctx.fleet.tenant(tenant);
     if bytes.len() < HEADER_LEN {
         if meta.completed {
             // The journal was already cleaned up but the tombstone
             // survived: keep replaying final acks to the client.
-            let mut entry = SessionEntry::new(meta.session, ctx.fleet.tenant(tenant));
+            let mut entry = SessionEntry::new(meta.session, stats, None);
             entry.completed = true;
-            register_entry(ctx, tenant, entry);
+            register_entry(ctx, tenant, Arc::new(Mutex::new(entry)));
         } else {
             for path in journal_cleanup(ctx, tenant) {
                 let _ = std::fs::remove_file(path);
@@ -647,55 +650,35 @@ fn recover_one(ctx: &ServeCtx, tenant: &str, meta: SessionMeta, dir: &Path) {
         }
         return;
     }
-    let mut entry = SessionEntry::new(meta.session, ctx.fleet.tenant(tenant));
-    let tx = ctx.sender_for(tenant);
-    if tx
-        .send(ShardMsg::Start {
-            tenant: tenant.to_string(),
-            stats: Arc::clone(&entry.stats),
-            pending: Arc::clone(&entry.pending),
-            model: ctx.model_for(tenant),
-            resume: false,
-        })
-        .is_err()
-    {
-        return;
-    }
+    let check = TenantCheck::new(ctx, tenant, Arc::clone(&stats));
+    let entry = Arc::new(Mutex::new(SessionEntry::new(
+        meta.session,
+        stats,
+        Some(check),
+    )));
     heapmd_obs::export::emit_event("session_recovered", |o| {
         o.field_str("tenant", tenant)
             .field_u64("journal_bytes", bytes.len() as u64);
     });
-    // No pending increment: recovery feeds the shard ahead of any live
-    // connection, and the shard's saturating decrement tolerates the
-    // imbalance.
     let mut reader = WireReader::new(io::Cursor::new(&bytes[..]));
     while let Ok(frame) = reader.next_frame() {
-        entry.next_seq += 1;
-        match forward(ctx, tenant, &entry.stats, frame, &mut entry.events_seen) {
-            Forward::Sent => entry.offset = reader.bytes_consumed(),
-            Forward::End(index) => {
-                // The whole stream made it to the journal before the
-                // crash: finalize now and tombstone the session.
-                let _ = tx.send(ShardMsg::End {
-                    tenant: tenant.to_string(),
-                    index,
-                    cleanup: journal_cleanup(ctx, tenant),
-                });
-                entry.offset = reader.bytes_consumed();
-                entry.completed = true;
-                register_entry(ctx, tenant, entry);
-                return;
-            }
+        match forward(ctx, tenant, &entry, frame, reader.bytes_consumed()) {
+            Forward::Accepted(_) => {}
+            // The whole stream made it to the journal before the
+            // crash: its verdict is closed now and the session
+            // tombstoned.
+            Forward::End(_) => break,
             // Journaled just before the live handler evicted the
             // session: the eviction is finished now.
-            Forward::Evicted | Forward::Closed => return,
+            Forward::Gone => return,
         }
     }
     // A crash mid-append left a torn tail: truncate back to the last
     // whole block (everything acked is before it) and resume there.
-    if (entry.offset as usize) < bytes.len() {
+    let offset = entry.lock().unwrap().offset;
+    if (offset as usize) < bytes.len() {
         if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&jpath) {
-            let _ = f.set_len(entry.offset);
+            let _ = f.set_len(offset);
         }
     }
     register_entry(ctx, tenant, entry);

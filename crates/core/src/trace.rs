@@ -351,7 +351,7 @@ pub(crate) fn validate_function_ids(
     Ok(())
 }
 
-/// What an offline check produced (see [`crate::check_paths_parallel`]).
+/// What an offline check produced (see [`crate::check_path`]).
 #[derive(Debug)]
 pub struct TraceCheckOutcome {
     /// The detector's bug reports.
@@ -368,7 +368,7 @@ pub struct TraceCheckOutcome {
     /// (`None` = full fidelity).
     pub sampling: Option<SamplingInfo>,
     /// What salvage recovered, when the check read its file in salvage
-    /// mode (see [`crate::check_paths_parallel`]).
+    /// mode (see [`crate::check_path`]).
     pub salvage: Option<SalvageStats>,
 }
 

@@ -49,15 +49,14 @@
 //! Graph shards (`shards > 1`) partition the graph's storage on that
 //! same thread; the verdicts and samples are identical at every count.
 //!
-//! [`check_paths_parallel`] fans N trace files out across the one
-//! worker pool, [`run_pool`], which returns outcomes in input order;
-//! training streams its runs through the same pool.
+//! `check --jobs N` fans [`check_path`] over N trace files on the one
+//! worker pool, [`run_pool_streaming`](crate::run_pool_streaming), which hands outcomes on in
+//! input order; training streams its runs through the same pool.
 
 use crate::bug::BugReport;
 use crate::error::HeapMdError;
 use crate::model::HeapModel;
 use crate::persist::crc32;
-use crate::pool::run_pool;
 use crate::report::MetricReport;
 use crate::settings::Settings;
 use crate::trace::{validate_function_ids, Replayer, StreamCheck, Trace, TraceCheckOutcome};
@@ -1746,11 +1745,11 @@ fn check_image(
 // Multi-trace checking pool
 // ---------------------------------------------------------------------
 
-/// Loads and checks N binary trace files on up to `jobs` [`run_pool`]
-/// workers, returning per-trace outcomes **in input order** regardless
-/// of scheduling.
+/// Loads and checks one binary trace file: the work of one
+/// [`run_pool_streaming`](crate::run_pool_streaming) item of `check --jobs N`, which hands the
+/// outcomes on in input order as each prefix completes.
 ///
-/// Every trace checks over a `shards`-way graph image (verdicts are
+/// The trace checks over a `shards`-way graph image (verdicts are
 /// shard-invariant); a full-fidelity trace is re-sampled under
 /// `sampler` first, an already-sampled one keeps its recorded schedule.
 /// A strict check memory-maps the file and runs the pipelined decoder.
@@ -1758,30 +1757,27 @@ fn check_image(
 /// block salvage instead, so a damaged trace contributes whatever
 /// salvage recovers, and its outcome carries the salvage stats.
 ///
-/// A failing trace yields its error in its slot; it never aborts the
-/// other checks. A file that is not a binary trace fails with an error
-/// naming what its magic identifies.
-pub fn check_paths_parallel(
-    paths: &[std::path::PathBuf],
+/// # Errors
+///
+/// A file that is not a binary trace fails with an error naming what
+/// its magic identifies; otherwise the load's or the check's error.
+pub fn check_path(
+    path: &Path,
     model: &HeapModel,
     settings: &Settings,
-    jobs: usize,
     salvage: bool,
     shards: usize,
     sampler: Option<SamplerConfig>,
-) -> Vec<Result<TraceCheckOutcome, HeapMdError>> {
-    run_pool("check_pool", paths.len(), jobs, |i| {
-        let path = &paths[i];
-        if salvage {
-            let (trace, stats) = load_trace_auto(path, true)?;
-            let mut outcome = trace.check_with(model, settings, shards, sampler)?;
-            outcome.salvage = stats;
-            return Ok(outcome);
-        }
-        require_binary(path)?;
-        let image = BinaryTraceImage::open_path(path)?;
-        check_image(&image, model, settings, shards, sampler)
-    })
+) -> Result<TraceCheckOutcome, HeapMdError> {
+    if salvage {
+        let (trace, stats) = load_trace_auto(path, true)?;
+        let mut outcome = trace.check_with(model, settings, shards, sampler)?;
+        outcome.salvage = stats;
+        return Ok(outcome);
+    }
+    require_binary(path)?;
+    let image = BinaryTraceImage::open_path(path)?;
+    check_image(&image, model, settings, shards, sampler)
 }
 
 // ---------------------------------------------------------------------
@@ -1974,6 +1970,7 @@ impl<R: Read> WireReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::run_pool_streaming;
     use crate::process::Process;
 
     fn settings(frq: u64) -> Settings {
@@ -2310,8 +2307,12 @@ mod tests {
             })
             .collect();
         for (jobs, salvage) in [1, 2, 8].into_iter().flat_map(|j| [(j, false), (j, true)]) {
-            let pooled = check_paths_parallel(&paths, &model, &settings, jobs, salvage, 1, None);
-            let pooled: Vec<_> = pooled.into_iter().map(|r| r.unwrap().bugs).collect();
+            let mut pooled = Vec::new();
+            let check = |i: usize| check_path(&paths[i], &model, &settings, salvage, 1, None);
+            let Ok(()) = run_pool_streaming("check_pool", paths.len(), jobs, check, |_, r| {
+                pooled.push(r.unwrap().bugs);
+                Ok::<(), std::convert::Infallible>(())
+            });
             assert_eq!(pooled, sequential, "jobs={jobs} must merge in order");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -2334,9 +2335,7 @@ mod tests {
         let config = SamplerConfig::new(8, 4);
         let outcomes: Vec<_> = [false, true]
             .into_iter()
-            .flat_map(|salvage| {
-                check_paths_parallel(&paths, &model, &settings, 2, salvage, 1, Some(config))
-            })
+            .map(|salvage| check_path(&paths[0], &model, &settings, salvage, 1, Some(config)))
             .map(|r| r.unwrap())
             .collect();
         let rate = outcomes[0].sampling.expect("re-sampled").rate();

@@ -3,7 +3,7 @@
 //!
 //! Unlike the process-global [`crate::Registry`], a [`FleetRegistry`]
 //! is instantiable — the serving layer owns one per daemon and hands
-//! [`TenantStats`] handles to whichever worker shard a tenant lands on.
+//! [`TenantStats`] handles to the session that checks a tenant.
 //! Producers touch only relaxed atomics (plus a short mutex for the
 //! per-metric gauge vector, updated once per metric computation point,
 //! not per event); consumers take a [`FleetSnapshot`] and render it as
@@ -78,8 +78,8 @@ pub struct MetricVerdict {
     pub stable: bool,
 }
 
-/// Per-tenant counters and gauges, shared between the connection
-/// handler, the worker shard, and the exposition endpoints.
+/// Per-tenant counters and gauges, shared between the tenant's session
+/// and the exposition endpoints.
 #[derive(Debug, Default)]
 pub struct TenantStats {
     events_total: AtomicU64,
@@ -89,7 +89,6 @@ pub struct TenantStats {
     bugs_total: AtomicU64,
     resumes_total: AtomicU64,
     events_per_sec: AtomicU64,
-    queue_depth: AtomicU64,
     connected: AtomicBool,
     evicted: AtomicBool,
     armed: AtomicBool,
@@ -143,11 +142,6 @@ impl TenantStats {
         self.events_per_sec.store(events_per_sec, Relaxed);
     }
 
-    /// Updates the pending-events queue gauge.
-    pub fn set_queue_depth(&self, depth: u64) {
-        self.queue_depth.store(depth, Relaxed);
-    }
-
     /// Sets the live detector-arm emulation flag (any metric near an
     /// edge or out of range).
     pub fn set_armed(&self, armed: bool) {
@@ -174,7 +168,8 @@ impl TenantStats {
         self.connected.store(connected, Relaxed);
     }
 
-    /// Marks the tenant kicked out (slow consumer or corrupt stream).
+    /// Marks the tenant kicked out (expired session or malformed
+    /// stream).
     pub fn set_evicted(&self) {
         self.evicted.store(true, Relaxed);
         self.connected.store(false, Relaxed);
@@ -227,7 +222,6 @@ impl TenantStats {
             incidents_total: self.incidents_total.load(Relaxed),
             bugs_total: self.bugs_total.load(Relaxed),
             resumes_total: self.resumes_total.load(Relaxed),
-            queue_depth: self.queue_depth.load(Relaxed),
             connected: self.connected.load(Relaxed),
             evicted: self.evicted.load(Relaxed),
             armed: self.armed.load(Relaxed),
@@ -260,11 +254,9 @@ pub struct TenantRow {
     pub bugs_total: u64,
     /// Session resumes performed by this tenant's clients.
     pub resumes_total: u64,
-    /// Events queued between the connection and its shard.
-    pub queue_depth: u64,
     /// Stream currently open.
     pub connected: bool,
-    /// Kicked for backpressure or a corrupt stream.
+    /// Kicked for an expired session or a malformed stream.
     pub evicted: bool,
     /// Live arm emulation (near-edge or out-of-range metric).
     pub armed: bool,
@@ -590,12 +582,6 @@ impl FleetSnapshot {
             "heapmd_tenant_events_per_sec",
             "gauge",
             &|r| r.events_per_sec.to_string(),
-            &mut out,
-        );
-        family(
-            "heapmd_tenant_queue_depth",
-            "gauge",
-            &|r| r.queue_depth.to_string(),
             &mut out,
         );
         family(

@@ -165,7 +165,7 @@ pub struct ScanOutcome {
 /// An append-only columnar store rooted at a directory.
 ///
 /// Appends serialize through an in-process mutex (the serve daemon's
-/// tenant shards share one store); cross-process writers should use
+/// tenant checks share one store); cross-process writers should use
 /// distinct store directories.
 #[derive(Debug)]
 pub struct RunStore {

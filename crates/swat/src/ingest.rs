@@ -1,8 +1,9 @@
 //! The sampled-ingest front end: the production-overhead event filter.
 //!
 //! [`SampledIngest`] sits in front of every event consumer (the live
-//! `Process` graph, the replay engines, the serve daemon shards) and
-//! decides, per event, whether the downstream monitor sees it:
+//! `Process` graph, the replay engines, the serve daemon's tenant
+//! checks) and decides, per event, whether the downstream monitor sees
+//! it:
 //!
 //! * **Alloc / Free always pass** — object counts, node counts, and
 //!   graph membership stay exact, so the heap graph never sees a store

@@ -132,7 +132,7 @@ proptest! {
     // indistinguishable from the in-memory trace — same events, same
     // replayed samples bit-for-bit, same check verdicts.
     #[test]
-    fn binary_and_jsonl_round_trips_are_indistinguishable(
+    fn binary_round_trip_matches_the_in_memory_trace(
         ops in proptest::collection::vec(op_strategy(), 1..300),
         frq in 1u64..8,
     ) {

@@ -92,18 +92,24 @@ fn wire_frames(bytes: &[u8]) -> Vec<Range<usize>> {
     frames
 }
 
-/// Opens a session by hand and sends `frames`, each behind its `u64`
-/// sequence number, as the session client would. Write errors are
-/// ignored: the daemon drops the connection at the first damaged frame.
+/// Opens session `raw-1` by hand and sends `frames`, each behind its
+/// `u64` sequence number, as the session client would.
 fn raw_session(ingest: &str, tenant: &str, frames: &[&[u8]]) -> TcpStream {
     let mut stream = TcpStream::connect(ingest).expect("connect ingest");
     writeln!(stream, "{SERVE_PREAMBLE_V2} {tenant} raw-1 0").expect("preamble");
-    for (seq, frame) in frames.iter().enumerate() {
-        let _ = stream.write_all(&(seq as u64).to_le_bytes());
+    send_frames(&mut stream, 0, frames);
+    stream
+}
+
+/// Sends `frames` on an open session, numbered from `first`. Write
+/// errors are ignored: the daemon drops the connection at the first
+/// damaged frame.
+fn send_frames(stream: &mut TcpStream, first: u64, frames: &[&[u8]]) {
+    for (seq, frame) in (first..).zip(frames) {
+        let _ = stream.write_all(&seq.to_le_bytes());
         let _ = stream.write_all(frame);
     }
     let _ = stream.flush();
-    stream
 }
 
 /// Reads ack frames until one acknowledges `blocks` blocks.
@@ -164,8 +170,7 @@ fn sixty_four_concurrent_tenants_match_offline_verdicts() {
         tenants.push((format!("tenant-{i:02}"), trace, expected));
     }
 
-    let mut config = ServeConfig::new(model);
-    config.shards = 4;
+    let config = ServeConfig::new(model);
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").expect("start daemon");
     let ingest = server.ingest_addr().to_string();
 
@@ -328,6 +333,58 @@ fn corrupt_streams_evict_only_the_offending_tenant() {
             assert!(outcome.partial, "{name}: an evicted verdict is partial");
         }
     }
+}
+
+/// A session with a new id supersedes a still-connected one. The old
+/// connection's next block must not reach the new session's check: it
+/// finds its own check gone and is hung up on unacked, and the new
+/// stream completes with the offline verdict.
+#[test]
+fn a_superseded_connection_cannot_feed_its_successor() {
+    let fx = buggy_fixture();
+    let server = Server::start(
+        ServeConfig::new(fx.model.clone()),
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+    )
+    .expect("start daemon");
+    let bytes = fx.trace.encode_binary();
+    let frames = wire_frames(&bytes);
+    let frame = |i: usize| &bytes[frames[i].clone()];
+    assert!(
+        frames.len() > 4,
+        "a function table, events blocks, an index"
+    );
+
+    // Session `a`: the function table and one events block.
+    let mut a = TcpStream::connect(server.ingest_addr()).expect("connect a");
+    writeln!(a, "{SERVE_PREAMBLE_V2} twin a 0").expect("preamble a");
+    send_frames(&mut a, 0, &[frame(0), frame(1)]);
+    await_ack(&mut a, 2);
+
+    // Session `b` supersedes it with the whole stream but its end frame.
+    let mut b = TcpStream::connect(server.ingest_addr()).expect("connect b");
+    writeln!(b, "{SERVE_PREAMBLE_V2} twin b 0").expect("preamble b");
+    let (_, body) = frames.split_last().expect("frames");
+    let body: Vec<&[u8]> = body.iter().map(|r| &bytes[r.clone()]).collect();
+    send_frames(&mut b, 0, &body);
+    await_ack(&mut b, body.len() as u64);
+
+    // `a` is still connected and sends its next block.
+    send_frames(&mut a, 2, &[frame(2)]);
+    let mut ack = [0u8; 13];
+    let acked = a.read_exact(&mut ack).is_ok();
+    assert!(!acked, "a superseded session's block must not be accepted");
+
+    send_frames(&mut b, body.len() as u64, &[frame(frames.len() - 1)]);
+    assert!(hang_up(b), "b's stream completes");
+    server.shutdown();
+    let outcome = server.wait().tenants.remove("twin").expect("twin outcome");
+    assert!(
+        !outcome.partial && outcome.evicted.is_none() && outcome.error.is_none(),
+        "{outcome:?}"
+    );
+    assert_eq!(outcome.bugs, fx.expected, "serve == offline check");
 }
 
 #[test]
@@ -1087,17 +1144,14 @@ fn daemon_sampled_tenant_reports_its_live_rate_and_widened_bands() {
     let dir = scratch_dir("daemon-sampled");
     let path = dir.join("t.hmdt");
     fx.trace.save_binary(&path).expect("save trace");
-    let expected = heapmd::check_paths_parallel(
-        &[path],
+    let expected = heapmd::check_path(
+        &path,
         &fx.model,
         &fx.model.settings,
-        1,
         false,
         1,
         Some(sampler),
     )
-    .pop()
-    .expect("one outcome")
     .expect("offline sampled check");
 
     let mut config = ServeConfig::new(fx.model.clone());

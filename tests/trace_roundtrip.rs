@@ -3,9 +3,9 @@
 
 use faults::FaultPlan;
 use heapmd::{
-    check_paths_parallel, load_trace_auto, push_trace_resumable, render_verdicts, AnomalyDetector,
-    BugReport, FuncId, HeapEvent, IncidentBundle, ModelBuilder, Process, SamplerConfig,
-    ServeConfig, Server, SessionOptions, Settings, Trace, WireFrame, WireReader,
+    check_path, load_trace_auto, push_trace_resumable, render_verdicts, AnomalyDetector, BugReport,
+    FuncId, HeapEvent, IncidentBundle, ModelBuilder, Process, SamplerConfig, ServeConfig, Server,
+    SessionOptions, Settings, Trace, WireFrame, WireReader,
 };
 use sim_ds::{fault_ids::DLIST_SKIP_PREV, SimDList};
 use std::cell::RefCell;
@@ -217,16 +217,12 @@ fn live_offline_and_serve_agree_on_a_long_run() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.hmdt");
     trace.save_binary(&path).unwrap();
-    let filed = check_paths_parallel(&[path], &model, &settings, 1, false, 1, None)
-        .pop()
-        .unwrap()
-        .unwrap();
+    let filed = check_path(&path, &model, &settings, false, 1, None).unwrap();
     assert_eq!(live, filed.bugs, "live == check of the .hmdt file");
     assert_eq!(live_text, render_verdicts(&filed.bugs));
     holds_its_report(&filed.incidents, &filed.bugs);
 
     let mut config = ServeConfig::new(model);
-    config.shards = 1;
     config.incident_dir = Some(dir.join("incidents"));
     let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0").unwrap();
     push_trace_resumable(server.ingest_addr(), "t", &trace, SessionOptions::default()).unwrap();
