@@ -153,6 +153,107 @@ fn retired_jsonl_traces_are_refused_by_name() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Writes `events` as a binary trace whose function table names `main`.
+fn write_trace(path: &std::path::Path, events: &[sim_heap::HeapEvent]) {
+    let file = std::fs::File::create(path).unwrap();
+    let mut w = heapmd::BinaryTraceWriter::new(std::io::BufWriter::new(file)).unwrap();
+    w.write_functions(&["main".to_string()]).unwrap();
+    for ev in events {
+        w.write_event(ev).unwrap();
+    }
+    w.finish().unwrap();
+}
+
+/// A CRC-valid trace whose events the heap graph cannot apply (a store
+/// into an object it never allocated) is that trace's error: `check`
+/// names it, prints the verdicts of the other traces in the batch and
+/// exits 1, without a panic, on one worker or several.
+#[test]
+fn an_unappliable_trace_fails_alone_in_its_batch() {
+    use sim_heap::{AllocSite, HeapEvent, ObjectId, NULL};
+    let dir = std::env::temp_dir().join(format!("heapmd-unappliable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (good, bad) = (dir.join("good.hmdt"), dir.join("bad.hmdt"));
+    let obj = ObjectId(1);
+    let addr = sim_heap::Addr::new(0x1000);
+    write_trace(
+        &good,
+        &[
+            HeapEvent::FnEnter { func: 0 },
+            HeapEvent::Alloc {
+                obj,
+                addr,
+                size: 16,
+                site: AllocSite(0),
+            },
+            HeapEvent::PtrWrite {
+                src: obj,
+                offset: 0,
+                value: addr,
+                old_value: None,
+            },
+            HeapEvent::FnExit { func: 0 },
+        ],
+    );
+    write_trace(
+        &bad,
+        &[
+            HeapEvent::FnEnter { func: 0 },
+            HeapEvent::PtrWrite {
+                src: ObjectId(564),
+                offset: 0,
+                value: NULL,
+                old_value: None,
+            },
+            HeapEvent::FnExit { func: 0 },
+        ],
+    );
+    let model = dir.join("model.json");
+    let report = heapmd::MetricReport::new("r", Vec::new());
+    let mut builder = heapmd::ModelBuilder::new(heapmd::Settings::default()).program("p");
+    builder.add_run(&report);
+    builder.build().model.save(&model).unwrap();
+    let (good, bad, model) = (
+        good.to_str().unwrap(),
+        bad.to_str().unwrap(),
+        model.to_str().unwrap(),
+    );
+    let batch = [
+        "check", "--model", model, "--trace", good, "--trace", bad, "--trace", good,
+    ];
+    for jobs in [None, Some("1"), Some("2")] {
+        let mut args = batch.to_vec();
+        args.extend(jobs.iter().flat_map(|n| ["--jobs", *n]));
+        let out = cli(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert_eq!(
+            stdout.lines().collect::<Vec<_>>(),
+            [
+                format!("{good}: no anomalies"),
+                format!("{good}: no anomalies")
+            ],
+            "{args:?}"
+        );
+        assert!(
+            stderr(&out).contains(&format!("{bad}: invalid input: ")),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains("write into unknown obj#564"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The live check and the post-mortem check of the same run print the
 /// same bug block (reports and their `implicated:` lines).
 #[test]

@@ -77,6 +77,12 @@ impl From<HeapError> for HeapMdError {
     }
 }
 
+impl From<heap_graph::ApplyError> for HeapMdError {
+    fn from(e: heap_graph::ApplyError) -> Self {
+        HeapMdError::InvalidInput(format!("event the heap graph cannot apply: {e}"))
+    }
+}
+
 impl From<serde_json::Error> for HeapMdError {
     fn from(e: serde_json::Error) -> Self {
         HeapMdError::Serde(e)

@@ -535,7 +535,10 @@ impl Process {
     /// line in [`fan_out`](Self::fan_out).
     #[inline(always)]
     fn record(&mut self, ev: HeapEvent) {
-        let advance = self.core.advance(&ev);
+        let advance = self
+            .core
+            .advance(&ev)
+            .expect("the simulated heap emits events on live objects only");
         if advance == Advance::Dropped {
             return;
         }

@@ -80,6 +80,7 @@ use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use crate::trace::{Replayer, StreamCheck};
+use heap_graph::ApplyError;
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
@@ -431,10 +432,15 @@ impl TenantCheck {
 
     /// Checks the next events block and updates the live gauges and
     /// the windowed ingest rate.
-    fn feed(&mut self, events: &[HeapEvent]) {
+    ///
+    /// # Errors
+    ///
+    /// The block's event the heap graph could not apply (see
+    /// [`StreamCheck::feed`]).
+    fn feed(&mut self, events: &[HeapEvent]) -> Result<(), ApplyError> {
         let n = events.len() as u64;
         let clock = heapmd_obs::throughput::stage_clock();
-        self.check.feed(events);
+        let applied = self.check.feed(events);
         if let Some(t0) = clock {
             heapmd_obs::throughput::record_stage("serve_ingest", n, t0.elapsed().as_nanos() as u64);
         }
@@ -452,6 +458,7 @@ impl TenantCheck {
             self.window_start = Instant::now();
             self.window_events = 0;
         }
+        applied
     }
 }
 
@@ -824,7 +831,8 @@ fn accept_loop(listener: AnyListener, ctx: Arc<ServeCtx>) {
                 let _ = stream.set_nonblocking(false);
                 heapmd_obs::count!("heapmd_serve_connections_total");
                 let ctx = Arc::clone(&ctx);
-                handles.push(std::thread::spawn(move || handle_conn(stream, ctx)));
+                let handle = std::thread::spawn(move || handle_conn(stream, ctx));
+                track_conn(&mut handles, handle);
             }
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
@@ -835,6 +843,16 @@ fn accept_loop(listener: AnyListener, ctx: Arc<ServeCtx>) {
     for h in handles {
         let _ = h.join();
     }
+}
+
+/// Adds a connection thread to `handles` after joining those that have
+/// finished, so a long-lived daemon holds one handle per connection
+/// still open, not one per connection it ever accepted.
+fn track_conn(handles: &mut Vec<JoinHandle<()>>, handle: JoinHandle<()>) {
+    for done in handles.extract_if(.., |h| h.is_finished()) {
+        let _ = done.join();
+    }
+    handles.push(handle);
 }
 
 // ---------------------------------------------------------------------
@@ -1155,6 +1173,35 @@ mod tests {
     }
 
     #[test]
+    fn finished_connection_threads_are_joined_as_new_ones_arrive() {
+        let mut handles = Vec::new();
+        for _ in 0..200 {
+            // A short connection: its thread is done before the next
+            // one is accepted.
+            let handle = std::thread::spawn(|| {});
+            while !handle.is_finished() {
+                std::thread::yield_now();
+            }
+            track_conn(&mut handles, handle);
+            assert_eq!(handles.len(), 1, "only the newest thread is held");
+        }
+        // One still running is kept.
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        track_conn(
+            &mut handles,
+            std::thread::spawn(move || {
+                let _ = wait.recv();
+            }),
+        );
+        track_conn(&mut handles, std::thread::spawn(|| {}));
+        assert_eq!(handles.len(), 2, "the running thread stays tracked");
+        release.send(()).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
     fn an_event_the_graph_cannot_apply_evicts_only_its_stream() {
         let (_, _, model) = encoded_churn(10);
         let (ctx, entry) = start("t", &model);
@@ -1171,6 +1218,10 @@ mod tests {
         assert_eq!(
             outcome.evicted.as_deref(),
             Some(session::UNAPPLIABLE_EVENTS)
+        );
+        assert_eq!(
+            outcome.error.as_deref(),
+            Some("invalid input: event the heap graph cannot apply: write into unknown obj#7")
         );
         assert!(outcome.partial);
     }

@@ -66,7 +66,6 @@ use crate::trace_codec::{decode_sampling_meta, WireFrame, WireReader, FILE_HEADE
 use heapmd_obs::fleet::TenantStats;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -88,7 +87,8 @@ pub(crate) const ACK_FINAL: u8 = 1;
 pub(crate) const LATE_SAMPLING_META: &str = "malformed stream: sampling metadata after events";
 
 /// Eviction reason for a stream whose events the check cannot apply
-/// (a store into or a free of an object the stream never allocated).
+/// (a store into or a free of an object the stream never allocated, or
+/// any other [`heap_graph::ApplyError`]).
 pub(crate) const UNAPPLIABLE_EVENTS: &str = "malformed stream: events the check cannot apply";
 
 /// Current session metadata format version; future-versioned files are
@@ -405,11 +405,9 @@ pub(crate) fn forward(
     match frame {
         WireFrame::Events(events) => {
             e.events_seen = true;
-            // The heap graph panics on an event it cannot apply. The
-            // panic ends this stream only: caught here, it cannot
-            // poison the entry's lock for the sweeper, a reconnecting
-            // client or shutdown.
-            if catch_unwind(AssertUnwindSafe(|| t.feed(&events))).is_err() {
+            // An event the heap graph cannot apply ends this stream
+            // only.
+            if t.feed(&events).is_err() {
                 drop(guard);
                 evict_session(ctx, tenant, entry, UNAPPLIABLE_EVENTS.into());
                 return Forward::Gone;

@@ -16,7 +16,7 @@ use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
 use crate::trace_codec::SalvageStats;
-use heap_graph::GraphImage;
+use heap_graph::{ApplyError, GraphImage};
 use sim_heap::HeapEvent;
 use std::path::PathBuf;
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
@@ -131,7 +131,7 @@ impl Trace {
     ) -> Result<MetricReport, HeapMdError> {
         validate_function_ids(&self.events, self.functions.len())?;
         let mut replayer = Replayer::new(settings.clone(), &self.functions);
-        replayer.ingest_batch(&self.events);
+        replayer.ingest_batch(&self.events)?;
         Ok(MetricReport::with_sample_rate(
             run,
             replayer.take_samples(),
@@ -148,7 +148,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`HeapMdError::InvalidInput`] when an event references a
-    /// function id outside the interned `functions` table.
+    /// function id outside the interned `functions` table, or an object
+    /// the heap graph cannot apply it to.
     pub fn check(
         &self,
         model: &HeapModel,
@@ -173,7 +174,7 @@ impl Trace {
         if let Some(info) = self.sampling {
             check.set_sampling(info);
         }
-        check.feed(&self.events);
+        check.feed(&self.events)?;
         check.finish()
     }
 }
@@ -195,7 +196,8 @@ impl Trace {
 ///   (re-decimating would double-drop stores), and the detector widens
 ///   its ranges by the recorded rate;
 /// - every slice is validated against the function table received so
-///   far;
+///   far, and every event must apply to the heap graph (a store into
+///   or a free of an object the stream never allocated does not);
 /// - the first refusal is latched: later events are counted but not
 ///   checked, and [`finish`](Self::finish) returns the refusal instead
 ///   of a verdict.
@@ -261,15 +263,26 @@ impl StreamCheck {
     }
 
     /// Checks the next slice of the stream's events.
-    pub(crate) fn feed(&mut self, events: &[HeapEvent]) {
+    ///
+    /// # Errors
+    ///
+    /// The event of this slice the heap graph could not apply. The
+    /// refusal is latched as well, so [`finish`](Self::finish) reports
+    /// it; a caller may stop feeding on it (serve evicts the stream).
+    pub(crate) fn feed(&mut self, events: &[HeapEvent]) -> Result<(), ApplyError> {
         self.events += events.len() as u64;
         if self.refusal.is_some() {
-            return;
+            return Ok(());
         }
-        match validate_function_ids(events, self.table_len) {
-            Ok(()) => self.replayer.drive(events, &mut [&mut self.detector]),
-            Err(e) => self.refusal = Some(e),
+        if let Err(e) = validate_function_ids(events, self.table_len) {
+            self.refusal = Some(e);
+            return Ok(());
         }
+        let applied = self.replayer.drive(events, &mut [&mut self.detector]);
+        if let Err(e) = applied {
+            self.refusal = Some(e.into());
+        }
+        applied
     }
 
     /// Events received so far, before any re-sampling.
@@ -295,7 +308,8 @@ impl StreamCheck {
     /// # Errors
     ///
     /// The latched refusal: [`HeapMdError::InvalidInput`] for an event
-    /// naming a function outside the table received before it.
+    /// naming a function outside the table received before it, or one
+    /// the heap graph cannot apply.
     pub(crate) fn finish(&mut self) -> Result<TraceCheckOutcome, HeapMdError> {
         if let Some(e) = self.refusal.take() {
             return Err(e);
@@ -576,11 +590,16 @@ impl Replayer {
     /// A rejected store is as if it was never recorded, so replaying a
     /// stream behind the filter is bit-identical to replaying the
     /// pre-filtered stream without one.
+    ///
+    /// # Errors
+    ///
+    /// An event the heap graph cannot apply; the graph is unchanged,
+    /// but the event counts as admitted.
     #[inline(always)]
-    pub(crate) fn advance(&mut self, ev: &HeapEvent) -> Advance {
+    pub(crate) fn advance(&mut self, ev: &HeapEvent) -> Result<Advance, ApplyError> {
         if let Some(filter) = self.sampling.as_mut() {
             if !filter.admit(ev) {
-                return Advance::Dropped;
+                return Ok(Advance::Dropped);
             }
         }
         self.tick += 1;
@@ -589,15 +608,15 @@ impl Replayer {
                 self.stack.push(FuncId(func));
                 self.fn_entries += 1;
                 if self.fn_entries.is_multiple_of(self.settings.frq) {
-                    return Advance::SampleDue;
+                    return Ok(Advance::SampleDue);
                 }
             }
             HeapEvent::FnExit { .. } => {
                 self.stack.pop();
             }
-            _ => self.graph.apply(ev),
+            _ => self.graph.try_apply(ev)?,
         }
-        Advance::Applied
+        Ok(Advance::Applied)
     }
 
     /// Monitor-free replay of a slice, equivalent to
@@ -608,23 +627,28 @@ impl Replayer {
     /// decoder does exactly this, recycling one batch buffer instead of
     /// allocating per block) produces samples bit-identical to one call
     /// over the whole slice.
-    pub(crate) fn ingest_batch(&mut self, events: &[HeapEvent]) {
-        self.ingest(events, false);
+    ///
+    /// # Errors
+    ///
+    /// The first event the heap graph cannot apply; ingestion stops
+    /// there.
+    pub(crate) fn ingest_batch(&mut self, events: &[HeapEvent]) -> Result<(), ApplyError> {
+        self.ingest(events, false).map(drop)
     }
 
     /// [`ingest_batch`](Self::ingest_batch), stopping right after the
     /// first metric computation point when `stop_at_sample` is set.
     /// Returns the number of events consumed.
-    fn ingest(&mut self, events: &[HeapEvent], stop_at_sample: bool) -> usize {
+    fn ingest(&mut self, events: &[HeapEvent], stop_at_sample: bool) -> Result<usize, ApplyError> {
         for (i, ev) in events.iter().enumerate() {
-            if self.advance(ev) == Advance::SampleDue {
+            if self.advance(ev)? == Advance::SampleDue {
                 self.take_sample();
                 if stop_at_sample {
-                    return i + 1;
+                    return Ok(i + 1);
                 }
             }
         }
-        events.len()
+        Ok(events.len())
     }
 
     /// Replays `events` into `monitors`, delivering each event only
@@ -638,17 +662,31 @@ impl Replayer {
     /// handed to the monitors. Both paths advance the same core, so
     /// samples, ticks and everything monitors observe are bit-identical
     /// to stepping every event.
-    pub(crate) fn drive(&mut self, events: &[HeapEvent], monitors: &mut [&mut dyn Monitor]) {
+    ///
+    /// # Errors
+    ///
+    /// The first event the heap graph cannot apply; the drive stops
+    /// there.
+    pub(crate) fn drive(
+        &mut self,
+        events: &[HeapEvent],
+        monitors: &mut [&mut dyn Monitor],
+    ) -> Result<(), ApplyError> {
         let mut rest = events;
         while !rest.is_empty() {
             let consumed = if monitors.iter().any(|m| m.listening()) {
                 // Step up to and including the next sample point.
-                rest.iter()
-                    .position(|ev| self.step(ev, monitors))
-                    .map_or(rest.len(), |i| i + 1)
+                let mut n = rest.len();
+                for (i, ev) in rest.iter().enumerate() {
+                    if self.step(ev, monitors)? {
+                        n = i + 1;
+                        break;
+                    }
+                }
+                n
             } else {
                 let taken = self.samples.len();
-                let n = self.ingest(rest, true);
+                let n = self.ingest(rest, true)?;
                 if self.samples.len() > taken {
                     let sample = self.samples[taken];
                     let ctx = self.ctx();
@@ -660,28 +698,37 @@ impl Replayer {
             };
             rest = &rest[consumed..];
         }
+        Ok(())
     }
 
     /// Replays one event with full monitor fan-out. Returns whether it
     /// was a metric computation point.
-    pub(crate) fn step(&mut self, ev: &HeapEvent, monitors: &mut [&mut dyn Monitor]) -> bool {
-        let advance = self.advance(ev);
+    ///
+    /// # Errors
+    ///
+    /// An event the heap graph cannot apply; no monitor sees it.
+    pub(crate) fn step(
+        &mut self,
+        ev: &HeapEvent,
+        monitors: &mut [&mut dyn Monitor],
+    ) -> Result<bool, ApplyError> {
+        let advance = self.advance(ev)?;
         if advance == Advance::Dropped {
-            return false;
+            return Ok(false);
         }
         let ctx = self.ctx();
         for m in monitors.iter_mut() {
             m.on_event(&ctx, ev);
         }
         if advance != Advance::SampleDue {
-            return false;
+            return Ok(false);
         }
         let sample = self.take_sample();
         let ctx = self.ctx();
         for m in monitors.iter_mut() {
             m.on_sample(&ctx, &sample);
         }
-        true
+        Ok(true)
     }
 
     pub(crate) fn finish(&mut self, monitors: &mut [&mut dyn Monitor]) {
@@ -744,11 +791,11 @@ mod tests {
             HeapEvent::FnEnter { func: 0 },
         ];
         let mut batched = Replayer::new(settings.clone(), &[]);
-        batched.ingest_batch(&enters);
+        batched.ingest_batch(&enters).unwrap();
         assert_eq!(batched.ctx().stack_names(), ["fn#5", "fn#0"]);
         let mut stepped = Replayer::new(settings, &[]);
         for ev in &enters {
-            stepped.step(ev, &mut []);
+            stepped.step(ev, &mut []).unwrap();
         }
         assert_eq!(stepped.ctx().stack_names(), ["fn#5", "fn#0"]);
     }
@@ -761,7 +808,7 @@ mod tests {
         // Stepped reference: drive the replayer one event at a time.
         let mut stepped = Replayer::new(settings, trace.functions());
         for ev in trace.events() {
-            stepped.step(ev, &mut []);
+            stepped.step(ev, &mut []).unwrap();
         }
         assert_eq!(batched.samples, stepped.samples);
     }
@@ -776,7 +823,7 @@ mod tests {
         for chunk in [1usize, 7, 64, 1000] {
             let mut r = Replayer::new(settings.clone(), trace.functions());
             for part in trace.events().chunks(chunk) {
-                r.ingest_batch(part);
+                r.ingest_batch(part).unwrap();
             }
             assert_eq!(
                 whole.samples,
@@ -792,14 +839,14 @@ mod tests {
         let settings = Settings::builder().frq(5).build().unwrap();
         for shards in [1usize, 4] {
             let mut fresh = Replayer::with_shards(settings.clone(), trace.functions(), shards);
-            fresh.ingest_batch(trace.events());
+            fresh.ingest_batch(trace.events()).unwrap();
             let want = fresh.take_samples();
             // Dirty a replayer with a different stream, then reset it.
             let (other, _) = traced_run(3, 77);
             let mut reused = Replayer::with_shards(settings.clone(), other.functions(), shards);
-            reused.ingest_batch(other.events());
+            reused.ingest_batch(other.events()).unwrap();
             reused.reset(settings.clone(), trace.functions());
-            reused.ingest_batch(trace.events());
+            reused.ingest_batch(trace.events()).unwrap();
             assert_eq!(
                 reused.take_samples(),
                 want,
@@ -960,7 +1007,9 @@ mod tests {
         }
         for part in trace.events().chunks(block) {
             for ev in part {
-                replayer.step(ev, &mut [&mut AlwaysListening(&mut detector)]);
+                replayer
+                    .step(ev, &mut [&mut AlwaysListening(&mut detector)])
+                    .unwrap();
             }
         }
         replayer.finish(&mut [&mut AlwaysListening(&mut detector)]);
@@ -1013,7 +1062,7 @@ mod tests {
                 trace
                     .events()
                     .chunks(block)
-                    .for_each(|part| check.feed(part));
+                    .for_each(|part| check.feed(part).unwrap());
                 let got = check.finish().unwrap();
                 let what = format!("{mode}, {block}-event slices");
                 // The case must exercise the window: logged before the

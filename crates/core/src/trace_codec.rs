@@ -1593,8 +1593,7 @@ pub fn replay_binary(
     let mut replayer = Replayer::new(settings.clone(), &functions);
     pipeline_blocks(image, |events| {
         validate_function_ids(events, functions.len())?;
-        replayer.ingest_batch(events);
-        Ok(())
+        Ok(replayer.ingest_batch(events)?)
     })?;
     Ok(MetricReport::with_sample_rate(
         run,
@@ -1625,7 +1624,7 @@ fn fused_replay(
     for entry in image.event_blocks() {
         image.decode_block_into(entry, &mut buf)?;
         validate_function_ids(&buf, functions.len())?;
-        replayer.ingest_batch(&buf);
+        replayer.ingest_batch(&buf)?;
     }
     let info = replayer.sampling_info();
     let rate = match info {
@@ -1734,10 +1733,9 @@ fn check_image(
     if let Some(info) = image.sampling()? {
         check.set_sampling(info);
     }
-    pipeline_blocks(image, |events| {
-        check.feed(events);
-        Ok(())
-    })?;
+    // An event the graph cannot apply ends the check: the blocks
+    // after it are not decoded.
+    pipeline_blocks(image, |events| Ok(check.feed(events)?))?;
     check.finish()
 }
 

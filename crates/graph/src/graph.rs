@@ -32,6 +32,37 @@ use fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use sim_heap::{Addr, HeapEvent, ObjectId, ShadowMap, SHADOW_EMPTY};
 
+/// An event the heap graph cannot apply: it names an object the
+/// stream never allocated (or already freed), allocates a live object
+/// again, or allocates past the end of the address space. The graph
+/// finds it before changing anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ApplyError {
+    /// A free of an object that is not live.
+    FreeOfUnknown(ObjectId),
+    /// A pointer store into an object that is not live.
+    WriteIntoUnknown(ObjectId),
+    /// An allocation of an object that is already live.
+    DuplicateAlloc(ObjectId),
+    /// An allocation whose end lies past the last address.
+    AddressOverflow(ObjectId),
+}
+
+impl std::fmt::Display for ApplyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ApplyError::FreeOfUnknown(id) => write!(f, "free of unknown {id}"),
+            ApplyError::WriteIntoUnknown(id) => write!(f, "write into unknown {id}"),
+            ApplyError::DuplicateAlloc(id) => write!(f, "duplicate allocation of {id}"),
+            ApplyError::AddressOverflow(id) => {
+                write!(f, "allocation of {id} ends past the last address")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ApplyError {}
+
 /// Ids below this index into the dense intern vector; ids at or above
 /// it (only reachable after ~4M allocations) go to the spill hash map.
 /// The dense vector tops out at 16 MiB and only materializes as far as
@@ -329,18 +360,37 @@ impl HeapGraph {
     /// Applies one instrumentation event.
     ///
     /// Reads and function entries/exits do not change the graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an event the graph cannot apply (see
+    /// [`try_apply`](Self::try_apply)).
     #[inline]
     pub fn apply(&mut self, event: &HeapEvent) {
+        self.try_apply(event).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Applies one instrumentation event, or leaves the graph as it was
+    /// and reports why the event cannot apply.
+    ///
+    /// # Errors
+    ///
+    /// The [`ApplyError`] the event's object lookup found.
+    #[inline]
+    pub fn try_apply(&mut self, event: &HeapEvent) -> Result<(), ApplyError> {
         match *event {
             HeapEvent::Alloc {
                 obj, addr, size, ..
-            } => self.on_alloc(obj, addr, size),
-            HeapEvent::Free { obj, .. } => self.on_free(obj),
+            } => self.try_alloc(obj, addr, size),
+            HeapEvent::Free { obj, .. } => self.try_free(obj),
             HeapEvent::PtrWrite {
                 src, offset, value, ..
-            } => self.on_ptr_write(src, offset, value),
-            HeapEvent::ScalarWrite { src, offset, .. } => self.on_scalar_write(src, offset),
-            HeapEvent::Read { .. } | HeapEvent::FnEnter { .. } | HeapEvent::FnExit { .. } => {}
+            } => self.try_ptr_write(src, offset, value),
+            HeapEvent::ScalarWrite { src, offset, .. } => {
+                self.on_scalar_write(src, offset);
+                Ok(())
+            }
+            HeapEvent::Read { .. } | HeapEvent::FnEnter { .. } | HeapEvent::FnExit { .. } => Ok(()),
         }
     }
 
@@ -361,10 +411,21 @@ impl HeapGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is already live (the event stream is corrupt).
+    /// Panics if `id` is already live or the object ends past the last
+    /// address (the event stream is corrupt).
     pub fn on_alloc(&mut self, id: ObjectId, addr: Addr, size: usize) {
+        self.try_alloc(id, addr, size)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn try_alloc(&mut self, id: ObjectId, addr: Addr, size: usize) -> Result<(), ApplyError> {
         let start = addr.get();
-        let end = start + size as u64;
+        let end = start
+            .checked_add(size as u64)
+            .ok_or(ApplyError::AddressOverflow(id))?;
+        if self.index.get(id).is_some() {
+            return Err(ApplyError::DuplicateAlloc(id));
+        }
         let slot = match self.free.pop() {
             Some(s) => {
                 let ns = &mut self.slots[s as usize];
@@ -391,7 +452,7 @@ impl HeapGraph {
             }
         };
         let prev = self.index.insert(id, slot);
-        assert!(prev.is_none(), "duplicate allocation of {id}");
+        debug_assert!(prev.is_none(), "checked above");
         let spilled = !self.shadow.insert(start, end, slot);
         self.slots[slot as usize].spilled = spilled;
         if spilled {
@@ -423,6 +484,7 @@ impl HeapGraph {
                 }
             }
         }
+        Ok(())
     }
 
     /// Removes a vertex: its out-slots vanish, and every in-edge's source
@@ -433,10 +495,11 @@ impl HeapGraph {
     ///
     /// Panics if `id` is not live.
     pub fn on_free(&mut self, id: ObjectId) {
-        let slot = self
-            .index
-            .remove(id)
-            .unwrap_or_else(|| panic!("free of unknown {id}"));
+        self.try_free(id).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn try_free(&mut self, id: ObjectId) -> Result<(), ApplyError> {
+        let slot = self.index.remove(id).ok_or(ApplyError::FreeOfUnknown(id))?;
         let s = slot as usize;
         let info = self.slots[s].info;
         self.histogram.remove_node(info.indegree, info.outdegree);
@@ -494,6 +557,7 @@ impl HeapGraph {
         inbound.clear();
         self.slots[s].inbound = inbound;
         self.free.push(slot);
+        Ok(())
     }
 
     /// Records a pointer store: slot `(src, offset)` now holds `value`.
@@ -506,13 +570,18 @@ impl HeapGraph {
     ///
     /// Panics if `src` is not a live vertex.
     pub fn on_ptr_write(&mut self, src: ObjectId, offset: u64, value: Addr) {
-        let src_slot = match self.index.get(src) {
-            Some(s) => s,
-            None => panic!("write into unknown {src}"),
-        };
+        self.try_ptr_write(src, offset, value)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn try_ptr_write(&mut self, src: ObjectId, offset: u64, value: Addr) -> Result<(), ApplyError> {
+        let src_slot = self
+            .index
+            .get(src)
+            .ok_or(ApplyError::WriteIntoUnknown(src))?;
         self.drop_slot(src_slot, offset);
         if value.is_null() {
-            return;
+            return Ok(());
         }
         let raw = value.get();
         let target = self.resolve(raw);
@@ -535,6 +604,7 @@ impl HeapGraph {
                 self.insert_unresolved(raw, src_slot, offset);
             }
         }
+        Ok(())
     }
 
     /// Records a non-pointer store, clearing any pointer in the slot.

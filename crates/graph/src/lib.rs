@@ -70,7 +70,7 @@ pub use candidates::{CandidateKind, CandidateVector, CANDIDATE_COUNT, TAIL_MIN_D
 pub use components::{ComponentSummary, SccSummary};
 pub use distribution::DegreeDistribution;
 pub use field_graph::FieldGraph;
-pub use graph::{GraphSnapshot, HeapGraph};
+pub use graph::{ApplyError, GraphSnapshot, HeapGraph};
 pub use histogram::{DegreeHistogram, DEGREE_SATURATION};
 pub use metrics::{ExtendedMetrics, MetricKind, MetricVector, METRIC_COUNT};
 pub use node::NodeInfo;

@@ -29,7 +29,9 @@
 //! shadow map unchanged.
 
 use crate::candidates::CandidateVector;
-use crate::graph::{Bucket, GraphSnapshot, HeapGraph, IdIndex, NodeSlot, Range, SlotState};
+use crate::graph::{
+    ApplyError, Bucket, GraphSnapshot, HeapGraph, IdIndex, NodeSlot, Range, SlotState,
+};
 use crate::histogram::DegreeHistogram;
 use crate::metrics::{ExtendedMetrics, MetricVector};
 use crate::node::NodeInfo;
@@ -273,16 +275,29 @@ impl ShardedGraph {
     /// Applies one instrumentation event (same contract as
     /// [`HeapGraph::apply`]).
     pub fn apply(&mut self, event: &HeapEvent) {
+        self.try_apply(event).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Applies one instrumentation event or reports why it cannot (same
+    /// contract as [`HeapGraph::try_apply`]).
+    ///
+    /// # Errors
+    ///
+    /// The [`ApplyError`] the event's object lookup found.
+    pub fn try_apply(&mut self, event: &HeapEvent) -> Result<(), ApplyError> {
         match *event {
             HeapEvent::Alloc {
                 obj, addr, size, ..
-            } => self.on_alloc(obj, addr, size),
-            HeapEvent::Free { obj, .. } => self.on_free(obj),
+            } => self.try_alloc(obj, addr, size),
+            HeapEvent::Free { obj, .. } => self.try_free(obj),
             HeapEvent::PtrWrite {
                 src, offset, value, ..
-            } => self.on_ptr_write(src, offset, value),
-            HeapEvent::ScalarWrite { src, offset, .. } => self.on_scalar_write(src, offset),
-            HeapEvent::Read { .. } | HeapEvent::FnEnter { .. } | HeapEvent::FnExit { .. } => {}
+            } => self.try_ptr_write(src, offset, value),
+            HeapEvent::ScalarWrite { src, offset, .. } => {
+                self.on_scalar_write(src, offset);
+                Ok(())
+            }
+            HeapEvent::Read { .. } | HeapEvent::FnEnter { .. } | HeapEvent::FnExit { .. } => Ok(()),
         }
     }
 
@@ -299,10 +314,21 @@ impl ShardedGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is already live.
+    /// Panics if `id` is already live or the object ends past the last
+    /// address.
     pub fn on_alloc(&mut self, id: ObjectId, addr: Addr, size: usize) {
+        self.try_alloc(id, addr, size)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn try_alloc(&mut self, id: ObjectId, addr: Addr, size: usize) -> Result<(), ApplyError> {
         let start = addr.get();
-        let end = start + size as u64;
+        let end = start
+            .checked_add(size as u64)
+            .ok_or(ApplyError::AddressOverflow(id))?;
+        if self.index.get(id).is_some() {
+            return Err(ApplyError::DuplicateAlloc(id));
+        }
         let n = self.shards.len();
         let owner = shard_of(start, n);
         let local = match self.shards[owner].free.pop() {
@@ -332,7 +358,7 @@ impl ShardedGraph {
         };
         let r = pack(owner, local);
         let prev = self.index.insert(id, r);
-        assert!(prev.is_none(), "duplicate allocation of {id}");
+        debug_assert!(prev.is_none(), "checked above");
         let spilled = !self.shadow.insert(start, end, r);
         self.shards[owner].slots[local as usize].spilled = spilled;
         if spilled {
@@ -375,6 +401,7 @@ impl ShardedGraph {
                 }
             }
         }
+        Ok(())
     }
 
     /// Removes a vertex. Mirrors [`HeapGraph::on_free`].
@@ -383,10 +410,11 @@ impl ShardedGraph {
     ///
     /// Panics if `id` is not live.
     pub fn on_free(&mut self, id: ObjectId) {
-        let r = self
-            .index
-            .remove(id)
-            .unwrap_or_else(|| panic!("free of unknown {id}"));
+        self.try_free(id).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn try_free(&mut self, id: ObjectId) -> Result<(), ApplyError> {
+        let r = self.index.remove(id).ok_or(ApplyError::FreeOfUnknown(id))?;
         let (sh, sl) = (shard_of_ref(r), slot_of_ref(r));
         let n = self.shards.len();
         let info = self.shards[sh].slots[sl].info;
@@ -450,6 +478,7 @@ impl ShardedGraph {
         inbound.clear();
         self.shards[sh].slots[sl].inbound = inbound;
         self.shards[sh].free.push(sl as u32);
+        Ok(())
     }
 
     /// Records a pointer store. Mirrors [`HeapGraph::on_ptr_write`].
@@ -458,13 +487,18 @@ impl ShardedGraph {
     ///
     /// Panics if `src` is not a live vertex.
     pub fn on_ptr_write(&mut self, src: ObjectId, offset: u64, value: Addr) {
-        let src_ref = match self.index.get(src) {
-            Some(s) => s,
-            None => panic!("write into unknown {src}"),
-        };
+        self.try_ptr_write(src, offset, value)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn try_ptr_write(&mut self, src: ObjectId, offset: u64, value: Addr) -> Result<(), ApplyError> {
+        let src_ref = self
+            .index
+            .get(src)
+            .ok_or(ApplyError::WriteIntoUnknown(src))?;
         self.drop_slot(src_ref, offset);
         if value.is_null() {
-            return;
+            return Ok(());
         }
         let raw = value.get();
         let target = self.resolve(raw);
@@ -491,6 +525,7 @@ impl ShardedGraph {
                 self.insert_unresolved(raw, src_ref, offset);
             }
         }
+        Ok(())
     }
 
     /// Records a non-pointer store, clearing any pointer in the slot.
@@ -756,12 +791,18 @@ impl GraphImage {
         }
     }
 
-    /// Applies one instrumentation event.
+    /// Applies one instrumentation event, or leaves the image as it was
+    /// and reports why the event cannot apply (see
+    /// [`HeapGraph::try_apply`]).
+    ///
+    /// # Errors
+    ///
+    /// The [`ApplyError`] the event's object lookup found.
     #[inline]
-    pub fn apply(&mut self, event: &HeapEvent) {
+    pub fn try_apply(&mut self, event: &HeapEvent) -> Result<(), ApplyError> {
         match self {
-            GraphImage::Single(g) => g.apply(event),
-            GraphImage::Sharded(s) => s.apply(event),
+            GraphImage::Single(g) => g.try_apply(event),
+            GraphImage::Sharded(s) => s.try_apply(event),
         }
     }
 
@@ -1046,6 +1087,57 @@ mod tests {
     }
 
     #[test]
+    fn events_on_unknown_objects_are_refused_and_change_nothing() {
+        let (obj, addr) = (ObjectId(3), Addr::new(0x1000));
+        let alloc = |obj, addr, size| HeapEvent::Alloc {
+            obj,
+            addr,
+            size,
+            site: AllocSite(0),
+        };
+        for mut img in [GraphImage::new(1), GraphImage::new(3)] {
+            img.try_apply(&alloc(obj, addr, 32)).unwrap();
+            let before = img.snapshot();
+            let stray = ObjectId(564);
+            let refused = [
+                (
+                    HeapEvent::PtrWrite {
+                        src: stray,
+                        offset: 0,
+                        value: addr,
+                        old_value: None,
+                    },
+                    ApplyError::WriteIntoUnknown(stray),
+                ),
+                (
+                    HeapEvent::Free {
+                        obj: stray,
+                        addr,
+                        size: 32,
+                    },
+                    ApplyError::FreeOfUnknown(stray),
+                ),
+                (
+                    alloc(obj, Addr::new(0x2000), 32),
+                    ApplyError::DuplicateAlloc(obj),
+                ),
+                (
+                    alloc(stray, Addr::new(u64::MAX - 8), 32),
+                    ApplyError::AddressOverflow(stray),
+                ),
+            ];
+            for (ev, err) in refused {
+                assert_eq!(img.try_apply(&ev), Err(err));
+                assert_eq!(img.snapshot(), before);
+            }
+        }
+        assert_eq!(
+            ApplyError::WriteIntoUnknown(ObjectId(564)).to_string(),
+            "write into unknown obj#564"
+        );
+    }
+
+    #[test]
     fn graph_image_variants_agree() {
         let mut heap = SimHeap::new();
         let mut images = [GraphImage::new(1), GraphImage::new(3)];
@@ -1053,22 +1145,24 @@ mod tests {
         for _ in 0..100 {
             let eff = heap.alloc(32, AllocSite(0)).unwrap();
             for img in &mut images {
-                img.apply(&HeapEvent::Alloc {
+                img.try_apply(&HeapEvent::Alloc {
                     obj: eff.id,
                     addr: eff.addr,
                     size: eff.size,
                     site: AllocSite(0),
-                });
+                })
+                .unwrap();
             }
             if let Some(p) = prev {
                 let w = heap.write_ptr(eff.addr, p).unwrap();
                 for img in &mut images {
-                    img.apply(&HeapEvent::PtrWrite {
+                    img.try_apply(&HeapEvent::PtrWrite {
                         src: w.src,
                         offset: w.offset,
                         value: p,
                         old_value: None,
-                    });
+                    })
+                    .unwrap();
                 }
             }
             prev = Some(eff.addr);

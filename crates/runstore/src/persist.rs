@@ -18,31 +18,64 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// IEEE 802.3 CRC-32 (the polynomial used by zip/png/ethernet),
-/// computed bytewise with a lazily built lookup table.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    fn table() -> &'static [u32; 256] {
-        static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, entry) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                }
-                *entry = c;
-            }
-            t
-        })
+/// Bytes [`crc32`] folds per step.
+const CRC_SLICE: usize = 16;
+
+/// The sliced lookup tables, built at compile time: row 0 is the
+/// classic bytewise table of the reflected IEEE polynomial, and row
+/// `k` advances a byte's contribution past `k` further zero bytes.
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; CRC_SLICE] {
+    let mut t = [[0u32; 256]; CRC_SLICE];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
     }
-    let t = table();
+    let mut row = 1;
+    while row < CRC_SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[row - 1][i];
+            t[row][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        row += 1;
+    }
+    t
+}
+
+/// IEEE 802.3 CRC-32 (the polynomial used by zip/png/ethernet),
+/// sliced 16 bytes per step over compile-time tables; the tail
+/// shorter than a slice goes bytewise.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut slices = bytes.chunks_exact(CRC_SLICE);
+    for slice in &mut slices {
+        let mut s = [0u8; CRC_SLICE];
+        s.copy_from_slice(slice);
+        let head = crc ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        s[..4].copy_from_slice(&head.to_le_bytes());
+        // Byte `i` still has `CRC_SLICE - 1 - i` bytes to pass.
+        crc = 0;
+        for (i, &b) in s.iter().enumerate() {
+            crc ^= t[CRC_SLICE - 1 - i][b as usize];
+        }
+    }
+    for &b in slices.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -89,6 +122,45 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    /// The textbook bytewise loop the sliced [`crc32`] must agree with.
+    fn bytewise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_loop_at_every_length_and_alignment() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..72)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    bytewise_crc32(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]

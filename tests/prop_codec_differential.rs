@@ -382,3 +382,38 @@ proptest! {
         }
     }
 }
+
+/// The textbook bytewise CRC-32 loop: the reference the sliced
+/// `heapmd::persist::crc32` every block header carries must match.
+fn bytewise_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB8_8320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Any slice of any buffer, at any alignment and length, including
+    // lengths that leave a bytewise tail after the sliced steps.
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop_on_random_slices(
+        buf in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..600),
+        start in 0usize..600,
+        len in 0usize..600,
+    ) {
+        let start = start.min(buf.len());
+        let end = (start + len).min(buf.len());
+        let bytes = &buf[start..end];
+        prop_assert_eq!(heapmd::persist::crc32(bytes), bytewise_crc32(bytes));
+    }
+}
