@@ -1,9 +1,9 @@
 //! Single-trace ingestion: the fused decode→ingest engine, the same
 //! loop over an address-partitioned graph at 2/4/8 shards, and the
-//! mmap zero-copy open path, all against the pipelined engine
-//! (`replay_pipelined`). Shards run on the calling thread, so their
-//! numbers show what partitioning the graph's storage costs, not
-//! scaling (see DESIGN.md §13).
+//! same replay from a file with its open included, all against the
+//! pipelined engine (`replay_pipelined`). Shards run on the calling
+//! thread, so their numbers show what partitioning the graph's storage
+//! costs, not scaling (see DESIGN.md §13).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use heapmd::{BinaryTraceImage, Process, Settings, Trace};
@@ -73,17 +73,11 @@ fn bench_sharded_replay(c: &mut Criterion) {
         });
     }
 
-    // File-to-report, open included: mmap zero-copy vs buffered read.
-    group.bench_function("replay_mmap", |b| {
+    // File-to-report, open included: blocks read from the file by
+    // position as they decode.
+    group.bench_function("replay_open", |b| {
         b.iter(|| {
             let image = BinaryTraceImage::open_path(&path).unwrap();
-            assert!(image.is_mapped());
-            heapmd::replay_binary_fused(&image, &settings, "bench").unwrap()
-        })
-    });
-    group.bench_function("replay_buffered", |b| {
-        b.iter(|| {
-            let image = BinaryTraceImage::open_path_buffered(&path).unwrap();
             heapmd::replay_binary_fused(&image, &settings, "bench").unwrap()
         })
     });

@@ -943,10 +943,7 @@ fn inspect_binary_trace(path: &str, salvage: bool) -> i32 {
         );
         return 0;
     }
-    let image = match std::fs::read(path)
-        .map_err(heapmd::HeapMdError::from)
-        .and_then(BinaryTraceImage::open)
-    {
+    let image = match BinaryTraceImage::open_path(path) {
         Ok(i) => i,
         Err(e) => {
             error!("cannot open {path}: {e}");

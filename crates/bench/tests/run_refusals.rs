@@ -254,6 +254,99 @@ fn an_unappliable_trace_fails_alone_in_its_batch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `bytes` with its first events-block index entry moved to `offset`,
+/// the index block's CRC and the footer recomputed: an index that
+/// passes every checksum yet locates a block outside the file.
+fn with_events_entry_at(bytes: &[u8], offset: u64) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let crc32 = heapmd_runstore::persist::crc32;
+    let index = heapmd::BinaryTraceImage::open(bytes.to_vec())
+        .unwrap()
+        .index()
+        .clone();
+    let footer_at = bytes.len() - 20;
+    let index_offset = u64::from_le_bytes(bytes[footer_at..footer_at + 8].try_into().unwrap());
+    let first_events = index.blocks.iter().position(|b| b.kind == 1).unwrap();
+    let mut payload = Vec::new();
+    for (i, entry) in index.blocks.iter().enumerate() {
+        let at = if i == first_events {
+            offset
+        } else {
+            entry.offset
+        };
+        varint(&mut payload, at);
+        payload.push(entry.kind);
+        varint(&mut payload, u64::from(entry.count));
+    }
+    varint(&mut payload, index.total_events);
+    varint(&mut payload, index.total_fn_enters);
+    let mut out = bytes[..index_offset as usize].to_vec();
+    out.extend_from_slice(&[0xB1, 0x0C, 0x48, 0x44, 3]);
+    out.extend_from_slice(&(index.blocks.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&index_offset.to_le_bytes());
+    out.extend_from_slice(&crc32(&index_offset.to_le_bytes()).to_le_bytes());
+    out.extend_from_slice(b"HMDBIDX\n");
+    out
+}
+
+/// A CRC-valid index entry that points past the end of the file is
+/// refused when the trace opens: `check` names that trace as corrupt,
+/// prints the other trace's verdict and exits 1, with no panic.
+#[test]
+fn an_index_entry_outside_the_file_fails_alone_in_its_batch() {
+    use sim_heap::{AllocSite, HeapEvent, ObjectId};
+    let dir = std::env::temp_dir().join(format!("heapmd-bad-index-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (good, bad) = (dir.join("good.hmdt"), dir.join("bad.hmdt"));
+    write_trace(
+        &good,
+        &[
+            HeapEvent::FnEnter { func: 0 },
+            HeapEvent::Alloc {
+                obj: ObjectId(1),
+                addr: sim_heap::Addr::new(0x1000),
+                size: 16,
+                site: AllocSite(0),
+            },
+            HeapEvent::FnExit { func: 0 },
+        ],
+    );
+    let bytes = std::fs::read(&good).unwrap();
+    std::fs::write(&bad, with_events_entry_at(&bytes, 1_000_000_000)).unwrap();
+    let model = dir.join("model.json");
+    let mut builder = heapmd::ModelBuilder::new(heapmd::Settings::default()).program("p");
+    builder.add_run(&heapmd::MetricReport::new("r", Vec::new()));
+    builder.build().model.save(&model).unwrap();
+    let (good, bad, model) = (
+        good.to_str().unwrap(),
+        bad.to_str().unwrap(),
+        model.to_str().unwrap(),
+    );
+    let out = cli(&["check", "--model", model, "--trace", bad, "--trace", good]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(
+        stdout.lines().collect::<Vec<_>>(),
+        [format!("{good}: no anomalies")]
+    );
+    assert!(
+        stderr(&out).contains(&format!("{bad}: corrupt artifact at byte ")),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}
+
 /// The live check and the post-mortem check of the same run print the
 /// same bug block (reports and their `implicated:` lines).
 #[test]

@@ -777,33 +777,40 @@ impl<W: Write> BinaryTraceWriter<W> {
 /// Strict / salvage reader for the binary format.
 pub struct BinaryTraceReader;
 
-/// Backing storage of a [`BinaryTraceImage`]: bytes we copied into the
-/// process, or a zero-copy kernel mapping of the trace file.
-enum ImageBytes {
-    /// Heap-owned bytes (read into memory, or encoded in memory).
-    Owned(Vec<u8>),
-    /// Read-only `mmap(2)` view; blocks decode straight out of the page
-    /// cache without a user-space copy of the file.
-    Mapped(heapmd_mapfile::Mmap),
+/// Where a [`BinaryTraceImage`] reads its blocks from: bytes already in
+/// memory, or the trace file itself, read by position one block at a
+/// time.
+enum Source {
+    Bytes(Vec<u8>),
+    #[cfg(unix)]
+    File(std::fs::File),
 }
 
-impl std::ops::Deref for ImageBytes {
-    type Target = [u8];
-
-    #[inline]
-    fn deref(&self) -> &[u8] {
+impl Source {
+    /// Fills `buf` with the bytes at `offset`. A source that ends first
+    /// (a file cut while open included) fails with `UnexpectedEof`.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
         match self {
-            ImageBytes::Owned(v) => v,
-            ImageBytes::Mapped(m) => m,
+            Source::Bytes(bytes) => {
+                let bytes = usize::try_from(offset)
+                    .ok()
+                    .and_then(|at| bytes.get(at..at.checked_add(buf.len())?))
+                    .ok_or(std::io::ErrorKind::UnexpectedEof)?;
+                buf.copy_from_slice(bytes);
+                Ok(())
+            }
+            #[cfg(unix)]
+            Source::File(file) => std::os::unix::fs::FileExt::read_exact_at(file, buf, offset),
         }
     }
 }
 
-/// A fully parsed binary trace image: raw bytes plus the verified
-/// index, ready for block-at-a-time decoding (sequential or split
-/// across workers).
+/// A binary trace whose header, footer and index are verified, ready
+/// for block-at-a-time decoding (sequential or split across workers).
+/// Each block is read when it is decoded and checked against its CRC
+/// then.
 pub struct BinaryTraceImage {
-    bytes: ImageBytes,
+    source: Source,
     index: BlockIndex,
 }
 
@@ -817,82 +824,111 @@ impl BinaryTraceImage {
     /// Returns [`HeapMdError::Corrupt`] with the byte offset of the
     /// first structural violation.
     pub fn open(bytes: Vec<u8>) -> Result<Self, HeapMdError> {
-        Self::open_bytes(ImageBytes::Owned(bytes))
+        let len = bytes.len() as u64;
+        Self::verify(Source::Bytes(bytes), len)
     }
 
-    /// Opens the trace at `path` with a zero-copy `mmap` view of the
-    /// file, falling back to a buffered read when mapping fails (or on
-    /// targets without `mmap`). Structural verification is identical to
-    /// [`open`](Self::open).
-    ///
-    /// Safe because traces are published atomically (write-to-temp +
-    /// rename): a mapped file is never mutated in place by this
-    /// codebase's writers. See the `heapmd-mapfile` crate docs for the
-    /// full argument.
+    /// Opens the trace at `path`, verified as [`open`](Self::open)
+    /// verifies bytes. Blocks are read from the file by position as
+    /// they are decoded, so the image holds no copy of the file; a
+    /// file cut or rewritten while open fails the decode of the blocks
+    /// it no longer holds as [`HeapMdError::Corrupt`].
     ///
     /// # Errors
     ///
     /// [`HeapMdError::Io`] when unreadable, [`HeapMdError::Corrupt`] on
     /// structural damage.
     pub fn open_path(path: impl AsRef<Path>) -> Result<Self, HeapMdError> {
-        let file = std::fs::File::open(path.as_ref())?;
-        match heapmd_mapfile::Mmap::map(&file) {
-            Ok(map) => {
-                heapmd_obs::count!("heapmd_trace_mmap_opens_total");
-                Self::open_bytes(ImageBytes::Mapped(map))
-            }
-            Err(_) => {
-                heapmd_obs::count!("heapmd_trace_mmap_fallbacks_total");
-                drop(file);
-                Self::open_path_buffered(path)
-            }
+        #[cfg(not(unix))]
+        return Self::open(std::fs::read(path)?);
+        #[cfg(unix)]
+        {
+            let file = std::fs::File::open(path)?;
+            let len = file.metadata()?.len();
+            Self::verify(Source::File(file), len)
         }
     }
 
-    /// Opens the trace at `path` through a plain buffered read (no
-    /// mapping), for callers that cannot rely on the atomic-publish
-    /// discipline or want mmap-vs-buffered differential coverage.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapMdError::Io`] / [`HeapMdError::Corrupt`].
-    pub fn open_path_buffered(path: impl AsRef<Path>) -> Result<Self, HeapMdError> {
-        Self::open_bytes(ImageBytes::Owned(std::fs::read(path)?))
-    }
-
-    /// Whether the image reads from a kernel mapping rather than owned
-    /// memory.
-    pub fn is_mapped(&self) -> bool {
-        matches!(&self.bytes, ImageBytes::Mapped(m) if m.is_mapped())
-    }
-
-    fn open_bytes(bytes: ImageBytes) -> Result<Self, HeapMdError> {
-        check_header(&bytes)?;
-        let index_offset = parse_footer(&bytes)
-            .map_err(|reason| HeapMdError::corrupt(bytes.len() as u64, reason))?;
-        if index_offset as usize >= bytes.len() {
+    /// The one verification of an opened trace of `len` bytes: the
+    /// header, the footer, the index block it points at, and index
+    /// entries that lie in file order between the header and the index.
+    fn verify(source: Source, len: u64) -> Result<Self, HeapMdError> {
+        let mut header = [0u8; HEADER_LEN];
+        let header = &mut header[..len.min(HEADER_LEN as u64) as usize];
+        source.read_at(0, header)?;
+        check_header(header)?;
+        let mut footer = [0u8; FOOTER_LEN];
+        let footer = &mut footer[..len.min(FOOTER_LEN as u64) as usize];
+        source.read_at(len - footer.len() as u64, footer)?;
+        let index_offset =
+            parse_footer(footer).map_err(|reason| HeapMdError::corrupt(len, reason))?;
+        if index_offset >= len {
             return Err(HeapMdError::corrupt(
                 index_offset,
                 "footer points past end of file",
             ));
         }
-        let (kind, count, payload, next) = parse_block(&bytes, index_offset as usize)
-            .map_err(|reason| HeapMdError::corrupt(index_offset, reason))?;
+        let mut image = BinaryTraceImage {
+            source,
+            index: BlockIndex::default(),
+        };
+        let mut payload = Vec::new();
+        let BlockHeader { kind, count, .. } = image.read_block(index_offset, &mut payload)?;
         if kind != KIND_INDEX {
             return Err(HeapMdError::corrupt(
                 index_offset,
                 format!("footer points at block kind {kind}, expected index"),
             ));
         }
-        if next != bytes.len() - FOOTER_LEN {
+        let next = index_offset + (BLOCK_HEADER_LEN + payload.len()) as u64;
+        if next != len - FOOTER_LEN as u64 {
             return Err(HeapMdError::corrupt(
-                next as u64,
+                next,
                 "trailing bytes between index block and footer",
             ));
         }
-        let index = decode_index_payload(payload, count)
+        image.index = decode_index_payload(&payload, count)
             .map_err(|reason| HeapMdError::corrupt(index_offset, reason))?;
-        Ok(BinaryTraceImage { bytes, index })
+        let mut floor = HEADER_LEN as u64;
+        for entry in &image.index.blocks {
+            if !(floor..index_offset).contains(&entry.offset) {
+                return Err(HeapMdError::corrupt(
+                    index_offset,
+                    format!(
+                        "index entry at byte {} is out of file order or outside blocks {HEADER_LEN}..{index_offset}",
+                        entry.offset
+                    ),
+                ));
+            }
+            floor = entry.offset + 1;
+        }
+        Ok(image)
+    }
+
+    /// Reads the block at `offset` into `payload` and checks its CRC,
+    /// returning its header. A damaged or cut block is corruption at
+    /// `offset`.
+    fn read_block(&self, offset: u64, payload: &mut Vec<u8>) -> Result<BlockHeader, HeapMdError> {
+        let corrupt = |reason: String| HeapMdError::corrupt(offset, reason);
+        // A read past the end of the source is a truncated block.
+        let read = |at: u64, buf: &mut [u8], truncated: &str| {
+            self.source.read_at(at, buf).map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => corrupt(truncated.into()),
+                _ => HeapMdError::Io(e),
+            })
+        };
+        let mut head = [0u8; BLOCK_HEADER_LEN];
+        read(offset, &mut head, "truncated block header")?;
+        let header = BlockHeader::parse(&head).map_err(corrupt)?;
+        payload.clear();
+        payload.resize(header.len as usize, 0);
+        read(
+            offset + BLOCK_HEADER_LEN as u64,
+            payload,
+            "block truncated mid-payload",
+        )?;
+        header.verify(payload).map_err(corrupt)?;
+        Ok(header)
     }
 
     /// The verified block index.
@@ -908,13 +944,15 @@ impl BinaryTraceImage {
     /// Returns [`HeapMdError::Corrupt`].
     pub fn functions(&self) -> Result<Vec<String>, HeapMdError> {
         let mut names = Vec::new();
+        let mut payload = Vec::new();
         for entry in self
             .index
             .blocks
             .iter()
             .filter(|b| b.kind == KIND_FUNCTIONS)
         {
-            names = decode_functions_payload(self.payload(entry, KIND_FUNCTIONS)?, entry.count)
+            self.payload(entry, KIND_FUNCTIONS, &mut payload)?;
+            names = decode_functions_payload(&payload, entry.count)
                 .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?;
         }
         Ok(names)
@@ -934,8 +972,10 @@ impl BinaryTraceImage {
     /// Returns [`HeapMdError::Corrupt`] on a damaged meta block.
     pub fn sampling(&self) -> Result<Option<SamplingInfo>, HeapMdError> {
         let mut sampling = None;
+        let mut payload = Vec::new();
         for entry in self.index.blocks.iter().filter(|b| b.kind == KIND_META) {
-            if let Some(info) = decode_sampling_meta(self.payload(entry, KIND_META)?)
+            self.payload(entry, KIND_META, &mut payload)?;
+            if let Some(info) = decode_sampling_meta(&payload)
                 .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?
             {
                 sampling = Some(info);
@@ -945,7 +985,8 @@ impl BinaryTraceImage {
     }
 
     /// Decodes one event block into `out` (cleared first). Reusing one
-    /// buffer across blocks keeps steady-state decoding allocation-free.
+    /// buffer across blocks keeps the decoded events allocation-free;
+    /// the block's bytes are read into a buffer of their own.
     ///
     /// # Errors
     ///
@@ -956,23 +997,30 @@ impl BinaryTraceImage {
         out: &mut Vec<HeapEvent>,
     ) -> Result<(), HeapMdError> {
         out.clear();
-        decode_events_payload(self.payload(entry, KIND_EVENTS)?, entry.count, out)
+        let mut payload = Vec::new();
+        self.payload(entry, KIND_EVENTS, &mut payload)?;
+        decode_events_payload(&payload, entry.count, out)
             .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))
     }
 
-    /// The payload of the block `entry` locates, once its header agrees
-    /// with the entry's count and is of kind `expected`.
-    fn payload(&self, entry: &BlockEntry, expected: u8) -> Result<&[u8], HeapMdError> {
-        let (kind, count, payload, _) = parse_block(&self.bytes, entry.offset as usize)
-            .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))?;
-        if (kind, count) != (expected, entry.count) {
+    /// Reads the payload of the block `entry` locates into `payload`,
+    /// once its header agrees with the entry's count and is of kind
+    /// `expected`.
+    fn payload(
+        &self,
+        entry: &BlockEntry,
+        expected: u8,
+        payload: &mut Vec<u8>,
+    ) -> Result<(), HeapMdError> {
+        let header = self.read_block(entry.offset, payload)?;
+        if (header.kind, header.count) != (expected, entry.count) {
             let name = ["events", "functions", "index", "meta"][usize::from(expected) - 1];
             return Err(HeapMdError::corrupt(
                 entry.offset,
                 format!("index entry disagrees with {name} block header"),
             ));
         }
-        Ok(payload)
+        Ok(())
     }
 
     /// Decodes everything into an in-memory [`Trace`], verifying the
@@ -1750,7 +1798,8 @@ fn check_image(
 /// The trace checks over a `shards`-way graph image (verdicts are
 /// shard-invariant); a full-fidelity trace is re-sampled under
 /// `sampler` first, an already-sampled one keeps its recorded schedule.
-/// A strict check memory-maps the file and runs the pipelined decoder.
+/// A strict check reads the file's blocks by position through the
+/// pipelined decoder, holding one block per decode in flight.
 /// With `salvage`, the file decodes to an in-memory trace through
 /// block salvage instead, so a damaged trace contributes whatever
 /// salvage recovers, and its outcome carries the salvage stats.
@@ -2080,6 +2129,35 @@ mod tests {
         );
     }
 
+    /// An index whose entries are CRC-valid but not in file order, or
+    /// not between the header and the index block, is refused at open
+    /// as corrupt at the index offset.
+    #[test]
+    fn misplaced_index_entries_are_refused_at_open() {
+        let bytes = sample_trace(3 * EVENTS_PER_BLOCK / 2).encode_binary();
+        let good = BinaryTraceImage::open(bytes.clone()).unwrap().index;
+        let index_offset = parse_footer(&bytes).unwrap();
+        let first = good.blocks[0].offset;
+        for offsets in [
+            [1_000_000_000, first + 1],
+            [0, first + 1],
+            [first, first],
+            [first, index_offset],
+        ] {
+            let mut index = good.clone();
+            index.blocks[0].offset = offsets[0];
+            index.blocks[1].offset = offsets[1];
+            let mut bad = bytes[..index_offset as usize].to_vec();
+            bad.extend(encode_index_block(&index));
+            bad.extend(encode_footer(index_offset));
+            let err = BinaryTraceImage::open(bad).err().expect("refused");
+            assert!(
+                matches!(&err, HeapMdError::Corrupt { offset, .. } if *offset == index_offset),
+                "{offsets:?}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn mid_stream_damage_recovers_blocks_after_the_hole() {
         let trace = sample_trace(3 * EVENTS_PER_BLOCK / 2);
@@ -2292,7 +2370,7 @@ mod tests {
             .map(|t| t.check(&model, &settings).unwrap())
             .collect();
         // Both branches: a strict check takes the pipelined engine over
-        // the mapped file, a salvage check the in-memory checker.
+        // the file's blocks, a salvage check the in-memory checker.
         let dir = std::env::temp_dir().join(format!("heapmd-pool-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let paths: Vec<std::path::PathBuf> = traces
@@ -2319,7 +2397,7 @@ mod tests {
     #[test]
     fn sampled_pool_checks_agree_across_formats() {
         // Re-sampling happens in one driver, so a strict check of a
-        // binary file (mapped) and a salvage check of it (in memory)
+        // binary file (read by block) and a salvage check of it (in memory)
         // give the same sampled verdict, samples, and rate.
         let trace = sample_trace(600);
         let settings = settings(5);

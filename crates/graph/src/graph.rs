@@ -1001,6 +1001,26 @@ mod tests {
         assert_eq!(r.graph.node(ic).unwrap().indegree, 1);
     }
 
+    /// An object longer than the shadow map's bound lives in the spill
+    /// index: a pointer into its interior still makes an edge to it,
+    /// and its span materializes no shadow.
+    #[test]
+    fn interior_pointers_into_huge_objects_resolve_through_the_spill_index() {
+        let mut g = HeapGraph::new();
+        let (small, huge) = (ObjectId(1), ObjectId(2));
+        let base = 1u64 << 36;
+        g.on_alloc(small, Addr::new(0x1000), 16);
+        g.on_alloc(huge, Addr::new(base), 1 << 38);
+        g.on_ptr_write(small, 0, Addr::new(base + (1 << 37)));
+        g.validate().expect("graph invariants");
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.node(huge).unwrap().indegree, 1);
+        assert!(g.shadow.shadow_bytes() < 1 << 20);
+        g.on_free(huge);
+        g.validate().expect("graph invariants");
+        assert_eq!((g.edge_count(), g.dangling_count()), (0, 1));
+    }
+
     #[test]
     fn interior_pointers_make_edges() {
         let mut r = Rig::new();

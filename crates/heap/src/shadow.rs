@@ -27,7 +27,8 @@
 //! touched address space, and reused across alloc/free churn. Addresses
 //! at or above 2^40 are refused (simulated heaps bump upward from
 //! [`AllocatorConfig::base`](crate::AllocatorConfig); nothing real gets
-//! near 2^40).
+//! near 2^40), and so are objects longer than 1 MiB, so one insert
+//! writes at most 128 Ki granules whatever size a trace declares.
 
 /// Granule size: one shadow slot per 8 bytes of address space.
 pub const GRANULE_BITS: u32 = 3;
@@ -37,6 +38,9 @@ const PAGE_BITS: u32 = 16;
 const L2_BITS: u32 = 28;
 /// Addresses must fall below 2^40 (4096 L1 entries).
 const ADDR_BITS: u32 = 40;
+/// Longest range [`ShadowMap::insert`] claims; longer objects go to the
+/// caller's spill index.
+const MAX_OBJECT_BYTES: u64 = 1 << 20;
 
 const GRANULES_PER_PAGE: usize = 1 << (PAGE_BITS - GRANULE_BITS);
 const PAGES_PER_L2: usize = 1 << (L2_BITS - PAGE_BITS);
@@ -77,14 +81,16 @@ impl ShadowMap {
     /// Claims every granule intersecting `[start, end)` for `slot`.
     ///
     /// Returns `false` — claiming nothing — when the range cannot be
-    /// represented exactly: `start` not 8-aligned, an empty or inverted
+    /// represented exactly (`start` not 8-aligned, an empty or inverted
     /// range, an address at or beyond 2^40, a `slot` equal to the
     /// [`EMPTY`] sentinel, or any intersecting granule already claimed
-    /// (overlapping ranges). The caller keeps such objects in its spill
-    /// index instead.
+    /// by an overlapping range), or is longer than 1 MiB, whose claim
+    /// would cost one write per 8 bytes. The caller keeps such objects
+    /// in its spill index instead.
     pub fn insert(&mut self, start: u64, end: u64, slot: u32) -> bool {
         if start & ((1 << GRANULE_BITS) - 1) != 0
             || start >= end
+            || end - start > MAX_OBJECT_BYTES
             || end > 1 << ADDR_BITS
             || slot == EMPTY
         {
@@ -248,6 +254,16 @@ mod tests {
         assert!(!s.insert(1 << 40, (1 << 40) + 8, 1), "beyond range");
         assert!(!s.insert(0x100, 0x108, EMPTY), "sentinel slot");
         assert_eq!(s.lookup(0x100), None, "refused inserts claim nothing");
+    }
+
+    #[test]
+    fn huge_ranges_are_refused_without_materializing_shadow() {
+        let mut s = ShadowMap::new();
+        assert!(!s.insert(1 << 36, (1 << 36) + (1 << 38), 1));
+        assert_eq!(s.shadow_bytes(), 0, "a refused insert materializes no page");
+        assert!(!s.insert(0x100, 0x100 + MAX_OBJECT_BYTES + 8, 1));
+        assert!(s.insert(0x100, 0x100 + MAX_OBJECT_BYTES, 1));
+        assert_eq!(s.lookup(0x100 + MAX_OBJECT_BYTES - 1), Some(1));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! Re-exports the workspace members so examples and integration tests can
 //! use a single dependency root.
 
+#![forbid(unsafe_code)]
+
 pub use faults;
 pub use heap_graph;
 pub use heapmd;

@@ -219,16 +219,74 @@ fn assert_reports_match(
     Ok(())
 }
 
+/// Asserts two images of the same bytes agree on the index, the
+/// function table, the sampling metadata and every decoded block.
+fn assert_images_match(a: &BinaryTraceImage, b: &BinaryTraceImage) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.index(), b.index());
+    prop_assert_eq!(a.functions().unwrap(), b.functions().unwrap());
+    prop_assert_eq!(a.sampling().unwrap(), b.sampling().unwrap());
+    let (mut ea, mut eb) = (Vec::new(), Vec::new());
+    for entry in a.event_blocks() {
+        a.decode_block_into(entry, &mut ea).unwrap();
+        b.decode_block_into(entry, &mut eb).unwrap();
+        prop_assert_eq!(&ea, &eb, "block at byte {}", entry.offset);
+    }
+    Ok(())
+}
+
+/// The error an open returned, as printed (kind, offset and reason).
+fn open_error(opened: Result<BinaryTraceImage, heapmd::HeapMdError>) -> Option<String> {
+    opened.err().map(|e| e.to_string())
+}
+
+/// `bytes` with its first index entry moved to `offset`, the index
+/// block's CRC and the footer recomputed: an index that passes every
+/// checksum yet locates a block outside the file.
+fn with_first_entry_at(bytes: &[u8], offset: u64) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let index = BinaryTraceImage::open(bytes.to_vec())
+        .unwrap()
+        .index()
+        .clone();
+    let footer_at = bytes.len() - 20;
+    let index_offset = u64::from_le_bytes(bytes[footer_at..footer_at + 8].try_into().unwrap());
+    let mut payload = Vec::new();
+    for (i, entry) in index.blocks.iter().enumerate() {
+        let at = if i == 0 { offset } else { entry.offset };
+        varint(&mut payload, at);
+        payload.push(entry.kind);
+        varint(&mut payload, u64::from(entry.count));
+    }
+    varint(&mut payload, index.total_events);
+    varint(&mut payload, index.total_fn_enters);
+    let mut out = bytes[..index_offset as usize].to_vec();
+    out.extend_from_slice(&[0xB1, 0x0C, 0x48, 0x44, 3]);
+    out.extend_from_slice(&(index.blocks.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&bytewise_crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&index_offset.to_le_bytes());
+    out.extend_from_slice(&bytewise_crc32(&index_offset.to_le_bytes()).to_le_bytes());
+    out.extend_from_slice(b"HMDBIDX\n");
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // PR 8 acceptance: the sharded replay engine (any shard count) and
-    // the mmap decode path are unobservable — same samples bit-for-bit
-    // as the fused single-thread engine, same check verdicts, and the
-    // same salvage result whether a damaged file is read through the
-    // strict path's fallback or the block-granular scavenger.
+    // The sharded replay engine (any shard count) and the file-backed
+    // image are unobservable — same samples bit-for-bit as the fused
+    // single-thread engine over bytes in memory, same check verdicts,
+    // the same refusals, and the same salvage result whether a damaged
+    // file is read from disk or from memory.
     #[test]
-    fn sharded_and_mapped_engines_match_the_fused_path(
+    fn sharded_engines_and_file_images_match_the_fused_path(
         ops in proptest::collection::vec(op_strategy(), 1..250),
         frq in 1u64..8,
         cut_pct in 10u64..101,
@@ -264,17 +322,33 @@ proptest! {
             prop_assert_eq!(&baseline, &sharded, "{}-shard verdicts diverged", shards);
         }
 
-        // mmap vs buffered: the same file opened through the zero-copy
-        // mapping and through a plain read must replay identically.
+        // File image vs in-memory image: the same bytes read from a file
+        // by position and from memory decode identically, and every cut
+        // of the file — and a CRC-valid index that points outside it —
+        // is refused with the same error.
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("heapmd-prop-mmap-{}.hmdt", std::process::id()));
+        let path = dir.join(format!("heapmd-prop-file-{}.hmdt", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let mapped = BinaryTraceImage::open_path(&path).unwrap();
-        let buffered = BinaryTraceImage::open_path_buffered(&path).unwrap();
-        let via_map = heapmd::replay_binary_fused(&mapped, &settings, "differential").unwrap();
-        let via_buf = heapmd::replay_binary_fused(&buffered, &settings, "differential").unwrap();
-        assert_reports_match(&via_map, &fused, "mmap replay")?;
-        assert_reports_match(&via_buf, &fused, "buffered replay")?;
+        let from_file = BinaryTraceImage::open_path(&path).unwrap();
+        assert_images_match(&from_file, &image)?;
+        let via_file = heapmd::replay_binary_fused(&from_file, &settings, "differential").unwrap();
+        assert_reports_match(&via_file, &fused, "file replay")?;
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        // Shortest last: each `set_len` cuts what the previous one left.
+        for cut in (0..bytes.len()).rev() {
+            file.set_len(cut as u64).unwrap();
+            prop_assert_eq!(
+                open_error(BinaryTraceImage::open_path(&path)),
+                open_error(BinaryTraceImage::open(bytes[..cut].to_vec())),
+                "cut at byte {}",
+                cut
+            );
+        }
+        let bad = with_first_entry_at(&bytes, 1_000_000_000);
+        std::fs::write(&path, &bad).unwrap();
+        let refusal = open_error(BinaryTraceImage::open(bad));
+        prop_assert!(refusal.as_deref().is_some_and(|e| e.contains("index entry at byte 1000000000")));
+        prop_assert_eq!(open_error(BinaryTraceImage::open_path(&path)), refusal);
 
         // Truncated-file salvage: cutting the file anywhere must leave
         // the path-based scavenger and the in-memory scavenger in exact

@@ -44,6 +44,38 @@ fn replay_reproduces_the_online_series_exactly() {
 
 /// The post-mortem detector stamps its context entries with the event
 /// clock it replays, not a clock that never moves.
+/// An open image reads each block from the file when it decodes it. A
+/// file cut in place under it (`File::create`, what `run --trace-out`
+/// does to an existing path) makes the replay fail as corrupt, with no
+/// signal; a file replaced by rename leaves the open image on the
+/// original content.
+#[test]
+fn an_open_image_survives_its_file_being_rewritten() {
+    let settings = Settings::builder().frq(10).build().unwrap();
+    let (_, trace) = run(&settings, &mut FaultPlan::new());
+    let dir = std::env::temp_dir().join(format!("heapmd-rewritten-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.hmdt");
+    trace.save_binary(&path).unwrap();
+    let expected = trace.replay(&settings, "traced").unwrap();
+
+    let image = heapmd::BinaryTraceImage::open_path(&path).unwrap();
+    std::fs::File::create(&path).unwrap();
+    let cut = heapmd::replay_binary_fused(&image, &settings, "traced");
+    assert!(
+        matches!(cut, Err(heapmd::HeapMdError::Corrupt { .. })),
+        "a cut file must be refused as corrupt, got {:?}",
+        cut.map(|r| r.samples.len())
+    );
+
+    trace.save_binary(&path).unwrap();
+    let image = heapmd::BinaryTraceImage::open_path(&path).unwrap();
+    heapmd::persist::write_atomic(&path, b"not a trace").unwrap();
+    let replayed = heapmd::replay_binary_fused(&image, &settings, "traced").unwrap();
+    assert_eq!(replayed.samples, expected.samples);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn offline_context_ticks_advance() {
     let settings = Settings::builder().frq(10).build().unwrap();
