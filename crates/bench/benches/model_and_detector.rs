@@ -1,31 +1,37 @@
 //! Analysis-side costs: summarizing runs into a model, checking a
 //! finished report against it (the offline, post-mortem mode), and
-//! checking a recorded catalogued-bug trace, where the detector arms,
-//! logs its window and reports.
+//! checking a catalogued bug, recorded and live, where the detector
+//! arms, logs its window and reports.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use faults::FaultPlan;
 use heapmd::{
-    check_binary_sharded, AnomalyDetector, BinaryTraceImage, FuncId, ModelBuilder, Process,
+    check_binary_sharded, AnomalyDetector, BinaryTraceImage, BugReport, FuncId, HeapModel,
+    ModelBuilder, Process, Settings,
 };
-use workloads::bugs::CATALOG;
+use std::cell::RefCell;
+use std::rc::Rc;
+use workloads::bugs::{BugSpec, CATALOG};
 use workloads::commercial::GameAction;
 use workloads::harness::{run_once, settings_for, train};
 use workloads::{spec::Gzip, Input, Workload};
 
-/// The recorded run behind `check_armed_trace`: the paper's Figure 10
-/// bug, whose Indeg=1 excursion arms the window and crosses.
+/// The run behind `check_armed_trace` and `run_armed_bug`: the paper's
+/// Figure 10 bug, whose Indeg=1 excursion arms the window and crosses.
 const ARMED_BUG: &str = "ga.scene_tree.skip_parent";
+
+fn armed_bug() -> &'static BugSpec {
+    CATALOG
+        .iter()
+        .find(|b| b.fault.0 == ARMED_BUG)
+        .expect("catalogued bug")
+}
 
 /// Records `ARMED_BUG` on one input of `game_action` as a binary trace.
 fn armed_trace(w: &GameAction) -> BinaryTraceImage {
-    let bug = CATALOG
-        .iter()
-        .find(|b| b.fault.0 == ARMED_BUG)
-        .expect("catalogued bug");
     let mut p = Process::new(settings_for(w));
     p.enable_trace();
-    w.run(&mut p, &mut bug.plan(), &Input::new(41))
+    w.run(&mut p, &mut armed_bug().plan(), &Input::new(41))
         .expect("workload runs");
     let mut trace = p.take_trace().expect("tracing enabled");
     let names = (0..p.functions().len())
@@ -33,6 +39,21 @@ fn armed_trace(w: &GameAction) -> BinaryTraceImage {
         .collect();
     trace.set_functions(names);
     BinaryTraceImage::open(trace.encode_binary()).expect("fresh trace decodes")
+}
+
+/// Runs `ARMED_BUG` on the same input live, the detector attached.
+fn run_armed(w: &GameAction, model: &HeapModel, settings: &Settings) -> Vec<BugReport> {
+    let detector = Rc::new(RefCell::new(AnomalyDetector::new(
+        model.clone(),
+        settings.clone(),
+    )));
+    let mut p = Process::new(settings.clone());
+    p.attach(detector.clone());
+    w.run(&mut p, &mut armed_bug().plan(), &Input::new(41))
+        .expect("workload runs");
+    let _ = p.finish("armed");
+    let bugs = detector.borrow_mut().take_bugs();
+    bugs
 }
 
 fn bench_model_and_detector(c: &mut Criterion) {
@@ -70,6 +91,14 @@ fn bench_model_and_detector(c: &mut Criterion) {
     group.throughput(Throughput::Elements(image.index().total_events));
     group.bench_function("check_armed_trace", |b| {
         b.iter(|| check_binary_sharded(&image, &ga_model, &ga_settings, 1).expect("trace checks"))
+    });
+    assert_eq!(
+        run_armed(&ga, &ga_model, &ga_settings),
+        bugs,
+        "the live run reports what its recording does"
+    );
+    group.bench_function("run_armed_bug", |b| {
+        b.iter(|| run_armed(&ga, &ga_model, &ga_settings))
     });
     group.finish();
 }

@@ -164,16 +164,49 @@ fn write_trace(path: &std::path::Path, events: &[sim_heap::HeapEvent]) {
     w.finish().unwrap();
 }
 
-/// A CRC-valid trace whose events the heap graph cannot apply (a store
-/// into an object it never allocated) is that trace's error: `check`
-/// names it, prints the verdicts of the other traces in the batch and
-/// exits 1, without a panic, on one worker or several.
-#[test]
-fn an_unappliable_trace_fails_alone_in_its_batch() {
-    use sim_heap::{AllocSite, HeapEvent, ObjectId, NULL};
-    let dir = std::env::temp_dir().join(format!("heapmd-unappliable-{}", std::process::id()));
+/// The eight events of a trace that once panicked `check` with a
+/// degree underflow: two objects over 1 MiB (so the spill index holds
+/// them) allocated at one address, then stores and frees over both.
+fn overlapping_allocations() -> Vec<sim_heap::HeapEvent> {
+    use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
+    let alloc = |obj, addr, size| HeapEvent::Alloc {
+        obj: ObjectId(obj),
+        addr: Addr::new(addr),
+        size,
+        site: AllocSite(0),
+    };
+    let store = |src, value| HeapEvent::PtrWrite {
+        src: ObjectId(src),
+        offset: 8,
+        value: Addr::new(value),
+        old_value: None,
+    };
+    let free = |obj, addr, size| HeapEvent::Free {
+        obj: ObjectId(obj),
+        addr: Addr::new(addr),
+        size,
+    };
+    vec![
+        alloc(0, 4144, 1_048_640),
+        store(0, 4176),
+        alloc(1, 4144, 1_048_640),
+        free(0, 4144, 1_048_640),
+        store(1, 4144),
+        alloc(2, 4128, 32),
+        free(1, 4144, 1_048_640),
+        free(2, 4128, 32),
+    ]
+}
+
+/// Checks a clean trace, a trace of `bad` events and the clean one
+/// again in one batch, on the default workers, one and two: the bad
+/// trace is named on stderr with `reason`, the others print their
+/// verdicts, and `check` exits 1 without a panic.
+fn assert_fails_alone_in_its_batch(name: &str, bad: &[sim_heap::HeapEvent], reason: &str) {
+    use sim_heap::{AllocSite, HeapEvent, ObjectId};
+    let dir = std::env::temp_dir().join(format!("heapmd-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (good, bad) = (dir.join("good.hmdt"), dir.join("bad.hmdt"));
+    let (good, bad_path) = (dir.join("good.hmdt"), dir.join("bad.hmdt"));
     let obj = ObjectId(1);
     let addr = sim_heap::Addr::new(0x1000);
     write_trace(
@@ -195,19 +228,7 @@ fn an_unappliable_trace_fails_alone_in_its_batch() {
             HeapEvent::FnExit { func: 0 },
         ],
     );
-    write_trace(
-        &bad,
-        &[
-            HeapEvent::FnEnter { func: 0 },
-            HeapEvent::PtrWrite {
-                src: ObjectId(564),
-                offset: 0,
-                value: NULL,
-                old_value: None,
-            },
-            HeapEvent::FnExit { func: 0 },
-        ],
-    );
+    write_trace(&bad_path, bad);
     let model = dir.join("model.json");
     let report = heapmd::MetricReport::new("r", Vec::new());
     let mut builder = heapmd::ModelBuilder::new(heapmd::Settings::default()).program("p");
@@ -215,7 +236,7 @@ fn an_unappliable_trace_fails_alone_in_its_batch() {
     builder.build().model.save(&model).unwrap();
     let (good, bad, model) = (
         good.to_str().unwrap(),
-        bad.to_str().unwrap(),
+        bad_path.to_str().unwrap(),
         model.to_str().unwrap(),
     );
     let batch = [
@@ -240,11 +261,7 @@ fn an_unappliable_trace_fails_alone_in_its_batch() {
             "{args:?}: {}",
             stderr(&out)
         );
-        assert!(
-            stderr(&out).contains("write into unknown obj#564"),
-            "{args:?}: {}",
-            stderr(&out)
-        );
+        assert!(stderr(&out).contains(reason), "{args:?}: {}", stderr(&out));
         assert!(
             !stderr(&out).contains("panicked"),
             "{args:?}: {}",
@@ -252,6 +269,37 @@ fn an_unappliable_trace_fails_alone_in_its_batch() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A CRC-valid trace whose events the heap graph cannot apply (a store
+/// into an object it never allocated) is that trace's error: `check`
+/// names it, prints the verdicts of the other traces in the batch and
+/// exits 1, without a panic, on one worker or several.
+#[test]
+fn an_unappliable_trace_fails_alone_in_its_batch() {
+    use sim_heap::{HeapEvent, ObjectId, NULL};
+    let bad = [
+        HeapEvent::FnEnter { func: 0 },
+        HeapEvent::PtrWrite {
+            src: ObjectId(564),
+            offset: 0,
+            value: NULL,
+            old_value: None,
+        },
+        HeapEvent::FnExit { func: 0 },
+    ];
+    assert_fails_alone_in_its_batch("unappliable", &bad, "write into unknown obj#564");
+}
+
+/// An allocation over a live object's bytes is refused like any event
+/// the graph cannot apply, where it once underflowed a degree.
+#[test]
+fn overlapping_allocations_fail_alone_in_their_batch() {
+    assert_fails_alone_in_its_batch(
+        "overlapping",
+        &overlapping_allocations(),
+        "allocation of obj#1 overlaps a live object",
+    );
 }
 
 /// `bytes` with its first events-block index entry moved to `offset`,

@@ -1,18 +1,18 @@
 //! The execution checker / anomaly detector (paper §2.2).
 
 use crate::bug::{AnomalyKind, BugReport, Direction, LogPhase, StackLogEntry};
-use crate::callstack::FuncId;
+use crate::callstack::{FuncId, FunctionTable};
 use crate::fluctuation::FluctuationStats;
 use crate::incident::{DegreeSnapshot, IncidentBundle, IncidentLog, SeriesData};
 use crate::model::{sampling_widen, HeapModel, StableMetric};
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::phase_model::LocalMetric;
 use crate::report::{MetricReport, MetricSample};
-use crate::ringbuf::CircularBuffer;
 use crate::settings::Settings;
 use crate::stability::{classify, StabilityClass};
 use heap_graph::MetricKind;
 use sim_heap::HeapEvent;
+use std::collections::VecDeque;
 
 /// Maximum post-crossing events attached to one bug's context.
 const AFTER_CONTEXT_EVENTS: usize = 8;
@@ -21,16 +21,125 @@ const AFTER_CONTEXT_EVENTS: usize = 8;
 /// *poorly disguised* report.
 const PINNED_FRACTION: f64 = 0.8;
 
-/// One armed-window slot, kept unrendered: logging copies the stack's
-/// ids and the event, and names and descriptions are built only when a
-/// crossing reads the window. Intern tables only ever append, so
-/// rendering at read time gives exactly what rendering at log time
-/// would have.
-#[derive(Debug)]
-struct LoggedEvent {
-    tick: u64,
-    stack: Vec<FuncId>,
-    event: HeapEvent,
+/// The armed window (§2.2's circular buffer): the last `capacity`
+/// events logged while armed, as `(tick, event)` slots of a ring
+/// overwritten in place. Logging copies no stack. The ring keeps the
+/// stack before its oldest slot (`base`), which rolls forward one event
+/// per eviction, plus a snapshot of the stack after each slot whose tick
+/// does not follow its predecessor's: the first slot ever logged, and
+/// the first event of each re-arm. A crossing rebuilds every slot's
+/// stack from those with the rule [`crate::trace`]'s event core
+/// applies: `FnEnter` pushes its id, `FnExit` pops, a pop on an empty
+/// stack does nothing. That is exact because, between consecutive ticks
+/// delivered to a monitor, the stack changes only by that event
+/// ([`MonitorCtx::stack`]). Names and descriptions are built at read
+/// time too; intern tables only ever append, so they are the strings
+/// logging time would have built.
+#[derive(Debug, Default)]
+struct ArmedWindow {
+    capacity: usize,
+    /// The ring: oldest at `head` once full, in order before.
+    slots: Vec<(u64, HeapEvent)>,
+    head: usize,
+    /// Events logged so far, which numbers them: the oldest slot is
+    /// number `logged - slots.len()`.
+    logged: u64,
+    /// Tick of the newest slot.
+    last_tick: Option<u64>,
+    /// The stack before the oldest slot.
+    base: Vec<FuncId>,
+    /// The stack after each slot that follows a tick gap, by slot
+    /// number, oldest first.
+    snapshots: VecDeque<(u64, Vec<FuncId>)>,
+    /// Retired snapshot buffers, reused so logging settles to no
+    /// allocation.
+    spare: Vec<Vec<FuncId>>,
+}
+
+impl ArmedWindow {
+    /// The stack rule of the event core.
+    fn apply(event: &HeapEvent, stack: &mut Vec<FuncId>) {
+        match *event {
+            HeapEvent::FnEnter { func } => stack.push(FuncId(func)),
+            HeapEvent::FnExit { .. } => {
+                stack.pop();
+            }
+            _ => {}
+        }
+    }
+
+    /// Logs `event`, delivered at `tick` under `stack` (the stack after
+    /// it), evicting the oldest slot when full.
+    #[inline]
+    fn log(&mut self, tick: u64, event: &HeapEvent, stack: &[FuncId]) {
+        if self.capacity == 0 {
+            return;
+        }
+        let follows = self.last_tick.is_some_and(|t| t.wrapping_add(1) == tick);
+        self.last_tick = Some(tick);
+        let seq = self.logged;
+        self.logged += 1;
+        if self.slots.len() < self.capacity {
+            self.slots.push((tick, *event));
+        } else {
+            // The base rolls forward past the evicted slot.
+            let evicted = seq - self.capacity as u64;
+            match self.snapshots.front() {
+                Some(&(k, _)) if k == evicted => {
+                    let (_, mut snap) = self.snapshots.pop_front().expect("front exists");
+                    std::mem::swap(&mut self.base, &mut snap);
+                    self.spare.push(snap);
+                }
+                _ => Self::apply(&self.slots[self.head].1, &mut self.base),
+            }
+            self.slots[self.head] = (tick, *event);
+            self.head = if self.head + 1 == self.capacity {
+                0
+            } else {
+                self.head + 1
+            };
+        }
+        if !follows {
+            self.snapshot(seq, stack);
+        }
+    }
+
+    #[cold]
+    fn snapshot(&mut self, seq: u64, stack: &[FuncId]) {
+        let mut frames = self.spare.pop().unwrap_or_default();
+        frames.clear();
+        frames.extend_from_slice(stack);
+        self.snapshots.push_back((seq, frames));
+    }
+
+    /// Renders the window oldest first, rebuilding each slot's stack.
+    /// `now` is the reader's tick and stack: when the newest slot is the
+    /// event delivered at `now`, its rebuilt stack must be `now`'s.
+    fn render(&self, funcs: &FunctionTable, now: (u64, &[FuncId])) -> Vec<StackLogEntry> {
+        let n = self.slots.len();
+        let oldest = self.logged - n as u64;
+        let mut out = Vec::with_capacity(n + 1);
+        let mut stack = self.base.clone();
+        let mut snapshots = self.snapshots.iter().peekable();
+        for i in 0..n {
+            let (tick, event) = self.slots[(self.head + i) % n];
+            match snapshots.next_if(|(k, _)| *k == oldest + i as u64) {
+                Some((_, snap)) => stack.clone_from(snap),
+                None => Self::apply(&event, &mut stack),
+            }
+            out.push(StackLogEntry {
+                tick,
+                stack: funcs.render_stack(&stack),
+                event: AnomalyDetector::describe(&event),
+                phase: LogPhase::Before,
+            });
+        }
+        debug_assert!(
+            self.last_tick != Some(now.0) || stack == now.1,
+            "the stack changed other than by the events delivered to the window"
+        );
+        out
+    }
 }
 
 /// Per-locally-stable-metric checking state (the §2.1 extension).
@@ -58,6 +167,7 @@ struct MetricState {
     /// The open excursion: its report (still growing after-context)
     /// and the capture taken at the crossing.
     open: Option<(BugReport, PendingCapture)>,
+    /// After-crossing entries the open excursion may still collect.
     after_budget: usize,
     pinned_low: usize,
     pinned_high: usize,
@@ -198,9 +308,12 @@ pub struct AnomalyDetector {
     /// (kind, post-warmup values).
     unstable: Vec<(MetricKind, Vec<f64>)>,
     /// The armed window: the last `callstack_capacity` events logged
-    /// while armed. Slots are recycled, so a full window logs without
-    /// allocating.
-    log: CircularBuffer<LoggedEvent>,
+    /// while armed. A full window logs without allocating.
+    window: ArmedWindow,
+    /// Events that still owe after-crossing context: the largest
+    /// `after_budget` of the open excursions, set at each sample, since
+    /// excursions open and close only there.
+    after_left: usize,
     armed: bool,
     /// Sample seq at which the current armed window opened.
     armed_at: Option<u64>,
@@ -256,7 +369,11 @@ impl AnomalyDetector {
             })
             .collect();
         AnomalyDetector {
-            log: CircularBuffer::new(settings.callstack_capacity),
+            window: ArmedWindow {
+                capacity: settings.callstack_capacity,
+                ..ArmedWindow::default()
+            },
+            after_left: 0,
             settings,
             states,
             local_states,
@@ -425,17 +542,8 @@ impl AnomalyDetector {
                     if st.open.is_none() {
                         // Render the armed window now that a report reads
                         // it. Offline scans (no ctx) never log events.
-                        let mut context: Vec<StackLogEntry> = match ctx {
-                            Some(c) => self
-                                .log
-                                .iter()
-                                .map(|e| StackLogEntry {
-                                    tick: e.tick,
-                                    stack: c.funcs.render_stack(&e.stack),
-                                    event: Self::describe(&e.event),
-                                    phase: LogPhase::Before,
-                                })
-                                .collect(),
+                        let mut context = match ctx {
+                            Some(c) => self.window.render(c.funcs, (c.tick, c.stack)),
                             None => Vec::new(),
                         };
                         context.push(StackLogEntry {
@@ -487,6 +595,13 @@ impl AnomalyDetector {
             }
             self.states[i].last = Some(v);
         }
+        self.after_left = self
+            .states
+            .iter()
+            .filter(|st| st.open.is_some())
+            .map(|st| st.after_budget)
+            .max()
+            .unwrap_or(0);
 
         // The §2.1 extension: locally stable metrics must sit inside
         // *some* calibrated phase band.
@@ -661,33 +776,25 @@ impl AnomalyDetector {
 
 impl Monitor for AnomalyDetector {
     fn on_event(&mut self, ctx: &MonitorCtx<'_>, event: &HeapEvent) {
-        // Post-crossing context capture for open excursions.
-        for st in &mut self.states {
-            if st.after_budget > 0 {
-                if let Some((bug, _)) = &mut st.open {
-                    bug.context.push(StackLogEntry {
-                        tick: ctx.tick,
-                        stack: ctx.stack_names(),
-                        event: Self::describe(event),
-                        phase: LogPhase::After,
-                    });
-                    st.after_budget -= 1;
+        // Post-crossing context for open excursions, only while owed.
+        if self.after_left > 0 {
+            self.after_left -= 1;
+            for st in &mut self.states {
+                if st.after_budget > 0 {
+                    if let Some((bug, _)) = &mut st.open {
+                        bug.context.push(StackLogEntry {
+                            tick: ctx.tick,
+                            stack: ctx.stack_names(),
+                            event: Self::describe(event),
+                            phase: LogPhase::After,
+                        });
+                        st.after_budget -= 1;
+                    }
                 }
             }
         }
-        // Approach logging into the circular buffer, unrendered.
         if self.armed {
-            let (tick, stack) = (ctx.tick, ctx.stack);
-            self.log.push_with(|slot| {
-                let mut frames = slot.map(|s| s.stack).unwrap_or_default();
-                frames.clear();
-                frames.extend_from_slice(stack);
-                LoggedEvent {
-                    tick,
-                    stack: frames,
-                    event: *event,
-                }
-            });
+            self.window.log(ctx.tick, event, ctx.stack);
         }
     }
 
@@ -1154,7 +1261,7 @@ mod tests {
     fn armed_window_renders_on_read_exactly_as_eager_logging_would() {
         use crate::callstack::FunctionTable;
         use heap_graph::GraphImage;
-        use sim_heap::{AllocSite, SimHeap};
+        use sim_heap::{Addr, AllocSite, ObjectId};
 
         let capacity = 4;
         let settings = Settings::builder()
@@ -1164,18 +1271,17 @@ mod tests {
             .unwrap();
         let mut det = AnomalyDetector::new(model_with(MetricKind::Indeg1, 13.0, 18.0), settings);
         let graph = GraphImage::new(1);
-        let mut heap = SimHeap::new();
         let mut funcs = FunctionTable::new();
         let main = funcs.intern("main");
         fn ctx_at<'a>(
             graph: &'a GraphImage,
-            heap: &SimHeap,
+            tick: u64,
             funcs: &'a FunctionTable,
             stack: &'a [FuncId],
         ) -> MonitorCtx<'a> {
             MonitorCtx {
                 graph,
-                tick: heap.tick(),
+                tick,
                 stack,
                 funcs,
                 fn_entries: 0,
@@ -1184,33 +1290,57 @@ mod tests {
             }
         }
         // 18.3 approaches the max with a rising slope: armed.
+        let mut stack = vec![main];
         for (i, v) in [15.0, 15.0, 15.0, 18.3].into_iter().enumerate() {
-            let ctx = ctx_at(&graph, &heap, &funcs, std::slice::from_ref(&main));
-            det.on_sample(&ctx, &sample(i, MetricKind::Indeg1, v));
+            det.on_sample(
+                &ctx_at(&graph, i as u64, &funcs, &stack),
+                &sample(i, MetricKind::Indeg1, v),
+            );
         }
         assert!(det.listening(), "the approach armed the window");
 
-        // More armed events than the window holds, each under a
-        // different stack; names are interned as the run goes.
+        // More armed events than the window holds. The stack follows
+        // the window's own enters and exits, and names are interned as
+        // the run goes.
+        let alloc = |k: u64| HeapEvent::Alloc {
+            obj: ObjectId(k),
+            addr: Addr::new(0x1000 + 64 * k),
+            size: 16,
+            site: AllocSite(0),
+        };
         let mut eager = Vec::new();
-        let mut stack = vec![main];
-        for k in 0..capacity + 3 {
-            stack.truncate(1 + k % 3);
-            stack.push(funcs.intern(&format!("f{k}")));
-            let alloc = heap.alloc(16 + k, AllocSite(0)).unwrap();
-            let event = if k % 2 == 0 {
-                HeapEvent::Alloc {
-                    obj: alloc.id,
-                    addr: alloc.addr,
-                    size: alloc.size,
-                    site: AllocSite(0),
-                }
-            } else {
-                HeapEvent::Read { obj: alloc.id }
+        let mut tick = 3;
+        let steps: [Option<&str>; 11] = [
+            Some("f0"),
+            None,
+            Some("f1"),
+            None,
+            Some(""),
+            Some("f2"),
+            None,
+            Some(""),
+            Some(""),
+            None,
+            Some("f3"),
+        ];
+        for (k, step) in steps.into_iter().enumerate() {
+            let event = match step {
+                Some("") => HeapEvent::FnExit {
+                    func: stack.last().map_or(0, |f| f.0),
+                },
+                Some(name) => HeapEvent::FnEnter {
+                    func: funcs.intern(name).0,
+                },
+                None if k % 2 == 1 => alloc(k as u64),
+                None => HeapEvent::Read {
+                    obj: ObjectId(k as u64 - 1),
+                },
             };
-            det.on_event(&ctx_at(&graph, &heap, &funcs, &stack), &event);
+            drive_stack(&event, &mut stack);
+            tick += 1;
+            det.on_event(&ctx_at(&graph, tick, &funcs, &stack), &event);
             eager.push(StackLogEntry {
-                tick: heap.tick(),
+                tick,
                 stack: funcs.render_stack(&stack),
                 event: AnomalyDetector::describe(&event),
                 phase: LogPhase::Before,
@@ -1220,7 +1350,7 @@ mod tests {
         funcs.intern("late");
 
         let crossing = sample(4, MetricKind::Indeg1, 19.5);
-        det.on_sample(&ctx_at(&graph, &heap, &funcs, &stack), &crossing);
+        det.on_sample(&ctx_at(&graph, tick, &funcs, &stack), &crossing);
         let (bug, _) = det.states[0]
             .open
             .as_ref()
@@ -1233,6 +1363,127 @@ mod tests {
             phase: LogPhase::During,
         });
         assert_eq!(bug.context, want, "last {capacity} entries, oldest first");
+    }
+
+    /// How a driver moves the stack on `event`, written out apart from
+    /// the window's own rule so the tests judge that rule.
+    fn drive_stack(event: &HeapEvent, stack: &mut Vec<FuncId>) {
+        match *event {
+            HeapEvent::FnEnter { func } => stack.push(FuncId(func)),
+            HeapEvent::FnExit { .. } => {
+                stack.pop();
+            }
+            _ => {}
+        }
+    }
+
+    /// One step of a generated stream for the window oracle.
+    #[derive(Debug, Clone, Copy)]
+    enum WindowStep {
+        /// An event delivered while armed: logged.
+        Armed(HeapEvent),
+        /// An event the driver applied while disarmed: not delivered.
+        Disarmed(HeapEvent),
+        /// Ticks a sampler dropped: no event, no stack change.
+        Dropped(u64),
+        /// A crossing reads the window.
+        Read,
+    }
+
+    /// Today's `{tick, stack copy, event}` per logged event, the
+    /// window's reference.
+    struct EagerRing {
+        capacity: usize,
+        entries: VecDeque<(u64, Vec<FuncId>, HeapEvent)>,
+    }
+
+    impl EagerRing {
+        fn log(&mut self, tick: u64, event: &HeapEvent, stack: &[FuncId]) {
+            if self.capacity == 0 {
+                return;
+            }
+            if self.entries.len() == self.capacity {
+                self.entries.pop_front();
+            }
+            self.entries.push_back((tick, stack.to_vec(), *event));
+        }
+
+        fn render(&self, funcs: &FunctionTable) -> Vec<StackLogEntry> {
+            self.entries
+                .iter()
+                .map(|(tick, stack, event)| StackLogEntry {
+                    tick: *tick,
+                    stack: funcs.render_stack(stack),
+                    event: AnomalyDetector::describe(event),
+                    phase: LogPhase::Before,
+                })
+                .collect()
+        }
+    }
+
+    fn window_step() -> impl proptest::strategy::Strategy<Value = WindowStep> {
+        use proptest::prelude::*;
+        use sim_heap::ObjectId;
+        // Ids 0..6 over a 4-name table: the last two render as `fn#<id>`.
+        let event = prop_oneof![
+            3 => (0u32..6).prop_map(|func| HeapEvent::FnEnter { func }),
+            3 => (0u32..6).prop_map(|func| HeapEvent::FnExit { func }),
+            2 => (0u64..8).prop_map(|obj| HeapEvent::Read { obj: ObjectId(obj) }),
+        ];
+        prop_oneof![
+            12 => event.prop_map(WindowStep::Armed),
+            4 => (0u32..6).prop_map(|func| WindowStep::Disarmed(if func % 2 == 0 {
+                HeapEvent::FnEnter { func }
+            } else {
+                HeapEvent::FnExit { func }
+            })),
+            1 => (1u64..4).prop_map(WindowStep::Dropped),
+            1 => (0u8..1).prop_map(|_| WindowStep::Read),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_window_renders_what_an_eager_ring_logged(
+            cap in 0usize..5,
+            steps in proptest::collection::vec(window_step(), 0..400)
+        ) {
+            let capacity = [0, 1, 2, 3, 64][cap];
+            let mut funcs = FunctionTable::new();
+            for name in ["main", "parse", "walk", "emit"] {
+                funcs.intern(name);
+            }
+            let mut window = ArmedWindow {
+                capacity,
+                ..ArmedWindow::default()
+            };
+            let mut eager = EagerRing { capacity, entries: VecDeque::new() };
+            let (mut tick, mut stack) = (0u64, Vec::new());
+            for step in steps.iter().copied().chain([WindowStep::Read]) {
+                match step {
+                    WindowStep::Armed(event) => {
+                        tick += 1;
+                        drive_stack(&event, &mut stack);
+                        window.log(tick, &event, &stack);
+                        eager.log(tick, &event, &stack);
+                    }
+                    WindowStep::Disarmed(event) => {
+                        tick += 1;
+                        drive_stack(&event, &mut stack);
+                    }
+                    WindowStep::Dropped(n) => tick += n,
+                    WindowStep::Read => {
+                        proptest::prop_assert_eq!(
+                            window.render(&funcs, (tick, &stack)),
+                            eager.render(&funcs),
+                            "capacity {}", capacity
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -82,7 +82,6 @@ pub mod plot;
 mod pool;
 mod process;
 mod report;
-mod ringbuf;
 pub mod run_rows;
 pub mod serve;
 mod settings;
@@ -112,7 +111,6 @@ pub use phase_model::{merge_ranges, segment, LocalMetric, Plateau};
 pub use pool::{available_workers, run_pool_streaming};
 pub use process::Process;
 pub use report::{MetricReport, MetricSample};
-pub use ringbuf::CircularBuffer;
 pub use serve::{
     connect_session, push_trace_resumable, Conn, Dialer, RetryPolicy, ServeConfig, ServeSummary,
     Server, SessionClient, SessionOptions, TenantOutcome, SERVE_PREAMBLE_V2,

@@ -16,7 +16,15 @@ pub struct MonitorCtx<'a> {
     /// stream's start (the clock [`MetricSample::tick`] reads), the
     /// same number live and post-mortem.
     pub tick: u64,
-    /// The current call stack, outermost first.
+    /// The current call stack, outermost first, after the event being
+    /// delivered.
+    ///
+    /// Between consecutive ticks delivered to a monitor, the stack
+    /// changes only by that event: `FnEnter` pushes its id, `FnExit`
+    /// pops (nothing, on an empty stack), and every other event leaves
+    /// it as it was. The detector's armed window logs events without
+    /// their stacks and rebuilds the stacks by this rule when a crossing
+    /// reads it, so a driver must keep to it.
     pub stack: &'a [FuncId],
     /// Function-name intern table for rendering the stack.
     pub funcs: &'a FunctionTable,

@@ -278,7 +278,7 @@ impl StreamCheck {
             self.refusal = Some(e);
             return Ok(());
         }
-        let applied = self.replayer.drive(events, &mut [&mut self.detector]);
+        let applied = self.replayer.drive(events, &mut self.detector);
         if let Err(e) = applied {
             self.refusal = Some(e.into());
         }
@@ -314,7 +314,7 @@ impl StreamCheck {
         if let Some(e) = self.refusal.take() {
             return Err(e);
         }
-        self.replayer.finish(&mut [&mut self.detector]);
+        self.detector.on_finish(&self.replayer.ctx());
         Ok(TraceCheckOutcome {
             bugs: self.detector.take_bugs(),
             incidents: self.detector.take_incidents(),
@@ -460,7 +460,7 @@ impl Replayer {
     }
 
     /// Installs a live [`SampledIngest`] filter: subsequent batches and
-    /// steps re-sample the incoming (unsampled) stream under `config`.
+    /// drives re-sample the incoming (unsampled) stream under `config`.
     pub(crate) fn enable_sampling(&mut self, config: SamplerConfig) {
         self.sampling = Some(SampledIngest::new(config));
     }
@@ -619,8 +619,8 @@ impl Replayer {
         Ok(Advance::Applied)
     }
 
-    /// Monitor-free replay of a slice, equivalent to
-    /// [`step`](Self::step)-ing each event with no monitors.
+    /// Monitor-free replay of a slice: [`advance`](Self::advance) over
+    /// each event, taking every due sample.
     ///
     /// Resumable: ticks count from the running global offset, so
     /// feeding a stream as N block-sized slices (the pipelined binary
@@ -651,34 +651,41 @@ impl Replayer {
         Ok(events.len())
     }
 
-    /// Replays `events` into `monitors`, delivering each event only
-    /// while some monitor is [listening](Monitor::listening).
+    /// Replays `events` into `monitor`, delivering each event only
+    /// while it is [listening](Monitor::listening).
     ///
     /// Listening is read at every metric computation point (the only
-    /// place it may turn on). While a monitor listens, events are
-    /// [`step`](Self::step)ped one by one up to the next sample point;
-    /// while none does, the span up to and including the next sampling
-    /// `FnEnter` is ingested without fan-out and only its sample is
-    /// handed to the monitors. Both paths advance the same core, so
-    /// samples, ticks and everything monitors observe are bit-identical
-    /// to stepping every event.
+    /// place it may turn on). While the monitor listens, each admitted
+    /// event reaches [`on_event`](Monitor::on_event) up to and including
+    /// the next sample point, whose sample then reaches
+    /// [`on_sample`](Monitor::on_sample); while it does not, the span up
+    /// to and including the next sampling `FnEnter` is ingested without
+    /// delivery and only its sample is handed over. Both paths advance
+    /// the same core, so samples, ticks and everything the monitor
+    /// observes are bit-identical to delivering every event.
     ///
     /// # Errors
     ///
     /// The first event the heap graph cannot apply; the drive stops
-    /// there.
-    pub(crate) fn drive(
+    /// there, and the monitor does not see that event.
+    pub(crate) fn drive<M: Monitor>(
         &mut self,
         events: &[HeapEvent],
-        monitors: &mut [&mut dyn Monitor],
+        monitor: &mut M,
     ) -> Result<(), ApplyError> {
         let mut rest = events;
         while !rest.is_empty() {
-            let consumed = if monitors.iter().any(|m| m.listening()) {
-                // Step up to and including the next sample point.
+            let consumed = if monitor.listening() {
                 let mut n = rest.len();
                 for (i, ev) in rest.iter().enumerate() {
-                    if self.step(ev, monitors)? {
+                    let advance = self.advance(ev)?;
+                    if advance == Advance::Dropped {
+                        continue;
+                    }
+                    monitor.on_event(&self.ctx(), ev);
+                    if advance == Advance::SampleDue {
+                        let sample = self.take_sample();
+                        monitor.on_sample(&self.ctx(), &sample);
                         n = i + 1;
                         break;
                     }
@@ -689,53 +696,13 @@ impl Replayer {
                 let n = self.ingest(rest, true)?;
                 if self.samples.len() > taken {
                     let sample = self.samples[taken];
-                    let ctx = self.ctx();
-                    for m in monitors.iter_mut() {
-                        m.on_sample(&ctx, &sample);
-                    }
+                    monitor.on_sample(&self.ctx(), &sample);
                 }
                 n
             };
             rest = &rest[consumed..];
         }
         Ok(())
-    }
-
-    /// Replays one event with full monitor fan-out. Returns whether it
-    /// was a metric computation point.
-    ///
-    /// # Errors
-    ///
-    /// An event the heap graph cannot apply; no monitor sees it.
-    pub(crate) fn step(
-        &mut self,
-        ev: &HeapEvent,
-        monitors: &mut [&mut dyn Monitor],
-    ) -> Result<bool, ApplyError> {
-        let advance = self.advance(ev)?;
-        if advance == Advance::Dropped {
-            return Ok(false);
-        }
-        let ctx = self.ctx();
-        for m in monitors.iter_mut() {
-            m.on_event(&ctx, ev);
-        }
-        if advance != Advance::SampleDue {
-            return Ok(false);
-        }
-        let sample = self.take_sample();
-        let ctx = self.ctx();
-        for m in monitors.iter_mut() {
-            m.on_sample(&ctx, &sample);
-        }
-        Ok(true)
-    }
-
-    pub(crate) fn finish(&mut self, monitors: &mut [&mut dyn Monitor]) {
-        let ctx = self.ctx();
-        for m in monitors.iter_mut() {
-            m.on_finish(&ctx);
-        }
     }
 }
 
@@ -793,12 +760,16 @@ mod tests {
         let mut batched = Replayer::new(settings.clone(), &[]);
         batched.ingest_batch(&enters).unwrap();
         assert_eq!(batched.ctx().stack_names(), ["fn#5", "fn#0"]);
-        let mut stepped = Replayer::new(settings, &[]);
-        for ev in &enters {
-            stepped.step(ev, &mut []).unwrap();
-        }
-        assert_eq!(stepped.ctx().stack_names(), ["fn#5", "fn#0"]);
+        let mut driven = Replayer::new(settings, &[]);
+        driven.drive(&enters, &mut EveryEvent).unwrap();
+        assert_eq!(driven.ctx().stack_names(), ["fn#5", "fn#0"]);
     }
+
+    /// A monitor that observes nothing but always listens, so a drive
+    /// delivers it every event.
+    struct EveryEvent;
+
+    impl Monitor for EveryEvent {}
 
     #[test]
     fn batched_replay_matches_stepped_replay() {
@@ -808,7 +779,9 @@ mod tests {
         // Stepped reference: drive the replayer one event at a time.
         let mut stepped = Replayer::new(settings, trace.functions());
         for ev in trace.events() {
-            stepped.step(ev, &mut []).unwrap();
+            stepped
+                .drive(std::slice::from_ref(ev), &mut EveryEvent)
+                .unwrap();
         }
         assert_eq!(batched.samples, stepped.samples);
     }
@@ -972,8 +945,8 @@ mod tests {
         }
     }
 
-    /// Forwards to the detector but always listens, so the reference
-    /// driver steps every event into it.
+    /// Forwards to the detector but always listens, so the drive
+    /// delivers it every event.
     struct AlwaysListening<'a>(&'a mut AnomalyDetector);
 
     impl Monitor for AlwaysListening<'_> {
@@ -988,8 +961,8 @@ mod tests {
         }
     }
 
-    /// [`StreamCheck`]'s set-up with every event stepped, `block` events
-    /// per fed slice.
+    /// [`StreamCheck`]'s set-up with every event delivered, `block`
+    /// events per fed slice.
     fn stepped_check(
         trace: &Trace,
         model: &HeapModel,
@@ -1006,13 +979,11 @@ mod tests {
             replayer.keep_recorded(info);
         }
         for part in trace.events().chunks(block) {
-            for ev in part {
-                replayer
-                    .step(ev, &mut [&mut AlwaysListening(&mut detector)])
-                    .unwrap();
-            }
+            replayer
+                .drive(part, &mut AlwaysListening(&mut detector))
+                .unwrap();
         }
-        replayer.finish(&mut [&mut AlwaysListening(&mut detector)]);
+        detector.on_finish(&replayer.ctx());
         TraceCheckOutcome {
             bugs: detector.take_bugs(),
             incidents: detector.take_incidents(),

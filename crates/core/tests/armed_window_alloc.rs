@@ -1,6 +1,8 @@
 //! With its window full, the armed detector logs an event without
-//! allocating: the ring recycles each evicted slot's stack buffer and
-//! renders nothing until a report reads the window.
+//! allocating: the ring overwrites each evicted slot in place, copies
+//! no stack, and renders nothing until a report reads the window. That
+//! holds again after a disarm and a re-arm, whose stack snapshot reuses
+//! a retired buffer.
 //!
 //! A counting global allocator sees every allocation this binary makes,
 //! so this file holds exactly one test and counts only on its thread.
@@ -103,6 +105,31 @@ fn a_full_armed_window_logs_without_allocating() {
         }
     });
     assert_eq!(logged, 0, "armed events allocated {logged} times");
+
+    // Disarm: a self-edge brings Roots to 0, inside the band.
+    p.write_ptr(node.offset(8), node).unwrap();
+    p.enter(work); // sample 2
+    assert!(!detector.borrow().listening(), "back in the band: disarmed");
+    // Unwatched, build 18 more nodes in a chain: 1 root of 19 nodes is
+    // Roots ≈ 5.26, rising into the near edge of the band's top (5.5)
+    // without crossing it.
+    let chain: Vec<_> = (0..18).map(|_| p.malloc(16, node_site).unwrap()).collect();
+    for pair in chain.windows(2) {
+        p.write_ptr(pair[0].offset(8), pair[1]).unwrap();
+    }
+    p.enter(work); // sample 3: the approach re-arms
+    assert!(detector.borrow().listening(), "the approach re-armed");
+    for _ in 0..2 * capacity {
+        p.read(node).unwrap();
+    }
+    let relogged = allocations_in(|| {
+        for _ in 0..1_000 {
+            p.read(node).unwrap();
+        }
+    });
+    assert_eq!(relogged, 0, "re-armed events allocated {relogged} times");
+    p.leave();
+    p.leave();
     p.leave();
     p.leave();
     let _ = p.finish("alloc-free");

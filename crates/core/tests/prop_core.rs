@@ -4,8 +4,8 @@
 
 use heapmd::{
     classify, merge_ranges, percent_changes, segment, AnomalyDetector, CandidateVector,
-    CircularBuffer, FluctuationStats, MetricReport, MetricSample, ModelBuilder, Settings,
-    StabilityClass, CANDIDATE_COUNT, METRIC_COUNT,
+    FluctuationStats, MetricReport, MetricSample, ModelBuilder, Settings, StabilityClass,
+    CANDIDATE_COUNT, METRIC_COUNT,
 };
 use proptest::prelude::*;
 
@@ -219,16 +219,5 @@ proptest! {
                 && bug.sample_seq == at),
             "spike at {at} missed: {bugs:?}"
         );
-    }
-
-    #[test]
-    fn ring_buffer_keeps_the_last_k(items in proptest::collection::vec(0u32..1000, 1..100),
-                                    cap in 1usize..20) {
-        let mut buf = CircularBuffer::new(cap);
-        for &x in &items {
-            buf.push(x);
-        }
-        let expect: Vec<u32> = items.iter().rev().take(cap).rev().copied().collect();
-        prop_assert_eq!(buf.iter().copied().collect::<Vec<_>>(), expect);
     }
 }

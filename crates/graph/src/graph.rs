@@ -34,8 +34,9 @@ use sim_heap::{Addr, HeapEvent, ObjectId, ShadowMap, SHADOW_EMPTY};
 
 /// An event the heap graph cannot apply: it names an object the
 /// stream never allocated (or already freed), allocates a live object
-/// again, or allocates past the end of the address space. The graph
-/// finds it before changing anything.
+/// again, allocates over the bytes of a live object, or allocates past
+/// the end of the address space. The graph finds it before changing
+/// anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyError {
     /// A free of an object that is not live.
@@ -46,6 +47,9 @@ pub enum ApplyError {
     DuplicateAlloc(ObjectId),
     /// An allocation whose end lies past the last address.
     AddressOverflow(ObjectId),
+    /// An allocation overlapping a live object (an empty object
+    /// occupies its first byte).
+    OverlappingAlloc(ObjectId),
 }
 
 impl std::fmt::Display for ApplyError {
@@ -56,6 +60,9 @@ impl std::fmt::Display for ApplyError {
             ApplyError::DuplicateAlloc(id) => write!(f, "duplicate allocation of {id}"),
             ApplyError::AddressOverflow(id) => {
                 write!(f, "allocation of {id} ends past the last address")
+            }
+            ApplyError::OverlappingAlloc(id) => {
+                write!(f, "allocation of {id} overlaps a live object")
             }
         }
     }
@@ -202,6 +209,24 @@ pub(crate) struct Range {
     pub(crate) start: u64,
     pub(crate) end: u64,
     pub(crate) slot: u32,
+}
+
+/// One past the last byte an object `[start, end)` occupies when
+/// allocations are checked for overlap: an empty object still occupies
+/// its first byte, so no two live objects share a start.
+#[inline]
+pub(crate) fn footprint_end(start: u64, end: u64) -> u64 {
+    end.max(start.saturating_add(1))
+}
+
+/// Whether `[start, end)` overlaps an entry of a spill index, which is
+/// sorted by start and, since overlapping allocations are refused,
+/// pairwise disjoint: only the last entry starting before `end` can.
+#[inline]
+pub(crate) fn spill_overlaps(spill: &[Range], start: u64, end: u64) -> bool {
+    let i = spill.partition_point(|r| r.start < end);
+    i.checked_sub(1)
+        .is_some_and(|i| footprint_end(spill[i].start, spill[i].end) > start)
 }
 
 /// Dangling slots sharing one raw address, in the sorted unresolved
@@ -411,8 +436,8 @@ impl HeapGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is already live or the object ends past the last
-    /// address (the event stream is corrupt).
+    /// Panics if `id` is already live, the object overlaps a live one,
+    /// or it ends past the last address (the event stream is corrupt).
     pub fn on_alloc(&mut self, id: ObjectId, addr: Addr, size: usize) {
         self.try_alloc(id, addr, size)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -426,35 +451,51 @@ impl HeapGraph {
         if self.index.get(id).is_some() {
             return Err(ApplyError::DuplicateAlloc(id));
         }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let ns = &mut self.slots[s as usize];
-                debug_assert!(ns.out.is_empty() && ns.inbound.is_empty());
-                ns.id = id;
-                ns.info = NodeInfo::new();
-                ns.start = start;
-                ns.end = end;
-                s
-            }
+        // Claim the shadow for the slot the object will take before
+        // anything else changes; a shadow refusal is searched exactly,
+        // since it may only mean an irregular object.
+        let footprint = footprint_end(start, end);
+        let slot = match self.free.last() {
+            Some(&s) => s,
             None => {
                 let s = u32::try_from(self.slots.len()).expect("slab overflow");
                 assert_ne!(s, u32::MAX, "slab overflow");
-                self.slots.push(NodeSlot {
-                    id,
-                    info: NodeInfo::new(),
-                    start,
-                    end,
-                    spilled: false,
-                    out: Vec::new(),
-                    inbound: Vec::new(),
-                });
                 s
             }
         };
+        if spill_overlaps(&self.spill, start, footprint) {
+            return Err(ApplyError::OverlappingAlloc(id));
+        }
+        let spilled = !self.shadow.insert(start, end, slot);
+        if spilled
+            && self.shadow.any_claim(start, footprint, |s| {
+                let o = &self.slots[s as usize];
+                o.start < footprint && start < o.end
+            })
+        {
+            return Err(ApplyError::OverlappingAlloc(id));
+        }
+        if let Some(s) = self.free.pop() {
+            let ns = &mut self.slots[s as usize];
+            debug_assert!(ns.out.is_empty() && ns.inbound.is_empty());
+            ns.id = id;
+            ns.info = NodeInfo::new();
+            ns.start = start;
+            ns.end = end;
+            ns.spilled = spilled;
+        } else {
+            self.slots.push(NodeSlot {
+                id,
+                info: NodeInfo::new(),
+                start,
+                end,
+                spilled,
+                out: Vec::new(),
+                inbound: Vec::new(),
+            });
+        }
         let prev = self.index.insert(id, slot);
         debug_assert!(prev.is_none(), "checked above");
-        let spilled = !self.shadow.insert(start, end, slot);
-        self.slots[slot as usize].spilled = spilled;
         if spilled {
             let pos = self.spill.partition_point(|r| r.start < start);
             self.spill.insert(pos, Range { start, end, slot });

@@ -11,6 +11,7 @@
 //! Compiled only for tests or under the `reference-graph` feature; it
 //! never ships in the release hot path.
 
+use crate::graph::{footprint_end, ApplyError};
 use crate::histogram::DegreeHistogram;
 use crate::metrics::MetricVector;
 use crate::GraphSnapshot;
@@ -109,7 +110,52 @@ impl ReferenceGraph {
     }
 
     /// Applies one instrumentation event.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an event the graph cannot apply (see
+    /// [`try_apply`](Self::try_apply)).
     pub fn apply(&mut self, event: &HeapEvent) {
+        self.try_apply(event).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Applies one instrumentation event, or leaves the graph as it was
+    /// and reports why the event cannot apply: the refusals of
+    /// [`HeapGraph::try_apply`](crate::HeapGraph::try_apply), decided
+    /// here from the maps.
+    ///
+    /// # Errors
+    ///
+    /// The [`ApplyError`] naming the event's object.
+    pub fn try_apply(&mut self, event: &HeapEvent) -> Result<(), ApplyError> {
+        match *event {
+            HeapEvent::Alloc {
+                obj, addr, size, ..
+            } => {
+                let start = addr.get();
+                let end = start
+                    .checked_add(size as u64)
+                    .ok_or(ApplyError::AddressOverflow(obj))?;
+                if self.nodes.contains_key(&obj) {
+                    return Err(ApplyError::DuplicateAlloc(obj));
+                }
+                // Live objects are disjoint, so only the last one
+                // starting before this one's end can overlap it.
+                let footprint = footprint_end(start, end);
+                if let Some((&s, &(_, len))) = self.ranges.range(..footprint).next_back() {
+                    if footprint_end(s, s + len as u64) > start {
+                        return Err(ApplyError::OverlappingAlloc(obj));
+                    }
+                }
+            }
+            HeapEvent::Free { obj, .. } if !self.nodes.contains_key(&obj) => {
+                return Err(ApplyError::FreeOfUnknown(obj));
+            }
+            HeapEvent::PtrWrite { src, .. } if !self.nodes.contains_key(&src) => {
+                return Err(ApplyError::WriteIntoUnknown(src));
+            }
+            _ => {}
+        }
         match *event {
             HeapEvent::Alloc {
                 obj, addr, size, ..
@@ -121,6 +167,7 @@ impl ReferenceGraph {
             HeapEvent::ScalarWrite { src, offset, .. } => self.on_scalar_write(src, offset),
             HeapEvent::Read { .. } | HeapEvent::FnEnter { .. } | HeapEvent::FnExit { .. } => {}
         }
+        Ok(())
     }
 
     /// Adds a vertex for a fresh allocation and re-binds dangling slots.

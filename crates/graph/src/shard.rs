@@ -30,7 +30,8 @@
 
 use crate::candidates::CandidateVector;
 use crate::graph::{
-    ApplyError, Bucket, GraphSnapshot, HeapGraph, IdIndex, NodeSlot, Range, SlotState,
+    footprint_end, spill_overlaps, ApplyError, Bucket, GraphSnapshot, HeapGraph, IdIndex, NodeSlot,
+    Range, SlotState,
 };
 use crate::histogram::DegreeHistogram;
 use crate::metrics::{ExtendedMetrics, MetricVector};
@@ -331,36 +332,50 @@ impl ShardedGraph {
         }
         let n = self.shards.len();
         let owner = shard_of(start, n);
-        let local = match self.shards[owner].free.pop() {
-            Some(s) => {
-                let ns = &mut self.shards[owner].slots[s as usize];
-                debug_assert!(ns.out.is_empty() && ns.inbound.is_empty());
-                ns.id = id;
-                ns.info = NodeInfo::new();
-                ns.start = start;
-                ns.end = end;
-                s
-            }
+        // As in `HeapGraph`: claim the shadow before anything changes.
+        let footprint = footprint_end(start, end);
+        let local = match self.shards[owner].free.last() {
+            Some(&s) => s,
             None => {
                 let s = u32::try_from(self.shards[owner].slots.len()).expect("slab overflow");
                 assert!(s <= SLOT_MASK, "shard slab overflow");
-                self.shards[owner].slots.push(NodeSlot {
-                    id,
-                    info: NodeInfo::new(),
-                    start,
-                    end,
-                    spilled: false,
-                    out: Vec::new(),
-                    inbound: Vec::new(),
-                });
                 s
             }
         };
         let r = pack(owner, local);
+        if spill_overlaps(&self.spill, start, footprint) {
+            return Err(ApplyError::OverlappingAlloc(id));
+        }
+        let spilled = !self.shadow.insert(start, end, r);
+        if spilled
+            && self.shadow.any_claim(start, footprint, |x| {
+                let o = self.slot(x);
+                o.start < footprint && start < o.end
+            })
+        {
+            return Err(ApplyError::OverlappingAlloc(id));
+        }
+        if let Some(s) = self.shards[owner].free.pop() {
+            let ns = &mut self.shards[owner].slots[s as usize];
+            debug_assert!(ns.out.is_empty() && ns.inbound.is_empty());
+            ns.id = id;
+            ns.info = NodeInfo::new();
+            ns.start = start;
+            ns.end = end;
+            ns.spilled = spilled;
+        } else {
+            self.shards[owner].slots.push(NodeSlot {
+                id,
+                info: NodeInfo::new(),
+                start,
+                end,
+                spilled,
+                out: Vec::new(),
+                inbound: Vec::new(),
+            });
+        }
         let prev = self.index.insert(id, r);
         debug_assert!(prev.is_none(), "checked above");
-        let spilled = !self.shadow.insert(start, end, r);
-        self.shards[owner].slots[local as usize].spilled = spilled;
         if spilled {
             let pos = self.spill.partition_point(|x| x.start < start);
             self.spill.insert(
@@ -1135,6 +1150,82 @@ mod tests {
             ApplyError::WriteIntoUnknown(ObjectId(564)).to_string(),
             "write into unknown obj#564"
         );
+    }
+
+    #[test]
+    fn overlapping_allocations_are_refused_as_the_reference_refuses_them() {
+        use crate::ReferenceGraph;
+        let alloc = |obj, addr, size| HeapEvent::Alloc {
+            obj: ObjectId(obj),
+            addr: Addr::new(addr),
+            size,
+            site: AllocSite(0),
+        };
+        let store = |src, offset, value| HeapEvent::PtrWrite {
+            src: ObjectId(src),
+            offset,
+            value: Addr::new(value),
+            old_value: None,
+        };
+        let free = |obj| HeapEvent::Free {
+            obj: ObjectId(obj),
+            addr: Addr::new(0),
+            size: 0,
+        };
+        // Objects over 1 MiB live in the spill index; the first eight
+        // events once underflowed a degree.
+        let big = 1_048_640;
+        let events = [
+            (alloc(0, 4144, big), None),
+            (store(0, 8, 4176), None),
+            (
+                alloc(1, 4144, big),
+                Some(ApplyError::OverlappingAlloc(ObjectId(1))),
+            ),
+            (free(0), None),
+            (
+                store(1, 8, 4144),
+                Some(ApplyError::WriteIntoUnknown(ObjectId(1))),
+            ),
+            (alloc(2, 4128, 32), None),
+            (free(1), Some(ApplyError::FreeOfUnknown(ObjectId(1)))),
+            (free(2), None),
+            // Shadow-held, empty and unaligned objects.
+            (alloc(3, 0x2000, 32), None),
+            (
+                alloc(4, 0x2010, 8),
+                Some(ApplyError::OverlappingAlloc(ObjectId(4))),
+            ),
+            (alloc(5, 0x2020, 0), None),
+            (
+                alloc(6, 0x2020, 16),
+                Some(ApplyError::OverlappingAlloc(ObjectId(6))),
+            ),
+            (
+                alloc(7, 0x1ff8, 0x30),
+                Some(ApplyError::OverlappingAlloc(ObjectId(7))),
+            ),
+            (alloc(8, 0x2024, 4), None),
+            (store(3, 8, 0x2024), None),
+            (store(8, 0, 0x2000), None),
+            (alloc(9, 0x4000_0000, big), None),
+            (
+                alloc(10, 0x4000_0000 + big as u64 - 8, 8),
+                Some(ApplyError::OverlappingAlloc(ObjectId(10))),
+            ),
+            (free(5), None),
+            (alloc(11, 0x2020, 4), None),
+        ];
+        let mut refg = ReferenceGraph::new();
+        let mut images = [GraphImage::new(1), GraphImage::new(3)];
+        for (ev, err) in events {
+            assert_eq!(refg.try_apply(&ev).err(), err, "reference on {ev:?}");
+            for img in &mut images {
+                assert_eq!(img.try_apply(&ev).err(), err, "{ev:?}");
+                assert_eq!(img.snapshot(), refg.snapshot(), "after {ev:?}");
+            }
+        }
+        assert_eq!(refg.edge_count(), 2);
     }
 
     #[test]

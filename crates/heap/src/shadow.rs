@@ -159,6 +159,43 @@ impl ShadowMap {
         (v != EMPTY).then_some(v)
     }
 
+    /// Whether some granule intersecting `[start, end)` is claimed by a
+    /// slot for which `hit` returns `true`. Unmaterialized directories
+    /// and pages are skipped whole, so a long range over sparse shadow
+    /// costs little; `hit` sees each run of one slot once.
+    pub fn any_claim(&self, start: u64, end: u64, mut hit: impl FnMut(u32) -> bool) -> bool {
+        let end = end.min(1 << ADDR_BITS);
+        if start >= end {
+            return false;
+        }
+        let (mut g, g1) = (start >> GRANULE_BITS, end.div_ceil(1 << GRANULE_BITS));
+        while g < g1 {
+            let raw = g << GRANULE_BITS;
+            let Some(l2) = self.l1.get((raw >> L2_BITS) as usize) else {
+                break;
+            };
+            let Some(l2) = l2.as_ref() else {
+                g = ((raw >> L2_BITS) + 1) << (L2_BITS - GRANULE_BITS);
+                continue;
+            };
+            let stop = (((raw >> PAGE_BITS) + 1) << (PAGE_BITS - GRANULE_BITS)).min(g1);
+            if let Some(page) = &l2[(raw >> PAGE_BITS) as usize & (PAGES_PER_L2 - 1)] {
+                let i0 = g as usize & (GRANULES_PER_PAGE - 1);
+                let mut last = EMPTY;
+                for &v in &page[i0..i0 + (stop - g) as usize] {
+                    if v != EMPTY && v != last {
+                        if hit(v) {
+                            return true;
+                        }
+                        last = v;
+                    }
+                }
+            }
+            g = stop;
+        }
+        false
+    }
+
     /// Current granule value without materializing pages.
     fn granule(&self, raw: u64) -> u32 {
         self.lookup(raw).unwrap_or(EMPTY)
@@ -233,6 +270,35 @@ mod tests {
         assert_eq!(s.lookup(0x0fff_ffff), None);
         s.remove(0x1000_0000, 0x1000_0020);
         assert_eq!(s.lookup(0x1000_0000), None);
+    }
+
+    #[test]
+    fn any_claim_finds_claims_across_pages_and_skips_sparse_shadow() {
+        let mut s = ShadowMap::new();
+        let far = (3 << L2_BITS) + (5 << PAGE_BITS) + 0x40;
+        assert!(s.insert(far, far + 0x20, 4));
+        assert!(s.insert(0x100, 0x110, 7));
+        let claims = |s: &ShadowMap, start, end| {
+            let mut seen = Vec::new();
+            s.any_claim(start, end, |v| {
+                seen.push(v);
+                false
+            });
+            seen
+        };
+        assert_eq!(
+            claims(&s, 0, 1 << 40),
+            [7, 4],
+            "every claim, in address order"
+        );
+        assert_eq!(claims(&s, 0x108, 0x109), [7]);
+        assert!(claims(&s, 0x110, far).is_empty());
+        assert_eq!(claims(&s, far + 0x1f, u64::MAX), [4]);
+        assert!(s.any_claim(0, u64::MAX, |v| v == 4));
+        assert!(
+            !s.any_claim(0x110, 0x100, |_| true),
+            "an empty range claims nothing"
+        );
     }
 
     #[test]

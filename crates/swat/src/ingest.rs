@@ -24,6 +24,7 @@
 use crate::AdaptiveSampler;
 use serde::{Deserialize, Serialize};
 use sim_heap::{AllocSite, HeapEvent};
+use std::collections::HashMap;
 
 /// Sampling knobs, as configured (CLI flags `--sample-hot-threshold`
 /// and `--sample-decimation`).
@@ -113,14 +114,22 @@ impl SamplingInfo {
 pub struct SampledIngest {
     sampler: AdaptiveSampler,
     config: SamplerConfig,
-    /// Allocation site per object id (dense: `SimHeap` object ids are
-    /// sequential). `u32::MAX` = never allocated in this stream.
+    /// Allocation site per object id below [`DENSE_OBJECT_CAP`] (dense:
+    /// `SimHeap` object ids are sequential). `u32::MAX` = never
+    /// allocated in this stream.
     site_of: Vec<u32>,
+    /// Allocation sites of the objects at or above the cap.
+    sparse_sites: HashMap<u64, u32>,
     kept_stores: u64,
     total_stores: u64,
 }
 
 const NO_SITE: u32 = u32::MAX;
+
+/// Object ids below this index the dense site table (16 MiB at most,
+/// as the heap graph's id index); larger ids, which only a stream of
+/// millions of allocations reaches, go to a hash map.
+const DENSE_OBJECT_CAP: u64 = 1 << 22;
 
 impl SampledIngest {
     /// Creates a filter for `config`.
@@ -130,6 +139,7 @@ impl SampledIngest {
             sampler: AdaptiveSampler::new(config.hot_threshold, config.decimation),
             config,
             site_of: Vec::new(),
+            sparse_sites: HashMap::new(),
             kept_stores: 0,
             total_stores: 0,
         }
@@ -147,6 +157,10 @@ impl SampledIngest {
     pub fn admit(&mut self, event: &HeapEvent) -> bool {
         match *event {
             HeapEvent::Alloc { obj, site, .. } => {
+                if obj.0 >= DENSE_OBJECT_CAP {
+                    self.sparse_sites.insert(obj.0, site.0);
+                    return true;
+                }
                 let idx = obj.0 as usize;
                 if idx >= self.site_of.len() {
                     self.site_of.resize(idx + 1, NO_SITE);
@@ -156,7 +170,12 @@ impl SampledIngest {
             }
             HeapEvent::PtrWrite { src, .. } | HeapEvent::ScalarWrite { src, .. } => {
                 self.total_stores += 1;
-                let site = self.site_of.get(src.0 as usize).copied().unwrap_or(NO_SITE);
+                let site = if src.0 < DENSE_OBJECT_CAP {
+                    self.site_of.get(src.0 as usize).copied()
+                } else {
+                    self.sparse_sites.get(&src.0).copied()
+                }
+                .unwrap_or(NO_SITE);
                 // Stores against objects allocated before this stream
                 // began (e.g. a salvaged trace suffix) are admitted:
                 // dropping them could only lose information, and they
@@ -234,6 +253,21 @@ mod tests {
         assert_eq!(info.total_stores, 20);
         assert_eq!(info.kept_stores, 8);
         assert!((info.rate() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn huge_object_and_site_ids_stay_off_the_dense_tables() {
+        let id = 1 << 24;
+        let mut f = SampledIngest::new(SamplerConfig::new(1, 2));
+        assert!(f.admit(&alloc(id, id as u32)));
+        let kept: Vec<bool> = (0..4).map(|_| f.admit(&store(id))).collect();
+        assert_eq!(
+            kept,
+            [true, false, true, false],
+            "keyed to the object's site"
+        );
+        assert!(f.site_of.capacity() as u64 <= DENSE_OBJECT_CAP);
+        assert!(f.sampler.dense_capacity() <= crate::sampling::DENSE_SITE_CAP as usize);
     }
 
     #[test]

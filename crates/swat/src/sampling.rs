@@ -10,9 +10,16 @@
 //! The per-site counters live in a dense `Vec` indexed by the site id
 //! (allocation sites are interned small integers, the same slab idiom
 //! the heap graph uses), so the per-event cost is an index and an
-//! increment — no hashing on the hot path.
+//! increment — no hashing on the hot path. Ids at or above
+//! [`DENSE_SITE_CAP`], which no interned program reaches, go to a hash
+//! map, so a stream naming a huge id costs one entry, not a vector as
+//! long as the id.
 
 use sim_heap::AllocSite;
+use std::collections::HashMap;
+
+/// Site ids below this index the dense counters (512 KiB at most).
+pub(crate) const DENSE_SITE_CAP: u32 = 1 << 16;
 
 /// Per-site adaptive access sampler.
 ///
@@ -32,9 +39,11 @@ use sim_heap::AllocSite;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct AdaptiveSampler {
-    /// Access count per site id; sites the program never touched cost
-    /// nothing beyond the dense slot.
+    /// Access count per site id below [`DENSE_SITE_CAP`]; sites the
+    /// program never touched cost nothing beyond the dense slot.
     counts: Vec<u64>,
+    /// Access counts of the sites at or above the cap.
+    sparse: HashMap<u32, u64>,
     hot_threshold: u64,
     decimation: u64,
 }
@@ -50,6 +59,7 @@ impl AdaptiveSampler {
         assert!(decimation > 0, "decimation must be positive");
         AdaptiveSampler {
             counts: Vec::new(),
+            sparse: HashMap::new(),
             hot_threshold,
             decimation,
         }
@@ -57,11 +67,20 @@ impl AdaptiveSampler {
 
     #[inline]
     fn slot(&mut self, site: AllocSite) -> &mut u64 {
+        if site.0 >= DENSE_SITE_CAP {
+            return self.sparse.entry(site.0).or_insert(0);
+        }
         let idx = site.0 as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
         &mut self.counts[idx]
+    }
+
+    /// Capacity of the dense counters, in sites.
+    #[cfg(test)]
+    pub(crate) fn dense_capacity(&self) -> usize {
+        self.counts.capacity()
     }
 
     /// Registers an access at `site`; returns `true` when the access
@@ -77,12 +96,15 @@ impl AdaptiveSampler {
 
     /// Total accesses seen at `site`.
     pub fn accesses(&self, site: AllocSite) -> u64 {
+        if site.0 >= DENSE_SITE_CAP {
+            return self.sparse.get(&site.0).copied().unwrap_or(0);
+        }
         self.counts.get(site.0 as usize).copied().unwrap_or(0)
     }
 
     /// Number of distinct sites seen.
     pub fn sites(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
+        self.counts.iter().filter(|&&c| c > 0).count() + self.sparse.len()
     }
 }
 
@@ -126,6 +148,17 @@ mod tests {
         assert!(s.record(AllocSite(1_000)));
         assert_eq!(s.accesses(AllocSite(1_000)), 1);
         assert_eq!(s.sites(), 1);
+    }
+
+    #[test]
+    fn ids_past_the_dense_cap_count_alike() {
+        let mut s = AdaptiveSampler::new(1, 2);
+        let (low, high) = (AllocSite(DENSE_SITE_CAP - 1), AllocSite(DENSE_SITE_CAP));
+        let low_kept: Vec<bool> = (0..5).map(|_| s.record(low)).collect();
+        let high_kept: Vec<bool> = (0..5).map(|_| s.record(high)).collect();
+        assert_eq!(low_kept, high_kept);
+        assert_eq!(s.accesses(high), 5);
+        assert_eq!(s.sites(), 2);
     }
 
     #[test]

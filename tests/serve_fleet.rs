@@ -1133,6 +1133,112 @@ fn recovery_evicts_a_journal_whose_sampling_metadata_follows_events() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The eight events of a trace that once panicked the daemon's check
+/// with a degree underflow: two objects over 1 MiB (held in the spill
+/// index) allocated at one address, then stores and frees over both.
+fn overlapping_allocations() -> Trace {
+    use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
+    let alloc = |obj, addr, size| HeapEvent::Alloc {
+        obj: ObjectId(obj),
+        addr: Addr::new(addr),
+        size,
+        site: AllocSite(0),
+    };
+    let store = |src, value| HeapEvent::PtrWrite {
+        src: ObjectId(src),
+        offset: 8,
+        value: Addr::new(value),
+        old_value: None,
+    };
+    let free = |obj, addr, size| HeapEvent::Free {
+        obj: ObjectId(obj),
+        addr: Addr::new(addr),
+        size,
+    };
+    let mut trace = Trace::new();
+    for ev in [
+        alloc(0, 4144, 1_048_640),
+        store(0, 4176),
+        alloc(1, 4144, 1_048_640),
+        free(0, 4144, 1_048_640),
+        store(1, 4144),
+        alloc(2, 4128, 32),
+        free(1, 4144, 1_048_640),
+        free(2, 4128, 32),
+    ] {
+        trace.push(ev);
+    }
+    trace.set_functions(vec!["main".to_string()]);
+    trace
+}
+
+/// A tenant whose allocations overlap is evicted alone: the daemon
+/// serves the next tenant, and a daemon restarted over a journal that
+/// holds the stream comes back up and evicts it again.
+#[test]
+fn overlapping_allocations_evict_only_their_tenant() {
+    let fx = webapp_fixture();
+    let bytes = overlapping_allocations().encode_binary();
+    let frames = wire_frames(&bytes);
+    let frame = |i: usize| &bytes[frames[i].clone()];
+    let server = Server::start(
+        ServeConfig::new(fx.model.clone()),
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+    )
+    .expect("start daemon");
+    let all: Vec<&[u8]> = (0..frames.len()).map(frame).collect();
+    assert!(!hang_up(raw_session(server.ingest_addr(), "overlap", &all)));
+    let fleet = server.fleet();
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            fleet.snapshot().evictions_total == 1
+        }),
+        "the overlapping stream was never evicted"
+    );
+    assert_eq!(
+        push(server.ingest_addr(), "next", &fx.trace),
+        fx.trace.len() as u64
+    );
+    server.shutdown();
+    let mut summary = server.wait();
+    let overlap = summary.tenants.remove("overlap").expect("overlap outcome");
+    assert_eq!(
+        overlap.evicted.as_deref(),
+        Some("malformed stream: events the check cannot apply")
+    );
+    let next = summary.tenants.remove("next").expect("next outcome");
+    assert!(!next.partial && next.evicted.is_none(), "{next:?}");
+    assert_eq!(next.bugs, fx.expected);
+
+    // The file header, the function table and the events block,
+    // journaled by a daemon that went down before it checked them.
+    let dir = scratch_dir("overlap-journal");
+    let journal = [&bytes[..8], frame(0), frame(1)].concat();
+    std::fs::write(dir.join("overlap.hmdt"), journal).expect("write journal");
+    std::fs::write(
+        dir.join("overlap.session.json"),
+        r#"{"version":1,"tenant":"overlap","session":"s-1","completed":false}"#,
+    )
+    .expect("write session meta");
+    let mut config = ServeConfig::new(fx.model.clone());
+    config.journal_dir = Some(dir.clone());
+    let server = Server::start(config, "127.0.0.1:0", "127.0.0.1:0")
+        .expect("the daemon comes back up over the journal");
+    assert_eq!(server.fleet().snapshot().evictions_total, 1);
+    server.shutdown();
+    let outcome = server
+        .wait()
+        .tenants
+        .remove("overlap")
+        .expect("overlap outcome");
+    assert_eq!(
+        outcome.evicted.as_deref(),
+        Some("malformed stream: events the check cannot apply")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Daemon-side sampling happens at ingest, so a full-fidelity tenant's
 /// live gauges already show the filter's measured rate and bands
 /// widened by it, and its verdict is the offline check's under the
