@@ -3,9 +3,8 @@
 //! dangling-pointer bugs visible — and costs free-list work).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use heap_graph::{FieldGraph, HeapGraph};
 use heapmd::{Process, Settings};
-use sim_heap::{AllocSite, AllocatorConfig, HeapConfig, SimHeap};
+use sim_heap::{AllocatorConfig, HeapConfig, SimHeap};
 
 fn churn_process(settings: &Settings) {
     let mut p = Process::new(settings.clone());
@@ -53,42 +52,6 @@ fn bench_ablations(c: &mut Criterion) {
             },
         );
     }
-    // Object vs field granularity (paper Figure 3): the rejected
-    // field-level graph pays one vertex per 8-byte slot.
-    group.bench_function("granularity_object", |b| {
-        b.iter(|| {
-            let mut heap = SimHeap::new();
-            let mut g = HeapGraph::new();
-            let mut prev: Option<sim_heap::Addr> = None;
-            for _ in 0..1_000 {
-                let eff = heap.alloc(32, AllocSite(0)).unwrap();
-                g.on_alloc(eff.id, eff.addr, eff.size);
-                if let Some(prev) = prev {
-                    let w = heap.write_ptr(eff.addr.offset(8), prev).unwrap();
-                    g.on_ptr_write(w.src, w.offset, prev);
-                }
-                prev = Some(eff.addr);
-            }
-            g.metrics()
-        })
-    });
-    group.bench_function("granularity_field", |b| {
-        b.iter(|| {
-            let mut heap = SimHeap::new();
-            let mut g = FieldGraph::new();
-            let mut prev: Option<sim_heap::Addr> = None;
-            for _ in 0..1_000 {
-                let eff = heap.alloc(32, AllocSite(0)).unwrap();
-                g.on_alloc(eff.id, eff.addr, eff.size);
-                if let Some(prev) = prev {
-                    let w = heap.write_ptr(eff.addr.offset(8), prev).unwrap();
-                    g.on_ptr_write(w.src, w.offset, prev);
-                }
-                prev = Some(eff.addr);
-            }
-            g.metrics()
-        })
-    });
     group.finish();
 }
 

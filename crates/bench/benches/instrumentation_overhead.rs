@@ -70,7 +70,6 @@ fn bench_overhead(c: &mut Criterion) {
         settings: settings.clone(),
         stable: vec![],
         unstable: vec![],
-        locally_stable: vec![],
         sample_rate: 1.0,
         training_runs: 0,
     };

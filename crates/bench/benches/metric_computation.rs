@@ -54,13 +54,6 @@ fn bench_metrics(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("full_recount", n), &graph, |b, g| {
             b.iter(|| full_recount(g));
         });
-        group.bench_with_input(
-            BenchmarkId::new("components_union_find", n),
-            &graph,
-            |b, g| {
-                b.iter(|| g.components());
-            },
-        );
     }
     group.finish();
 }

@@ -1,12 +1,12 @@
 //! Columnar run-store throughput (PR 9): append and scan rates over a
 //! realistic cross-version corpus — 1,200 recorded runs across five
-//! versions, each carrying the full 20-candidate metric family. The
+//! versions, each carrying the seven paper metrics. The
 //! `scan_*` and `drift` cases are the hot path behind `heapmd query`:
 //! a regression matrix answered purely by columnar scan (see
 //! BENCH_PR9.json for the committed rows/s figures).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use heapmd::CandidateKind;
+use heapmd::MetricKind;
 use heapmd_runstore::{drift_by_version, MetricStats, RowFilter, RowKind, RunRow, RunStore};
 use std::path::PathBuf;
 
@@ -19,14 +19,11 @@ const ROWS: u64 = VERSIONS * RUNS_PER_VERSION;
 /// sweep would produce.
 const BATCH: usize = 100;
 
-/// A deterministic corpus: every row carries all 20 candidate metrics,
+/// A deterministic corpus: every row carries the seven paper metrics,
 /// with a mild per-version drift on the paper metrics so the drift
 /// aggregation has real structure to find.
 fn corpus() -> Vec<RunRow> {
-    let ids: Vec<String> = CandidateKind::ALL
-        .iter()
-        .map(|k| k.id().to_string())
-        .collect();
+    let ids: Vec<String> = MetricKind::ALL.map(|k| k.id().to_string()).into();
     let mut rows = Vec::with_capacity(ROWS as usize);
     for version in 1..=VERSIONS {
         for run in 0..RUNS_PER_VERSION {
@@ -139,7 +136,7 @@ fn bench_run_store(c: &mut Criterion) {
         b.iter(|| {
             let out = store.scan(&RowFilter::default(), None).expect("scan");
             let mut computed = 0usize;
-            for kind in CandidateKind::ALL {
+            for kind in MetricKind::ALL {
                 let vals: Vec<f64> = out
                     .rows
                     .iter()
@@ -151,7 +148,7 @@ fn bench_run_store(c: &mut Criterion) {
                     computed += 1;
                 }
             }
-            assert_eq!(computed, CandidateKind::ALL.len());
+            assert_eq!(computed, MetricKind::ALL.len());
             computed
         })
     });

@@ -5,9 +5,8 @@
 //! heapmd run <program> [--input K] [--version V] [--bug FAULT]
 //!                      [--trace-out FILE] [--sample] [--sample-hot-threshold N]
 //!                      [--sample-decimation N] [--model FILE] [--incidents DIR]
-//! heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local]
-//!                        [--metrics paper|candidates] [--checkpoint-every N]
-//!                        [--resume] [--threads N]
+//! heapmd train <program> [--inputs N] [--version V] [--out FILE]
+//!                        [--checkpoint-every N] [--resume] [--threads N]
 //! heapmd check --model FILE --trace FILE [--trace FILE …] [--jobs N] [--shards N]
 //!              [--salvage] [--sample]
 //! heapmd replay …                               # the same command as check
@@ -28,18 +27,20 @@
 //! records the trace that `check --trace` later checks post-mortem
 //! (`replay` is another name for `check`). Every subcommand refuses
 //! (exit 2) a flag it does not read and a word beyond its positionals
-//! (`run`, `train` and `inspect` take one, the others none). A model
-//! trained with `--metrics candidates` checks its calibrated extended
-//! metrics through the same verdict path as the paper seven: their
-//! range violations print, exit 3 and write bundles.
+//! (`run`, `train` and `inspect` take one, the others none). Models
+//! calibrate the paper's seven degree metrics; a model file from an
+//! older build that names another metric or carries locally stable
+//! bands is refused by name (exit 1) — retrain it.
 //!
 //! Robustness features:
 //!
 //! - `run --trace-out FILE` streams the block-based binary codec
-//!   ([`heapmd::BinaryTraceWriter`], `HMDB1`) as the run goes, so
-//!   memory stays flat and completed blocks salvage at block
-//!   granularity; if a run dies mid-way, `check --salvage` recovers
-//!   what was flushed.
+//!   ([`heapmd::BinaryTraceWriter`], `HMDB1`) as the run goes into
+//!   `FILE.tmp`, so memory stays flat, and renames it over `FILE` once
+//!   the trace is complete: a reader sees the old recording or the
+//!   whole new one, and a run that fails leaves the old one. If the
+//!   process is killed mid-way, `check --salvage FILE.tmp` recovers the
+//!   blocks that were flushed.
 //! - `train --checkpoint-every N` writes an atomic resume checkpoint
 //!   (`<out>.ckpt`) after every N training inputs, in the CRC-protected
 //!   binary container; `train --resume` produces the same model an
@@ -106,6 +107,7 @@
 //! Figure 2; traces are streamed with [`heapmd::Process::stream_trace_to`].
 
 use faults::FaultPlan;
+use heapmd::persist::AtomicFile;
 use heapmd::plot::{chart, RefLine};
 use heapmd::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use heapmd::{
@@ -293,7 +295,7 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--local] [--metrics paper|candidates] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N (default: every core)] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N (default: every core)] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N (default: every core)] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N (default: every core)] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
@@ -394,22 +396,30 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     };
     let serve_addr = arg_value(args, "--serve");
+    let mut trace_file = None;
     if let Some(path) = &trace_out {
         if serve_addr.is_some() {
             eprintln!("--serve and --trace-out are mutually exclusive (one stream sink per run)");
             return 2;
         }
-        let file = match std::fs::File::create(path) {
-            Ok(f) => f,
+        // The trace streams into `<path>.tmp` and is renamed over
+        // `path` once complete, so a concurrent reader sees the old
+        // recording or the new one, and a failed run leaves the old.
+        let (file, handle) = match AtomicFile::create(path).and_then(|f| {
+            let handle = f.try_clone()?;
+            Ok((f, handle))
+        }) {
+            Ok(pair) => pair,
             Err(e) => {
                 error!("cannot open --trace-out {path}: {e}");
                 return 1;
             }
         };
-        if let Err(e) = p.stream_trace_to(Box::new(std::io::BufWriter::new(file))) {
+        if let Err(e) = p.stream_trace_to(Box::new(std::io::BufWriter::new(handle))) {
             error!("cannot start trace stream: {e}");
             return 1;
         }
+        trace_file = Some(file);
     } else if let Some(addr) = &serve_addr {
         if p.sampling_info().is_some() {
             eprintln!(
@@ -441,7 +451,12 @@ fn cmd_run(args: &[String]) -> i32 {
     }
     if trace_out.is_some() || serve_addr.is_some() {
         let sink_name = trace_out.as_deref().or(serve_addr.as_deref()).unwrap_or("");
-        match p.finish_stream() {
+        match p.finish_stream().and_then(|events| {
+            if let Some(file) = trace_file.take() {
+                file.publish()?;
+            }
+            Ok(events)
+        }) {
             Ok(events) => println!("{events} events streamed to {sink_name}"),
             Err(e) => {
                 // The run itself succeeded; a dead trace sink is a
@@ -511,9 +526,8 @@ fn cmd_train(args: &[String]) -> i32 {
     let words = known_flags(
         "train",
         args,
-        "--inputs --version --out --metrics --checkpoint-every --threads \
-         --checkpoint --run-store",
-        "--local --resume",
+        "--inputs --version --out --checkpoint-every --threads --checkpoint --run-store",
+        "--resume",
         1,
     );
     let Some(program) = words.first() else {
@@ -522,18 +536,6 @@ fn cmd_train(args: &[String]) -> i32 {
     let inputs = num_flag(args, "--inputs", "a positive number", TRAIN_INPUTS).get();
     let version: u8 = num_flag(args, "--version", "1-5", 1u8);
     let out = arg_value(args, "--out").unwrap_or_else(|| format!("{program}.heapmd.json"));
-    let local = args.iter().any(|a| a == "--local");
-    // `--metrics candidates` widens model construction to the full
-    // candidate family; the default (`paper`) keeps the classic seven
-    // and produces bit-identical models to builds before the family.
-    let candidates = match arg_value(args, "--metrics").as_deref() {
-        None | Some("paper") => false,
-        Some("candidates") => true,
-        Some(v) => {
-            eprintln!("--metrics takes paper|candidates, got {v:?}");
-            return 2;
-        }
-    };
     let checkpoint_every: u64 = num_flag(args, "--checkpoint-every", "a number", 0u64);
     // Every core by default; `--threads N` caps the workers at N.
     let threads = num_flag(args, "--threads", "a positive number", available_workers()).get();
@@ -559,8 +561,6 @@ fn cmd_train(args: &[String]) -> i32 {
     let (mut builder, start) = if resume && Path::new(&ckpt_path).exists() {
         match TrainCheckpoint::load(&ckpt_path).and_then(ModelBuilder::from_checkpoint) {
             Ok((b, next)) => {
-                // The checkpoint's metric mode wins on resume: mixing
-                // modes mid-train would corrupt the stability stats.
                 println!("resuming from {ckpt_path}: {next} of {inputs} inputs already done");
                 (b, next)
             }
@@ -573,13 +573,7 @@ fn cmd_train(args: &[String]) -> i32 {
         if resume {
             info!("no checkpoint at {ckpt_path}; training from scratch");
         }
-        (
-            ModelBuilder::new(settings.clone())
-                .program(w.name())
-                .locally_stable(local)
-                .candidate_metrics(candidates),
-            0,
-        )
+        (ModelBuilder::new(settings.clone()).program(w.name()), 0)
     };
     let all_inputs = Input::set(inputs);
     let pending = &all_inputs[(start as usize).min(all_inputs.len())..];
@@ -639,13 +633,6 @@ fn cmd_train(args: &[String]) -> i32 {
             sm.std_change,
             sm.stable_runs,
             sm.total_runs
-        );
-    }
-    for lm in &outcome.model.locally_stable {
-        println!(
-            "locally stable {:<9} bands {:?}",
-            lm.kind.to_string(),
-            lm.ranges
         );
     }
     if !outcome.flagged_runs.is_empty() {
@@ -850,25 +837,10 @@ fn render_bundle(bundle: &IncidentBundle) -> String {
             let cells: Vec<String> = pairs.iter().map(|&(d, n)| format!("{d}:{n}")).collect();
             format!("  {label:<11} {}\n", cells.join("  "))
         };
-        let shape = |pairs: &[(u32, u64)]| -> String {
-            let dist = heapmd::DegreeDistribution::from_counts(
-                &heapmd::DegreeSnapshot::dense_counts(pairs),
-            );
-            format!(
-                "entropy {:.3} bits, tail(>={}) {:.3}, top-2 share {:.3}, max degree {}",
-                dist.entropy(),
-                heapmd::TAIL_MIN_DEGREE,
-                dist.tail_mass(heapmd::TAIL_MIN_DEGREE),
-                dist.top_share(2),
-                dist.max_degree()
-            )
-        };
         if !d.indeg_full.is_empty() || !d.outdeg_full.is_empty() {
             out.push_str("\nfull degree distribution (degree:count, no overflow bucket):\n");
             out.push_str(&full_row("indeg full", &d.indeg_full));
             out.push_str(&full_row("outdeg full", &d.outdeg_full));
-            out.push_str(&format!("  in  shape   {}\n", shape(&d.indeg_full)));
-            out.push_str(&format!("  out shape   {}\n", shape(&d.outdeg_full)));
         }
     }
 

@@ -269,7 +269,7 @@ pub fn fig7b(effort: Effort) -> (Vec<Fig7bRow>, String) {
                     return None;
                 }
                 Some(StableMetric {
-                    kind: kind.into(),
+                    kind,
                     min: entries.iter().map(|e| e.min).fold(f64::INFINITY, f64::min),
                     max: entries
                         .iter()
@@ -1172,7 +1172,7 @@ mod tests {
     fn example_metric_prefers_the_paper_choice() {
         use heapmd::{HeapModel, Settings, StableMetric};
         let sm = |kind: MetricKind, min: f64, max: f64| StableMetric {
-            kind: kind.into(),
+            kind,
             min,
             max,
             avg_change: 0.0,
@@ -1190,7 +1190,6 @@ mod tests {
                 sm(MetricKind::Outdeg1, 5.0, 35.0),
             ],
             unstable: vec![],
-            locally_stable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };

@@ -451,3 +451,94 @@ fn closed_stdout_exits_quietly() {
     assert_eq!(out.status.code(), Some(141), "{}", stderr(&out));
     assert!(out.stderr.is_empty(), "{}", stderr(&out));
 }
+
+/// A committed fixture under the repository's `tests/data`.
+fn fixture(name: &str) -> String {
+    format!("{}/../../tests/data/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Artifacts that name the retired extensions — a `train --metrics
+/// candidates` model, a `train --local` model, a bundle raised for
+/// `MaxInDegree`, all written by the last build that had them — are
+/// refused by name (exit 1, no panic) rather than checked with less
+/// than they were trained for; the flags that made them are usage
+/// errors; a format-2 bundle still loads.
+#[test]
+fn artifacts_of_the_retired_extensions_are_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("heapmd-retired-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("mm.hmdt");
+    let trace = trace.to_str().unwrap();
+    let out = cli(&["run", "multimedia", "--trace-out", trace]);
+    assert!(out.status.success(), "run: {}", stderr(&out));
+    let (candidates, local, bundle) = (
+        fixture("candidates_model.json"),
+        fixture("local_model.json"),
+        fixture("maxindeg_incident.hmdi"),
+    );
+    let cases = [
+        (
+            &["check", "--model", &candidates, "--trace", trace][..],
+            "model calibrates `Indeg3Plus`, which this build no longer computes",
+        ),
+        (
+            &["check", "--model", &local, "--trace", trace][..],
+            "`locally_stable`",
+        ),
+        (&["inspect", &bundle][..], "`MaxInDegree`"),
+    ];
+    for (args, name) in cases {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(name), "{args:?}: {}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    }
+    for flag in [&["--local"][..], &["--metrics", "candidates"]] {
+        let args = [&["train", "gzip"][..], flag].concat();
+        let out = cli(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(flag[0]), "{}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+    let out = cli(&["inspect", &fixture("v2_incident.hmdi")]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `run --trace-out` streams into `<file>.tmp` and renames it over the
+/// target once the trace is complete: a reader polling the target
+/// while the run goes sees the old bytes, then the whole new trace, and
+/// no temporary is left behind.
+#[test]
+fn trace_out_publishes_the_recording_in_one_rename() {
+    let dir = std::env::temp_dir().join(format!("heapmd-publish-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let target = dir.join("gcc.hmdt");
+    let tmp = dir.join("gcc.hmdt.tmp");
+    std::fs::write(&target, b"the previous recording").unwrap();
+    let mut child = Command::new(BIN)
+        .args(["run", "gcc", "--input", "7", "--trace-out"])
+        .arg(&target)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn heapmd-cli");
+    let mut seen_old = 0;
+    while child.try_wait().expect("poll heapmd-cli").is_none() {
+        let bytes = std::fs::read(&target).expect("the target is always there");
+        if bytes == b"the previous recording" {
+            seen_old += 1;
+        } else {
+            assert!(
+                heapmd::BinaryTraceImage::open(bytes).is_ok(),
+                "a torn trace"
+            );
+        }
+    }
+    assert!(child.wait().unwrap().success());
+    assert!(seen_old > 0, "the old bytes stay until the publish");
+    let image = heapmd::BinaryTraceImage::open_path(&target).expect("a complete trace");
+    assert!(image.index().blocks.len() > 1);
+    assert!(!tmp.exists(), "the temporary is renamed away");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,6 +1,6 @@
 //! Bug reports and the paper's bug taxonomy (§4.1, Figures 8 and 9).
 
-use heap_graph::CandidateKind;
+use heap_graph::MetricKind;
 use serde::{Deserialize, Serialize};
 use std::fmt::{self, Write as _};
 
@@ -43,9 +43,6 @@ pub enum AnomalyKind {
     /// checking — the paper's *pathological* class (never observed by
     /// the authors, but detectable).
     UnexpectedStability,
-    /// A locally stable metric's value fell outside every calibrated
-    /// phase band (the §2.1 locally-stable-model extension).
-    LocalRangeViolation,
 }
 
 impl fmt::Display for AnomalyKind {
@@ -58,9 +55,6 @@ impl fmt::Display for AnomalyKind {
                 write!(f, "poorly disguised anomaly (pinned {extreme})")
             }
             AnomalyKind::UnexpectedStability => f.write_str("unexpected metric stability"),
-            AnomalyKind::LocalRangeViolation => {
-                f.write_str("value outside every calibrated phase band")
-            }
         }
     }
 }
@@ -97,9 +91,8 @@ pub struct StackLogEntry {
 /// function.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BugReport {
-    /// The metric that misbehaved: a paper metric, or an extended
-    /// candidate a candidate-mode model calibrated.
-    pub metric: CandidateKind,
+    /// The metric that misbehaved.
+    pub metric: MetricKind,
     /// What kind of anomaly was seen.
     pub kind: AnomalyKind,
     /// The metric's value at detection time.
@@ -188,7 +181,6 @@ impl AnomalyKind {
             AnomalyKind::RangeViolation { .. } => "range_violation",
             AnomalyKind::PoorlyDisguised { .. } => "poorly_disguised",
             AnomalyKind::UnexpectedStability => "unexpected_stability",
-            AnomalyKind::LocalRangeViolation => "local_range_violation",
         }
     }
 }
@@ -340,7 +332,7 @@ mod tests {
 
     fn report() -> BugReport {
         BugReport {
-            metric: CandidateKind::Indeg1,
+            metric: MetricKind::Indeg1,
             kind: AnomalyKind::RangeViolation {
                 direction: Direction::AboveMax,
             },

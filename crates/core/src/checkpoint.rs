@@ -4,10 +4,9 @@
 //! `heapmd train` that dies (OOM-killed, SIGKILLed, power loss) used to
 //! lose every run already summarized. A [`TrainCheckpoint`] captures
 //! the [`ModelBuilder`]'s complete intermediate state — per-run
-//! summaries, the optional locally-stable series, and the index of the
-//! next training input — after each metric-computation (summarization)
-//! point, written atomically so the file on disk is always a whole,
-//! loadable checkpoint.
+//! summaries and the index of the next training input — after each
+//! metric-computation (summarization) point, written atomically so the
+//! file on disk is always a whole, loadable checkpoint.
 //!
 //! Resuming from a checkpoint and finishing the remaining inputs
 //! yields the same model as an uninterrupted run: summaries are pure
@@ -16,8 +15,9 @@
 //! SIGKILL.
 
 use crate::error::HeapMdError;
-use crate::model::{metric_set, ModelBuilder, RunSummary};
+use crate::model::{ModelBuilder, RunSummary};
 use crate::settings::Settings;
+use heap_graph::{MetricKind, METRIC_COUNT};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -35,18 +35,8 @@ pub struct TrainCheckpoint {
     pub program: String,
     /// Settings in force during training.
     pub settings: Settings,
-    /// Whether locally-stable (phase band) modelling is on.
-    pub include_local: bool,
     /// Per-run summaries accumulated so far.
     pub runs: Vec<RunSummary>,
-    /// Trimmed per-metric series (parallel to `runs`; populated only
-    /// when `include_local`).
-    pub series: Vec<Option<Vec<Vec<f64>>>>,
-    /// Whether the whole candidate family is calibrated, not only the
-    /// paper seven. Absent in checkpoints from builds that predate the
-    /// candidate family.
-    #[serde(default)]
-    pub include_candidates: bool,
     /// Minimum store-sampling rate over the runs summarized so far
     /// (1.0 when every run was exact; absent in legacy checkpoints).
     #[serde(default = "default_checkpoint_sample_rate")]
@@ -59,10 +49,15 @@ fn default_checkpoint_sample_rate() -> f64 {
     1.0
 }
 
+/// Switches of retired training modes (`train --local`, `train
+/// --metrics candidates`). A checkpoint with one set is refused on
+/// load: resuming it would silently train a plainer model.
+const RETIRED_SWITCHES: [&str; 2] = ["include_local", "include_candidates"];
+
 impl TrainCheckpoint {
-    /// Structural validation: supported version, internally
-    /// consistent run/series bookkeeping, and run summaries that cover
-    /// exactly the metric family of the checkpoint's mode.
+    /// Structural validation: supported version, run summaries that
+    /// cover exactly the paper seven, and a resume point not behind
+    /// them.
     ///
     /// # Errors
     ///
@@ -74,29 +69,16 @@ impl TrainCheckpoint {
                 self.version, CHECKPOINT_FORMAT_VERSION
             )));
         }
-        if self.runs.len() != self.series.len() {
-            return Err(HeapMdError::Checkpoint(format!(
-                "{} run summaries but {} series entries",
-                self.runs.len(),
-                self.series.len()
-            )));
-        }
-        let kinds = metric_set(self.include_candidates);
         for run in &self.runs {
             let Some(metrics) = &run.metrics else {
                 continue;
             };
-            if !metrics.iter().map(|m| m.kind).eq(kinds.iter().copied()) {
-                let mode = if self.include_candidates {
-                    "candidate"
-                } else {
-                    "paper"
-                };
+            if !metrics.iter().map(|m| m.kind).eq(MetricKind::ALL) {
                 return Err(HeapMdError::Checkpoint(format!(
-                    "run {} summarizes {} metrics, not the {} of the {mode} family",
+                    "run {} summarizes {} metrics, not the {} paper metrics",
                     run.run,
                     metrics.len(),
-                    kinds.len()
+                    METRIC_COUNT
                 )));
             }
         }
@@ -131,14 +113,26 @@ impl TrainCheckpoint {
     /// # Errors
     ///
     /// [`HeapMdError::Io`] when unreadable, [`HeapMdError::Corrupt`]
-    /// when the container (magic, CRC, framing) or its JSON is damaged,
+    /// when the container (magic, CRC, framing) or its JSON is damaged
+    /// or it sets a retired training mode's switch,
     /// [`HeapMdError::Checkpoint`] when it parses but fails validation.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, HeapMdError> {
         let bytes = std::fs::read(path)?;
         let text = String::from_utf8(crate::trace_codec::decode_meta_container(&bytes)?)
             .map_err(|_| HeapMdError::corrupt(0, "checkpoint payload is not UTF-8"))?;
-        let cp: TrainCheckpoint = serde_json::from_str(&text)
-            .map_err(|e| HeapMdError::corrupt(0, format!("checkpoint JSON: {e}")))?;
+        let json =
+            |e: &dyn std::fmt::Display| HeapMdError::corrupt(0, format!("checkpoint JSON: {e}"));
+        let value: serde::Value = serde_json::from_str(&text).map_err(|e| json(&e))?;
+        if let Some(key) = RETIRED_SWITCHES
+            .into_iter()
+            .find(|key| value.get(key).and_then(serde::Value::as_bool) == Some(true))
+        {
+            return Err(HeapMdError::corrupt(
+                0,
+                format!("checkpoint sets `{key}`, a training mode this build no longer has"),
+            ));
+        }
+        let cp = <TrainCheckpoint as Deserialize>::from_value(&value).map_err(|e| json(&e))?;
         cp.validate()?;
         Ok(cp)
     }
@@ -152,10 +146,7 @@ impl ModelBuilder {
             version: CHECKPOINT_FORMAT_VERSION,
             program: self.program.clone(),
             settings: self.settings.clone(),
-            include_local: self.include_local,
             runs: self.runs.clone(),
-            series: self.series.clone(),
-            include_candidates: self.include_candidates,
             min_sample_rate: self.min_sample_rate,
             next_input,
         }
@@ -180,9 +171,6 @@ impl ModelBuilder {
                 settings: cp.settings,
                 program: cp.program,
                 runs: cp.runs,
-                include_local: cp.include_local,
-                series: cp.series,
-                include_candidates: cp.include_candidates,
                 min_sample_rate: if cp.min_sample_rate.is_finite()
                     && cp.min_sample_rate > 0.0
                     && cp.min_sample_rate <= 1.0
@@ -201,7 +189,7 @@ impl ModelBuilder {
 mod tests {
     use super::*;
     use crate::report::{MetricReport, MetricSample};
-    use heap_graph::{CandidateVector, CANDIDATE_COUNT};
+    use heap_graph::MetricVector;
 
     /// Sample `i` with every metric at `value`.
     fn flat_sample(i: usize, value: f64) -> MetricSample {
@@ -212,7 +200,7 @@ mod tests {
             nodes: 10,
             edges: 5,
             dangling: 0,
-            values: CandidateVector::from_array([value; CANDIDATE_COUNT]),
+            values: MetricVector::from_array([value; METRIC_COUNT]),
         }
     }
 
@@ -256,36 +244,6 @@ mod tests {
             resumed.add_run(r);
         }
         assert_eq!(resumed.build().model, expected);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn locally_stable_state_survives_the_checkpoint() {
-        let settings = Settings::default();
-        let phase = |run: &str| {
-            let samples = (0..40)
-                .map(|i| flat_sample(i, if i < 20 { 10.0 } else { 30.0 }))
-                .collect();
-            MetricReport::new(run, samples)
-        };
-        let mut full = ModelBuilder::new(settings.clone()).locally_stable(true);
-        for i in 0..4 {
-            full.add_run(&phase(&format!("r{i}")));
-        }
-        let expected = full.build().model;
-
-        let mut first = ModelBuilder::new(settings).locally_stable(true);
-        first.add_run(&phase("r0"));
-        first.add_run(&phase("r1"));
-        let path = tmp("local.ckpt");
-        first.checkpoint(2).save(&path).unwrap();
-        let (mut resumed, _) =
-            ModelBuilder::from_checkpoint(TrainCheckpoint::load(&path).unwrap()).unwrap();
-        resumed.add_run(&phase("r2"));
-        resumed.add_run(&phase("r3"));
-        let got = resumed.build().model;
-        assert_eq!(got.locally_stable, expected.locally_stable);
-        assert_eq!(got, expected);
         std::fs::remove_file(&path).ok();
     }
 
@@ -344,10 +302,6 @@ mod tests {
             Err(HeapMdError::Checkpoint(_))
         ));
 
-        // Inconsistent bookkeeping → Checkpoint error.
-        let mut cp = b.checkpoint(0);
-        cp.series.push(None);
-        assert!(matches!(cp.validate(), Err(HeapMdError::Checkpoint(_))));
         let cp = b.checkpoint(5);
         assert!(cp.validate().is_ok(), "skipped inputs are legal");
 
@@ -360,26 +314,37 @@ mod tests {
     }
 
     #[test]
-    fn summaries_outside_the_mode_family_are_refused() {
-        let mut paper = ModelBuilder::new(Settings::default());
-        paper.add_run(&report("r0", 40.0, 30));
-        let mut cand = ModelBuilder::new(Settings::default()).candidate_metrics(true);
-        cand.add_run(&report("r0", 40.0, 30));
-        assert!(paper.checkpoint(1).validate().is_ok());
-        assert!(cand.checkpoint(1).validate().is_ok());
+    fn summaries_of_other_metrics_are_refused() {
+        let mut b = ModelBuilder::new(Settings::default());
+        b.add_run(&report("r0", 40.0, 30));
+        let cp = b.checkpoint(1);
+        assert!(cp.validate().is_ok());
+        let mut short = cp.clone();
+        short.runs[0].metrics.as_mut().unwrap().pop();
+        assert!(matches!(short.validate(), Err(HeapMdError::Checkpoint(_))));
+    }
 
-        // A candidate-mode checkpoint whose runs cover only the paper
-        // seven (as builds that summarized candidates apart wrote them).
-        let mut cp = paper.checkpoint(1);
-        cp.include_candidates = true;
-        assert!(matches!(cp.validate(), Err(HeapMdError::Checkpoint(_))));
-        // And the other way round.
-        let mut cp = cand.checkpoint(1);
-        cp.include_candidates = false;
-        assert!(matches!(
-            ModelBuilder::from_checkpoint(cp),
-            Err(HeapMdError::Checkpoint(_))
-        ));
+    #[test]
+    fn retired_training_modes_are_refused_by_name() {
+        let mut b = ModelBuilder::new(Settings::default());
+        b.add_run(&report("r0", 40.0, 30));
+        let json = serde_json::to_string(&b.checkpoint(1)).unwrap();
+        let path = tmp("retired.ckpt");
+        for key in RETIRED_SWITCHES {
+            for (set, refused) in [(false, false), (true, true)] {
+                let with = json.replacen('{', &format!("{{\"{key}\":{set},"), 1);
+                let bytes = crate::trace_codec::encode_meta_container(with.as_bytes());
+                std::fs::write(&path, bytes).unwrap();
+                match TrainCheckpoint::load(&path) {
+                    Err(HeapMdError::Corrupt { reason, .. }) if refused => {
+                        assert!(reason.contains(key), "{reason}")
+                    }
+                    Ok(cp) if !refused => assert_eq!(cp, b.checkpoint(1)),
+                    other => panic!("{key}: {set}: {other:?}"),
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

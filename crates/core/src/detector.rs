@@ -6,7 +6,6 @@ use crate::fluctuation::FluctuationStats;
 use crate::incident::{DegreeSnapshot, IncidentBundle, IncidentLog, SeriesData};
 use crate::model::{sampling_widen, HeapModel, StableMetric};
 use crate::monitor::{Monitor, MonitorCtx};
-use crate::phase_model::LocalMetric;
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
 use crate::stability::{classify, StabilityClass};
@@ -142,13 +141,6 @@ impl ArmedWindow {
     }
 }
 
-/// Per-locally-stable-metric checking state (the §2.1 extension).
-#[derive(Debug)]
-struct LocalState {
-    lm: LocalMetric,
-    in_violation: bool,
-}
-
 /// Flight-recorder context snapshotted when an excursion opens, held
 /// until the bug finalizes (the report may still grow after-context).
 #[derive(Debug)]
@@ -188,8 +180,7 @@ pub(crate) struct Band {
 }
 
 /// How one checked stream widens calibrated ranges. The detector's
-/// global and local checks and serve's live gauges all set their
-/// accepted bands here.
+/// checks and serve's live gauges all set their accepted bands here.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BandPolicy {
     /// The rate that parameterizes confidence widening: the *mismatch
@@ -235,11 +226,6 @@ impl BandPolicy {
             near: (max - min).max(0.5) * self.near_edge_frac,
         }
     }
-
-    /// The slack on each side of a band `width` wide.
-    pub(crate) fn slack(&self, width: f64) -> f64 {
-        self.range_margin + sampling_widen(width, self.rate)
-    }
 }
 
 /// HeapMD's online execution checker.
@@ -254,18 +240,11 @@ impl BandPolicy {
 ///   carries context from before the crossing.
 /// * **Range violation** — crossing the calibrated min/max raises a
 ///   [`BugReport`] with before/during/after call-stack context.
-/// * **Poorly disguised** — a paper metric that exits startup pinned
-///   at an extreme of its range (and stays there) is reported at
-///   finish.
-/// * **Pathological** — a paper metric that was *unstable* in training
-///   but stays globally stable during the checked run is reported at
+/// * **Poorly disguised** — a metric that exits startup pinned at an
+///   extreme of its range (and stays there) is reported at finish.
+/// * **Pathological** — a metric that was *unstable* in training but
+///   stays globally stable during the checked run is reported at
 ///   finish as unexpected stability.
-///
-/// A candidate-mode model's extended metrics get the first two checks
-/// only. On clean runs a maximum degree calibrated to one value sits
-/// pinned at its edge by construction, and a mean degree that moved in
-/// training can hold still on one input, so the last two classes would
-/// report noise for them (DESIGN.md §14.1).
 ///
 /// Stability is deliberately *not* required during checking: a metric
 /// may wander, so long as it stays within the calibrated range (§2.2).
@@ -302,8 +281,7 @@ impl BandPolicy {
 pub struct AnomalyDetector {
     settings: Settings,
     states: Vec<MetricState>,
-    local_states: Vec<LocalState>,
-    /// Paper metrics the model recorded as never-stable in training,
+    /// Metrics the model recorded as never-stable in training,
     /// tracked for pathological (unexpected-stability) detection:
     /// (kind, post-warmup values).
     unstable: Vec<(MetricKind, Vec<f64>)>,
@@ -353,21 +331,7 @@ impl AnomalyDetector {
                 ever_violated: false,
             })
             .collect::<Vec<_>>();
-        let unstable = model
-            .unstable
-            .iter()
-            .filter_map(|k| k.paper_kind())
-            .map(|k| (k, Vec::new()))
-            .collect();
-        let local_states = model
-            .locally_stable
-            .iter()
-            .cloned()
-            .map(|lm| LocalState {
-                lm,
-                in_violation: false,
-            })
-            .collect();
+        let unstable = model.unstable.iter().map(|&k| (k, Vec::new())).collect();
         AnomalyDetector {
             window: ArmedWindow {
                 capacity: settings.callstack_capacity,
@@ -376,7 +340,6 @@ impl AnomalyDetector {
             after_left: 0,
             settings,
             states,
-            local_states,
             unstable,
             armed: false,
             armed_at: None,
@@ -603,44 +566,6 @@ impl AnomalyDetector {
             .max()
             .unwrap_or(0);
 
-        // The §2.1 extension: locally stable metrics must sit inside
-        // *some* calibrated phase band.
-        if !warmup {
-            for st in &mut self.local_states {
-                // Widen each phase band by the widest band's slack.
-                let bw = st
-                    .lm
-                    .ranges
-                    .iter()
-                    .map(|r| r.1 - r.0)
-                    .fold(0.0_f64, f64::max);
-                let margin = policy.slack(bw);
-                let v = sample.metric(st.lm.kind);
-                if st.lm.contains(v, margin) {
-                    st.in_violation = false;
-                } else if !st.in_violation {
-                    st.in_violation = true;
-                    let hull = (
-                        st.lm.ranges.first().map(|r| r.0).unwrap_or(f64::NAN),
-                        st.lm.ranges.last().map(|r| r.1).unwrap_or(f64::NAN),
-                    );
-                    let bug = BugReport {
-                        metric: st.lm.kind.into(),
-                        kind: AnomalyKind::LocalRangeViolation,
-                        value: v,
-                        range: hull,
-                        sample_seq: sample.seq,
-                        fn_entries: sample.fn_entries,
-                        sample_rate: rate,
-                        band_distance: 0.0,
-                        context: Vec::new(),
-                    };
-                    crate::bug::emit_anomaly_event(&bug);
-                    self.bugs.push(bug);
-                }
-            }
-        }
-
         // Rising edge of the slope heuristic: the circular call-stack
         // buffer starts recording here, so surface why it armed.
         if any_armed && !self.armed {
@@ -698,10 +623,7 @@ impl AnomalyDetector {
         let n = self.samples_seen;
         let cutoff = n.saturating_sub(self.settings.trim_count(n));
         let kept = |b: &BugReport| {
-            !matches!(
-                b.kind,
-                AnomalyKind::RangeViolation { .. } | AnomalyKind::LocalRangeViolation
-            ) || b.sample_seq < cutoff
+            !matches!(b.kind, AnomalyKind::RangeViolation { .. }) || b.sample_seq < cutoff
         };
         self.bugs.retain(|b| kept(b));
         self.incidents.retain(|inc| kept(&inc.report));
@@ -715,13 +637,13 @@ impl AnomalyDetector {
                 }
             }
         }
-        // Poorly disguised: a paper metric pinned at an extreme for most
-        // of the run, without ever crossing.
+        // Poorly disguised: a metric pinned at an extreme for most of
+        // the run, without ever crossing.
         let total = self.post_warmup_samples;
         if total > 0 {
             let needed = ((total as f64) * PINNED_FRACTION).ceil() as usize;
             for st in &self.states {
-                if st.ever_violated || !st.sm.kind.is_paper() {
+                if st.ever_violated {
                     continue;
                 }
                 let extreme = if st.pinned_low >= needed {
@@ -757,7 +679,7 @@ impl AnomalyDetector {
             let stats = FluctuationStats::from_series(values);
             if classify(&stats, &self.settings) == StabilityClass::GloballyStable {
                 let bug = BugReport {
-                    metric: (*kind).into(),
+                    metric: *kind,
                     kind: AnomalyKind::UnexpectedStability,
                     value: *values.last().expect("non-empty"),
                     range: (f64::NAN, f64::NAN),
@@ -818,10 +740,9 @@ impl Monitor for AnomalyDetector {
 mod tests {
     use super::*;
     use crate::model::StableMetric;
-    use heap_graph::{CandidateKind, CandidateVector, CANDIDATE_COUNT, METRIC_COUNT};
+    use heap_graph::{MetricVector, METRIC_COUNT};
 
-    fn model_with(kind: impl Into<CandidateKind>, min: f64, max: f64) -> HeapModel {
-        let kind = kind.into();
+    fn model_with(kind: MetricKind, min: f64, max: f64) -> HeapModel {
         HeapModel {
             version: crate::model::MODEL_FORMAT_VERSION,
             program: "test".into(),
@@ -835,12 +756,7 @@ mod tests {
                 stable_runs: 5,
                 total_runs: 5,
             }],
-            unstable: CandidateKind::ALL[..METRIC_COUNT]
-                .iter()
-                .copied()
-                .filter(|&k| k != kind)
-                .collect(),
-            locally_stable: vec![],
+            unstable: MetricKind::ALL.into_iter().filter(|&k| k != kind).collect(),
             sample_rate: 1.0,
             training_runs: 5,
         }
@@ -854,8 +770,8 @@ mod tests {
         // Make non-target metrics noisy so the pathological detector
         // stays quiet in these tests.
         let noisy = if seq.is_multiple_of(2) { 20.0 } else { 60.0 };
-        let mut values = CandidateVector::from_array([noisy; CANDIDATE_COUNT]);
-        values.set(kind.into(), value);
+        let mut values = MetricVector::from_array([noisy; METRIC_COUNT]);
+        values.set(kind, value);
         MetricSample {
             fn_entries: (seq as u64 + 1) * 100,
             tick: (seq as u64 + 1) * 1000,
@@ -865,7 +781,7 @@ mod tests {
         }
     }
 
-    fn at(seq: usize, values: CandidateVector) -> MetricSample {
+    fn at(seq: usize, values: MetricVector) -> MetricSample {
         MetricSample {
             seq,
             fn_entries: seq as u64,
@@ -1026,16 +942,16 @@ mod tests {
         let model = model_with(MetricKind::Indeg1, 0.0, 100.0);
         let mut det = AnomalyDetector::new(model, settings());
         for i in 0..20 {
-            let mut values = CandidateVector::zero();
-            values.set(CandidateKind::Indeg1, 50.0);
-            values.set(CandidateKind::Roots, 25.0); // flat: unexpected
-                                                    // keep the rest noisy
+            let mut values = MetricVector::zero();
+            values.set(MetricKind::Indeg1, 50.0);
+            values.set(MetricKind::Roots, 25.0); // flat: unexpected
+                                                 // keep the rest noisy
             for k in [
-                CandidateKind::Indeg2,
-                CandidateKind::Leaves,
-                CandidateKind::Outdeg1,
-                CandidateKind::Outdeg2,
-                CandidateKind::InEqOut,
+                MetricKind::Indeg2,
+                MetricKind::Leaves,
+                MetricKind::Outdeg1,
+                MetricKind::Outdeg2,
+                MetricKind::InEqOut,
             ] {
                 values.set(k, if i % 2 == 0 { 10.0 } else { 70.0 });
             }
@@ -1052,92 +968,33 @@ mod tests {
     }
 
     #[test]
-    fn extended_metrics_take_no_pinned_or_stability_verdicts() {
-        // `pinned` sits glued to the minimum of [13, 33] without
-        // crossing; `flat` was never stable in training and holds still.
-        let check = |pinned: CandidateKind, flat: CandidateKind| -> Vec<BugReport> {
-            let mut model = model_with(pinned, 13.0, 33.0);
-            model.unstable = vec![flat];
-            let mut det = AnomalyDetector::new(model, settings());
-            for i in 0..20 {
-                let noisy = if i % 2 == 0 { 20.0 } else { 60.0 };
-                let mut values = CandidateVector::from_array([noisy; CANDIDATE_COUNT]);
-                values.set(pinned, 13.0 + (i % 3) as f64 * 0.02);
-                values.set(flat, 25.0);
-                det.scan_sample(&at(i, values), None);
-            }
-            det.finish_scan();
-            det.bugs
-        };
-        let paper = check(CandidateKind::Indeg1, CandidateKind::Roots);
-        let kinds: Vec<_> = paper.iter().map(|b| (b.metric, b.kind)).collect();
+    fn a_pinned_and_a_flat_metric_take_their_finish_verdicts() {
+        // Indeg1 sits glued to the minimum of [13, 33] without crossing;
+        // Roots was never stable in training and holds still.
+        let mut model = model_with(MetricKind::Indeg1, 13.0, 33.0);
+        model.unstable = vec![MetricKind::Roots];
+        let mut det = AnomalyDetector::new(model, settings());
+        for i in 0..20 {
+            let noisy = if i % 2 == 0 { 20.0 } else { 60.0 };
+            let mut values = MetricVector::from_array([noisy; METRIC_COUNT]);
+            values.set(MetricKind::Indeg1, 13.0 + (i % 3) as f64 * 0.02);
+            values.set(MetricKind::Roots, 25.0);
+            det.scan_sample(&at(i, values), None);
+        }
+        det.finish_scan();
+        let kinds: Vec<_> = det.bugs.iter().map(|b| (b.metric, b.kind)).collect();
         assert_eq!(
             kinds,
             [
                 (
-                    CandidateKind::Indeg1,
+                    MetricKind::Indeg1,
                     AnomalyKind::PoorlyDisguised {
                         extreme: Direction::BelowMin
                     }
                 ),
-                (CandidateKind::Roots, AnomalyKind::UnexpectedStability),
+                (MetricKind::Roots, AnomalyKind::UnexpectedStability),
             ]
         );
-        let extended = check(CandidateKind::MaxOutDegree, CandidateKind::MeanDegree);
-        assert!(extended.is_empty(), "unexpected: {extended:?}");
-    }
-
-    #[test]
-    fn extended_metrics_raise_range_violations() {
-        let mut model = model_with(CandidateKind::MaxInDegree, 3.0, 3.0);
-        model.unstable.clear();
-        let mut det = AnomalyDetector::new(model, settings());
-        for (i, v) in [3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 3.0, 3.0, 3.0, 3.0]
-            .into_iter()
-            .enumerate()
-        {
-            let mut values = CandidateVector::zero();
-            values.set(CandidateKind::MaxInDegree, v);
-            det.scan_sample(&at(i, values), None);
-        }
-        det.finish_scan();
-        assert_eq!(det.bugs.len(), 1, "{:?}", det.bugs);
-        assert_eq!(det.bugs[0].metric, CandidateKind::MaxInDegree);
-        assert_eq!(det.bugs[0].value, 4.0);
-        assert_eq!(det.bugs[0].sample_seq, 4);
-        assert_eq!(det.bugs[0].range, (2.5, 3.5));
-        assert!(det.bugs[0]
-            .to_string()
-            .starts_with("MaxIndeg: range violation"));
-    }
-
-    #[test]
-    fn locally_stable_bands_are_enforced() {
-        use crate::phase_model::LocalMetric;
-        let mut model = model_with(MetricKind::Indeg1, 0.0, 100.0);
-        model.locally_stable = vec![LocalMetric {
-            kind: MetricKind::Leaves,
-            ranges: vec![(10.0, 12.0), (30.0, 32.0)],
-            stable_runs: 3,
-            total_runs: 5,
-        }];
-        let mut det = AnomalyDetector::new(model, settings());
-        // Values in either band are fine; 20 (between bands) is not.
-        let values = [11.0, 11.0, 31.0, 11.0, 20.0, 31.0, 11.0, 31.0, 30.5, 31.0];
-        for (i, &v) in values.iter().enumerate() {
-            let mut values = CandidateVector::from_array([50.0; CANDIDATE_COUNT]);
-            values.set(CandidateKind::Leaves, v);
-            det.scan_sample(&at(i, values), None);
-        }
-        det.finish_scan();
-        let local: Vec<_> = det
-            .bugs
-            .iter()
-            .filter(|b| matches!(b.kind, AnomalyKind::LocalRangeViolation))
-            .collect();
-        assert_eq!(local.len(), 1, "{:?}", det.bugs);
-        assert_eq!(local[0].metric, MetricKind::Leaves);
-        assert_eq!(local[0].sample_seq, 4);
     }
 
     /// Steps `values` one sample at a time, returning the detector and

@@ -140,8 +140,7 @@ pub struct DegreeSnapshot {
     pub in_eq_out: u64,
     /// Full-resolution indegree distribution as sparse ascending
     /// `(degree, node count)` pairs — no overflow bucket, so `inspect`
-    /// can rebuild the exact weighted degree-frequency distribution
-    /// (entropy, tail mass). Empty in v1 bundles.
+    /// shows every degree present. Empty in v1 bundles.
     #[serde(default)]
     pub indeg_full: Vec<(u32, u64)>,
     /// Same, for outdegree.
@@ -176,19 +175,6 @@ impl DegreeSnapshot {
             indeg_full: sparse(h.indegree_counts()),
             outdeg_full: sparse(h.outdegree_counts()),
         }
-    }
-
-    /// Rebuilds the dense per-degree count vector from one of the
-    /// sparse full-resolution distributions (empty pairs ⇒ empty vec).
-    pub fn dense_counts(pairs: &[(u32, u64)]) -> Vec<u64> {
-        let Some(&(max, _)) = pairs.last() else {
-            return Vec::new();
-        };
-        let mut counts = vec![0u64; max as usize + 1];
-        for &(d, n) in pairs {
-            counts[d as usize] = n;
-        }
-        counts
     }
 }
 
@@ -645,12 +631,12 @@ fn slug(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::bug::{AnomalyKind, Direction, LogPhase};
-    use heap_graph::CandidateKind;
+    use heap_graph::MetricKind;
 
     fn sample_bundle() -> IncidentBundle {
         IncidentBundle {
             report: BugReport {
-                metric: CandidateKind::Indeg1,
+                metric: MetricKind::Indeg1,
                 kind: AnomalyKind::RangeViolation {
                     direction: Direction::AboveMax,
                 },
@@ -844,17 +830,6 @@ mod tests {
         let d = back.degrees.expect("bucketed degrees survive");
         assert_eq!(d.indeg, b.degrees.as_ref().unwrap().indeg);
         assert!(d.indeg_full.is_empty() && d.outdeg_full.is_empty());
-    }
-
-    #[test]
-    fn dense_counts_rebuilds_sparse_pairs() {
-        let pairs = vec![(1u32, 60u64), (3, 10), (12, 1)];
-        let dense = DegreeSnapshot::dense_counts(&pairs);
-        assert_eq!(dense.len(), 13);
-        assert_eq!(dense[1], 60);
-        assert_eq!(dense[2], 0);
-        assert_eq!(dense[12], 1);
-        assert!(DegreeSnapshot::dense_counts(&[]).is_empty());
     }
 
     #[test]

@@ -77,7 +77,6 @@ mod incident;
 mod model;
 mod monitor;
 pub mod persist;
-pub mod phase_model;
 pub mod plot;
 mod pool;
 mod process;
@@ -107,7 +106,6 @@ pub use model::{
     MODEL_FORMAT_VERSION,
 };
 pub use monitor::{Monitor, MonitorCtx};
-pub use phase_model::{merge_ranges, segment, LocalMetric, Plateau};
 pub use pool::{available_workers, run_pool_streaming};
 pub use process::Process;
 pub use report::{MetricReport, MetricSample};
@@ -127,10 +125,7 @@ pub use trace_codec::{
 };
 
 // Re-export the metric vocabulary so downstream crates only need `heapmd`.
-pub use heap_graph::{
-    CandidateKind, CandidateVector, DegreeDistribution, ExtendedMetrics, MetricKind, MetricVector,
-    CANDIDATE_COUNT, METRIC_COUNT, TAIL_MIN_DEGREE,
-};
+pub use heap_graph::{ExtendedMetrics, MetricKind, MetricVector, METRIC_COUNT};
 pub use sim_heap::{Addr, AllocSite, HeapError, HeapEvent, ObjectId, NULL};
 
 // Re-export the production-overhead sampling front end (see `swat`).

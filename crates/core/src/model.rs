@@ -2,30 +2,18 @@
 
 use crate::error::HeapMdError;
 use crate::fluctuation::FluctuationStats;
-use crate::phase_model::{merge_ranges, segment, LocalMetric, Plateau};
 use crate::report::MetricReport;
 use crate::settings::Settings;
 use crate::stability::{classify, StabilityClass};
-use heap_graph::{CandidateKind, MetricKind, METRIC_COUNT};
+use heap_graph::MetricKind;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-
-/// The metric family a builder calibrates: the paper seven, or the
-/// whole candidate family (`train --metrics candidates`), whose first
-/// seven members are the paper seven.
-pub(crate) fn metric_set(candidates: bool) -> &'static [CandidateKind] {
-    if candidates {
-        &CandidateKind::ALL
-    } else {
-        &CandidateKind::ALL[..METRIC_COUNT]
-    }
-}
 
 /// Per-run, per-metric analysis produced while summarizing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MetricSummary {
     /// The metric analysed.
-    pub kind: CandidateKind,
+    pub kind: MetricKind,
     /// Fluctuation statistics over the trimmed samples.
     pub stats: FluctuationStats,
     /// Stability classification for this run.
@@ -36,8 +24,7 @@ pub struct MetricSummary {
     pub max: f64,
 }
 
-/// One run's summaries, one entry per metric of the builder's family
-/// in canonical order.
+/// One run's summaries, one entry per paper metric in canonical order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// The run label.
@@ -55,7 +42,7 @@ pub struct RunSummary {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StableMetric {
     /// The metric.
-    pub kind: CandidateKind,
+    pub kind: MetricKind,
     /// Minimum observed across **all** training inputs (§2.2: "the
     /// minimum and maximum values these metrics attained across all
     /// the training inputs") — the calibrated lower bound.
@@ -92,16 +79,18 @@ impl StableMetric {
 /// builds) parse as version 0 and are accepted; files from a *newer*
 /// format are rejected by [`HeapModel::validate`].
 ///
-/// Version history: 1 added the id-keyed candidate family; 2 added the
-/// calibration-time store-sampling rate (older files default to 1.0).
+/// Version history: 1 added the id-keyed candidate family (since
+/// retired: a file naming one of its extended metrics is refused); 2
+/// added the calibration-time store-sampling rate (older files default
+/// to 1.0).
 pub const MODEL_FORMAT_VERSION: u32 = 2;
 
-/// Keys of the separate candidate block that builds before the one
-/// metric family wrote. Every model still carries them, empty, so
-/// paper-mode files keep their bytes; a file with a non-empty one is
-/// refused, since loading it without that block would silently check
-/// only the paper seven.
-const RETIRED_KEYS: [&str; 2] = ["candidate_stable", "candidate_unstable"];
+/// Keys of retired model extensions: locally stable phase bands and
+/// the separate candidate block of older builds. Every model still
+/// carries them, empty, after `unstable`, so model files keep their
+/// bytes; a file with a non-empty one is refused, since loading it
+/// without that key would silently check less than it was trained to.
+const RETIRED_KEYS: [&str; 3] = ["locally_stable", "candidate_stable", "candidate_unstable"];
 
 /// Extra slack added to **each side** of a calibrated `[min, max]`
 /// range when the observed stream was store-sampled at `rate`: with
@@ -138,18 +127,12 @@ pub struct HeapModel {
     /// [`ModelBuilder::build`]).
     pub settings: Settings,
     /// Globally stable metrics with their calibrated ranges, in
-    /// canonical metric order: paper metrics only, or candidates too
-    /// when the model was built with [`ModelBuilder::candidate_metrics`].
+    /// canonical metric order.
     pub stable: Vec<StableMetric>,
-    /// Metrics that were globally stable on *zero* training runs. The
-    /// paper ones are the "normally unstable" metrics whose unexpected
-    /// stability during checking flags a pathological bug (§4.1).
-    pub unstable: Vec<CandidateKind>,
-    /// Locally stable metrics with their calibrated phase bands —
-    /// present when the model was built with
-    /// [`ModelBuilder::locally_stable`] (the paper's §2.1 extension).
-    #[serde(default)]
-    pub locally_stable: Vec<LocalMetric>,
+    /// Metrics that were globally stable on *zero* training runs: the
+    /// "normally unstable" metrics whose unexpected stability during
+    /// checking flags a pathological bug (§4.1).
+    pub unstable: Vec<MetricKind>,
     /// The lowest effective store-sampling rate among the training
     /// runs, in `(0, 1]`. `1.0` (the default for pre-v2 artifacts)
     /// means every training run observed every store; lower values mean
@@ -167,13 +150,12 @@ fn default_model_sample_rate() -> f64 {
 
 impl HeapModel {
     /// The calibrated entry for `kind`, if it is globally stable.
-    pub fn stable_metric(&self, kind: impl Into<CandidateKind>) -> Option<&StableMetric> {
-        let kind = kind.into();
+    pub fn stable_metric(&self, kind: MetricKind) -> Option<&StableMetric> {
         self.stable.iter().find(|m| m.kind == kind)
     }
 
     /// Returns `true` when `kind` was identified as globally stable.
-    pub fn is_stable(&self, kind: impl Into<CandidateKind>) -> bool {
+    pub fn is_stable(&self, kind: MetricKind) -> bool {
         self.stable_metric(kind).is_some()
     }
 
@@ -182,8 +164,8 @@ impl HeapModel {
         &self.stable
     }
 
-    /// Serializes the model to pretty JSON, with the retired candidate
-    /// keys written empty after `locally_stable`.
+    /// Serializes the model to pretty JSON, with the retired keys
+    /// written empty after `unstable`.
     ///
     /// # Errors
     ///
@@ -193,7 +175,7 @@ impl HeapModel {
         if let serde::Value::Object(fields) = &mut value {
             let at = fields
                 .iter()
-                .position(|(k, _)| k == "locally_stable")
+                .position(|(k, _)| k == "unstable")
                 .map_or(fields.len(), |i| i + 1);
             for (i, key) in RETIRED_KEYS.iter().enumerate() {
                 fields.insert(at + i, (key.to_string(), serde::Value::Array(Vec::new())));
@@ -207,8 +189,9 @@ impl HeapModel {
     /// # Errors
     ///
     /// Returns [`HeapMdError::Corrupt`] on malformed JSON, on a model
-    /// whose retired candidate keys are not empty, or on a model that
-    /// fails [`validate`](Self::validate).
+    /// whose retired keys are not empty, on a model that names a metric
+    /// this build does not compute, or on a model that fails
+    /// [`validate`](Self::validate).
     pub fn from_json(json: &str) -> Result<Self, HeapMdError> {
         let value: serde::Value = serde_json::from_str(json)
             .map_err(|e| HeapMdError::corrupt(0, format!("model JSON: {e}")))?;
@@ -220,12 +203,32 @@ impl HeapModel {
                     return Err(HeapMdError::corrupt(
                         0,
                         format!(
-                            "model carries a non-empty `{key}` from a build that checked \
-                             candidates apart from the paper metrics; retrain it with \
-                             `train --metrics candidates`"
+                            "model carries a non-empty `{key}`, which this build no longer \
+                             checks; retrain it"
                         ),
                     ))
                 }
+            }
+        }
+        let list = |key| {
+            value
+                .get(key)
+                .and_then(serde::Value::as_array)
+                .unwrap_or(&[])
+        };
+        let named = list("stable")
+            .iter()
+            .filter_map(|m| m.get("kind"))
+            .chain(list("unstable"));
+        for kind in named {
+            if <MetricKind as serde::Deserialize>::from_value(kind).is_err() {
+                return Err(HeapMdError::corrupt(
+                    0,
+                    format!(
+                        "model calibrates `{}`, which this build no longer computes; retrain it",
+                        kind.as_str().unwrap_or("?")
+                    ),
+                ));
             }
         }
         let model = <HeapModel as serde::Deserialize>::from_value(&value)
@@ -255,45 +258,33 @@ impl HeapModel {
             ));
         }
         for sm in &self.stable {
+            let kind = sm.kind.id();
             if !sm.min.is_finite() || !sm.max.is_finite() {
                 return Err(HeapMdError::corrupt(
                     0,
-                    format!("stable metric {} has non-finite bounds", sm.kind),
+                    format!("stable metric {kind} has non-finite bounds"),
                 ));
             }
             if sm.min > sm.max {
                 return Err(HeapMdError::corrupt(
                     0,
-                    format!(
-                        "stable metric {} has min {} > max {}",
-                        sm.kind, sm.min, sm.max
-                    ),
+                    format!("stable metric {kind} has min {} > max {}", sm.min, sm.max),
                 ));
             }
             if !sm.std_change.is_finite() || sm.std_change < 0.0 {
                 return Err(HeapMdError::corrupt(
                     0,
-                    format!("stable metric {} has invalid std_change", sm.kind),
+                    format!("stable metric {kind} has invalid std_change"),
                 ));
             }
             if sm.stable_runs > sm.total_runs {
                 return Err(HeapMdError::corrupt(
                     0,
                     format!(
-                        "stable metric {} claims {} stable of {} total runs",
-                        sm.kind, sm.stable_runs, sm.total_runs
+                        "stable metric {kind} claims {} stable of {} total runs",
+                        sm.stable_runs, sm.total_runs
                     ),
                 ));
-            }
-        }
-        for lm in &self.locally_stable {
-            for &(lo, hi) in &lm.ranges {
-                if !lo.is_finite() || !hi.is_finite() || lo > hi {
-                    return Err(HeapMdError::corrupt(
-                        0,
-                        format!("locally stable metric {} has invalid band", lm.kind),
-                    ));
-                }
             }
         }
         if !self.sample_rate.is_finite() || self.sample_rate <= 0.0 || self.sample_rate > 1.0 {
@@ -374,11 +365,6 @@ pub struct ModelBuilder {
     pub(crate) settings: Settings,
     pub(crate) program: String,
     pub(crate) runs: Vec<RunSummary>,
-    pub(crate) include_local: bool,
-    /// Trimmed per-metric series, kept only when local modelling is on.
-    pub(crate) series: Vec<Option<Vec<Vec<f64>>>>,
-    /// Calibrate the whole candidate family, not only the paper seven.
-    pub(crate) include_candidates: bool,
     /// Lowest store-sampling rate among the added runs (1.0 until a
     /// sampled report arrives); stamped into the built model.
     pub(crate) min_sample_rate: f64,
@@ -391,29 +377,8 @@ impl ModelBuilder {
             settings,
             program: String::from("unnamed"),
             runs: Vec::new(),
-            include_local: false,
-            series: Vec::new(),
-            include_candidates: false,
             min_sample_rate: 1.0,
         }
-    }
-
-    /// Also model *locally stable* metrics (per-phase plateau bands),
-    /// the extension the paper announces in §2.1. Call before adding
-    /// runs.
-    pub fn locally_stable(mut self, enable: bool) -> Self {
-        self.include_local = enable;
-        self
-    }
-
-    /// Calibrate the whole candidate family (the `--metrics
-    /// candidates` mode), not only the paper seven: every member goes
-    /// through the same stability filter and, when it calibrates,
-    /// becomes a [`StableMetric`]. The paper seven calibrate the same
-    /// either way. Call before adding runs.
-    pub fn candidate_metrics(mut self, enable: bool) -> Self {
-        self.include_candidates = enable;
-        self
     }
 
     /// Names the program being modelled (recorded in the model).
@@ -427,19 +392,7 @@ impl ModelBuilder {
         if report.sample_rate.is_finite() && report.sample_rate > 0.0 {
             self.min_sample_rate = self.min_sample_rate.min(report.sample_rate);
         }
-        let summary = summarize_run(report, &self.settings, metric_set(self.include_candidates));
-        self.series
-            .push(if self.include_local && summary.metrics.is_some() {
-                Some(
-                    MetricKind::ALL
-                        .iter()
-                        .map(|&k| report.trimmed_series(k, &self.settings))
-                        .collect(),
-                )
-            } else {
-                None
-            });
-        self.runs.push(summary);
+        self.runs.push(summarize_run(report, &self.settings));
         self
     }
 
@@ -471,7 +424,7 @@ impl ModelBuilder {
         let mut stable = Vec::new();
         let mut stable_envelopes: Vec<(usize, f64, f64)> = Vec::new();
         let mut never_stable = Vec::new();
-        for (idx, &kind) in metric_set(self.include_candidates).iter().enumerate() {
+        for (idx, kind) in MetricKind::ALL.into_iter().enumerate() {
             if total == 0 {
                 break;
             }
@@ -505,13 +458,7 @@ impl ModelBuilder {
                 .iter()
                 .map(|m| m.max)
                 .fold(f64::NEG_INFINITY, f64::max);
-            // Suspect inputs are judged on the paper metrics alone: an
-            // extended metric stable on few runs has a narrow envelope
-            // that most inputs stray from (the detector keeps its
-            // run-level verdicts paper-only for the same reason).
-            if kind.is_paper() {
-                stable_envelopes.push((idx, stable_min, stable_max));
-            }
+            stable_envelopes.push((idx, stable_min, stable_max));
             let avg_change =
                 stable_runs.iter().map(|m| m.stats.mean).sum::<f64>() / stable_runs.len() as f64;
             let std_change =
@@ -544,14 +491,6 @@ impl ModelBuilder {
             }
         }
 
-        // The §2.1 extension: phase bands for metrics that are locally
-        // (but not globally) stable on enough runs.
-        let locally_stable = if self.include_local {
-            self.build_local(&stable, needed)
-        } else {
-            Vec::new()
-        };
-
         // The warm-up every checker skips: at least the leading trim
         // calibration applied to any run it learned from, so no check
         // enforces ranges on start-up points training never saw. Known
@@ -570,7 +509,6 @@ impl ModelBuilder {
                 settings,
                 stable,
                 unstable: never_stable,
-                locally_stable,
                 sample_rate: self.min_sample_rate,
                 training_runs: total,
             },
@@ -578,68 +516,16 @@ impl ModelBuilder {
             flagged_runs: flagged,
         }
     }
-
-    fn build_local(&self, stable: &[StableMetric], needed: usize) -> Vec<LocalMetric> {
-        let mut out = Vec::new();
-        let analysable: Vec<(usize, &RunSummary)> = self
-            .runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.metrics.is_some())
-            .collect();
-        let total = analysable.len();
-        for kind in MetricKind::ALL {
-            if stable.iter().any(|sm| sm.kind == kind) {
-                continue; // already globally modelled
-            }
-            let idx = kind.index();
-            let local_runs: Vec<usize> = analysable
-                .iter()
-                .filter(|(_, r)| {
-                    r.metrics.as_ref().expect("filtered")[idx]
-                        .class
-                        .is_locally_stable()
-                })
-                .map(|&(i, _)| i)
-                .collect();
-            if local_runs.len() < needed || local_runs.is_empty() {
-                continue;
-            }
-            let spike = self.settings.std_change_threshold;
-            let mut plateaus: Vec<Plateau> = Vec::new();
-            for &run_idx in &local_runs {
-                if let Some(series) = &self.series[run_idx] {
-                    plateaus.extend(segment(&series[idx], spike, 3));
-                }
-            }
-            if plateaus.is_empty() {
-                continue;
-            }
-            let gap = self.settings.range_margin.max(0.5);
-            out.push(LocalMetric {
-                kind,
-                ranges: merge_ranges(&plateaus, gap),
-                stable_runs: local_runs.len(),
-                total_runs: total,
-            });
-        }
-        out
-    }
 }
 
-/// Summarizes one run over the metric family `kinds`: trims
-/// startup/shutdown, computes fluctuation statistics, and classifies
-/// each metric.
-pub(crate) fn summarize_run(
-    report: &MetricReport,
-    settings: &Settings,
-    kinds: &[CandidateKind],
-) -> RunSummary {
+/// Summarizes one run: trims startup/shutdown, computes fluctuation
+/// statistics, and classifies each metric.
+pub(crate) fn summarize_run(report: &MetricReport, settings: &Settings) -> RunSummary {
     let trimmed = report.trimmed(settings);
     let metrics = (trimmed.len() >= settings.min_samples).then(|| {
-        kinds
-            .iter()
-            .map(|&kind| {
+        MetricKind::ALL
+            .into_iter()
+            .map(|kind| {
                 let series: Vec<f64> = trimmed.iter().map(|s| s.metric(kind)).collect();
                 let stats = FluctuationStats::from_series(&series);
                 let class = classify(&stats, settings);
@@ -666,7 +552,7 @@ pub(crate) fn summarize_run(
 mod tests {
     use super::*;
     use crate::report::MetricSample;
-    use heap_graph::{CandidateVector, CANDIDATE_COUNT};
+    use heap_graph::{MetricVector, METRIC_COUNT};
 
     /// Sample `i` with every metric at `value`.
     fn flat_sample(i: usize, value: f64) -> MetricSample {
@@ -677,7 +563,7 @@ mod tests {
             nodes: 10,
             edges: 5,
             dangling: 0,
-            values: CandidateVector::from_array([value; CANDIDATE_COUNT]),
+            values: MetricVector::from_array([value; METRIC_COUNT]),
         }
     }
 
@@ -839,86 +725,49 @@ mod tests {
     }
 
     #[test]
-    fn a_separate_candidate_block_is_refused_not_dropped() {
+    fn retired_keys_and_metrics_are_refused_by_name() {
         let mut b = ModelBuilder::new(settings());
         b.add_run(&flat_report("r", 25.0, 30));
         let json = b.build().model.to_json().unwrap();
-        // Every model still writes the retired keys, empty.
-        assert!(json.contains("\"candidate_stable\": []"));
-        assert!(json.contains("\"candidate_unstable\": []"));
+        // Every model still writes the retired keys, empty, after
+        // `unstable`.
+        assert!(json.contains(
+            "\"unstable\": [],\n  \"locally_stable\": [],\n  \"candidate_stable\": [],\n  \"candidate_unstable\": []"
+        ));
         HeapModel::from_json(&json).unwrap();
         HeapModel::from_json(&json.replace("\"candidate_stable\": [],", "")).unwrap();
 
-        // A model from a build that calibrated candidates apart: loading
-        // it as paper-mode would silently drop the extended metrics.
-        for stray in [
-            json.replace(
-                "\"candidate_stable\": []",
-                "\"candidate_stable\": [{\"id\": \"shape.max_indegree\", \"min\": 3, \"max\": 3}]",
-            ),
-            json.replace(
-                "\"candidate_unstable\": []",
-                "\"candidate_unstable\": [\"deg.outdeg3plus\"]",
-            ),
-        ] {
-            match HeapModel::from_json(&stray) {
-                Err(HeapMdError::Corrupt { reason, .. }) => {
-                    assert!(reason.contains("train --metrics candidates"), "{reason}")
-                }
-                other => panic!("loaded a stray candidate block: {other:?}"),
+        // Loading these without the key would silently check less than
+        // the model was trained to.
+        let refused = |json: &str, name: &str| match HeapModel::from_json(json) {
+            Err(HeapMdError::Corrupt { reason, .. }) => {
+                assert!(reason.contains(name), "{reason}");
+                assert!(reason.contains("retrain it"), "{reason}");
             }
-        }
-    }
-
-    #[test]
-    fn candidate_mode_calibrates_the_whole_family_in_one_pass() {
-        let report = |run: &str, value: f64| flat_report(run, value, 30);
-        let mut paper = ModelBuilder::new(settings());
-        let mut cand = ModelBuilder::new(settings()).candidate_metrics(true);
-        for i in 0..3 {
-            paper.add_run(&report(&format!("r{i}"), 40.0 + i as f64));
-            cand.add_run(&report(&format!("r{i}"), 40.0 + i as f64));
-        }
-        let (paper, cand) = (paper.build().model, cand.build().model);
-        assert_eq!(paper.stable.len(), METRIC_COUNT);
-        let kinds: Vec<CandidateKind> = cand.stable.iter().map(|sm| sm.kind).collect();
-        assert_eq!(kinds, CandidateKind::ALL);
-        assert_eq!(paper.stable[..], cand.stable[..METRIC_COUNT]);
-        let sm = cand.stable_metric(CandidateKind::MaxInDegree).unwrap();
-        assert_eq!((sm.min, sm.max), (40.0, 42.0));
-    }
-
-    #[test]
-    fn candidate_mode_flags_the_suspect_inputs_paper_mode_flags() {
-        // Every paper metric flat at 40 on all five runs; one extended
-        // metric stable at 50 on two runs and swinging 10..30 on three.
-        let run = |i: usize, swing: bool| {
-            let samples = (0..30)
-                .map(|j| {
-                    let mut s = flat_sample(j, 40.0);
-                    let v = match (swing, j % 2) {
-                        (false, _) => 50.0,
-                        (true, 0) => 10.0,
-                        (true, _) => 30.0,
-                    };
-                    s.values.set(CandidateKind::MaxInDegree, v);
-                    s
-                })
-                .collect();
-            MetricReport::new(format!("r{i}"), samples)
+            other => panic!("loaded a model naming {name}: {other:?}"),
         };
-        let mut paper = ModelBuilder::new(settings());
-        let mut cand = ModelBuilder::new(settings()).candidate_metrics(true);
-        for i in 0..5 {
-            paper.add_run(&run(i, i >= 2));
-            cand.add_run(&run(i, i >= 2));
-        }
-        let (paper, cand) = (paper.build(), cand.build());
-        // The extended metric calibrates (2 of 5 runs is the 40% rule)...
-        assert!(cand.model.is_stable(CandidateKind::MaxInDegree));
-        // ...but its narrow stable-run envelope marks no input suspect.
-        assert!(paper.flagged_runs.is_empty());
-        assert_eq!(cand.flagged_runs, paper.flagged_runs);
+        refused(
+            &json.replace(
+                "\"locally_stable\": []",
+                "\"locally_stable\": [{\"kind\": \"Indeg1\", \"ranges\": [[1, 2]]}]",
+            ),
+            "`locally_stable`",
+        );
+        refused(
+            &json.replace(
+                "\"candidate_unstable\": []",
+                "\"candidate_unstable\": [\"x\"]",
+            ),
+            "`candidate_unstable`",
+        );
+        refused(
+            &json.replace("\"unstable\": []", "\"unstable\": [\"Indeg3Plus\"]"),
+            "model calibrates `Indeg3Plus`, which this build no longer computes",
+        );
+        refused(
+            &json.replacen("\"kind\": \"Roots\"", "\"kind\": \"MaxInDegree\"", 1),
+            "model calibrates `MaxInDegree`",
+        );
     }
 
     #[test]
@@ -972,7 +821,7 @@ mod tests {
     #[test]
     fn stable_metric_contains_and_width() {
         let sm = StableMetric {
-            kind: MetricKind::Leaves.into(),
+            kind: MetricKind::Leaves,
             min: 10.0,
             max: 20.0,
             avg_change: 0.0,
@@ -985,45 +834,6 @@ mod tests {
         assert!(sm.contains(20.0));
         assert!(!sm.contains(20.01));
         assert!(!sm.contains(9.99));
-    }
-
-    fn phase_report(run: &str, lo: f64, hi: f64, n: usize) -> MetricReport {
-        // First half at `lo`, second half at `hi`: locally stable.
-        let samples = (0..n)
-            .map(|i| flat_sample(i, if i < n / 2 { lo } else { hi }))
-            .collect();
-        MetricReport::new(run, samples)
-    }
-
-    #[test]
-    fn locally_stable_metrics_get_phase_bands() {
-        let mut b = ModelBuilder::new(settings()).locally_stable(true);
-        for i in 0..4 {
-            b.add_run(&phase_report(
-                &format!("r{i}"),
-                10.0 + i as f64 * 0.1,
-                30.0,
-                40,
-            ));
-        }
-        let model = b.build().model;
-        // The step makes every metric locally (not globally) stable.
-        assert!(model.stable.is_empty());
-        assert_eq!(model.locally_stable.len(), METRIC_COUNT);
-        let lm = &model.locally_stable[0];
-        assert_eq!(lm.ranges.len(), 2, "two phase bands: {:?}", lm.ranges);
-        assert!(lm.contains(10.2, 0.5));
-        assert!(lm.contains(30.0, 0.5));
-        assert!(!lm.contains(20.0, 0.5), "between phases is out of band");
-    }
-
-    #[test]
-    fn local_modelling_is_opt_in() {
-        let mut b = ModelBuilder::new(settings());
-        for i in 0..4 {
-            b.add_run(&phase_report(&format!("r{i}"), 10.0, 30.0 + i as f64, 40));
-        }
-        assert!(b.build().model.locally_stable.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-run metric reports.
 
 use crate::settings::Settings;
-use heap_graph::{CandidateKind, CandidateVector, MetricKind};
+use heap_graph::{MetricKind, MetricVector};
 use serde::{Deserialize, Serialize};
 
 /// The metric values observed at one metric computation point.
@@ -23,15 +23,14 @@ pub struct MetricSample {
     pub edges: u64,
     /// Dangling pointer slots at the sample.
     pub dangling: u64,
-    /// The candidate metric family at the sample: the seven paper
-    /// metrics first, then the widened family.
-    pub values: CandidateVector,
+    /// The seven paper metrics at the sample.
+    pub values: MetricVector,
 }
 
 impl MetricSample {
-    /// Reads one metric: a paper [`MetricKind`] or any [`CandidateKind`].
-    pub fn metric(&self, kind: impl Into<CandidateKind>) -> f64 {
-        self.values.get(kind.into())
+    /// Reads one metric.
+    pub fn metric(&self, kind: MetricKind) -> f64 {
+        self.values.get(kind)
     }
 }
 
@@ -156,7 +155,7 @@ impl MetricReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heap_graph::CANDIDATE_COUNT;
+    use heap_graph::METRIC_COUNT;
 
     fn sample(seq: usize, value: f64) -> MetricSample {
         MetricSample {
@@ -166,7 +165,7 @@ mod tests {
             nodes: 1,
             edges: 0,
             dangling: 0,
-            values: CandidateVector::from_array([value; CANDIDATE_COUNT]),
+            values: MetricVector::from_array([value; METRIC_COUNT]),
         }
     }
 

@@ -38,7 +38,7 @@ pub fn unix_time_now() -> u64 {
 }
 
 /// Converts a sampled metric series into run-store rows, one
-/// [`heap_graph::CandidateKind::ALL`] metric id per candidate.
+/// [`heap_graph::MetricKind::id`] column per paper metric.
 pub fn rows_from_samples(src: &RowSource, samples: &[MetricSample]) -> Vec<RunRow> {
     samples
         .iter()
@@ -76,12 +76,12 @@ pub fn rows_from_samples(src: &RowSource, samples: &[MetricSample]) -> Vec<RunRo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heap_graph::{CandidateKind, CandidateVector};
+    use heap_graph::{MetricKind, MetricVector, METRIC_COUNT};
 
     fn sample(seq: usize) -> MetricSample {
-        let mut values = CandidateVector::zero();
-        values.set(CandidateKind::Roots, 12.5);
-        values.set(CandidateKind::InEntropy, 1.75);
+        let mut values = MetricVector::zero();
+        values.set(MetricKind::Roots, 12.5);
+        values.set(MetricKind::InEqOut, 1.75);
         MetricSample {
             seq,
             fn_entries: seq as u64 * 100,
@@ -106,11 +106,11 @@ mod tests {
     }
 
     #[test]
-    fn candidate_samples_record_the_full_family() {
+    fn samples_record_the_seven_paper_ids() {
         let rows = rows_from_samples(&source(), &[sample(4)]);
-        assert_eq!(rows[0].metrics.len(), heap_graph::CANDIDATE_COUNT);
+        assert_eq!(rows[0].metrics.len(), METRIC_COUNT);
         assert_eq!(rows[0].metric("paper.roots"), Some(12.5));
-        assert_eq!(rows[0].metric("dist.in_entropy"), Some(1.75));
+        assert_eq!(rows[0].metric("paper.in_eq_out"), Some(1.75));
         assert_eq!(rows[0].seq, 4);
         assert_eq!(rows[0].version, 3);
     }

@@ -80,7 +80,7 @@ use crate::incident::IncidentLog;
 use crate::model::HeapModel;
 use crate::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use crate::trace::{Replayer, StreamCheck};
-use heap_graph::ApplyError;
+use heap_graph::{ApplyError, MetricKind};
 use heapmd_obs::fleet::{
     FleetRegistry, MetricGauge, MetricVerdict, TenantStats, STATUS_NEAR_EDGE, STATUS_OK, STATUS_OUT,
 };
@@ -465,9 +465,8 @@ impl TenantCheck {
 /// Folds the samples taken since the last update into the tenant's
 /// gauges: latest value/distance/status per calibrated metric,
 /// range-crossing transitions, and the advisory arm flag (near-edge or
-/// out; the detector's own arming also needs an adverse slope). A paper
-/// metric's gauge is labelled with its short name, an extended
-/// candidate's with its id.
+/// out; the detector's own arming also needs an adverse slope). A
+/// gauge is labelled with its metric's short name.
 fn update_live(t: &mut TenantCheck) {
     let samples = &t.check.samples()[t.gauged..];
     let model = &t.model;
@@ -510,13 +509,8 @@ fn update_live(t: &mut TenantCheck) {
         }
         t.last_out[slot] = was_out;
         armed |= status != STATUS_OK;
-        let name = if sm.kind.is_paper() {
-            sm.kind.short_name()
-        } else {
-            sm.kind.id()
-        };
         gauges.push(MetricGauge {
-            metric: name.to_string(),
+            metric: sm.kind.short_name().to_string(),
             value,
             distance,
             band: hi - lo,
@@ -531,26 +525,14 @@ fn update_live(t: &mut TenantCheck) {
     t.gauged = t.check.samples().len();
 }
 
-/// The per-metric calibration verdicts a tenant's model implies: the
-/// paper seven always get a verdict; an extended candidate appears only
-/// when the model calibrated it or found it never stable, so
-/// paper-mode exposition is unchanged.
+/// The per-metric calibration verdicts a tenant's model implies, one
+/// per paper metric.
 fn verdicts_for(model: &HeapModel) -> Vec<MetricVerdict> {
-    let paper = &heap_graph::CandidateKind::ALL[..heap_graph::METRIC_COUNT];
-    let is_stable = |k| model.stable.iter().any(|sm| sm.kind == k);
-    let extended = model
-        .stable
-        .iter()
-        .map(|sm| (sm.kind, true))
-        .chain(model.unstable.iter().map(|&k| (k, false)))
-        .filter(|(k, _)| !k.is_paper());
-    paper
-        .iter()
-        .map(|&k| (k, is_stable(k)))
-        .chain(extended)
-        .map(|(k, stable)| MetricVerdict {
+    MetricKind::ALL
+        .into_iter()
+        .map(|k| MetricVerdict {
             metric: k.id().to_string(),
-            stable,
+            stable: model.is_stable(k),
         })
         .collect()
 }
@@ -1041,7 +1023,7 @@ mod tests {
     use super::*;
     use crate::trace::Trace;
     use crate::trace_codec::{BinaryTraceImage, BlockIndex, WireFrame, WireReader};
-    use crate::{ModelBuilder, Process, Settings, StableMetric};
+    use crate::{ModelBuilder, Process, Settings};
 
     /// A linked-list build of `n` nodes (four events each, so several
     /// 4096-event blocks), its encoding, and a model trained on it.
@@ -1227,30 +1209,17 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_name_the_paper_seven_then_the_calibrated_extension() {
-        use heap_graph::{CandidateKind, METRIC_COUNT};
-        let (_, _, paper) = encoded_churn(3000);
-        let mut cand = paper.clone();
-        cand.stable.push(StableMetric {
-            kind: CandidateKind::MaxInDegree,
-            ..paper.stable[0]
-        });
-        cand.unstable.push(CandidateKind::MeanDegree);
-        let ids = |model: &HeapModel| -> Vec<(String, bool)> {
-            verdicts_for(model)
-                .into_iter()
-                .map(|v| (v.metric, v.stable))
-                .collect()
-        };
-        let paper_ids = ids(&paper);
-        assert_eq!(paper_ids.len(), METRIC_COUNT);
-        for (v, k) in paper_ids.iter().zip(&CandidateKind::ALL) {
-            assert_eq!((v.0.as_str(), v.1), (k.id(), paper.is_stable(*k)));
-        }
-        let mut want = paper_ids;
-        want.push(("shape.max_indegree".into(), true));
-        want.push(("shape.mean_degree".into(), false));
-        assert_eq!(ids(&cand), want);
+    fn verdicts_name_the_paper_seven() {
+        let (_, _, model) = encoded_churn(3000);
+        let got: Vec<(String, bool)> = verdicts_for(&model)
+            .into_iter()
+            .map(|v| (v.metric, v.stable))
+            .collect();
+        let want: Vec<(String, bool)> = MetricKind::ALL
+            .into_iter()
+            .map(|k| (k.id().to_string(), model.is_stable(k)))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -21,16 +21,6 @@ pub enum StabilityClass {
     Unstable,
 }
 
-impl StabilityClass {
-    /// Globally stable metrics are also locally stable (paper §2.1).
-    pub fn is_locally_stable(self) -> bool {
-        matches!(
-            self,
-            StabilityClass::GloballyStable | StabilityClass::LocallyStable
-        )
-    }
-}
-
 impl fmt::Display for StabilityClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -164,13 +154,6 @@ mod tests {
             StabilityClass::GloballyStable,
             "5 samples → 4 changes suffices"
         );
-    }
-
-    #[test]
-    fn globally_stable_is_locally_stable_too() {
-        assert!(StabilityClass::GloballyStable.is_locally_stable());
-        assert!(StabilityClass::LocallyStable.is_locally_stable());
-        assert!(!StabilityClass::Unstable.is_locally_stable());
     }
 
     #[test]

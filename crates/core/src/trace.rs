@@ -710,6 +710,7 @@ impl Replayer {
 mod tests {
     use super::*;
     use crate::process::Process;
+    use heap_graph::MetricKind;
 
     fn traced_run(frq: u64, n: usize) -> (Trace, MetricReport) {
         let settings = Settings::builder().frq(frq).build().unwrap();
@@ -903,8 +904,7 @@ mod tests {
         trace
     }
 
-    /// A model calibrating every candidate (the paper seven included)
-    /// on the range its first third of `samples` spans, so later
+    /// A model calibrating every metric on the range its first third of `samples` spans, so later
     /// samples approach (arming the window) and cross. It records the
     /// warm-up of `settings`.
     fn tight_model(samples: &[MetricSample], settings: &Settings) -> HeapModel {
@@ -918,9 +918,9 @@ mod tests {
                     (lo.min(v), hi.max(v))
                 })
         };
-        let stable = heap_graph::CandidateKind::ALL
-            .iter()
-            .map(|&kind| {
+        let stable = MetricKind::ALL
+            .into_iter()
+            .map(|kind| {
                 let (min, max) = span(&|s| s.metric(kind));
                 StableMetric {
                     kind,
@@ -939,7 +939,6 @@ mod tests {
             settings: settings.clone(),
             stable,
             unstable: vec![],
-            locally_stable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         }
@@ -1063,7 +1062,6 @@ mod tests {
     #[test]
     fn offline_check_finds_the_same_violation_as_online() {
         use crate::model::{HeapModel, StableMetric};
-        use heap_graph::MetricKind;
 
         // Model claiming Roots must stay within [0, 5]: a growing list
         // has Roots ≈ 1/n·100 shrinking toward 0 — fine — but a fresh
@@ -1078,7 +1076,7 @@ mod tests {
             program: "t".into(),
             settings: settings.clone(),
             stable: vec![StableMetric {
-                kind: MetricKind::Roots.into(),
+                kind: MetricKind::Roots,
                 min: 0.0,
                 max: 5.0,
                 avg_change: 0.0,
@@ -1087,7 +1085,6 @@ mod tests {
                 total_runs: 3,
             }],
             unstable: vec![],
-            locally_stable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };

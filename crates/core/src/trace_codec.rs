@@ -2264,7 +2264,7 @@ mod tests {
             program: "t".into(),
             settings: settings.clone(),
             stable: vec![StableMetric {
-                kind: MetricKind::Roots.into(),
+                kind: MetricKind::Roots,
                 min: 0.0,
                 max: 5.0,
                 avg_change: 0.0,
@@ -2273,7 +2273,6 @@ mod tests {
                 total_runs: 3,
             }],
             unstable: vec![],
-            locally_stable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };
@@ -2330,7 +2329,7 @@ mod tests {
             program: "t".into(),
             settings: settings.clone(),
             stable: vec![StableMetric {
-                kind: MetricKind::Roots.into(),
+                kind: MetricKind::Roots,
                 min: 0.0,
                 max: 5.0,
                 avg_change: 0.0,
@@ -2339,7 +2338,6 @@ mod tests {
                 total_runs: 3,
             }],
             unstable: vec![],
-            locally_stable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
         };

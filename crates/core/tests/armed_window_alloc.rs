@@ -70,7 +70,7 @@ fn a_full_armed_window_logs_without_allocating() {
         program: "alloc-free".into(),
         settings: settings.clone(),
         stable: vec![StableMetric {
-            kind: MetricKind::Roots.into(),
+            kind: MetricKind::Roots,
             min: 0.0,
             max: 5.0,
             avg_change: 0.0,
@@ -79,7 +79,6 @@ fn a_full_armed_window_logs_without_allocating() {
             total_runs: 3,
         }],
         unstable: vec![],
-        locally_stable: vec![],
         sample_rate: 1.0,
         training_runs: 3,
     };

@@ -1,11 +1,10 @@
 //! Property-based tests for the analysis pipeline: fluctuation
-//! statistics, stability classification, plateau segmentation, model
-//! construction, and range checking.
+//! statistics, stability classification, model construction, and range
+//! checking.
 
 use heapmd::{
-    classify, merge_ranges, percent_changes, segment, AnomalyDetector, CandidateVector,
-    FluctuationStats, MetricReport, MetricSample, ModelBuilder, Settings, StabilityClass,
-    CANDIDATE_COUNT, METRIC_COUNT,
+    classify, percent_changes, AnomalyDetector, FluctuationStats, MetricReport, MetricSample,
+    MetricVector, ModelBuilder, Settings, StabilityClass, METRIC_COUNT,
 };
 use proptest::prelude::*;
 
@@ -13,7 +12,7 @@ fn series_strategy() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..100.0, 2..120)
 }
 
-fn sample(i: usize, values: [f64; CANDIDATE_COUNT]) -> MetricSample {
+fn sample(i: usize, values: [f64; METRIC_COUNT]) -> MetricSample {
     MetricSample {
         seq: i,
         fn_entries: i as u64,
@@ -21,7 +20,7 @@ fn sample(i: usize, values: [f64; CANDIDATE_COUNT]) -> MetricSample {
         nodes: 10,
         edges: 5,
         dangling: 0,
-        values: CandidateVector::from_array(values),
+        values: MetricVector::from_array(values),
     }
 }
 
@@ -29,69 +28,12 @@ fn samples_from(values: &[f64]) -> Vec<MetricSample> {
     values
         .iter()
         .enumerate()
-        .map(|(i, &v)| sample(i, [v; CANDIDATE_COUNT]))
+        .map(|(i, &v)| sample(i, [v; METRIC_COUNT]))
         .collect()
-}
-
-/// Samples whose candidate values are the rows, in canonical order.
-fn candidate_samples_from(rows: &[Vec<f64>]) -> Vec<MetricSample> {
-    rows.iter()
-        .enumerate()
-        .map(|(i, vals)| sample(i, vals[..].try_into().expect("one value per candidate")))
-        .collect()
-}
-
-fn candidate_rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(0.0f64..100.0, CANDIDATE_COUNT..CANDIDATE_COUNT + 1),
-        8..40,
-    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    // The differential pin for the candidate family: the paper seven
-    // are its first members, calibrated and checked by the same code,
-    // so `candidate_metrics(true)` must not perturb ANY paper-kind
-    // observable — the calibrated stable and never-stable entries,
-    // their ranges and fluctuation stats, and the detector's paper-kind
-    // verdicts on a check run are bit-identical. Candidate mode only
-    // adds entries (and verdicts) for the extended members.
-    #[test]
-    fn candidate_mode_never_perturbs_paper_observables(
-        train in proptest::collection::vec(candidate_rows_strategy(), 2..5),
-        check in candidate_rows_strategy(),
-    ) {
-        let settings = Settings::builder().trim_frac(0.0).warmup_samples(2).build().unwrap();
-        let mut paper = ModelBuilder::new(settings.clone()).program("prop");
-        let mut cand = ModelBuilder::new(settings.clone()).program("prop").candidate_metrics(true);
-        for (i, rows) in train.iter().enumerate() {
-            let report = MetricReport::new(format!("r{i}"), candidate_samples_from(rows));
-            paper.add_run(&report);
-            cand.add_run(&report);
-        }
-        let paper_model = paper.build().model;
-        let cand_model = cand.build().model;
-
-        // The paper-mode model calibrates the paper seven only…
-        prop_assert!(paper_model.stable.iter().all(|sm| sm.kind.is_paper()));
-        prop_assert!(paper_model.unstable.iter().all(|k| k.is_paper()));
-        // …and they are exactly the candidate model's paper-kind entries.
-        let cand_stable: Vec<_> =
-            cand_model.stable.iter().filter(|sm| sm.kind.is_paper()).copied().collect();
-        let cand_unstable: Vec<_> =
-            cand_model.unstable.iter().filter(|k| k.is_paper()).copied().collect();
-        prop_assert_eq!(&paper_model.stable, &cand_stable);
-        prop_assert_eq!(&paper_model.unstable, &cand_unstable);
-        prop_assert_eq!(&paper_model.locally_stable, &cand_model.locally_stable);
-
-        let report = MetricReport::new("check", candidate_samples_from(&check));
-        let paper_bugs = AnomalyDetector::check_report(&paper_model, &settings, &report);
-        let mut cand_bugs = AnomalyDetector::check_report(&cand_model, &settings, &report);
-        cand_bugs.retain(|b| b.metric.is_paper());
-        prop_assert_eq!(paper_bugs, cand_bugs);
-    }
 
     #[test]
     fn percent_changes_shape_and_finiteness(series in series_strategy()) {
@@ -120,45 +62,9 @@ proptest! {
     }
 
     #[test]
-    fn plateaus_partition_within_bounds(series in series_strategy(), spike in 1.0f64..50.0) {
-        let plateaus = segment(&series, spike, 3);
-        let mut prev_end = 0usize;
-        for p in &plateaus {
-            prop_assert!(p.start >= prev_end);
-            prop_assert!(p.len >= 3);
-            prop_assert!(p.start + p.len <= series.len());
-            prop_assert!(p.min <= p.max);
-            // Bounds really are the window extrema.
-            let window = &series[p.start..p.start + p.len];
-            let lo = window.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = window.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!((p.min - lo).abs() < 1e-12 && (p.max - hi).abs() < 1e-12);
-            prev_end = p.start + p.len;
-        }
-    }
-
-    #[test]
-    fn merged_ranges_are_sorted_disjoint_and_covering(
-        series in series_strategy(),
-        gap in 0.0f64..2.0
-    ) {
-        let plateaus = segment(&series, 5.0, 3);
-        let merged = merge_ranges(&plateaus, gap);
-        for w in merged.windows(2) {
-            prop_assert!(w[0].1 + gap < w[1].0 + 1e-12, "ranges overlap or touch: {merged:?}");
-        }
-        for p in &plateaus {
-            prop_assert!(
-                merged.iter().any(|&(lo, hi)| lo <= p.min && p.max <= hi),
-                "plateau [{}, {}] not covered by {merged:?}", p.min, p.max
-            );
-        }
-    }
-
-    #[test]
     fn model_entries_are_well_formed(runs in proptest::collection::vec(series_strategy(), 1..6)) {
         let settings = Settings::builder().trim_frac(0.0).build().unwrap();
-        let mut b = ModelBuilder::new(settings).locally_stable(true);
+        let mut b = ModelBuilder::new(settings);
         for (i, run) in runs.iter().enumerate() {
             b.add_run(&MetricReport::new(format!("r{i}"), samples_from(run)));
         }
@@ -167,12 +73,6 @@ proptest! {
             prop_assert!(sm.min <= sm.max);
             prop_assert!(sm.stable_runs >= 1);
             prop_assert!(sm.stable_runs <= sm.total_runs);
-        }
-        for lm in &model.locally_stable {
-            prop_assert!(!model.is_stable(lm.kind), "local entries exclude global ones");
-            for w in lm.ranges.windows(2) {
-                prop_assert!(w[0].1 <= w[1].0);
-            }
         }
     }
 

@@ -24,7 +24,6 @@
 //!   ids beyond [`DENSE_ID_CAP`], replacing a hash lookup per event
 //!   with an array index on the common path.
 
-use crate::candidates::CandidateVector;
 use crate::histogram::DegreeHistogram;
 use crate::metrics::{ExtendedMetrics, MetricVector};
 use crate::node::NodeInfo;
@@ -349,26 +348,21 @@ impl HeapGraph {
         MetricVector::from_histogram(&self.histogram)
     }
 
-    /// Computes the full candidate metric family for the current graph
-    /// (the seven paper metrics plus the distribution-shape and
-    /// structural extensions).
-    pub fn candidates(&self) -> CandidateVector {
-        let _t = heapmd_obs::timer!("heap_graph_metrics_ns");
-        CandidateVector::compute(&self.histogram, &self.extended_metrics())
+    /// The seven paper metrics again. Kept only for the benchmark
+    /// ledger (`ledger/src/layers.rs:126`), which times it beside
+    /// [`metrics`](Self::metrics); delete it when the ledger moves off
+    /// the library (ROADMAP items 1 and 13).
+    #[doc(hidden)]
+    pub fn candidates(&self) -> MetricVector {
+        self.metrics()
     }
 
-    /// Computes the extension metrics for the current graph.
+    /// The structural counters of the current graph.
     pub fn extended_metrics(&self) -> ExtendedMetrics {
-        let nodes = self.node_count();
         ExtendedMetrics {
-            nodes,
+            nodes: self.node_count(),
             edges: self.edge_count,
             dangling_slots: self.dangling,
-            mean_degree: if nodes == 0 {
-                0.0
-            } else {
-                self.edge_count as f64 / nodes as f64
-            },
         }
     }
 
@@ -1262,7 +1256,7 @@ mod tests {
     }
 
     #[test]
-    fn extended_metrics_mean_degree() {
+    fn extended_metrics_count_nodes_and_edges() {
         let mut r = Rig::new();
         let a = r.alloc(32);
         let b = r.alloc(32);
@@ -1271,6 +1265,6 @@ mod tests {
         let e = r.graph.extended_metrics();
         assert_eq!(e.nodes, 2);
         assert_eq!(e.edges, 2);
-        assert_eq!(e.mean_degree, 1.0);
+        assert_eq!(e.dangling_slots, 0);
     }
 }

@@ -11,8 +11,7 @@ use serde::{Deserialize, Serialize};
 const SATURATION: usize = 64;
 
 /// The public saturation bound: degrees at or above this value are
-/// indistinguishable in the histogram (and in everything derived from
-/// it, such as [`DegreeDistribution`](crate::DegreeDistribution)).
+/// indistinguishable in the histogram.
 pub const DEGREE_SATURATION: u32 = SATURATION as u32;
 
 /// Histogram of vertex degrees, maintained incrementally.

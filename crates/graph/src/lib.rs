@@ -54,10 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod candidates;
-mod components;
-mod distribution;
-mod field_graph;
 mod graph;
 mod histogram;
 mod metrics;
@@ -66,10 +62,6 @@ mod node;
 mod reference;
 mod shard;
 
-pub use candidates::{CandidateKind, CandidateVector, CANDIDATE_COUNT, TAIL_MIN_DEGREE};
-pub use components::{ComponentSummary, SccSummary};
-pub use distribution::DegreeDistribution;
-pub use field_graph::FieldGraph;
 pub use graph::{ApplyError, GraphSnapshot, HeapGraph};
 pub use histogram::{DegreeHistogram, DEGREE_SATURATION};
 pub use metrics::{ExtendedMetrics, MetricKind, MetricVector, METRIC_COUNT};

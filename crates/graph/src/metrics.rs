@@ -1,4 +1,4 @@
-//! The seven degree-based heap metrics of the paper, plus extensions.
+//! The seven degree-based heap metrics of the paper.
 
 use crate::histogram::DegreeHistogram;
 use serde::{Deserialize, Serialize};
@@ -12,9 +12,7 @@ pub const METRIC_COUNT: usize = 7;
 ///
 /// Each is the *percentage of heap-graph vertexes* with the stated
 /// degree property. The paper chose these because heap vertexes rarely
-/// exceed degree 2; the architecture (and this enum) is explicitly meant
-/// to be extensible — see [`ExtendedMetrics`] for the extras this
-/// reproduction also tracks.
+/// exceed degree 2, and its evaluation uses only these seven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum MetricKind {
     /// % of vertexes with indegree = 0 ("roots": referenced only from the
@@ -58,6 +56,26 @@ impl MetricKind {
     /// Panics if `i >= METRIC_COUNT`.
     pub fn from_index(i: usize) -> MetricKind {
         MetricKind::ALL[i]
+    }
+
+    /// The stable string id used in run-store rows and serve's
+    /// per-metric gauges (`paper.roots`, …, `paper.in_eq_out`).
+    pub fn id(self) -> &'static str {
+        match self {
+            MetricKind::Roots => "paper.roots",
+            MetricKind::Indeg1 => "paper.indeg1",
+            MetricKind::Indeg2 => "paper.indeg2",
+            MetricKind::Leaves => "paper.leaves",
+            MetricKind::Outdeg1 => "paper.outdeg1",
+            MetricKind::Outdeg2 => "paper.outdeg2",
+            MetricKind::InEqOut => "paper.in_eq_out",
+        }
+    }
+
+    /// Resolves a stable string id back to its metric, or `None` for an
+    /// id this build does not compute.
+    pub fn from_id(id: &str) -> Option<MetricKind> {
+        MetricKind::ALL.into_iter().find(|k| k.id() == id)
     }
 
     /// The short name used in the paper's tables (e.g. `Outdeg=1`,
@@ -168,12 +186,8 @@ impl fmt::Display for MetricVector {
     }
 }
 
-/// Metrics beyond the paper's fixed suite of seven.
-///
-/// The paper names "the size and number of connected and strongly
-/// connected components" as other metric choices; this reproduction
-/// additionally surfaces structural counters that fall out of the
-/// incremental representation for free.
+/// Structural counters that fall out of the incremental
+/// representation for free, recorded beside the seven metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExtendedMetrics {
     /// Live vertexes.
@@ -183,8 +197,6 @@ pub struct ExtendedMetrics {
     /// Pointer slots whose stored address does not currently resolve to
     /// a live object (dangling or foreign).
     pub dangling_slots: u64,
-    /// Mean outdegree over vertexes (0 for the empty graph).
-    pub mean_degree: f64,
 }
 
 #[cfg(test)]
@@ -192,11 +204,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn canonical_order_round_trips() {
+    fn canonical_order_and_ids_round_trip() {
         for (i, &k) in MetricKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
             assert_eq!(MetricKind::from_index(i), k);
+            assert_eq!(MetricKind::from_id(k.id()), Some(k));
         }
+        assert_eq!(MetricKind::Indeg1.id(), "paper.indeg1");
+        assert_eq!(MetricKind::from_id("deg.indeg3plus"), None);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! [`MAX_SHARDS`] keeps unreachable, so packed refs drop into the
 //! shadow map unchanged.
 
-use crate::candidates::CandidateVector;
 use crate::graph::{
     footprint_end, spill_overlaps, ApplyError, Bucket, GraphSnapshot, HeapGraph, IdIndex, NodeSlot,
     Range, SlotState,
@@ -246,19 +245,12 @@ impl ShardedGraph {
         MetricVector::from_histogram(&self.merged_now())
     }
 
-    /// Computes the extension metrics.
+    /// The structural counters.
     pub fn extended_metrics(&self) -> ExtendedMetrics {
-        let nodes = self.node_count();
-        let edges = self.edge_count();
         ExtendedMetrics {
-            nodes,
-            edges,
+            nodes: self.node_count(),
+            edges: self.edge_count(),
             dangling_slots: self.dangling_count(),
-            mean_degree: if nodes == 0 {
-                0.0
-            } else {
-                edges as f64 / nodes as f64
-            },
         }
     }
 
@@ -893,17 +885,16 @@ impl GraphImage {
         }
     }
 
-    /// The structural counters and the full candidate metric family
-    /// (paper seven plus extensions) computed from them and the
-    /// reconciled histogram, once: call [`reconcile`](Self::reconcile)
-    /// first.
-    pub fn measure(&self) -> (ExtendedMetrics, CandidateVector) {
+    /// The structural counters and the seven paper metrics of the
+    /// reconciled histogram, computed once: call
+    /// [`reconcile`](Self::reconcile) first.
+    pub fn measure(&self) -> (ExtendedMetrics, MetricVector) {
         let _t = heapmd_obs::timer!("heap_graph_metrics_ns");
         let ext = match self {
             GraphImage::Single(g) => g.extended_metrics(),
             GraphImage::Sharded(s) => s.extended_metrics(),
         };
-        (ext, CandidateVector::compute(self.histogram(), &ext))
+        (ext, MetricVector::from_histogram(self.histogram()))
     }
 
     /// A serializable summary of the current instant.

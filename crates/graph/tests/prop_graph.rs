@@ -102,30 +102,4 @@ proptest! {
             + m.get(heap_graph::MetricKind::Indeg2);
         prop_assert!(indeg_total <= 100.0 + 1e-9);
     }
-
-    #[test]
-    fn components_are_consistent_with_edges(
-        n in 2usize..30,
-        links in proptest::collection::vec((0usize..30, 0usize..30), 0..40)
-    ) {
-        let mut heap = SimHeap::new();
-        let mut graph = HeapGraph::new();
-        let mut addrs = Vec::new();
-        for _ in 0..n {
-            let eff = heap.alloc(64, AllocSite(0)).unwrap();
-            graph.on_alloc(eff.id, eff.addr, eff.size);
-            addrs.push(eff.addr);
-        }
-        for (i, (a, b)) in links.iter().enumerate() {
-            let s = addrs[a % n];
-            let d = addrs[b % n];
-            let w = heap.write_ptr(s.offset(((i % 8) * 8) as u64), d).unwrap();
-            graph.on_ptr_write(w.src, w.offset, d);
-        }
-        let c = graph.components();
-        prop_assert!(c.count >= 1);
-        prop_assert!(c.count <= n as u64);
-        prop_assert!(c.largest <= n as u64);
-        prop_assert!((c.mean_size * c.count as f64 - n as f64).abs() < 1e-9);
-    }
 }

@@ -67,12 +67,11 @@ pub struct MetricGauge {
 }
 
 /// Calibration-time stability verdict for one metric of one tenant's
-/// model: which members of the candidate family earned a calibrated
-/// range for this program, and which were rejected by the stability
-/// filter.
+/// model: which metrics earned a calibrated range for this program,
+/// and which were rejected by the stability filter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricVerdict {
-    /// Metric id (e.g. `paper.roots`, `dist.in_entropy`).
+    /// Metric id (e.g. `paper.roots`).
     pub metric: String,
     /// True when the stability filter calibrated a range for it.
     pub stable: bool,

@@ -37,8 +37,9 @@
 //! ## Schema
 //!
 //! Dimension columns are fixed ([`store::DIMENSION_COLUMNS`]); metric
-//! columns are named by the caller (the detector's candidate metric
-//! ids, e.g. `paper.roots` or `dist.in_entropy`). The store itself has
+//! columns are named by the caller (the detector's metric ids, e.g.
+//! `paper.roots`; stores of older builds also hold ids such as
+//! `dist.in_entropy`). The store itself has
 //! no metric vocabulary — absent metrics decode as NaN and are skipped
 //! by the aggregations in [`query`].
 

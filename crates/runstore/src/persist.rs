@@ -6,7 +6,8 @@
 //!
 //! * [`write_atomic`] — the classic write-to-temp-then-rename protocol,
 //!   so a reader never observes a half-written artifact: it sees either
-//!   the old file or the new one, never a torn mix.
+//!   the old file or the new one, never a torn mix. [`AtomicFile`] is
+//!   the same protocol for a file written in pieces over time.
 //! * [`crc32`] — the IEEE CRC-32 used by the length-framed trace
 //!   stream and by every run-store column block to detect torn or
 //!   bit-flipped bytes.
@@ -16,7 +17,7 @@
 
 use std::fs;
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Bytes [`crc32`] folds per step.
 const CRC_SLICE: usize = 16;
@@ -90,23 +91,89 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Propagates any I/O error; on failure the temporary file is removed
 /// (best-effort) and `path` is untouched.
 pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
-    let path = path.as_ref();
-    let tmp = tmp_sibling(path);
-    let result = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result
+    let mut f = AtomicFile::create(path)?;
+    f.write_all(bytes)?;
+    f.publish()
 }
 
-/// The temporary sibling used by [`write_atomic`]: `<file>.tmp` in the
-/// same directory, so the final rename cannot cross filesystems.
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+/// A file written in pieces under its temporary sibling name and
+/// published over its target in one rename, like [`write_atomic`]:
+/// until [`publish`](Self::publish) the target keeps its old bytes, and
+/// dropping the file unpublished removes the temporary.
+///
+/// A writer that must own its sink writes through a second handle from
+/// [`try_clone`](Self::try_clone); this one keeps the right to publish.
+#[derive(Debug)]
+pub struct AtomicFile {
+    file: fs::File,
+    tmp: PathBuf,
+    target: PathBuf,
+    published: bool,
+}
+
+impl AtomicFile {
+    /// Creates (or truncates) the temporary sibling of `path`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the I/O error of creating it.
+    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
+        let target = path.as_ref().to_path_buf();
+        let tmp = tmp_sibling(&target);
+        Ok(AtomicFile {
+            file: fs::File::create(&tmp)?,
+            tmp,
+            target,
+            published: false,
+        })
+    }
+
+    /// Another handle on the temporary file.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the I/O error of duplicating the handle.
+    pub fn try_clone(&self) -> io::Result<fs::File> {
+        self.file.try_clone()
+    }
+
+    /// Flushes the temporary file to disk and renames it over the
+    /// target. Flush every other handle first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any I/O error; the temporary is then removed and the
+    /// target is untouched.
+    pub fn publish(mut self) -> io::Result<()> {
+        self.file.sync_all()?;
+        fs::rename(&self.tmp, &self.target)?;
+        self.published = true;
+        Ok(())
+    }
+}
+
+impl Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.published {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// The temporary sibling used by [`write_atomic`] and [`AtomicFile`]:
+/// `<file>.tmp` in the same directory, so the final rename cannot cross
+/// filesystems.
+fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
@@ -184,5 +251,34 @@ mod tests {
             .join("x.json");
         assert!(write_atomic(&path, b"x").is_err());
         assert!(!tmp_sibling(&path).exists());
+    }
+
+    #[test]
+    fn an_atomic_file_publishes_only_when_asked() {
+        let dir = std::env::temp_dir().join(format!("heapmd-atomic-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.hmdt");
+        std::fs::write(&path, b"old").unwrap();
+
+        // Written through a second handle, as a streaming writer does:
+        // the target keeps its old bytes until the publish.
+        let file = AtomicFile::create(&path).unwrap();
+        let mut handle = file.try_clone().unwrap();
+        handle.write_all(b"new bytes").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert_eq!(std::fs::read(tmp_sibling(&path)).unwrap(), b"new bytes");
+        drop(handle);
+        file.publish().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new bytes");
+        assert!(!tmp_sibling(&path).exists());
+
+        // Dropped unpublished (a failed run): the old file stays and the
+        // temporary goes.
+        let mut file = AtomicFile::create(&path).unwrap();
+        file.write_all(b"half").unwrap();
+        drop(file);
+        assert_eq!(std::fs::read(&path).unwrap(), b"new bytes");
+        assert!(!tmp_sibling(&path).exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

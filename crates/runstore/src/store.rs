@@ -14,7 +14,7 @@ pub const SEGMENT_MAGIC: &[u8; 6] = b"HMDR1\n";
 
 /// The fixed dimension columns present in every segment, in on-disk
 /// order. Everything else in a segment is a metric column named by its
-/// candidate metric id.
+/// metric id.
 pub const DIMENSION_COLUMNS: [&str; 11] = [
     "workload",
     "version",

@@ -11,7 +11,7 @@
 //! `HEAPMD_GOLDEN_PRINT=1 cargo test -p workloads --test live_golden -- --nocapture`.
 
 use faults::FaultPlan;
-use heapmd::{MetricSample, MetricVector, Process, METRIC_COUNT};
+use heapmd::{MetricSample, Process};
 use sim_heap::HeapStats;
 use workloads::harness::settings_for;
 use workloads::{bugs, commercial_at_version, registry, Input, Workload};
@@ -25,28 +25,16 @@ fn digest(samples: &[MetricSample], stats: &HeapStats) -> u64 {
     })
 }
 
-/// The samples' `Debug` rendering in the layout the digests were
-/// recorded in, when a sample kept the paper seven apart from the
-/// candidate family: `metrics: MetricVector([first seven])` after
-/// `tick`, and `candidates: Some(CandidateVector([all 20]))` last.
+/// The samples' `Debug` rendering: the counters, then the seven paper
+/// metrics.
 fn recorded_layout(samples: &[MetricSample]) -> String {
     let rendered: Vec<String> = samples
         .iter()
         .map(|s| {
-            let paper: [f64; METRIC_COUNT] = s.values.as_array()[..METRIC_COUNT]
-                .try_into()
-                .expect("the family starts with the paper seven");
             format!(
-                "MetricSample {{ seq: {:?}, fn_entries: {:?}, tick: {:?}, metrics: {:?}, \
-                 nodes: {:?}, edges: {:?}, dangling: {:?}, candidates: {:?} }}",
-                s.seq,
-                s.fn_entries,
-                s.tick,
-                MetricVector::from_array(paper),
-                s.nodes,
-                s.edges,
-                s.dangling,
-                Some(s.values),
+                "MetricSample {{ seq: {:?}, fn_entries: {:?}, tick: {:?}, nodes: {:?}, \
+                 edges: {:?}, dangling: {:?}, values: {:?} }}",
+                s.seq, s.fn_entries, s.tick, s.nodes, s.edges, s.dangling, s.values,
             )
         })
         .collect();
@@ -62,29 +50,28 @@ fn live_digest(w: &dyn Workload, plan: &mut FaultPlan) -> u64 {
     digest(&report.samples, &stats)
 }
 
-/// `(run, digest)` pairs, recorded before the mutator API took
-/// pre-interned ids.
+/// `(run, digest)` pairs over the layout above.
 const GOLDEN: &[(&str, u64)] = &[
-    ("twolf", 0x65bd173d5cceee42),
-    ("crafty", 0xdc32c9b45238b2ef),
-    ("mcf", 0x934f8cb2166e4d38),
-    ("vpr", 0xad9736d111dd111a),
-    ("vortex", 0x88f54e0deb647109),
-    ("gzip", 0xfe0b6c46f7809279),
-    ("parser", 0x1bb91af0f0ecadb9),
-    ("gcc", 0x5e3cb51967665213),
-    ("multimedia", 0x78b547eb6b0c0786),
-    ("webapp", 0xefc482526aba815a),
-    ("game_sim", 0xced121755e418146),
-    ("game_action", 0x822095f1ef53a249),
-    ("productivity", 0x0d9197f34b50cb39),
-    ("multimedia+mm.codec_props.typo_leak", 0x2235347ac870c5fc),
-    ("webapp+webapp.session_props.typo_leak", 0x345b5760e3bf4d40),
-    ("game_sim+gs.unit_props.typo_leak", 0xbfc6e6a65f671eca),
-    ("game_action+ga.asset_props.typo_leak", 0xc6baaa9104a4d50a),
+    ("twolf", 0xda71ce8d83767c81),
+    ("crafty", 0x6ec454bfc916fa5a),
+    ("mcf", 0x8c418e147d2f440d),
+    ("vpr", 0x95df638c5efc6cd7),
+    ("vortex", 0xd7f74f9cb4af5cf1),
+    ("gzip", 0xdb9409fa27a5ebf8),
+    ("parser", 0x49923421c868a9cd),
+    ("gcc", 0x9a784b8e50cfb494),
+    ("multimedia", 0xe1858597afebf4e1),
+    ("webapp", 0xd4d3e232d2d030f4),
+    ("game_sim", 0x19cd48d716448d6a),
+    ("game_action", 0x318fe14ec11affe9),
+    ("productivity", 0x85836259d1e53d3b),
+    ("multimedia+mm.codec_props.typo_leak", 0xc95a22ffb656c35c),
+    ("webapp+webapp.session_props.typo_leak", 0x5ca0923577f4f47d),
+    ("game_sim+gs.unit_props.typo_leak", 0xb03497cea86d7566),
+    ("game_action+ga.asset_props.typo_leak", 0x522a3fabbf72a1fc),
     (
         "productivity+prod.piece_btree.skip_sibling",
-        0x0122b3fd62fb0dbb,
+        0x5b62abd4f35ad967,
     ),
 ];
 

@@ -65,7 +65,7 @@ fn flat_samples(value: f64) -> Vec<heapmd::MetricSample> {
             nodes: 10,
             edges: 5,
             dangling: 0,
-            values: heapmd::CandidateVector::from_array([value; heapmd::CANDIDATE_COUNT]),
+            values: heapmd::MetricVector::from_array([value; heapmd::METRIC_COUNT]),
         })
         .collect()
 }

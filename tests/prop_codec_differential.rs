@@ -10,8 +10,8 @@
 //! an implementation detail that must never change a single observable.
 
 use heapmd::{
-    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, CandidateKind, MetricReport,
-    ModelBuilder, SamplerConfig, Settings, Trace, WireFrame, WireReader,
+    BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, MetricKind, MetricReport, ModelBuilder,
+    SamplerConfig, Settings, Trace, WireFrame, WireReader,
 };
 use proptest::prelude::*;
 use sim_heap::{AllocSite, HeapError, HeapEvent, SimHeap};
@@ -152,7 +152,7 @@ proptest! {
             prop_assert_eq!(sa.fn_entries, sb.fn_entries);
             prop_assert_eq!(sa.tick, sb.tick);
             prop_assert_eq!((sa.nodes, sa.edges, sa.dangling), (sb.nodes, sb.edges, sb.dangling));
-            for kind in CandidateKind::ALL {
+            for kind in MetricKind::ALL {
                 prop_assert_eq!(
                     sa.metric(kind).to_bits(),
                     sb.metric(kind).to_bits(),
@@ -204,7 +204,7 @@ fn assert_reports_match(
             (sa.nodes, sa.edges, sa.dangling),
             (sb.nodes, sb.edges, sb.dangling)
         );
-        for kind in CandidateKind::ALL {
+        for kind in MetricKind::ALL {
             prop_assert_eq!(
                 sa.metric(kind).to_bits(),
                 sb.metric(kind).to_bits(),

@@ -853,7 +853,6 @@ fn model_dir_checks_tenants_against_their_own_override() {
         sm.max = 1_000_000_000.0;
     }
     override_model.unstable.clear();
-    override_model.locally_stable.clear();
     let expected_override = fx
         .trace
         .check(&override_model, &override_model.settings)

@@ -117,7 +117,7 @@ fn offline_check_agrees_with_report_check() {
     assert!(!via_report.is_empty(), "the bug must be detected offline");
     assert!(!via_trace.is_empty(), "the bug must be detected via trace");
     // Same violations (trace mode adds call-stack context).
-    let keys = |v: &[heapmd::BugReport]| -> Vec<(heapmd::CandidateKind, usize)> {
+    let keys = |v: &[heapmd::BugReport]| -> Vec<(heapmd::MetricKind, usize)> {
         v.iter().map(|b| (b.metric, b.sample_seq)).collect()
     };
     let trace_keys = keys(&via_trace);
