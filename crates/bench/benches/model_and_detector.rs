@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use faults::FaultPlan;
 use heapmd::{
-    check_binary_sharded, AnomalyDetector, BinaryTraceImage, BugReport, FuncId, HeapModel,
-    ModelBuilder, Process, Settings,
+    check_binary, AnomalyDetector, BinaryTraceImage, BugReport, FuncId, HeapModel, ModelBuilder,
+    Process, Settings,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -83,14 +83,14 @@ fn bench_model_and_detector(c: &mut Criterion) {
     let ga_settings = settings_for(&ga);
     let ga_model = train(&ga, &Input::set(4)).model;
     let image = armed_trace(&ga);
-    let bugs = check_binary_sharded(&image, &ga_model, &ga_settings, 1).expect("trace checks");
+    let bugs = check_binary(&image, &ga_model, &ga_settings).expect("trace checks");
     assert!(
         bugs.iter().any(|b| !b.context.is_empty()),
         "{ARMED_BUG} must arm the window and report"
     );
     group.throughput(Throughput::Elements(image.index().total_events));
     group.bench_function("check_armed_trace", |b| {
-        b.iter(|| check_binary_sharded(&image, &ga_model, &ga_settings, 1).expect("trace checks"))
+        b.iter(|| check_binary(&image, &ga_model, &ga_settings).expect("trace checks"))
     });
     assert_eq!(
         run_armed(&ga, &ga_model, &ga_settings),

@@ -1,11 +1,8 @@
-//! Single-trace ingestion: the fused decode→ingest engine, the same
-//! loop over an address-partitioned graph at 2/4/8 shards, and the
-//! same replay from a file with its open included, all against the
-//! pipelined engine (`replay_pipelined`). Shards run on the calling
-//! thread, so their numbers show what partitioning the graph's storage
-//! costs, not scaling (see DESIGN.md §13).
+//! Single-trace ingestion: the fused decode→ingest engine and the same
+//! replay from a file with its open included, both against the
+//! pipelined engine (`replay_pipelined`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use heapmd::{BinaryTraceImage, Process, Settings, Trace};
 use sim_heap::{Addr, NULL};
 
@@ -61,17 +58,10 @@ fn bench_sharded_replay(c: &mut Criterion) {
         b.iter(|| heapmd::replay_binary(&image, &settings, "bench").unwrap())
     });
 
-    // The fused single-thread decode→ingest engine (`--shards 1`).
+    // The fused single-thread decode→ingest engine.
     group.bench_function("replay_fused", |b| {
         b.iter(|| heapmd::replay_binary_fused(&image, &settings, "bench").unwrap())
     });
-
-    // The fused loop over an N-shard graph image.
-    for shards in [2usize, 4, 8] {
-        group.bench_function(BenchmarkId::new("replay_shards", shards), |b| {
-            b.iter(|| heapmd::replay_binary_sharded(&image, &settings, "bench", shards).unwrap())
-        });
-    }
 
     // File-to-report, open included: blocks read from the file by
     // position as they decode.

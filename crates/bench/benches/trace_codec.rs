@@ -94,9 +94,8 @@ fn bench_trace_codec(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("check_binary_jobs", jobs), |b| {
             b.iter(|| {
                 let mut bugs = 0;
-                let check = |i: usize| {
-                    heapmd::check_path(&binary_pool[i], &model, &settings, false, 1, None)
-                };
+                let check =
+                    |i: usize| heapmd::check_path(&binary_pool[i], &model, &settings, false, None);
                 let Ok(()) =
                     heapmd::run_pool_streaming("check_pool", POOL_TRACES, jobs, check, |_, r| {
                         bugs += r.unwrap().bugs.len();

@@ -1,8 +1,7 @@
 //! Splits the graph_update bench cost between the simulated heap and
 //! the heap-graph, so optimization effort goes where the time is —
 //! plus a codec section showing what block-decode buffer reuse saves
-//! on the replay hot path, and a replay section timing each engine and
-//! graph shard count.
+//! on the replay hot path, and a replay section timing each engine.
 //!
 //! Run: `cargo run --release -p heapmd-bench --example profile_hotpath`
 
@@ -146,7 +145,7 @@ fn main() {
         }
     });
 
-    // Replay engines: wall-clock per engine and per graph shard count.
+    // Replay engines: wall-clock per engine.
     let settings = Settings::builder().frq(100).build().unwrap();
     let replay_events = image.index().total_events;
     println!("\nreplay engines ({replay_events} events):");
@@ -156,13 +155,4 @@ fn main() {
     time_events("replay: fused", replay_events, &mut || {
         heapmd::replay_binary_fused(&image, &settings, "prof").unwrap();
     });
-    for shards in [2usize, 4, 8] {
-        time_events(
-            &format!("replay: {shards} shards"),
-            replay_events,
-            &mut || {
-                heapmd::replay_binary_sharded(&image, &settings, "prof", shards).unwrap();
-            },
-        );
-    }
 }

@@ -7,7 +7,7 @@
 //!                      [--sample-decimation N] [--model FILE] [--incidents DIR]
 //! heapmd train <program> [--inputs N] [--version V] [--out FILE]
 //!                        [--checkpoint-every N] [--resume] [--threads N]
-//! heapmd check --model FILE --trace FILE [--trace FILE …] [--jobs N] [--shards N]
+//! heapmd check --model FILE --trace FILE [--trace FILE …] [--jobs N]
 //!              [--salvage] [--sample]
 //! heapmd replay …                               # the same command as check
 //! heapmd inspect <artifact> [--salvage]         # bundle or trace, by magic
@@ -111,9 +111,9 @@ use heapmd::persist::AtomicFile;
 use heapmd::plot::{chart, RefLine};
 use heapmd::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use heapmd::{
-    available_workers, render_verdicts, AnomalyDetector, ArtifactKind, BinaryTraceImage, HeapModel,
-    IncidentBundle, IncidentLog, LogPhase, ModelBuilder, Process, SalvageStats, Trace,
-    TrainCheckpoint,
+    available_workers, render_verdicts, AnomalyDetector, ArtifactKind, BinaryTraceImage,
+    BundleSalvageStats, HeapModel, IncidentBundle, IncidentLog, LogPhase, ModelBuilder, Process,
+    SalvageStats, Trace, TrainCheckpoint,
 };
 use heapmd_obs::{debug, error, info};
 use heapmd_runstore::{
@@ -295,7 +295,7 @@ fn append_rows(store: &RunStore, rows: &[RunRow]) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N (default: every core)] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N (default: every core)] [--shards N] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
+        "usage:\n  heapmd list\n  heapmd run <program> [--input K] [--version V] [--bug FAULT_ID] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--trace-out FILE] [--model FILE] [--incidents DIR] [--run-store DIR] [--serve ADDR [--tenant NAME] [--session ID] [--retry N] [--backoff-ms N]]\n  heapmd train <program> [--inputs N] [--version V] [--out FILE] [--checkpoint-every N] [--checkpoint FILE] [--resume] [--threads N (default: every core)] [--run-store DIR]\n  heapmd check --model FILE --trace FILE [--trace FILE ...] [--jobs N (default: every core)] [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR] [--version V]\n  heapmd replay ...  (the same command as check)\n  heapmd inspect <artifact> [--salvage]\n  heapmd serve --model FILE [--listen ADDR] [--http ADDR] [--incidents DIR] [--prom-dump FILE] [--journal-dir DIR] [--model-dir DIR] [--session-timeout-ms N] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--run-store DIR]\n  heapmd query --store DIR [--workload NAME] [--version V] [--run ID] [--tenant NAME] [--kind train|run|check|serve] [--since T] [--until T] [--metric ID ...] [--agg stats|drift] [--format tsv|jsonl] [--limit N] [--describe]\n  heapmd top --connect ADDR [--once] [--interval-ms N]\n  heapmd push --to ADDR --tenant NAME --trace FILE [--salvage] [--sample] [--sample-hot-threshold N] [--sample-decimation N] [--session ID] [--retry N] [--backoff-ms N]\nglobal flags: [--log-level LEVEL] [--obs-out FILE.jsonl] [--obs-prom FILE] [--trace-events FILE]"
     );
     std::process::exit(2);
 }
@@ -684,9 +684,11 @@ fn cmd_check(args: &[String]) -> i32 {
     };
     // Every core by default; `--jobs N` caps the workers at N.
     let jobs = num_flag(args, "--jobs", "a positive number", available_workers()).get();
-    // Graph shards: 1 is the single-slab graph; observables are
-    // bit-identical at every count.
-    let shards = num_flag(args, "--shards", "a positive number", NonZeroUsize::MIN).get();
+    // The heap graph is one graph; `--shards 1` still names it.
+    if let Some(v) = arg_value(args, "--shards").filter(|v| v != "1") {
+        eprintln!("--shards {v}: graph sharding was removed; check runs one heap graph");
+        return 2;
+    }
     let salvage = args.iter().any(|a| a == "--salvage");
     let model = match HeapModel::load(&model_path) {
         Ok(m) => m,
@@ -704,8 +706,7 @@ fn cmd_check(args: &[String]) -> i32 {
     let paths: Vec<PathBuf> = trace_paths.iter().map(PathBuf::from).collect();
     info!("checking {} trace(s) with {jobs} job(s)", paths.len());
     let (mut failed, mut anomalies) = (false, false);
-    let check =
-        |i: usize| heapmd::check_path(&paths[i], &model, &model.settings, salvage, shards, sampler);
+    let check = |i: usize| heapmd::check_path(&paths[i], &model, &model.settings, salvage, sampler);
     // Each verdict prints as soon as it and every earlier one are in.
     let Ok(()) = heapmd::run_pool_streaming("check_pool", paths.len(), jobs, check, |i, result| {
         let path = &trace_paths[i];
@@ -944,6 +945,19 @@ fn inspect_binary_trace(path: &str, salvage: bool) -> i32 {
     0
 }
 
+/// Printed for a bundle whose records are all intact but name what
+/// this build no longer reads: salvage drops those records, so only a
+/// new recording recovers the incident.
+const RERECORD_HINT: &str = "hint: every record is intact, but one names a metric or record kind \
+this build no longer reads; re-record the incident under a current model \
+(`heapmd run <program> --model FILE --incidents DIR`)";
+
+/// Whether every record a bundle lost passed its checksum and failed
+/// only to decode.
+fn names_retired_records(stats: &BundleSalvageStats) -> bool {
+    stats.undecodable > 0 && stats.undecodable == stats.skipped
+}
+
 fn inspect_bundle(path: &str, salvage: bool) -> i32 {
     let bundle = if salvage {
         match IncidentBundle::salvage(path) {
@@ -964,6 +978,9 @@ fn inspect_bundle(path: &str, salvage: bool) -> i32 {
                     "nothing salvageable in {path}: no intact metadata record in {} bytes",
                     stats.total_bytes
                 );
+                if names_retired_records(&stats) {
+                    eprintln!("{RERECORD_HINT}");
+                }
                 return 1;
             }
             Err(e) => {
@@ -976,7 +993,14 @@ fn inspect_bundle(path: &str, salvage: bool) -> i32 {
             Ok(b) => b,
             Err(e) => {
                 error!("cannot load bundle {path}: {e}");
-                eprintln!("hint: `--salvage` recovers what a damaged bundle still holds");
+                let retired = std::fs::read(path).is_ok_and(|bytes| {
+                    names_retired_records(&IncidentBundle::salvage_bytes(&bytes).1)
+                });
+                if retired {
+                    eprintln!("{RERECORD_HINT}");
+                } else {
+                    eprintln!("hint: `--salvage` recovers what a damaged bundle still holds");
+                }
                 return 1;
             }
         }

@@ -74,6 +74,10 @@ fn unknown_flags_and_removed_commands_are_usage_errors() {
             Some("--shards"),
         ),
         (
+            &["check", "--model", "m", "--trace", trace, "--shards", "2"][..],
+            Some("graph sharding was removed"),
+        ),
+        (
             &["serve", "--model", "m", "--shards", "0"][..],
             Some("--shards"),
         ),
@@ -503,6 +507,46 @@ fn artifacts_of_the_retired_extensions_are_refused_by_name() {
     let out = cli(&["inspect", &fixture("v2_incident.hmdi")]);
     assert!(out.status.success(), "{}", stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `inspect` sends a bundle that fails to load to the salvage only when
+/// salvage can help: an intact bundle naming a retired metric gets a
+/// hint to re-record instead, with and without `--salvage`, and a
+/// damaged one still gets the salvage hint.
+#[test]
+fn inspect_hints_at_salvage_only_for_damage() {
+    let retired = fixture("maxindeg_incident.hmdi");
+    for args in [
+        &["inspect", &retired][..],
+        &["inspect", &retired, "--salvage"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("re-record the incident under a current model"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            !stderr(&out).contains("--salvage` recovers"),
+            "{}",
+            stderr(&out)
+        );
+    }
+    let mut bytes = std::fs::read(fixture("v2_incident.hmdi")).unwrap();
+    let last = bytes.len() - 2;
+    bytes[last] ^= 0x01;
+    let damaged = std::env::temp_dir().join(format!("heapmd-damaged-{}.hmdi", std::process::id()));
+    std::fs::write(&damaged, bytes).unwrap();
+    let out = cli(&["inspect", damaged.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("hint: `--salvage` recovers what a damaged bundle still holds"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!stderr(&out).contains("re-record"), "{}", stderr(&out));
+    std::fs::remove_file(&damaged).ok();
 }
 
 /// `run --trace-out` streams into `<file>.tmp` and renames it over the

@@ -1117,7 +1117,7 @@ mod tests {
     #[test]
     fn armed_window_renders_on_read_exactly_as_eager_logging_would() {
         use crate::callstack::FunctionTable;
-        use heap_graph::GraphImage;
+        use heap_graph::HeapGraph;
         use sim_heap::{Addr, AllocSite, ObjectId};
 
         let capacity = 4;
@@ -1127,11 +1127,11 @@ mod tests {
             .build()
             .unwrap();
         let mut det = AnomalyDetector::new(model_with(MetricKind::Indeg1, 13.0, 18.0), settings);
-        let graph = GraphImage::new(1);
+        let graph = HeapGraph::new();
         let mut funcs = FunctionTable::new();
         let main = funcs.intern("main");
         fn ctx_at<'a>(
-            graph: &'a GraphImage,
+            graph: &'a HeapGraph,
             tick: u64,
             funcs: &'a FunctionTable,
             stack: &'a [FuncId],

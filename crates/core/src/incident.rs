@@ -208,6 +208,11 @@ pub struct BundleSalvageStats {
     pub records: u64,
     /// Records lost to damage (resync skips).
     pub skipped: u64,
+    /// Of the `skipped` records, those whose frame and checksum are
+    /// intact but whose payload this build does not decode (a retired
+    /// metric or record kind): a re-recording, not a salvage, recovers
+    /// them.
+    pub undecodable: u64,
     /// Total bytes in the artifact.
     pub total_bytes: u64,
     /// `true` when every record parsed and the `End` trailer matched.
@@ -352,6 +357,7 @@ impl IncidentBundle {
         let mut degrees = None;
         let mut records: u64 = 0;
         let mut skipped: u64 = 0;
+        let mut undecodable: u64 = 0;
         let mut complete = false;
         let mut corruption: Option<(u64, String)> = None;
         let mut pos = 0usize;
@@ -360,7 +366,10 @@ impl IncidentBundle {
             let parsed = parse_frame(INCIDENT_MAGIC, bytes, pos).and_then(|(payload, next)| {
                 serde_json::from_str::<BundleRecord>(payload)
                     .map(|r| (r, next))
-                    .map_err(|e| format!("payload JSON: {e}"))
+                    .map_err(|e| {
+                        undecodable += 1;
+                        format!("payload JSON: {e}")
+                    })
             });
             match parsed {
                 Ok((record, next)) => {
@@ -440,6 +449,7 @@ impl IncidentBundle {
             BundleSalvageStats {
                 records,
                 skipped,
+                undecodable,
                 total_bytes: bytes.len() as u64,
                 complete,
                 corruption,

@@ -117,11 +117,11 @@ pub use settings::{Settings, SettingsBuilder};
 pub use stability::{classify, StabilityClass};
 pub use trace::{Trace, TraceCheckOutcome};
 pub use trace_codec::{
-    check_binary_sharded, check_path, encode_sampling_meta, load_trace_auto, replay_binary,
-    replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded, sniff_bytes,
-    sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, BlockEntry,
-    BlockIndex, SalvageStats, StreamFormat, WireFrame, WireReader, BINARY_FORMAT_VERSION,
-    BINARY_MAGIC, EVENTS_PER_BLOCK,
+    check_binary, check_binary_sharded, check_path, encode_sampling_meta, load_trace_auto,
+    replay_binary, replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded,
+    sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter,
+    BlockEntry, BlockIndex, SalvageStats, StreamFormat, WireFrame, WireReader,
+    BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 
 // Re-export the metric vocabulary so downstream crates only need `heapmd`.

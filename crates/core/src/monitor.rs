@@ -2,16 +2,15 @@
 
 use crate::callstack::{FuncId, FunctionTable};
 use crate::report::MetricSample;
-use heap_graph::GraphImage;
+use heap_graph::HeapGraph;
 use heapmd_obs::SeriesRecorder;
 use sim_heap::HeapEvent;
 
 /// Read-only view of the execution state handed to monitors.
 #[derive(Debug)]
 pub struct MonitorCtx<'a> {
-    /// The heap-graph image maintained by the execution logger
-    /// (single-slab or sharded; identical observables either way).
-    pub graph: &'a GraphImage,
+    /// The heap graph maintained by the execution logger.
+    pub graph: &'a HeapGraph,
     /// The event clock: events admitted so far, counted from the
     /// stream's start (the clock [`MetricSample::tick`] reads), the
     /// same number live and post-mortem.

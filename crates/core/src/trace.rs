@@ -16,7 +16,7 @@ use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
 use crate::trace_codec::SalvageStats;
-use heap_graph::{ApplyError, GraphImage};
+use heap_graph::{ApplyError, HeapGraph};
 use sim_heap::HeapEvent;
 use std::path::PathBuf;
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
@@ -155,20 +155,18 @@ impl Trace {
         model: &HeapModel,
         settings: &Settings,
     ) -> Result<Vec<crate::bug::BugReport>, HeapMdError> {
-        self.check_with(model, settings, 1, None).map(|o| o.bugs)
+        self.check_with(model, settings, None).map(|o| o.bugs)
     }
 
-    /// [`check`](Self::check) over a `shards`-way graph image,
-    /// re-sampling under `sampler` when the trace was recorded at full
-    /// fidelity.
+    /// [`check`](Self::check), re-sampling under `sampler` when the
+    /// trace was recorded at full fidelity.
     pub(crate) fn check_with(
         &self,
         model: &HeapModel,
         settings: &Settings,
-        shards: usize,
         sampler: Option<SamplerConfig>,
     ) -> Result<TraceCheckOutcome, HeapMdError> {
-        let replayer = Replayer::with_shards(settings.clone(), &[], shards);
+        let replayer = Replayer::new(settings.clone(), &[]);
         let mut check = StreamCheck::new(model.clone(), replayer, sampler);
         check.set_functions(&self.functions);
         if let Some(info) = self.sampling {
@@ -387,7 +385,7 @@ pub struct TraceCheckOutcome {
 }
 
 /// The one event core behind live monitoring and post-mortem replay:
-/// the heap-graph image, the call stack, the function table, the
+/// the heap graph, the call stack, the function table, the
 /// sampling schedule and filter, and the tick clock.
 ///
 /// [`crate::Process`] feeds its own replayer each event its mutator
@@ -398,7 +396,7 @@ pub struct TraceCheckOutcome {
 /// from the stream's start. So a sample lands with the same `tick` on
 /// every path, however the stream arrives and whoever fans it out.
 pub(crate) struct Replayer {
-    graph: GraphImage,
+    graph: HeapGraph,
     funcs: FunctionTable,
     stack: Vec<FuncId>,
     settings: Settings,
@@ -433,19 +431,8 @@ pub(crate) enum Advance {
 
 impl Replayer {
     pub(crate) fn new(settings: Settings, function_names: &[String]) -> Self {
-        Replayer::with_shards(settings, function_names, 1)
-    }
-
-    /// A replayer whose graph image is partitioned into `shards`
-    /// address-range shards (1 = the classic single-slab graph; the
-    /// observables are bit-identical either way).
-    pub(crate) fn with_shards(
-        settings: Settings,
-        function_names: &[String],
-        shards: usize,
-    ) -> Self {
         let mut replayer = Replayer {
-            graph: GraphImage::new(shards),
+            graph: HeapGraph::new(),
             funcs: FunctionTable::new(),
             stack: Vec::new(),
             settings,
@@ -501,7 +488,7 @@ impl Replayer {
 
     /// Returns the replayer to its just-constructed state while
     /// retaining graph capacity (slot slabs, shadow pages, id index):
-    /// the serve daemon's shard pools recycle replayers across tenant
+    /// the serve daemon's replayer pool recycles them across tenant
     /// streams this way instead of allocating one per stream.
     pub(crate) fn reset(&mut self, settings: Settings, function_names: &[String]) {
         self.graph.reset();
@@ -520,8 +507,8 @@ impl Replayer {
         &self.settings
     }
 
-    /// The heap-graph image.
-    pub(crate) fn graph(&self) -> &GraphImage {
+    /// The heap graph.
+    pub(crate) fn graph(&self) -> &HeapGraph {
         &self.graph
     }
 
@@ -570,7 +557,6 @@ impl Replayer {
 
     /// Records a metric computation point from the current graph state.
     pub(crate) fn take_sample(&mut self) -> MetricSample {
-        self.graph.reconcile();
         let (ext, values) = self.graph.measure();
         let sample = MetricSample {
             seq: self.samples.len(),
@@ -811,22 +797,16 @@ mod tests {
     fn reset_replayer_reproduces_a_fresh_one() {
         let (trace, _) = traced_run(5, 120);
         let settings = Settings::builder().frq(5).build().unwrap();
-        for shards in [1usize, 4] {
-            let mut fresh = Replayer::with_shards(settings.clone(), trace.functions(), shards);
-            fresh.ingest_batch(trace.events()).unwrap();
-            let want = fresh.take_samples();
-            // Dirty a replayer with a different stream, then reset it.
-            let (other, _) = traced_run(3, 77);
-            let mut reused = Replayer::with_shards(settings.clone(), other.functions(), shards);
-            reused.ingest_batch(other.events()).unwrap();
-            reused.reset(settings.clone(), trace.functions());
-            reused.ingest_batch(trace.events()).unwrap();
-            assert_eq!(
-                reused.take_samples(),
-                want,
-                "reset replayer diverged (shards={shards})"
-            );
-        }
+        let mut fresh = Replayer::new(settings.clone(), trace.functions());
+        fresh.ingest_batch(trace.events()).unwrap();
+        let want = fresh.take_samples();
+        // Dirty a replayer with a different stream, then reset it.
+        let (other, _) = traced_run(3, 77);
+        let mut reused = Replayer::new(settings.clone(), other.functions());
+        reused.ingest_batch(other.events()).unwrap();
+        reused.reset(settings.clone(), trace.functions());
+        reused.ingest_batch(trace.events()).unwrap();
+        assert_eq!(reused.take_samples(), want, "reset replayer diverged");
     }
 
     #[test]

@@ -37,17 +37,15 @@
 //!
 //! # Pipelined replay
 //!
-//! [`replay_binary`] and [`check_binary_sharded`] run a decoder thread
-//! that streams decoded blocks over a bounded channel into graph
-//! ingestion (the replayer's per-event core) while the next
-//! block decodes; event-batch buffers are recycled through a return
-//! channel, so steady-state replay allocates nothing per block. The
-//! check feeds those blocks to the one post-mortem driver that
-//! [`Trace::check`] and the serve daemon also use.
-//! [`replay_binary_fused`] and its sampled and sharded variants run one
-//! fused loop on the calling thread instead: decode a block, ingest it.
-//! Graph shards (`shards > 1`) partition the graph's storage on that
-//! same thread; the verdicts and samples are identical at every count.
+//! [`replay_binary`] and [`check_binary`] run a decoder thread that
+//! streams decoded blocks over a bounded channel into graph ingestion
+//! (the replayer's per-event core) while the next block decodes;
+//! event-batch buffers are recycled through a return channel, so
+//! steady-state replay allocates nothing per block. The check feeds
+//! those blocks to the one post-mortem driver that [`Trace::check`] and
+//! the serve daemon also use. [`replay_binary_fused`] and its sampled
+//! variant run one fused loop on the calling thread instead: decode a
+//! block, ingest it.
 //!
 //! `check --jobs N` fans [`check_path`] over N trace files on the one
 //! worker pool, [`run_pool_streaming`](crate::run_pool_streaming), which hands outcomes on in
@@ -1650,21 +1648,19 @@ pub fn replay_binary(
     ))
 }
 
-/// The fused replay loop behind [`replay_binary_fused`],
-/// [`replay_binary_fused_sampled`] and [`replay_binary_sharded`]: each
-/// block decodes into one reused buffer and is ingested on the calling
-/// thread by a replayer over a `shards`-way graph image, behind a live
-/// filter when `sampler` is given. Returns the report plus the filter's
+/// The fused replay loop behind [`replay_binary_fused`] and
+/// [`replay_binary_fused_sampled`]: each block decodes into one reused
+/// buffer and is ingested on the calling thread, behind a live filter
+/// when `sampler` is given. Returns the report plus the filter's
 /// outcome.
 fn fused_replay(
     image: &BinaryTraceImage,
     settings: &Settings,
     run: impl Into<String>,
-    shards: usize,
     sampler: Option<SamplerConfig>,
 ) -> Result<(MetricReport, Option<SamplingInfo>), HeapMdError> {
     let functions = image.functions()?;
-    let mut replayer = Replayer::with_shards(settings.clone(), &functions, shards);
+    let mut replayer = Replayer::new(settings.clone(), &functions);
     if let Some(config) = sampler {
         replayer.enable_sampling(config);
     }
@@ -1700,7 +1696,7 @@ pub fn replay_binary_fused(
     settings: &Settings,
     run: impl Into<String>,
 ) -> Result<MetricReport, HeapMdError> {
-    Ok(fused_replay(image, settings, run, 1, None)?.0)
+    Ok(fused_replay(image, settings, run, None)?.0)
 }
 
 /// [`replay_binary_fused`] with a live [`swat::SampledIngest`] filter
@@ -1725,57 +1721,57 @@ pub fn replay_binary_fused_sampled(
     run: impl Into<String>,
     config: SamplerConfig,
 ) -> Result<(MetricReport, SamplingInfo), HeapMdError> {
-    let (report, info) = fused_replay(image, settings, run, 1, Some(config))?;
+    let (report, info) = fused_replay(image, settings, run, Some(config))?;
     Ok((report, info.expect("sampling was enabled")))
 }
 
-/// [`replay_binary_fused`] over a graph image partitioned into `shards`
-/// address-range shards (`<= 1` is the single-slab graph; counts above
-/// [`heap_graph::MAX_SHARDS`] are clamped). The report is bit-identical
-/// at every shard count.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`], exactly as
-/// [`replay_binary_fused`].
+/// Kept for `ledger/src/layers.rs:357` only; ROADMAP item 1 deletes it.
+#[doc(hidden)]
 pub fn replay_binary_sharded(
     image: &BinaryTraceImage,
     settings: &Settings,
     run: impl Into<String>,
-    shards: usize,
+    _shards: usize,
 ) -> Result<MetricReport, HeapMdError> {
-    Ok(fused_replay(image, settings, run, shards, None)?.0)
+    Ok(fused_replay(image, settings, run, None)?.0)
 }
 
 /// Checks a binary trace image against `model` post-mortem through the
-/// pipelined decoder, over a graph image partitioned into `shards`
-/// address-range shards (`<= 1` is the single-slab graph). The
-/// trailing index supplies the total `FnEnter` count, so the
-/// start-up-skip alignment of [`Trace::check`] holds without a decode
-/// pre-pass. Verdicts are bit-identical at every shard count.
+/// pipelined decoder. The trailing index supplies the total `FnEnter`
+/// count, so the start-up-skip alignment of [`Trace::check`] holds
+/// without a decode pre-pass.
 ///
 /// # Errors
 ///
 /// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`].
+pub fn check_binary(
+    image: &BinaryTraceImage,
+    model: &HeapModel,
+    settings: &Settings,
+) -> Result<Vec<BugReport>, HeapMdError> {
+    check_image(image, model, settings, None).map(|o| o.bugs)
+}
+
+/// Kept for `ledger/src/corpus.rs:437` and `layers.rs` only; ROADMAP item 1 deletes it.
+#[doc(hidden)]
 pub fn check_binary_sharded(
     image: &BinaryTraceImage,
     model: &HeapModel,
     settings: &Settings,
-    shards: usize,
+    _shards: usize,
 ) -> Result<Vec<BugReport>, HeapMdError> {
-    check_image(image, model, settings, shards, None).map(|o| o.bugs)
+    check_binary(image, model, settings)
 }
 
-/// [`check_binary_sharded`], re-sampling a full-fidelity recording
-/// under `sampler`, with the whole outcome.
+/// [`check_binary`], re-sampling a full-fidelity recording under
+/// `sampler`, with the whole outcome.
 fn check_image(
     image: &BinaryTraceImage,
     model: &HeapModel,
     settings: &Settings,
-    shards: usize,
     sampler: Option<SamplerConfig>,
 ) -> Result<TraceCheckOutcome, HeapMdError> {
-    let replayer = Replayer::with_shards(settings.clone(), &[], shards);
+    let replayer = Replayer::new(settings.clone(), &[]);
     let mut check = StreamCheck::new(model.clone(), replayer, sampler);
     check.set_functions(&image.functions()?);
     if let Some(info) = image.sampling()? {
@@ -1795,9 +1791,8 @@ fn check_image(
 /// [`run_pool_streaming`](crate::run_pool_streaming) item of `check --jobs N`, which hands the
 /// outcomes on in input order as each prefix completes.
 ///
-/// The trace checks over a `shards`-way graph image (verdicts are
-/// shard-invariant); a full-fidelity trace is re-sampled under
-/// `sampler` first, an already-sampled one keeps its recorded schedule.
+/// A full-fidelity trace is re-sampled under `sampler` first, an
+/// already-sampled one keeps its recorded schedule.
 /// A strict check reads the file's blocks by position through the
 /// pipelined decoder, holding one block per decode in flight.
 /// With `salvage`, the file decodes to an in-memory trace through
@@ -1813,18 +1808,17 @@ pub fn check_path(
     model: &HeapModel,
     settings: &Settings,
     salvage: bool,
-    shards: usize,
     sampler: Option<SamplerConfig>,
 ) -> Result<TraceCheckOutcome, HeapMdError> {
     if salvage {
         let (trace, stats) = load_trace_auto(path, true)?;
-        let mut outcome = trace.check_with(model, settings, shards, sampler)?;
+        let mut outcome = trace.check_with(model, settings, sampler)?;
         outcome.salvage = stats;
         return Ok(outcome);
     }
     require_binary(path)?;
     let image = BinaryTraceImage::open_path(path)?;
-    check_image(&image, model, settings, shards, sampler)
+    check_image(&image, model, settings, sampler)
 }
 
 // ---------------------------------------------------------------------
@@ -2289,18 +2283,8 @@ mod tests {
         let expected = trace.check(&model, &settings).unwrap();
         assert!(!expected.is_empty());
         let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        let piped = check_binary_sharded(&image, &model, &settings, 1).unwrap();
+        let piped = check_binary(&image, &model, &settings).unwrap();
         assert_eq!(expected, piped);
-    }
-
-    #[test]
-    fn sharded_replay_clamps_oversized_shard_counts() {
-        let trace = sample_trace(300);
-        let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        let fused = replay_binary_fused(&image, &settings(5), "run").unwrap();
-        let big = heap_graph::MAX_SHARDS * 4;
-        let sharded = replay_binary_sharded(&image, &settings(5), "run", big).unwrap();
-        assert_eq!(sharded.samples, fused.samples);
     }
 
     #[test]
@@ -2382,7 +2366,7 @@ mod tests {
             .collect();
         for (jobs, salvage) in [1, 2, 8].into_iter().flat_map(|j| [(j, false), (j, true)]) {
             let mut pooled = Vec::new();
-            let check = |i: usize| check_path(&paths[i], &model, &settings, salvage, 1, None);
+            let check = |i: usize| check_path(&paths[i], &model, &settings, salvage, None);
             let Ok(()) = run_pool_streaming("check_pool", paths.len(), jobs, check, |_, r| {
                 pooled.push(r.unwrap().bugs);
                 Ok::<(), std::convert::Infallible>(())
@@ -2409,7 +2393,7 @@ mod tests {
         let config = SamplerConfig::new(8, 4);
         let outcomes: Vec<_> = [false, true]
             .into_iter()
-            .map(|salvage| check_path(&paths[0], &model, &settings, salvage, 1, Some(config)))
+            .map(|salvage| check_path(&paths[0], &model, &settings, salvage, Some(config)))
             .map(|r| r.unwrap())
             .collect();
         let rate = outcomes[0].sampling.expect("re-sampled").rate();

@@ -83,7 +83,7 @@ const DENSE_ID_CAP: u64 = 1 << 22;
 /// hash probe on the hot path — and an FxHash map catches the long
 /// tail.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct IdIndex {
+struct IdIndex {
     dense: Vec<u32>,
     spill: FxHashMap<u64, u32>,
     live: usize,
@@ -91,7 +91,7 @@ pub(crate) struct IdIndex {
 
 impl IdIndex {
     #[inline]
-    pub(crate) fn get(&self, id: ObjectId) -> Option<u32> {
+    fn get(&self, id: ObjectId) -> Option<u32> {
         if id.0 < DENSE_ID_CAP {
             match self.dense.get(id.0 as usize) {
                 Some(&s) if s != SHADOW_EMPTY => Some(s),
@@ -103,7 +103,7 @@ impl IdIndex {
     }
 
     /// Inserts a mapping, returning the previous slot if `id` was live.
-    pub(crate) fn insert(&mut self, id: ObjectId, slot: u32) -> Option<u32> {
+    fn insert(&mut self, id: ObjectId, slot: u32) -> Option<u32> {
         debug_assert_ne!(slot, SHADOW_EMPTY, "slot index clashes with sentinel");
         let prev = if id.0 < DENSE_ID_CAP {
             let i = id.0 as usize;
@@ -122,7 +122,7 @@ impl IdIndex {
         }
     }
 
-    pub(crate) fn remove(&mut self, id: ObjectId) -> Option<u32> {
+    fn remove(&mut self, id: ObjectId) -> Option<u32> {
         let prev = if id.0 < DENSE_ID_CAP {
             match self.dense.get_mut(id.0 as usize) {
                 Some(s) => std::mem::replace(s, SHADOW_EMPTY),
@@ -143,19 +143,19 @@ impl IdIndex {
     /// Forgets every mapping while retaining the dense vector's
     /// allocation (refilled with the sentinel) and the spill map's
     /// buckets.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.dense.fill(SHADOW_EMPTY);
         self.spill.clear();
         self.live = 0;
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.live
     }
 
     /// Live `(id, slot)` pairs, in no particular order. O(ids ever seen):
     /// fine for snapshots, validation, and forensics, not for hot paths.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, u32)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (ObjectId, u32)> + '_ {
         self.dense
             .iter()
             .enumerate()
@@ -171,43 +171,43 @@ impl IdIndex {
 /// address currently resolves to — never a stale index: every structure
 /// referencing a slot is unlinked before the slot enters the free list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SlotState {
+struct SlotState {
     /// Raw stored address.
-    pub(crate) raw: u64,
+    raw: u64,
     /// Dense slot of the live object it currently resolves to, if any.
-    pub(crate) target: Option<u32>,
+    target: Option<u32>,
 }
 
 /// Per-vertex storage, indexed by dense slot.
 #[derive(Debug, Clone)]
-pub(crate) struct NodeSlot {
+struct NodeSlot {
     /// The object id this slot currently represents (stale once freed).
-    pub(crate) id: ObjectId,
+    id: ObjectId,
     /// Cached degrees.
-    pub(crate) info: NodeInfo,
+    info: NodeInfo,
     /// Start address, for shadow clearing on free and resolution
     /// bounds checks.
-    pub(crate) start: u64,
+    start: u64,
     /// One past the last address of the object.
-    pub(crate) end: u64,
+    end: u64,
     /// `true` when the shadow map refused this object and it lives in
     /// the sorted spill index instead.
-    pub(crate) spilled: bool,
+    spilled: bool,
     /// Outgoing pointer slots, sorted by offset.
-    pub(crate) out: Vec<(u64, SlotState)>,
+    out: Vec<(u64, SlotState)>,
     /// Reverse edges: `(source slot, offset)`, unordered. Degrees are
     /// small at object granularity (paper §2.2), so removal is a linear
     /// scan + `swap_remove`.
-    pub(crate) inbound: Vec<(u32, u64)>,
+    inbound: Vec<(u32, u64)>,
 }
 
 /// One live allocation in the sorted spill index (shadow-map refusals
 /// only).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Range {
-    pub(crate) start: u64,
-    pub(crate) end: u64,
-    pub(crate) slot: u32,
+struct Range {
+    start: u64,
+    end: u64,
+    slot: u32,
 }
 
 /// One past the last byte an object `[start, end)` occupies when
@@ -222,7 +222,7 @@ pub(crate) fn footprint_end(start: u64, end: u64) -> u64 {
 /// sorted by start and, since overlapping allocations are refused,
 /// pairwise disjoint: only the last entry starting before `end` can.
 #[inline]
-pub(crate) fn spill_overlaps(spill: &[Range], start: u64, end: u64) -> bool {
+fn spill_overlaps(spill: &[Range], start: u64, end: u64) -> bool {
     let i = spill.partition_point(|r| r.start < end);
     i.checked_sub(1)
         .is_some_and(|i| footprint_end(spill[i].start, spill[i].end) > start)
@@ -231,9 +231,9 @@ pub(crate) fn spill_overlaps(spill: &[Range], start: u64, end: u64) -> bool {
 /// Dangling slots sharing one raw address, in the sorted unresolved
 /// index.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Bucket {
-    pub(crate) raw: u64,
-    pub(crate) entries: Vec<(u32, u64)>,
+struct Bucket {
+    raw: u64,
+    entries: Vec<(u32, u64)>,
 }
 
 /// A serializable summary of the graph at one instant.
@@ -297,7 +297,7 @@ impl HeapGraph {
     /// Returns the graph to its empty state while retaining the
     /// dominant allocations — the slot slab, free list, id index, and
     /// materialized shadow pages — so pooled consumers (the serve
-    /// daemon's shard loops) can recycle one warmed graph across many
+    /// daemon's replayer pool) can recycle one warmed graph across many
     /// tenant streams.
     pub fn reset(&mut self) {
         self.index.clear();
@@ -364,6 +364,16 @@ impl HeapGraph {
             edges: self.edge_count,
             dangling_slots: self.dangling,
         }
+    }
+
+    /// The structural counters and the seven paper metrics, computed
+    /// once per metric computation point.
+    pub fn measure(&self) -> (ExtendedMetrics, MetricVector) {
+        let _t = heapmd_obs::timer!("heap_graph_metrics_ns");
+        (
+            self.extended_metrics(),
+            MetricVector::from_histogram(&self.histogram),
+        )
     }
 
     /// A serializable summary of the current instant.
@@ -934,6 +944,22 @@ impl HeapGraph {
     }
 }
 
+/// Kept for `ledger/src/layers.rs:188` only; ROADMAP item 1 deletes it.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct ShardedGraph(HeapGraph);
+impl ShardedGraph {
+    pub fn new(_shards: usize) -> Self {
+        ShardedGraph::default()
+    }
+    pub fn apply_batch(&mut self, events: &[HeapEvent]) {
+        self.0.apply_batch(events);
+    }
+    pub fn node_count(&self) -> u64 {
+        self.0.node_count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1266,5 +1292,80 @@ mod tests {
         assert_eq!(e.nodes, 2);
         assert_eq!(e.edges, 2);
         assert_eq!(e.dangling_slots, 0);
+    }
+
+    #[test]
+    fn overlapping_allocations_are_refused_as_the_reference_refuses_them() {
+        use crate::ReferenceGraph;
+        let alloc = |obj, addr, size| HeapEvent::Alloc {
+            obj: ObjectId(obj),
+            addr: Addr::new(addr),
+            size,
+            site: AllocSite(0),
+        };
+        let store = |src, offset, value| HeapEvent::PtrWrite {
+            src: ObjectId(src),
+            offset,
+            value: Addr::new(value),
+            old_value: None,
+        };
+        let free = |obj| HeapEvent::Free {
+            obj: ObjectId(obj),
+            addr: Addr::new(0),
+            size: 0,
+        };
+        // Objects over 1 MiB live in the spill index; the first eight
+        // events once underflowed a degree.
+        let big = 1_048_640;
+        let events = [
+            (alloc(0, 4144, big), None),
+            (store(0, 8, 4176), None),
+            (
+                alloc(1, 4144, big),
+                Some(ApplyError::OverlappingAlloc(ObjectId(1))),
+            ),
+            (free(0), None),
+            (
+                store(1, 8, 4144),
+                Some(ApplyError::WriteIntoUnknown(ObjectId(1))),
+            ),
+            (alloc(2, 4128, 32), None),
+            (free(1), Some(ApplyError::FreeOfUnknown(ObjectId(1)))),
+            (free(2), None),
+            // Shadow-held, empty and unaligned objects.
+            (alloc(3, 0x2000, 32), None),
+            (
+                alloc(4, 0x2010, 8),
+                Some(ApplyError::OverlappingAlloc(ObjectId(4))),
+            ),
+            (alloc(5, 0x2020, 0), None),
+            (
+                alloc(6, 0x2020, 16),
+                Some(ApplyError::OverlappingAlloc(ObjectId(6))),
+            ),
+            (
+                alloc(7, 0x1ff8, 0x30),
+                Some(ApplyError::OverlappingAlloc(ObjectId(7))),
+            ),
+            (alloc(8, 0x2024, 4), None),
+            (store(3, 8, 0x2024), None),
+            (store(8, 0, 0x2000), None),
+            (alloc(9, 0x4000_0000, big), None),
+            (
+                alloc(10, 0x4000_0000 + big as u64 - 8, 8),
+                Some(ApplyError::OverlappingAlloc(ObjectId(10))),
+            ),
+            (free(5), None),
+            (alloc(11, 0x2020, 4), None),
+        ];
+        let mut refg = ReferenceGraph::new();
+        let mut graph = HeapGraph::new();
+        for (ev, err) in events {
+            assert_eq!(refg.try_apply(&ev).err(), err, "reference on {ev:?}");
+            assert_eq!(graph.try_apply(&ev).err(), err, "{ev:?}");
+            assert_eq!(graph.snapshot(), refg.snapshot(), "after {ev:?}");
+        }
+        graph.validate().expect("graph invariants");
+        assert_eq!(refg.edge_count(), 2);
     }
 }

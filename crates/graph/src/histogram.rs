@@ -137,24 +137,6 @@ impl DegreeHistogram {
         }
     }
 
-    /// Folds another histogram into this one.
-    ///
-    /// Every counter is additive over disjoint vertex sets, so merging
-    /// per-shard histograms built from a partition of the graph yields
-    /// exactly the histogram the unsharded graph would have — this is
-    /// the reconciliation step for
-    /// [`ShardedGraph`](crate::ShardedGraph).
-    pub fn merge(&mut self, other: &DegreeHistogram) {
-        for (a, b) in self.indeg.iter_mut().zip(&other.indeg) {
-            *a += b;
-        }
-        for (a, b) in self.outdeg.iter_mut().zip(&other.outdeg) {
-            *a += b;
-        }
-        self.nodes += other.nodes;
-        self.in_eq_out += other.in_eq_out;
-    }
-
     /// Percentage (0–100) of vertexes with the given indegree. Returns
     /// 0 for an empty graph.
     pub fn pct_indegree(&self, deg: u32) -> f64 {

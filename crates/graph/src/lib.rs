@@ -60,12 +60,10 @@ mod metrics;
 mod node;
 #[cfg(any(test, feature = "reference-graph"))]
 mod reference;
-mod shard;
 
-pub use graph::{ApplyError, GraphSnapshot, HeapGraph};
+pub use graph::{ApplyError, GraphSnapshot, HeapGraph, ShardedGraph};
 pub use histogram::{DegreeHistogram, DEGREE_SATURATION};
 pub use metrics::{ExtendedMetrics, MetricKind, MetricVector, METRIC_COUNT};
 pub use node::NodeInfo;
 #[cfg(any(test, feature = "reference-graph"))]
 pub use reference::ReferenceGraph;
-pub use shard::{GraphImage, ShardedGraph, MAX_SHARDS, SHARD_BITS, SLOT_BITS};

@@ -66,31 +66,6 @@ impl Addr {
     }
 }
 
-/// Width of an address region for shard routing: 4 KiB.
-///
-/// Sharded graph ingestion partitions ownership of per-object state by
-/// the *region* of the object's start address. 4 KiB regions are coarse
-/// enough that one region holds many small objects (routing stays
-/// cache-friendly) and fine enough that a bump allocator distributes
-/// consecutive regions round-robin across shards, keeping them balanced.
-pub const REGION_BITS: u32 = 12;
-
-/// The region index containing `addr`.
-#[inline]
-pub fn region_of(addr: u64) -> u64 {
-    addr >> REGION_BITS
-}
-
-/// The owning shard for an address under an `n`-way partition.
-///
-/// Regions are dealt round-robin: `region_of(addr) % n`. With `n == 1`
-/// everything routes to shard 0 (the legacy single-shard path).
-#[inline]
-pub fn shard_of(addr: u64, n: usize) -> usize {
-    debug_assert!(n > 0, "shard count must be positive");
-    (region_of(addr) % n as u64) as usize
-}
-
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:#x}", self.0)

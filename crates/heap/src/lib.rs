@@ -52,7 +52,7 @@ mod object;
 mod shadow;
 mod stats;
 
-pub use addr::{region_of, shard_of, Addr, NULL, REGION_BITS};
+pub use addr::{Addr, NULL};
 pub use alloc::{AddressAllocator, AllocatorConfig};
 pub use error::HeapError;
 pub use event::{AllocEffect, FreeEffect, HeapEvent, ReallocEffect, WriteEffect};

@@ -177,7 +177,7 @@ proptest! {
         let memory_bugs = format!("{:?}", from_binary.check(&model, &settings).unwrap());
         let image = BinaryTraceImage::open(binary_bytes(&trace)).unwrap();
         let pipelined_bugs =
-            format!("{:?}", heapmd::check_binary_sharded(&image, &model, &settings, 1).unwrap());
+            format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap());
         prop_assert_eq!(&reference_bugs, &memory_bugs, "verdicts diverged after the round trip");
         prop_assert_eq!(&reference_bugs, &pipelined_bugs, "pipelined verdicts diverged");
     }
@@ -280,13 +280,12 @@ fn with_first_entry_at(bytes: &[u8], offset: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // The sharded replay engine (any shard count) and the file-backed
-    // image are unobservable — same samples bit-for-bit as the fused
-    // single-thread engine over bytes in memory, same check verdicts,
+    // The file-backed image is unobservable — same samples bit-for-bit
+    // as the fused engine over bytes in memory, same check verdicts,
     // the same refusals, and the same salvage result whether a damaged
     // file is read from disk or from memory.
     #[test]
-    fn sharded_engines_and_file_images_match_the_fused_path(
+    fn file_images_match_the_in_memory_image(
         ops in proptest::collection::vec(op_strategy(), 1..250),
         frq in 1u64..8,
         cut_pct in 10u64..101,
@@ -296,31 +295,10 @@ proptest! {
         let settings = Settings::builder().frq(frq).build().unwrap();
         let image = BinaryTraceImage::open(bytes.clone()).unwrap();
 
-        // Shard sweep: 2, 3 (does not divide the address space evenly),
-        // and 8 graph shards must reproduce the fused engine's report.
         let fused = heapmd::replay_binary_fused(&image, &settings, "differential").unwrap();
-        for shards in [2usize, 3, 8] {
-            let sharded =
-                heapmd::replay_binary_sharded(&image, &settings, "differential", shards).unwrap();
-            assert_reports_match(&sharded, &fused, &format!("{shards}-shard replay"))?;
-        }
-
-        // Check verdicts through the sharded checker. Debug rendering
-        // keeps the comparison NaN-stable (see above).
         let mut builder = ModelBuilder::new(settings.clone());
         builder.add_run(&fused);
         let model = builder.build().model;
-        let baseline = format!(
-            "{:?}",
-            heapmd::check_binary_sharded(&image, &model, &settings, 1).unwrap()
-        );
-        for shards in [2usize, 3, 8] {
-            let sharded = format!(
-                "{:?}",
-                heapmd::check_binary_sharded(&image, &model, &settings, shards).unwrap()
-            );
-            prop_assert_eq!(&baseline, &sharded, "{}-shard verdicts diverged", shards);
-        }
 
         // File image vs in-memory image: the same bytes read from a file
         // by position and from memory decode identically, and every cut
@@ -333,6 +311,12 @@ proptest! {
         assert_images_match(&from_file, &image)?;
         let via_file = heapmd::replay_binary_fused(&from_file, &settings, "differential").unwrap();
         assert_reports_match(&via_file, &fused, "file replay")?;
+        // Debug rendering keeps the verdicts NaN-stable (see above).
+        prop_assert_eq!(
+            format!("{:?}", heapmd::check_binary(&from_file, &model, &settings).unwrap()),
+            format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap()),
+            "file check diverged"
+        );
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         // Shortest last: each `set_len` cuts what the previous one left.
         for cut in (0..bytes.len()).rev() {

@@ -8,12 +8,8 @@
 //!
 //! This is the acceptance gate for the hot-path rewrite: ≥ 1024 random
 //! cases, each checking agreement after *every* operation.
-//!
-//! A second gate (PR 8) sweeps the address-partitioned [`ShardedGraph`]
-//! over shard counts {1, 2, 3, 8} against the single-shard graph under
-//! the same regime — partitioning must be unobservable.
 
-use heap_graph::{HeapGraph, MetricKind, ReferenceGraph, ShardedGraph};
+use heap_graph::{HeapGraph, MetricKind, ReferenceGraph};
 use proptest::prelude::*;
 use sim_heap::{Addr, AllocSite, HeapError, HeapEvent, ObjectId, SimHeap};
 
@@ -64,56 +60,6 @@ fn assert_agree(
         let o = opt.node(id).map(|n| (n.indegree, n.outdegree));
         prop_assert_eq!(o, refg.degrees(id), "degrees diverged for {:?}", id);
         prop_assert!(opt.contains(id) && refg.contains(id));
-    }
-    Ok(())
-}
-
-/// Asserts an address-partitioned [`ShardedGraph`] agrees with the
-/// single-shard [`HeapGraph`] on every shared observable — the
-/// bit-identity contract the sharded ingestion path is built on.
-fn assert_shards_agree(
-    sharded: &mut ShardedGraph,
-    base: &HeapGraph,
-    live: &[(ObjectId, Addr)],
-) -> Result<(), TestCaseError> {
-    let n = sharded.shard_count();
-    sharded
-        .validate()
-        .map_err(|e| TestCaseError::fail(format!("{n}-shard invariant violated: {e}")))?;
-    sharded.reconcile();
-    prop_assert_eq!(
-        sharded.snapshot(),
-        base.snapshot(),
-        "snapshot diverged at {} shards",
-        n
-    );
-    prop_assert_eq!(
-        sharded.histogram(),
-        base.histogram(),
-        "histogram diverged at {} shards",
-        n
-    );
-    prop_assert_eq!(sharded.node_count(), base.node_count());
-    prop_assert_eq!(sharded.edge_count(), base.edge_count());
-    prop_assert_eq!(sharded.dangling_count(), base.dangling_count());
-    let sm = sharded.metrics();
-    let bm = base.metrics();
-    for kind in MetricKind::ALL {
-        prop_assert_eq!(
-            sm.get(kind).to_bits(),
-            bm.get(kind).to_bits(),
-            "metric {:?} diverged at {} shards: {} vs {}",
-            kind,
-            n,
-            sm.get(kind),
-            bm.get(kind)
-        );
-    }
-    for &(id, _) in live {
-        let s = sharded.node(id).map(|node| (node.indegree, node.outdegree));
-        let b = base.node(id).map(|node| (node.indegree, node.outdegree));
-        prop_assert_eq!(s, b, "degrees diverged for {:?} at {} shards", id, n);
-        prop_assert!(sharded.contains(id) == base.contains(id));
     }
     Ok(())
 }
@@ -287,109 +233,5 @@ proptest! {
         }
         prop_assert_eq!(batched.snapshot(), refg.snapshot());
         prop_assert_eq!(batched.histogram(), refg.histogram());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    // PR 8 acceptance: partitioning the graph by address range must be
-    // unobservable. A shard sweep over {1, 2, 3, 8} — including a
-    // count that does not divide the address space evenly — agrees
-    // with the single-shard graph after *every* operation: snapshot,
-    // reconciled histogram, all seven metrics at the bit level, node /
-    // edge / dangling counts, and per-node degrees resolved through
-    // the cross-shard edge table.
-    #[test]
-    fn sharded_graph_matches_single_shard_at_every_step(
-        ops in proptest::collection::vec(op_strategy(), 1..120)
-    ) {
-        let mut heap = SimHeap::new();
-        let mut base = HeapGraph::new();
-        let mut sharded: Vec<ShardedGraph> =
-            [1, 2, 3, 8].into_iter().map(ShardedGraph::new).collect();
-        let mut live: Vec<(ObjectId, Addr)> = Vec::new();
-
-        for op in ops {
-            let event = match op {
-                Op::Alloc(size) => {
-                    let eff = heap.alloc(size, AllocSite(0)).unwrap();
-                    live.push((eff.id, eff.addr));
-                    Some(HeapEvent::Alloc {
-                        obj: eff.id,
-                        addr: eff.addr,
-                        size: eff.size,
-                        site: AllocSite(0),
-                    })
-                }
-                Op::FreeNth(n) => {
-                    if live.is_empty() {
-                        None
-                    } else {
-                        let (_, addr) = live.remove(n % live.len());
-                        let eff = heap.free(addr).unwrap();
-                        Some(HeapEvent::Free { obj: eff.id, addr: eff.addr, size: eff.size })
-                    }
-                }
-                Op::Link { src, dst, slot } => {
-                    if live.is_empty() {
-                        None
-                    } else {
-                        let s = live[src % live.len()].1;
-                        let d = live[dst % live.len()].1;
-                        match heap.write_ptr(s.offset(slot), d) {
-                            Ok(w) => Some(HeapEvent::PtrWrite {
-                                src: w.src,
-                                offset: w.offset,
-                                value: d,
-                                old_value: w.old_value,
-                            }),
-                            Err(HeapError::TornAccess { .. } | HeapError::WildAccess(_)) => None,
-                            Err(e) => panic!("unexpected: {e}"),
-                        }
-                    }
-                }
-                Op::Unlink { src, slot } => {
-                    if live.is_empty() {
-                        None
-                    } else {
-                        let s = live[src % live.len()].1;
-                        match heap.write_ptr(s.offset(slot), sim_heap::NULL) {
-                            Ok(w) => Some(HeapEvent::PtrWrite {
-                                src: w.src,
-                                offset: w.offset,
-                                value: sim_heap::NULL,
-                                old_value: w.old_value,
-                            }),
-                            Err(HeapError::TornAccess { .. } | HeapError::WildAccess(_)) => None,
-                            Err(e) => panic!("unexpected: {e}"),
-                        }
-                    }
-                }
-                Op::Scalar { src, slot } => {
-                    if live.is_empty() {
-                        None
-                    } else {
-                        let s = live[src % live.len()].1;
-                        match heap.write_scalar(s.offset(slot)) {
-                            Ok(w) => Some(HeapEvent::ScalarWrite {
-                                src: w.src,
-                                offset: w.offset,
-                                old_value: w.old_value,
-                            }),
-                            Err(HeapError::WildAccess(_)) => None,
-                            Err(e) => panic!("unexpected: {e}"),
-                        }
-                    }
-                }
-            };
-
-            let Some(event) = event else { continue };
-            base.apply(&event);
-            for graph in &mut sharded {
-                graph.apply(&event);
-                assert_shards_agree(graph, &base, &live)?;
-            }
-        }
     }
 }

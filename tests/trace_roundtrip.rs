@@ -249,7 +249,7 @@ fn live_offline_and_serve_agree_on_a_long_run() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.hmdt");
     trace.save_binary(&path).unwrap();
-    let filed = check_path(&path, &model, &settings, false, 1, None).unwrap();
+    let filed = check_path(&path, &model, &settings, false, None).unwrap();
     assert_eq!(live, filed.bugs, "live == check of the .hmdt file");
     assert_eq!(live_text, render_verdicts(&filed.bugs));
     holds_its_report(&filed.incidents, &filed.bugs);
