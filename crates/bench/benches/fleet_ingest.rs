@@ -1,10 +1,10 @@
 //! Fleet daemon ingest throughput: N concurrent tenants streaming
 //! binary traces into `heapmd::Server`, measured over the full
-//! lifecycle — accept, preamble, wire decode, shard ingest with live
-//! gauges, graceful shutdown, and the authoritative per-tenant verdict.
-//! Throughput is total events across the fan-out, so the
-//! `tenants_resumable/N` series shows how the sharded registry scales
-//! with concurrent streams.
+//! lifecycle — accept, preamble, wire decode, each connection's live
+//! check with its gauges, graceful shutdown, and the authoritative
+//! per-tenant verdict. Throughput is total events across the fan-out,
+//! so the `tenants_resumable/N` series shows how the daemon scales
+//! with concurrent streams, one connection thread each.
 //!
 //! The daemon runs as `heapmd serve` runs it, with observability on,
 //! and every tenant pushes through the acked session client, as

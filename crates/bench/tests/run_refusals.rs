@@ -306,10 +306,10 @@ fn overlapping_allocations_fail_alone_in_their_batch() {
     );
 }
 
-/// `bytes` with its first events-block index entry moved to `offset`,
-/// the index block's CRC and the footer recomputed: an index that
-/// passes every checksum yet locates a block outside the file.
-fn with_events_entry_at(bytes: &[u8], offset: u64) -> Vec<u8> {
+/// `bytes` with its index rewritten by `edit`, the index block's CRC
+/// and the footer recomputed: an index that passes every checksum yet
+/// says what `edit` made it say.
+fn with_index(bytes: &[u8], edit: impl FnOnce(&mut heapmd::BlockIndex)) -> Vec<u8> {
     fn varint(out: &mut Vec<u8>, mut v: u64) {
         while v >= 0x80 {
             out.push(v as u8 | 0x80);
@@ -318,21 +318,16 @@ fn with_events_entry_at(bytes: &[u8], offset: u64) -> Vec<u8> {
         out.push(v as u8);
     }
     let crc32 = heapmd_runstore::persist::crc32;
-    let index = heapmd::BinaryTraceImage::open(bytes.to_vec())
+    let mut index = heapmd::BinaryTraceImage::open(bytes.to_vec())
         .unwrap()
         .index()
         .clone();
+    edit(&mut index);
     let footer_at = bytes.len() - 20;
     let index_offset = u64::from_le_bytes(bytes[footer_at..footer_at + 8].try_into().unwrap());
-    let first_events = index.blocks.iter().position(|b| b.kind == 1).unwrap();
     let mut payload = Vec::new();
-    for (i, entry) in index.blocks.iter().enumerate() {
-        let at = if i == first_events {
-            offset
-        } else {
-            entry.offset
-        };
-        varint(&mut payload, at);
+    for entry in &index.blocks {
+        varint(&mut payload, entry.offset);
         payload.push(entry.kind);
         varint(&mut payload, u64::from(entry.count));
     }
@@ -348,6 +343,16 @@ fn with_events_entry_at(bytes: &[u8], offset: u64) -> Vec<u8> {
     out.extend_from_slice(&crc32(&index_offset.to_le_bytes()).to_le_bytes());
     out.extend_from_slice(b"HMDBIDX\n");
     out
+}
+
+/// `bytes` with its first events-block index entry moved to `offset`:
+/// an index that passes every checksum yet locates a block outside the
+/// file.
+fn with_events_entry_at(bytes: &[u8], offset: u64) -> Vec<u8> {
+    with_index(bytes, |index| {
+        let first_events = index.blocks.iter().position(|b| b.kind == 1).unwrap();
+        index.blocks[first_events].offset = offset;
+    })
 }
 
 /// A CRC-valid index entry that points past the end of the file is
@@ -397,6 +402,66 @@ fn an_index_entry_outside_the_file_fails_alone_in_its_batch() {
         stderr(&out)
     );
     assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}
+
+/// A CRC-valid index whose event total is not the sum of its entries
+/// (here 2^40, which once sized a 44 TB allocation and aborted `push`)
+/// is refused when the trace opens: `check`, `inspect` and `push` each
+/// exit 1 naming the index, with no panic, and `push` connects to
+/// nothing.
+#[test]
+fn an_index_that_lies_about_its_event_total_is_refused_by_every_reader() {
+    use sim_heap::{AllocSite, HeapEvent, ObjectId};
+    let dir = std::env::temp_dir().join(format!("heapmd-lying-index-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (good, bad) = (dir.join("good.hmdt"), dir.join("bad.hmdt"));
+    write_trace(
+        &good,
+        &[
+            HeapEvent::FnEnter { func: 0 },
+            HeapEvent::Alloc {
+                obj: ObjectId(1),
+                addr: sim_heap::Addr::new(0x1000),
+                size: 16,
+                site: AllocSite(0),
+            },
+            HeapEvent::FnExit { func: 0 },
+        ],
+    );
+    let bytes = std::fs::read(&good).unwrap();
+    std::fs::write(
+        &bad,
+        with_index(&bytes, |index| index.total_events = 1 << 40),
+    )
+    .unwrap();
+    let model = dir.join("model.json");
+    let mut builder = heapmd::ModelBuilder::new(heapmd::Settings::default()).program("p");
+    builder.add_run(&heapmd::MetricReport::new("r", Vec::new()));
+    builder.build().model.save(&model).unwrap();
+    let (bad, model) = (bad.to_str().unwrap(), model.to_str().unwrap());
+    for args in [
+        &["check", "--model", model, "--trace", bad][..],
+        &["inspect", bad],
+        &[
+            "push",
+            "--to",
+            "127.0.0.1:1",
+            "--tenant",
+            "t",
+            "--trace",
+            bad,
+        ],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("index declares 1099511627776 events, its entries carry 3"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The live check and the post-mortem check of the same run print the

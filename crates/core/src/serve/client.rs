@@ -132,10 +132,10 @@ impl std::fmt::Debug for SessionOptions {
 /// no header — the daemon journals its own), every block becomes one
 /// frame, and the index block pulls the 20-byte footer along with it.
 struct BlockSplitter {
+    /// The bytes of a frame not yet complete.
     buf: Vec<u8>,
     header_left: usize,
-    /// Payload (+footer) bytes the current block still needs, once its
-    /// header is complete.
+    /// The index frame was cut: the stream is complete.
     ended: bool,
 }
 
@@ -148,7 +148,9 @@ impl BlockSplitter {
         }
     }
 
-    /// Feeds bytes; returns every frame completed by them.
+    /// Feeds bytes; returns every frame completed by them. The work is
+    /// linear in `bytes`: frames are cut behind a cursor, and the
+    /// unfinished tail is moved to the front once per call.
     ///
     /// # Errors
     ///
@@ -162,20 +164,18 @@ impl BlockSplitter {
         }
         self.buf.extend_from_slice(bytes);
         let mut frames = Vec::new();
-        while self.buf.len() >= BLOCK_HEADER_LEN {
-            let header = BlockHeader::parse(&self.buf)
+        let mut at = 0;
+        while !self.ended && self.buf.len() - at >= BLOCK_HEADER_LEN {
+            let header = BlockHeader::parse(&self.buf[at..])
                 .map_err(|reason| io::Error::new(io::ErrorKind::InvalidData, reason))?;
-            let frame_len = header.frame_len();
-            if self.buf.len() < frame_len {
+            let Some(block) = self.buf.get(at..at + header.frame_len()) else {
                 break;
-            }
-            let rest = self.buf.split_off(frame_len);
-            frames.push(std::mem::replace(&mut self.buf, rest));
-            if header.kind == KIND_INDEX {
-                self.ended = true;
-                break;
-            }
+            };
+            at += block.len();
+            frames.push(block.to_vec());
+            self.ended = header.kind == KIND_INDEX;
         }
+        self.buf.drain(..at);
         Ok(frames)
     }
 }
@@ -663,7 +663,8 @@ mod tests {
     #[test]
     fn splitter_reassembles_writer_frames() {
         // Encode a two-block trace (events + functions + index) and
-        // feed it through the splitter in awkward chunk sizes.
+        // feed it through the splitter in awkward chunk sizes, and as
+        // one write of the whole stream.
         let mut w = BinaryTraceWriter::new(Vec::new()).unwrap();
         for i in 0..(EVENTS_PER_BLOCK + 3) {
             w.write_event(&HeapEvent::Alloc {
@@ -677,13 +678,14 @@ mod tests {
         w.write_functions(&["main".to_string()]).unwrap();
         let bytes = w.finish().unwrap();
 
-        for chunk in [1usize, 7, 64, 4096] {
+        for chunk in [1usize, 7, 64, 4096, bytes.len()] {
             let mut sp = BlockSplitter::new();
             let mut frames = Vec::new();
             for part in bytes.chunks(chunk) {
                 frames.extend(sp.push(part).unwrap());
             }
             assert!(sp.ended, "chunk {chunk}: index frame seen");
+            assert!(sp.buf.is_empty(), "chunk {chunk}: nothing left over");
             let total: usize = frames.iter().map(Vec::len).sum();
             assert_eq!(
                 total,

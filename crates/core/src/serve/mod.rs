@@ -63,10 +63,13 @@
 //!   verdict is kept).
 //! - **Shutdown.** The toolchain forbids `unsafe`, so there is no
 //!   signal handler; graceful shutdown arrives via the HTTP control
-//!   endpoint (`GET /shutdown`) or [`Server::shutdown`]. In-flight
-//!   streams check whatever the kernel already buffered, the prefixes
-//!   are finalized as partial verdicts, every incident bundle flushed,
-//!   and the final Prometheus dump written. Session journals survive
+//!   endpoint (`GET /shutdown`) or [`Server::shutdown`]. Both set the
+//!   flag and unpark the sweeper of expired sessions; [`Server::wait`]
+//!   then wakes each listener blocked in `accept` by a connection to
+//!   itself, and finishes without waiting on a wake that cannot land.
+//!   In-flight streams check whatever the kernel already buffered, the
+//!   prefixes are finalized as partial verdicts, every incident bundle
+//!   flushed, and the final Prometheus dump written. Session journals survive
 //!   shutdown untouched, so a restarted daemon replays them and lets
 //!   clients resume mid-stream.
 
@@ -88,13 +91,14 @@ use heapmd_runstore::{RowKind, RunStore};
 use sim_heap::HeapEvent;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 use swat::{SamplerConfig, SamplingInfo};
 
@@ -103,10 +107,9 @@ pub use client::{
 };
 pub use session::SERVE_PREAMBLE_V2;
 
-/// Idle poll period of the nonblocking accept loops: the longest a new
-/// session or HTTP request waits to be accepted. Short streams push in
-/// a few milliseconds, so a longer period would dominate their latency.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Pause after a failed `accept` (out of descriptors, say), so a
+/// listener that keeps failing does not spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 /// Read timeout on ingest sockets: the latency with which a blocked
 /// connection handler notices the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(25);
@@ -115,8 +118,12 @@ const RATE_WINDOW: Duration = Duration::from_millis(250);
 /// Longest accepted preamble line (token + 64-char tenant + 32-char
 /// session id + a 20-digit ack, space-separated).
 const MAX_PREAMBLE: usize = 160;
-/// How often the accept loop sweeps for expired disconnected sessions.
+/// How often the sweeper looks for expired disconnected sessions.
 const SWEEP_PERIOD: Duration = Duration::from_millis(500);
+/// How long a shutdown wake waits for its listener to take the
+/// connection, and how long [`Server::wait`] waits for the listener
+/// threads to end before it leaves one whose wake went astray.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Whether `name` is a valid tenant name: 1–64 bytes of
 /// `[A-Za-z0-9._:-]`. The restriction keeps names safe as label
@@ -135,22 +142,23 @@ pub fn valid_tenant(name: &str) -> bool {
 
 enum AnyListener {
     Tcp(TcpListener),
+    /// With the identity of the socket file it bound.
     #[cfg(unix)]
-    Unix(UnixListener),
+    Unix(UnixListener, SocketFileId),
 }
 
 impl AnyListener {
     /// Binds `spec`: `unix:<path>` for a Unix socket (replacing a stale
     /// socket file), anything else as a TCP `host:port`. Returns the
-    /// listener (nonblocking) and its resolved address string.
+    /// listener and its resolved address string.
     fn bind(spec: &str) -> io::Result<(AnyListener, String)> {
         if let Some(path) = spec.strip_prefix("unix:") {
             #[cfg(unix)]
             {
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
-                return Ok((AnyListener::Unix(listener), spec.to_string()));
+                let id = socket_file_id(path.as_ref())?;
+                return Ok((AnyListener::Unix(listener, id), spec.to_string()));
             }
             #[cfg(not(unix))]
             return Err(io::Error::new(
@@ -160,15 +168,118 @@ impl AnyListener {
         }
         let listener = TcpListener::bind(spec)?;
         let addr = listener.local_addr()?.to_string();
-        listener.set_nonblocking(true)?;
         Ok((AnyListener::Tcp(listener), addr))
     }
 
+    /// Blocks for the next connection.
     fn accept(&self) -> io::Result<AnyStream> {
         match self {
             AnyListener::Tcp(l) => l.accept().map(|(s, _)| AnyStream::Tcp(s)),
             #[cfg(unix)]
-            AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
+            AnyListener::Unix(l, _) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
+        }
+    }
+
+    /// Where the daemon itself reaches this listener to wake its
+    /// blocked `accept`.
+    fn waker(&self) -> io::Result<WakeTarget> {
+        match self {
+            AnyListener::Tcp(l) => Ok(WakeTarget::Tcp(loopback_if_unspecified(l.local_addr()?))),
+            #[cfg(unix)]
+            AnyListener::Unix(l, id) => {
+                let addr = l.local_addr()?;
+                let path = addr.as_pathname().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidInput, "unnamed unix socket")
+                })?;
+                Ok(WakeTarget::Unix(path.to_path_buf(), *id))
+            }
+        }
+    }
+}
+
+/// The device and inode of a socket file: whether the file at a path is
+/// still the one a listener bound.
+#[cfg(unix)]
+type SocketFileId = (u64, u64);
+
+#[cfg(unix)]
+fn socket_file_id(path: &std::path::Path) -> io::Result<SocketFileId> {
+    use std::os::unix::fs::MetadataExt;
+    let meta = std::fs::metadata(path)?;
+    Ok((meta.dev(), meta.ino()))
+}
+
+/// A listening address the daemon connects to at shutdown, so the
+/// thread blocked in its `accept` returns and sees the flag.
+enum WakeTarget {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf, SocketFileId),
+}
+
+impl WakeTarget {
+    /// Connects and hangs up at once. A unix path is connected to only
+    /// while it still names the socket file the listener bound: once
+    /// another daemon rebinds the path, or the file is deleted, the
+    /// listener cannot be reached, and another daemon must not take
+    /// the wake for a client.
+    fn wake(&self) {
+        let _ = match self {
+            WakeTarget::Tcp(addr) => TcpStream::connect_timeout(addr, WAKE_TIMEOUT).map(drop),
+            #[cfg(unix)]
+            WakeTarget::Unix(path, id) => match socket_file_id(path) {
+                Ok(now) if now == *id => UnixStream::connect(path).map(drop),
+                _ => Ok(()),
+            },
+        };
+    }
+}
+
+/// `addr`, with an unspecified IP (a bind to every interface) replaced
+/// by the loopback address of the same family.
+fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// The daemon's stop signal: the flag every thread polls, the condition
+/// [`Server::wait`] sleeps on until it flips, and the sweeper parked
+/// between sweeps, which it unparks. The listeners blocked in `accept`
+/// are woken by [`Server::wait`].
+#[derive(Default)]
+pub(crate) struct Shutdown {
+    flag: AtomicBool,
+    lock: Mutex<()>,
+    flipped: Condvar,
+    sweeper: OnceLock<Thread>,
+}
+
+impl Shutdown {
+    /// Whether shutdown was requested.
+    pub(crate) fn requested(&self) -> bool {
+        self.flag.load(SeqCst)
+    }
+
+    /// Sets the flag, unparks the sweeper and wakes [`Server::wait`].
+    fn request(&self) {
+        self.flag.store(true, SeqCst);
+        if let Some(sweeper) = self.sweeper.get() {
+            sweeper.unpark();
+        }
+        let _guard = self.lock.lock().unwrap();
+        self.flipped.notify_all();
+    }
+
+    /// Blocks until shutdown is requested.
+    fn wait(&self) {
+        let mut guard = self.lock.lock().unwrap();
+        while !self.requested() {
+            guard = self.flipped.wait(guard).unwrap();
         }
     }
 }
@@ -219,7 +330,7 @@ impl AnyStream {
 /// closing the socket instead would discard the buffered tail.
 pub(crate) struct DrainingStream {
     inner: AnyStream,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
 }
 
 impl Read for DrainingStream {
@@ -232,7 +343,7 @@ impl Read for DrainingStream {
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if self.shutdown.load(Relaxed) {
+                    if self.shutdown.requested() {
                         return Ok(0);
                     }
                 }
@@ -550,7 +661,7 @@ const REPLAYER_POOL_CAP: usize = 8;
 /// what every verdict shares, and the outcomes of the closed streams.
 pub(crate) struct ServeCtx {
     pub(crate) fleet: Arc<FleetRegistry>,
-    pub(crate) shutdown: Arc<AtomicBool>,
+    pub(crate) shutdown: Arc<Shutdown>,
     pub(crate) model: Arc<HeapModel>,
     pub(crate) model_dir: Option<PathBuf>,
     pub(crate) journal_dir: Option<PathBuf>,
@@ -568,6 +679,9 @@ pub(crate) struct ServeCtx {
     replayers: Mutex<Vec<Replayer>>,
     /// Every closed stream's outcome, in the order the verdicts closed.
     outcomes: Mutex<Vec<TenantOutcome>>,
+    /// The connection threads still running, until [`Server::wait`]
+    /// takes them to join them (`None` after).
+    conns: Mutex<Option<Vec<JoinHandle<()>>>>,
 }
 
 impl ServeCtx {
@@ -582,7 +696,7 @@ impl ServeCtx {
         };
         Ok(ServeCtx {
             fleet: Arc::new(FleetRegistry::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::new(Shutdown::default()),
             model: Arc::new(config.model),
             model_dir: config.model_dir,
             journal_dir: config.journal_dir,
@@ -594,6 +708,7 @@ impl ServeCtx {
             sampler: config.sampler,
             replayers: Mutex::new(Vec::new()),
             outcomes: Mutex::new(Vec::new()),
+            conns: Mutex::new(Some(Vec::new())),
         })
     }
 
@@ -793,37 +908,35 @@ fn handle_conn(stream: AnyStream, ctx: Arc<ServeCtx>) {
         None => {
             // EOF during shutdown is the daemon going away, not a
             // client speaking the wrong protocol.
-            if !ctx.shutdown.load(Relaxed) {
+            if !ctx.shutdown.requested() {
                 ctx.fleet.record_protocol_error();
             }
         }
     }
 }
 
+/// Accepts ingest connections, one thread each, until shutdown: the
+/// wake connection [`Server::wait`] makes is dropped unserved, and so is
+/// any connection accepted after `wait` took the connection threads.
 fn accept_loop(listener: AnyListener, ctx: Arc<ServeCtx>) {
-    let mut handles = Vec::new();
-    let mut last_sweep = Instant::now();
-    while !ctx.shutdown.load(Relaxed) {
-        if last_sweep.elapsed() >= SWEEP_PERIOD {
-            session::sweep_expired(&ctx);
-            last_sweep = Instant::now();
+    loop {
+        let accepted = listener.accept();
+        if ctx.shutdown.requested() {
+            return;
         }
-        match listener.accept() {
+        match accepted {
             Ok(stream) => {
-                let _ = stream.set_nonblocking(false);
                 heapmd_obs::count!("heapmd_serve_connections_total");
+                let mut conns = ctx.conns.lock().unwrap();
+                let Some(handles) = conns.as_mut() else {
+                    return;
+                };
                 let ctx = Arc::clone(&ctx);
                 let handle = std::thread::spawn(move || handle_conn(stream, ctx));
-                track_conn(&mut handles, handle);
+                track_conn(handles, handle);
             }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
-    }
-    // Handlers notice the flag within one read-timeout tick and check
-    // what the kernel buffered; `Server::wait` then finalizes the
-    // streams they leave open.
-    for h in handles {
-        let _ = h.join();
     }
 }
 
@@ -841,7 +954,7 @@ fn track_conn(handles: &mut Vec<JoinHandle<()>>, handle: JoinHandle<()>) {
 // HTTP control endpoint
 // ---------------------------------------------------------------------
 
-fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &AtomicBool) {
+fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &Shutdown) {
     let mut buf = [0u8; 2048];
     let mut n = 0;
     loop {
@@ -868,7 +981,7 @@ fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &AtomicB
         "/fleet.jsonl" => (200, "application/x-ndjson", fleet.firehose_jsonl()),
         "/healthz" => (200, "text/plain", "ok\n".to_string()),
         "/shutdown" => {
-            shutdown.store(true, Relaxed);
+            shutdown.request();
             (200, "text/plain", "shutting down\n".to_string())
         }
         _ => (404, "text/plain", "not found\n".to_string()),
@@ -883,16 +996,33 @@ fn handle_http(stream: &mut TcpStream, fleet: &FleetRegistry, shutdown: &AtomicB
     let _ = stream.flush();
 }
 
-fn http_loop(listener: TcpListener, fleet: Arc<FleetRegistry>, shutdown: Arc<AtomicBool>) {
-    while !shutdown.load(Relaxed) {
-        match listener.accept() {
+/// Serves control requests one at a time until shutdown, whose wake
+/// connection it drops unserved, as the ingest accept loop does.
+fn http_loop(listener: TcpListener, fleet: Arc<FleetRegistry>, shutdown: Arc<Shutdown>) {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.requested() {
+            return;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
                 handle_http(&mut stream, &fleet, &shutdown);
             }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
+    }
+}
+
+/// Evicts expired disconnected sessions every [`SWEEP_PERIOD`] until
+/// shutdown, which unparks it.
+fn sweep_loop(ctx: Arc<ServeCtx>) {
+    loop {
+        std::thread::park_timeout(SWEEP_PERIOD);
+        if ctx.shutdown.requested() {
+            return;
+        }
+        session::sweep_expired(&ctx);
     }
 }
 
@@ -909,6 +1039,12 @@ pub struct Server {
     ctx: Arc<ServeCtx>,
     accept: JoinHandle<()>,
     http: JoinHandle<()>,
+    /// Where `wait` connects to wake the two listener threads.
+    wakers: Vec<WakeTarget>,
+    /// Disconnects once both listener threads have ended: no thread
+    /// ever sends on it.
+    listeners_ended: mpsc::Receiver<()>,
+    sweeper: JoinHandle<()>,
     prom_dump: Option<PathBuf>,
 }
 
@@ -916,7 +1052,7 @@ impl Server {
     /// Binds the ingest socket (`host:port` or `unix:<path>`) and the
     /// HTTP control socket (`host:port`; port 0 picks a free one),
     /// replays any session journals left by a previous daemon, and
-    /// spawns the accept and HTTP threads.
+    /// spawns the accept, HTTP and sweeper threads.
     ///
     /// # Errors
     ///
@@ -926,7 +1062,10 @@ impl Server {
         let (ingest, ingest_addr) = AnyListener::bind(listen)?;
         let http_listener = TcpListener::bind(http)?;
         let http_addr = http_listener.local_addr()?.to_string();
-        http_listener.set_nonblocking(true)?;
+        let wakers = vec![
+            ingest.waker()?,
+            WakeTarget::Tcp(loopback_if_unspecified(http_listener.local_addr()?)),
+        ];
 
         let prom_dump = config.prom_dump.clone();
         let ctx = Arc::new(ServeCtx::new(config)?);
@@ -934,25 +1073,43 @@ impl Server {
         // daemon left before accepting new connections, so resuming
         // clients find their sessions already rebuilt.
         session::recover_sessions(&ctx);
+        let (alive, listeners_ended) = mpsc::channel();
         let accept = {
             let ctx = Arc::clone(&ctx);
+            let alive = alive.clone();
             std::thread::Builder::new()
                 .name("hmd-accept".into())
-                .spawn(move || accept_loop(ingest, ctx))?
+                .spawn(move || {
+                    let _alive = alive;
+                    accept_loop(ingest, ctx)
+                })?
         };
         let http = {
             let fleet = Arc::clone(&ctx.fleet);
             let shutdown = Arc::clone(&ctx.shutdown);
             std::thread::Builder::new()
                 .name("hmd-http".into())
-                .spawn(move || http_loop(http_listener, fleet, shutdown))?
+                .spawn(move || {
+                    let _alive = alive;
+                    http_loop(http_listener, fleet, shutdown)
+                })?
         };
+        let sweeper = {
+            let ctx = Arc::clone(&ctx);
+            std::thread::Builder::new()
+                .name("hmd-sweep".into())
+                .spawn(move || sweep_loop(ctx))?
+        };
+        let _ = ctx.shutdown.sweeper.set(sweeper.thread().clone());
         Ok(Server {
             ingest_addr,
             http_addr,
             ctx,
             accept,
             http,
+            wakers,
+            listeners_ended,
+            sweeper,
             prom_dump,
         })
     }
@@ -978,19 +1135,42 @@ impl Server {
     /// final dump. Session journals are left on disk for the next
     /// daemon. Returns immediately; [`Server::wait`] observes it.
     pub fn shutdown(&self) {
-        self.ctx.shutdown.store(true, Relaxed);
+        self.ctx.shutdown.request();
     }
 
     /// Blocks until shutdown (via [`Server::shutdown`] or HTTP
     /// `/shutdown`), then finalizes every open stream and returns the
     /// summary.
     pub fn wait(self) -> ServeSummary {
-        let _ = self.accept.join();
+        self.ctx.shutdown.wait();
+        // Each listener blocked in `accept` is woken by a connection to
+        // itself. Nothing waits on the wakes, so one that cannot reach
+        // its listener (a unix path another daemon rebound, a filtered
+        // loopback, a full backlog) holds up no verdict.
+        let wakers = self.wakers;
+        let _ = std::thread::Builder::new()
+            .name("hmd-wake".into())
+            .spawn(move || wakers.iter().for_each(WakeTarget::wake));
+        // No sweep may close a stream while `finish` closes the rest.
+        let _ = self.sweeper.join();
+        // Handlers notice the flag within one read-timeout tick and
+        // check what the kernel buffered; `finish` then finalizes the
+        // streams they leave open.
+        let conns = self.ctx.conns.lock().unwrap().take();
+        for h in conns.into_iter().flatten() {
+            let _ = h.join();
+        }
         let mut summary = ServeSummary::default();
         for o in self.ctx.finish() {
             summary.tenants.insert(o.tenant.clone(), o);
         }
-        let _ = self.http.join();
+        // A listener thread whose wake went astray stays blocked in
+        // `accept`; it is left behind, detached, and serves nothing.
+        if let Err(RecvTimeoutError::Disconnected) = self.listeners_ended.recv_timeout(WAKE_TIMEOUT)
+        {
+            let _ = self.accept.join();
+            let _ = self.http.join();
+        }
         if let Some(path) = &self.prom_dump {
             let mut text = heapmd_obs::export::prometheus_text();
             text.push_str(&self.ctx.fleet.prometheus_text());

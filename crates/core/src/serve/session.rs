@@ -556,7 +556,7 @@ fn carry_blocks(
 
 /// Evicts sessions that stayed disconnected past the configured
 /// timeout, salvaging the prefix they sent into a partial verdict.
-/// Called periodically from the accept loop.
+/// Called periodically by the sweeper thread.
 pub(crate) fn sweep_expired(ctx: &ServeCtx) {
     let timeout = ctx.session_timeout;
     let mut expired = Vec::new();

@@ -46,6 +46,20 @@ impl Trace {
         Trace::default()
     }
 
+    /// A trace of `events`, named by `functions`, recorded under
+    /// `sampling`.
+    pub(crate) fn from_parts(
+        events: Vec<HeapEvent>,
+        functions: Vec<String>,
+        sampling: Option<SamplingInfo>,
+    ) -> Self {
+        Trace {
+            events,
+            functions,
+            sampling,
+        }
+    }
+
     /// Appends an event.
     pub fn push(&mut self, event: HeapEvent) {
         self.events.push(event);

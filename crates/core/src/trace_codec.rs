@@ -138,6 +138,11 @@ fn unzigzag(v: u64) -> i64 {
 
 #[inline]
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    // Deltas make 1-byte varints the common case, as in `get_varint`.
+    if v < 0x80 {
+        out.push(v as u8);
+        return;
+    }
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -375,12 +380,20 @@ pub struct BlockEntry {
 }
 
 fn put_block(out: &mut Vec<u8>, kind: u8, count: u32, payload: &[u8]) {
-    out.extend_from_slice(&BLOCK_MAGIC);
-    out.push(kind);
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&block_header(kind, count, payload));
     out.extend_from_slice(payload);
+}
+
+/// The header bytes of a block of `kind` carrying `count` items in
+/// `payload`.
+fn block_header(kind: u8, count: u32, payload: &[u8]) -> [u8; BLOCK_HEADER_LEN] {
+    let mut head = [0u8; BLOCK_HEADER_LEN];
+    head[..4].copy_from_slice(&BLOCK_MAGIC);
+    head[4] = kind;
+    head[5..9].copy_from_slice(&count.to_le_bytes());
+    head[9..13].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[13..].copy_from_slice(&crc32(payload).to_le_bytes());
+    head
 }
 
 /// What a block header declares. Every reader of block bytes (the
@@ -475,19 +488,23 @@ fn parse_block(bytes: &[u8], pos: usize) -> Result<(u8, u32, &[u8], usize), Stri
     Ok((header.kind, header.count, payload, pos + end))
 }
 
-fn encode_events_block(events: &[HeapEvent], scratch: &mut Vec<u8>) -> (Vec<u8>, u64) {
-    scratch.clear();
+/// Encodes `events` as one events block into `block` (replacing its
+/// contents): the payload is encoded in place behind room for the
+/// header, which is filled in last. Returns the `FnEnter` count.
+fn encode_events_block(events: &[HeapEvent], block: &mut Vec<u8>) -> u64 {
+    block.clear();
+    block.resize(BLOCK_HEADER_LEN, 0);
     let mut st = DeltaState::default();
     let mut fn_enters = 0u64;
     for ev in events {
         if matches!(ev, HeapEvent::FnEnter { .. }) {
             fn_enters += 1;
         }
-        encode_event(scratch, &mut st, ev);
+        encode_event(block, &mut st, ev);
     }
-    let mut block = Vec::with_capacity(BLOCK_HEADER_LEN + scratch.len());
-    put_block(&mut block, KIND_EVENTS, events.len() as u32, scratch);
-    (block, fn_enters)
+    let (head, payload) = block.split_at_mut(BLOCK_HEADER_LEN);
+    head.copy_from_slice(&block_header(KIND_EVENTS, events.len() as u32, payload));
+    fn_enters
 }
 
 /// Decodes an events-block payload into `out` (appending). The caller
@@ -550,8 +567,7 @@ pub struct BlockIndex {
     pub blocks: Vec<BlockEntry>,
     /// Total events across all events blocks.
     pub total_events: u64,
-    /// Total `FnEnter` events (lets `check` size its warmup without a
-    /// decode pre-pass).
+    /// Total `FnEnter` events (`inspect` prints it; no check reads it).
     pub total_fn_enters: u64,
 }
 
@@ -636,8 +652,8 @@ pub struct BinaryTraceWriter<W: Write> {
     inner: W,
     /// Events buffered for the current (unfinished) block.
     pending: Vec<HeapEvent>,
-    /// Scratch encode buffer, reused across blocks.
-    scratch: Vec<u8>,
+    /// The bytes of the block being written, reused across blocks.
+    block: Vec<u8>,
     /// Byte offset the next block will land at.
     offset: u64,
     index: BlockIndex,
@@ -654,7 +670,7 @@ impl<W: Write> BinaryTraceWriter<W> {
         Ok(BinaryTraceWriter {
             inner,
             pending: Vec::with_capacity(EVENTS_PER_BLOCK),
-            scratch: Vec::new(),
+            block: Vec::new(),
             offset: HEADER_LEN as u64,
             index: BlockIndex::default(),
         })
@@ -747,7 +763,7 @@ impl<W: Write> BinaryTraceWriter<W> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let (block, fn_enters) = encode_events_block(&self.pending, &mut self.scratch);
+        let fn_enters = encode_events_block(&self.pending, &mut self.block);
         self.index.blocks.push(BlockEntry {
             offset: self.offset,
             kind: KIND_EVENTS,
@@ -756,7 +772,10 @@ impl<W: Write> BinaryTraceWriter<W> {
         self.index.total_events += self.pending.len() as u64;
         self.index.total_fn_enters += fn_enters;
         self.pending.clear();
-        self.emit(&block)
+        let block = std::mem::take(&mut self.block);
+        let written = self.emit(&block);
+        self.block = block;
+        written
     }
 
     fn emit(&mut self, block: &[u8]) -> Result<(), HeapMdError> {
@@ -900,6 +919,41 @@ impl BinaryTraceImage {
             }
             floor = entry.offset + 1;
         }
+        // The counts size the decoded trace, so they are checked here:
+        // each event takes at least one byte of its block, and the
+        // total is the sum the entries declare.
+        let mut carried = 0u64;
+        for (i, entry) in image.index.blocks.iter().enumerate() {
+            if entry.kind != KIND_EVENTS {
+                continue;
+            }
+            let end = image
+                .index
+                .blocks
+                .get(i + 1)
+                .map_or(index_offset, |next| next.offset);
+            if u64::from(entry.count) > end - entry.offset {
+                return Err(HeapMdError::corrupt(
+                    index_offset,
+                    format!(
+                        "index entry at byte {} declares {} events in {} bytes",
+                        entry.offset,
+                        entry.count,
+                        end - entry.offset
+                    ),
+                ));
+            }
+            carried += u64::from(entry.count);
+        }
+        if carried != image.index.total_events {
+            return Err(HeapMdError::corrupt(
+                index_offset,
+                format!(
+                    "index declares {} events, its entries carry {carried}",
+                    image.index.total_events
+                ),
+            ));
+        }
         Ok(image)
     }
 
@@ -995,9 +1049,19 @@ impl BinaryTraceImage {
         out: &mut Vec<HeapEvent>,
     ) -> Result<(), HeapMdError> {
         out.clear();
-        let mut payload = Vec::new();
-        self.payload(entry, KIND_EVENTS, &mut payload)?;
-        decode_events_payload(&payload, entry.count, out)
+        self.append_block(entry, &mut Vec::new(), out)
+    }
+
+    /// Reads one event block into `payload` and appends its events to
+    /// `out`.
+    fn append_block(
+        &self,
+        entry: &BlockEntry,
+        payload: &mut Vec<u8>,
+        out: &mut Vec<HeapEvent>,
+    ) -> Result<(), HeapMdError> {
+        self.payload(entry, KIND_EVENTS, payload)?;
+        decode_events_payload(payload, entry.count, out)
             .map_err(|reason| HeapMdError::corrupt(entry.offset, reason))
     }
 
@@ -1021,36 +1085,25 @@ impl BinaryTraceImage {
         Ok(())
     }
 
-    /// Decodes everything into an in-memory [`Trace`], verifying the
-    /// declared totals.
+    /// Decodes everything into an in-memory [`Trace`]: every block
+    /// straight into the trace's one event vector, sized from the
+    /// total verified at open. Each block decodes exactly the count its
+    /// entry declares, so the trace carries that total.
     ///
     /// # Errors
     ///
     /// Returns [`HeapMdError::Corrupt`].
     pub fn to_trace(&self) -> Result<Trace, HeapMdError> {
         let mut events = Vec::with_capacity(self.index.total_events as usize);
-        let mut block_buf = Vec::new();
+        let mut payload = Vec::new();
         for entry in self.event_blocks() {
-            self.decode_block_into(entry, &mut block_buf)?;
-            events.extend_from_slice(&block_buf);
+            self.append_block(entry, &mut payload, &mut events)?;
         }
-        if events.len() as u64 != self.index.total_events {
-            return Err(HeapMdError::corrupt(
-                0,
-                format!(
-                    "index declares {} events, blocks carry {}",
-                    self.index.total_events,
-                    events.len()
-                ),
-            ));
-        }
-        let mut trace = Trace::new();
-        for ev in events {
-            trace.push(ev);
-        }
-        trace.set_functions(self.functions()?);
-        trace.set_sampling(self.sampling()?);
-        Ok(trace)
+        Ok(Trace::from_parts(
+            events,
+            self.functions()?,
+            self.sampling()?,
+        ))
     }
 }
 
@@ -1234,15 +1287,9 @@ fn salvage_bytes(bytes: &[u8]) -> (Trace, SalvageStats) {
         corruption = Some((pos as u64, "stream truncated before index/footer".into()));
     }
 
-    let mut trace = Trace::new();
     let event_count = events.len() as u64;
-    for ev in events {
-        trace.push(ev);
-    }
-    trace.set_functions(functions);
-    trace.set_sampling(sampling);
     (
-        trace,
+        Trace::from_parts(events, functions, sampling),
         SalvageStats {
             records,
             events: event_count,
@@ -1737,9 +1784,9 @@ pub fn replay_binary_sharded(
 }
 
 /// Checks a binary trace image against `model` post-mortem through the
-/// pipelined decoder. The trailing index supplies the total `FnEnter`
-/// count, so the start-up-skip alignment of [`Trace::check`] holds
-/// without a decode pre-pass.
+/// pipelined decoder, as [`Trace::check`] checks the decoded events:
+/// both skip the warm-up the model records, so neither needs the
+/// stream's length first.
 ///
 /// # Errors
 ///
@@ -2148,6 +2195,43 @@ mod tests {
             assert!(
                 matches!(&err, HeapMdError::Corrupt { offset, .. } if *offset == index_offset),
                 "{offsets:?}: {err}"
+            );
+        }
+    }
+
+    /// An index whose counts are CRC-valid but lie — a total that is
+    /// not the sum of its events entries, or an entry declaring more
+    /// events than its block has bytes — is refused at open as corrupt
+    /// at the index offset, before anything is sized from it.
+    #[test]
+    fn lying_index_counts_are_refused_at_open() {
+        let bytes = sample_trace(3 * EVENTS_PER_BLOCK / 2).encode_binary();
+        let good = BinaryTraceImage::open(bytes.clone()).unwrap().index;
+        let index_offset = parse_footer(&bytes).unwrap();
+        let first = good
+            .blocks
+            .iter()
+            .position(|b| b.kind == KIND_EVENTS)
+            .unwrap();
+        let mut lies = Vec::new();
+        for total in [1 << 40, good.total_events + 1, good.total_events - 1] {
+            let mut index = good.clone();
+            index.total_events = total;
+            lies.push((index, "index declares"));
+        }
+        let mut index = good.clone();
+        index.blocks[first].count = u32::MAX;
+        index.total_events += u64::from(u32::MAX - good.blocks[first].count);
+        lies.push((index, "events in"));
+        for (index, reason) in lies {
+            let mut bad = bytes[..index_offset as usize].to_vec();
+            bad.extend(encode_index_block(&index));
+            bad.extend(encode_footer(index_offset));
+            let err = BinaryTraceImage::open(bad).err().expect("refused");
+            assert!(
+                matches!(&err, HeapMdError::Corrupt { offset, reason: r }
+                    if *offset == index_offset && r.contains(reason)),
+                "{err}"
             );
         }
     }

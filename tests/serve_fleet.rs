@@ -1291,3 +1291,62 @@ fn daemon_sampled_tenant_reports_its_live_rate_and_widened_bands() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An idle daemon's threads all block: both listeners in `accept`, the
+/// sweeper parked between sweeps. `shutdown` and `wait` wake each of
+/// them, so `wait` returns at once, on TCP (bound to loopback or to
+/// every interface) and on a unix socket — also when the socket file
+/// was deleted, or rebound by a second daemon, so the first daemon's
+/// wake cannot reach its own listener; the second daemon must then not
+/// take that wake for a client. A lost wake fails the test instead of
+/// hanging it.
+#[test]
+fn an_idle_daemon_shuts_down_promptly() {
+    let dir = scratch_dir("idle");
+    let mut builder = heapmd::ModelBuilder::new(Settings::default()).program("idle");
+    builder.add_run(&heapmd::MetricReport::new("r", Vec::new()));
+    let model = builder.build().model;
+    let start = |listen: &str, http: &str| {
+        let server =
+            Server::start(ServeConfig::new(model.clone()), listen, http).expect("start daemon");
+        // Let every thread reach its blocking call.
+        std::thread::sleep(Duration::from_millis(50));
+        server
+    };
+    let stop = |server: Server, case: &str| {
+        server.shutdown();
+        let (done, waited) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(server.wait());
+        });
+        let summary = waited
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{case}: wait() did not return within 5 s"));
+        assert!(summary.tenants.is_empty(), "{case}");
+    };
+    for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+        stop(start(listen, listen), listen);
+    }
+    if cfg!(unix) {
+        let path = dir.join("idle.sock");
+        let unix = format!("unix:{}", path.display());
+        stop(start(&unix, "127.0.0.1:0"), "unix");
+
+        let server = start(&unix, "127.0.0.1:0");
+        std::fs::remove_file(&path).expect("delete the socket file");
+        stop(server, "unix, socket file deleted");
+
+        let first = start(&unix, "127.0.0.1:0");
+        let second = start(&unix, "127.0.0.1:0");
+        stop(first, "unix, path rebound by a second daemon");
+        // A stray wake would reach the second daemon's handler at once.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            second.fleet().snapshot().protocol_errors_total,
+            0,
+            "the first daemon's wake reached the second"
+        );
+        stop(second, "unix, second daemon");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
