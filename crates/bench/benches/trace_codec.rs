@@ -1,12 +1,15 @@
 //! Trace codec throughput of the block-based binary format, end to
-//! end — encode, decode, replay (through the pipelined decoder →
-//! ingest engine), and the offline multi-trace `check --jobs N` pool.
+//! end — encode, decode, replay (through the decode-ahead loop), and
+//! the offline `check --jobs N` pool: over several traces, where every
+//! worker decodes inline, and over one trace, which decodes ahead.
 //!
 //! Bench names keep their `*_binary` suffix so they line up with the
 //! phases recorded in BENCH_PR5.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use heapmd::{BinaryTraceImage, BinaryTraceReader, ModelBuilder, Process, Settings, Trace};
+use heapmd::{
+    BinaryTraceImage, BinaryTraceReader, ModelBuilder, Process, Settings, Trace, TraceChecker,
+};
 use sim_heap::{Addr, NULL};
 use std::path::PathBuf;
 
@@ -87,22 +90,29 @@ fn bench_trace_codec(c: &mut Criterion) {
         })
     });
 
-    // Offline `check --jobs N` over a pool of trace files, end to end
-    // (open + decode + detector replay), merged in input order.
+    // Offline `check --jobs N` over the first `n` pool files, end to
+    // end (open + decode + detector replay), merged in input order, as
+    // `check` runs it: one checker per worker.
+    let pooled_check = |n: usize, jobs: usize| {
+        let mut bugs = 0;
+        let check = |checker: &mut TraceChecker, i: usize| {
+            checker.check_path(&binary_pool[i], &model, &settings, false, None)
+        };
+        let Ok(()) =
+            heapmd::run_pool_streaming("check_pool", n, jobs, TraceChecker::new, check, |_, r| {
+                bugs += r.unwrap().bugs.len();
+                Ok::<(), std::convert::Infallible>(())
+            });
+        bugs
+    };
+    // One trace on two jobs: the spare job decodes ahead.
+    group.bench_function("check_one_trace", |b| b.iter(|| pooled_check(1, 2)));
+    // Eight traces leave no job spare at any count: every worker
+    // decodes inline.
     group.throughput(Throughput::Elements(events * POOL_TRACES as u64));
     for jobs in [1usize, 2, 8] {
         group.bench_function(BenchmarkId::new("check_binary_jobs", jobs), |b| {
-            b.iter(|| {
-                let mut bugs = 0;
-                let check =
-                    |i: usize| heapmd::check_path(&binary_pool[i], &model, &settings, false, None);
-                let Ok(()) =
-                    heapmd::run_pool_streaming("check_pool", POOL_TRACES, jobs, check, |_, r| {
-                        bugs += r.unwrap().bugs.len();
-                        Ok::<(), std::convert::Infallible>(())
-                    });
-                bugs
-            })
+            b.iter(|| pooled_check(POOL_TRACES, jobs))
         });
     }
     group.finish();

@@ -112,8 +112,8 @@ use heapmd::plot::{chart, RefLine};
 use heapmd::run_rows::{rows_from_samples, unix_time_now, RowSource};
 use heapmd::{
     available_workers, render_verdicts, AnomalyDetector, ArtifactKind, BinaryTraceImage,
-    BundleSalvageStats, HeapModel, IncidentBundle, IncidentLog, LogPhase, ModelBuilder, Process,
-    SalvageStats, Trace, TrainCheckpoint,
+    BundleSalvageStats, HeapMdError, HeapModel, IncidentBundle, IncidentLog, LogPhase,
+    ModelBuilder, Process, SalvageStats, Trace, TraceCheckOutcome, TraceChecker, TrainCheckpoint,
 };
 use heapmd_obs::{debug, error, info};
 use heapmd_runstore::{
@@ -706,16 +706,20 @@ fn cmd_check(args: &[String]) -> i32 {
     let paths: Vec<PathBuf> = trace_paths.iter().map(PathBuf::from).collect();
     info!("checking {} trace(s) with {jobs} job(s)", paths.len());
     let (mut failed, mut anomalies) = (false, false);
-    let check = |i: usize| heapmd::check_path(&paths[i], &model, &model.settings, salvage, sampler);
+    // Each worker keeps one checker across its traces; it decodes a
+    // trace ahead of checking it only when a job is left spare.
+    let check = |checker: &mut TraceChecker, i: usize| {
+        checker.check_path(&paths[i], &model, &model.settings, salvage, sampler)
+    };
     // Each verdict prints as soon as it and every earlier one are in.
-    let Ok(()) = heapmd::run_pool_streaming("check_pool", paths.len(), jobs, check, |i, result| {
+    let print = |i: usize, result: Result<TraceCheckOutcome, HeapMdError>| {
         let path = &trace_paths[i];
         let out = match result {
             Ok(out) => out,
             Err(e) => {
                 failed = true;
                 error!("{path}: {e}");
-                if !salvage && matches!(e, heapmd::HeapMdError::Corrupt { .. }) {
+                if !salvage && matches!(e, HeapMdError::Corrupt { .. }) {
                     eprintln!("hint: `--salvage` recovers what a damaged trace still holds");
                 }
                 return Ok(());
@@ -749,7 +753,9 @@ fn cmd_check(args: &[String]) -> i32 {
         println!("{path}: {} anomaly report(s){sampled}:", out.bugs.len());
         print!("{}", render_verdicts(&out.bugs));
         Ok::<(), std::convert::Infallible>(())
-    });
+    };
+    let n = paths.len();
+    let Ok(()) = heapmd::run_pool_streaming("check_pool", n, jobs, TraceChecker::new, check, print);
     if failed {
         1
     } else if anomalies {

@@ -120,7 +120,7 @@ pub use trace_codec::{
     check_binary, check_binary_sharded, check_path, encode_sampling_meta, load_trace_auto,
     replay_binary, replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded,
     sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter,
-    BlockEntry, BlockIndex, SalvageStats, StreamFormat, WireFrame, WireReader,
+    BlockEntry, BlockIndex, SalvageStats, StreamFormat, TraceChecker, WireFrame, WireReader,
     BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 

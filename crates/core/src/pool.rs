@@ -11,17 +11,27 @@ pub fn available_workers() -> NonZeroUsize {
     std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
-/// Runs `work(0..n)` on up to `jobs` worker threads and hands every
-/// result to `sink` on the calling thread **strictly in input order**,
-/// each as soon as it and every earlier result are done.
+/// Runs `work(state, i)` for every `i` in `0..n` on up to `jobs` worker
+/// threads and hands every result to `sink` on the calling thread
+/// **strictly in input order**, each as soon as it and every earlier
+/// result are done.
+///
+/// Each worker makes one `state` with `init(spare)` and passes it to
+/// every item it runs, so an item may reuse what the previous one
+/// allocated (`check` keeps one heap graph per worker this way). The
+/// state lives on its worker's thread and is dropped when the pool
+/// returns. `spare` is true when the pool has more jobs than items, so
+/// a job is left that no item occupies and an item may put a helper
+/// thread on it (`check` then decodes a trace ahead of its checking).
 ///
 /// Workers claim the next index from a shared counter and send
 /// `(i, result)` back to the calling thread. A sink therefore sees
 /// item 0 while later items are still running (training cuts its
 /// checkpoints there), and what it sees equals a sequential loop
-/// whenever `work(i)` depends on `i` alone. One worker is a plain loop
-/// on the calling thread: no thread is spawned, since a spawn and join
-/// cost a measurable share of a short single-trace check.
+/// whenever `work(state, i)` depends on `i` alone. One worker is a
+/// plain loop on the calling thread: no thread is spawned, since a
+/// spawn and join cost a measurable share of a short single-trace
+/// check.
 ///
 /// A sink error stops the pool: workers claim no further items, and
 /// the error is returned once the running items have finished. With
@@ -32,16 +42,19 @@ pub fn available_workers() -> NonZeroUsize {
 ///
 /// Propagates a panic from `work` or `sink`, with its payload, once
 /// the other workers have stopped.
-pub fn run_pool_streaming<T: Send, E>(
+pub fn run_pool_streaming<S, T: Send, E>(
     stage: &str,
     n: usize,
     jobs: usize,
-    work: impl Fn(usize) -> T + Sync,
+    init: impl Fn(bool) -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
     mut sink: impl FnMut(usize, T) -> Result<(), E>,
 ) -> Result<(), E> {
     let workers = jobs.max(1).min(n.max(1));
+    let spare = jobs > n;
     if workers <= 1 {
-        return (0..n).try_for_each(|i| sink(i, work(i)));
+        let mut state = init(spare);
+        return (0..n).try_for_each(|i| sink(i, work(&mut state, i)));
     }
     let clock = heapmd_obs::throughput::stage_clock();
     let next = AtomicUsize::new(0);
@@ -49,12 +62,15 @@ pub fn run_pool_streaming<T: Send, E>(
     let outcome = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (tx, next, work) = (tx.clone(), &next, &work);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    // The receiver is gone once the sink failed.
-                    if i >= n || tx.send((i, work(i))).is_err() {
-                        break;
+                let (tx, next, init, work) = (tx.clone(), &next, &init, &work);
+                scope.spawn(move || {
+                    let mut state = init(spare);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        // The receiver is gone once the sink failed.
+                        if i >= n || tx.send((i, work(&mut state, i))).is_err() {
+                            break;
+                        }
                     }
                 })
             })
@@ -111,10 +127,17 @@ mod tests {
     /// Collects what the sink saw, in the order it saw it.
     fn sunk<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<(usize, T)> {
         let mut seen = Vec::new();
-        let Ok(()) = run_pool_streaming("test_pool", n, jobs, work, |i, t| {
-            seen.push((i, t));
-            Ok::<(), std::convert::Infallible>(())
-        });
+        let Ok(()) = run_pool_streaming(
+            "test_pool",
+            n,
+            jobs,
+            |_| (),
+            |_, i| work(i),
+            |i, t| {
+                seen.push((i, t));
+                Ok::<(), std::convert::Infallible>(())
+            },
+        );
         seen
     }
 
@@ -149,7 +172,8 @@ mod tests {
             "test_pool",
             n,
             2,
-            |i| {
+            |_| (),
+            |_, i| {
                 if i == n - 1 {
                     let waited = released
                         .lock()
@@ -201,7 +225,8 @@ mod tests {
                 "test_pool",
                 100,
                 jobs,
-                |i| i,
+                |_| (),
+                |_, i| i,
                 |i, _| {
                     seen.push(i);
                     if i == 3 {
@@ -228,5 +253,60 @@ mod tests {
         );
         let spread = results(3, 2, |_| std::thread::current().id() == caller);
         assert_eq!(spread, [false; 3], "two workers run off the caller");
+    }
+
+    #[test]
+    fn each_worker_keeps_one_state_across_its_items() {
+        for jobs in [1, 2, 3] {
+            // An item reports which state ran it, and how many items
+            // that state has run, itself included.
+            let made = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let Ok(()) = run_pool_streaming(
+                "test_pool",
+                9,
+                jobs,
+                |_| (made.fetch_add(1, Ordering::Relaxed), 0),
+                |(id, ran), _| {
+                    *ran += 1;
+                    (*id, *ran)
+                },
+                |_, r| {
+                    seen.push(r);
+                    Ok::<(), std::convert::Infallible>(())
+                },
+            );
+            assert_eq!(made.into_inner(), jobs, "one state per worker");
+            for id in 0..jobs {
+                let runs: Vec<usize> = seen.iter().filter(|r| r.0 == id).map(|r| r.1).collect();
+                assert_eq!(runs, (1..=runs.len()).collect::<Vec<_>>(), "jobs={jobs}");
+            }
+            assert_eq!(seen.len(), 9);
+        }
+    }
+
+    #[test]
+    fn a_job_is_spare_only_when_the_pool_has_more_jobs_than_items() {
+        for (n, jobs, spare) in [
+            (1, 2, true),
+            (2, 3, true),
+            (1, 1, false),
+            (2, 2, false),
+            (3, 2, false),
+        ] {
+            let mut seen = Vec::new();
+            let Ok(()) = run_pool_streaming(
+                "test_pool",
+                n,
+                jobs,
+                |spare| spare,
+                |s, _| *s,
+                |_, s| {
+                    seen.push(s);
+                    Ok::<(), std::convert::Infallible>(())
+                },
+            );
+            assert_eq!(seen, vec![spare; n], "{n} items, {jobs} jobs");
+        }
     }
 }

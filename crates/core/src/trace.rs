@@ -297,6 +297,11 @@ impl StreamCheck {
         applied
     }
 
+    /// Whether a refusal is latched: the events after it go unchecked.
+    pub(crate) fn refused(&self) -> bool {
+        self.refusal.is_some()
+    }
+
     /// Events received so far, before any re-sampling.
     pub(crate) fn events(&self) -> u64 {
         self.events
@@ -503,7 +508,8 @@ impl Replayer {
     /// Returns the replayer to its just-constructed state while
     /// retaining graph capacity (slot slabs, shadow pages, id index):
     /// the serve daemon's replayer pool recycles them across tenant
-    /// streams this way instead of allocating one per stream.
+    /// streams this way instead of allocating one per stream, and each
+    /// `check` worker ([`crate::TraceChecker`]) across its traces.
     pub(crate) fn reset(&mut self, settings: Settings, function_names: &[String]) {
         self.graph.reset();
         self.set_functions(function_names);

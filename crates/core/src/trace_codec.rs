@@ -35,21 +35,25 @@
 //! payload lists `(offset, kind, count)` for every preceding block and
 //! ends with the stream's total event and `FnEnter` counts.
 //!
-//! # Pipelined replay
+//! # Replay and check loops
 //!
-//! [`replay_binary`] and [`check_binary`] run a decoder thread that
-//! streams decoded blocks over a bounded channel into graph ingestion
-//! (the replayer's per-event core) while the next block decodes;
-//! event-batch buffers are recycled through a return channel, so
-//! steady-state replay allocates nothing per block. The check feeds
-//! those blocks to the one post-mortem driver that [`Trace::check`] and
-//! the serve daemon also use. [`replay_binary_fused`] and its sampled
-//! variant run one fused loop on the calling thread instead: decode a
-//! block, ingest it.
+//! A trace's blocks reach graph ingestion (the replayer's per-event
+//! core) through one of two loops. The decode-ahead loop
+//! ([`replay_binary`], [`check_binary`]) runs a decoder thread that
+//! streams decoded blocks over a bounded channel while the next block
+//! decodes, recycling its event buffers through a return channel. The
+//! inline loop ([`replay_binary_fused`] and its sampled variant)
+//! decodes each block on the calling thread into one reused buffer and
+//! ingests it. A check feeds either loop's blocks to the one
+//! post-mortem driver that [`Trace::check`] and the serve daemon also
+//! use.
 //!
-//! `check --jobs N` fans [`check_path`] over N trace files on the one
-//! worker pool, [`run_pool_streaming`](crate::run_pool_streaming), which hands outcomes on in
-//! input order; training streams its runs through the same pool.
+//! `check --jobs N` fans trace files over the one worker pool,
+//! [`run_pool_streaming`](crate::run_pool_streaming), which hands
+//! outcomes on in input order; training streams its runs through the
+//! same pool. Each worker is a [`TraceChecker`], which keeps one
+//! replayer and its inline loop's buffers across the traces it checks,
+//! and decodes ahead only when the pool has more jobs than traces.
 
 use crate::bug::BugReport;
 use crate::error::HeapMdError;
@@ -102,7 +106,8 @@ pub const EVENTS_PER_BLOCK: usize = 4096;
 /// cannot drive a reader into a multi-gigabyte copy.
 pub(crate) const MAX_BLOCK_LEN: u32 = 1 << 24;
 
-/// Bounded depth of the decoder → ingestion channel.
+/// Bounded depth of the decode-ahead loop's decoder → ingestion
+/// channel.
 const PIPELINE_DEPTH: usize = 4;
 
 /// Block kinds.
@@ -1624,47 +1629,87 @@ pub fn decode_meta_container(bytes: &[u8]) -> Result<Vec<u8>, HeapMdError> {
 }
 
 // ---------------------------------------------------------------------
-// Pipelined replay / check
+// Replay / check: the decode-ahead loop and the inline loop
 // ---------------------------------------------------------------------
 
-/// Drives `consume` with decoded event blocks while a decoder thread
-/// works ahead over a bounded channel. Buffers are recycled through a
-/// return channel, so steady state allocates nothing per block.
+/// Feeds `consume` every event block of `image` in file order while a
+/// decoder thread works up to [`PIPELINE_DEPTH`] blocks ahead over a
+/// bounded channel. The thread reads every block through one payload
+/// buffer and decodes it into one of `PIPELINE_DEPTH + 1` event buffers
+/// recycled through a return channel, so a trace allocates them once.
+///
+/// Stops after the first block `consume` returns `Ok(false)` for, and
+/// hangs up on the decoder, which stops too.
+///
+/// # Errors
+///
+/// The first error in file order: a damaged block's or `consume`'s.
 fn pipeline_blocks(
     image: &BinaryTraceImage,
-    mut consume: impl FnMut(&[HeapEvent]) -> Result<(), HeapMdError>,
+    mut consume: impl FnMut(&[HeapEvent]) -> Result<bool, HeapMdError>,
 ) -> Result<(), HeapMdError> {
-    let (full_tx, full_rx) = mpsc::sync_channel::<Vec<HeapEvent>>(PIPELINE_DEPTH);
+    let (full_tx, full_rx) =
+        mpsc::sync_channel::<Result<Vec<HeapEvent>, HeapMdError>>(PIPELINE_DEPTH);
     let (empty_tx, empty_rx) = mpsc::channel::<Vec<HeapEvent>>();
     for _ in 0..=PIPELINE_DEPTH {
         empty_tx
             .send(Vec::with_capacity(EVENTS_PER_BLOCK))
             .expect("receiver is alive");
     }
-    std::thread::scope(|scope| -> Result<(), HeapMdError> {
-        let decoder = scope.spawn(move || -> Result<(), HeapMdError> {
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut payload = Vec::new();
             for entry in image.event_blocks() {
-                let mut buf = empty_rx.recv().expect("ingest side holds the sender");
-                image.decode_block_into(entry, &mut buf)?;
-                if full_tx.send(buf).is_err() {
-                    // Ingestion bailed; its error wins.
-                    return Ok(());
+                // Either channel is gone once the consuming side stopped.
+                let Ok(mut events) = empty_rx.recv() else {
+                    return;
+                };
+                events.clear();
+                let decoded = image
+                    .append_block(entry, &mut payload, &mut events)
+                    .map(|()| events);
+                let damaged = decoded.is_err();
+                if full_tx.send(decoded).is_err() || damaged {
+                    return;
                 }
             }
-            Ok(())
         });
-        let mut ingest_result: Result<(), HeapMdError> = Ok(());
-        for buf in full_rx {
-            if ingest_result.is_ok() {
-                ingest_result = consume(&buf);
+        // Owned by this closure, so leaving it early hangs up on the
+        // decoder before the scope joins it.
+        let (full_rx, empty_tx) = (full_rx, empty_tx);
+        for decoded in full_rx {
+            let events = decoded?;
+            if !consume(&events)? {
+                break;
             }
-            // Keep draining (and recycling) so the decoder never blocks
-            // on a full channel after an ingest error.
-            let _ = empty_tx.send(buf);
+            let _ = empty_tx.send(events);
         }
-        decoder.join().expect("decoder thread panicked")?;
-        ingest_result
+        Ok(())
     })
+}
+
+/// Feeds `consume` every event block of `image` in file order, each
+/// read through `payload` and decoded into `events` on the calling
+/// thread, both buffers reused. Stops after the first block `consume`
+/// returns `Ok(false)` for.
+///
+/// # Errors
+///
+/// The first error in file order: a damaged block's or `consume`'s.
+fn inline_blocks(
+    image: &BinaryTraceImage,
+    payload: &mut Vec<u8>,
+    events: &mut Vec<HeapEvent>,
+    mut consume: impl FnMut(&[HeapEvent]) -> Result<bool, HeapMdError>,
+) -> Result<(), HeapMdError> {
+    for entry in image.event_blocks() {
+        events.clear();
+        image.append_block(entry, payload, events)?;
+        if !consume(events)? {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Replays a binary trace image end to end — decoder thread + graph
@@ -1686,7 +1731,8 @@ pub fn replay_binary(
     let mut replayer = Replayer::new(settings.clone(), &functions);
     pipeline_blocks(image, |events| {
         validate_function_ids(events, functions.len())?;
-        Ok(replayer.ingest_batch(events)?)
+        replayer.ingest_batch(events)?;
+        Ok(true)
     })?;
     Ok(MetricReport::with_sample_rate(
         run,
@@ -1696,10 +1742,9 @@ pub fn replay_binary(
 }
 
 /// The fused replay loop behind [`replay_binary_fused`] and
-/// [`replay_binary_fused_sampled`]: each block decodes into one reused
-/// buffer and is ingested on the calling thread, behind a live filter
-/// when `sampler` is given. Returns the report plus the filter's
-/// outcome.
+/// [`replay_binary_fused_sampled`]: the inline loop, ingesting each
+/// block on the calling thread, behind a live filter when `sampler` is
+/// given. Returns the report plus the filter's outcome.
 fn fused_replay(
     image: &BinaryTraceImage,
     settings: &Settings,
@@ -1711,12 +1756,12 @@ fn fused_replay(
     if let Some(config) = sampler {
         replayer.enable_sampling(config);
     }
-    let mut buf = Vec::with_capacity(EVENTS_PER_BLOCK);
-    for entry in image.event_blocks() {
-        image.decode_block_into(entry, &mut buf)?;
-        validate_function_ids(&buf, functions.len())?;
-        replayer.ingest_batch(&buf)?;
-    }
+    let (mut payload, mut events) = (Vec::new(), Vec::with_capacity(EVENTS_PER_BLOCK));
+    inline_blocks(image, &mut payload, &mut events, |events| {
+        validate_function_ids(events, functions.len())?;
+        replayer.ingest_batch(events)?;
+        Ok(true)
+    })?;
     let info = replayer.sampling_info();
     let rate = match info {
         Some(info) => info.rate(),
@@ -1783,10 +1828,11 @@ pub fn replay_binary_sharded(
     Ok(fused_replay(image, settings, run, None)?.0)
 }
 
-/// Checks a binary trace image against `model` post-mortem through the
-/// pipelined decoder, as [`Trace::check`] checks the decoded events:
-/// both skip the warm-up the model records, so neither needs the
-/// stream's length first.
+/// Checks a binary trace image against `model` post-mortem, as
+/// [`Trace::check`] checks the decoded events: both skip the warm-up
+/// the model records, so neither needs the stream's length first. The
+/// blocks decode on a thread of their own, ahead of the check
+/// ([`TraceChecker::new`]`(true)`).
 ///
 /// # Errors
 ///
@@ -1796,7 +1842,9 @@ pub fn check_binary(
     model: &HeapModel,
     settings: &Settings,
 ) -> Result<Vec<BugReport>, HeapMdError> {
-    check_image(image, model, settings, None).map(|o| o.bugs)
+    TraceChecker::new(true)
+        .check_image(image, model, settings, None)
+        .map(|o| o.bugs)
 }
 
 /// Kept for `ledger/src/corpus.rs:437` and `layers.rs` only; ROADMAP item 1 deletes it.
@@ -1810,46 +1858,137 @@ pub fn check_binary_sharded(
     check_binary(image, model, settings)
 }
 
-/// [`check_binary`], re-sampling a full-fidelity recording under
-/// `sampler`, with the whole outcome.
-fn check_image(
-    image: &BinaryTraceImage,
-    model: &HeapModel,
-    settings: &Settings,
-    sampler: Option<SamplerConfig>,
-) -> Result<TraceCheckOutcome, HeapMdError> {
-    let replayer = Replayer::new(settings.clone(), &[]);
-    let mut check = StreamCheck::new(model.clone(), replayer, sampler);
-    check.set_functions(&image.functions()?);
-    if let Some(info) = image.sampling()? {
-        check.set_sampling(info);
-    }
-    // An event the graph cannot apply ends the check: the blocks
-    // after it are not decoded.
-    pipeline_blocks(image, |events| Ok(check.feed(events)?))?;
-    check.finish()
-}
-
 // ---------------------------------------------------------------------
 // Multi-trace checking pool
 // ---------------------------------------------------------------------
 
-/// Loads and checks one binary trace file: the work of one
-/// [`run_pool_streaming`](crate::run_pool_streaming) item of `check --jobs N`, which hands the
-/// outcomes on in input order as each prefix completes.
+/// One `check --jobs N` worker: the state it keeps across the traces
+/// it checks, one after another, and drops with the pool.
 ///
-/// A full-fidelity trace is re-sampled under `sampler` first, an
-/// already-sampled one keeps its recorded schedule.
-/// A strict check reads the file's blocks by position through the
-/// pipelined decoder, holding one block per decode in flight.
-/// With `salvage`, the file decodes to an in-memory trace through
-/// block salvage instead, so a damaged trace contributes whatever
-/// salvage recovers, and its outcome carries the salvage stats.
+/// It holds one replayer (heap graph slab, shadow pages, id index),
+/// reset between traces rather than rebuilt, and the payload and event
+/// buffers its inline loop decodes each block into. Each trace's
+/// outcome is exactly that of a fresh check: the reset returns the
+/// replayer to its just-constructed state.
+///
+/// A trace's blocks decode either on the checking thread (the inline
+/// loop) or on a decoder thread of their own that works ahead
+/// ([`new`](Self::new)). Both loops feed the same check, block by
+/// block, and end it at the first refusal or damaged block in file
+/// order, so they give the same outcome. A salvage check decodes the
+/// whole trace into memory first and checks it on a replayer of its
+/// own.
+pub struct TraceChecker {
+    /// Whether each trace's blocks decode on a thread of their own.
+    decode_ahead: bool,
+    /// The previous trace's replayer, reset before the next trace.
+    replayer: Option<Replayer>,
+    /// The inline loop's block payload.
+    payload: Vec<u8>,
+    /// The inline loop's decoded block.
+    events: Vec<HeapEvent>,
+}
+
+impl TraceChecker {
+    /// A worker that decodes each trace inline, or, with
+    /// `decode_ahead`, on a decoder thread beside the check. The thread
+    /// pays only on a core that no other check occupies, so a pool
+    /// passes its `spare` ([`run_pool_streaming`](crate::run_pool_streaming)):
+    /// `check` then decodes ahead only when it has more jobs than
+    /// traces. It allocates nothing until its first trace.
+    pub fn new(decode_ahead: bool) -> Self {
+        TraceChecker {
+            decode_ahead,
+            replayer: None,
+            payload: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    /// Loads and checks one binary trace file: the work of one
+    /// [`run_pool_streaming`](crate::run_pool_streaming) item of
+    /// `check --jobs N`, which hands the outcomes on in input order as
+    /// each prefix completes.
+    ///
+    /// A full-fidelity trace is re-sampled under `sampler` first, an
+    /// already-sampled one keeps its recorded schedule. A strict check
+    /// reads the file's blocks by position as it decodes them, never
+    /// the whole file. With `salvage`, the file decodes to an
+    /// in-memory trace through block salvage instead, so a damaged
+    /// trace contributes whatever salvage recovers, and its outcome
+    /// carries the salvage stats.
+    ///
+    /// # Errors
+    ///
+    /// A file that is not a binary trace fails with an error naming
+    /// what its magic identifies; otherwise the load's or the check's
+    /// error: the first refusal or damaged block in file order.
+    pub fn check_path(
+        &mut self,
+        path: &Path,
+        model: &HeapModel,
+        settings: &Settings,
+        salvage: bool,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<TraceCheckOutcome, HeapMdError> {
+        if salvage {
+            let (trace, stats) = load_trace_auto(path, true)?;
+            let mut outcome = trace.check_with(model, settings, sampler)?;
+            outcome.salvage = stats;
+            return Ok(outcome);
+        }
+        require_binary(path)?;
+        let image = BinaryTraceImage::open_path(path)?;
+        self.check_image(&image, model, settings, sampler)
+    }
+
+    /// [`check_binary`] on this worker, re-sampling a full-fidelity
+    /// recording under `sampler`, with the whole outcome.
+    fn check_image(
+        &mut self,
+        image: &BinaryTraceImage,
+        model: &HeapModel,
+        settings: &Settings,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<TraceCheckOutcome, HeapMdError> {
+        let functions = image.functions()?;
+        let recorded = image.sampling()?;
+        let replayer = match self.replayer.take() {
+            Some(mut replayer) => {
+                replayer.reset(settings.clone(), &[]);
+                replayer
+            }
+            None => Replayer::new(settings.clone(), &[]),
+        };
+        let mut check = StreamCheck::new(model.clone(), replayer, sampler);
+        check.set_functions(&functions);
+        if let Some(info) = recorded {
+            check.set_sampling(info);
+        }
+        // The first refusal ends the check: the blocks after it are not
+        // decoded, so damage there cannot hide it.
+        let mut feed = |events: &[HeapEvent]| {
+            let _ = check.feed(events);
+            Ok(!check.refused())
+        };
+        let fed = if self.decode_ahead {
+            pipeline_blocks(image, &mut feed)
+        } else {
+            inline_blocks(image, &mut self.payload, &mut self.events, &mut feed)
+        };
+        let outcome = fed.and_then(|()| check.finish());
+        self.replayer = Some(check.into_replayer());
+        outcome
+    }
+}
+
+/// Checks one binary trace file alone, on a fresh
+/// [`TraceChecker`] that decodes ahead: [`TraceChecker::check_path`]
+/// says what it checks and refuses.
 ///
 /// # Errors
 ///
-/// A file that is not a binary trace fails with an error naming what
-/// its magic identifies; otherwise the load's or the check's error.
+/// As [`TraceChecker::check_path`].
 pub fn check_path(
     path: &Path,
     model: &HeapModel,
@@ -1857,15 +1996,7 @@ pub fn check_path(
     salvage: bool,
     sampler: Option<SamplerConfig>,
 ) -> Result<TraceCheckOutcome, HeapMdError> {
-    if salvage {
-        let (trace, stats) = load_trace_auto(path, true)?;
-        let mut outcome = trace.check_with(model, settings, sampler)?;
-        outcome.salvage = stats;
-        return Ok(outcome);
-    }
-    require_binary(path)?;
-    let image = BinaryTraceImage::open_path(path)?;
-    check_image(&image, model, settings, sampler)
+    TraceChecker::new(true).check_path(path, model, settings, salvage, sampler)
 }
 
 // ---------------------------------------------------------------------
@@ -2435,8 +2566,9 @@ mod tests {
             .iter()
             .map(|t| t.check(&model, &settings).unwrap())
             .collect();
-        // Both branches: a strict check takes the pipelined engine over
-        // the file's blocks, a salvage check the in-memory checker.
+        // Both branches: a strict check decodes the file's blocks (ahead
+        // when a job is spare, inline otherwise), a salvage check takes
+        // the in-memory checker.
         let dir = std::env::temp_dir().join(format!("heapmd-pool-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let paths: Vec<std::path::PathBuf> = traces
@@ -2450,11 +2582,15 @@ mod tests {
             .collect();
         for (jobs, salvage) in [1, 2, 8].into_iter().flat_map(|j| [(j, false), (j, true)]) {
             let mut pooled = Vec::new();
-            let check = |i: usize| check_path(&paths[i], &model, &settings, salvage, None);
-            let Ok(()) = run_pool_streaming("check_pool", paths.len(), jobs, check, |_, r| {
-                pooled.push(r.unwrap().bugs);
-                Ok::<(), std::convert::Infallible>(())
-            });
+            let check = |checker: &mut TraceChecker, i: usize| {
+                checker.check_path(&paths[i], &model, &settings, salvage, None)
+            };
+            let n = paths.len();
+            let Ok(()) =
+                run_pool_streaming("check_pool", n, jobs, TraceChecker::new, check, |_, r| {
+                    pooled.push(r.unwrap().bugs);
+                    Ok::<(), std::convert::Infallible>(())
+                });
             assert_eq!(pooled, sequential, "jobs={jobs} must merge in order");
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -99,7 +99,8 @@ pub fn run_many<E>(
         "train_runs",
         inputs.len(),
         threads,
-        |i| run_once(w, &inputs[i], &mut FaultPlan::new(), settings),
+        |_| (),
+        |_, i| run_once(w, &inputs[i], &mut FaultPlan::new(), settings),
         sink,
     )
 }

@@ -3,18 +3,18 @@
 //! must come back as the same `Trace` as the in-memory original — and
 //! the two must replay to bit-identical metric reports (every candidate
 //! metric compared via `f64::to_bits`) and produce identical `check`
-//! verdicts, whether checked in memory or through the pipelined binary
-//! engine.
+//! verdicts, whether checked in memory or through either binary loop
+//! (decode-ahead or inline).
 //!
 //! This is the acceptance gate for the codec: the on-disk encoding is
 //! an implementation detail that must never change a single observable.
 
 use heapmd::{
     BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter, MetricKind, MetricReport, ModelBuilder,
-    SamplerConfig, Settings, Trace, WireFrame, WireReader,
+    SamplerConfig, Settings, Trace, TraceChecker, WireFrame, WireReader,
 };
 use proptest::prelude::*;
-use sim_heap::{AllocSite, HeapError, HeapEvent, SimHeap};
+use sim_heap::{Addr, AllocSite, HeapError, HeapEvent, ObjectId, SimHeap};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -113,6 +113,15 @@ fn build_trace(ops: &[Op]) -> Trace {
     }
     trace.set_functions(vec!["f0".into(), "f1".into(), "f2".into(), "f3".into()]);
     trace
+}
+
+/// A free of an object no stream allocates: the heap graph refuses it.
+fn free_of_nothing() -> HeapEvent {
+    HeapEvent::Free {
+        obj: ObjectId(u64::MAX),
+        addr: Addr::new(8),
+        size: 0,
+    }
 }
 
 /// Streams `trace` through the binary block writer into memory.
@@ -289,6 +298,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..250),
         frq in 1u64..8,
         cut_pct in 10u64..101,
+        (refuse_pct, damage_pct, chunk) in (0usize..101, 0usize..100, 4usize..64),
     ) {
         let trace = build_trace(&ops);
         let bytes = binary_bytes(&trace);
@@ -317,6 +327,67 @@ proptest! {
             format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap()),
             "file check diverged"
         );
+
+        // The decode-ahead loop and the inline loop agree: on the file,
+        // on a many-block stream refused mid-stream, and on that stream
+        // with one block damaged, where the first error in file order
+        // wins.
+        let loops = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            [true, false].map(|ahead| {
+                TraceChecker::new(ahead)
+                    .check_path(&path, &model, &settings, false, None)
+                    .map(|o| format!("{:?}\n{:?}\n{:?}", o.bugs, o.samples, o.sampling))
+                    .map_err(|e| e.to_string())
+            })
+        };
+        let [ahead, inline] = loops(&bytes);
+        prop_assert!(ahead.is_ok(), "{:?}", ahead);
+        prop_assert_eq!(&ahead, &inline, "the loops diverged on the file");
+        let at = trace.len() * refuse_pct / 100;
+        let mut refused = Trace::new();
+        for (i, ev) in trace.events().iter().enumerate() {
+            if i == at {
+                refused.push(free_of_nothing());
+            }
+            refused.push(*ev);
+        }
+        if at == trace.len() {
+            refused.push(free_of_nothing());
+        }
+        refused.set_functions(trace.functions().to_vec());
+        let streamed = streamed_bytes(&refused, chunk);
+        let [ahead, inline] = loops(&streamed);
+        prop_assert_eq!(&ahead, &inline, "the loops diverged on the refusal");
+        let refusal = ahead.expect_err("a free of an object never allocated is refused");
+        let index = BinaryTraceImage::open(streamed.clone()).unwrap().index().clone();
+        let blocks: Vec<_> = index.blocks.iter().filter(|b| b.kind == 1).collect();
+        let damaged = blocks.len() * damage_pct / 100;
+        let mut bad = streamed.clone();
+        // The first payload byte: the block fails its CRC.
+        bad[blocks[damaged].offset as usize + 17] ^= 0x40;
+        let [ahead, inline] = loops(&bad);
+        prop_assert_eq!(&ahead, &inline, "the loops diverged on the damage");
+        let mut events_before = 0;
+        let refused_in = blocks
+            .iter()
+            .position(|b| {
+                events_before += b.count as usize;
+                events_before > at
+            })
+            .unwrap();
+        let first = if damaged <= refused_in {
+            format!("corrupt artifact at byte {}: ", blocks[damaged].offset)
+        } else {
+            refusal
+        };
+        prop_assert!(
+            ahead.as_ref().is_err_and(|e| e.starts_with(&first)),
+            "{:?} is not the first error, {:?}",
+            ahead,
+            first
+        );
+        std::fs::write(&path, &bytes).unwrap();
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         // Shortest last: each `set_len` cuts what the previous one left.
         for cut in (0..bytes.len()).rev() {

@@ -12,12 +12,15 @@
 //!   function id, the event the heap graph cannot apply, or the
 //!   sampling header;
 //! - [`HeapGraph`] and the map-based [`ReferenceGraph`] refuse the same
-//!   event and agree on every snapshot before it.
+//!   event and agree on every snapshot before it;
+//! - one [`TraceChecker`] reused across a well-formed trace, the stream
+//!   and the well-formed trace again, as a `check --jobs` worker runs
+//!   them, gives each exactly the outcome of a fresh `check_path`.
 
 use heap_graph::{HeapGraph, ReferenceGraph};
 use heapmd::{
     check_path, HeapMdError, HeapModel, ModelBuilder, Process, SamplerConfig, SamplingInfo,
-    Settings, Trace, TraceCheckOutcome,
+    Settings, Trace, TraceCheckOutcome, TraceChecker,
 };
 use proptest::prelude::*;
 use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
@@ -322,6 +325,95 @@ fn assert_ends_on(
     }
 }
 
+/// A well-formed trace the model flags, with its function table:
+/// mostly isolated nodes (the model was trained on linked ones), and
+/// frees that leave pointers dangling at its end. A worker that carried
+/// its call stack or its unresolved index into the next trace would
+/// check this one differently.
+fn neighbour_trace() -> Trace {
+    let mut p = Process::new(settings());
+    p.enable_trace();
+    let (f, site) = (p.function("step"), p.site("node"));
+    let mut nodes = Vec::new();
+    for i in 0..80 {
+        p.enter(f);
+        let a = p.malloc(32, site).unwrap();
+        if i % 4 == 1 {
+            p.write_ptr(a, nodes[i - 1]).unwrap();
+        }
+        if i % 4 == 3 {
+            // Leaves the link written two steps ago dangling.
+            p.free(nodes[i - 3]).unwrap();
+        }
+        nodes.push(a);
+        p.leave();
+    }
+    let mut trace = p.take_trace().unwrap();
+    trace.set_functions(vec!["step".into()]);
+    trace
+}
+
+/// Everything a check ends with, rendered comparably: the bugs (their
+/// Debug rendering is NaN-stable), samples and sampling outcome, or
+/// the refusal's text.
+fn rendered(result: &Result<TraceCheckOutcome, HeapMdError>) -> String {
+    match result {
+        Ok(o) => format!("{:?}\n{:?}\n{:?}", o.bugs, o.samples, o.sampling),
+        Err(e) => format!("refused: {e}"),
+    }
+}
+
+/// Checks each `(file, sampler)` on one reused worker, in order, and
+/// asserts each outcome equals a fresh `check_path` of it.
+fn assert_reuse_is_unobservable(
+    worker: &mut TraceChecker,
+    checks: &[(&Path, Option<SamplerConfig>)],
+) -> Result<(), TestCaseError> {
+    for (i, &(path, sampler)) in checks.iter().enumerate() {
+        let fresh = check_path(path, model(), &settings(), false, sampler);
+        let reused = catch_unwind(AssertUnwindSafe(|| {
+            worker.check_path(path, model(), &settings(), false, sampler)
+        }))
+        .map_err(|_| TestCaseError::fail(format!("reused check {i} panicked")))?;
+        prop_assert_eq!(
+            rendered(&reused),
+            rendered(&fresh),
+            "check {} ({:?}, sampler {:?}) on the reused worker",
+            i,
+            path,
+            sampler
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn reuse_across_recorded_sampled_and_exact_traces_is_unobservable() {
+    // A trace recorded with `--sample` (its meta carries the outcome),
+    // then a full-fidelity one under a sampler, then an exact one: the
+    // recorded rate and the live filter must not outlive their trace.
+    let trace = neighbour_trace();
+    let sampled = trace.sampled(SAMPLER);
+    assert!(sampled.sampling().is_some_and(|s| s.rate() < 1.0));
+    let dir = std::env::temp_dir();
+    let recorded = dir.join(format!("heapmd-reuse-recorded-{}.hmdt", std::process::id()));
+    sampled.save_binary(&recorded).unwrap();
+    let exact = dir.join(format!("heapmd-reuse-exact-{}.hmdt", std::process::id()));
+    trace.save_binary(&exact).unwrap();
+    let checks = [
+        (recorded.as_path(), None),
+        (exact.as_path(), Some(SAMPLER)),
+        (exact.as_path(), None),
+    ];
+    let flagged = check_path(&exact, model(), &settings(), false, None).map(|o| o.bugs.len());
+    let outcome = assert_reuse_is_unobservable(&mut TraceChecker::new(false), &checks);
+    std::fs::remove_file(&recorded).ok();
+    std::fs::remove_file(&exact).ok();
+    outcome.unwrap();
+    // Bug reports carry the call stack, so a stale frame would show.
+    assert!(flagged.unwrap() > 0, "the model flags the neighbour trace");
+}
+
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
@@ -358,7 +450,19 @@ proptest! {
         };
         let exact_result = check(&path, None, &trace)?;
         let sampled_result = check(&path, Some(SAMPLER), &trace)?;
+        // One worker, as `check` reuses it: the stream between two
+        // well-formed traces, exact and then sampled.
+        static NEIGHBOUR: OnceLock<Trace> = OnceLock::new();
+        let neighbour = path.with_extension("neighbour.hmdt");
+        NEIGHBOUR.get_or_init(neighbour_trace).save_binary(&neighbour).unwrap();
+        let mut checks = Vec::new();
+        for sampler in [None, Some(SAMPLER)] {
+            checks.extend([&neighbour, &path, &neighbour].map(|p| (p.as_path(), sampler)));
+        }
+        let reused = assert_reuse_is_unobservable(&mut TraceChecker::new(false), &checks);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&neighbour).ok();
+        reused?;
         assert_ends_on(exact_result, bad_header.as_ref().or(exact.as_ref()).map(String::as_str), "exact")?;
         assert_ends_on(
             sampled_result,
