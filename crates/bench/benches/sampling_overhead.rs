@@ -19,7 +19,7 @@
 //! EXPERIMENTS.md §PR 10).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use heapmd::{BinaryTraceImage, Process, SamplerConfig, Settings, Trace};
+use heapmd::{BinaryTraceImage, Process, SamplerConfig, Settings, Trace, TraceChecker};
 use sim_heap::{Addr, HeapEvent, SimHeap, NULL};
 
 /// Mutator ops behind the bench trace: pointer-store-heavy list churn
@@ -59,6 +59,16 @@ fn churn_trace(settings: &Settings) -> Trace {
     let mut trace = p.take_trace().unwrap();
     trace.set_functions(vec!["loop_body".into()]);
     trace
+}
+
+/// The monitored replay: `image` decoded inline on a fresh worker,
+/// re-sampled under `sampler`. Returns the sample count.
+fn replay(image: &BinaryTraceImage, settings: &Settings, sampler: Option<SamplerConfig>) -> usize {
+    let mut worker = TraceChecker::new(false);
+    let (report, _) = worker
+        .replay_image(image, settings, "bench", sampler)
+        .unwrap();
+    report.samples.len()
 }
 
 fn bench_sampling_overhead(c: &mut Criterion) {
@@ -133,24 +143,20 @@ fn bench_sampling_overhead(c: &mut Criterion) {
 
     // Exact monitoring: every store feeds the heap graph.
     group.bench_function("monitored_exact", |b| {
-        b.iter(|| heapmd::replay_binary_fused(&image, &settings, "bench").unwrap())
+        b.iter(|| replay(&image, &settings, None))
     });
 
     // Production mode: the adaptive sampler gates stores per
     // allocation site; alloc/free stay exact.
     group.bench_function("monitored_sampled_default", |b| {
-        b.iter(|| {
-            heapmd::replay_binary_fused_sampled(&image, &settings, "bench", default_config).unwrap()
-        })
+        b.iter(|| replay(&image, &settings, Some(default_config)))
     });
     for decimation in [8u64, 128] {
         group.bench_function(
             BenchmarkId::new("monitored_sampled_decim", decimation),
             |b| {
                 let config = SamplerConfig::new(default_config.hot_threshold, decimation);
-                b.iter(|| {
-                    heapmd::replay_binary_fused_sampled(&image, &settings, "bench", config).unwrap()
-                })
+                b.iter(|| replay(&image, &settings, Some(config)))
             },
         );
     }

@@ -1,6 +1,7 @@
 //! Trace codec throughput of the block-based binary format, end to
-//! end — encode, decode, replay (through the decode-ahead loop), and
-//! the offline `check --jobs N` pool: over several traces, where every
+//! end — encode, decode, replay (through the decode-ahead loop and the
+//! inline loop, and from a file with its open included), and the
+//! offline `check --jobs N` pool: over several traces, where every
 //! worker decodes inline, and over one trace, which decodes ahead.
 //!
 //! Bench names keep their `*_binary` suffix so they line up with the
@@ -80,13 +81,33 @@ fn bench_trace_codec(c: &mut Criterion) {
         b.iter(|| BinaryTraceReader::strict(&binary[..]).unwrap())
     });
 
+    // A replay on a fresh worker, each block decoded ahead on a thread
+    // of its own or inline.
+    let replay = |image: &BinaryTraceImage, decode_ahead: bool| {
+        let mut worker = TraceChecker::new(decode_ahead);
+        let (report, _) = worker
+            .replay_image(image, &settings, "bench", None)
+            .unwrap();
+        report.samples.len()
+    };
     // End-to-end replay from bytes to a metric report: parse + graph
     // ingest + sampling. Blocks decode on a pipeline thread while
     // ingestion consumes them.
     group.bench_function("replay_binary", |b| {
+        b.iter(|| replay(&BinaryTraceImage::open(binary.clone()).unwrap(), true))
+    });
+    // The inline loop over an open image: each block decodes on the
+    // calling thread into one reused buffer.
+    let image = BinaryTraceImage::open(binary.clone()).unwrap();
+    group.bench_function("replay_fused", |b| b.iter(|| replay(&image, false)));
+    // File-to-report, open included: blocks read from the file by
+    // position as they decode.
+    group.bench_function("replay_open", |b| {
         b.iter(|| {
-            let image = BinaryTraceImage::open(binary.clone()).unwrap();
-            heapmd::replay_binary(&image, &settings, "bench").unwrap()
+            replay(
+                &BinaryTraceImage::open_path(&binary_pool[0]).unwrap(),
+                false,
+            )
         })
     });
 

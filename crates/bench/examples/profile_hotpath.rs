@@ -149,10 +149,11 @@ fn main() {
     let settings = Settings::builder().frq(100).build().unwrap();
     let replay_events = image.index().total_events;
     println!("\nreplay engines ({replay_events} events):");
-    time_events("replay: pipelined", replay_events, &mut || {
-        heapmd::replay_binary(&image, &settings, "prof").unwrap();
-    });
-    time_events("replay: fused", replay_events, &mut || {
-        heapmd::replay_binary_fused(&image, &settings, "prof").unwrap();
-    });
+    for (label, decode_ahead) in [("replay: decode-ahead", true), ("replay: inline", false)] {
+        time_events(label, replay_events, &mut || {
+            heapmd::TraceChecker::new(decode_ahead)
+                .replay_image(&image, &settings, "prof", None)
+                .unwrap();
+        });
+    }
 }

@@ -1069,15 +1069,11 @@ pub fn sampling_sweep(effort: Effort) -> (Vec<SamplingSweepRow>, String) {
             } else {
                 model.clone()
             };
-            let monitored_ns = match config {
-                None => median_ns(timing_iters, || {
-                    heapmd::replay_binary_fused(&image, &settings, "sweep").expect("replays");
-                }),
-                Some(c) => median_ns(timing_iters, || {
-                    heapmd::replay_binary_fused_sampled(&image, &settings, "sweep", c)
-                        .expect("replays");
-                }),
-            } / events;
+            let monitored_ns = median_ns(timing_iters, || {
+                heapmd::TraceChecker::new(false)
+                    .replay_image(&image, &settings, "sweep", config)
+                    .expect("replays");
+            }) / events;
             let effective_rate = config.map_or(1.0, |c| trace.sampled(c).sample_rate());
             let check = |input: u32, plan: &mut FaultPlan| {
                 check_in(

@@ -25,11 +25,13 @@
 //! to attached [`Monitor`]s.
 //!
 //! Post-mortem checking replays a recorded trace — an in-memory
-//! [`Trace`] or a binary `.hmdt` file ([`BinaryTraceImage`]) — through
-//! the same detector, and the [`serve`] daemon checks each tenant's
-//! stream block by block as it arrives. Every path drives one event
-//! core and skips the warm-up the model records, so a trace gets the
-//! same verdict whichever way it arrives.
+//! [`Trace`] or a binary `.hmdt` file ([`BinaryTraceImage`]), which one
+//! engine, [`TraceChecker`], replays and checks — through the same
+//! detector, and the [`serve`] daemon checks each tenant's stream block
+//! by block as it arrives. Every path drives one event core and skips
+//! the warm-up the model records, so a trace gets the same verdict
+//! whichever way it arrives. A replay is the same stream check with no
+//! detector attached.
 //!
 //! # Quickstart
 //!
@@ -115,13 +117,14 @@ pub use serve::{
 };
 pub use settings::{Settings, SettingsBuilder};
 pub use stability::{classify, StabilityClass};
-pub use trace::{Trace, TraceCheckOutcome};
+pub use trace::{
+    check_binary_sharded, replay_binary, replay_binary_fused, replay_binary_fused_sampled,
+    replay_binary_sharded, Trace, TraceCheckOutcome, TraceChecker,
+};
 pub use trace_codec::{
-    check_binary, check_binary_sharded, check_path, encode_sampling_meta, load_trace_auto,
-    replay_binary, replay_binary_fused, replay_binary_fused_sampled, replay_binary_sharded,
-    sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage, BinaryTraceReader, BinaryTraceWriter,
-    BlockEntry, BlockIndex, SalvageStats, StreamFormat, TraceChecker, WireFrame, WireReader,
-    BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
+    encode_sampling_meta, load_trace_auto, sniff_bytes, sniff_file, ArtifactKind, BinaryTraceImage,
+    BinaryTraceReader, BinaryTraceWriter, BlockEntry, BlockIndex, SalvageStats, StreamFormat,
+    WireFrame, WireReader, BINARY_FORMAT_VERSION, BINARY_MAGIC, EVENTS_PER_BLOCK,
 };
 
 // Re-export the metric vocabulary so downstream crates only need `heapmd`.

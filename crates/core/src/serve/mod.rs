@@ -517,7 +517,7 @@ impl TenantCheck {
             }
             None => Replayer::new(model.settings.clone(), &[]),
         };
-        let mut check = StreamCheck::new((*model).clone(), replayer, ctx.sampler);
+        let mut check = StreamCheck::new(Some((*model).clone()), replayer, ctx.sampler);
         if let Some(dir) = &ctx.incident_dir {
             // Tenant names are charset-validated (no separators), so
             // they are safe as directory names.

@@ -6,7 +6,15 @@
 //! offline analysis can avoid online cascade effects — and, in this
 //! reproduction, lets tests replay identical event streams through
 //! different settings.
+//!
+//! One [`StreamCheck`] takes every recorded stream: an in-memory
+//! [`Trace`], a binary image, and each serve tenant's stream block by
+//! block. A replay is a stream check with no detector attached. Binary
+//! images reach it through [`TraceChecker`], whose blocks decode on the
+//! calling thread or on a decoder thread of their own, and every path
+//! drives one event core, the [`Replayer`].
 
+use crate::bug::BugReport;
 use crate::callstack::{FuncId, FunctionTable};
 use crate::detector::AnomalyDetector;
 use crate::error::HeapMdError;
@@ -15,10 +23,13 @@ use crate::model::HeapModel;
 use crate::monitor::{Monitor, MonitorCtx};
 use crate::report::{MetricReport, MetricSample};
 use crate::settings::Settings;
-use crate::trace_codec::SalvageStats;
+use crate::trace_codec::{
+    load_trace_auto, require_binary, BinaryTraceImage, SalvageStats, EVENTS_PER_BLOCK,
+};
 use heap_graph::{ApplyError, HeapGraph};
 use sim_heap::HeapEvent;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use swat::{SampledIngest, SamplerConfig, SamplingInfo};
 
 /// A recorded instrumentation event stream.
@@ -143,14 +154,7 @@ impl Trace {
         settings: &Settings,
         run: impl Into<String>,
     ) -> Result<MetricReport, HeapMdError> {
-        validate_function_ids(&self.events, self.functions.len())?;
-        let mut replayer = Replayer::new(settings.clone(), &self.functions);
-        replayer.ingest_batch(&self.events)?;
-        Ok(MetricReport::with_sample_rate(
-            run,
-            replayer.take_samples(),
-            self.sample_rate(),
-        ))
+        Ok(self.check_with(None, settings, None)?.into_report(run).0)
     }
 
     /// Replays the trace through the anomaly detector, post-mortem.
@@ -168,34 +172,36 @@ impl Trace {
         &self,
         model: &HeapModel,
         settings: &Settings,
-    ) -> Result<Vec<crate::bug::BugReport>, HeapMdError> {
-        self.check_with(model, settings, None).map(|o| o.bugs)
+    ) -> Result<Vec<BugReport>, HeapMdError> {
+        self.check_with(Some(model), settings, None).map(|o| o.bugs)
     }
 
-    /// [`check`](Self::check), re-sampling under `sampler` when the
-    /// trace was recorded at full fidelity.
+    /// The whole trace through one [`StreamCheck`] of `model`, or with
+    /// no detector (a replay) when `model` is `None`, re-sampling under
+    /// `sampler` when the trace was recorded at full fidelity.
     pub(crate) fn check_with(
         &self,
-        model: &HeapModel,
+        model: Option<&HeapModel>,
         settings: &Settings,
         sampler: Option<SamplerConfig>,
     ) -> Result<TraceCheckOutcome, HeapMdError> {
         let replayer = Replayer::new(settings.clone(), &[]);
-        let mut check = StreamCheck::new(model.clone(), replayer, sampler);
+        let mut check = StreamCheck::new(model.cloned(), replayer, sampler);
         check.set_functions(&self.functions);
         if let Some(info) = self.sampling {
             check.set_sampling(info);
         }
-        check.feed(&self.events)?;
+        let _ = check.feed(&self.events);
         check.finish()
     }
 }
 
-/// One checked stream: the state every post-mortem check and every
-/// serve tenant holds, and the one way events reach it.
+/// One checked stream: the state every post-mortem check, every replay
+/// and every serve tenant holds, and the one way events reach it.
 ///
-/// A [`Replayer`] with an [`AnomalyDetector`] attached, the count of
-/// events received, and the first refusal. The stream's metadata
+/// A [`Replayer`] with an [`AnomalyDetector`] attached (none for a
+/// replay, which only takes the samples), the count of events
+/// received, and the first refusal. The stream's metadata
 /// arrives ahead of its events ([`set_functions`](Self::set_functions),
 /// [`set_sampling`](Self::set_sampling)), and its events arrive as
 /// slices, one whole trace or block by block
@@ -218,7 +224,8 @@ impl Trace {
 /// the stream's length plays no part.
 pub(crate) struct StreamCheck {
     replayer: Replayer,
-    detector: AnomalyDetector,
+    /// `None` for a replay: samples, no verdict.
+    detector: Option<AnomalyDetector>,
     /// The recorded sampling outcome the stream announced (`None` =
     /// full fidelity).
     recorded: Option<SamplingInfo>,
@@ -230,18 +237,18 @@ pub(crate) struct StreamCheck {
 }
 
 impl StreamCheck {
-    /// A check of `model` over `replayer` (fresh or [reset](Replayer::reset),
-    /// with an empty function table), re-sampling a full-fidelity
-    /// stream under `sampler`.
+    /// A check of `model` (a replay without one) over `replayer` (fresh
+    /// or [reset](Replayer::reset), with an empty function table),
+    /// re-sampling a full-fidelity stream under `sampler`.
     pub(crate) fn new(
-        model: HeapModel,
+        model: Option<HeapModel>,
         mut replayer: Replayer,
         sampler: Option<SamplerConfig>,
     ) -> Self {
         if let Some(config) = sampler {
             replayer.enable_sampling(config);
         }
-        let detector = AnomalyDetector::new(model, replayer.settings().clone());
+        let detector = model.map(|m| AnomalyDetector::new(m, replayer.settings().clone()));
         StreamCheck {
             replayer,
             detector,
@@ -255,7 +262,9 @@ impl StreamCheck {
     /// Persists the incident bundles of range violations under `log`
     /// at [`finish`](Self::finish).
     pub(crate) fn log_incidents_to(&mut self, log: IncidentLog) {
-        self.detector.log_incidents_to(log);
+        if let Some(detector) = &mut self.detector {
+            detector.log_incidents_to(log);
+        }
     }
 
     /// Replaces the function table (index = id).
@@ -290,7 +299,10 @@ impl StreamCheck {
             self.refusal = Some(e);
             return Ok(());
         }
-        let applied = self.replayer.drive(events, &mut self.detector);
+        let applied = match &mut self.detector {
+            Some(detector) => self.replayer.drive(events, detector),
+            None => self.replayer.ingest_batch(events),
+        };
         if let Err(e) = applied {
             self.refusal = Some(e.into());
         }
@@ -318,7 +330,8 @@ impl StreamCheck {
     }
 
     /// Ends the check over what arrived: the detector's verdict, its
-    /// incident bundles and the sample series, or the latched refusal.
+    /// incident bundles (both empty for a replay) and the sample
+    /// series, or the latched refusal.
     /// Call it once; [`into_replayer`](Self::into_replayer) then hands
     /// the replayer back for reuse.
     ///
@@ -331,10 +344,16 @@ impl StreamCheck {
         if let Some(e) = self.refusal.take() {
             return Err(e);
         }
-        self.detector.on_finish(&self.replayer.ctx());
+        let (bugs, incidents) = match &mut self.detector {
+            Some(detector) => {
+                detector.on_finish(&self.replayer.ctx());
+                (detector.take_bugs(), detector.take_incidents())
+            }
+            None => (Vec::new(), Vec::new()),
+        };
         Ok(TraceCheckOutcome {
-            bugs: self.detector.take_bugs(),
-            incidents: self.detector.take_incidents(),
+            bugs,
+            incidents,
             samples: self.replayer.take_samples(),
             sampling: self.replayer.sampling_info().or(self.recorded),
             salvage: None,
@@ -344,7 +363,10 @@ impl StreamCheck {
     /// The bundle files the incident log wrote at
     /// [`finish`](Self::finish) (none without a log).
     pub(crate) fn bundle_paths(&self) -> &[PathBuf] {
-        self.detector.incident_log().map_or(&[], |l| l.paths())
+        self.detector
+            .as_ref()
+            .and_then(AnomalyDetector::incident_log)
+            .map_or(&[], |l| l.paths())
     }
 
     /// The replayer, graph capacity intact, for the next stream.
@@ -382,11 +404,11 @@ pub(crate) fn validate_function_ids(
     Ok(())
 }
 
-/// What an offline check produced (see [`crate::check_path`]).
+/// What an offline check produced (see [`TraceChecker`]).
 #[derive(Debug)]
 pub struct TraceCheckOutcome {
     /// The detector's bug reports.
-    pub bugs: Vec<crate::bug::BugReport>,
+    pub bugs: Vec<BugReport>,
     /// Incident bundles for range violations that survived the
     /// shutdown trim.
     pub incidents: Vec<IncidentBundle>,
@@ -399,8 +421,341 @@ pub struct TraceCheckOutcome {
     /// (`None` = full fidelity).
     pub sampling: Option<SamplingInfo>,
     /// What salvage recovered, when the check read its file in salvage
-    /// mode (see [`crate::check_path`]).
+    /// mode (see [`TraceChecker::check_path`]).
     pub salvage: Option<SalvageStats>,
+}
+
+impl TraceCheckOutcome {
+    /// A replay's result: the samples as a report at the stream's
+    /// sampling rate, and how the stream was sampled.
+    fn into_report(self, run: impl Into<String>) -> (MetricReport, Option<SamplingInfo>) {
+        let rate = self.sampling.map_or(1.0, |s| s.rate());
+        let report = MetricReport::with_sample_rate(run, self.samples, rate);
+        (report, self.sampling)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Binary images: the decode-ahead loop, the inline loop, and the one
+// engine that replays and checks through them
+// ---------------------------------------------------------------------
+
+/// Bounded depth of the decode-ahead loop's decoder → ingestion
+/// channel.
+const PIPELINE_DEPTH: usize = 4;
+
+/// Feeds `consume` every event block of `image` in file order while a
+/// decoder thread works up to [`PIPELINE_DEPTH`] blocks ahead over a
+/// bounded channel. The thread reads every block through one payload
+/// buffer and decodes it into one of `PIPELINE_DEPTH + 1` event buffers
+/// recycled through a return channel, so a trace allocates them once.
+///
+/// Stops after the first block `consume` returns `Ok(false)` for, and
+/// hangs up on the decoder, which stops too.
+///
+/// # Errors
+///
+/// The first error in file order: a damaged block's or `consume`'s.
+fn pipeline_blocks(
+    image: &BinaryTraceImage,
+    mut consume: impl FnMut(&[HeapEvent]) -> Result<bool, HeapMdError>,
+) -> Result<(), HeapMdError> {
+    let (full_tx, full_rx) =
+        mpsc::sync_channel::<Result<Vec<HeapEvent>, HeapMdError>>(PIPELINE_DEPTH);
+    let (empty_tx, empty_rx) = mpsc::channel::<Vec<HeapEvent>>();
+    for _ in 0..=PIPELINE_DEPTH {
+        empty_tx
+            .send(Vec::with_capacity(EVENTS_PER_BLOCK))
+            .expect("receiver is alive");
+    }
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut payload = Vec::new();
+            for entry in image.event_blocks() {
+                // Either channel is gone once the consuming side stopped.
+                let Ok(mut events) = empty_rx.recv() else {
+                    return;
+                };
+                events.clear();
+                let decoded = image
+                    .append_block(entry, &mut payload, &mut events)
+                    .map(|()| events);
+                let damaged = decoded.is_err();
+                if full_tx.send(decoded).is_err() || damaged {
+                    return;
+                }
+            }
+        });
+        // Owned by this closure, so leaving it early hangs up on the
+        // decoder before the scope joins it.
+        let (full_rx, empty_tx) = (full_rx, empty_tx);
+        for decoded in full_rx {
+            let events = decoded?;
+            if !consume(&events)? {
+                break;
+            }
+            let _ = empty_tx.send(events);
+        }
+        Ok(())
+    })
+}
+
+/// Feeds `consume` every event block of `image` in file order, each
+/// read through `payload` and decoded into `events` on the calling
+/// thread, both buffers reused. Stops after the first block `consume`
+/// returns `Ok(false)` for.
+///
+/// # Errors
+///
+/// The first error in file order: a damaged block's or `consume`'s.
+fn inline_blocks(
+    image: &BinaryTraceImage,
+    payload: &mut Vec<u8>,
+    events: &mut Vec<HeapEvent>,
+    mut consume: impl FnMut(&[HeapEvent]) -> Result<bool, HeapMdError>,
+) -> Result<(), HeapMdError> {
+    for entry in image.event_blocks() {
+        events.clear();
+        image.append_block(entry, payload, events)?;
+        if !consume(events)? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// The one engine for binary trace images: it replays them
+/// ([`replay_image`](Self::replay_image)) and checks them
+/// ([`check_image`](Self::check_image), [`check_path`](Self::check_path)),
+/// each through one stream check, a replay being a check with no
+/// detector attached. As a `check --jobs N` worker it keeps its state
+/// across the traces it runs, one after another, and drops it with the
+/// pool.
+///
+/// It holds one replayer (heap graph slab, shadow pages, id index),
+/// reset between traces rather than rebuilt, and the payload and event
+/// buffers its inline loop decodes each block into. Each trace's
+/// outcome is exactly that of a fresh worker: the reset returns the
+/// replayer to its just-constructed state.
+///
+/// A trace's blocks decode either on the calling thread (the inline
+/// loop) or on a decoder thread of their own that works ahead
+/// ([`new`](Self::new)). Both loops feed the same check, block by
+/// block, and end it at the first refusal or damaged block in file
+/// order, so they give the same outcome. A full-fidelity trace is
+/// re-sampled under the sampler it is given, an already-sampled one
+/// keeps its recorded schedule. A salvage check decodes the whole
+/// trace into memory first and checks it on a replayer of its own.
+pub struct TraceChecker {
+    /// Whether each trace's blocks decode on a thread of their own.
+    decode_ahead: bool,
+    /// The previous trace's replayer, reset before the next trace.
+    replayer: Option<Replayer>,
+    /// The inline loop's block payload.
+    payload: Vec<u8>,
+    /// The inline loop's decoded block.
+    events: Vec<HeapEvent>,
+}
+
+impl TraceChecker {
+    /// A worker that decodes each trace inline, or, with
+    /// `decode_ahead`, on a decoder thread beside the check. The thread
+    /// pays only on a core that no other check occupies, so a pool
+    /// passes its `spare` ([`run_pool_streaming`](crate::run_pool_streaming)):
+    /// `check` then decodes ahead only when it has more jobs than
+    /// traces. It allocates nothing until its first trace.
+    pub fn new(decode_ahead: bool) -> Self {
+        TraceChecker {
+            decode_ahead,
+            replayer: None,
+            payload: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    /// Loads and checks one binary trace file: the work of one
+    /// [`run_pool_streaming`](crate::run_pool_streaming) item of
+    /// `check --jobs N`, which hands the outcomes on in input order as
+    /// each prefix completes.
+    ///
+    /// A strict check reads the file's blocks by position as it decodes
+    /// them, never the whole file. With `salvage`, the file decodes to
+    /// an in-memory trace through block salvage instead, so a damaged
+    /// trace contributes whatever salvage recovers, and its outcome
+    /// carries the salvage stats.
+    ///
+    /// # Errors
+    ///
+    /// A file that is not a binary trace fails with an error naming
+    /// what its magic identifies; otherwise the load's or the check's
+    /// error: the first refusal or damaged block in file order.
+    pub fn check_path(
+        &mut self,
+        path: &Path,
+        model: &HeapModel,
+        settings: &Settings,
+        salvage: bool,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<TraceCheckOutcome, HeapMdError> {
+        if salvage {
+            let (trace, stats) = load_trace_auto(path, true)?;
+            let mut outcome = trace.check_with(Some(model), settings, sampler)?;
+            outcome.salvage = stats;
+            return Ok(outcome);
+        }
+        require_binary(path)?;
+        let image = BinaryTraceImage::open_path(path)?;
+        self.check_image(&image, model, settings, sampler)
+    }
+
+    /// Checks a binary trace image against `model` post-mortem, as
+    /// [`Trace::check`] checks the decoded events: both skip the
+    /// warm-up the model records, so neither needs the stream's length
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapMdError::Corrupt`] on block damage,
+    /// [`HeapMdError::InvalidInput`] on an out-of-table function id or
+    /// an event the heap graph cannot apply: the first in file order.
+    pub fn check_image(
+        &mut self,
+        image: &BinaryTraceImage,
+        model: &HeapModel,
+        settings: &Settings,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<TraceCheckOutcome, HeapMdError> {
+        self.stream_image(image, Some(model), settings, sampler)
+    }
+
+    /// Replays a binary trace image under `settings` (which may differ
+    /// from the recording's, e.g. in `frq`): the metric report
+    /// [`Trace::replay`] gives for the decoded events, plus how the
+    /// replayed stream was sampled. Under `sampler` a full-fidelity
+    /// recording is re-sampled through a live filter, as a process
+    /// monitoring behind it would have seen it, and the report's rate is
+    /// the filter's measured rate; a recording made behind a filter
+    /// keeps its schedule and its recorded outcome.
+    ///
+    /// # Errors
+    ///
+    /// As [`check_image`](Self::check_image).
+    pub fn replay_image(
+        &mut self,
+        image: &BinaryTraceImage,
+        settings: &Settings,
+        run: impl Into<String>,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<(MetricReport, Option<SamplingInfo>), HeapMdError> {
+        Ok(self
+            .stream_image(image, None, settings, sampler)?
+            .into_report(run))
+    }
+
+    /// The image's blocks, through the loop this worker runs, into one
+    /// [`StreamCheck`] of `model`, or of no detector for a replay.
+    fn stream_image(
+        &mut self,
+        image: &BinaryTraceImage,
+        model: Option<&HeapModel>,
+        settings: &Settings,
+        sampler: Option<SamplerConfig>,
+    ) -> Result<TraceCheckOutcome, HeapMdError> {
+        let functions = image.functions()?;
+        let recorded = image.sampling()?;
+        let replayer = match self.replayer.take() {
+            Some(mut replayer) => {
+                replayer.reset(settings.clone(), &[]);
+                replayer
+            }
+            None => Replayer::new(settings.clone(), &[]),
+        };
+        let mut check = StreamCheck::new(model.cloned(), replayer, sampler);
+        check.set_functions(&functions);
+        if let Some(info) = recorded {
+            check.set_sampling(info);
+        }
+        // The first refusal ends the stream: the blocks after it are
+        // not decoded, so damage there cannot hide it.
+        let mut feed = |events: &[HeapEvent]| {
+            let _ = check.feed(events);
+            Ok(!check.refused())
+        };
+        let fed = if self.decode_ahead {
+            pipeline_blocks(image, &mut feed)
+        } else {
+            inline_blocks(image, &mut self.payload, &mut self.events, &mut feed)
+        };
+        let outcome = fed.and_then(|()| check.finish());
+        self.replayer = Some(check.into_replayer());
+        outcome
+    }
+}
+
+/// Ledger only; ROADMAP item 1 deletes it. A decode-ahead replay.
+#[doc(hidden)]
+pub fn replay_binary(
+    image: &BinaryTraceImage,
+    settings: &Settings,
+    run: impl Into<String>,
+) -> Result<MetricReport, HeapMdError> {
+    Ok(TraceChecker::new(true)
+        .replay_image(image, settings, run, None)?
+        .0)
+}
+
+/// Ledger only; ROADMAP item 1 deletes it. An inline replay.
+#[doc(hidden)]
+pub fn replay_binary_fused(
+    image: &BinaryTraceImage,
+    settings: &Settings,
+    run: impl Into<String>,
+) -> Result<MetricReport, HeapMdError> {
+    Ok(TraceChecker::new(false)
+        .replay_image(image, settings, run, None)?
+        .0)
+}
+
+/// Ledger only; ROADMAP item 1 deletes it. An inline replay under
+/// `config`.
+#[doc(hidden)]
+pub fn replay_binary_fused_sampled(
+    image: &BinaryTraceImage,
+    settings: &Settings,
+    run: impl Into<String>,
+    config: SamplerConfig,
+) -> Result<(MetricReport, SamplingInfo), HeapMdError> {
+    TraceChecker::new(false)
+        .replay_image(image, settings, run, Some(config))
+        .map(|(report, info)| (report, info.expect("a sampled replay has an outcome")))
+}
+
+/// Ledger only; ROADMAP item 1 deletes it. An inline replay; the shard
+/// count is ignored.
+#[doc(hidden)]
+pub fn replay_binary_sharded(
+    image: &BinaryTraceImage,
+    settings: &Settings,
+    run: impl Into<String>,
+    _shards: usize,
+) -> Result<MetricReport, HeapMdError> {
+    Ok(TraceChecker::new(false)
+        .replay_image(image, settings, run, None)?
+        .0)
+}
+
+/// Ledger only; ROADMAP item 1 deletes it. A decode-ahead check; the
+/// shard count is ignored.
+#[doc(hidden)]
+pub fn check_binary_sharded(
+    image: &BinaryTraceImage,
+    model: &HeapModel,
+    settings: &Settings,
+    _shards: usize,
+) -> Result<Vec<BugReport>, HeapMdError> {
+    Ok(TraceChecker::new(true)
+        .check_image(image, model, settings, None)?
+        .bugs)
 }
 
 /// The one event core behind live monitoring and post-mortem replay:
@@ -408,9 +763,9 @@ pub struct TraceCheckOutcome {
 /// sampling schedule and filter, and the tick clock.
 ///
 /// [`crate::Process`] feeds its own replayer each event its mutator
-/// API executes; [`Trace::replay`], the binary codec's engines
-/// ([`crate::trace_codec`]) and serve feed recorded streams, as one
-/// slice or block by block. Every event goes through one private step,
+/// API executes; every [`StreamCheck`] (an in-memory [`Trace`]'s, a
+/// [`TraceChecker`]'s and each serve tenant's) feeds it a recorded
+/// stream, as one slice or block by block. Every event goes through one private step,
 /// [`advance`](Self::advance), and `tick` counts the events it admitted
 /// from the stream's start. So a sample lands with the same `tick` on
 /// every path, however the stream arrives and whoever fans it out.
@@ -1024,7 +1379,7 @@ mod tests {
             for block in [trace.len(), 7] {
                 let want = stepped_check(trace, model, &settings, sampler, block);
                 let replayer = Replayer::new(settings.clone(), &[]);
-                let mut check = StreamCheck::new(model.clone(), replayer, sampler);
+                let mut check = StreamCheck::new(Some(model.clone()), replayer, sampler);
                 check.set_functions(trace.functions());
                 if let Some(info) = trace.sampling() {
                     check.set_sampling(info);
@@ -1061,8 +1416,6 @@ mod tests {
 
     #[test]
     fn offline_check_finds_the_same_violation_as_online() {
-        use crate::model::{HeapModel, StableMetric};
-
         // Model claiming Roots must stay within [0, 5]: a growing list
         // has Roots ≈ 1/n·100 shrinking toward 0 — fine — but a fresh
         // run that never links nodes has Roots = 100.
@@ -1071,8 +1424,24 @@ mod tests {
             .warmup_samples(1)
             .build()
             .unwrap();
-        let model = HeapModel {
-            version: crate::model::MODEL_FORMAT_VERSION,
+        let model = roots_model(&settings);
+        // Buggy run: isolated nodes only (Roots = 100 > 5).
+        let trace = list_run(&settings, 50, false);
+        let bugs = trace.check(&model, &settings).unwrap();
+        assert_eq!(bugs.len(), 1);
+        assert_eq!(bugs[0].metric, MetricKind::Roots);
+    }
+
+    /// `trace` encoded and opened as a binary image.
+    fn image_of(trace: &Trace) -> BinaryTraceImage {
+        BinaryTraceImage::open(trace.encode_binary()).unwrap()
+    }
+
+    /// A model whose Roots range `[0, 5]` an unlinked run violates.
+    fn roots_model(settings: &Settings) -> HeapModel {
+        use crate::model::{StableMetric, MODEL_FORMAT_VERSION};
+        HeapModel {
+            version: MODEL_FORMAT_VERSION,
             program: "t".into(),
             settings: settings.clone(),
             stable: vec![StableMetric {
@@ -1087,19 +1456,194 @@ mod tests {
             unstable: vec![],
             sample_rate: 1.0,
             training_runs: 3,
-        };
-        // Buggy run: isolated nodes only (Roots = 100 > 5).
+        }
+    }
+
+    /// A trace of `n` calls, each allocating a node and linking it to
+    /// the previous one when `linked`, else leaving it isolated.
+    fn list_run(settings: &Settings, n: usize, linked: bool) -> Trace {
         let mut p = Process::new(settings.clone());
         p.enable_trace();
-        let (lp, iso) = (p.function("loop"), p.site("iso"));
-        for _ in 0..50 {
+        let (lp, site) = (p.function("loop"), p.site("n"));
+        let mut prev = None;
+        for _ in 0..n {
             p.enter(lp);
-            p.malloc(16, iso).unwrap();
+            let node = p.malloc(16, site).unwrap();
+            if linked {
+                if let Some(prev) = prev {
+                    p.write_ptr(node.offset(8), prev).unwrap();
+                }
+                prev = Some(node);
+            }
             p.leave();
         }
-        let trace = p.take_trace().unwrap();
-        let bugs = trace.check(&model, &settings).unwrap();
-        assert_eq!(bugs.len(), 1);
-        assert_eq!(bugs[0].metric, MetricKind::Roots);
+        p.take_trace().unwrap()
+    }
+
+    #[test]
+    fn image_replay_matches_in_memory_replay_on_both_loops() {
+        let (trace, _) = traced_run(5, EVENTS_PER_BLOCK + 300);
+        let settings = Settings::builder().frq(5).build().unwrap();
+        let expected = trace.replay(&settings, "mem").unwrap();
+        let image = image_of(&trace);
+        for ahead in [true, false] {
+            let (report, sampling) = TraceChecker::new(ahead)
+                .replay_image(&image, &settings, "image", None)
+                .unwrap();
+            assert_eq!(expected.samples, report.samples, "decode ahead: {ahead}");
+            assert_eq!((report.sample_rate, sampling), (1.0, None));
+        }
+    }
+
+    #[test]
+    fn image_check_matches_in_memory_check_on_both_loops() {
+        let settings = Settings::builder()
+            .frq(5)
+            .warmup_samples(1)
+            .build()
+            .unwrap();
+        let model = roots_model(&settings);
+        let trace = list_run(&settings, EVENTS_PER_BLOCK, false);
+        let expected = trace.check(&model, &settings).unwrap();
+        assert!(!expected.is_empty());
+        let image = image_of(&trace);
+        for ahead in [true, false] {
+            let outcome = TraceChecker::new(ahead)
+                .check_image(&image, &model, &settings, None)
+                .unwrap();
+            assert_eq!(expected, outcome.bugs, "decode ahead: {ahead}");
+        }
+    }
+
+    #[test]
+    fn out_of_table_function_ids_are_invalid_input_in_both_loops() {
+        let (mut trace, _) = traced_run(5, 20);
+        trace.push(HeapEvent::FnEnter { func: 999 });
+        let settings = Settings::builder().frq(5).build().unwrap();
+        let image = image_of(&trace);
+        for ahead in [true, false] {
+            assert!(matches!(
+                TraceChecker::new(ahead).replay_image(&image, &settings, "bad", None),
+                Err(HeapMdError::InvalidInput(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_recorded_sampled_trace_keeps_its_schedule_under_a_sampler() {
+        // A trace recorded behind the default filter is decimated
+        // already: a replay under a sampler keeps its schedule, as a
+        // check does, rather than decimating it a second time.
+        let (trace, _) = traced_run(5, EVENTS_PER_BLOCK + 300);
+        let config = SamplerConfig::default();
+        let recorded = trace.sampled(config);
+        let info = recorded.sampling().unwrap();
+        assert!(info.rate() < 1.0, "the filter must drop stores");
+        assert_ne!(
+            recorded.sampled(config).events(),
+            recorded.events(),
+            "a second filter would drop more"
+        );
+        let settings = Settings::builder().frq(5).build().unwrap();
+        let image = image_of(&recorded);
+        for ahead in [true, false] {
+            let mut worker = TraceChecker::new(ahead);
+            let (plain, plain_info) = worker
+                .replay_image(&image, &settings, "plain", None)
+                .unwrap();
+            let (sampled, sampled_info) = worker
+                .replay_image(&image, &settings, "sampled", Some(config))
+                .unwrap();
+            assert_eq!(sampled.samples, plain.samples, "decode ahead: {ahead}");
+            assert_eq!((sampled_info, plain_info), (Some(info), Some(info)));
+            assert_eq!(sampled.sample_rate, info.rate());
+        }
+    }
+
+    #[test]
+    fn check_pool_merges_in_input_order() {
+        let settings = Settings::builder()
+            .frq(5)
+            .warmup_samples(1)
+            .build()
+            .unwrap();
+        let model = roots_model(&settings);
+        // Alternate clean (linked) and buggy (isolated) traces so the
+        // expected verdicts differ per index.
+        let traces: Vec<Trace> = (0..6)
+            .map(|i| list_run(&settings, 60, i % 2 == 0))
+            .collect();
+        let sequential: Vec<_> = traces
+            .iter()
+            .map(|t| t.check(&model, &settings).unwrap())
+            .collect();
+        // Both branches: a strict check decodes the file's blocks (ahead
+        // when a job is spare, inline otherwise), a salvage check takes
+        // the in-memory checker.
+        let dir = std::env::temp_dir().join(format!("heapmd-pool-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths: Vec<PathBuf> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let path = dir.join(format!("t{i}.hmdt"));
+                t.save_binary(&path).unwrap();
+                path
+            })
+            .collect();
+        for (jobs, salvage) in [1, 2, 8].into_iter().flat_map(|j| [(j, false), (j, true)]) {
+            let mut pooled = Vec::new();
+            let check = |checker: &mut TraceChecker, i: usize| {
+                checker.check_path(&paths[i], &model, &settings, salvage, None)
+            };
+            let n = paths.len();
+            let Ok(()) = crate::pool::run_pool_streaming(
+                "check_pool",
+                n,
+                jobs,
+                TraceChecker::new,
+                check,
+                |_, r| {
+                    pooled.push(r.unwrap().bugs);
+                    Ok::<(), std::convert::Infallible>(())
+                },
+            );
+            assert_eq!(pooled, sequential, "jobs={jobs} must merge in order");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sampled_checks_agree_across_formats() {
+        // Re-sampling happens in one driver, so a strict check of a
+        // binary file (read by block) and a salvage check of it (in memory)
+        // give the same sampled verdict, samples, and rate.
+        let (trace, _) = traced_run(5, 600);
+        let settings = Settings::builder().frq(5).build().unwrap();
+        let mut builder = crate::model::ModelBuilder::new(settings.clone());
+        builder.add_run(&trace.replay(&settings, "train").unwrap());
+        let model = builder.build().model;
+        let dir = std::env::temp_dir().join(format!("heapmd-pool-sampled-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.hmdt");
+        trace.save_binary(&path).unwrap();
+        let config = SamplerConfig::new(8, 4);
+        let outcomes: Vec<_> = [false, true]
+            .into_iter()
+            .map(|salvage| {
+                TraceChecker::new(true).check_path(&path, &model, &settings, salvage, Some(config))
+            })
+            .map(|r| r.unwrap())
+            .collect();
+        let rate = outcomes[0].sampling.expect("re-sampled").rate();
+        assert!(rate < 1.0, "the filter must drop stores (rate {rate})");
+        // Debug rendering keeps the comparison NaN-stable.
+        assert_eq!(
+            format!("{:?}", outcomes[0].bugs),
+            format!("{:?}", outcomes[1].bugs)
+        );
+        assert_eq!(outcomes[0].samples, outcomes[1].samples);
+        assert_eq!(outcomes[0].sampling, outcomes[1].sampling);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,24 +1,5 @@
-//! Compact block-based binary trace format (`.hmdt`) and the
-//! pipelined/parallel replay engine built on top of it.
-//!
-//! `HMDB1` is the one trace format heapmd writes and reads. A file that
-//! opens with the magic of the retired framed-JSONL format (`HMDT1`) is
-//! recognized by [`sniff_bytes`] only so it can be refused by name. The
-//! format is crash-safe and costs a few bytes per event:
-//!
-//! * **varint + delta encoding** — object ids, addresses, sizes,
-//!   offsets, and function ids are LEB128 varints of zigzag deltas
-//!   against per-block registers, so a typical event is 3–8 bytes;
-//! * **fixed-size event blocks** — events are grouped into blocks of
-//!   [`EVENTS_PER_BLOCK`], each independently decodable (delta
-//!   registers reset per block) and protected by its own CRC-32, so a
-//!   damaged region costs one block, not the stream suffix;
-//! * **trailing block index + footer** — readers seek straight to the
-//!   function table, know the total event/fn-entry counts without a
-//!   pre-pass, and can split blocks across workers;
-//! * **block-granular salvage** — [`BinaryTraceReader::salvage`]
-//!   resyncs on the block magic after damage and recovers every intact
-//!   block, before *and after* the corruption.
+//! Compact block-based binary trace format (`.hmdt`): its writer, its
+//! readers, salvage and the live-stream frame reader.
 //!
 //! # Wire format
 //!
@@ -35,38 +16,17 @@
 //! payload lists `(offset, kind, count)` for every preceding block and
 //! ends with the stream's total event and `FnEnter` counts.
 //!
-//! # Replay and check loops
-//!
-//! A trace's blocks reach graph ingestion (the replayer's per-event
-//! core) through one of two loops. The decode-ahead loop
-//! ([`replay_binary`], [`check_binary`]) runs a decoder thread that
-//! streams decoded blocks over a bounded channel while the next block
-//! decodes, recycling its event buffers through a return channel. The
-//! inline loop ([`replay_binary_fused`] and its sampled variant)
-//! decodes each block on the calling thread into one reused buffer and
-//! ingests it. A check feeds either loop's blocks to the one
-//! post-mortem driver that [`Trace::check`] and the serve daemon also
-//! use.
-//!
-//! `check --jobs N` fans trace files over the one worker pool,
-//! [`run_pool_streaming`](crate::run_pool_streaming), which hands
-//! outcomes on in input order; training streams its runs through the
-//! same pool. Each worker is a [`TraceChecker`], which keeps one
-//! replayer and its inline loop's buffers across the traces it checks,
-//! and decodes ahead only when the pool has more jobs than traces.
+//! Replaying and checking an image is the job of
+//! [`TraceChecker`](crate::TraceChecker), beside the stream check it
+//! drives; this module holds the format only.
 
-use crate::bug::BugReport;
 use crate::error::HeapMdError;
-use crate::model::HeapModel;
 use crate::persist::crc32;
-use crate::report::MetricReport;
-use crate::settings::Settings;
-use crate::trace::{validate_function_ids, Replayer, StreamCheck, Trace, TraceCheckOutcome};
+use crate::trace::Trace;
 use sim_heap::{Addr, AllocSite, HeapEvent, ObjectId};
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::mpsc;
-use swat::{SamplerConfig, SamplingInfo};
+use swat::SamplingInfo;
 
 /// Magic prefix of a binary trace file (the trailing newline guards
 /// against text-mode mangling, png-style).
@@ -106,20 +66,16 @@ pub const EVENTS_PER_BLOCK: usize = 4096;
 /// cannot drive a reader into a multi-gigabyte copy.
 pub(crate) const MAX_BLOCK_LEN: u32 = 1 << 24;
 
-/// Bounded depth of the decode-ahead loop's decoder → ingestion
-/// channel.
-const PIPELINE_DEPTH: usize = 4;
-
 /// Block kinds.
 pub(crate) const KIND_EVENTS: u8 = 1;
 pub(crate) const KIND_FUNCTIONS: u8 = 2;
 pub(crate) const KIND_INDEX: u8 = 3;
 pub(crate) const KIND_META: u8 = 4;
 
-/// On-disk trace format selector for [`Trace::save_format`]. `Binary`
-/// is the only format; the selector and `save_format` remain only
-/// because the benchmark ledger calls them, and go once it calls
-/// [`Trace::save_binary`].
+/// On-disk trace format selector for `Trace::save_format`. `Binary` is
+/// the only format. Ledger only; ROADMAP item 1 deletes it, with
+/// `save_format`, once the ledger calls [`Trace::save_binary`].
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamFormat {
     /// Block-based binary (`HMDB1`): compact, seekable, fast.
@@ -1059,7 +1015,7 @@ impl BinaryTraceImage {
 
     /// Reads one event block into `payload` and appends its events to
     /// `out`.
-    fn append_block(
+    pub(crate) fn append_block(
         &self,
         entry: &BlockEntry,
         payload: &mut Vec<u8>,
@@ -1391,11 +1347,12 @@ impl Trace {
     }
 
     /// Saves in the chosen on-disk format: [`save_binary`](Trace::save_binary),
-    /// the only one. Kept for the benchmark ledger's callers.
+    /// the only one. Ledger only; ROADMAP item 1 deletes it.
     ///
     /// # Errors
     ///
     /// Returns [`HeapMdError::Io`].
+    #[doc(hidden)]
     pub fn save_format(
         &self,
         path: impl AsRef<Path>,
@@ -1496,7 +1453,7 @@ pub fn load_trace_auto(
 }
 
 /// Refuses a file whose magic is not `HMDB1`, naming what it is.
-fn require_binary(path: &Path) -> Result<(), HeapMdError> {
+pub(crate) fn require_binary(path: &Path) -> Result<(), HeapMdError> {
     match sniff_file(path)? {
         ArtifactKind::BinaryTrace => Ok(()),
         other => Err(HeapMdError::InvalidInput(format!(
@@ -1626,377 +1583,6 @@ pub fn decode_meta_container(bytes: &[u8]) -> Result<Vec<u8>, HeapMdError> {
         ));
     }
     Ok(payload.to_vec())
-}
-
-// ---------------------------------------------------------------------
-// Replay / check: the decode-ahead loop and the inline loop
-// ---------------------------------------------------------------------
-
-/// Feeds `consume` every event block of `image` in file order while a
-/// decoder thread works up to [`PIPELINE_DEPTH`] blocks ahead over a
-/// bounded channel. The thread reads every block through one payload
-/// buffer and decodes it into one of `PIPELINE_DEPTH + 1` event buffers
-/// recycled through a return channel, so a trace allocates them once.
-///
-/// Stops after the first block `consume` returns `Ok(false)` for, and
-/// hangs up on the decoder, which stops too.
-///
-/// # Errors
-///
-/// The first error in file order: a damaged block's or `consume`'s.
-fn pipeline_blocks(
-    image: &BinaryTraceImage,
-    mut consume: impl FnMut(&[HeapEvent]) -> Result<bool, HeapMdError>,
-) -> Result<(), HeapMdError> {
-    let (full_tx, full_rx) =
-        mpsc::sync_channel::<Result<Vec<HeapEvent>, HeapMdError>>(PIPELINE_DEPTH);
-    let (empty_tx, empty_rx) = mpsc::channel::<Vec<HeapEvent>>();
-    for _ in 0..=PIPELINE_DEPTH {
-        empty_tx
-            .send(Vec::with_capacity(EVENTS_PER_BLOCK))
-            .expect("receiver is alive");
-    }
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let mut payload = Vec::new();
-            for entry in image.event_blocks() {
-                // Either channel is gone once the consuming side stopped.
-                let Ok(mut events) = empty_rx.recv() else {
-                    return;
-                };
-                events.clear();
-                let decoded = image
-                    .append_block(entry, &mut payload, &mut events)
-                    .map(|()| events);
-                let damaged = decoded.is_err();
-                if full_tx.send(decoded).is_err() || damaged {
-                    return;
-                }
-            }
-        });
-        // Owned by this closure, so leaving it early hangs up on the
-        // decoder before the scope joins it.
-        let (full_rx, empty_tx) = (full_rx, empty_tx);
-        for decoded in full_rx {
-            let events = decoded?;
-            if !consume(&events)? {
-                break;
-            }
-            let _ = empty_tx.send(events);
-        }
-        Ok(())
-    })
-}
-
-/// Feeds `consume` every event block of `image` in file order, each
-/// read through `payload` and decoded into `events` on the calling
-/// thread, both buffers reused. Stops after the first block `consume`
-/// returns `Ok(false)` for.
-///
-/// # Errors
-///
-/// The first error in file order: a damaged block's or `consume`'s.
-fn inline_blocks(
-    image: &BinaryTraceImage,
-    payload: &mut Vec<u8>,
-    events: &mut Vec<HeapEvent>,
-    mut consume: impl FnMut(&[HeapEvent]) -> Result<bool, HeapMdError>,
-) -> Result<(), HeapMdError> {
-    for entry in image.event_blocks() {
-        events.clear();
-        image.append_block(entry, payload, events)?;
-        if !consume(events)? {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Replays a binary trace image end to end — decoder thread + graph
-/// ingestion pipeline — recomputing the metric report under
-/// `settings`, exactly as [`Trace::replay`] would on the decoded
-/// events.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] on block damage,
-/// [`HeapMdError::InvalidInput`] on out-of-table function ids.
-pub fn replay_binary(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-) -> Result<MetricReport, HeapMdError> {
-    let functions = image.functions()?;
-    let rate = image.sampling()?.map_or(1.0, |s| s.rate());
-    let mut replayer = Replayer::new(settings.clone(), &functions);
-    pipeline_blocks(image, |events| {
-        validate_function_ids(events, functions.len())?;
-        replayer.ingest_batch(events)?;
-        Ok(true)
-    })?;
-    Ok(MetricReport::with_sample_rate(
-        run,
-        replayer.take_samples(),
-        rate,
-    ))
-}
-
-/// The fused replay loop behind [`replay_binary_fused`] and
-/// [`replay_binary_fused_sampled`]: the inline loop, ingesting each
-/// block on the calling thread, behind a live filter when `sampler` is
-/// given. Returns the report plus the filter's outcome.
-fn fused_replay(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-    sampler: Option<SamplerConfig>,
-) -> Result<(MetricReport, Option<SamplingInfo>), HeapMdError> {
-    let functions = image.functions()?;
-    let mut replayer = Replayer::new(settings.clone(), &functions);
-    if let Some(config) = sampler {
-        replayer.enable_sampling(config);
-    }
-    let (mut payload, mut events) = (Vec::new(), Vec::with_capacity(EVENTS_PER_BLOCK));
-    inline_blocks(image, &mut payload, &mut events, |events| {
-        validate_function_ids(events, functions.len())?;
-        replayer.ingest_batch(events)?;
-        Ok(true)
-    })?;
-    let info = replayer.sampling_info();
-    let rate = match info {
-        Some(info) => info.rate(),
-        None => image.sampling()?.map_or(1.0, |s| s.rate()),
-    };
-    let report = MetricReport::with_sample_rate(run, replayer.take_samples(), rate);
-    Ok((report, info))
-}
-
-/// Replays a binary trace image on the calling thread: each block
-/// decodes into one reused buffer and is ingested immediately — no
-/// decoder thread, no channel hand-off.
-///
-/// On machines with spare cores the pipelined [`replay_binary`] hides
-/// decode behind ingest; on saturated or single-core hosts the fused
-/// loop wins because it spends nothing on synchronization.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`], exactly as
-/// [`replay_binary`].
-pub fn replay_binary_fused(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-) -> Result<MetricReport, HeapMdError> {
-    Ok(fused_replay(image, settings, run, None)?.0)
-}
-
-/// [`replay_binary_fused`] with a live [`swat::SampledIngest`] filter
-/// in front of graph ingestion: re-samples the (unsampled) recorded
-/// stream under `config`, exactly as a production process monitoring
-/// behind the filter would have seen it. Returns the report — whose
-/// `sample_rate` is the *measured* rate — plus the full
-/// [`SamplingInfo`].
-///
-/// The result is bit-identical to recording the trace through a
-/// sampled [`crate::Process`] and replaying that artifact: with
-/// `decimation == 1` it matches [`replay_binary_fused`] sample for
-/// sample.
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`], exactly as
-/// [`replay_binary_fused`].
-pub fn replay_binary_fused_sampled(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-    config: SamplerConfig,
-) -> Result<(MetricReport, SamplingInfo), HeapMdError> {
-    let (report, info) = fused_replay(image, settings, run, Some(config))?;
-    Ok((report, info.expect("sampling was enabled")))
-}
-
-/// Kept for `ledger/src/layers.rs:357` only; ROADMAP item 1 deletes it.
-#[doc(hidden)]
-pub fn replay_binary_sharded(
-    image: &BinaryTraceImage,
-    settings: &Settings,
-    run: impl Into<String>,
-    _shards: usize,
-) -> Result<MetricReport, HeapMdError> {
-    Ok(fused_replay(image, settings, run, None)?.0)
-}
-
-/// Checks a binary trace image against `model` post-mortem, as
-/// [`Trace::check`] checks the decoded events: both skip the warm-up
-/// the model records, so neither needs the stream's length first. The
-/// blocks decode on a thread of their own, ahead of the check
-/// ([`TraceChecker::new`]`(true)`).
-///
-/// # Errors
-///
-/// [`HeapMdError::Corrupt`] / [`HeapMdError::InvalidInput`].
-pub fn check_binary(
-    image: &BinaryTraceImage,
-    model: &HeapModel,
-    settings: &Settings,
-) -> Result<Vec<BugReport>, HeapMdError> {
-    TraceChecker::new(true)
-        .check_image(image, model, settings, None)
-        .map(|o| o.bugs)
-}
-
-/// Kept for `ledger/src/corpus.rs:437` and `layers.rs` only; ROADMAP item 1 deletes it.
-#[doc(hidden)]
-pub fn check_binary_sharded(
-    image: &BinaryTraceImage,
-    model: &HeapModel,
-    settings: &Settings,
-    _shards: usize,
-) -> Result<Vec<BugReport>, HeapMdError> {
-    check_binary(image, model, settings)
-}
-
-// ---------------------------------------------------------------------
-// Multi-trace checking pool
-// ---------------------------------------------------------------------
-
-/// One `check --jobs N` worker: the state it keeps across the traces
-/// it checks, one after another, and drops with the pool.
-///
-/// It holds one replayer (heap graph slab, shadow pages, id index),
-/// reset between traces rather than rebuilt, and the payload and event
-/// buffers its inline loop decodes each block into. Each trace's
-/// outcome is exactly that of a fresh check: the reset returns the
-/// replayer to its just-constructed state.
-///
-/// A trace's blocks decode either on the checking thread (the inline
-/// loop) or on a decoder thread of their own that works ahead
-/// ([`new`](Self::new)). Both loops feed the same check, block by
-/// block, and end it at the first refusal or damaged block in file
-/// order, so they give the same outcome. A salvage check decodes the
-/// whole trace into memory first and checks it on a replayer of its
-/// own.
-pub struct TraceChecker {
-    /// Whether each trace's blocks decode on a thread of their own.
-    decode_ahead: bool,
-    /// The previous trace's replayer, reset before the next trace.
-    replayer: Option<Replayer>,
-    /// The inline loop's block payload.
-    payload: Vec<u8>,
-    /// The inline loop's decoded block.
-    events: Vec<HeapEvent>,
-}
-
-impl TraceChecker {
-    /// A worker that decodes each trace inline, or, with
-    /// `decode_ahead`, on a decoder thread beside the check. The thread
-    /// pays only on a core that no other check occupies, so a pool
-    /// passes its `spare` ([`run_pool_streaming`](crate::run_pool_streaming)):
-    /// `check` then decodes ahead only when it has more jobs than
-    /// traces. It allocates nothing until its first trace.
-    pub fn new(decode_ahead: bool) -> Self {
-        TraceChecker {
-            decode_ahead,
-            replayer: None,
-            payload: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// Loads and checks one binary trace file: the work of one
-    /// [`run_pool_streaming`](crate::run_pool_streaming) item of
-    /// `check --jobs N`, which hands the outcomes on in input order as
-    /// each prefix completes.
-    ///
-    /// A full-fidelity trace is re-sampled under `sampler` first, an
-    /// already-sampled one keeps its recorded schedule. A strict check
-    /// reads the file's blocks by position as it decodes them, never
-    /// the whole file. With `salvage`, the file decodes to an
-    /// in-memory trace through block salvage instead, so a damaged
-    /// trace contributes whatever salvage recovers, and its outcome
-    /// carries the salvage stats.
-    ///
-    /// # Errors
-    ///
-    /// A file that is not a binary trace fails with an error naming
-    /// what its magic identifies; otherwise the load's or the check's
-    /// error: the first refusal or damaged block in file order.
-    pub fn check_path(
-        &mut self,
-        path: &Path,
-        model: &HeapModel,
-        settings: &Settings,
-        salvage: bool,
-        sampler: Option<SamplerConfig>,
-    ) -> Result<TraceCheckOutcome, HeapMdError> {
-        if salvage {
-            let (trace, stats) = load_trace_auto(path, true)?;
-            let mut outcome = trace.check_with(model, settings, sampler)?;
-            outcome.salvage = stats;
-            return Ok(outcome);
-        }
-        require_binary(path)?;
-        let image = BinaryTraceImage::open_path(path)?;
-        self.check_image(&image, model, settings, sampler)
-    }
-
-    /// [`check_binary`] on this worker, re-sampling a full-fidelity
-    /// recording under `sampler`, with the whole outcome.
-    fn check_image(
-        &mut self,
-        image: &BinaryTraceImage,
-        model: &HeapModel,
-        settings: &Settings,
-        sampler: Option<SamplerConfig>,
-    ) -> Result<TraceCheckOutcome, HeapMdError> {
-        let functions = image.functions()?;
-        let recorded = image.sampling()?;
-        let replayer = match self.replayer.take() {
-            Some(mut replayer) => {
-                replayer.reset(settings.clone(), &[]);
-                replayer
-            }
-            None => Replayer::new(settings.clone(), &[]),
-        };
-        let mut check = StreamCheck::new(model.clone(), replayer, sampler);
-        check.set_functions(&functions);
-        if let Some(info) = recorded {
-            check.set_sampling(info);
-        }
-        // The first refusal ends the check: the blocks after it are not
-        // decoded, so damage there cannot hide it.
-        let mut feed = |events: &[HeapEvent]| {
-            let _ = check.feed(events);
-            Ok(!check.refused())
-        };
-        let fed = if self.decode_ahead {
-            pipeline_blocks(image, &mut feed)
-        } else {
-            inline_blocks(image, &mut self.payload, &mut self.events, &mut feed)
-        };
-        let outcome = fed.and_then(|()| check.finish());
-        self.replayer = Some(check.into_replayer());
-        outcome
-    }
-}
-
-/// Checks one binary trace file alone, on a fresh
-/// [`TraceChecker`] that decodes ahead: [`TraceChecker::check_path`]
-/// says what it checks and refuses.
-///
-/// # Errors
-///
-/// As [`TraceChecker::check_path`].
-pub fn check_path(
-    path: &Path,
-    model: &HeapModel,
-    settings: &Settings,
-    salvage: bool,
-    sampler: Option<SamplerConfig>,
-) -> Result<TraceCheckOutcome, HeapMdError> {
-    TraceChecker::new(true).check_path(path, model, settings, salvage, sampler)
 }
 
 // ---------------------------------------------------------------------
@@ -2189,15 +1775,12 @@ impl<R: Read> WireReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::run_pool_streaming;
     use crate::process::Process;
 
-    fn settings(frq: u64) -> Settings {
-        Settings::builder().frq(frq).build().unwrap()
-    }
-
+    /// A recorded run of `n` calls; its events do not depend on the
+    /// settings it ran under.
     fn sample_trace(n: usize) -> Trace {
-        let mut p = Process::new(settings(5));
+        let mut p = Process::new(Default::default());
         p.enable_trace();
         let (build, node_site) = (p.function("build"), p.site("node"));
         let mut prev = None;
@@ -2446,186 +2029,6 @@ mod tests {
             Err(HeapMdError::InvalidInput(_))
         ));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pipelined_replay_matches_in_memory_replay() {
-        let trace = sample_trace(EVENTS_PER_BLOCK + 300);
-        let settings = settings(5);
-        let expected = trace.replay(&settings, "mem").unwrap();
-        let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        let piped = replay_binary(&image, &settings, "piped").unwrap();
-        assert_eq!(expected.samples, piped.samples);
-    }
-
-    #[test]
-    fn pipelined_check_matches_in_memory_check() {
-        use crate::model::{HeapModel, StableMetric, MODEL_FORMAT_VERSION};
-        use heap_graph::MetricKind;
-
-        let settings = Settings::builder()
-            .frq(5)
-            .warmup_samples(1)
-            .build()
-            .unwrap();
-        let model = HeapModel {
-            version: MODEL_FORMAT_VERSION,
-            program: "t".into(),
-            settings: settings.clone(),
-            stable: vec![StableMetric {
-                kind: MetricKind::Roots,
-                min: 0.0,
-                max: 5.0,
-                avg_change: 0.0,
-                std_change: 0.5,
-                stable_runs: 3,
-                total_runs: 3,
-            }],
-            unstable: vec![],
-            sample_rate: 1.0,
-            training_runs: 3,
-        };
-        // Buggy run: isolated nodes only (Roots = 100 > 5).
-        let mut p = Process::new(settings.clone());
-        p.enable_trace();
-        let (lp, iso) = (p.function("loop"), p.site("iso"));
-        for _ in 0..EVENTS_PER_BLOCK {
-            p.enter(lp);
-            p.malloc(16, iso).unwrap();
-            p.leave();
-        }
-        let trace = p.take_trace().unwrap();
-        let expected = trace.check(&model, &settings).unwrap();
-        assert!(!expected.is_empty());
-        let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        let piped = check_binary(&image, &model, &settings).unwrap();
-        assert_eq!(expected, piped);
-    }
-
-    #[test]
-    fn out_of_table_function_ids_are_invalid_input_in_pipeline() {
-        let mut trace = sample_trace(20);
-        trace.push(HeapEvent::FnEnter { func: 999 });
-        let image = BinaryTraceImage::open(trace.encode_binary()).unwrap();
-        assert!(matches!(
-            replay_binary(&image, &settings(5), "bad"),
-            Err(HeapMdError::InvalidInput(_))
-        ));
-    }
-
-    #[test]
-    fn check_pool_merges_in_input_order() {
-        use crate::model::{HeapModel, StableMetric, MODEL_FORMAT_VERSION};
-        use heap_graph::MetricKind;
-
-        let settings = Settings::builder()
-            .frq(5)
-            .warmup_samples(1)
-            .build()
-            .unwrap();
-        let model = HeapModel {
-            version: MODEL_FORMAT_VERSION,
-            program: "t".into(),
-            settings: settings.clone(),
-            stable: vec![StableMetric {
-                kind: MetricKind::Roots,
-                min: 0.0,
-                max: 5.0,
-                avg_change: 0.0,
-                std_change: 0.5,
-                stable_runs: 3,
-                total_runs: 3,
-            }],
-            unstable: vec![],
-            sample_rate: 1.0,
-            training_runs: 3,
-        };
-        // Alternate clean (linked) and buggy (isolated) traces so the
-        // expected verdicts differ per index.
-        let traces: Vec<Trace> = (0..6)
-            .map(|i| {
-                let mut p = Process::new(settings.clone());
-                p.enable_trace();
-                let (lp, n) = (p.function("loop"), p.site("n"));
-                let mut prev = None;
-                for _ in 0..60 {
-                    p.enter(lp);
-                    let node = p.malloc(16, n).unwrap();
-                    if i % 2 == 0 {
-                        if let Some(prev) = prev {
-                            p.write_ptr(node.offset(8), prev).unwrap();
-                        }
-                        prev = Some(node);
-                    }
-                    p.leave();
-                }
-                p.take_trace().unwrap()
-            })
-            .collect();
-        let sequential: Vec<_> = traces
-            .iter()
-            .map(|t| t.check(&model, &settings).unwrap())
-            .collect();
-        // Both branches: a strict check decodes the file's blocks (ahead
-        // when a job is spare, inline otherwise), a salvage check takes
-        // the in-memory checker.
-        let dir = std::env::temp_dir().join(format!("heapmd-pool-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let paths: Vec<std::path::PathBuf> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let path = dir.join(format!("t{i}.hmdt"));
-                t.save_binary(&path).unwrap();
-                path
-            })
-            .collect();
-        for (jobs, salvage) in [1, 2, 8].into_iter().flat_map(|j| [(j, false), (j, true)]) {
-            let mut pooled = Vec::new();
-            let check = |checker: &mut TraceChecker, i: usize| {
-                checker.check_path(&paths[i], &model, &settings, salvage, None)
-            };
-            let n = paths.len();
-            let Ok(()) =
-                run_pool_streaming("check_pool", n, jobs, TraceChecker::new, check, |_, r| {
-                    pooled.push(r.unwrap().bugs);
-                    Ok::<(), std::convert::Infallible>(())
-                });
-            assert_eq!(pooled, sequential, "jobs={jobs} must merge in order");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sampled_pool_checks_agree_across_formats() {
-        // Re-sampling happens in one driver, so a strict check of a
-        // binary file (read by block) and a salvage check of it (in memory)
-        // give the same sampled verdict, samples, and rate.
-        let trace = sample_trace(600);
-        let settings = settings(5);
-        let mut builder = crate::model::ModelBuilder::new(settings.clone());
-        builder.add_run(&trace.replay(&settings, "train").unwrap());
-        let model = builder.build().model;
-        let dir = std::env::temp_dir().join(format!("heapmd-pool-sampled-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let paths = [dir.join("t.hmdt")];
-        trace.save_binary(&paths[0]).unwrap();
-        let config = SamplerConfig::new(8, 4);
-        let outcomes: Vec<_> = [false, true]
-            .into_iter()
-            .map(|salvage| check_path(&paths[0], &model, &settings, salvage, Some(config)))
-            .map(|r| r.unwrap())
-            .collect();
-        let rate = outcomes[0].sampling.expect("re-sampled").rate();
-        assert!(rate < 1.0, "the filter must drop stores (rate {rate})");
-        // Debug rendering keeps the comparison NaN-stable.
-        assert_eq!(
-            format!("{:?}", outcomes[0].bugs),
-            format!("{:?}", outcomes[1].bugs)
-        );
-        assert_eq!(outcomes[0].samples, outcomes[1].samples);
-        assert_eq!(outcomes[0].sampling, outcomes[1].sampling);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

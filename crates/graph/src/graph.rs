@@ -948,9 +948,10 @@ impl HeapGraph {
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct ShardedGraph(HeapGraph);
+#[doc(hidden)]
 impl ShardedGraph {
     pub fn new(_shards: usize) -> Self {
-        ShardedGraph::default()
+        Self::default()
     }
     pub fn apply_batch(&mut self, events: &[HeapEvent]) {
         self.0.apply_batch(events);

@@ -175,7 +175,9 @@ proptest! {
 
         // Check verdicts: train a throwaway model on the replayed
         // report, then the original and the decoded copy — in memory
-        // and pipelined — must return the same `BugReport` list.
+        // and through both binary loops — must return the same
+        // `BugReport` list. Both loops replay the image to the same
+        // samples, too.
         let mut builder = ModelBuilder::new(settings.clone());
         builder.add_run(&a);
         let model = builder.build().model;
@@ -185,10 +187,16 @@ proptest! {
         let reference_bugs = format!("{:?}", trace.check(&model, &settings).unwrap());
         let memory_bugs = format!("{:?}", from_binary.check(&model, &settings).unwrap());
         let image = BinaryTraceImage::open(binary_bytes(&trace)).unwrap();
-        let pipelined_bugs =
-            format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap());
         prop_assert_eq!(&reference_bugs, &memory_bugs, "verdicts diverged after the round trip");
-        prop_assert_eq!(&reference_bugs, &pipelined_bugs, "pipelined verdicts diverged");
+        for ahead in [true, false] {
+            let mut worker = TraceChecker::new(ahead);
+            let checked = worker.check_image(&image, &model, &settings, None).unwrap();
+            let image_bugs = format!("{:?}", checked.bugs);
+            prop_assert_eq!(&reference_bugs, &image_bugs, "image verdicts diverged (ahead {})", ahead);
+            let (replayed, _) =
+                worker.replay_image(&image, &settings, "differential", None).unwrap();
+            assert_reports_match(&replayed, &a, "image replay")?;
+        }
     }
 }
 
@@ -290,7 +298,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // The file-backed image is unobservable — same samples bit-for-bit
-    // as the fused engine over bytes in memory, same check verdicts,
+    // as the inline replay of the bytes in memory, same check verdicts,
     // the same refusals, and the same salvage result whether a damaged
     // file is read from disk or from memory.
     #[test]
@@ -305,7 +313,11 @@ proptest! {
         let settings = Settings::builder().frq(frq).build().unwrap();
         let image = BinaryTraceImage::open(bytes.clone()).unwrap();
 
-        let fused = heapmd::replay_binary_fused(&image, &settings, "differential").unwrap();
+        let replay = |image: &BinaryTraceImage| {
+            let mut worker = TraceChecker::new(false);
+            worker.replay_image(image, &settings, "differential", None).unwrap().0
+        };
+        let fused = replay(&image);
         let mut builder = ModelBuilder::new(settings.clone());
         builder.add_run(&fused);
         let model = builder.build().model;
@@ -319,14 +331,14 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
         let from_file = BinaryTraceImage::open_path(&path).unwrap();
         assert_images_match(&from_file, &image)?;
-        let via_file = heapmd::replay_binary_fused(&from_file, &settings, "differential").unwrap();
+        let via_file = replay(&from_file);
         assert_reports_match(&via_file, &fused, "file replay")?;
         // Debug rendering keeps the verdicts NaN-stable (see above).
-        prop_assert_eq!(
-            format!("{:?}", heapmd::check_binary(&from_file, &model, &settings).unwrap()),
-            format!("{:?}", heapmd::check_binary(&image, &model, &settings).unwrap()),
-            "file check diverged"
-        );
+        let check = |image: &BinaryTraceImage| {
+            let mut worker = TraceChecker::new(true);
+            format!("{:?}", worker.check_image(image, &model, &settings, None).unwrap().bugs)
+        };
+        prop_assert_eq!(check(&from_file), check(&image), "file check diverged");
 
         // The decode-ahead loop and the inline loop agree: on the file,
         // on a many-block stream refused mid-stream, and on that stream

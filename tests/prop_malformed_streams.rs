@@ -7,7 +7,8 @@
 //! recording header, valid or not.
 //!
 //! Every case asserts:
-//! - `check_path` never panics, exact or under `--sample`, and returns
+//! - `TraceChecker::check_path` never panics, exact or under
+//!   `--sample`, and returns
 //!   a verdict or an error naming what it refused: the out-of-table
 //!   function id, the event the heap graph cannot apply, or the
 //!   sampling header;
@@ -15,11 +16,12 @@
 //!   event and agree on every snapshot before it;
 //! - one [`TraceChecker`] reused across a well-formed trace, the stream
 //!   and the well-formed trace again, as a `check --jobs` worker runs
-//!   them, gives each exactly the outcome of a fresh `check_path`.
+//!   them, gives each exactly the outcome of a fresh worker, whether it
+//!   checks the file, checks its image or replays it.
 
 use heap_graph::{HeapGraph, ReferenceGraph};
 use heapmd::{
-    check_path, HeapMdError, HeapModel, ModelBuilder, Process, SamplerConfig, SamplingInfo,
+    BinaryTraceImage, HeapMdError, HeapModel, ModelBuilder, Process, SamplerConfig, SamplingInfo,
     Settings, Trace, TraceCheckOutcome, TraceChecker,
 };
 use proptest::prelude::*;
@@ -288,7 +290,7 @@ fn check(
     trace: &Trace,
 ) -> Result<Result<TraceCheckOutcome, HeapMdError>, TestCaseError> {
     catch_unwind(AssertUnwindSafe(|| {
-        check_path(path, model(), &settings(), false, sampler)
+        TraceChecker::new(true).check_path(path, model(), &settings(), false, sampler)
     }))
     .map_err(|_| {
         TestCaseError::fail(format!(
@@ -353,33 +355,59 @@ fn neighbour_trace() -> Trace {
     trace
 }
 
-/// Everything a check ends with, rendered comparably: the bugs (their
-/// Debug rendering is NaN-stable), samples and sampling outcome, or
-/// the refusal's text.
-fn rendered(result: &Result<TraceCheckOutcome, HeapMdError>) -> String {
-    match result {
-        Ok(o) => format!("{:?}\n{:?}\n{:?}", o.bugs, o.samples, o.sampling),
-        Err(e) => format!("refused: {e}"),
-    }
+/// Which of a worker's entry points runs a file.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// `check_path`, as `check --jobs` runs it.
+    Path,
+    /// `check_image` of the opened file.
+    Image,
+    /// `replay_image` of the opened file.
+    Replay,
 }
 
-/// Checks each `(file, sampler)` on one reused worker, in order, and
-/// asserts each outcome equals a fresh `check_path` of it.
+/// Runs the file at `path` on `worker` via `via`, and renders
+/// everything it ends with comparably: the bugs (their Debug rendering
+/// is NaN-stable; a replay has none), samples and sampling outcome, or
+/// the refusal's text.
+fn run_via(
+    worker: &mut TraceChecker,
+    via: Via,
+    path: &Path,
+    sampler: Option<SamplerConfig>,
+) -> String {
+    let (model, settings) = (model(), &settings());
+    let checked = |o: TraceCheckOutcome| format!("{:?}\n{:?}\n{:?}", o.bugs, o.samples, o.sampling);
+    let ran = match via {
+        Via::Path => worker
+            .check_path(path, model, settings, false, sampler)
+            .map(checked),
+        Via::Image => BinaryTraceImage::open_path(path)
+            .and_then(|image| worker.check_image(&image, model, settings, sampler))
+            .map(checked),
+        Via::Replay => BinaryTraceImage::open_path(path)
+            .and_then(|image| worker.replay_image(&image, settings, "replay", sampler))
+            .map(|(report, sampling)| format!("{:?}\n{:?}", report.samples, sampling)),
+    };
+    ran.unwrap_or_else(|e: HeapMdError| format!("refused: {e}"))
+}
+
+/// Runs each `(via, file, sampler)` on one reused worker, in order, and
+/// asserts each result equals a fresh worker's.
 fn assert_reuse_is_unobservable(
     worker: &mut TraceChecker,
-    checks: &[(&Path, Option<SamplerConfig>)],
+    checks: &[(Via, &Path, Option<SamplerConfig>)],
 ) -> Result<(), TestCaseError> {
-    for (i, &(path, sampler)) in checks.iter().enumerate() {
-        let fresh = check_path(path, model(), &settings(), false, sampler);
-        let reused = catch_unwind(AssertUnwindSafe(|| {
-            worker.check_path(path, model(), &settings(), false, sampler)
-        }))
-        .map_err(|_| TestCaseError::fail(format!("reused check {i} panicked")))?;
+    for (i, &(via, path, sampler)) in checks.iter().enumerate() {
+        let fresh = run_via(&mut TraceChecker::new(true), via, path, sampler);
+        let reused = catch_unwind(AssertUnwindSafe(|| run_via(worker, via, path, sampler)))
+            .map_err(|_| TestCaseError::fail(format!("reused run {i} panicked")))?;
         prop_assert_eq!(
-            rendered(&reused),
-            rendered(&fresh),
-            "check {} ({:?}, sampler {:?}) on the reused worker",
+            reused,
+            fresh,
+            "run {} ({:?} of {:?}, sampler {:?}) on the reused worker",
             i,
+            via,
             path,
             sampler
         );
@@ -390,8 +418,10 @@ fn assert_reuse_is_unobservable(
 #[test]
 fn reuse_across_recorded_sampled_and_exact_traces_is_unobservable() {
     // A trace recorded with `--sample` (its meta carries the outcome),
-    // then a full-fidelity one under a sampler, then an exact one: the
-    // recorded rate and the live filter must not outlive their trace.
+    // a full-fidelity one under a sampler, and that one exact, each
+    // checked by file, checked by image and replayed, on one trace and
+    // across traces: the recorded rate and the live filter must not
+    // outlive their trace.
     let trace = neighbour_trace();
     let sampled = trace.sampled(SAMPLER);
     assert!(sampled.sampling().is_some_and(|s| s.rate() < 1.0));
@@ -400,15 +430,23 @@ fn reuse_across_recorded_sampled_and_exact_traces_is_unobservable() {
     sampled.save_binary(&recorded).unwrap();
     let exact = dir.join(format!("heapmd-reuse-exact-{}.hmdt", std::process::id()));
     trace.save_binary(&exact).unwrap();
+    let (recorded, exact) = (recorded.as_path(), exact.as_path());
     let checks = [
-        (recorded.as_path(), None),
-        (exact.as_path(), Some(SAMPLER)),
-        (exact.as_path(), None),
+        (Via::Path, recorded, None),
+        (Via::Replay, recorded, Some(SAMPLER)),
+        (Via::Image, exact, Some(SAMPLER)),
+        (Via::Replay, exact, Some(SAMPLER)),
+        (Via::Path, exact, None),
+        (Via::Replay, exact, None),
+        (Via::Image, recorded, Some(SAMPLER)),
+        (Via::Image, exact, None),
     ];
-    let flagged = check_path(&exact, model(), &settings(), false, None).map(|o| o.bugs.len());
+    let flagged = TraceChecker::new(true)
+        .check_path(exact, model(), &settings(), false, None)
+        .map(|o| o.bugs.len());
     let outcome = assert_reuse_is_unobservable(&mut TraceChecker::new(false), &checks);
-    std::fs::remove_file(&recorded).ok();
-    std::fs::remove_file(&exact).ok();
+    std::fs::remove_file(recorded).ok();
+    std::fs::remove_file(exact).ok();
     outcome.unwrap();
     // Bug reports carry the call stack, so a stale frame would show.
     assert!(flagged.unwrap() > 0, "the model flags the neighbour trace");
@@ -457,7 +495,17 @@ proptest! {
         NEIGHBOUR.get_or_init(neighbour_trace).save_binary(&neighbour).unwrap();
         let mut checks = Vec::new();
         for sampler in [None, Some(SAMPLER)] {
-            checks.extend([&neighbour, &path, &neighbour].map(|p| (p.as_path(), sampler)));
+            checks.extend(
+                [
+                    (Via::Path, &neighbour),
+                    (Via::Path, &path),
+                    (Via::Image, &path),
+                    (Via::Replay, &path),
+                    (Via::Replay, &neighbour),
+                    (Via::Image, &neighbour),
+                ]
+                .map(|(via, p)| (via, p.as_path(), sampler)),
+            );
         }
         let reused = assert_reuse_is_unobservable(&mut TraceChecker::new(false), &checks);
         std::fs::remove_file(&path).ok();

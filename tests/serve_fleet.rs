@@ -1249,7 +1249,8 @@ fn daemon_sampled_tenant_reports_its_live_rate_and_widened_bands() {
     let dir = scratch_dir("daemon-sampled");
     let path = dir.join("t.hmdt");
     fx.trace.save_binary(&path).expect("save trace");
-    let expected = heapmd::check_path(&path, &fx.model, &fx.model.settings, false, Some(sampler))
+    let expected = heapmd::TraceChecker::new(true)
+        .check_path(&path, &fx.model, &fx.model.settings, false, Some(sampler))
         .expect("offline sampled check");
 
     let mut config = ServeConfig::new(fx.model.clone());

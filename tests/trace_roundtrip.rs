@@ -3,9 +3,9 @@
 
 use faults::FaultPlan;
 use heapmd::{
-    check_path, load_trace_auto, push_trace_resumable, render_verdicts, AnomalyDetector, BugReport,
-    FuncId, HeapEvent, IncidentBundle, ModelBuilder, Process, SamplerConfig, ServeConfig, Server,
-    SessionOptions, Settings, Trace, WireFrame, WireReader,
+    load_trace_auto, push_trace_resumable, render_verdicts, AnomalyDetector, BugReport, FuncId,
+    HeapEvent, IncidentBundle, ModelBuilder, Process, SamplerConfig, ServeConfig, Server,
+    SessionOptions, Settings, Trace, TraceChecker, WireFrame, WireReader,
 };
 use sim_ds::{fault_ids::DLIST_SKIP_PREV, SimDList};
 use std::cell::RefCell;
@@ -61,17 +61,19 @@ fn an_open_image_survives_its_file_being_rewritten() {
 
     let image = heapmd::BinaryTraceImage::open_path(&path).unwrap();
     std::fs::File::create(&path).unwrap();
-    let cut = heapmd::replay_binary_fused(&image, &settings, "traced");
+    let cut = TraceChecker::new(false).replay_image(&image, &settings, "traced", None);
     assert!(
         matches!(cut, Err(heapmd::HeapMdError::Corrupt { .. })),
         "a cut file must be refused as corrupt, got {:?}",
-        cut.map(|r| r.samples.len())
+        cut.map(|(r, _)| r.samples.len())
     );
 
     trace.save_binary(&path).unwrap();
     let image = heapmd::BinaryTraceImage::open_path(&path).unwrap();
     heapmd::persist::write_atomic(&path, b"not a trace").unwrap();
-    let replayed = heapmd::replay_binary_fused(&image, &settings, "traced").unwrap();
+    let (replayed, _) = TraceChecker::new(false)
+        .replay_image(&image, &settings, "traced", None)
+        .unwrap();
     assert_eq!(replayed.samples, expected.samples);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -249,7 +251,9 @@ fn live_offline_and_serve_agree_on_a_long_run() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.hmdt");
     trace.save_binary(&path).unwrap();
-    let filed = check_path(&path, &model, &settings, false, None).unwrap();
+    let filed = TraceChecker::new(true)
+        .check_path(&path, &model, &settings, false, None)
+        .unwrap();
     assert_eq!(live, filed.bugs, "live == check of the .hmdt file");
     assert_eq!(live_text, render_verdicts(&filed.bugs));
     holds_its_report(&filed.incidents, &filed.bugs);
